@@ -5,10 +5,13 @@ The full equation evolves the joint density p_t(j, T) on an energy grid under
 four transport terms mirroring the particle channels: unary type changes
 (exact energy shifts, deposited onto bracketing nodes), slow binary reactions
 (feature-gated, constant rates), fast kinetic-energy exchange, and bath
-contact.  All channels are discretized conservatively in mass coordinates;
-linear two-node deposition preserves both the deposited mass and its mean
-energy, so the discrete operators inherit the continuum conservation laws up
-to grid-edge clipping.
+contact.  Bath contact is a collision with a partner whose energy is drawn
+from the bath law Gamma(3/2, beta), so it shares the fast channel's
+deposition of the Beta(3/2, 3/2) split of a pair total; slow outcomes that
+shift no chemical energy reuse it too.  All channels are discretized
+conservatively in mass coordinates; linear two-node deposition preserves both
+the deposited mass and its mean energy, so the discrete operators inherit the
+continuum conservation laws up to grid-edge clipping.
 
 In the limit of infinitely fast exchange and bath contact the kinetic
 marginal is pinned at density c sqrt(T) exp(-beta T) and only the type
@@ -23,7 +26,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import integrate as _sintegrate
-from scipy.special import betainc, gammaincc
+from scipy.special import betainc, gammainc, gammaincc
 
 from .model import EnsembleSpec
 
@@ -382,20 +385,29 @@ def _scatter(gains: np.ndarray, idx: np.ndarray, frac: np.ndarray,
     np.add.at(gains, idx + 1, mass * frac)
 
 
-def heat_deposition(grid: np.ndarray, beta: float, n_quad: int = 96) -> np.ndarray:
-    """Row-stochastic matrix H[k, m]: bath contact moves unit mass at node k
-    to nodes m, averaging the Beta split of T_k + xi over xi ~ Gamma(3/2, beta)."""
-    xi_max = 40.0 / beta
-    x, wq = np.polynomial.legendre.leggauss(n_quad)
-    xi = 0.5 * xi_max * (x + 1.0)
-    wq = 0.5 * xi_max * wq * gamma32_density(xi, beta)
-    wq /= wq.sum()
+def _gamma_partial_moments(x_lo, x_hi, beta: float):
+    """(mass, first moment) of Gamma(3/2, beta) on [max(x_lo, 0), x_hi]."""
+    x_lo = np.clip(x_lo, 0.0, None)
+    m0 = gammainc(1.5, beta * x_hi) - gammainc(1.5, beta * x_lo)
+    m1 = (1.5 / beta) * (gammainc(2.5, beta * x_hi) - gammainc(2.5, beta * x_lo))
+    return m0, m1
+
+
+def _bath_hat_projection(grid: np.ndarray, beta: float) -> np.ndarray:
+    """Weights b[l] = E[hat_l(xi)], xi ~ Gamma(3/2, beta): the bath law carried
+    onto the grid's hat functions, which keeps its mass and mean energy.
+
+    Mass beyond the last node is folded into it.
+    """
     M = grid.size - 1
-    H = np.empty((M + 1, M + 1))
-    for k in range(M + 1):
-        D = beta_split_deposition(grid[k] + xi, grid)
-        H[k] = wq @ D
-    return H
+    h = grid[1] - grid[0]
+    # ascending wing on [T_{l-1}, T_l], descending wing on [T_l, T_{l+1}]
+    m0, m1 = _gamma_partial_moments(grid - h, grid, beta)
+    left = (m1 - (grid - h) * m0) / h
+    m0, m1 = _gamma_partial_moments(grid, grid + h, beta)
+    b = left + ((grid + h) * m0 - m1) / h
+    b[M] = left[M] + gammaincc(1.5, beta * grid[M])
+    return b / b.sum()
 
 
 # -- the four-channel integrator --------------------------------------------------
@@ -408,7 +420,11 @@ class BoltzmannIntegrator:
     terms are evaluated through the pair-total convolution: conv[s] =
     sum_{k+l=s} rho_j[k] rho_j'[l] collects collisions with total energy s*h,
     and a precomputed row-stochastic matrix redistributes each total through
-    the Beta split.
+    the Beta split.  Bath contact reuses that matrix: the partner's energy is
+    the bath law projected onto the grid's hat functions, b[l], so node k
+    meets node l at pair total k + l and heat_H[k] = b @ split_D[k : k+M+1].
+    Slow outcomes with the same chemical-energy shift share one matrix, the
+    zero shift sharing split_D.
     """
 
     def __init__(self, spec: EnsembleSpec, grid: np.ndarray, *,
@@ -440,18 +456,22 @@ class BoltzmannIntegrator:
                 idx, frac = shift_deposition(self.grid, K[j] - K[j1])
                 self.unary_terms.append((j, j1, rate, idx, frac))
 
-        # fast channel
+        # fast and heat channels share the pair-total split
         self.f_eff = spec.scale_fast * np.array(r.fast_binary, dtype=float) \
             if J else np.zeros((0, 0))
         self.has_fast = bool(J) and float(np.max(self.f_eff, initial=0.0)) > 0.0
+        self.heat_eff = spec.scale_heat * r.heat_rate
         pair_totals = np.arange(2 * M + 1) * self.h
-        if self.has_fast:
+        self.split_D = None
+        if self.has_fast or self.heat_eff > 0.0:
             self.split_D = beta_split_deposition(pair_totals, self.grid)
 
-        # heat channel
-        self.heat_eff = spec.scale_heat * r.heat_rate
+        # heat channel: a collision with a partner drawn from the bath law
         if self.heat_eff > 0.0:
-            self.heat_H = heat_deposition(self.grid, r.bath_beta)
+            b = _bath_hat_projection(self.grid, r.bath_beta)
+            self.heat_H = np.empty((M + 1, M + 1))
+            for k in range(M + 1):
+                self.heat_H[k] = b @ self.split_D[k:k + M + 1]
 
         # slow binary channel (constant rates only)
         self.slow_terms = []
@@ -463,6 +483,8 @@ class BoltzmannIntegrator:
             if float(np.max(bmat, initial=0.0)) > 0.0:
                 self.has_slow = True
                 kernel = r.binary_kernel
+                # outcomes with the same energy shift share one deposition
+                depositions = {} if self.split_D is None else {0.0: self.split_D}
                 for j in range(J):
                     for jp in range(J):
                         b = bmat[j, jp]
@@ -479,13 +501,20 @@ class BoltzmannIntegrator:
                             dK = (K[j] + K[jp]) - (K[j1] + K[j1p])
                             totals = pair_totals + dK
                             ok = totals >= 0.0
-                            D = np.zeros((totals.size, M + 1))
-                            if ok.any():
-                                D[ok] = beta_split_deposition(totals[ok], self.grid)
+                            if dK not in depositions:
+                                D = np.zeros((totals.size, M + 1))
+                                if ok.any():
+                                    D[ok] = beta_split_deposition(totals[ok], self.grid)
+                                depositions[dK] = D
+                            D = depositions[dK]
                             # smallest pair-total index with E >= 0
                             s_min = int(np.argmax(ok)) if ok.any() else totals.size
                             self.slow_terms.append(
                                 (j, jp, j1, j1p, 2.0 * b * prob, D, s_min, ok))
+        # each ordered type pair is convolved once per rhs call
+        fast_pairs = zip(*np.nonzero(self.f_eff)) if self.has_fast else ()
+        self.conv_pairs = {(int(j), int(jp)) for j, jp in fast_pairs} \
+            | {term[:2] for term in self.slow_terms}
 
     # -- right-hand side ---------------------------------------------------------
 
@@ -499,6 +528,8 @@ class BoltzmannIntegrator:
             out[j] -= flux
             _scatter(out[j1], idx, frac, flux)
 
+        conv = {(j, jp): np.convolve(rho[j], rho[jp]) for j, jp in self.conv_pairs}
+
         if self.has_fast:
             for j in range(J):
                 loss_rate = 2.0 * float(self.f_eff[j] @ type_mass)
@@ -508,8 +539,7 @@ class BoltzmannIntegrator:
                     f = self.f_eff[j, jp]
                     if f == 0.0:
                         continue
-                    conv = np.convolve(rho[j], rho[jp])
-                    out[j] += 2.0 * f * (conv @ self.split_D)
+                    out[j] += 2.0 * f * (conv[j, jp] @ self.split_D)
 
         if self.heat_eff > 0.0:
             for j in range(J):
@@ -522,8 +552,7 @@ class BoltzmannIntegrator:
                 suffix = np.concatenate((np.cumsum(rho[jp][::-1])[::-1], [0.0]))
                 l_min = np.clip(s_min - np.arange(n_nodes), 0, n_nodes)
                 out[j] -= coef * rho[j] * suffix[l_min]
-                conv = np.convolve(rho[j], rho[jp])
-                out[j1] += coef * (np.where(ok, conv, 0.0) @ D)
+                out[j1] += coef * (np.where(ok, conv[j, jp], 0.0) @ D)
 
         return out
 

@@ -8,6 +8,7 @@ reproducible.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import math
 import time
@@ -169,8 +170,7 @@ class _Collector:
 
 def scenario_equilibration(seed: int, out_dir: Optional[Path], *, n: int = 10000,
                            beta: float = 1.0, t_end: float = 8.0,
-                           sample_every: float = 1.0, ks_tol: float = 0.02,
-                           **_ignored) -> dict:
+                           sample_every: float = 1.0, ks_tol: float = 0.02) -> dict:
     """Fast-exchange-only relaxation of the kinetic-energy law.
 
     Phase A starts from Uniform(0, 2T0) energies and must end within ks_tol
@@ -218,7 +218,7 @@ def scenario_equilibration(seed: int, out_dir: Optional[Path], *, n: int = 10000
 def scenario_unimolecular(seed: int, out_dir: Optional[Path], *, n: int = 400,
                           beta: float = 1.0, replicas: int = 6,
                           t_end: float = 25.0, burn_in: float = 10.0,
-                          scale: float = 60.0, **_ignored) -> dict:
+                          scale: float = 60.0) -> dict:
     """Two-state reaction: stationary composition of the particle system
     against the effective chain, thermodynamic consistency of the
     equilibrium constant, and the free-energy/relative-entropy identity
@@ -295,8 +295,7 @@ def scenario_meanfield_vs_mc(seed: int, out_dir: Optional[Path], *,
                              n: int = 10000, beta: float = 1.0,
                              w: float = 1.0, scale: float = 50.0,
                              t_end: Optional[float] = None,
-                             sample_every: float = 0.25,
-                             **_ignored) -> dict:
+                             sample_every: float = 0.25) -> dict:
     """Transient concentrations of the particle run against the reduced ODE."""
     if t_end is None:
         t_end = 5.0 / w
@@ -327,8 +326,7 @@ def scenario_meanfield_vs_mc(seed: int, out_dir: Optional[Path], *,
 def scenario_redistribution(seed: int, out_dir: Optional[Path], *,
                             direction: str = "exothermic", n: int = 1200,
                             beta: float = 1.0, replicas: int = 4,
-                            t_end: float = 5.0, scale: float = 200.0,
-                            **_ignored) -> dict:
+                            t_end: float = 5.0, scale: float = 200.0) -> dict:
     """Chemical <-> kinetic energy conversion at fixed bath temperature.
 
     Exothermic: start in the high-chemical-energy state; the mean chemical
@@ -387,7 +385,7 @@ def scenario_redistribution(seed: int, out_dir: Optional[Path], *,
 
 def scenario_hess(seed: int, out_dir: Optional[Path], *, n: int = 1500,
                   beta: float = 1.0, replicas: int = 3, t_end: float = 8.0,
-                  scale: float = 30.0, **_ignored) -> dict:
+                  scale: float = 30.0) -> dict:
     """Path independence of the enthalpy change: two rate sets with the same
     equilibrium produce identical endpoint enthalpies (bit for bit from the
     state functions) and statistically identical particle endpoints."""
@@ -439,7 +437,7 @@ def scenario_hess(seed: int, out_dir: Optional[Path], *, n: int = 1500,
 
 def scenario_poisson_invariance(seed: int, out_dir: Optional[Path], *,
                                 n: int = 10000, k_boxes: int = 12,
-                                times=(1.0, 2.0, 4.0), **_ignored) -> dict:
+                                times=(1.0, 2.0, 4.0)) -> dict:
     """Spatial uniformity is preserved by the flight + jump dynamics:
     sub-box occupancy stays consistent with a homogeneous point field."""
     spec = two_state_spec(n, beta=1.0, scale_fast=1.0, scale_heat=0.0,
@@ -468,7 +466,7 @@ def scenario_poisson_invariance(seed: int, out_dir: Optional[Path], *,
 def scenario_chaos(seed: int, out_dir: Optional[Path], *,
                    n_values=(100, 400, 1600), replicas=(1500, 1000, 700),
                    alpha: float = 0.5, lam: float = 1.0, t: float = 0.5,
-                   exact_ns=(3, 4, 5, 6), **_ignored) -> dict:
+                   exact_ns=(3, 4, 5, 6)) -> dict:
     """Decay of pair correlations with system size in the pair-interaction
     model: simulated runs must show a ~1/N factorization defect, and the
     exact small-N law must approach the product form monotonically."""
@@ -514,8 +512,7 @@ def scenario_chaos(seed: int, out_dir: Optional[Path], *,
 
 def scenario_oracle_verify(seed: int, out_dir: Optional[Path], *,
                            states: int = 2, n: int = 5, lambda_t: float = 0.1,
-                           nmax: int = 4, alpha: float = 0.6,
-                           **_ignored) -> dict:
+                           nmax: int = 4, alpha: float = 0.6) -> dict:
     """Truncated resummation series against the dense master-equation
     marginal, plus the exact combinatorial counting identities."""
     model = ORC.contagion_model(alpha=alpha, rate=lambda_t)   # t = 1
@@ -525,13 +522,16 @@ def scenario_oracle_verify(seed: int, out_dir: Optional[Path], *,
     res = ORC.series_marginal(model, mu0, 1.0, n_max=nmax, n_particles=n)
     exact = ORC.exact_marginal(model, mu0, 1.0, n)
     err = float(np.max(np.abs(res.marginal - exact)))
-    geometric_tail = sum((2.0 * lambda_t) ** m for m in range(nmax + 1, 200))
+    x = 2.0 * lambda_t
+    geometric_tail = x ** (nmax + 1) / (1.0 - x) if x < 1.0 else math.inf
+    geometric_note = ("sum of (2 lambda t)^m over m > nmax" if x < 1.0 else
+                      "2 lambda t >= 1: the geometric series diverges and bounds nothing")
     checks = [
         _check("series_within_stated_tail", err <= res.tail_bound,
                error=err, tail_bound=res.tail_bound,
                note="stated tail (1 - exp(-2 lambda t))^(nmax + 1)"),
-        _check("series_within_geometric_tail", err <= geometric_tail,
-               error=err, tail_bound=geometric_tail),
+        _check("series_within_geometric_tail", x < 1.0 and err <= geometric_tail,
+               error=err, tail_bound=geometric_tail, note=geometric_note),
     ]
 
     from fractions import Fraction
@@ -586,8 +586,7 @@ def scenario_oracle_verify(seed: int, out_dir: Optional[Path], *,
 
 def scenario_flux_check(seed: int, out_dir: Optional[Path], *,
                         beta: float = 1.0, t_end: float = 6.0,
-                        fd_step: float = 1e-5, tol: float = 1e-8,
-                        **_ignored) -> dict:
+                        fd_step: float = 1e-5, tol: float = 1e-8) -> dict:
     """Finite-difference reaction rate along the reduced dynamics against the
     affinity form of the flux (on unit-total-concentration trajectories)."""
     species, _ = matched_two_species(beta)
@@ -640,6 +639,12 @@ def run_scenario(name: str, overrides: Optional[dict] = None,
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; known: {sorted(SCENARIOS)}")
     overrides = dict(overrides or {})
+    known = [p.name for p in inspect.signature(SCENARIOS[name]).parameters.values()
+             if p.kind is inspect.Parameter.KEYWORD_ONLY]
+    unknown = sorted(set(overrides) - set(known))
+    if unknown:
+        raise ValueError(f"unknown override(s) {unknown} for scenario {name!r}; "
+                         f"known: {known}")
     out_path = None
     if out_dir is not None:
         out_path = Path(out_dir)

@@ -56,6 +56,29 @@ def test_scenario_exit_code_reflects_failing_check(tmp_path):
     assert not all(c["passed"] for c in summary["checks"])
 
 
+def test_oracle_verify_fails_geometric_check_when_series_diverges(tmp_path):
+    # 2 lambda t = 1.2: the geometric series diverges and bounds nothing
+    out = tmp_path / "oracle"
+    code = main(["oracle", "verify", "--lambda-t", "0.6", "--nmax", "4",
+                 "--out", str(out)])
+    assert code == 1
+    summary = json.loads((out / "summary.json").read_text())
+    validate_schema(summary, SUMMARY_SCHEMA)
+    check = {c["name"]: c for c in summary["checks"]}["series_within_geometric_tail"]
+    assert not check["passed"]
+    assert check["tail_bound"] == float("inf")
+    assert "diverges" in check["note"]
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["scenario", "flux-check", "--set", "bogus=3"], "bogus"),
+    (["scenario", "meanfield-vs-mc", "--replicas", "3"], "replicas"),
+])
+def test_scenario_rejects_unknown_override(argv, key):
+    with pytest.raises(ValueError, match=f"unknown override.*{key}"):
+        main(argv)
+
+
 def test_scenario_rejects_unknown_name():
     with pytest.raises(SystemExit):
         main(["scenario", "not-a-scenario"])

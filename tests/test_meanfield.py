@@ -185,6 +185,43 @@ def test_heat_operator_fixes_bath_law():
     assert float(np.abs(integ.rhs(rho)).sum()) < 0.02
 
 
+@pytest.mark.parametrize("m", (64, 128))
+@pytest.mark.parametrize("beta", (1.0, 0.5))
+def test_heat_operator_is_stochastic_and_halves_pair_energy(m, beta):
+    # bath contact splits T_k + xi, xi ~ Gamma(3/2, beta), so the mean
+    # outgoing energy is (T_k + 3/(2 beta))/2 wherever the grid edge is far
+    spec = make_two_state(beta=beta, w12=0.0, w21=0.0, fast=0.0, heat=1.0,
+                          scale_heat=1.0)
+    grid = MF.energy_grid(beta, (0.0, 1.0), m=m)
+    H = MF.BoltzmannIntegrator(spec, grid).heat_H
+    assert H.min() >= 0.0
+    assert np.max(np.abs(H.sum(axis=1) - 1.0)) < 1e-12
+    inner = grid <= grid[-1] / 3.0
+    assert np.max(np.abs((H @ grid)[inner] - (grid[inner] + 1.5 / beta) / 2.0)) < 1e-8
+
+
+def test_zero_shift_slow_outcomes_share_the_split_deposition(monkeypatch):
+    from kinchem.model import TypeKernel
+    kernel = TypeKernel(kind="table", table=(
+        ((1, 1), (((2, 2), 0.5), ((1, 1), 0.5))),
+        ((2, 2), (((1, 1), 0.5), ((2, 2), 0.5))),
+    ))
+    spec = make_two_state(k2=1.0, fast=1.0, heat=1.0, scale_heat=1.0, slow=1.0,
+                          kernel=kernel)
+    grid = MF.energy_grid(1.0, (0.0, 1.0), m=64, t_max=12.0)
+    calls = []
+    split = MF.beta_split_deposition
+    monkeypatch.setattr(MF, "beta_split_deposition",
+                        lambda *a: calls.append(1) or split(*a))
+    integ = MF.BoltzmannIntegrator(spec, grid, enable_slow_binary=True)
+    K = spec.chem_energies()
+    zero = [t for t in integ.slow_terms if K[t[0]] + K[t[1]] == K[t[2]] + K[t[3]]]
+    assert zero and all(t[5] is integ.split_D for t in zero)
+    assert len(zero) < len(integ.slow_terms)
+    # one deposition per distinct shift: 0 and +-2 K2
+    assert len(calls) == 3
+
+
 def test_unary_channel_matches_reduced_chain_after_projection():
     spec = make_two_state(k2=1.0, fast=1.0, heat=1.0, scale_fast=25.0,
                           scale_heat=25.0, weights=(0.2, 0.8))

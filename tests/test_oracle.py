@@ -243,7 +243,8 @@ def test_series_matches_master_equation_within_geometric_tail():
                                         n_particles=N)
                 exact = O.exact_marginal(model, mu0, 1.0, N)
                 err = float(np.max(np.abs(res.marginal - exact)))
-                geometric = sum((2 * lam_t) ** n for n in range(5, 200))
+                x = 2 * lam_t
+                geometric = x ** 5 / (1 - x)
                 assert err <= geometric
                 # missing mass is itself below the geometric tail
                 assert 0.0 <= 1.0 - res.total_mass <= geometric
