@@ -17,8 +17,8 @@ import numpy as np
 from . import kinetics as KIN
 from . import meanfield as MF
 from . import thermo as TH
-from .model import ConfigError, load_config
-from .scenarios import SCENARIOS, run_scenario
+from .model import load_config
+from .scenarios import SCENARIOS, _jsonable, run_scenario
 
 
 def _add_common(p):
@@ -104,7 +104,7 @@ def _cmd_scenario(args) -> int:
             overrides[key] = val
     seed = args.seed if args.seed is not None else 7
     summary = run_scenario(args.name, overrides, out_dir=args.out, seed=seed)
-    print(json.dumps(summary, indent=2, default=float))
+    print(json.dumps(summary, indent=2, default=float, allow_nan=False))
     return 0 if summary["passed"] else 1
 
 
@@ -218,19 +218,19 @@ def _cmd_thermo(args) -> int:
         "beta": args.beta,
         "volume": volume,
         "concentrations": list(conc),
-        "potentials": {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                       for k, v in pots.items()},
-        "standard_potentials": TH.standard_potential(point).tolist(),
+        "potentials": pots,
+        "standard_potentials": TH.standard_potential(point),
     }
     if len(conc) == 2 and all(c > 0 for c in conc):
         aff = TH.affinity_and_kappa(point)
         report["reaction"] = {"A": aff["A"], "delta_G0": aff["delta_G0"],
                               "kappa": aff["kappa"]}
-    print(json.dumps(report, indent=2))
+    report = _jsonable(report)      # a zero concentration gives mu = -inf
+    print(json.dumps(report, indent=2, allow_nan=False))
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
         with open(args.out / "thermo.json", "w") as fh:
-            json.dump(report, fh, indent=2)
+            json.dump(report, fh, indent=2, allow_nan=False)
         with open(args.out / "thermo.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             keys = [k for k in pots if k not in ("mu", "n")]
@@ -245,7 +245,7 @@ def _cmd_oracle(args) -> int:
     seed = args.seed if args.seed is not None else 7
     summary = run_scenario("oracle-verify", overrides, out_dir=args.out,
                            seed=seed)
-    print(json.dumps(summary, indent=2, default=float))
+    print(json.dumps(summary, indent=2, default=float, allow_nan=False))
     return 0 if summary["passed"] else 1
 
 
@@ -260,7 +260,7 @@ def main(argv=None) -> int:
             return _cmd_thermo(args)
         if args.command == "oracle":
             return _cmd_oracle(args)
-    except ConfigError as exc:
+    except ValueError as exc:     # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise SystemExit(f"unknown command {args.command!r}")

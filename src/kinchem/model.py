@@ -435,13 +435,40 @@ def _require(d: dict, key: str, section: str):
     return d[key]
 
 
+# accepted fields per section: what spec_to_dict writes plus the optional ones
+_ROOT_KEYS = ("ensemble", "species", "rates")
+_ENSEMBLE_KEYS = ("n_particles", "box_side", "scale_fast", "scale_heat",
+                  "rng_seed", "initial_distribution")
+_DISTRIBUTION_KEYS = ("type_weights", "energy_laws")
+_SPECIES_KEYS = ("type_id", "mass", "dof", "chem_energy", "internal_masses")
+_RATES_KEYS = ("unary", "slow_binary", "fast_binary", "heat_rate", "bath_beta",
+               "binary_kernel")
+
+
+def _unknown_fields(d: dict, known, section: str) -> list:
+    if not isinstance(d, dict):
+        raise ConfigError(f"section {section!r} must be a mapping")
+    return [f"{key!r} in section {section!r}" for key in d if key not in known]
+
+
 def spec_from_dict(data: dict) -> EnsembleSpec:
-    """Build a spec from a nested dict, naming any missing field."""
+    """Build a spec from a nested dict, naming any missing or unknown field."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
     ens = _require(data, "ensemble", "<root>")
     species_raw = _require(data, "species", "<root>")
     rates_raw = _require(data, "rates", "<root>")
+    unknown = (_unknown_fields(data, _ROOT_KEYS, "<root>")
+               + _unknown_fields(ens, _ENSEMBLE_KEYS, "ensemble")
+               + _unknown_fields(ens.get("initial_distribution", {}),
+                                 _DISTRIBUTION_KEYS, "initial_distribution"))
+    for i, sd in enumerate(species_raw, start=1):
+        unknown += _unknown_fields(sd, _SPECIES_KEYS, f"species[{i}]")
+    unknown += _unknown_fields(rates_raw, _RATES_KEYS, "rates")
+    unknown += _unknown_fields(rates_raw.get("binary_kernel", {}),
+                               ("kind", "entries"), "binary_kernel")
+    if unknown:
+        raise ConfigError("unknown field(s): " + ", ".join(unknown))
 
     species = []
     for i, sd in enumerate(species_raw, start=1):

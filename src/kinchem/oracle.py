@@ -246,54 +246,34 @@ def scaled_essential_count(n: int, n_particles: int, exact: bool = False):
     return out
 
 
-def _canonical_key(pairs):
-    """Lexicographically minimal relabeling of the non-anchor labels.
-
-    Two anchored sequences describe the same class exactly when a permutation
-    of the non-anchor particles maps one to the other; the anchor (label 0)
-    stays fixed because the series projects onto its marginal.
-    """
-    labels = sorted({x for p in pairs for x in p if x != 0})
-    best = None
-    for perm in itertools.permutations(range(1, len(labels) + 1)):
-        mapping = dict(zip(labels, perm))
-        mapping[0] = 0
-        cand = tuple(tuple(sorted((mapping[a], mapping[b]))) for a, b in pairs)
-        if best is None or cand < best:
-            best = cand
-    return best, len(labels)
-
-
 def canonical_anchored_sequences(n: int):
     """Canonical representatives of connected anchored sequences of length n.
 
     Generated backward from the last pair (which must contain the anchor,
     label 0): every earlier pair has to share a particle with the union of
-    the later ones, so connectivity prunes the search exactly.  Each class
-    is reduced to a canonical relabeling of its r non-anchor labels; a
-    concrete sequence over N particles arises from exactly one canonical
-    representative in (N-1)(N-2)...(N-r) ways.  Yields (pairs, r).
+    the later ones, so connectivity prunes the search exactly and a pair
+    brings at most one new label, always the next one, r + 1.  Labels thus
+    number the particles in order of backward first appearance, which is one
+    canonical form per relabeling class of the r non-anchor labels: a
+    relabeling that maps one generated sequence onto another must fix each
+    label where it first appears, so it is the identity.  A concrete
+    sequence over N particles arises from exactly one representative in
+    (N-1)(N-2)...(N-r) ways.  Yields (pairs, r).
     """
     if n == 0:
         yield (), 0
         return
-    classes: dict = {}
 
-    def build(suffix_rev, seen, r):
+    def build(suffix_rev, r):
         if len(suffix_rev) == n:
-            pairs = tuple(reversed(suffix_rev))
-            key, rr = _canonical_key(pairs)
-            classes.setdefault(key, rr)
+            yield tuple(reversed(suffix_rev)), r
             return
-        old = sorted(seen)
-        for a, b in itertools.combinations(old, 2):
-            build(suffix_rev + [(a, b)], seen, r)
-        for a in old:
-            build(suffix_rev + [(a, r + 1)], seen | {r + 1}, r + 1)
+        for a, b in itertools.combinations(range(r + 1), 2):
+            yield from build(suffix_rev + [(a, b)], r)
+        for a in range(r + 1):
+            yield from build(suffix_rev + [(a, r + 1)], r + 1)
 
-    build([(0, 1)], {0, 1}, 1)
-    for pairs, r in classes.items():
-        yield pairs, r
+    yield from build([(0, 1)], 1)
 
 
 def count_sequences_by_type(n: int, n_particles: int) -> dict:
@@ -486,19 +466,18 @@ def master_generator(model: PairModel, N: int) -> np.ndarray:
     L = np.zeros((dim, dim))
     k4 = model.kernel4()
     powers = [S ** (N - 1 - i) for i in range(N)]
-    for idx in range(dim):
-        digits = [(idx // powers[i]) % S for i in range(N)]
-        for v in range(N):
-            for w in range(v + 1, N):
-                a, b = digits[v], digits[w]
-                for c in range(S):
-                    for d in range(S):
-                        p = k4[a, b, c, d]
-                        if p == 0.0:
-                            continue
-                        jdx = idx + (c - a) * powers[v] + (d - b) * powers[w]
-                        L[idx, jdx] += rate * p
-                L[idx, idx] -= rate
+    # one update per (pair, outcome) over every state at once; each cell only
+    # takes contributions from its own row, in the order of the scalar loop
+    idx = np.arange(dim)
+    digits = [(idx // powers[v]) % S for v in range(N)]
+    for v in range(N):
+        for w in range(v + 1, N):
+            a, b = digits[v], digits[w]
+            for c in range(S):
+                for d in range(S):
+                    jdx = idx + (c - a) * powers[v] + (d - b) * powers[w]
+                    L[idx, jdx] += rate * k4[a, b, c, d]
+            L[idx, idx] -= rate
     return L
 
 
@@ -540,12 +519,12 @@ def simulate_pair_system(model: PairModel, N: int, t: float, mu0,
     rng = random.Random(seed)
     mu0 = np.asarray(mu0, dtype=float)
     cum0 = np.cumsum(mu0)
-    states = [int(np.searchsorted(cum0, rng.random())) for _ in range(N)]
+    uniform = rng.random
+    states = np.searchsorted(cum0, [uniform() for _ in range(N)]).tolist()
     n_events = np.random.default_rng(seed ^ 0x9E3779B97F4A7C15).poisson(
         N * model.rate * t)
     rows = [list(np.cumsum(model.kernel[i])) for i in range(S * S)]
     randrange = rng.randrange
-    uniform = rng.random
     for _ in range(int(n_events)):
         i = randrange(N)
         k = randrange(N - 1)

@@ -61,14 +61,17 @@ SUMMARY_SCHEMA = {
 
 
 def _jsonable(x):
+    """Plain JSON data; non-finite floats become None (null in strict JSON)."""
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
+    if isinstance(x, np.ndarray):
+        return _jsonable(x.tolist())
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, np.ndarray):
-        return x.tolist()
+        x = x.item()
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
     return x
 
 
@@ -577,7 +580,7 @@ def scenario_oracle_verify(seed: int, out_dir: Optional[Path], *,
     if out_dir:
         path = out_dir / "oracle_verify.json"
         with open(path, "w") as fh:
-            json.dump(report, fh, indent=2)
+            json.dump(_jsonable(report), fh, indent=2, allow_nan=False)
         outputs.append(str(path))
     return {"parameters": {"states": states, "n": n, "lambda_t": lambda_t,
                            "nmax": nmax},
@@ -665,5 +668,5 @@ def run_scenario(name: str, overrides: Optional[dict] = None,
     _validate_schema(summary, SUMMARY_SCHEMA)
     if out_path is not None:
         with open(out_path / "summary.json", "w") as fh:
-            json.dump(summary, fh, indent=2)
+            json.dump(summary, fh, indent=2, allow_nan=False)
     return summary

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import pytest
 from jsonschema import validate as validate_schema
@@ -56,27 +57,35 @@ def test_scenario_exit_code_reflects_failing_check(tmp_path):
     assert not all(c["passed"] for c in summary["checks"])
 
 
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def test_oracle_verify_fails_geometric_check_when_series_diverges(tmp_path):
     # 2 lambda t = 1.2: the geometric series diverges and bounds nothing
     out = tmp_path / "oracle"
     code = main(["oracle", "verify", "--lambda-t", "0.6", "--nmax", "4",
                  "--out", str(out)])
     assert code == 1
-    summary = json.loads((out / "summary.json").read_text())
+    summary = json.loads((out / "summary.json").read_text(),
+                         parse_constant=reject_constant)
     validate_schema(summary, SUMMARY_SCHEMA)
     check = {c["name"]: c for c in summary["checks"]}["series_within_geometric_tail"]
     assert not check["passed"]
-    assert check["tail_bound"] == float("inf")
+    assert check["tail_bound"] is None
     assert "diverges" in check["note"]
+    json.loads((out / "oracle_verify.json").read_text(),
+               parse_constant=reject_constant)
 
 
 @pytest.mark.parametrize("argv, key", [
     (["scenario", "flux-check", "--set", "bogus=3"], "bogus"),
     (["scenario", "meanfield-vs-mc", "--replicas", "3"], "replicas"),
 ])
-def test_scenario_rejects_unknown_override(argv, key):
-    with pytest.raises(ValueError, match=f"unknown override.*{key}"):
-        main(argv)
+def test_scenario_rejects_unknown_override(argv, key, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert re.match(f"error: unknown override.*{key}", err)
 
 
 def test_scenario_rejects_unknown_name():
@@ -133,6 +142,17 @@ def test_thermo_eval_reports_potentials(tmp_path, config_path, capsys):
     assert "kappa" in report["reaction"]
     assert (tmp_path / "th" / "thermo.json").exists()
     assert (tmp_path / "th" / "thermo.csv").exists()
+
+
+def test_thermo_eval_writes_strict_json_at_zero_concentration(tmp_path,
+                                                              config_path):
+    out = tmp_path / "th"
+    code = main(["thermo", "eval", "--config", str(config_path),
+                 "--c", "0,1", "--beta", "1.0", "--out", str(out)])
+    assert code == 0
+    report = json.loads((out / "thermo.json").read_text(),
+                        parse_constant=reject_constant)
+    assert None in report["potentials"]["mu"]     # log of a zero concentration
 
 
 def test_seed_override_changes_config(config_path):

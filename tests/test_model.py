@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from kinchem.model import (ConfigError, EnergyLaw, InitialDistribution,
                            save_config, validate_spec)
 from kinchem.kinetics import sample_initial_state
 from conftest import make_two_state
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_well_formed_spec_is_valid():
@@ -111,6 +114,25 @@ def test_missing_bath_beta_names_field(tmp_path):
     text = path.read_text().replace("  bath_beta: 1.0\n", "")
     path.write_text(text)
     with pytest.raises(ConfigError, match="bath_beta"):
+        load_config(path)
+
+
+def test_unknown_config_field_rejected(tmp_path):
+    assert load_config(CONFIG_DIR / "two_state.yaml").n_particles == 1000
+    spec = make_two_state()
+    path = tmp_path / "cfg.yaml"
+    save_config(spec, path)
+    assert load_config(path) == spec
+    text = path.read_text()
+    path.write_text(text.replace("  scale_heat:", "  scale_heet:"))
+    with pytest.raises(ConfigError, match="'scale_heet' in section 'ensemble'"):
+        load_config(path)
+    path.write_text(text.replace("  heat_rate:", "  heatrate: 2.0\n  heat_rate:")
+                    .replace("chem_energy: 1.0", "chem_energy: 1.0\n  charge: 1")
+                    .replace("    kind: identity", "    kind: identity\n    entires: {}"))
+    with pytest.raises(ConfigError, match=r"'charge' in section 'species\[2\]'.*"
+                                          r"'heatrate' in section 'rates'.*"
+                                          r"'entires' in section 'binary_kernel'"):
         load_config(path)
 
 

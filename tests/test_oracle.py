@@ -177,6 +177,34 @@ def test_nonessential_scaled_counts_vanish_monotonically():
         assert scaled[-1] < scaled[0] / 50
 
 
+def permutation_key(pairs):
+    """Lexicographically minimal relabeling of the non-anchor labels (brute
+    force over every permutation); equal keys mean the same history class."""
+    labels = sorted({x for p in pairs for x in p if x != 0})
+    best = None
+    for perm in itertools.permutations(range(1, len(labels) + 1)):
+        mapping = dict(zip(labels, perm))
+        mapping[0] = 0
+        cand = tuple(tuple(sorted((mapping[a], mapping[b]))) for a, b in pairs)
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def test_canonical_sequences_are_one_per_relabeling_class():
+    expected = {0: 1, 1: 1, 2: 3, 3: 15, 4: 111, 5: 1119}
+    for n, count in expected.items():
+        seqs = list(O.canonical_anchored_sequences(n))
+        assert len(seqs) == count
+        keys = {permutation_key(pairs) for pairs, _ in seqs}
+        assert len(keys) == count       # no two related by a relabeling
+        for pairs, r in seqs[n == 0:]:
+            assert {x for p in pairs for x in p} == set(range(r + 1))
+            cls = O.classify(pairs, anchor=0)
+            assert cls.connected and cls.anchored
+    assert sum(1 for _ in O.canonical_anchored_sequences(6)) == 14583
+
+
 def test_simplex_volume_identity_by_monte_carlo():
     rng = np.random.default_rng(17)
     m = 200000
@@ -337,6 +365,38 @@ def test_master_generator_conserves_probability():
     assert abs(joint.sum() - 1.0) < 1e-12
 
 
+def scalar_master_generator(model, N):
+    """The dense generator built one state at a time by a scalar loop."""
+    S = model.n_states
+    dim = S ** N
+    rate = 2.0 * model.rate / (N - 1)
+    L = np.zeros((dim, dim))
+    k4 = model.kernel4()
+    powers = [S ** (N - 1 - i) for i in range(N)]
+    for idx in range(dim):
+        digits = [(idx // powers[i]) % S for i in range(N)]
+        for v in range(N):
+            for w in range(v + 1, N):
+                a, b = digits[v], digits[w]
+                for c in range(S):
+                    for d in range(S):
+                        p = k4[a, b, c, d]
+                        if p == 0.0:
+                            continue
+                        jdx = idx + (c - a) * powers[v] + (d - b) * powers[w]
+                        L[idx, jdx] += rate * p
+                L[idx, idx] -= rate
+    return L
+
+
+def test_master_generator_bitwise_equals_scalar_loop():
+    cases = [(O.contagion_model(0.5, 1.3), N) for N in range(2, 8)]
+    cases += [(O.voter_model(0.7, n_states=3), N) for N in range(2, 6)]
+    for model, N in cases:
+        L = O.master_generator(model, N)
+        assert L.tobytes() == scalar_master_generator(model, N).tobytes()
+
+
 def test_exact_pair_correlation_zero_at_t0_positive_later():
     model = O.contagion_model(0.5, 1.0)
     mu0 = np.array([0.6, 0.4])
@@ -404,3 +464,38 @@ def test_chaos_statistic_k3_runs():
                 for r in range(200)] for N in (30, 90)}
     rep = O.chaos_statistic(runs, k=3, n_states=2)
     assert rep.correlations[30] > rep.correlations[90] > 0
+
+
+def per_particle_simulation(model, N, t, mu0, seed):
+    """The pair process with initial states drawn one particle at a time."""
+    S = model.n_states
+    rng = random.Random(seed)
+    cum0 = np.cumsum(np.asarray(mu0, dtype=float))
+    states = [int(np.searchsorted(cum0, rng.random())) for _ in range(N)]
+    n_events = np.random.default_rng(seed ^ 0x9E3779B97F4A7C15).poisson(
+        N * model.rate * t)
+    rows = [list(np.cumsum(model.kernel[i])) for i in range(S * S)]
+    for _ in range(int(n_events)):
+        i = rng.randrange(N)
+        k = rng.randrange(N - 1)
+        j = k if k < i else k + 1
+        row = rows[states[i] * S + states[j]]
+        u = rng.random()
+        out = 0
+        while row[out] < u:
+            out += 1
+        states[i], states[j] = divmod(out, S)
+    return np.asarray(states, dtype=np.int64)
+
+
+def test_simulate_pair_system_bitwise_equals_per_particle_draws():
+    models = [(O.contagion_model(0.5, 1.0), (0.6, 0.4)),
+              (O.voter_model(1.0, n_states=3), (0.2, 0.5, 0.3))]
+    for model, mu0 in models:
+        for seed in range(20):
+            for N in (2, 50):
+                for t in (0.0, 0.7):
+                    got = O.simulate_pair_system(model, N, t, mu0, seed)
+                    ref = per_particle_simulation(model, N, t, mu0, seed)
+                    assert got.dtype == ref.dtype
+                    assert got.tobytes() == ref.tobytes()
