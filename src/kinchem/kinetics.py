@@ -15,12 +15,18 @@ rate to the bound, so the accepted events follow the target law without any
 time discretization.  Between jumps particles fly freely on the 3-torus;
 positions are advanced lazily (only when a particle jumps or an observer
 samples), which keeps the per-event cost O(1).
+
+``run`` draws every variate it consumes from one ``numpy.random.Generator``
+seeded from the ``random.Random`` it is given, in small blocks per kind of
+variate, so no event pays for a Python-level variate call.  The single-event
+reference functions keep drawing from their ``random.Random`` argument.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -155,8 +161,6 @@ class EnsembleState:
         """(total_kinetic, total_chemical, cumulative_bath_exchange)."""
         return self.total_kinetic(), self.total_chemical(), self.bath_exchange
 
-    ledger = energy_ledger
-
     def add_bath(self, delta: float) -> None:
         t = self._q + delta
         if abs(self._q) >= abs(delta):
@@ -230,9 +234,15 @@ class EnsembleState:
         )
 
 
-def _random_direction(rng):
+def _normal(rng):
+    """Standard normal draws of a ``random.Random`` as a zero-argument callable."""
+    return partial(rng.gauss, 0.0, 1.0)
+
+
+def _random_direction(normal):
+    """Uniform unit vector on the sphere from three standard normal draws of ``normal()``."""
     while True:
-        gx, gy, gz = rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)
+        gx, gy, gz = normal(), normal(), normal()
         n2 = gx * gx + gy * gy + gz * gz
         if n2 > 1e-300:
             inv = 1.0 / math.sqrt(n2)
@@ -267,7 +277,7 @@ def sample_initial_state(spec: EnsembleSpec, seed: Optional[int] = None) -> Ense
         state.y[i] = rng.random() * L
         state.z[i] = rng.random() * L
         state.set_energy(i, laws[t].sample(rng))
-        state.set_direction(i, *_random_direction(rng))
+        state.set_direction(i, *_random_direction(_normal(rng)))
     return state
 
 
@@ -331,7 +341,7 @@ def unary_event(p: ParticleState, spec: EnsembleSpec, rng) -> ParticleState:
     T1 = p.kinetic_energy + K[j0] - K[j1]
     if T1 < 0.0:
         return p
-    return _particle_with(p, type_id=j1 + 1, energy=T1, direction=_random_direction(rng))
+    return _particle_with(p, type_id=j1 + 1, energy=T1, direction=_random_direction(_normal(rng)))
 
 
 def fast_collision(p: ParticleState, q: ParticleState, spec: EnsembleSpec, rng,
@@ -340,8 +350,8 @@ def fast_collision(p: ParticleState, q: ParticleState, spec: EnsembleSpec, rng,
     S = p.kinetic_energy + q.kinetic_energy
     t1, t2 = split_energy(S, split(rng))
     return (
-        _particle_with(p, energy=t1, direction=_random_direction(rng)),
-        _particle_with(q, energy=t2, direction=_random_direction(rng)),
+        _particle_with(p, energy=t1, direction=_random_direction(_normal(rng))),
+        _particle_with(q, energy=t2, direction=_random_direction(_normal(rng))),
     )
 
 
@@ -352,7 +362,7 @@ def heat_exchange(p: ParticleState, spec: EnsembleSpec, rng,
     beta = spec.rates.bath_beta
     xi = rng.gammavariate(1.5, 1.0 / beta)
     t1, _ = split_energy(p.kinetic_energy + xi, split(rng))
-    return _particle_with(p, energy=t1, direction=_random_direction(rng))
+    return _particle_with(p, energy=t1, direction=_random_direction(_normal(rng)))
 
 
 def slow_binary_event(p: ParticleState, q: ParticleState, spec: EnsembleSpec, rng,
@@ -376,19 +386,28 @@ def slow_binary_event(p: ParticleState, q: ParticleState, spec: EnsembleSpec, rn
         return p, q
     t1, t2 = split_energy(E, split(rng))
     return (
-        _particle_with(p, type_id=j1, energy=t1, direction=_random_direction(rng)),
-        _particle_with(q, type_id=j1p, energy=t2, direction=_random_direction(rng)),
+        _particle_with(p, type_id=j1, energy=t1, direction=_random_direction(_normal(rng))),
+        _particle_with(q, type_id=j1p, energy=t2, direction=_random_direction(_normal(rng))),
     )
 
 
 # -- trajectory driver ---------------------------------------------------------
 
 
+_BLOCK = 512    # variates per refill of each stream; small blocks keep peak memory flat
+
+
+def _stream(draw):
+    """Endless iterator over the values of ``draw(_BLOCK)``, one block at a time."""
+    while True:
+        yield from draw(_BLOCK).tolist()
+
+
 def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
         seed: Optional[int] = None, rng: Optional[random.Random] = None,
         observers: Iterable[Callable] = (), sample_every: Optional[float] = None,
         record_events: bool = False, max_events: Optional[int] = None,
-        track_positions: bool = True, split: Callable = beta_split):
+        track_positions: bool = True):
     """Simulate the jump process from state.sim_time to t_end.
 
     Exact competing-clock simulation: one Poisson proposal stream per channel
@@ -396,7 +415,12 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
     Observers are called with a Snapshot at t0 and then every ``sample_every``
     time units (and at t_end).  ``track_positions=False`` skips free flight
     and direction resampling for runs whose observables ignore geometry; the
-    law of (types, energies) is unchanged.  Deterministic given (state, seed).
+    law of (types, energies) is unchanged.
+
+    Every variate comes from one ``numpy.random.Generator`` seeded with 128
+    bits of ``rng`` (built from ``seed``, or ``spec.rng_seed + 1``, when not
+    given), drawn in blocks with one stream per kind of variate.  The run is
+    deterministic given (state, seed) for a given numpy version.
 
     Returns (state, events) where events is the list of accepted EventRecords
     (empty unless record_events).
@@ -405,6 +429,7 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
         raise ValueError("t_end must be >= state.sim_time")
     if rng is None:
         rng = random.Random(spec.rng_seed + 1 if seed is None else seed)
+    gen = np.random.default_rng(rng.getrandbits(128))
     n = state.n
     J = spec.n_types
     K = state.species_K
@@ -441,20 +466,13 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
     props = state.proposal_counts
     noops = state.noop_counts
 
-    uniform = rng.random
-    randrange = rng.randrange
-    gauss = rng.gauss
-
-    def new_direction(i):
-        while True:
-            gx, gy, gz = gauss(0.0, 1.0), gauss(0.0, 1.0), gauss(0.0, 1.0)
-            n2 = gx * gx + gy * gy + gz * gz
-            if n2 > 1e-300:
-                inv = 1.0 / math.sqrt(n2)
-                state.dirx[i] = gx * inv
-                state.diry[i] = gy * inv
-                state.dirz[i] = gz * inv
-                return
+    waiting = _stream(gen.standard_exponential).__next__
+    uniform = _stream(gen.random).__next__
+    particle = _stream(lambda k: gen.integers(n, size=k)).__next__
+    partner = _stream(lambda k: gen.integers(n - 1, size=k)).__next__
+    split = _stream(lambda k: gen.beta(1.5, 1.5, k)).__next__
+    bath = _stream(lambda k: gen.gamma(1.5, 1.0 / r.bath_beta, k)).__next__
+    normal = _stream(gen.standard_normal).__next__
 
     def touch(i, t):
         # bring particle i to the event time before its velocity changes
@@ -467,7 +485,7 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
         T[i] = e
         state.spd[i] = math.sqrt(2.0 * e / mass[types[i]])
         if track_positions:
-            new_direction(i)
+            state.dirx[i], state.diry[i], state.dirz[i] = _random_direction(normal)
 
     last_emit = [None]
 
@@ -495,7 +513,7 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
         if max_events is not None and n_events >= max_events:
             break
         if R_total > 0.0:
-            t_next = t + rng.expovariate(R_total)
+            t_next = t + waiting() / R_total
         else:
             t_next = math.inf
         while next_obs is not None and next_obs <= min(t_next, t_end):
@@ -510,7 +528,7 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
         if u < c1:
             # unary channel
             props["unary"] += 1
-            i = randrange(n)
+            i = particle()
             j0 = types[i]
             Ti = T[i]
             if unary_fn is None:
@@ -559,14 +577,18 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
         elif u < c2:
             # slow binary channel
             props["slow_binary"] += 1
-            i = randrange(n)
-            k = randrange(n - 1)
+            i = particle()
+            k = partner()
             j = k if k < i else k + 1
             a, b = types[i], types[j]
             if slow_fn is None:
                 rate = bmat[a][b]
             else:
                 rate = slow_fn(a + 1, b + 1, T[i], T[j])
+                if rate > bmax * (1.0 + 1e-12):
+                    raise ValueError(
+                        f"slow binary rate plug-in exceeds its thinning bound "
+                        f"({rate} > {bmax} for types {a + 1},{b + 1})")
             if rate < bmax and uniform() * bmax > rate:
                 continue
             if identity_kernel:
@@ -587,7 +609,7 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
             if E < 0.0:
                 noops["slow_binary"] += 1
                 continue
-            t1, t2 = split_energy(E, split(rng))
+            t1, t2 = split_energy(E, split())
             touch(i, t)
             touch(j, t)
             before = ((a + 1, T[i]), (b + 1, T[j]))
@@ -603,14 +625,14 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
         elif u < c3:
             # fast binary channel
             props["fast_binary"] += 1
-            i = randrange(n)
-            k = randrange(n - 1)
+            i = particle()
+            k = partner()
             j = k if k < i else k + 1
             fij = fmat[types[i]][types[j]]
             if fij < fmax and uniform() * fmax > fij:
                 continue
             S = T[i] + T[j]
-            t1, t2 = split_energy(S, split(rng))
+            t1, t2 = split_energy(S, split())
             touch(i, t)
             touch(j, t)
             before = ((types[i] + 1, T[i]), (types[j] + 1, T[j]))
@@ -624,9 +646,8 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
         else:
             # heat channel (always accepted: constant rate)
             props["heat"] += 1
-            i = randrange(n)
-            xi = rng.gammavariate(1.5, 1.0 / r.bath_beta)
-            t1, _ = split_energy(T[i] + xi, split(rng))
+            i = particle()
+            t1, _ = split_energy(T[i] + bath(), split())
             touch(i, t)
             before = ((types[i] + 1, T[i]),)
             state.add_bath(t1 - T[i])

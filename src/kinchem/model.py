@@ -134,7 +134,13 @@ class TypeKernel:
     @staticmethod
     def from_dict(d: dict) -> "TypeKernel":
         kind = d.get("kind", "identity")
+        if kind not in ("identity", "table"):
+            raise ConfigError(f"binary_kernel: unknown value {kind!r} of field 'kind' "
+                              f"(expected 'identity' or 'table')")
         if kind == "identity":
+            if "entries" in d:
+                raise ConfigError("binary_kernel: field 'entries' is not allowed "
+                                  "with kind 'identity'")
             return TypeKernel()
         table = []
         for key, outs in d.get("entries", {}).items():
@@ -305,9 +311,10 @@ def validate_spec(spec: EnsembleSpec) -> ValidationReport:
     r = spec.rates
 
     def check_matrix(name, mat, symmetric):
+        """Flag every bad entry; False when the shape itself is wrong."""
         if len(mat) != J or any(len(row) != J for row in mat):
             flag(f"rates.{name}", f"must be a {J}x{J} matrix")
-            return
+            return False
         for a in range(J):
             for b in range(J):
                 x = mat[a][b]
@@ -321,18 +328,27 @@ def validate_spec(spec: EnsembleSpec) -> ValidationReport:
                         flag(f"rates.{name}",
                              f"symmetry broken at ({a + 1},{b + 1}): "
                              f"{mat[a][b]!r} != {mat[b][a]!r}")
+        return True
 
-    check_matrix("unary", r.unary, symmetric=False)
+    unary_ok = check_matrix("unary", r.unary, symmetric=False)
     check_matrix("slow_binary", r.slow_binary, symmetric=True)
     check_matrix("fast_binary", r.fast_binary, symmetric=True)
-    if len(r.unary) == J and all(len(row) == J for row in r.unary):
+    if unary_ok:
         for a in range(J):
             if r.unary[a][a] != 0.0:
                 flag(f"rates.unary[{a + 1}][{a + 1}]", "diagonal entries must be 0")
     if r.unary_fn is not None and r.unary_sup is None:
         flag("rates.unary_sup", "required when a unary rate plug-in is set")
     if r.unary_sup is not None:
-        check_matrix("unary_sup", r.unary_sup, symmetric=False)
+        sup_ok = check_matrix("unary_sup", r.unary_sup, symmetric=False)
+        if sup_ok and unary_ok and r.unary_fn is None:
+            # without a plug-in the unary table is the rate unary_sup bounds
+            for a in range(J):
+                for b in range(J):
+                    if r.unary_sup[a][b] < r.unary[a][b]:
+                        flag(f"rates.unary_sup[{a + 1}][{b + 1}]",
+                             f"bound {r.unary_sup[a][b]!r} is below the rate "
+                             f"{r.unary[a][b]!r} it must bound")
     if not _finite(r.heat_rate) or r.heat_rate < 0.0:
         flag("rates.heat_rate", f"must be finite and >= 0, got {r.heat_rate!r}")
     if not _finite(r.bath_beta) or r.bath_beta <= 0.0:

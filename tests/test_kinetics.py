@@ -3,12 +3,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from kinchem import stats as ST
-from kinchem.kinetics import (fast_collision, free_flight,
+from kinchem.kinetics import (CHANNELS, fast_collision, free_flight,
                               heat_exchange, run, sample_initial_state,
                               slow_binary_event, split_energy, unary_event)
-from kinchem.model import EnergyLaw, ParticleState, SpeciesSpec, TypeKernel
+from kinchem.model import (EnergyLaw, ParticleState, RateTable, SpeciesSpec,
+                           TypeKernel)
 
 
 def particle(type_id=1, T=1.0, position=(0.0, 0.0, 0.0), direction=(1.0, 0.0, 0.0)):
@@ -25,6 +27,20 @@ def test_split_energy_closes_exactly():
         t1, t2 = split_energy(total, rng.betavariate(1.5, 1.5))
         assert t1 + t2 == total
         assert t1 >= 0.0 and t2 >= 0.0
+
+
+@given(total=st.floats(min_value=0.0, max_value=1e12),
+       frac=st.floats(min_value=0.0, max_value=1.0))
+def test_split_energy_closure_property(total, frac):
+    t1, t2 = split_energy(total, frac)
+    assert t1 + t2 == total
+    assert t1 >= 0.0 and t2 >= 0.0
+
+
+@given(total=st.floats(max_value=0.0, allow_infinity=False),
+       frac=st.floats(min_value=0.0, max_value=1.0))
+def test_split_energy_of_nonpositive_total_is_zero(total, frac):
+    assert split_energy(total, frac) == (0.0, 0.0)
 
 
 # -- free flight ----------------------------------------------------------------
@@ -286,6 +302,99 @@ def test_unary_plugin_exceeding_supremum_is_rejected(two_state_spec_factory):
     with pytest.raises(ValueError, match="supremum"):
         run(state, spec.with_overrides(rates=rates), 5.0, seed=2,
             track_positions=False)
+
+
+def _slow_plugin_spec(two_state_spec_factory, slow_fn, n):
+    spec = two_state_spec_factory(n=n, w12=0.0, w21=0.0, fast=0.0, slow=1.0)
+    rates = RateTable(unary=spec.rates.unary, slow_binary=spec.rates.slow_binary,
+                      fast_binary=spec.rates.fast_binary, heat_rate=0.0,
+                      bath_beta=1.0, slow_fn=slow_fn)
+    return spec.with_overrides(rates=rates)
+
+
+def test_slow_rate_plugin_with_thinning(two_state_spec_factory):
+    # pair-energy-dependent plug-in below its bound 1; the identity kernel
+    # resplits pair totals with Beta(3/2, 3/2), which keeps the product
+    # Gamma(3/2) law of the initial state, so the mean rate stays put
+    fn = lambda a, b, T, Tp: 0.5 * min(T + Tp, 2.0)
+    n, t_end = 400, 4.0
+    spec = _slow_plugin_spec(two_state_spec_factory, fn, n)
+    state = sample_initial_state(spec, 55)
+    e = np.asarray(state.energies)
+    pair = 0.5 * np.minimum(e[:, None] + e[None, :], 2.0)
+    mean_rate = (pair.sum() - np.trace(pair)) / (n * (n - 1))
+    run(state, spec, t_end, seed=56, track_positions=False)
+    expected = (n - 1) * mean_rate * t_end
+    got = state.event_counts["slow_binary"]
+    assert abs(got - expected) <= 4 * math.sqrt(expected)
+    thinned = state.proposal_counts["slow_binary"] - got
+    assert thinned > 0 and state.noop_counts["slow_binary"] == 0
+
+
+def test_slow_plugin_exceeding_bound_is_rejected(two_state_spec_factory):
+    spec = _slow_plugin_spec(two_state_spec_factory, lambda a, b, T, Tp: 1.5, 50)
+    state = sample_initial_state(spec, 1)
+    with pytest.raises(ValueError, match="slow binary rate plug-in exceeds"):
+        run(state, spec, 5.0, seed=2, track_positions=False)
+
+
+class _NoVariateRandom(random.Random):
+    """A ``random.Random`` whose variate methods raise; ``getrandbits`` still works."""
+
+    def _no_variates(self, *args, **kwargs):
+        raise AssertionError("run() drew a per-event Python variate")
+
+    random = randrange = gauss = expovariate = gammavariate = betavariate = _no_variates
+
+
+def _four_channel_spec(two_state_spec_factory, n):
+    kernel = TypeKernel(kind="table", table=(((1, 1), (((2, 2), 0.5), ((1, 1), 0.5))),
+                                             ((2, 2), (((1, 1), 1.0),))))
+    return two_state_spec_factory(n=n, k2=0.5, slow=0.5, kernel=kernel,
+                                  heat=1.0, scale_heat=1.0)
+
+
+def test_run_makes_no_python_variate_call(two_state_spec_factory):
+    spec = _four_channel_spec(two_state_spec_factory, 200)
+    state = sample_initial_state(spec, 71)
+    e0 = state.total_kinetic() + state.total_chemical()
+    _, events = run(state, spec, 2.0, rng=_NoVariateRandom(72), record_events=True)
+    assert all(state.event_counts[c] > 0 for c in CHANNELS)
+    assert len(events) == sum(state.event_counts.values())
+    e1 = state.total_kinetic() + state.total_chemical()
+    assert abs((e1 - e0) - state.bath_exchange) / e0 < 1e-12
+
+
+def test_run_with_rng_equals_run_with_seed(two_state_spec_factory):
+    spec = _four_channel_spec(two_state_spec_factory, 100)
+    a = sample_initial_state(spec, 73)
+    b = sample_initial_state(spec, 73)
+    _, ev_a = run(a, spec, 2.0, seed=74, record_events=True)
+    _, ev_b = run(b, spec, 2.0, rng=random.Random(74), record_events=True)
+    assert ev_a and ev_a == ev_b
+    assert a.energies == b.energies and a.types == b.types
+    assert a.positions().tolist() == b.positions().tolist()
+    assert (a.event_counts, a.proposal_counts, a.noop_counts) == \
+        (b.event_counts, b.proposal_counts, b.noop_counts)
+
+
+def test_heat_only_run_relaxes_to_bath_mean(two_state_spec_factory):
+    # engine counterpart of test_heat_exchange_long_run_mean: the mean
+    # relaxes as exp(-t/2) from 5, so 30 time units of burn-in leave 1e-6
+    beta, n = 2.0, 500
+    spec = two_state_spec_factory(n=n, w12=0.0, w21=0.0, fast=0.0, heat=1.0,
+                                  scale_heat=1.0, beta=beta,
+                                  laws=(EnergyLaw("point", value=5.0),) * 2)
+    state = sample_initial_state(spec, 75)
+    run(state, spec, 30.0, seed=76, track_positions=False)
+    means = []
+    run(state, spec, 130.0, seed=77, track_positions=False, sample_every=0.5,
+        observers=(lambda s: means.append(s.energies.mean()),))
+    batches = np.asarray(means[1:]).reshape(20, -1).mean(axis=1)
+    se = batches.std(ddof=1) / math.sqrt(batches.size)
+    assert abs(batches.mean() - 1.5 / beta) < 3 * se
+    # the stationary law itself is Gamma(3/2, beta) only with Beta(3/2, 3/2) splits
+    assert ST.ks_distance(state.energies, ST.gamma32_cdf(beta)) < ST.ks_critical(n, level=0.001)
 
 
 def test_positions_stay_uniform_during_dynamics(two_state_spec_factory):

@@ -136,6 +136,45 @@ def test_unknown_config_field_rejected(tmp_path):
         load_config(path)
 
 
+def test_binary_kernel_unknown_kind_or_identity_entries_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="'identiy' of field 'kind'"):
+        TypeKernel.from_dict({"kind": "identiy"})
+    with pytest.raises(ConfigError, match="'entries'.*'identity'"):
+        TypeKernel.from_dict({"kind": "identity", "entries": {"1,1": [[2, 2, 1.0]]}})
+    assert load_config(CONFIG_DIR / "two_state.yaml").rates.binary_kernel == TypeKernel()
+    kernel = TypeKernel(kind="table", table=(((1, 1), (((2, 2), 1.0),)),))
+    spec = make_two_state(kernel=kernel)
+    path = tmp_path / "cfg.yaml"
+    save_config(spec, path)
+    assert load_config(path) == spec
+    text = path.read_text()
+    assert "    kind: table\n" in text
+    path.write_text(text.replace("    kind: table\n", "    kind: identity\n"))
+    with pytest.raises(ConfigError, match="'entries'"):
+        load_config(path)
+    path.write_text(text.replace("    kind: table\n", "    kind: tabel\n"))
+    with pytest.raises(ConfigError, match="'tabel' of field 'kind'"):
+        load_config(path)
+
+
+def test_unary_bound_below_its_rate_flagged():
+    spec = make_two_state(w12=1.0, w21=0.5)
+
+    def report(sup, fn=None):
+        rates = RateTable(unary=spec.rates.unary, slow_binary=spec.rates.slow_binary,
+                          fast_binary=spec.rates.fast_binary, heat_rate=0.0,
+                          bath_beta=1.0, unary_fn=fn, unary_sup=sup)
+        return validate_spec(spec.with_overrides(rates=rates))
+
+    assert report([[0.0, 1.0], [0.5, 0.0]]).ok
+    assert report([[0.0, 2.0], [0.5, 0.0]]).ok
+    bad = report([[0.0, 0.5], [0.25, 0.0]])
+    assert [v.field for v in bad.violations] == ["rates.unary_sup[1][2]",
+                                                 "rates.unary_sup[2][1]"]
+    # with a plug-in the table is not the thinned rate
+    assert report([[0.0, 0.5], [0.25, 0.0]], fn=lambda j, j1, T: 0.1).ok
+
+
 def test_negative_mass_rejected_on_load(tmp_path):
     spec = make_two_state()
     path = tmp_path / "cfg.yaml"
