@@ -25,14 +25,9 @@ from .kinetics import (
     EnsembleState,
     EventRecord,
     Snapshot,
-    fast_collision,
-    free_flight,
-    heat_exchange,
     run,
     sample_initial_state,
-    slow_binary_event,
     split_energy,
-    unary_event,
 )
 from .meanfield import (
     DensityField,

@@ -18,7 +18,7 @@ from . import kinetics as KIN
 from . import meanfield as MF
 from . import thermo as TH
 from .model import load_config
-from .scenarios import SCENARIOS, _jsonable, run_scenario
+from .scenarios import SCENARIOS, _Collector, _jsonable, run_scenario
 
 
 def _add_common(p):
@@ -121,25 +121,17 @@ def _cmd_sim(args) -> int:
         for rep in range(args.replicas):
             seed = spec.rng_seed + 2 * rep
             state = KIN.sample_initial_state(spec, seed)
-            rows = []
-
-            def observer(snap):
-                counts = snap.type_counts(spec.n_types)
-                rows.append((snap.time, *map(int, counts),
-                             float(snap.energies.mean()), snap.total_chemical,
-                             snap.total_kinetic, snap.bath_exchange))
-
+            collector = _Collector(spec.n_types)
             sample = args.sample_every or max(args.t_end / 50.0, 1e-9)
             _, events = KIN.run(state, spec, args.t_end, seed=seed + 1,
-                                observers=(observer,), sample_every=sample,
+                                observers=(collector,), sample_every=sample,
                                 record_events=args.log_events)
             suffix = f"_{rep}" if args.replicas > 1 else ""
             path = out / f"trajectory{suffix}.csv"
             with open(path, "w", newline="") as fh:
                 w = csv.writer(fh)
-                w.writerow(["time", *[f"n_{j + 1}" for j in range(spec.n_types)],
-                            "mean_T", "total_K", "total_T", "bath_Q"])
-                w.writerows(rows)
+                w.writerow(collector.header())
+                w.writerows(collector.rows())
             print(f"wrote {path}")
             if args.log_events:
                 epath = out / f"events{suffix}.csv"

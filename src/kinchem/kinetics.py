@@ -18,8 +18,7 @@ samples), which keeps the per-event cost O(1).
 
 ``run`` draws every variate it consumes from one ``numpy.random.Generator``
 seeded from the ``random.Random`` it is given, in small blocks per kind of
-variate, so no event pays for a Python-level variate call.  The single-event
-reference functions keep drawing from their ``random.Random`` argument.
+variate, so no event pays for a Python-level variate call.
 """
 from __future__ import annotations
 
@@ -39,27 +38,10 @@ __all__ = [
     "Snapshot",
     "sample_initial_state",
     "run",
-    "free_flight",
-    "unary_event",
-    "fast_collision",
-    "heat_exchange",
-    "slow_binary_event",
     "split_energy",
-    "beta_split",
 ]
 
 CHANNELS = ("unary", "slow_binary", "fast_binary", "heat")
-
-
-def beta_split(rng) -> float:
-    """Fraction of a pair total kept by the first particle, Beta(3/2, 3/2).
-
-    This is the conditional law of X1/(X1+X2) for i.i.d. X_i with density
-    c sqrt(x) exp(-b x), the one split law used by the fast-collision,
-    slow-binary and heat channels.  Engines accept any replacement sampler
-    with the same signature.
-    """
-    return rng.betavariate(1.5, 1.5)
 
 
 def split_energy(total: float, frac: float):
@@ -234,11 +216,6 @@ class EnsembleState:
         )
 
 
-def _normal(rng):
-    """Standard normal draws of a ``random.Random`` as a zero-argument callable."""
-    return partial(rng.gauss, 0.0, 1.0)
-
-
 def _random_direction(normal):
     """Uniform unit vector on the sphere from three standard normal draws of ``normal()``."""
     while True:
@@ -249,13 +226,17 @@ def _random_direction(normal):
             return gx * inv, gy * inv, gz * inv
 
 
+def _require_valid(spec: EnsembleSpec) -> None:
+    report = validate_spec(spec)
+    if not report.ok:
+        raise ValueError(f"invalid spec:\n{report}")
+
+
 def sample_initial_state(spec: EnsembleSpec, seed: Optional[int] = None) -> EnsembleState:
     """Draw the initial ensemble: i.i.d. uniform positions on the torus, types
     from the weight vector, energies from the per-type laws, directions
     uniform on the sphere.  Pure function of (spec, seed)."""
-    report = validate_spec(spec)
-    if not report.ok:
-        raise ValueError(f"invalid spec:\n{report}")
+    _require_valid(spec)
     rng = random.Random(spec.rng_seed if seed is None else seed)
     state = EnsembleState(spec)
     weights = spec.initial_distribution.type_weights
@@ -277,118 +258,8 @@ def sample_initial_state(spec: EnsembleSpec, seed: Optional[int] = None) -> Ense
         state.y[i] = rng.random() * L
         state.z[i] = rng.random() * L
         state.set_energy(i, laws[t].sample(rng))
-        state.set_direction(i, *_random_direction(_normal(rng)))
+        state.set_direction(i, *_random_direction(partial(rng.gauss, 0.0, 1.0)))
     return state
-
-
-def free_flight(state: EnsembleState, dt: float) -> EnsembleState:
-    """Advance every position by v dt modulo the box; nothing else changes."""
-    if dt < 0.0:
-        raise ValueError("dt must be >= 0")
-    state.flush_all(state.sim_time + dt)
-    return state
-
-
-# -- single-event operations (reference semantics, also used by tests) --------
-
-
-def _particle_with(p: ParticleState, type_id=None, energy=None, direction=None) -> ParticleState:
-    return ParticleState(
-        type_id=p.type_id if type_id is None else type_id,
-        kinetic_energy=p.kinetic_energy if energy is None else energy,
-        position=p.position,
-        direction=p.direction if direction is None else direction,
-    )
-
-
-def _unary_rates(spec: EnsembleSpec, j0: int, T: float) -> list:
-    """Per-target unary rates for a 0-based type j0 at kinetic energy T."""
-    J = spec.n_types
-    r = spec.rates
-    K = spec.chem_energies()
-    out = [0.0] * J
-    if r.unary_fn is not None:
-        for j1 in range(J):
-            if j1 != j0:
-                out[j1] = r.unary_fn(j0 + 1, j1 + 1, T)
-        return out
-    w = r.unary
-    for j1 in range(J):
-        if j1 != j0 and T + K[j0] - K[j1] >= 0.0:
-            out[j1] = w[j0][j1]
-    return out
-
-
-def unary_event(p: ParticleState, spec: EnsembleSpec, rng) -> ParticleState:
-    """Attempt one unary jump for a particle whose clock just fired.
-
-    The target is drawn proportionally to the per-target rates; conservation
-    sets T1 = T + K_j - K_j1.  An energetically forbidden draw is a no-op.
-    """
-    j0 = p.type_id - 1
-    rates = _unary_rates(spec, j0, p.kinetic_energy)
-    total = math.fsum(rates)
-    if total <= 0.0:
-        return p
-    u = rng.random() * total
-    acc = 0.0
-    j1 = 0
-    for j1, val in enumerate(rates):
-        acc += val
-        if u < acc:
-            break
-    K = spec.chem_energies()
-    T1 = p.kinetic_energy + K[j0] - K[j1]
-    if T1 < 0.0:
-        return p
-    return _particle_with(p, type_id=j1 + 1, energy=T1, direction=_random_direction(_normal(rng)))
-
-
-def fast_collision(p: ParticleState, q: ParticleState, spec: EnsembleSpec, rng,
-                   split: Callable = beta_split):
-    """Kac exchange: the pair total S = T + T' is resplit as (S X, S (1-X))."""
-    S = p.kinetic_energy + q.kinetic_energy
-    t1, t2 = split_energy(S, split(rng))
-    return (
-        _particle_with(p, energy=t1, direction=_random_direction(_normal(rng))),
-        _particle_with(q, energy=t2, direction=_random_direction(_normal(rng))),
-    )
-
-
-def heat_exchange(p: ParticleState, spec: EnsembleSpec, rng,
-                  split: Callable = beta_split):
-    """Collision with a bath molecule of energy xi ~ Gamma(3/2, beta):
-    the particle keeps a Beta(3/2,3/2) fraction of T + xi."""
-    beta = spec.rates.bath_beta
-    xi = rng.gammavariate(1.5, 1.0 / beta)
-    t1, _ = split_energy(p.kinetic_energy + xi, split(rng))
-    return _particle_with(p, energy=t1, direction=_random_direction(_normal(rng)))
-
-
-def slow_binary_event(p: ParticleState, q: ParticleState, spec: EnsembleSpec, rng,
-                      split: Callable = beta_split):
-    """Reactive pair collision: draw outcome types from the configured kernel,
-    split the disposable energy E = T + T' + K_j + K_j' - K_j1 - K_j1'.
-    E < 0 is a no-op (the pair is returned unchanged)."""
-    K = spec.chem_energies()
-    outs = spec.rates.binary_kernel.outcomes(p.type_id, q.type_id)
-    u = rng.random()
-    acc = 0.0
-    j1, j1p = p.type_id, q.type_id
-    for (a, b), prob in outs:
-        acc += prob
-        if u < acc:
-            j1, j1p = a, b
-            break
-    E = (p.kinetic_energy + q.kinetic_energy) + (
-        (K[p.type_id - 1] + K[q.type_id - 1]) - (K[j1 - 1] + K[j1p - 1]))
-    if E < 0.0:
-        return p, q
-    t1, t2 = split_energy(E, split(rng))
-    return (
-        _particle_with(p, type_id=j1, energy=t1, direction=_random_direction(_normal(rng))),
-        _particle_with(q, type_id=j1p, energy=t2, direction=_random_direction(_normal(rng))),
-    )
 
 
 # -- trajectory driver ---------------------------------------------------------
@@ -423,8 +294,10 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
     deterministic given (state, seed) for a given numpy version.
 
     Returns (state, events) where events is the list of accepted EventRecords
-    (empty unless record_events).
+    (empty unless record_events).  Raises ValueError if ``spec`` fails
+    ``validate_spec``.
     """
+    _require_valid(spec)
     if t_end < state.sim_time:
         raise ValueError("t_end must be >= state.sim_time")
     if rng is None:
@@ -470,6 +343,9 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
     uniform = _stream(gen.random).__next__
     particle = _stream(lambda k: gen.integers(n, size=k)).__next__
     partner = _stream(lambda k: gen.integers(n - 1, size=k)).__next__
+    # Beta(3/2, 3/2) is the conditional law of X1/(X1+X2) for i.i.d. energies
+    # with density c sqrt(x) exp(-beta x): the one split law of the fast,
+    # slow-binary and heat channels
     split = _stream(lambda k: gen.beta(1.5, 1.5, k)).__next__
     bath = _stream(lambda k: gen.gamma(1.5, 1.0 / r.bath_beta, k)).__next__
     normal = _stream(gen.standard_normal).__next__
@@ -531,33 +407,27 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
             i = particle()
             j0 = types[i]
             Ti = T[i]
-            if unary_fn is None:
-                total = 0.0
-                for j1 in range(J):
-                    if j1 != j0 and Ti + K[j0] - K[j1] >= 0.0:
-                        total += w[j0][j1]
-            else:
-                total = 0.0
-                for j1 in range(J):
-                    if j1 != j0:
-                        total += unary_fn(j0 + 1, j1 + 1, Ti)
-                if total > usup_type[j0] * (1.0 + 1e-12):
-                    raise ValueError(
-                        f"unary rate plug-in exceeds its declared supremum "
-                        f"({total} > {usup_type[j0]} for type {j0 + 1})")
+            rates = [0.0] * J
+            total = 0.0
+            for j1 in range(J):
+                if j1 != j0:
+                    if unary_fn is None:
+                        rate = w[j0][j1] if Ti + K[j0] - K[j1] >= 0.0 else 0.0
+                    else:
+                        rate = unary_fn(j0 + 1, j1 + 1, Ti)
+                    rates[j1] = rate
+                    total += rate
+            if unary_fn is not None and total > usup_type[j0] * (1.0 + 1e-12):
+                raise ValueError(
+                    f"unary rate plug-in exceeds its declared supremum "
+                    f"({total} > {usup_type[j0]} for type {j0 + 1})")
             if total <= 0.0 or uniform() * ubar > total:
                 continue
             # accepted: choose the target proportionally to the rates
             pick = uniform() * total
             acc = 0.0
             j1 = j0
-            for cand in range(J):
-                if cand == j0:
-                    continue
-                if unary_fn is None:
-                    rate = w[j0][cand] if Ti + K[j0] - K[cand] >= 0.0 else 0.0
-                else:
-                    rate = unary_fn(j0 + 1, cand + 1, Ti)
+            for cand, rate in enumerate(rates):
                 acc += rate
                 if pick < acc:
                     j1 = cand

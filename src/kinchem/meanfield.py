@@ -145,9 +145,6 @@ class ReducedTrajectory:
     beta: float
     rates: np.ndarray            # Maxwell-averaged v matrix
 
-    def final_state(self) -> MacroState:
-        return MacroState(self.beta, tuple(self.concentrations[-1]))
-
     def equilibrium(self) -> np.ndarray:
         """Stationary concentrations with the same total (two-state only)."""
         if self.concentrations.shape[1] != 2:

@@ -52,7 +52,6 @@ __all__ = [
     "chaos_statistic",
     "voter_model",
     "contagion_model",
-    "tv_distance",
 ]
 
 
@@ -109,10 +108,6 @@ def contagion_model(alpha: float = 0.5, rate: float = 1.0) -> PairModel:
     k[1] = [0.0, 1.0 - alpha, 0.0, alpha]   # (0,1)
     k[2] = [0.0, 0.0, 1.0 - alpha, alpha]   # (1,0)
     return PairModel(2, k, rate)
-
-
-def tv_distance(mu, nu) -> float:
-    return 0.5 * float(np.abs(np.asarray(mu) - np.asarray(nu)).sum())
 
 
 # -- sequence combinatorics --------------------------------------------------------

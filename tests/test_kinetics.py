@@ -3,18 +3,12 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kinchem import stats as ST
-from kinchem.kinetics import (CHANNELS, fast_collision, free_flight,
-                              heat_exchange, run, sample_initial_state,
-                              slow_binary_event, split_energy, unary_event)
-from kinchem.model import (EnergyLaw, ParticleState, RateTable, SpeciesSpec,
-                           TypeKernel)
-
-
-def particle(type_id=1, T=1.0, position=(0.0, 0.0, 0.0), direction=(1.0, 0.0, 0.0)):
-    return ParticleState(type_id, T, position, direction)
+from kinchem.kinetics import CHANNELS, run, sample_initial_state, split_energy
+from kinchem.model import EnergyLaw, RateTable, SpeciesSpec, TypeKernel
+from conftest import make_two_state
 
 
 # -- split closure -------------------------------------------------------------
@@ -47,7 +41,7 @@ def test_split_energy_of_nonpositive_total_is_zero(total, frac):
 
 
 def test_free_flight_identity_and_wrap(two_state_spec_factory):
-    spec = two_state_spec_factory(n=2, box_side=1.0,
+    spec = two_state_spec_factory(n=2, w12=0.0, w21=0.0, fast=0.0, box_side=1.0,
                                   laws=(EnergyLaw("point", value=0.5),) * 2)
     state = sample_initial_state(spec, 1)
     # particle 0: speed 1 along x; particle 1: zero energy
@@ -57,15 +51,15 @@ def test_free_flight_identity_and_wrap(two_state_spec_factory):
     state.set_energy(1, 0.0)
     x1_before = (state.x[1], state.y[1], state.z[1])
 
-    free_flight(state, 0.0)
+    run(state, spec, 0.0, seed=2)
     assert (state.x[0], state.y[0], state.z[0]) == (0.0, 0.25, 0.5)
 
-    free_flight(state, 2.5)
+    run(state, spec, 2.5, seed=3)
     assert math.isclose(state.x[0], 0.5, abs_tol=1e-12)
     assert (state.x[1], state.y[1], state.z[1]) == x1_before
 
-    with pytest.raises(ValueError):
-        free_flight(state, -1.0)
+    with pytest.raises(ValueError, match="t_end must be"):
+        run(state, spec, 1.5, seed=4)
 
 
 def test_all_rates_zero_is_pure_flight(two_state_spec_factory):
@@ -83,55 +77,81 @@ def test_all_rates_zero_is_pure_flight(two_state_spec_factory):
     assert sum(state.event_counts.values()) == 0
 
 
+# -- single events through run() ------------------------------------------------
+#
+# Each channel is isolated by zeroing the others: with n = 1 the pair channels
+# have no partner, and ``max_events=1`` stops the run after one accepted jump.
+
+
+def prepared(spec, *particles):
+    """State of ``spec`` whose particles have the given (type_id, T), in order."""
+    state = sample_initial_state(spec, 1)
+    for i, (type_id, T) in enumerate(particles):
+        state.types[i] = type_id - 1
+        state.set_energy(i, T)
+    return state
+
+
+def one_event(state, spec, seed=0, t_end=1e9, **kw):
+    """Run until the first accepted event (or t_end); return the event log."""
+    _, events = run(state, spec, t_end, seed=seed, max_events=1,
+                    record_events=True, **kw)
+    return events
+
+
 # -- unary channel ---------------------------------------------------------------
 
 
 def test_unary_conservation_arithmetic(two_state_spec_factory):
-    spec = two_state_spec_factory(k2=2.0)
+    spec = two_state_spec_factory(n=1, k2=2.0, fast=0.0)
     spec = spec.with_overrides(species=(SpeciesSpec(1, 1.0, 3, 1.0),
                                         SpeciesSpec(2, 1.0, 3, 2.0)))
-    rng = random.Random(0)
-    up = unary_event(particle(1, 2.0), spec, rng)
-    assert up.type_id == 2 and up.kinetic_energy == 1.0
+    up = prepared(spec, (1, 2.0))
+    assert one_event(up, spec)[0].after == ((2, 1.0),)
+    assert up.types == [1] and up.energies == [1.0]
 
-    noop = unary_event(particle(1, 0.5), spec, rng)
-    assert noop.type_id == 1 and noop.kinetic_energy == 0.5
+    # T + K_1 - K_2 < 0: the target's rate is 0, so proposals never jump
+    noop = prepared(spec, (1, 0.5))
+    assert one_event(noop, spec, t_end=20.0) == []
+    assert noop.proposal_counts["unary"] > 0 and noop.noop_counts["unary"] == 0
+    assert noop.types == [0] and noop.energies == [0.5]
 
-    down = unary_event(particle(2, 0.0), spec, rng)
-    assert down.type_id == 1 and down.kinetic_energy == 1.0
+    down = prepared(spec, (2, 0.0))
+    assert one_event(down, spec)[0].after == ((1, 1.0),)
+    assert down.types == [0] and down.energies == [1.0]
 
 
 def test_unary_direction_resampled(two_state_spec_factory):
-    spec = two_state_spec_factory(k2=0.0)
-    rng = random.Random(4)
-    p = particle(1, 1.0, direction=(1.0, 0.0, 0.0))
-    q = unary_event(p, spec, rng)
-    assert q.type_id == 2
-    assert abs(sum(d * d for d in q.direction) - 1.0) < 1e-12
-    assert q.direction != p.direction
+    spec = two_state_spec_factory(n=1, k2=0.0, fast=0.0)
+    state = prepared(spec, (1, 1.0))
+    state.set_direction(0, 1.0, 0.0, 0.0)
+    one_event(state, spec, seed=4)
+    direction = (state.dirx[0], state.diry[0], state.dirz[0])
+    assert state.types == [1]
+    assert abs(sum(d * d for d in direction) - 1.0) < 1e-12
+    assert direction != (1.0, 0.0, 0.0)
 
 
 # -- fast channel ----------------------------------------------------------------
 
 
 def test_fast_collision_conserves_pair_total(two_state_spec_factory):
-    spec = two_state_spec_factory()
-    rng = random.Random(7)
-    p1, q1 = fast_collision(particle(1, 1.0), particle(2, 0.0), spec, rng)
-    assert p1.kinetic_energy + q1.kinetic_energy == 1.0
-    assert (p1.type_id, q1.type_id) == (1, 2)
+    spec = two_state_spec_factory(n=2, w12=0.0, w21=0.0)
+    state = prepared(spec, (1, 1.0), (2, 0.0))
+    assert one_event(state, spec, seed=7)[0].channel == "fast_binary"
+    assert state.energies[0] + state.energies[1] == 1.0
+    assert state.types == [0, 1]
 
 
 def test_fast_collision_beta_split_moments(two_state_spec_factory):
     # split fraction ~ Beta(3/2, 3/2): mean 1/2, variance
     # a*b / ((a+b)^2 (a+b+1)) = (9/4) / (9*4) = 1/16
-    spec = two_state_spec_factory()
-    rng = random.Random(11)
-    xs = []
-    for _ in range(100000):
-        p1, _ = fast_collision(particle(1, 1.0), particle(1, 0.0), spec, rng)
-        xs.append(p1.kinetic_energy)
-    xs = np.asarray(xs)
+    spec = two_state_spec_factory(n=2, w12=0.0, w21=0.0)
+    state = prepared(spec, (1, 1.0), (1, 0.0))
+    # the split closes exactly, so every collision resplits a pair total of 1
+    _, events = run(state, spec, 1e9, seed=11, max_events=100000,
+                    record_events=True, track_positions=False)
+    xs = np.asarray([ev.after[0][1] for ev in events])
     se_mean = xs.std(ddof=1) / math.sqrt(xs.size)
     assert abs(xs.mean() - 0.5) < 3 * se_mean
     var = xs.var(ddof=1)
@@ -143,27 +163,28 @@ def test_fast_collision_beta_split_moments(two_state_spec_factory):
 
 
 def test_heat_exchange_preserves_equilibrium_law(two_state_spec_factory):
-    spec = two_state_spec_factory(heat=1.0)
-    rng = random.Random(13)
+    # heat-only particles are independent chains started in Gamma(3/2, 1),
+    # so at any time their energies are i.i.d. with that law; by t = 3 all
+    # but e^-3 of them have exchanged with the bath
     n = 60000
-    before = [rng.gammavariate(1.5, 1.0) for _ in range(n)]
-    after = [heat_exchange(particle(1, T), spec, rng).kinetic_energy
-             for T in before]
-    ks = ST.ks_distance(after, ST.gamma32_cdf(1.0))
+    spec = two_state_spec_factory(n=n, w12=0.0, w21=0.0, fast=0.0, heat=1.0,
+                                  scale_heat=1.0)
+    state = sample_initial_state(spec, 13)
+    run(state, spec, 3.0, seed=14, track_positions=False)
+    assert state.event_counts["heat"] > 2 * n
+    ks = ST.ks_distance(state.energies, ST.gamma32_cdf(1.0))
     assert ks < ST.ks_critical(n, level=0.001)
 
 
 def test_heat_exchange_long_run_mean(two_state_spec_factory):
     beta = 2.0
-    spec = two_state_spec_factory(heat=1.0, beta=beta)
-    rng = random.Random(17)
-    p = particle(1, 5.0)
-    for _ in range(200):
-        p = heat_exchange(p, spec, rng)
-    samples = []
-    for _ in range(20000):
-        p = heat_exchange(p, spec, rng)
-        samples.append(p.kinetic_energy)
+    spec = two_state_spec_factory(n=1, w12=0.0, w21=0.0, fast=0.0, heat=1.0,
+                                  scale_heat=1.0, beta=beta)
+    state = prepared(spec, (1, 5.0))
+    run(state, spec, 1e9, seed=17, max_events=200, track_positions=False)
+    _, events = run(state, spec, 1e9, seed=18, max_events=20000,
+                    record_events=True, track_positions=False)
+    samples = [ev.after[0][1] for ev in events]
     # heat events decorrelate geometrically; batch means give an honest error
     batches = np.asarray(samples).reshape(100, -1).mean(axis=1)
     se = batches.std(ddof=1) / math.sqrt(batches.size)
@@ -182,39 +203,48 @@ def test_heat_rate_zero_never_fires(two_state_spec_factory):
 # -- slow binary channel -----------------------------------------------------------
 
 
+def slow_pair_spec(two_state_spec_factory, k2, kernel=None):
+    return two_state_spec_factory(n=2, k2=k2, w12=0.0, w21=0.0, fast=0.0,
+                                  slow=1.0, kernel=kernel)
+
+
 def test_slow_binary_identity_kernel_reduces_to_fast(two_state_spec_factory):
-    spec = two_state_spec_factory(k2=1.0)
-    rng = random.Random(19)
-    p1, q1 = slow_binary_event(particle(1, 1.0), particle(2, 0.5), spec, rng)
-    assert (p1.type_id, q1.type_id) == (1, 2)
-    assert p1.kinetic_energy + q1.kinetic_energy == 1.5
+    spec = slow_pair_spec(two_state_spec_factory, k2=1.0)
+    state = prepared(spec, (1, 1.0), (2, 0.5))
+    assert one_event(state, spec, seed=19)[0].channel == "slow_binary"
+    assert state.types == [0, 1]
+    assert state.energies[0] + state.energies[1] == 1.5
 
 
 def test_slow_binary_conserves_total_energy_exactly(two_state_spec_factory):
     kernel = TypeKernel(kind="table",
                         table=(((1, 1), (((2, 2), 1.0),)),))
-    spec = two_state_spec_factory(k2=0.25, kernel=kernel)
+    spec = slow_pair_spec(two_state_spec_factory, k2=0.25, kernel=kernel)
     rng = random.Random(23)
     K = spec.chem_energies()
-    for _ in range(2000):
+    for trial in range(2000):
         ta, tb = rng.uniform(0, 3), rng.uniform(0, 3)
-        p1, q1 = slow_binary_event(particle(1, ta), particle(1, tb), spec, rng)
+        state = prepared(spec, (1, ta), (1, tb))
+        one_event(state, spec, seed=trial, t_end=20.0, track_positions=False)
         disposable = (ta + tb) + ((K[0] + K[0]) - (K[1] + K[1]))
         if disposable < 0.0:
-            assert (p1.type_id, q1.type_id) == (1, 1)
-            assert (p1.kinetic_energy, q1.kinetic_energy) == (ta, tb)
+            assert state.noop_counts["slow_binary"] > 0
+            assert state.types == [0, 0]
+            assert state.energies == [ta, tb]
         else:
-            assert (p1.type_id, q1.type_id) == (2, 2)
-            assert p1.kinetic_energy + q1.kinetic_energy == disposable
+            assert state.types == [1, 1]
+            assert state.energies[0] + state.energies[1] == disposable
 
 
 def test_slow_binary_forbidden_target_is_noop(two_state_spec_factory):
     kernel = TypeKernel(kind="table", table=(((1, 1), (((2, 2), 1.0),)),))
-    spec = two_state_spec_factory(k2=5.0, kernel=kernel)
-    rng = random.Random(29)
-    p, q = particle(1, 1.0), particle(1, 2.0)   # disposable = 3 - 10 < 0
-    p1, q1 = slow_binary_event(p, q, spec, rng)
-    assert p1 is p and q1 is q
+    spec = slow_pair_spec(two_state_spec_factory, k2=5.0, kernel=kernel)
+    state = prepared(spec, (1, 1.0), (1, 2.0))   # disposable = 3 - 10 < 0
+    directions = (list(state.dirx), list(state.diry), list(state.dirz))
+    assert one_event(state, spec, seed=29, t_end=20.0) == []
+    assert state.noop_counts["slow_binary"] == state.proposal_counts["slow_binary"] > 0
+    assert state.types == [0, 0] and state.energies == [1.0, 2.0]
+    assert (state.dirx, state.diry, state.dirz) == directions
 
 
 # -- trajectory-level invariants ------------------------------------------------------
@@ -304,6 +334,20 @@ def test_unary_plugin_exceeding_supremum_is_rejected(two_state_spec_factory):
             track_positions=False)
 
 
+def test_run_rejects_invalid_spec(two_state_spec_factory):
+    # a unary_sup a quarter of the rate it bounds would silently thin the
+    # unary channel to a quarter of its law
+    spec = two_state_spec_factory(n=200, k2=0.0, fast=0.0)
+    state = sample_initial_state(spec, 1)
+    r = spec.rates
+    rates = RateTable(unary=r.unary, slow_binary=r.slow_binary,
+                      fast_binary=r.fast_binary, heat_rate=0.0, bath_beta=1.0,
+                      unary_sup=[[0.0, 0.25], [0.25, 0.0]])
+    with pytest.raises(ValueError, match=r"invalid spec:\n(.*\n)*rates\.unary_sup"):
+        run(state, spec.with_overrides(rates=rates), 4.0, seed=2)
+    assert sum(state.proposal_counts.values()) == 0
+
+
 def _slow_plugin_spec(two_state_spec_factory, slow_fn, n):
     spec = two_state_spec_factory(n=n, w12=0.0, w21=0.0, fast=0.0, slow=1.0)
     rates = RateTable(unary=spec.rates.unary, slow_binary=spec.rates.slow_binary,
@@ -347,11 +391,34 @@ class _NoVariateRandom(random.Random):
     random = randrange = gauss = expovariate = gammavariate = betavariate = _no_variates
 
 
+_MIX_KERNEL = TypeKernel(kind="table", table=(((1, 1), (((2, 2), 0.5), ((1, 1), 0.5))),
+                                              ((2, 2), (((1, 1), 1.0),))))
+
+
 def _four_channel_spec(two_state_spec_factory, n):
-    kernel = TypeKernel(kind="table", table=(((1, 1), (((2, 2), 0.5), ((1, 1), 0.5))),
-                                             ((2, 2), (((1, 1), 1.0),))))
-    return two_state_spec_factory(n=n, k2=0.5, slow=0.5, kernel=kernel,
+    return two_state_spec_factory(n=n, k2=0.5, slow=0.5, kernel=_MIX_KERNEL,
                                   heat=1.0, scale_heat=1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rates=st.lists(st.floats(0.0, 2.0), min_size=5, max_size=5),
+       table_kernel=st.booleans(), n=st.integers(2, 50),
+       seed=st.integers(0, 2 ** 32 - 1), track_positions=st.booleans())
+def test_ledger_closes_over_random_channel_mixes(rates, table_kernel, n, seed,
+                                                 track_positions):
+    w12, w21, slow, fast, heat = rates
+    spec = make_two_state(n=n, k2=0.5, w12=w12, w21=w21, slow=slow, fast=fast,
+                          heat=heat, scale_heat=1.0,
+                          kernel=_MIX_KERNEL if table_kernel else None)
+    state = sample_initial_state(spec, seed)
+    e0 = state.total_kinetic() + state.total_chemical()
+    _, events = run(state, spec, 5.0, seed=seed + 1, max_events=300,
+                    record_events=True, track_positions=track_positions)
+    e1 = state.total_kinetic() + state.total_chemical()
+    assert abs((e1 - e0) - state.bath_exchange) <= 1e-12 * e0
+    for c in CHANNELS:
+        assert state.event_counts[c] + state.noop_counts[c] <= state.proposal_counts[c]
+    assert len(events) == sum(state.event_counts.values())
 
 
 def test_run_makes_no_python_variate_call(two_state_spec_factory):
@@ -379,8 +446,9 @@ def test_run_with_rng_equals_run_with_seed(two_state_spec_factory):
 
 
 def test_heat_only_run_relaxes_to_bath_mean(two_state_spec_factory):
-    # engine counterpart of test_heat_exchange_long_run_mean: the mean
-    # relaxes as exp(-t/2) from 5, so 30 time units of burn-in leave 1e-6
+    # many-particle form of test_heat_exchange_long_run_mean, sampled at fixed
+    # times: the mean relaxes as exp(-t/2) from 5, so 30 time units of
+    # burn-in leave 1e-6
     beta, n = 2.0, 500
     spec = two_state_spec_factory(n=n, w12=0.0, w21=0.0, fast=0.0, heat=1.0,
                                   scale_heat=1.0, beta=beta,
