@@ -12,7 +12,6 @@ from .model import (
     EnergyLaw,
     EnsembleSpec,
     InitialDistribution,
-    ParticleState,
     RateTable,
     SpeciesSpec,
     TypeKernel,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -111,6 +112,11 @@ def _cmd_scenario(args) -> int:
 def _cmd_sim(args) -> int:
     if args.config is None:
         raise SystemExit("sim requires --config")
+    if args.sample_every is not None and not 0.0 < args.sample_every < math.inf:
+        raise ValueError(f"--sample-every must be positive and finite, "
+                         f"got {args.sample_every!r}")
+    sample = (args.sample_every if args.sample_every is not None
+              else max(args.t_end / 50.0, 1e-9))
     spec = load_config(args.config)
     if args.seed is not None:
         spec = spec.with_overrides(rng_seed=args.seed)
@@ -122,7 +128,6 @@ def _cmd_sim(args) -> int:
             seed = spec.rng_seed + 2 * rep
             state = KIN.sample_initial_state(spec, seed)
             collector = _Collector(spec.n_types)
-            sample = args.sample_every or max(args.t_end / 50.0, 1e-9)
             _, events = KIN.run(state, spec, args.t_end, seed=seed + 1,
                                 observers=(collector,), sample_every=sample,
                                 record_events=args.log_events)
@@ -158,7 +163,6 @@ def _cmd_sim(args) -> int:
     if args.engine == "meanfield":
         grid = MF.energy_grid(beta, spec.chem_energies(), m=args.grid_size)
         field = MF.field_from_spec(spec, grid)
-        sample = args.sample_every or args.t_end / 50.0
         traj = MF.integrate_boltzmann(field, spec, args.t_end, dt=args.dt,
                                       sample_every=sample)
         times = traj.times
@@ -167,8 +171,7 @@ def _cmd_sim(args) -> int:
     else:
         c0 = spec.initial_distribution.type_weights
         red = MF.reduced_macro_ode(MF.MacroState(beta, c0), spec, args.t_end,
-                                   n_samples=int(args.t_end / (args.sample_every
-                                                 or args.t_end / 50.0)) + 1)
+                                   n_samples=int(args.t_end / sample) + 1)
         times = red.times
         concs = red.concentrations
         mean_T = [1.5 / beta] * len(times)

@@ -14,7 +14,9 @@ proposes at a constant bounding rate and accepts with the ratio of the true
 rate to the bound, so the accepted events follow the target law without any
 time discretization.  Between jumps particles fly freely on the 3-torus;
 positions are advanced lazily (only when a particle jumps or an observer
-samples), which keeps the per-event cost O(1).
+samples), which keeps the per-event cost O(1).  Speeds ``spd`` are kept
+current during a run only when it tracks positions; an untracked run
+recomputes them all from the energies when it ends.
 
 ``run`` draws every variate it consumes from one ``numpy.random.Generator``
 seeded from the ``random.Random`` it is given, in small blocks per kind of
@@ -30,7 +32,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .model import EnsembleSpec, ParticleState, validate_spec
+from .model import EnsembleSpec, validate_spec
 
 __all__ = [
     "EnsembleState",
@@ -143,14 +145,6 @@ class EnsembleState:
         """(total_kinetic, total_chemical, cumulative_bath_exchange)."""
         return self.total_kinetic(), self.total_chemical(), self.bath_exchange
 
-    def add_bath(self, delta: float) -> None:
-        t = self._q + delta
-        if abs(self._q) >= abs(delta):
-            self._q_comp += (self._q - t) + delta
-        else:
-            self._q_comp += (delta - t) + self._q
-        self._q = t
-
     # -- geometry -------------------------------------------------------------
 
     def flush_particle(self, i: int, t: float) -> None:
@@ -190,18 +184,6 @@ class EnsembleState:
     def positions(self) -> np.ndarray:
         self.flush_all(self.sim_time)
         return np.column_stack((self.x, self.y, self.z))
-
-    def particle(self, i: int) -> ParticleState:
-        self.flush_particle(i, self.sim_time)
-        return ParticleState(
-            type_id=self.types[i] + 1,
-            kinetic_energy=self.energies[i],
-            position=(self.x[i], self.y[i], self.z[i]),
-            direction=(self.dirx[i], self.diry[i], self.dirz[i]),
-        )
-
-    def particles(self) -> list:
-        return [self.particle(i) for i in range(self.n)]
 
     def snapshot(self, with_positions: bool = True) -> Snapshot:
         return Snapshot(
@@ -274,6 +256,15 @@ def _stream(draw):
         yield from draw(_BLOCK).tolist()
 
 
+def _write_back(state, q, qc, props, accs, noops):
+    """Store run()'s local bath sum and per-channel counters into ``state``."""
+    state._q, state._q_comp = q, qc
+    for c, p, a, o in zip(CHANNELS, props, accs, noops):
+        state.proposal_counts[c] = p
+        state.event_counts[c] = a
+        state.noop_counts[c] = o
+
+
 def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
         seed: Optional[int] = None, rng: Optional[random.Random] = None,
         observers: Iterable[Callable] = (), sample_every: Optional[float] = None,
@@ -295,11 +286,15 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
 
     Returns (state, events) where events is the list of accepted EventRecords
     (empty unless record_events).  Raises ValueError if ``spec`` fails
-    ``validate_spec``.
+    ``validate_spec``, or if observers are given with a ``sample_every`` that
+    is not positive and finite.
     """
     _require_valid(spec)
     if t_end < state.sim_time:
         raise ValueError("t_end must be >= state.sim_time")
+    observers = tuple(observers)
+    if observers and sample_every is not None and not 0.0 < sample_every < math.inf:
+        raise ValueError(f"sample_every must be positive and finite, got {sample_every!r}")
     if rng is None:
         rng = random.Random(spec.rng_seed + 1 if seed is None else seed)
     gen = np.random.default_rng(rng.getrandbits(128))
@@ -333,11 +328,14 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
 
     types = state.types
     T = state.energies
-    mass = state.species_mass
+    last_t = state.last_t
     events = []
-    counts = state.event_counts
-    props = state.proposal_counts
-    noops = state.noop_counts
+    # per-channel counters and the Neumaier bath sum live in locals during the
+    # run; _write_back stores them before each observer call and at exit
+    props = [state.proposal_counts[c] for c in CHANNELS]
+    accs = [state.event_counts[c] for c in CHANNELS]
+    noops = [state.noop_counts[c] for c in CHANNELS]
+    q, qc = state._q, state._q_comp
 
     waiting = _stream(gen.standard_exponential).__next__
     uniform = _stream(gen.random).__next__
@@ -350,18 +348,17 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
     bath = _stream(lambda k: gen.gamma(1.5, 1.0 / r.bath_beta, k)).__next__
     normal = _stream(gen.standard_normal).__next__
 
-    def touch(i, t):
-        # bring particle i to the event time before its velocity changes
-        if track_positions:
-            state.flush_particle(i, t)
-        else:
-            state.last_t[i] = t
+    set_energy = state.set_energy
+    if track_positions:
+        flush_particle = state.flush_particle
+        dirx, diry, dirz = state.dirx, state.diry, state.dirz
 
-    def set_energy(i, e):
-        T[i] = e
-        state.spd[i] = math.sqrt(2.0 * e / mass[types[i]])
-        if track_positions:
-            state.dirx[i], state.diry[i], state.dirz[i] = _random_direction(normal)
+        def relaunch(i, t, e):
+            # fly particle i to the event time on its old velocity, then give
+            # it energy e, the matching speed and a fresh direction
+            flush_particle(i, t)
+            set_energy(i, e)
+            dirx[i], diry[i], dirz[i] = _random_direction(normal)
 
     last_emit = [None]
 
@@ -376,156 +373,194 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
         for obs in observers:
             obs(snap)
 
-    observers = tuple(observers)
     t = state.sim_time
     next_obs = None
     if observers:
         emit(t)
         if sample_every is not None:
             next_obs = t + sample_every
+    # the loop looks up from the events only once t_next reaches t_stop, the
+    # next sample time or the horizon; -inf makes the first proposal set it
+    t_stop = -math.inf
+    # accepted events left before max_events stops the run; -1 never reaches 0
+    n_left = -1 if max_events is None else max(max_events, 0)
 
-    n_events = 0
-    while True:
-        if max_events is not None and n_events >= max_events:
-            break
-        if R_total > 0.0:
-            t_next = t + waiting() / R_total
-        else:
-            t_next = math.inf
-        while next_obs is not None and next_obs <= min(t_next, t_end):
-            emit(next_obs)
-            next_obs += sample_every
-        if t_next > t_end:
-            t = t_end
-            break
-        t = t_next
-
-        u = uniform() * R_total
-        if u < c1:
-            # unary channel
-            props["unary"] += 1
-            i = particle()
-            j0 = types[i]
-            Ti = T[i]
-            rates = [0.0] * J
-            total = 0.0
-            for j1 in range(J):
-                if j1 != j0:
-                    if unary_fn is None:
-                        rate = w[j0][j1] if Ti + K[j0] - K[j1] >= 0.0 else 0.0
-                    else:
-                        rate = unary_fn(j0 + 1, j1 + 1, Ti)
-                    rates[j1] = rate
-                    total += rate
-            if unary_fn is not None and total > usup_type[j0] * (1.0 + 1e-12):
-                raise ValueError(
-                    f"unary rate plug-in exceeds its declared supremum "
-                    f"({total} > {usup_type[j0]} for type {j0 + 1})")
-            if total <= 0.0 or uniform() * ubar > total:
-                continue
-            # accepted: choose the target proportionally to the rates
-            pick = uniform() * total
-            acc = 0.0
-            j1 = j0
-            for cand, rate in enumerate(rates):
-                acc += rate
-                if pick < acc:
-                    j1 = cand
+    try:
+        while n_left:
+            t_next = t + waiting() / R_total if R_total > 0.0 else math.inf
+            if t_next >= t_stop:
+                _write_back(state, q, qc, props, accs, noops)
+                while next_obs is not None and next_obs <= min(t_next, t_end):
+                    emit(next_obs)
+                    next_obs += sample_every
+                if t_next > t_end:
+                    t = t_end
                     break
-            T1 = Ti + K[j0] - K[j1]
-            if T1 < 0.0:
-                noops["unary"] += 1
-                continue
-            touch(i, t)
-            before = ((j0 + 1, Ti),)
-            types[i] = j1
-            set_energy(i, T1)
-            counts["unary"] += 1
-            n_events += 1
-            if record_events:
-                events.append(EventRecord(t, "unary", (i,), before, ((j1 + 1, T1),)))
-        elif u < c2:
-            # slow binary channel
-            props["slow_binary"] += 1
-            i = particle()
-            k = partner()
-            j = k if k < i else k + 1
-            a, b = types[i], types[j]
-            if slow_fn is None:
-                rate = bmat[a][b]
-            else:
-                rate = slow_fn(a + 1, b + 1, T[i], T[j])
-                if rate > bmax * (1.0 + 1e-12):
+                t_stop = t_end if next_obs is None else min(next_obs, t_end)
+            t = t_next
+
+            u = uniform() * R_total
+            if u < c1:
+                # unary channel
+                props[0] += 1
+                i = particle()
+                j0 = types[i]
+                Ti = T[i]
+                rates = [0.0] * J
+                total = 0.0
+                for j1 in range(J):
+                    if j1 != j0:
+                        if unary_fn is None:
+                            rate = w[j0][j1] if Ti + K[j0] - K[j1] >= 0.0 else 0.0
+                        else:
+                            rate = unary_fn(j0 + 1, j1 + 1, Ti)
+                        rates[j1] = rate
+                        total += rate
+                if unary_fn is not None and total > usup_type[j0] * (1.0 + 1e-12):
                     raise ValueError(
-                        f"slow binary rate plug-in exceeds its thinning bound "
-                        f"({rate} > {bmax} for types {a + 1},{b + 1})")
-            if rate < bmax and uniform() * bmax > rate:
-                continue
-            if identity_kernel:
-                j1, j1p = a, b
-            else:
-                outs = kernel.outcomes(a + 1, b + 1)
-                pick = uniform()
+                        f"unary rate plug-in exceeds its declared supremum "
+                        f"({total} > {usup_type[j0]} for type {j0 + 1})")
+                if total <= 0.0 or uniform() * ubar > total:
+                    continue
+                # accepted: choose the target proportionally to the rates
+                pick = uniform() * total
                 acc = 0.0
-                j1, j1p = a + 1, b + 1
-                for (x1, x2), prob in outs:
-                    acc += prob
+                j1 = j0
+                for cand, rate in enumerate(rates):
+                    acc += rate
                     if pick < acc:
-                        j1, j1p = x1, x2
+                        j1 = cand
                         break
-                j1 -= 1
-                j1p -= 1
-            E = (T[i] + T[j]) + ((K[a] + K[b]) - (K[j1] + K[j1p]))
-            if E < 0.0:
-                noops["slow_binary"] += 1
-                continue
-            t1, t2 = split_energy(E, split())
-            touch(i, t)
-            touch(j, t)
-            before = ((a + 1, T[i]), (b + 1, T[j]))
-            types[i] = j1
-            types[j] = j1p
-            set_energy(i, t1)
-            set_energy(j, t2)
-            counts["slow_binary"] += 1
-            n_events += 1
-            if record_events:
-                events.append(EventRecord(t, "slow_binary", (i, j), before,
-                                          ((j1 + 1, t1), (j1p + 1, t2))))
-        elif u < c3:
-            # fast binary channel
-            props["fast_binary"] += 1
-            i = particle()
-            k = partner()
-            j = k if k < i else k + 1
-            fij = fmat[types[i]][types[j]]
-            if fij < fmax and uniform() * fmax > fij:
-                continue
-            S = T[i] + T[j]
-            t1, t2 = split_energy(S, split())
-            touch(i, t)
-            touch(j, t)
-            before = ((types[i] + 1, T[i]), (types[j] + 1, T[j]))
-            set_energy(i, t1)
-            set_energy(j, t2)
-            counts["fast_binary"] += 1
-            n_events += 1
-            if record_events:
-                events.append(EventRecord(t, "fast_binary", (i, j), before,
-                                          ((types[i] + 1, t1), (types[j] + 1, t2))))
-        else:
-            # heat channel (always accepted: constant rate)
-            props["heat"] += 1
-            i = particle()
-            t1, _ = split_energy(T[i] + bath(), split())
-            touch(i, t)
-            before = ((types[i] + 1, T[i]),)
-            state.add_bath(t1 - T[i])
-            set_energy(i, t1)
-            counts["heat"] += 1
-            n_events += 1
-            if record_events:
-                events.append(EventRecord(t, "heat", (i,), before, ((types[i] + 1, t1),)))
+                T1 = Ti + K[j0] - K[j1]
+                if T1 < 0.0:
+                    noops[0] += 1
+                    continue
+                types[i] = j1
+                if track_positions:
+                    relaunch(i, t, T1)
+                else:
+                    T[i] = T1
+                    last_t[i] = t
+                accs[0] += 1
+                if record_events:
+                    events.append(EventRecord(t, "unary", (i,), ((j0 + 1, Ti),),
+                                              ((j1 + 1, T1),)))
+            elif u < c2:
+                # slow binary channel
+                props[1] += 1
+                i = particle()
+                k = partner()
+                j = k if k < i else k + 1
+                a, b = types[i], types[j]
+                Ti, Tj = T[i], T[j]
+                if slow_fn is None:
+                    rate = bmat[a][b]
+                else:
+                    rate = slow_fn(a + 1, b + 1, Ti, Tj)
+                    if rate > bmax * (1.0 + 1e-12):
+                        raise ValueError(
+                            f"slow binary rate plug-in exceeds its thinning bound "
+                            f"({rate} > {bmax} for types {a + 1},{b + 1})")
+                if rate < bmax and uniform() * bmax > rate:
+                    continue
+                if identity_kernel:
+                    j1, j1p = a, b
+                else:
+                    outs = kernel.outcomes(a + 1, b + 1)
+                    pick = uniform()
+                    acc = 0.0
+                    j1, j1p = a + 1, b + 1
+                    for (x1, x2), prob in outs:
+                        acc += prob
+                        if pick < acc:
+                            j1, j1p = x1, x2
+                            break
+                    j1 -= 1
+                    j1p -= 1
+                E = (Ti + Tj) + ((K[a] + K[b]) - (K[j1] + K[j1p]))
+                if E < 0.0:
+                    noops[1] += 1
+                    continue
+                t1, t2 = split_energy(E, split())
+                types[i] = j1
+                types[j] = j1p
+                if track_positions:
+                    relaunch(i, t, t1)
+                    relaunch(j, t, t2)
+                else:
+                    T[i], T[j] = t1, t2
+                    last_t[i] = last_t[j] = t
+                accs[1] += 1
+                if record_events:
+                    events.append(EventRecord(t, "slow_binary", (i, j),
+                                              ((a + 1, Ti), (b + 1, Tj)),
+                                              ((j1 + 1, t1), (j1p + 1, t2))))
+            elif u < c3:
+                # fast binary channel
+                props[2] += 1
+                i = particle()
+                k = partner()
+                j = k if k < i else k + 1
+                fij = fmat[types[i]][types[j]]
+                if fij < fmax and uniform() * fmax > fij:
+                    continue
+                Ti, Tj = T[i], T[j]
+                # split_energy inlined: it would return a first guess that
+                # closes unchanged, so it runs only when the guess misses
+                S = Ti + Tj
+                frac = split()
+                t1 = S * frac
+                t2 = S - t1
+                t1 = S - t2
+                if t1 + t2 != S or S <= 0.0:
+                    t1, t2 = split_energy(S, frac)
+                if track_positions:
+                    relaunch(i, t, t1)
+                    relaunch(j, t, t2)
+                else:
+                    T[i], T[j] = t1, t2
+                    last_t[i] = last_t[j] = t
+                accs[2] += 1
+                if record_events:
+                    a, b = types[i] + 1, types[j] + 1
+                    events.append(EventRecord(t, "fast_binary", (i, j),
+                                              ((a, Ti), (b, Tj)), ((a, t1), (b, t2))))
+            else:
+                # heat channel (always accepted: constant rate)
+                props[3] += 1
+                i = particle()
+                Ti = T[i]
+                S = Ti + bath()
+                frac = split()
+                t1 = S * frac
+                t2 = S - t1
+                t1 = S - t2
+                if t1 + t2 != S or S <= 0.0:
+                    t1 = split_energy(S, frac)[0]
+                # Neumaier-compensated bath sum q + qc
+                delta = t1 - Ti
+                s = q + delta
+                if abs(q) >= abs(delta):
+                    qc += (q - s) + delta
+                else:
+                    qc += (delta - s) + q
+                q = s
+                if track_positions:
+                    relaunch(i, t, t1)
+                else:
+                    T[i] = t1
+                    last_t[i] = t
+                accs[3] += 1
+                if record_events:
+                    a = types[i] + 1
+                    events.append(EventRecord(t, "heat", (i,), ((a, Ti),), ((a, t1),)))
+            n_left -= 1
+    finally:
+        _write_back(state, q, qc, props, accs, noops)
+        if not track_positions:
+            # no flight read the speeds, so they were left stale until now
+            for i in range(n):
+                set_energy(i, T[i])
 
     if track_positions:
         state.flush_all(t)

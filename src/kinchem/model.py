@@ -20,7 +20,6 @@ __all__ = [
     "TypeKernel",
     "RateTable",
     "EnsembleSpec",
-    "ParticleState",
     "Violation",
     "ValidationReport",
     "ConfigError",
@@ -213,42 +212,6 @@ class EnsembleSpec:
 
     def with_overrides(self, **kw) -> "EnsembleSpec":
         return replace(self, **kw)
-
-
-@dataclass(frozen=True)
-class ParticleState:
-    """One particle: 1-based type id, kinetic energy, torus position, unit direction.
-
-    Speed is never stored; it derives from the energy as sqrt(2 T / m_j).
-    """
-
-    type_id: int
-    kinetic_energy: float
-    position: tuple
-    direction: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", tuple(float(x) for x in self.position))
-        object.__setattr__(self, "direction", tuple(float(x) for x in self.direction))
-
-    def speed(self, mass: float) -> float:
-        return math.sqrt(2.0 * self.kinetic_energy / mass)
-
-    def velocity(self, mass: float) -> tuple:
-        s = self.speed(mass)
-        return tuple(s * d for d in self.direction)
-
-    def check(self, box_side: float) -> list:
-        """Return invariant violations for this particle (empty when valid)."""
-        bad = []
-        if self.kinetic_energy < 0.0:
-            bad.append("kinetic_energy < 0")
-        norm = math.sqrt(sum(d * d for d in self.direction))
-        if abs(norm - 1.0) > 1e-12:
-            bad.append(f"|direction| = {norm!r} not unit")
-        if any(not (0.0 <= x < box_side) for x in self.position):
-            bad.append("position outside [0, box_side)")
-        return bad
 
 
 @dataclass(frozen=True)

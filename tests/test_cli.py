@@ -130,6 +130,20 @@ def test_sim_meanfield_engine(tmp_path, config_path):
     assert (out / "meanfield_trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("engine", ["particle", "meanfield", "reduced"])
+@pytest.mark.parametrize("every", ["0", "-0.5", "inf"])
+def test_sim_rejects_bad_sample_interval(tmp_path, config_path, capsys, engine,
+                                         every):
+    # `--sample-every 0` used to fall back to t_end/50 without a word
+    code = main(["sim", "--config", str(config_path), "--engine", engine,
+                 "--t-end", "1.0", f"--sample-every={every}",
+                 "--out", str(tmp_path / "sim")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: --sample-every must be positive and finite")
+    assert not (tmp_path / "sim").exists()
+
+
 def test_thermo_eval_reports_potentials(tmp_path, config_path, capsys):
     code = main(["thermo", "eval", "--config", str(config_path),
                  "--c", "0.3,0.7", "--beta", "1.0",

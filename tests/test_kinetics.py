@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -484,3 +485,52 @@ def test_observers_receive_snapshots(two_state_spec_factory):
     assert any(abs(t - 0.5) < 1e-12 for t in times)
     assert seen[-1].positions.shape == (50, 3)
     assert seen[-1].type_counts(2).sum() == 50
+
+
+@pytest.mark.parametrize("every", [0.0, -0.5, math.inf, math.nan])
+def test_run_rejects_bad_sample_interval(two_state_spec_factory, every):
+    # a zero interval never advanced the sample clock, a negative one sampled
+    # backwards in time for ever
+    spec = two_state_spec_factory(n=10)
+    state = sample_initial_state(spec, 1)
+    with pytest.raises(ValueError, match="sample_every must be positive and finite"):
+        run(state, spec, 1.0, seed=2, observers=(lambda s: None,), sample_every=every)
+    assert sum(state.proposal_counts.values()) == 0
+
+
+@pytest.mark.parametrize("track_positions", [False, True])
+def test_observers_see_exact_counters_mid_run(two_state_spec_factory, track_positions):
+    # run() keeps counters, the bath sum and (untracked) speeds in locals:
+    # every snapshot and the final state must still read exact values
+    spec = _four_channel_spec(two_state_spec_factory, 40)
+    state = sample_initial_state(spec, 81)
+    e0 = state.total_kinetic() + state.total_chemical()
+    snaps = []
+    _, events = run(state, spec, 3.0, seed=82, observers=(snaps.append,),
+                    sample_every=0.2, record_events=True,
+                    track_positions=track_positions)
+    assert len(snaps) == 16
+    assert all(state.event_counts[c] > 0 for c in CHANNELS)
+    for snap in snaps:
+        logged = Counter(e.channel for e in events if e.time <= snap.time)
+        assert snap.event_counts == {c: logged[c] for c in CHANNELS}
+        assert abs((snap.total_kinetic + snap.total_chemical - e0)
+                   - snap.bath_exchange) <= 1e-12 * e0
+    mass = state.species_mass
+    assert state.spd == [math.sqrt(2.0 * e / mass[j])
+                         for e, j in zip(state.energies, state.types)]
+
+
+@pytest.mark.parametrize("max_events", [None, 25])
+def test_heat_only_run_counts_every_proposal_as_event(two_state_spec_factory,
+                                                      max_events):
+    spec = two_state_spec_factory(n=5, w12=0.0, w21=0.0, fast=0.0, heat=1.0,
+                                  scale_heat=1.0)
+    state = sample_initial_state(spec, 83)
+    run(state, spec, 10.0, seed=84, max_events=max_events, track_positions=False)
+    events = state.event_counts["heat"]
+    assert state.proposal_counts["heat"] == events
+    if max_events is None:
+        assert events > 25 and state.sim_time == 10.0
+    else:
+        assert events == 25 and state.sim_time < 10.0

@@ -7,7 +7,7 @@ import pytest
 from kinchem.model import (ConfigError, EnergyLaw, InitialDistribution,
                            RateTable, SpeciesSpec, TypeKernel, load_config,
                            save_config, validate_spec)
-from kinchem.kinetics import sample_initial_state
+from kinchem.kinetics import run, sample_initial_state
 from conftest import make_two_state
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -89,11 +89,21 @@ def test_type_weights_binomial_oracle():
     assert abs(n1 - 2500) <= 3 * sd
 
 
+def _assert_particle_invariants(state, box_side):
+    assert min(state.energies) >= 0.0
+    for d in zip(state.dirx, state.diry, state.dirz):
+        assert abs(math.sqrt(sum(c * c for c in d)) - 1.0) <= 1e-12
+    pos = state.positions()
+    assert ((pos >= 0.0) & (pos < box_side)).all()
+
+
 def test_sampled_particles_satisfy_invariants():
     spec = make_two_state(n=50)
     state = sample_initial_state(spec, 9)
-    for p in state.particles():
-        assert p.check(spec.box_side) == []
+    _assert_particle_invariants(state, spec.box_side)
+    run(state, spec, 2.0, seed=10)
+    assert sum(state.event_counts.values()) > 0
+    _assert_particle_invariants(state, spec.box_side)
 
 
 def test_config_round_trip(tmp_path):

@@ -435,7 +435,11 @@ def test_chaos_statistic_insufficient_replicas_flagged():
 
 def test_chaos_statistic_on_particle_ensemble_types():
     # type correlations created by a reactive pair kernel in the particle
-    # engine also factorize as the ensemble grows
+    # engine also factorize as the ensemble grows.  False-alarm rate of the
+    # slope gate: with every seed shifted by 10000*o, o = 1..80, the fitted
+    # slope had mean -1.06 and sd 0.33, and 2 of 80 streams (2.5%) ended above
+    # -0.4.  A red here after a change of variate stream can be such a chance
+    # event; check other seeds before calling it a bug, and never re-seed.
     kernel = TypeKernel(kind="table", table=(
         ((1, 1), (((1, 1), 0.5), ((2, 2), 0.5))),
         ((1, 2), (((1, 1), 0.5), ((2, 2), 0.5))),
