@@ -180,8 +180,13 @@ def reduced_macro_ode(state: MacroState, spec: EnsembleSpec, t_end: float,
                       n_samples: int = 201) -> ReducedTrajectory:
     """Integrate the concentration dynamics on the fixed-beta equilibrium
     manifold with Maxwell-averaged unary rates; total concentration is
-    conserved by the antisymmetric flux structure of the vector field."""
+    conserved by the antisymmetric flux structure of the vector field.  With
+    t_end = 0 the trajectory is the single row of initial data at t = 0."""
     v = maxwell_unary_rates(spec, beta=state.beta)
+    if t_end == 0.0:        # solve_ivp returns empty lists for an empty span
+        return ReducedTrajectory(times=np.zeros(1), beta=state.beta, rates=v,
+                                 concentrations=np.array(state.concentrations,
+                                                         dtype=float, ndmin=2))
     f = macro_vector_field(v)
     times = np.linspace(0.0, t_end, n_samples)
     sol = _sintegrate.solve_ivp(
@@ -603,8 +608,11 @@ def integrate_boltzmann(field: DensityField, spec: EnsembleSpec, t_end: float,
 
     The step must satisfy dt * (max total outflow rate) <= 0.5; a violating
     request raises ValueError.  The field is renormalized after every step and
-    the worst pre-renormalization drift is reported on the trajectory.
+    the worst pre-renormalization drift is reported on the trajectory.  A
+    ``sample_every`` that is not positive and finite raises ValueError.
     """
+    if sample_every is not None and not 0.0 < sample_every < math.inf:
+        raise ValueError(f"sample_every must be positive and finite, got {sample_every!r}")
     integ = BoltzmannIntegrator(spec, field.grid, enable_slow_binary=enable_slow_binary)
     w = integ.weights
     rho = field.values * w

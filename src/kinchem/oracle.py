@@ -12,8 +12,8 @@ backward closure over shared particles.  This module implements
 * the truncated resummation series for the marginal, with exact
   simplex-exponential time integrals, at finite N and in the N -> infinity
   limit where only essential sequences survive,
-* brute-force oracles: dense master-equation propagation for small N,
-  direct process simulation, and k-particle factorization statistics.
+* brute-force oracles: master-equation propagation for small N, direct
+  process simulation, and k-particle factorization statistics.
 
 Particle labels are arbitrary hashables; sequence positions are 0-based.
 """
@@ -27,6 +27,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.sparse import csr_array
+from scipy.sparse.linalg import expm_multiply
 
 __all__ = [
     "PairModel",
@@ -477,8 +479,11 @@ def master_generator(model: PairModel, N: int) -> np.ndarray:
 
 
 def exact_joint(model: PairModel, mu0, t: float, N: int) -> np.ndarray:
-    """Exact joint law at time t from the dense master equation, as an
-    (|S|,)*N tensor."""
+    """Exact joint law at time t from the master equation, as an (|S|,)*N
+    tensor.  The generator is sparse (each state reaches at most
+    |S|^2 N (N - 1) / 2 others), so the initial product law is propagated by
+    the action of exp(L^T t) on it (Al-Mohy & Higham 2011) on the CSR form
+    of the dense generator; the exponential itself is never formed."""
     S = model.n_states
     mu0 = np.asarray(mu0, dtype=float)
     joint = mu0
@@ -486,7 +491,7 @@ def exact_joint(model: PairModel, mu0, t: float, N: int) -> np.ndarray:
         joint = np.multiply.outer(joint, mu0)
     vec = joint.reshape(-1)
     L = master_generator(model, N)
-    out = vec @ expm(L * t)
+    out = expm_multiply(csr_array(L.T * t), vec)
     return out.reshape((S,) * N)
 
 
@@ -509,27 +514,44 @@ def exact_pair_correlation(model: PairModel, mu0, t: float, N: int) -> float:
 
 def simulate_pair_system(model: PairModel, N: int, t: float, mu0,
                          seed: int) -> np.ndarray:
-    """One trajectory of the N-particle process; returns the final state vector."""
+    """One trajectory of the N-particle process; returns the final state vector.
+
+    The draws reproduce ``random.Random(seed)``'s stream word for word: the N
+    initial uniforms come from one ``getrandbits(64 N)`` block, each pair of
+    32-bit words combined by ``random()``'s own formula, and every
+    ``randrange`` is its ``getrandbits`` rejection loop inlined.  The event
+    count is a numpy Poisson draw from a second seeded generator.
+    """
+    if N < 2:
+        raise ValueError("need at least two particles")
     S = model.n_states
     rng = random.Random(seed)
-    mu0 = np.asarray(mu0, dtype=float)
-    cum0 = np.cumsum(mu0)
-    uniform = rng.random
-    states = np.searchsorted(cum0, [uniform() for _ in range(N)]).tolist()
+    cum0 = np.cumsum(np.asarray(mu0, dtype=float))
+    words = np.frombuffer(rng.getrandbits(64 * N).to_bytes(8 * N, "little"),
+                          dtype="<u4")
+    u0 = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 9007199254740992.0
+    states = np.searchsorted(cum0, u0).tolist()
     n_events = np.random.default_rng(seed ^ 0x9E3779B97F4A7C15).poisson(
         N * model.rate * t)
-    rows = [list(np.cumsum(model.kernel[i])) for i in range(S * S)]
-    randrange = rng.randrange
+    rows = np.cumsum(model.kernel, axis=1).tolist()
+    outcomes = [divmod(out, S) for out in range(S * S)]
+    uniform, getrandbits = rng.random, rng.getrandbits
+    M = N - 1
+    bits_n, bits_m = N.bit_length(), M.bit_length()
     for _ in range(int(n_events)):
-        i = randrange(N)
-        k = randrange(N - 1)
+        i = getrandbits(bits_n)
+        while i >= N:
+            i = getrandbits(bits_n)
+        k = getrandbits(bits_m)
+        while k >= M:
+            k = getrandbits(bits_m)
         j = k if k < i else k + 1
         row = rows[states[i] * S + states[j]]
         u = uniform()
         out = 0
         while row[out] < u:
             out += 1
-        states[i], states[j] = divmod(out, S)
+        states[i], states[j] = outcomes[out]
     return np.asarray(states, dtype=np.int64)
 
 
@@ -600,11 +622,13 @@ def chaos_statistic(runs: Mapping[int, Sequence], k: int = 2,
             return float(np.max(np.abs(joint_mean - prod)))
 
         full = defect(joint.mean(axis=0), marg.mean(axis=0))
-        jsum = joint.sum(axis=0)
-        msum = marg.sum(axis=0)
-        loo = np.array([
-            defect((jsum - joint[r]) / (R - 1), (msum - marg[r]) / (R - 1))
-            for r in range(R)])
+        # leave-one-replica-out defects, all replicas in one broadcast
+        loo_joint = (joint.sum(axis=0) - joint) / (R - 1)
+        loo_marg = (marg.sum(axis=0) - marg) / (R - 1)
+        prod = loo_marg
+        for _ in range(k - 1):
+            prod = prod[..., None] * loo_marg.reshape((R,) + (1,) * (prod.ndim - 1) + (-1,))
+        loo = np.abs(loo_joint - prod).reshape(R, -1).max(axis=1)
         se = math.sqrt((R - 1) / R * float(((loo - loo.mean()) ** 2).sum()))
         corr[N] = full
         errs[N] = se

@@ -121,6 +121,16 @@ def test_sim_reduced_engine(tmp_path, config_path):
     assert "S_M" in rows[0] and "A" in rows[0]
 
 
+def test_sim_reduced_engine_at_zero_horizon(tmp_path, config_path):
+    out = tmp_path / "red0"
+    code = main(["sim", "--config", str(config_path), "--engine", "reduced",
+                 "--t-end", "0", "--out", str(out)])
+    assert code == 0
+    with open(out / "reduced_trajectory.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 2 and float(rows[1][0]) == 0.0
+
+
 def test_sim_meanfield_engine(tmp_path, config_path):
     out = tmp_path / "mf"
     code = main(["sim", "--config", str(config_path), "--engine", "meanfield",

@@ -96,6 +96,13 @@ def test_reduced_ode_conserves_total():
     assert np.max(np.abs(totals - 2.0)) < 1e-12
 
 
+def test_reduced_ode_at_zero_horizon_is_initial_row():
+    spec = make_two_state(k2=1.0)
+    traj = MF.reduced_macro_ode(MF.MacroState(1.0, (0.3, 1.7)), spec, 0.0)
+    assert traj.times.tolist() == [0.0]
+    assert traj.concentrations.tolist() == [[0.3, 1.7]]
+
+
 # -- affinity flux --------------------------------------------------------------------
 
 
@@ -143,6 +150,15 @@ def test_cfl_violation_rejected():
     field = MF.field_from_spec(spec, grid)
     with pytest.raises(ValueError, match="stability"):
         MF.integrate_boltzmann(field, spec, t_end=1.0, dt=1.0)
+
+
+@pytest.mark.parametrize("every", [0.0, -1.0, math.inf, math.nan])
+def test_integrate_boltzmann_rejects_bad_sample_interval(every):
+    spec = make_two_state()
+    grid = MF.energy_grid(1.0, (0.0, 1.0), m=48, t_max=12.0)
+    field = MF.field_from_spec(spec, grid)
+    with pytest.raises(ValueError, match="sample_every"):
+        MF.integrate_boltzmann(field, spec, t_end=1.0, sample_every=every)
 
 
 def test_gamma_stationarity_residual_halves_under_refinement():

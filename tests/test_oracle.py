@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from kinchem import oracle as O
 from kinchem.kinetics import run, sample_initial_state
@@ -397,6 +398,22 @@ def test_master_generator_bitwise_equals_scalar_loop():
         assert L.tobytes() == scalar_master_generator(model, N).tobytes()
 
 
+def test_exact_joint_matches_dense_expm():
+    cases = [(O.contagion_model(0.5, 1.3), (0.6, 0.4), N) for N in range(2, 11)]
+    cases += [(O.voter_model(0.7, n_states=3), (0.2, 0.5, 0.3), N)
+              for N in range(2, 7)]
+    for model, mu0, N in cases:
+        joint = np.asarray(mu0)
+        for _ in range(N - 1):
+            joint = np.multiply.outer(joint, mu0)
+        L = O.master_generator(model, N)
+        for t in (0.0, 0.5, 2.0):
+            got = O.exact_joint(model, mu0, t, N)
+            ref = (joint.reshape(-1) @ expm(L * t)).reshape(got.shape)
+            assert np.max(np.abs(got - ref)) <= 1e-14
+            assert abs(got.sum() - 1.0) <= 1e-12
+
+
 def test_exact_pair_correlation_zero_at_t0_positive_later():
     model = O.contagion_model(0.5, 1.0)
     mu0 = np.array([0.6, 0.4])
@@ -503,3 +520,48 @@ def test_simulate_pair_system_bitwise_equals_per_particle_draws():
                     ref = per_particle_simulation(model, N, t, mu0, seed)
                     assert got.dtype == ref.dtype
                     assert got.tobytes() == ref.tobytes()
+
+
+def test_simulate_pair_system_bitwise_at_rejection_heavy_sizes():
+    # N just above a power of two rejects about half of the index draws
+    models = [(O.contagion_model(0.5, 1.0), (0.6, 0.4)),
+              (O.voter_model(1.0, n_states=3), (0.2, 0.5, 0.3))]
+    for model, mu0 in models:
+        for seed in range(3):
+            for N in (3, 1025, 1600):
+                got = O.simulate_pair_system(model, N, 0.5, mu0, seed)
+                ref = per_particle_simulation(model, N, 0.5, mu0, seed)
+                assert got.tobytes() == ref.tobytes()
+    with pytest.raises(ValueError, match="two particles"):
+        O.simulate_pair_system(models[0][0], 1, 0.5, models[0][1], 0)
+
+
+def scalar_loop_jackknife_stderr(reps, N, k, S):
+    """Jackknife error of the defect with one leave-one-out mean per replica."""
+    counts = np.stack([np.bincount(r, minlength=S) for r in reps]).astype(float)
+    joint, marg = O._factorization_defect(counts, N, k)
+    R = counts.shape[0]
+
+    def defect(joint_mean, marg_mean):
+        prod = marg_mean
+        for _ in range(k - 1):
+            prod = np.multiply.outer(prod, marg_mean)
+        return float(np.max(np.abs(joint_mean - prod)))
+
+    jsum = joint.sum(axis=0)
+    msum = marg.sum(axis=0)
+    loo = np.array([
+        defect((jsum - joint[r]) / (R - 1), (msum - marg[r]) / (R - 1))
+        for r in range(R)])
+    return math.sqrt((R - 1) / R * float(((loo - loo.mean()) ** 2).sum()))
+
+
+def test_jackknife_bitwise_equals_scalar_loop():
+    model = O.contagion_model(0.5, 1.0)
+    mu0 = np.array([0.6, 0.4])
+    runs = {N: [O.simulate_pair_system(model, N, 0.5, mu0, seed=3 * N + r)
+                for r in range(40)] for N in (100, 400, 1600)}
+    for k in (2, 3):
+        rep = O.chaos_statistic(runs, k=k, n_states=2)
+        for N, reps in runs.items():
+            assert rep.stderrs[N] == scalar_loop_jackknife_stderr(reps, N, k, 2)
