@@ -50,7 +50,6 @@ from .thermo import (
     variational_check,
 )
 from .oracle import (
-    InteractionSequence,
     PairModel,
     chaos_statistic,
     classify,

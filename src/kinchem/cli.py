@@ -1,29 +1,34 @@
 """Command line: scenario runner, raw simulation, thermodynamic reports,
 and the pair-interaction verification oracle.
 
-Grammar: kinchem <scenario|sim|thermo|oracle> [--config PATH] [--seed U64]
-[--out DIR] [flags...].  Exit code is 0 iff every embedded check passed.
+Grammar: kinchem <scenario|sim|thermo|oracle> [--seed U64] [--out DIR]
+[flags...]; ``sim`` and ``thermo eval`` also take the required --config PATH.
+Exit code is 0 iff every embedded check passed, 1 if one failed and 2 on a
+usage error.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import kinetics as KIN
 from . import meanfield as MF
 from . import thermo as TH
 from .model import load_config
-from .scenarios import SCENARIOS, _Collector, _jsonable, run_scenario
+from .scenarios import (SCENARIOS, _jsonable, _observed_run, _thermo_table,
+                        _write_csv, _write_json, run_scenario)
+
+EVENT_HEADER = ["time", "channel", "i", "j", "type_before", "T_before",
+                "type_after", "T_after", "type2_before", "T2_before",
+                "type2_after", "T2_after"]
 
 
-def _add_common(p):
-    p.add_argument("--config", type=Path, help="model configuration file (YAML)")
+def _add_common(p, config: bool = False):
+    if config:
+        p.add_argument("--config", type=Path, required=True,
+                       help="model configuration file (YAML)")
     p.add_argument("--seed", type=int, default=None, help="RNG seed override")
     p.add_argument("--out", type=Path, default=None, help="output directory")
 
@@ -34,7 +39,7 @@ def _parse_overrides(pairs):
     out = {}
     for item in pairs or ():
         if "=" not in item:
-            raise SystemExit(f"override {item!r} must look like key=value")
+            raise ValueError(f"override {item!r} must look like key=value")
         key, val = item.split("=", 1)
         try:
             out[key.replace("-", "_")] = ast.literal_eval(val)
@@ -63,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="extra scenario parameter override (repeatable)")
 
     sim = sub.add_parser("sim", help="simulate one configured ensemble")
-    _add_common(sim)
+    _add_common(sim, config=True)
     sim.add_argument("--engine", choices=("particle", "meanfield", "reduced"),
                      default="particle")
     sim.add_argument("--t-end", type=float, required=True)
@@ -79,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     th = sub.add_parser("thermo", help="thermodynamic function reports")
     th_sub = th.add_subparsers(dest="thermo_command", required=True)
     ev = th_sub.add_parser("eval", help="evaluate all potentials at a state point")
-    _add_common(ev)
+    _add_common(ev, config=True)
     ev.add_argument("--c", required=True,
                     help="comma-separated concentrations, one per species")
     ev.add_argument("--beta", type=float, required=True)
@@ -97,68 +102,61 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _run_and_print(name: str, overrides: dict, args) -> int:
+    summary = run_scenario(name, overrides, out_dir=args.out,
+                           seed=7 if args.seed is None else args.seed)
+    print(json.dumps(summary, indent=2, allow_nan=False))
+    return 0 if summary["passed"] else 1
+
+
 def _cmd_scenario(args) -> int:
     overrides = _parse_overrides(args.overrides)
     for key in ("n", "beta", "replicas", "direction"):
         val = getattr(args, key)
         if val is not None:
             overrides[key] = val
-    seed = args.seed if args.seed is not None else 7
-    summary = run_scenario(args.name, overrides, out_dir=args.out, seed=seed)
-    print(json.dumps(summary, indent=2, default=float, allow_nan=False))
-    return 0 if summary["passed"] else 1
+    return _run_and_print(args.name, overrides, args)
+
+
+def _event_row(ev) -> list:
+    b2 = ev.before[1] if len(ev.before) > 1 else ("", "")
+    a2 = ev.after[1] if len(ev.after) > 1 else ("", "")
+    return [ev.time, ev.channel, ev.participants[0],
+            ev.participants[1] if len(ev.participants) > 1 else "",
+            ev.before[0][0], ev.before[0][1], ev.after[0][0], ev.after[0][1],
+            b2[0], b2[1], a2[0], a2[1]]
 
 
 def _cmd_sim(args) -> int:
-    if args.config is None:
-        raise SystemExit("sim requires --config")
+    if not 0.0 <= args.t_end < math.inf:
+        raise ValueError(f"--t-end must be nonnegative and finite, "
+                         f"got {args.t_end!r}")
     if args.sample_every is not None and not 0.0 < args.sample_every < math.inf:
         raise ValueError(f"--sample-every must be positive and finite, "
                          f"got {args.sample_every!r}")
+    if args.replicas < 1:
+        raise ValueError(f"--replicas must be at least 1, got {args.replicas}")
     sample = (args.sample_every if args.sample_every is not None
               else max(args.t_end / 50.0, 1e-9))
     spec = load_config(args.config)
     if args.seed is not None:
         spec = spec.with_overrides(rng_seed=args.seed)
     out = args.out or Path(".")
-    out.mkdir(parents=True, exist_ok=True)
 
     if args.engine == "particle":
         for rep in range(args.replicas):
-            seed = spec.rng_seed + 2 * rep
-            state = KIN.sample_initial_state(spec, seed)
-            collector = _Collector(spec.n_types)
-            _, events = KIN.run(state, spec, args.t_end, seed=seed + 1,
-                                observers=(collector,), sample_every=sample,
-                                record_events=args.log_events)
+            _, col, events = _observed_run(spec, spec.rng_seed + 2 * rep,
+                                           args.t_end, sample,
+                                           record_events=args.log_events)
             suffix = f"_{rep}" if args.replicas > 1 else ""
-            path = out / f"trajectory{suffix}.csv"
-            with open(path, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(collector.header())
-                w.writerows(collector.rows())
-            print(f"wrote {path}")
+            print(f"wrote {_write_csv(out / f'trajectory{suffix}.csv', *col.table())}")
             if args.log_events:
-                epath = out / f"events{suffix}.csv"
-                with open(epath, "w", newline="") as fh:
-                    w = csv.writer(fh)
-                    w.writerow(["time", "channel", "i", "j", "type_before",
-                                "T_before", "type_after", "T_after",
-                                "type2_before", "T2_before", "type2_after",
-                                "T2_after"])
-                    for ev in events:
-                        pad = lambda tup, k: tup[k] if len(tup) > k else ("", "")
-                        b2, a2 = pad(ev.before, 1), pad(ev.after, 1)
-                        w.writerow([ev.time, ev.channel, ev.participants[0],
-                                    ev.participants[1] if len(ev.participants) > 1 else "",
-                                    ev.before[0][0], ev.before[0][1],
-                                    ev.after[0][0], ev.after[0][1],
-                                    b2[0], b2[1], a2[0], a2[1]])
-                print(f"wrote {epath}")
+                path = _write_csv(out / f"events{suffix}.csv", EVENT_HEADER,
+                                  map(_event_row, events))
+                print(f"wrote {path}")
         return 0
 
     # deterministic engines
-    species = spec.species
     beta = spec.rates.bath_beta
     if args.engine == "meanfield":
         grid = MF.energy_grid(beta, spec.chem_energies(), m=args.grid_size)
@@ -175,35 +173,16 @@ def _cmd_sim(args) -> int:
         times = red.times
         concs = red.concentrations
         mean_T = [1.5 / beta] * len(times)
-
-    path = out / f"{args.engine}_trajectory.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        head = ["t", *[f"c_{j + 1}" for j in range(spec.n_types)], "mean_T"]
-        two_state = spec.n_types == 2
-        if two_state:
-            head += ["g", "H", "S_M", "A"]
-            v12, v21 = MF.reduced_two_state(spec)
-            ratio = v21 / v12
-        w.writerow(head)
-        for t, c, mt in zip(times, concs, mean_T):
-            row = [t, *map(float, c), mt]
-            if two_state:
-                ct = float(np.sum(c))
-                c_eq = np.array([ct * ratio / (1 + ratio), ct / (1 + ratio)])
-                pt = TH.ThermoPoint(beta, tuple(np.maximum(c, 1e-300)), species)
-                pots = TH.potentials(pt, 1.0)
-                row += [pots["g"], pots["H"],
-                        TH.markov_entropy(np.asarray(c) / ct, c_eq / ct),
-                        TH.affinity_and_kappa(pt)["A"]]
-            w.writerow(row)
-    print(f"wrote {path}")
+    if spec.n_types == 2:
+        header, rows = _thermo_table(times, concs, mean_T, spec)
+    else:
+        header = ["t", *[f"c_{j + 1}" for j in range(spec.n_types)], "mean_T"]
+        rows = ([t, *map(float, c), mt] for t, c, mt in zip(times, concs, mean_T))
+    print(f"wrote {_write_csv(out / f'{args.engine}_trajectory.csv', header, rows)}")
     return 0
 
 
 def _cmd_thermo(args) -> int:
-    if args.config is None:
-        raise SystemExit("thermo eval requires --config")
     spec = load_config(args.config)
     conc = tuple(float(x) for x in args.c.split(","))
     volume = args.volume if args.volume is not None else spec.box_side ** 3
@@ -220,28 +199,19 @@ def _cmd_thermo(args) -> int:
         aff = TH.affinity_and_kappa(point)
         report["reaction"] = {"A": aff["A"], "delta_G0": aff["delta_G0"],
                               "kappa": aff["kappa"]}
-    report = _jsonable(report)      # a zero concentration gives mu = -inf
-    print(json.dumps(report, indent=2, allow_nan=False))
+    # a zero concentration gives mu = -inf, printed and written as null
+    print(json.dumps(_jsonable(report), indent=2, allow_nan=False))
     if args.out:
-        args.out.mkdir(parents=True, exist_ok=True)
-        with open(args.out / "thermo.json", "w") as fh:
-            json.dump(report, fh, indent=2, allow_nan=False)
-        with open(args.out / "thermo.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            keys = [k for k in pots if k not in ("mu", "n")]
-            w.writerow(keys)
-            w.writerow([pots[k] for k in keys])
+        _write_json(args.out / "thermo.json", report)
+        keys = [k for k in pots if k not in ("mu", "n")]
+        _write_csv(args.out / "thermo.csv", keys, [[pots[k] for k in keys]])
     return 0
 
 
 def _cmd_oracle(args) -> int:
-    overrides = {"states": args.states, "n": args.n,
-                 "lambda_t": args.lambda_t, "nmax": args.nmax}
-    seed = args.seed if args.seed is not None else 7
-    summary = run_scenario("oracle-verify", overrides, out_dir=args.out,
-                           seed=seed)
-    print(json.dumps(summary, indent=2, default=float, allow_nan=False))
-    return 0 if summary["passed"] else 1
+    return _run_and_print("oracle-verify",
+                          {"states": args.states, "n": args.n,
+                           "lambda_t": args.lambda_t, "nmax": args.nmax}, args)
 
 
 def main(argv=None) -> int:

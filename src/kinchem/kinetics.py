@@ -286,12 +286,13 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
 
     Returns (state, events) where events is the list of accepted EventRecords
     (empty unless record_events).  Raises ValueError if ``spec`` fails
-    ``validate_spec``, or if observers are given with a ``sample_every`` that
-    is not positive and finite.
+    ``validate_spec``, if ``t_end`` is not >= ``state.sim_time`` (NaN
+    included), or if observers are given with a ``sample_every`` that is not
+    positive and finite.
     """
     _require_valid(spec)
-    if t_end < state.sim_time:
-        raise ValueError("t_end must be >= state.sim_time")
+    if not t_end >= state.sim_time:        # also rejects NaN
+        raise ValueError(f"t_end must be >= state.sim_time, got {t_end!r}")
     observers = tuple(observers)
     if observers and sample_every is not None and not 0.0 < sample_every < math.inf:
         raise ValueError(f"sample_every must be positive and finite, got {sample_every!r}")

@@ -181,7 +181,10 @@ def reduced_macro_ode(state: MacroState, spec: EnsembleSpec, t_end: float,
     """Integrate the concentration dynamics on the fixed-beta equilibrium
     manifold with Maxwell-averaged unary rates; total concentration is
     conserved by the antisymmetric flux structure of the vector field.  With
-    t_end = 0 the trajectory is the single row of initial data at t = 0."""
+    t_end = 0 the trajectory is the single row of initial data at t = 0; a
+    negative or non-finite t_end raises ValueError."""
+    if not 0.0 <= t_end < math.inf:
+        raise ValueError(f"t_end must be nonnegative and finite, got {t_end!r}")
     v = maxwell_unary_rates(spec, beta=state.beta)
     if t_end == 0.0:        # solve_ivp returns empty lists for an empty span
         return ReducedTrajectory(times=np.zeros(1), beta=state.beta, rates=v,
@@ -258,8 +261,8 @@ class DensityField:
     def norm(self) -> float:
         return float(self.masses().sum())
 
-    def concentrations(self, c_total: float = 1.0) -> np.ndarray:
-        return c_total * self.masses()
+    def concentrations(self) -> np.ndarray:
+        return self.masses()
 
     def mean_energy(self) -> float:
         w = self.weights()
@@ -312,10 +315,8 @@ def field_from_laws(grid: np.ndarray, weights: Sequence[float], laws) -> Density
     return field
 
 
-def field_from_spec(spec: EnsembleSpec, grid: Optional[np.ndarray] = None,
-                    m: int = 512) -> DensityField:
-    if grid is None:
-        grid = energy_grid(spec.rates.bath_beta, spec.chem_energies(), m=m)
+def field_from_spec(spec: EnsembleSpec, grid: np.ndarray) -> DensityField:
+    """The spec's initial distribution as a nodal density on ``grid``."""
     dist = spec.initial_distribution
     return field_from_laws(grid, dist.type_weights, dist.energy_laws)
 
@@ -593,8 +594,8 @@ class MeanFieldTrajectory:
     fields: list                 # DensityField snapshots at sample times
     max_step_drift: float        # largest pre-renormalization mass drift
 
-    def concentrations(self, c_total: float = 1.0) -> np.ndarray:
-        return np.array([f.concentrations(c_total) for f in self.fields])
+    def concentrations(self) -> np.ndarray:
+        return np.array([f.concentrations() for f in self.fields])
 
     def final(self) -> DensityField:
         return self.fields[-1]
@@ -609,8 +610,11 @@ def integrate_boltzmann(field: DensityField, spec: EnsembleSpec, t_end: float,
     The step must satisfy dt * (max total outflow rate) <= 0.5; a violating
     request raises ValueError.  The field is renormalized after every step and
     the worst pre-renormalization drift is reported on the trajectory.  A
-    ``sample_every`` that is not positive and finite raises ValueError.
+    negative or non-finite ``t_end``, or a ``sample_every`` that is not
+    positive and finite, raises ValueError.
     """
+    if not 0.0 <= t_end < math.inf:
+        raise ValueError(f"t_end must be nonnegative and finite, got {t_end!r}")
     if sample_every is not None and not 0.0 < sample_every < math.inf:
         raise ValueError(f"sample_every must be positive and finite, got {sample_every!r}")
     integ = BoltzmannIntegrator(spec, field.grid, enable_slow_binary=enable_slow_binary)

@@ -32,7 +32,6 @@ from scipy.sparse.linalg import expm_multiply
 
 __all__ = [
     "PairModel",
-    "InteractionSequence",
     "Classification",
     "classify",
     "extract_theta_v",
@@ -117,28 +116,12 @@ def contagion_model(alpha: float = 0.5, rate: float = 1.0) -> PairModel:
 
 def _as_pairs(theta) -> tuple:
     pairs = []
-    seq = theta.pairs if isinstance(theta, InteractionSequence) else theta
-    for p in seq:
+    for p in theta:
         v, w = p
         if v == w:
             raise ValueError(f"malformed pair {p!r}: endpoints must differ")
         pairs.append(frozenset((v, w)))
     return tuple(pairs)
-
-
-@dataclass(frozen=True)
-class InteractionSequence:
-    """Ordered list of unordered particle pairs."""
-
-    pairs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "pairs",
-                           tuple(tuple(p) for p in self.pairs))
-        _as_pairs(self.pairs)
-
-    def __len__(self):
-        return len(self.pairs)
 
 
 @dataclass(frozen=True)
@@ -202,7 +185,7 @@ def extract_theta_v(pairs, v) -> tuple:
     """Influence history of particle v: the minimal subsequence containing every
     pair with v (up to the last such pair) that is closed backward under
     sharing a particle with an already retained pair."""
-    raw = [tuple(p) for p in (pairs.pairs if isinstance(pairs, InteractionSequence) else pairs)]
+    raw = [tuple(p) for p in pairs]
     return tuple(raw[i] for i in extract_theta_indices(pairs, v))
 
 

@@ -1,7 +1,11 @@
 """Named verification scenarios: each one exercises a claim about the model
-end to end and emits CSV trajectories plus a machine-checkable JSON summary.
+end to end.
 
-Every scenario is a pure function of (seed, parameters); replicas derive
+Every scenario is a pure function of (seed, keyword parameters) that returns
+data: its checks, its tables (CSV file name -> (header, rows)) and, for
+oracle-verify, a JSON report.  ``run_scenario`` binds the parameters and
+writes the tables, the report and a machine-checkable ``summary.json``
+through the package's one CSV writer and one JSON writer.  Replicas derive
 their seeds from the base seed by index, so reruns are bit-for-bit
 reproducible.
 """
@@ -81,12 +85,24 @@ def _check(name: str, passed: bool, **info) -> dict:
     return out
 
 
+# -- the package's file writers ----------------------------------------------------
+
+
 def _write_csv(path: Path, header, rows) -> str:
+    """CSV with a header row; numbers at full precision (``str`` of each)."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([f"{x:.12g}" if isinstance(x, float) else x for x in row])
+        w.writerows(rows)
+    return str(path)
+
+
+def _write_json(path: Path, data) -> str:
+    """Strict JSON: non-finite floats are written as null."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(_jsonable(data), fh, indent=2, allow_nan=False)
     return str(path)
 
 
@@ -117,13 +133,10 @@ def two_state_spec(n: int, beta: float = 1.0, w12: float = 1.0, w21: float = 1.0
                    k1: float = 0.0, k2: float = 1.0, fast: float = 1.0,
                    heat: float = 1.0, scale_fast: float = 1.0,
                    scale_heat: float = 0.0, weights=(0.5, 0.5),
-                   box_side: Optional[float] = None, seed: int = 0,
-                   matched: bool = True) -> EnsembleSpec:
-    """Two-species threshold model with thermalized initial energies."""
-    if matched:
-        species, _ = matched_two_species(beta, k1, k2, w12, w21)
-    else:
-        species = (SpeciesSpec(1, 1.0, 3, k1), SpeciesSpec(2, 1.0, 3, k2))
+                   box_side: Optional[float] = None, seed: int = 0) -> EnsembleSpec:
+    """Two-species threshold model with thermalized initial energies and the
+    species of ``matched_two_species``."""
+    species, _ = matched_two_species(beta, k1, k2, w12, w21)
     rates = RateTable(unary=[[0.0, w12], [w21, 0.0]],
                       slow_binary=[[0.0, 0.0], [0.0, 0.0]],
                       fast_binary=[[fast, fast], [fast, fast]],
@@ -138,16 +151,17 @@ def two_state_spec(n: int, beta: float = 1.0, w12: float = 1.0, w21: float = 1.0
 
 
 class _Collector:
-    """Observer keeping (time, type counts, mean T, ledger) rows."""
+    """Observer keeping (time, type counts, mean T, ledger) rows, and every
+    snapshot's energy vector when ``keep_energies``."""
 
-    def __init__(self, n_types: int):
+    def __init__(self, n_types: int, keep_energies: bool = False):
         self.n_types = n_types
+        self.keep_energies = keep_energies
         self.times: list = []
         self.counts: list = []
         self.mean_T: list = []
         self.ledger: list = []
         self.energies: list = []
-        self.keep_energies = False
 
     def __call__(self, snap: KIN.Snapshot):
         self.times.append(snap.time)
@@ -158,22 +172,54 @@ class _Collector:
         if self.keep_energies:
             self.energies.append(snap.energies.copy())
 
-    def rows(self):
-        for i, t in enumerate(self.times):
-            tk, tc, q = self.ledger[i]
-            yield (t, *map(int, self.counts[i]), self.mean_T[i], tc, tk, q)
+    def table(self):
+        """(header, rows) of the observed trajectory."""
+        header = ["time", *[f"n_{j + 1}" for j in range(self.n_types)],
+                  "mean_T", "total_K", "total_T", "bath_Q"]
+        rows = [(t, *map(int, counts), mean_T, tc, tk, q)
+                for t, counts, mean_T, (tk, tc, q)
+                in zip(self.times, self.counts, self.mean_T, self.ledger)]
+        return header, rows
 
-    def header(self):
-        return ["time", *[f"n_{j + 1}" for j in range(self.n_types)],
-                "mean_T", "total_K", "total_T", "bath_Q"]
+
+def _observed_run(spec: EnsembleSpec, seed: int, t_end: float,
+                  sample_every: float, keep_energies: bool = False, **run_kw):
+    """Sample the initial state with ``seed``, then run it to ``t_end`` with
+    ``seed + 1`` under a _Collector; returns (state, collector, events).
+    ``run_kw`` is passed on to ``kinetics.run``."""
+    state = KIN.sample_initial_state(spec, seed)
+    col = _Collector(spec.n_types, keep_energies)
+    _, events = KIN.run(state, spec, t_end, seed=seed + 1, observers=(col,),
+                        sample_every=sample_every, **run_kw)
+    return state, col, events
+
+
+def _thermo_table(times, concentrations, mean_T, spec: EnsembleSpec):
+    """(header, rows) of (t, c_1, c_2, mean_T, g, H, S_M, A) along a two-state
+    trajectory at the bath temperature; S_M is taken against the reduced
+    chain's equilibrium at the same total concentration."""
+    beta = spec.rates.bath_beta
+    v12, v21 = MF.reduced_two_state(spec)
+    ratio = v21 / v12
+    rows = []
+    for t, c, mt in zip(times, concentrations, mean_T):
+        ct = float(np.sum(c))
+        c_eq = np.array([ct * ratio / (1 + ratio), ct / (1 + ratio)])
+        # a vanished species has mu = -inf; the clamp keeps g, H and A finite
+        pt = TH.ThermoPoint(beta, tuple(np.maximum(c, 1e-300)), spec.species)
+        pots = TH.potentials(pt, 1.0)
+        rows.append((t, *map(float, c), mt, pots["g"], pots["H"],
+                     TH.markov_entropy(np.asarray(c) / ct, c_eq / ct),
+                     TH.affinity_and_kappa(pt)["A"]))
+    return ["t", "c_1", "c_2", "mean_T", "g", "H", "S_M", "A"], rows
 
 
 # -- scenarios ---------------------------------------------------------------------
 
 
-def scenario_equilibration(seed: int, out_dir: Optional[Path], *, n: int = 10000,
-                           beta: float = 1.0, t_end: float = 8.0,
-                           sample_every: float = 1.0, ks_tol: float = 0.02) -> dict:
+def scenario_equilibration(seed: int, *, n: int = 10000, beta: float = 1.0,
+                           t_end: float = 8.0, sample_every: float = 1.0,
+                           ks_tol: float = 0.02) -> dict:
     """Fast-exchange-only relaxation of the kinetic-energy law.
 
     Phase A starts from Uniform(0, 2T0) energies and must end within ks_tol
@@ -190,11 +236,8 @@ def scenario_equilibration(seed: int, out_dir: Optional[Path], *, n: int = 10000
         dist = InitialDistribution((1.0,), (law,))
         spec = EnsembleSpec(n, n ** (1 / 3), species, rates, dist,
                             scale_fast=1.0, scale_heat=0.0, rng_seed=seed)
-        state = KIN.sample_initial_state(spec, seed)
-        col = _Collector(1)
-        col.keep_energies = True
-        KIN.run(state, spec, t_end, seed=seed + 1, observers=(col,),
-                sample_every=sample_every, track_positions=False)
+        _, col, _ = _observed_run(spec, seed, t_end, sample_every,
+                                  keep_energies=True, track_positions=False)
         beta_imp = 1.5 / (math.fsum(col.energies[0]) / n)
         cdf = ST.gamma32_cdf(beta_imp)
         ks = [ST.ks_distance(e, cdf) for e in col.energies]
@@ -210,42 +253,35 @@ def scenario_equilibration(seed: int, out_dir: Optional[Path], *, n: int = 10000
                          value=ks_a[-1], tolerance=ks_tol))
     checks.append(_check("ks_stays_small_from_equilibrium",
                          max(ks_b) < ks_tol, value=max(ks_b), tolerance=ks_tol))
-    outputs = []
-    if out_dir:
-        outputs.append(_write_csv(out_dir / "equilibration.csv",
-                                  ["phase", "time", "ks_distance"], rows))
-    return {"parameters": {"n": n, "beta": beta, "t_end": t_end},
-            "checks": checks, "outputs": outputs}
+    return {"checks": checks,
+            "tables": {"equilibration.csv": (["phase", "time", "ks_distance"],
+                                             rows)}}
 
 
-def scenario_unimolecular(seed: int, out_dir: Optional[Path], *, n: int = 400,
-                          beta: float = 1.0, replicas: int = 6,
-                          t_end: float = 25.0, burn_in: float = 10.0,
-                          scale: float = 60.0) -> dict:
+def scenario_unimolecular(seed: int, *, n: int = 400, beta: float = 1.0,
+                          replicas: int = 6, t_end: float = 25.0,
+                          burn_in: float = 10.0, scale: float = 60.0) -> dict:
     """Two-state reaction: stationary composition of the particle system
     against the effective chain, thermodynamic consistency of the
     equilibrium constant, and the free-energy/relative-entropy identity
     along the reduced dynamics."""
     checks = []
-    outputs = []
     species, rho = matched_two_species(beta)
     spec = two_state_spec(n, beta=beta, scale_fast=scale, scale_heat=scale,
                           weights=(0.5, 0.5), seed=seed)
 
     ratios = []
-    first_rows = None
+    first_table = None
     for r in range(replicas):
-        state = KIN.sample_initial_state(spec, seed + 17 * r)
-        col = _Collector(2)
-        KIN.run(state, spec, t_end, seed=seed + 17 * r + 1, observers=(col,),
-                sample_every=1.0, track_positions=False)
+        _, col, _ = _observed_run(spec, seed + 17 * r, t_end, 1.0,
+                                  track_positions=False)
         counts = np.array(col.counts, dtype=float)
         keep = np.array(col.times) >= burn_in
         n1 = counts[keep, 0].mean()
         n2 = counts[keep, 1].mean()
         ratios.append(n1 / n2)
-        if first_rows is None:
-            first_rows = (col.header(), list(col.rows()))
+        if first_table is None:
+            first_table = col.table()
     mean_ratio = float(np.mean(ratios))
     se = ST.stderr_mean(ratios)
     checks.append(_check("mc_ratio_matches_chain", abs(mean_ratio - rho) <= 3 * se,
@@ -273,62 +309,40 @@ def scenario_unimolecular(seed: int, out_dir: Optional[Path], *, n: int = 400,
     checks.append(_check("common_potential_at_equilibrium",
                          chk["mu_equilibrium_spread"] < 1e-12,
                          value=chk["mu_equilibrium_spread"]))
-
-    if out_dir:
-        outputs.append(_write_csv(out_dir / "unimolecular_mc.csv",
-                                  first_rows[0], first_rows[1]))
-        aff = TH.affinity_and_kappa(pt)
-        rows = []
-        for t, c in zip(traj.times, traj.concentrations):
-            p = TH.ThermoPoint(beta, tuple(c), species)
-            pots = TH.potentials(p, 1.0)
-            A = TH.affinity_and_kappa(p)["A"]
-            sm = TH.markov_entropy(c / c.sum(), c_eq / c_eq.sum())
-            rows.append((float(t), *map(float, c), 1.5 / beta, pots["g"],
-                         pots["H"], sm, A))
-        outputs.append(_write_csv(out_dir / "unimolecular_reduced.csv",
-                                  ["t", "c_1", "c_2", "mean_T", "g", "H",
-                                   "S_M", "A"], rows))
-    return {"parameters": {"n": n, "beta": beta, "replicas": replicas,
-                           "scale": scale, "target_ratio": rho},
-            "checks": checks, "outputs": outputs}
+    mean_T = [1.5 / beta] * len(traj.times)
+    return {"checks": checks,
+            "tables": {"unimolecular_mc.csv": first_table,
+                       "unimolecular_reduced.csv": _thermo_table(
+                           traj.times, traj.concentrations, mean_T, spec)}}
 
 
-def scenario_meanfield_vs_mc(seed: int, out_dir: Optional[Path], *,
-                             n: int = 10000, beta: float = 1.0,
+def scenario_meanfield_vs_mc(seed: int, *, n: int = 10000, beta: float = 1.0,
                              w: float = 1.0, scale: float = 50.0,
                              t_end: Optional[float] = None,
                              sample_every: float = 0.25) -> dict:
-    """Transient concentrations of the particle run against the reduced ODE."""
+    """Transient concentrations of the particle run against the reduced ODE;
+    ``t_end`` defaults to 5 / w."""
     if t_end is None:
         t_end = 5.0 / w
     spec = two_state_spec(n, beta=beta, w12=w, w21=w, scale_fast=scale,
                           scale_heat=scale, weights=(0.1, 0.9), seed=seed)
-    state = KIN.sample_initial_state(spec, seed)
-    col = _Collector(2)
-    KIN.run(state, spec, t_end, seed=seed + 1, observers=(col,),
-            sample_every=sample_every, track_positions=False)
+    _, col, _ = _observed_run(spec, seed, t_end, sample_every,
+                              track_positions=False)
     c_mc = np.array(col.counts, dtype=float) / n
     traj = MF.reduced_macro_ode(MF.MacroState(beta, (0.1, 0.9)), spec, t_end,
                                 n_samples=len(col.times))
     diff = float(np.max(np.abs(c_mc - traj.concentrations)))
     tol = 3.0 / math.sqrt(n)
     checks = [_check("concentrations_match", diff <= tol, value=diff,
-                     tolerance=tol)]
-    outputs = []
-    if out_dir:
-        rows = [(t, *cm, *cf) for t, cm, cf in
-                zip(col.times, c_mc, traj.concentrations)]
-        outputs.append(_write_csv(out_dir / "meanfield_vs_mc.csv",
-                                  ["t", "c1_mc", "c2_mc", "c1_mf", "c2_mf"],
-                                  rows))
-    return {"parameters": {"n": n, "scale": scale, "t_end": t_end},
-            "checks": checks, "outputs": outputs}
+                     tolerance=tol, t_end=t_end)]
+    rows = [(t, *cm, *cf) for t, cm, cf in zip(col.times, c_mc, traj.concentrations)]
+    return {"checks": checks,
+            "tables": {"meanfield_vs_mc.csv": (["t", "c1_mc", "c2_mc", "c1_mf",
+                                                "c2_mf"], rows)}}
 
 
-def scenario_redistribution(seed: int, out_dir: Optional[Path], *,
-                            direction: str = "exothermic", n: int = 1200,
-                            beta: float = 1.0, replicas: int = 4,
+def scenario_redistribution(seed: int, *, direction: str = "exothermic",
+                            n: int = 1200, beta: float = 1.0, replicas: int = 4,
                             t_end: float = 5.0, scale: float = 200.0) -> dict:
     """Chemical <-> kinetic energy conversion at fixed bath temperature.
 
@@ -347,18 +361,16 @@ def scenario_redistribution(seed: int, out_dir: Optional[Path], *,
     volume = float(n)        # unit concentration: <n_j> = c_j * n
 
     qs, k_first, k_last = [], [], []
-    rows0 = None
+    first_table = None
     for r in range(replicas):
-        state = KIN.sample_initial_state(spec, seed + 29 * r)
-        col = _Collector(2)
-        KIN.run(state, spec, t_end, seed=seed + 29 * r + 1, observers=(col,),
-                sample_every=0.5, track_positions=False)
+        state, col, _ = _observed_run(spec, seed + 29 * r, t_end, 0.5,
+                                      track_positions=False)
         qs.append(state.bath_exchange)
         kbar = [led[1] / n for led in col.ledger]
         k_first.append(kbar[0])
         k_last.append(kbar[-1])
-        if rows0 is None:
-            rows0 = (col.header(), list(col.rows()))
+        if first_table is None:
+            first_table = col.table()
 
     c1e = rho / (1.0 + rho)
     pt0 = TH.ThermoPoint(beta, start, species)
@@ -377,17 +389,12 @@ def scenario_redistribution(seed: int, out_dir: Optional[Path], *,
                abs(q_mean - dH) <= 3 * q_se + 1e-12, value=q_mean, target=dH,
                stderr=q_se),
     ]
-    outputs = []
-    if out_dir:
-        outputs.append(_write_csv(out_dir / f"redistribution_{direction}.csv",
-                                  rows0[0], rows0[1]))
-    return {"parameters": {"direction": direction, "n": n, "replicas": replicas,
-                           "scale": scale},
-            "checks": checks, "outputs": outputs}
+    return {"checks": checks,
+            "tables": {f"redistribution_{direction}.csv": first_table}}
 
 
-def scenario_hess(seed: int, out_dir: Optional[Path], *, n: int = 1500,
-                  beta: float = 1.0, replicas: int = 3, t_end: float = 8.0,
+def scenario_hess(seed: int, *, n: int = 1500, beta: float = 1.0,
+                  replicas: int = 3, t_end: float = 8.0,
                   scale: float = 30.0) -> dict:
     """Path independence of the enthalpy change: two rate sets with the same
     equilibrium produce identical endpoint enthalpies (bit for bit from the
@@ -428,47 +435,39 @@ def scenario_hess(seed: int, out_dir: Optional[Path], *, n: int = 1500,
                                TH.ThermoPoint(beta, start, species),
                                volume) == 0.0),
     ]
-    outputs = []
-    if out_dir:
-        outputs.append(_write_csv(out_dir / "hess.csv",
-                                  ["rate_scale", "delta_H", "mean_n1_end"],
-                                  [(1.0, d_hs[0], endpoints[0].mean()),
-                                   (2.0, d_hs[1], endpoints[1].mean())]))
-    return {"parameters": {"n": n, "replicas": replicas},
-            "checks": checks, "outputs": outputs}
+    rows = [(1.0, d_hs[0], endpoints[0].mean()),
+            (2.0, d_hs[1], endpoints[1].mean())]
+    return {"checks": checks,
+            "tables": {"hess.csv": (["rate_scale", "delta_H", "mean_n1_end"],
+                                    rows)}}
 
 
-def scenario_poisson_invariance(seed: int, out_dir: Optional[Path], *,
-                                n: int = 10000, k_boxes: int = 12,
+def scenario_poisson_invariance(seed: int, *, n: int = 10000, k_boxes: int = 12,
                                 times=(1.0, 2.0, 4.0)) -> dict:
     """Spatial uniformity is preserved by the flight + jump dynamics:
     sub-box occupancy stays consistent with a homogeneous point field."""
     spec = two_state_spec(n, beta=1.0, scale_fast=1.0, scale_heat=0.0,
                           box_side=10.0, seed=seed)
     state = KIN.sample_initial_state(spec, seed)
-    disp_rows = []
+    rows = []
     checks = []
     for t in times:
         KIN.run(state, spec, t, seed=seed + int(t * 1000) + 1)
         counts = ST.subbox_counts(state.positions(), spec.box_side, k_boxes)
         disp = ST.dispersion_index(counts)
         pval = ST.chi2_uniformity_p(counts)
-        disp_rows.append((t, disp, pval))
+        rows.append((t, disp, pval))
         checks.append(_check(f"dispersion_t{t:g}", 0.9 <= disp <= 1.1,
                              value=disp, window=[0.9, 1.1]))
         checks.append(_check(f"chi2_uniform_t{t:g}", pval > 0.01, p=pval))
-    outputs = []
-    if out_dir:
-        outputs.append(_write_csv(out_dir / "poisson_invariance.csv",
-                                  ["t", "dispersion_index", "chi2_p"],
-                                  disp_rows))
-    return {"parameters": {"n": n, "k_boxes": k_boxes, "times": list(times)},
-            "checks": checks, "outputs": outputs}
+    return {"checks": checks,
+            "tables": {"poisson_invariance.csv": (
+                ["t", "dispersion_index", "chi2_p"], rows)}}
 
 
-def scenario_chaos(seed: int, out_dir: Optional[Path], *,
-                   n_values=(100, 400, 1600), replicas=(1500, 1000, 700),
-                   alpha: float = 0.5, lam: float = 1.0, t: float = 0.5,
+def scenario_chaos(seed: int, *, n_values=(100, 400, 1600),
+                   replicas=(1500, 1000, 700), alpha: float = 0.5,
+                   lam: float = 1.0, t: float = 0.5,
                    exact_ns=(3, 4, 5, 6)) -> dict:
     """Decay of pair correlations with system size in the pair-interaction
     model: simulated runs must show a ~1/N factorization defect, and the
@@ -502,20 +501,14 @@ def scenario_chaos(seed: int, out_dir: Optional[Path], *,
                   for N in runs0)
     checks.append(_check("product_at_time_zero", zero_ok,
                          correlations=rep0.correlations, stderrs=rep0.stderrs))
-    outputs = []
-    if out_dir:
-        rows = [(N, rep.correlations[N], rep.stderrs[N]) for N in rep.n_values]
-        outputs.append(_write_csv(out_dir / "chaos.csv",
-                                  ["N", "pair_correlation", "stderr"], rows))
-    return {"parameters": {"n_values": list(n_values), "replicas": list(replicas),
-                           "alpha": alpha, "lambda": lam, "t": t,
-                           "slope": rep.slope},
-            "checks": checks, "outputs": outputs}
+    rows = [(N, rep.correlations[N], rep.stderrs[N]) for N in rep.n_values]
+    return {"checks": checks,
+            "tables": {"chaos.csv": (["N", "pair_correlation", "stderr"], rows)}}
 
 
-def scenario_oracle_verify(seed: int, out_dir: Optional[Path], *,
-                           states: int = 2, n: int = 5, lambda_t: float = 0.1,
-                           nmax: int = 4, alpha: float = 0.6) -> dict:
+def scenario_oracle_verify(seed: int, *, states: int = 2, n: int = 5,
+                           lambda_t: float = 0.1, nmax: int = 4,
+                           alpha: float = 0.6) -> dict:
     """Truncated resummation series against the dense master-equation
     marginal, plus the exact combinatorial counting identities."""
     model = ORC.contagion_model(alpha=alpha, rate=lambda_t)   # t = 1
@@ -568,7 +561,6 @@ def scenario_oracle_verify(seed: int, out_dir: Optional[Path], *,
             noness_ok = False
     checks.append(_check("nonessential_fraction_vanishes", noness_ok))
 
-    outputs = []
     report = {
         "series": res.marginal.tolist(),
         "oracle": exact.tolist(),
@@ -577,18 +569,10 @@ def scenario_oracle_verify(seed: int, out_dir: Optional[Path], *,
         "geometric_tail_bound": geometric_tail,
         "mass_by_length": res.mass_by_length.tolist(),
     }
-    if out_dir:
-        path = out_dir / "oracle_verify.json"
-        with open(path, "w") as fh:
-            json.dump(_jsonable(report), fh, indent=2, allow_nan=False)
-        outputs.append(str(path))
-    return {"parameters": {"states": states, "n": n, "lambda_t": lambda_t,
-                           "nmax": nmax},
-            "checks": checks, "outputs": outputs, "report": report}
+    return {"checks": checks, "tables": {}, "report": report}
 
 
-def scenario_flux_check(seed: int, out_dir: Optional[Path], *,
-                        beta: float = 1.0, t_end: float = 6.0,
+def scenario_flux_check(seed: int, *, beta: float = 1.0, t_end: float = 6.0,
                         fd_step: float = 1e-5, tol: float = 1e-8) -> dict:
     """Finite-difference reaction rate along the reduced dynamics against the
     affinity form of the flux (on unit-total-concentration trajectories)."""
@@ -615,12 +599,9 @@ def scenario_flux_check(seed: int, out_dir: Optional[Path], *,
         _check("zero_flux_at_equilibrium",
                MF.onsager_flux(0.0, v12, v21, beta) == 0.0),
     ]
-    outputs = []
-    if out_dir:
-        outputs.append(_write_csv(out_dir / "flux_check.csv",
-                                  ["c1", "affinity", "flux", "dc1_dt_fd"], rows))
-    return {"parameters": {"beta": beta, "fd_step": fd_step},
-            "checks": checks, "outputs": outputs}
+    return {"checks": checks,
+            "tables": {"flux_check.csv": (["c1", "affinity", "flux",
+                                           "dc1_dt_fd"], rows)}}
 
 
 SCENARIOS: dict = {
@@ -638,35 +619,49 @@ SCENARIOS: dict = {
 
 def run_scenario(name: str, overrides: Optional[dict] = None,
                  out_dir=None, seed: int = 7) -> dict:
-    """Execute a named scenario; writes summary.json when out_dir is given."""
+    """Execute a named scenario and return its summary.
+
+    ``parameters`` records every keyword parameter of the scenario at its
+    effective value (default or override); an unknown override raises
+    ValueError.  With ``out_dir`` given, each table is written as CSV, the
+    report (if any) as ``<name>.json`` with dashes as underscores, and the
+    summary as ``summary.json``; ``outputs`` lists every file but the
+    summary.  ``timing_s`` covers the scenario, not the writing.
+    """
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; known: {sorted(SCENARIOS)}")
-    overrides = dict(overrides or {})
-    known = [p.name for p in inspect.signature(SCENARIOS[name]).parameters.values()
-             if p.kind is inspect.Parameter.KEYWORD_ONLY]
-    unknown = sorted(set(overrides) - set(known))
+    scenario = SCENARIOS[name]
+    params = {p.name: p.default
+              for p in inspect.signature(scenario).parameters.values()
+              if p.kind is inspect.Parameter.KEYWORD_ONLY}
+    unknown = sorted(set(overrides or {}) - set(params))
     if unknown:
         raise ValueError(f"unknown override(s) {unknown} for scenario {name!r}; "
-                         f"known: {known}")
-    out_path = None
-    if out_dir is not None:
-        out_path = Path(out_dir)
-        out_path.mkdir(parents=True, exist_ok=True)
+                         f"known: {list(params)}")
+    params.update(overrides or {})
     t0 = time.perf_counter()
-    body = SCENARIOS[name](seed, out_path, **overrides)
+    body = scenario(seed, **params)
+    timing = time.perf_counter() - t0
+    outputs = []
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        outputs = [_write_csv(out_dir / fname, header, rows)
+                   for fname, (header, rows) in body["tables"].items()]
+        if "report" in body:
+            outputs.append(_write_json(out_dir / f"{name.replace('-', '_')}.json",
+                                       body["report"]))
     summary = {
         "scenario": name,
         "seed": seed,
         "passed": all(c["passed"] for c in body["checks"]),
         "checks": body["checks"],
-        "timing_s": time.perf_counter() - t0,
-        "parameters": _jsonable(body.get("parameters", {})),
-        "outputs": body.get("outputs", []),
+        "timing_s": timing,
+        "parameters": _jsonable(params),
+        "outputs": outputs,
     }
     if "report" in body:
         summary["report"] = _jsonable(body["report"])
     _validate_schema(summary, SUMMARY_SCHEMA)
-    if out_path is not None:
-        with open(out_path / "summary.json", "w") as fh:
-            json.dump(summary, fh, indent=2, allow_nan=False)
+    if out_dir is not None:
+        _write_json(out_dir / "summary.json", summary)
     return summary

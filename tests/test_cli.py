@@ -1,11 +1,13 @@
 import csv
 import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 from jsonschema import validate as validate_schema
 
-from kinchem.cli import main
+from kinchem.cli import build_parser, main
 from kinchem.model import load_config, save_config
 from kinchem.scenarios import SUMMARY_SCHEMA
 from conftest import make_two_state
@@ -93,6 +95,26 @@ def test_scenario_rejects_unknown_name():
         main(["scenario", "not-a-scenario"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["sim", "--t-end", "1"],
+    ["thermo", "eval", "--c", "0.3,0.7", "--beta", "1"],
+    ["scenario", "flux-check", "--config", "model.yaml"],
+    ["oracle", "verify", "--config", "model.yaml"],
+], ids=["sim-without-config", "thermo-without-config",
+        "scenario-with-config", "oracle-with-config"])
+def test_usage_errors_exit_2(argv):
+    # `sim` and `thermo eval` need a model; the other two have no use for one
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_malformed_override_exits_2(capsys):
+    assert main(["scenario", "flux-check", "--set", "bogus"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: override 'bogus' must look like key=value")
+
+
 def test_sim_particle_engine_writes_trajectory(tmp_path, config_path):
     out = tmp_path / "sim"
     code = main(["sim", "--config", str(config_path), "--t-end", "1.0",
@@ -154,6 +176,30 @@ def test_sim_rejects_bad_sample_interval(tmp_path, config_path, capsys, engine,
     assert not (tmp_path / "sim").exists()
 
 
+@pytest.mark.parametrize("engine", ["particle", "meanfield", "reduced"])
+@pytest.mark.parametrize("t_end", ["-1", "nan", "inf"])
+def test_sim_rejects_bad_horizon(tmp_path, capsys, engine, t_end):
+    # checked before the config is read: the config does not exist, so a lost
+    # guard fails fast instead of simulating towards an endless horizon
+    out = tmp_path / "sim"
+    code = main(["sim", "--config", str(tmp_path / "missing.yaml"),
+                 "--engine", engine, f"--t-end={t_end}", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: --t-end must be nonnegative and finite")
+    assert not out.exists()
+
+
+def test_sim_rejects_nonpositive_replicas(tmp_path, config_path, capsys):
+    # `--replicas 0` used to exit 0 having written nothing
+    out = tmp_path / "sim"
+    code = main(["sim", "--config", str(config_path), "--t-end", "1",
+                 "--replicas", "0", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: --replicas must be at least 1")
+    assert not out.exists()
+
+
 def test_thermo_eval_reports_potentials(tmp_path, config_path, capsys):
     code = main(["thermo", "eval", "--config", str(config_path),
                  "--c", "0.3,0.7", "--beta", "1.0",
@@ -182,3 +228,16 @@ def test_thermo_eval_writes_strict_json_at_zero_concentration(tmp_path,
 def test_seed_override_changes_config(config_path):
     spec = load_config(config_path)
     assert spec.rng_seed == 21
+
+
+def test_readme_command_lines_parse():
+    # README must not document a flag or subcommand the parser lacks
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    commands = [shlex.split(line) for line in block.splitlines()
+                if line.startswith("kinchem ")]
+    assert len(commands) >= 10
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])

@@ -487,6 +487,16 @@ def test_observers_receive_snapshots(two_state_spec_factory):
     assert seen[-1].type_counts(2).sum() == 50
 
 
+@pytest.mark.parametrize("t_end", [-1.0, math.nan])
+def test_run_rejects_horizon_before_start(two_state_spec_factory, t_end):
+    # a NaN horizon was ignored: only max_events stopped the run
+    spec = two_state_spec_factory(n=10)
+    state = sample_initial_state(spec, 1)
+    with pytest.raises(ValueError, match="t_end must be >= state.sim_time"):
+        run(state, spec, t_end, seed=2, max_events=100)
+    assert sum(state.proposal_counts.values()) == 0
+
+
 @pytest.mark.parametrize("every", [0.0, -0.5, math.inf, math.nan])
 def test_run_rejects_bad_sample_interval(two_state_spec_factory, every):
     # a zero interval never advanced the sample clock, a negative one sampled

@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -103,6 +104,25 @@ def test_reduced_ode_at_zero_horizon_is_initial_row():
     assert traj.concentrations.tolist() == [[0.3, 1.7]]
 
 
+@pytest.mark.parametrize("t_end", [-1.0, math.inf, math.nan])
+def test_reduced_ode_rejects_bad_horizon(t_end):
+    # -1 integrated backwards to c = (-0.98, 1.98); NaN and inf never
+    # returned, so an alarm turns a lost guard into a failure, not a hang
+    def expire(signum, frame):
+        raise TimeoutError("reduced_macro_ode did not return")
+
+    spec = make_two_state(k2=1.0)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError, match="t_end must be nonnegative and finite"):
+            MF.reduced_macro_ode(MF.MacroState(1.0, (0.3, 1.7)), spec, t_end,
+                                 n_samples=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 # -- affinity flux --------------------------------------------------------------------
 
 
@@ -159,6 +179,16 @@ def test_integrate_boltzmann_rejects_bad_sample_interval(every):
     field = MF.field_from_spec(spec, grid)
     with pytest.raises(ValueError, match="sample_every"):
         MF.integrate_boltzmann(field, spec, t_end=1.0, sample_every=every)
+
+
+@pytest.mark.parametrize("t_end", [-1.0, math.inf, math.nan])
+def test_integrate_boltzmann_rejects_bad_horizon(t_end):
+    # -1 returned a snapshot labelled t = -1
+    spec = make_two_state()
+    grid = MF.energy_grid(1.0, (0.0, 1.0), m=16, t_max=12.0)
+    field = MF.field_from_spec(spec, grid)
+    with pytest.raises(ValueError, match="t_end must be nonnegative and finite"):
+        MF.integrate_boltzmann(field, spec, t_end=t_end)
 
 
 def test_gamma_stationarity_residual_halves_under_refinement():

@@ -1,6 +1,8 @@
 """Fast scenario-level checks; the heavyweight scenarios run in the
 acceptance suite with their full criterion-sized parameters."""
+import inspect
 import json
+from pathlib import Path
 
 import pytest
 from jsonschema import validate as validate_schema
@@ -68,3 +70,48 @@ def test_chaos_scenario_small():
 def test_redistribution_rejects_bad_direction():
     with pytest.raises(ValueError, match="direction"):
         run_scenario("redistribution", {"direction": "sideways"})
+
+
+# every scenario at parameters small enough to run in well under a second;
+# their checks need not pass
+SMALL = {
+    "equilibration": {"n": 300, "t_end": 1.0, "sample_every": 0.5},
+    "unimolecular": {"n": 40, "replicas": 2, "t_end": 2.0, "burn_in": 1.0,
+                     "scale": 2.0},
+    "meanfield-vs-mc": {"n": 200, "scale": 2.0, "t_end": 1.0},
+    "redistribution": {"n": 100, "replicas": 2, "t_end": 1.0, "scale": 5.0},
+    "hess": {"n": 100, "replicas": 2, "t_end": 1.0, "scale": 2.0},
+    "poisson-invariance": {"n": 500, "k_boxes": 3, "times": (0.5,)},
+    "chaos": {"n_values": (20, 40, 80), "replicas": (20, 20, 20),
+              "exact_ns": (3, 4)},
+    "oracle-verify": {"nmax": 3},
+    "flux-check": {"t_end": 2.0},
+}
+
+
+def test_outputs_list_exactly_the_files_written(tmp_path, monkeypatch):
+    assert set(SMALL) == set(SCENARIOS)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    for name, params in SMALL.items():
+        out = tmp_path / name
+        s = run_scenario(name, params, out_dir=out, seed=5)
+        assert s["outputs"], name
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [Path(o).name for o in s["outputs"]] + ["summary.json"])
+        assert all(Path(o).parent == out for o in s["outputs"])
+        assert run_scenario(name, params, seed=5)["outputs"] == []
+    assert list(cwd.iterdir()) == []
+
+
+def test_summary_parameters_are_the_bound_keywords():
+    for name, params in SMALL.items():
+        s = run_scenario(name, params, seed=5)
+        keywords = {p.name: p.default
+                    for p in inspect.signature(SCENARIOS[name]).parameters.values()
+                    if p.kind is inspect.Parameter.KEYWORD_ONLY}
+        assert list(s["parameters"]) == list(keywords), name
+        for key, default in keywords.items():
+            value = params.get(key, default)
+            assert s["parameters"][key] == json.loads(json.dumps(value)), (name, key)
