@@ -2,7 +2,8 @@
 and the pair-interaction verification oracle.
 
 Grammar: kinchem <scenario|sim|thermo|oracle> [--seed U64] [--out DIR]
-[flags...]; ``sim`` and ``thermo eval`` also take the required --config PATH.
+[flags...]; ``sim`` and ``thermo eval`` also take the required --config PATH,
+and ``thermo eval``, which draws nothing, takes no --seed.
 Exit code is 0 iff every embedded check passed, 1 if one failed and 2 on a
 usage error.
 """
@@ -25,11 +26,12 @@ EVENT_HEADER = ["time", "channel", "i", "j", "type_before", "T_before",
                 "type2_after", "T2_after"]
 
 
-def _add_common(p, config: bool = False):
+def _add_common(p, config: bool = False, seed: bool = True):
     if config:
         p.add_argument("--config", type=Path, required=True,
                        help="model configuration file (YAML)")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed override")
+    if seed:
+        p.add_argument("--seed", type=int, default=None, help="RNG seed override")
     p.add_argument("--out", type=Path, default=None, help="output directory")
 
 
@@ -84,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     th = sub.add_parser("thermo", help="thermodynamic function reports")
     th_sub = th.add_subparsers(dest="thermo_command", required=True)
     ev = th_sub.add_parser("eval", help="evaluate all potentials at a state point")
-    _add_common(ev, config=True)
+    _add_common(ev, config=True, seed=False)
     ev.add_argument("--c", required=True,
                     help="comma-separated concentrations, one per species")
     ev.add_argument("--beta", type=float, required=True)

@@ -287,12 +287,15 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
     Returns (state, events) where events is the list of accepted EventRecords
     (empty unless record_events).  Raises ValueError if ``spec`` fails
     ``validate_spec``, if ``t_end`` is not >= ``state.sim_time`` (NaN
-    included), or if observers are given with a ``sample_every`` that is not
-    positive and finite.
+    included), if ``t_end`` is infinite and no ``max_events`` bounds the run,
+    or if observers are given with a ``sample_every`` that is not positive
+    and finite.
     """
     _require_valid(spec)
     if not t_end >= state.sim_time:        # also rejects NaN
         raise ValueError(f"t_end must be >= state.sim_time, got {t_end!r}")
+    if max_events is None and t_end == math.inf:
+        raise ValueError("t_end must be finite unless max_events is given")
     observers = tuple(observers)
     if observers and sample_every is not None and not 0.0 < sample_every < math.inf:
         raise ValueError(f"sample_every must be positive and finite, got {sample_every!r}")

@@ -13,6 +13,11 @@ conservatively in mass coordinates; linear two-node deposition preserves both
 the deposited mass and its mean energy, so the discrete operators inherit the
 continuum conservation laws up to grid-edge clipping.
 
+The split deposition needs no incomplete beta function: with theta =
+arcsin sqrt(u), Beta(3/2, 3/2) has the closed-form CDF F(u) = (2/pi)(theta -
+sin 4 theta / 4) and partial first moment G(u) = (theta - sin 4 theta / 4 -
+sin^3 2 theta / 3) / pi, evaluated once per pair total on the grid's edges.
+
 In the limit of infinitely fast exchange and bath contact the kinetic
 marginal is pinned at density c sqrt(T) exp(-beta T) and only the type
 concentrations evolve; that reduction is integrated directly as an ODE with
@@ -25,8 +30,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import integrate as _sintegrate
-from scipy.special import betainc, gammainc, gammaincc
+from scipy.special import gammainc, gammaincc
 
 from .model import EnsembleSpec
 
@@ -261,9 +267,6 @@ class DensityField:
     def norm(self) -> float:
         return float(self.masses().sum())
 
-    def concentrations(self) -> np.ndarray:
-        return self.masses()
-
     def mean_energy(self) -> float:
         w = self.weights()
         return float((self.values @ (w * self.grid)).sum() / self.norm())
@@ -324,18 +327,27 @@ def field_from_spec(spec: EnsembleSpec, grid: np.ndarray) -> DensityField:
 # -- deposition kernels ----------------------------------------------------------
 
 
-def _beta_partial_moments(u_lo, u_hi):
-    """(mass, first moment) of Beta(3/2,3/2) between clipped fractions."""
-    m0 = betainc(1.5, 1.5, u_hi) - betainc(1.5, 1.5, u_lo)
-    m1 = 0.5 * (betainc(2.5, 1.5, u_hi) - betainc(2.5, 1.5, u_lo))
-    return m0, m1
+def _beta32_cdf_and_moment(u):
+    """(F(u), G(u)): the CDF of Beta(3/2,3/2) and its partial first moment
+    G(u) = int_0^u x f(x) dx, in closed form through theta = arcsin sqrt(u).
+
+    The density is (2/pi)(1 - cos 4 theta) d theta, so F = (2/pi)(theta -
+    sin 4 theta / 4) and G = (theta - sin 4 theta / 4 - sin^3 2 theta / 3) / pi,
+    which equal betainc(3/2, 3/2, u) and betainc(5/2, 3/2, u) / 2.
+    """
+    theta = np.arcsin(np.sqrt(u))
+    a = theta - 0.25 * np.sin(4.0 * theta)
+    return (2.0 / math.pi) * a, (a - np.sin(2.0 * theta) ** 3 / 3.0) / math.pi
 
 
 def beta_split_deposition(totals: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Row-stochastic deposition of a Beta(3/2,3/2) split onto hat functions.
 
     Row s gives the expected nodal weights of an energy drawn as totals[s]*X,
-    X ~ Beta(3/2,3/2); any mass beyond the last node is folded into it.
+    X ~ Beta(3/2,3/2); any mass beyond the last node is folded into it.  The
+    closed-form F and G (``_beta32_cdf_and_moment``) are evaluated once per
+    row on the M+3 edges T_{-1} .. T_{M+1}; their differences are the mass
+    and first moment of every interval, which give both wings of each hat.
     """
     totals = np.asarray(totals, dtype=float)
     M = grid.size - 1
@@ -343,23 +355,17 @@ def beta_split_deposition(totals: np.ndarray, grid: np.ndarray) -> np.ndarray:
     D = np.zeros((totals.size, M + 1))
     pos = totals > 0.0
     S = totals[pos][:, None]
-    lo = (grid - h)[None, :]
-    mid = grid[None, :]
-    hi = (grid + h)[None, :]
-
-    def clipped(bound):
-        return np.clip(bound / S, 0.0, 1.0)
-
-    # ascending wing on [T_{m-1}, T_m], weight (y - lo)/h
-    m0, m1 = _beta_partial_moments(clipped(lo), clipped(mid))
-    left = (S * m1 - lo * m0) / h
-    # descending wing on [T_m, T_{m+1}], weight (hi - y)/h
-    m0, m1 = _beta_partial_moments(clipped(mid), clipped(hi))
-    right = (hi * m0 - S * m1) / h
-    block = left + right
+    edges = np.concatenate(([grid[0] - h], grid, [grid[M] + h]))
+    F, G = _beta32_cdf_and_moment(np.clip(edges / S, 0.0, 1.0))
+    # interval i = [T_{i-1}, T_i]: mass m0[:, i], energy moment m1[:, i]
+    m0 = np.diff(F, axis=1)
+    m1 = S * np.diff(G, axis=1)
+    # ascending wing on [T_{m-1}, T_m], weight (y - T_{m-1})/h
+    left = (m1[:, :-1] - (grid - h) * m0[:, :-1]) / h
+    # descending wing on [T_m, T_{m+1}], weight (T_{m+1} - y)/h
+    block = left + ((grid + h) * m0[:, 1:] - m1[:, 1:]) / h
     # last node: ascending wing plus the whole overflow tail beyond T_M
-    tail = 1.0 - betainc(1.5, 1.5, np.clip(grid[M] / S[:, 0], 0.0, 1.0))
-    block[:, M] = left[:, M] + tail
+    block[:, M] = left[:, M] + (1.0 - F[:, M + 1])
     D[pos] = block
     D[~pos, 0] = 1.0
     D /= D.sum(axis=1, keepdims=True)
@@ -427,7 +433,8 @@ class BoltzmannIntegrator:
     the bath law projected onto the grid's hat functions, b[l], so node k
     meets node l at pair total k + l and heat_H[k] = b @ split_D[k : k+M+1].
     Slow outcomes with the same chemical-energy shift share one matrix, the
-    zero shift sharing split_D.
+    zero shift sharing split_D.  Each rhs call sums the weighted convolutions
+    per destination type and applies each distinct matrix once.
     """
 
     def __init__(self, spec: EnsembleSpec, grid: np.ndarray, *,
@@ -472,9 +479,11 @@ class BoltzmannIntegrator:
         # heat channel: a collision with a partner drawn from the bath law
         if self.heat_eff > 0.0:
             b = _bath_hat_projection(self.grid, r.bath_beta)
-            self.heat_H = np.empty((M + 1, M + 1))
-            for k in range(M + 1):
-                self.heat_H[k] = b @ self.split_D[k:k + M + 1]
+            # heat_H[k] = sum_l b[l] split_D[k + l]: one product with the band
+            # matrix whose row k holds b in columns k .. k+M
+            pad = np.zeros(M)
+            band = sliding_window_view(np.concatenate((pad, b, pad)), 2 * M + 1)
+            self.heat_H = band[::-1] @ self.split_D
 
         # slow binary channel (constant rates only)
         self.slow_terms = []
@@ -514,48 +523,66 @@ class BoltzmannIntegrator:
                             s_min = int(np.argmax(ok)) if ok.any() else totals.size
                             self.slow_terms.append(
                                 (j, jp, j1, j1p, 2.0 * b * prob, D, s_min, ok))
-        # each ordered type pair is convolved once per rhs call
-        fast_pairs = zip(*np.nonzero(self.f_eff)) if self.has_fast else ()
-        self.conv_pairs = {(int(j), int(jp)) for j, jp in fast_pairs} \
-            | {term[:2] for term in self.slow_terms}
+        # gains, by linearity: per deposition matrix, each destination type
+        # sums its weighted pair convolutions, deposited by one product per
+        # rhs call.  Slow gains need no threshold mask: the rows of D whose
+        # pair total misses the chemical-energy deficit are zero.
+        gains = [(self.split_D, int(j), (int(j), int(jp)), 2.0 * self.f_eff[j, jp])
+                 for j, jp in zip(*np.nonzero(self.f_eff))] if self.has_fast else []
+        gains += [(D, j1, (j, jp), coef)
+                  for j, jp, j1, j1p, coef, D, s_min, ok in self.slow_terms]
+        # conv(j, jp) == conv(jp, j): each unordered type pair once per call
+        self.conv_pairs = sorted({tuple(sorted(pair)) for _, _, pair, _ in gains})
+        groups = {}
+        for D, dest, pair, w in gains:
+            _, weights = groups.setdefault(id(D), (D, {}))
+            key = (dest, self.conv_pairs.index(tuple(sorted(pair))))
+            weights[key] = weights.get(key, 0.0) + w
+        self.gain_groups = [(D, [(dest, p, w) for (dest, p), w in weights.items()])
+                            for D, weights in groups.values()]
+        # slow loss: node k of type j reacts only with partners l >= l_min[k],
+        # where the pair total clears the chemical-energy deficit; outcomes
+        # with the same threshold share one coefficient
+        loss = {}
+        for j, jp, j1, j1p, coef, D, s_min, ok in self.slow_terms:
+            loss[j, jp, s_min] = loss.get((j, jp, s_min), 0.0) + coef
+        nodes = np.arange(M + 1)
+        self.slow_loss = [(j, jp, np.clip(s_min - nodes, 0, M + 1), coef)
+                          for (j, jp, s_min), coef in loss.items()]
 
     # -- right-hand side ---------------------------------------------------------
 
     def rhs(self, rho: np.ndarray) -> np.ndarray:
         J, n_nodes = rho.shape
         out = np.zeros_like(rho)
-        type_mass = rho.sum(axis=1)
 
         for j, j1, rate, idx, frac in self.unary_terms:
             flux = rate * rho[j]
             out[j] -= flux
             _scatter(out[j1], idx, frac, flux)
 
-        conv = {(j, jp): np.convolve(rho[j], rho[jp]) for j, jp in self.conv_pairs}
+        if self.gain_groups:
+            conv = np.array([np.convolve(rho[j], rho[jp]) for j, jp in self.conv_pairs])
+            for D, weights in self.gain_groups:
+                W = np.zeros((J, conv.shape[1]))
+                for dest, p, w in weights:
+                    W[dest] += w * conv[p]
+                out += W @ D
 
         if self.has_fast:
-            for j in range(J):
-                loss_rate = 2.0 * float(self.f_eff[j] @ type_mass)
-                if loss_rate:
-                    out[j] -= loss_rate * rho[j]
-                for jp in range(J):
-                    f = self.f_eff[j, jp]
-                    if f == 0.0:
-                        continue
-                    out[j] += 2.0 * f * (conv[j, jp] @ self.split_D)
+            out -= 2.0 * (self.f_eff @ rho.sum(axis=1))[:, None] * rho
 
         if self.heat_eff > 0.0:
-            for j in range(J):
-                out[j] += self.heat_eff * (rho[j] @ self.heat_H - rho[j])
+            out += self.heat_eff * (rho @ self.heat_H - rho)
 
         if self.has_slow:
-            for j, jp, j1, j1p, coef, D, s_min, ok in self.slow_terms:
-                # loss: node k of type j reacts only with partners l where
-                # the pair total clears the chemical-energy deficit
-                suffix = np.concatenate((np.cumsum(rho[jp][::-1])[::-1], [0.0]))
-                l_min = np.clip(s_min - np.arange(n_nodes), 0, n_nodes)
-                out[j] -= coef * rho[j] * suffix[l_min]
-                out[j1] += coef * (np.where(ok, conv[j, jp], 0.0) @ D)
+            # suffix[jp, l]: mass of type jp at nodes >= l, 0 past the last
+            suffix = np.zeros((J, n_nodes + 1))
+            suffix[:, :-1] = np.cumsum(rho[:, ::-1], axis=1)[:, ::-1]
+            rate = np.zeros_like(rho)
+            for j, jp, l_min, coef in self.slow_loss:
+                rate[j] += coef * suffix[jp, l_min]
+            out -= rate * rho
 
         return out
 
@@ -593,9 +620,10 @@ class MeanFieldTrajectory:
     times: np.ndarray
     fields: list                 # DensityField snapshots at sample times
     max_step_drift: float        # largest pre-renormalization mass drift
+    clipped_mass: float          # negative mass clipped, summed over steps
 
     def concentrations(self) -> np.ndarray:
-        return np.array([f.concentrations() for f in self.fields])
+        return np.array([f.masses() for f in self.fields])
 
     def final(self) -> DensityField:
         return self.fields[-1]
@@ -608,8 +636,9 @@ def integrate_boltzmann(field: DensityField, spec: EnsembleSpec, t_end: float,
     """March the density field to t_end with fixed-step RK4.
 
     The step must satisfy dt * (max total outflow rate) <= 0.5; a violating
-    request raises ValueError.  The field is renormalized after every step and
-    the worst pre-renormalization drift is reported on the trajectory.  A
+    request raises ValueError.  The field is clipped to nonnegative values and
+    renormalized after every step; the worst pre-renormalization drift and the
+    total clipped negative mass are reported on the trajectory.  A
     negative or non-finite ``t_end``, or a ``sample_every`` that is not
     positive and finite, raises ValueError.
     """
@@ -639,10 +668,12 @@ def integrate_boltzmann(field: DensityField, spec: EnsembleSpec, t_end: float,
     snap(0.0)
     t = 0.0
     drift = 0.0
+    clipped = 0.0
     n_steps = max(1, math.ceil(t_end / dt)) if t_end > 0 else 0
     dt_actual = t_end / n_steps if n_steps else 0.0
     for k in range(n_steps):
         rho = integ.step(rho, dt_actual)
+        clipped -= float(np.minimum(rho, 0.0).sum())
         np.clip(rho, 0.0, None, out=rho)
         total = rho.sum()
         drift = max(drift, abs(total - 1.0))
@@ -658,4 +689,4 @@ def integrate_boltzmann(field: DensityField, spec: EnsembleSpec, t_end: float,
                 f"dt*rate = {rate * dt_actual:.3g} > 0.5")
     if not times or times[-1] != t_end:
         snap(t_end)
-    return MeanFieldTrajectory(np.asarray(times), fields, drift)
+    return MeanFieldTrajectory(np.asarray(times), fields, drift, clipped)

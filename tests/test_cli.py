@@ -100,10 +100,13 @@ def test_scenario_rejects_unknown_name():
     ["thermo", "eval", "--c", "0.3,0.7", "--beta", "1"],
     ["scenario", "flux-check", "--config", "model.yaml"],
     ["oracle", "verify", "--config", "model.yaml"],
+    ["thermo", "eval", "--config", "configs/two_state.yaml", "--c", "0.3,0.7",
+     "--beta", "1", "--seed", "1"],
 ], ids=["sim-without-config", "thermo-without-config",
-        "scenario-with-config", "oracle-with-config"])
+        "scenario-with-config", "oracle-with-config", "thermo-with-seed"])
 def test_usage_errors_exit_2(argv):
-    # `sim` and `thermo eval` need a model; the other two have no use for one
+    # `sim` and `thermo eval` need a model; the other two have no use for one,
+    # and `thermo eval` draws nothing, so it has no use for a seed
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

@@ -1,5 +1,6 @@
 import math
 import random
+import signal
 from collections import Counter
 
 import numpy as np
@@ -495,6 +496,28 @@ def test_run_rejects_horizon_before_start(two_state_spec_factory, t_end):
     with pytest.raises(ValueError, match="t_end must be >= state.sim_time"):
         run(state, spec, t_end, seed=2, max_events=100)
     assert sum(state.proposal_counts.values()) == 0
+
+
+def test_run_rejects_unbounded_infinite_horizon(two_state_spec_factory):
+    # t_end = inf without max_events never returned, so an alarm turns a
+    # lost guard into a failure, not a hang
+    def expire(signum, frame):
+        raise TimeoutError("run did not return")
+
+    spec = two_state_spec_factory(n=10)
+    state = sample_initial_state(spec, 1)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError, match="t_end must be finite unless max_events"):
+            run(state, spec, math.inf, seed=2)
+        assert sum(state.proposal_counts.values()) == 0
+        # max_events bounds the run, so the infinite horizon stays allowed
+        run(state, spec, math.inf, seed=2, max_events=50, track_positions=False)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert sum(state.event_counts.values()) == 50
 
 
 @pytest.mark.parametrize("every", [0.0, -0.5, math.inf, math.nan])

@@ -4,9 +4,10 @@ import signal
 import numpy as np
 import pytest
 from scipy import integrate as sintegrate
+from scipy.special import betainc
 
 from kinchem import meanfield as MF
-from kinchem.model import EnergyLaw, RateTable
+from kinchem.model import EnergyLaw, RateTable, TypeKernel
 from conftest import make_two_state
 
 
@@ -315,7 +316,7 @@ def test_observables_converge_under_grid_doubling():
         grid = MF.energy_grid(1.0, (0.0, 1.0), m=m, t_max=15.0)
         field = MF.field_from_spec(spec, grid)
         traj = MF.integrate_boltzmann(field, spec, t_end=2.0)
-        cs.append(traj.final().concentrations())
+        cs.append(traj.final().masses())
     assert np.max(np.abs(cs[0] - cs[1])) < 0.01 * np.max(cs[1])
 
 
@@ -335,3 +336,126 @@ def test_deposition_rows_are_stochastic_and_mean_preserving():
     means = D @ grid
     inside = totals <= grid[-1]
     assert np.max(np.abs(means[inside] - totals[inside] / 2.0)) < 1e-8
+
+
+# -- closed-form split deposition and the grouped rhs --------------------------------
+
+
+def test_beta32_closed_form_matches_betainc():
+    ends = np.logspace(-300, -1, 600)
+    u = np.concatenate(([0.0, 1.0], np.linspace(0.0, 1.0, 10001), ends, 1.0 - ends))
+    F, G = MF._beta32_cdf_and_moment(u)
+    assert np.max(np.abs(F - betainc(1.5, 1.5, u))) < 1e-14
+    assert np.max(np.abs(G - 0.5 * betainc(2.5, 1.5, u))) < 1e-14
+    assert F[0] == G[0] == 0.0 and abs(F[1] - 1.0) < 1e-15 and abs(G[1] - 0.5) < 1e-15
+
+
+def _betainc_split_deposition(totals, grid):
+    # the incomplete-beta construction the closed form replaced: both ends
+    # of every node's two intervals, evaluated per node
+    def moments(u_lo, u_hi):
+        return (betainc(1.5, 1.5, u_hi) - betainc(1.5, 1.5, u_lo),
+                0.5 * (betainc(2.5, 1.5, u_hi) - betainc(2.5, 1.5, u_lo)))
+
+    M = grid.size - 1
+    h = grid[1] - grid[0]
+    D = np.zeros((totals.size, M + 1))
+    pos = totals > 0.0
+    S = totals[pos][:, None]
+    lo, mid, hi = (grid - h)[None, :], grid[None, :], (grid + h)[None, :]
+    m0, m1 = moments(np.clip(lo / S, 0, 1), np.clip(mid / S, 0, 1))
+    left = (S * m1 - lo * m0) / h
+    m0, m1 = moments(np.clip(mid / S, 0, 1), np.clip(hi / S, 0, 1))
+    block = left + (hi * m0 - S * m1) / h
+    block[:, M] = left[:, M] + 1.0 - betainc(1.5, 1.5, np.clip(grid[M] / S[:, 0], 0, 1))
+    D[pos] = block
+    D[~pos, 0] = 1.0
+    return D / D.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("m", (64, 256))
+@pytest.mark.parametrize("shift", (0.0, 2.0, -2.0, 0.7))
+def test_split_deposition_matches_betainc_construction(m, shift):
+    # 2.0 is a whole number of cells at both m; 0.7 is not
+    grid = MF.energy_grid(1.0, (), m=m, t_max=16.0)
+    totals = np.arange(2 * m + 1) * (grid[1] - grid[0]) + shift
+    D = MF.beta_split_deposition(totals, grid)
+    assert np.max(np.abs(D - _betainc_split_deposition(totals, grid))) < 1e-12
+
+
+def _reactive_spec():
+    # four channels, per-pair fast and slow rates, and a table kernel whose
+    # outcomes shift the chemical energy by 0, +-K2 and +-2 K2
+    kernel = TypeKernel(kind="table", table=(
+        ((1, 1), (((2, 2), 0.5), ((1, 1), 0.5))),
+        ((1, 2), (((2, 1), 0.3), ((1, 1), 0.3), ((2, 2), 0.4))),
+        ((2, 2), (((1, 1), 0.6), ((1, 2), 0.4))),
+    ))
+    base = make_two_state(k2=0.7, w12=1.0, w21=0.5, heat=1.0, scale_heat=2.0,
+                          scale_fast=3.0, kernel=kernel)
+    r = base.rates
+    return base.with_overrides(rates=RateTable(
+        unary=r.unary, slow_binary=((0.6, 0.3), (0.3, 0.9)),
+        fast_binary=((1.0, 0.5), (0.5, 0.8)), heat_rate=1.0,
+        bath_beta=r.bath_beta, binary_kernel=kernel))
+
+
+def _per_term_rhs(integ, rho):
+    # one convolution and one deposition product per fast pair and per slow
+    # outcome, and the heat rows one at a time: the loop the grouped rhs
+    # replaced, on the integrator's own matrices
+    J, n = rho.shape
+    out = np.zeros_like(rho)
+    mass = rho.sum(axis=1)
+    for j, j1, rate, idx, frac in integ.unary_terms:
+        flux = rate * rho[j]
+        out[j] -= flux
+        np.add.at(out[j1], idx, flux * (1.0 - frac))
+        np.add.at(out[j1], idx + 1, flux * frac)
+    for j in range(J):
+        out[j] -= 2.0 * float(integ.f_eff[j] @ mass) * rho[j]
+        for jp in range(J):
+            if integ.f_eff[j, jp]:
+                out[j] += 2.0 * integ.f_eff[j, jp] * (
+                    np.convolve(rho[j], rho[jp]) @ integ.split_D)
+        out[j] += integ.heat_eff * (rho[j] @ integ.heat_H - rho[j])
+    for j, jp, j1, j1p, coef, D, s_min, ok in integ.slow_terms:
+        suffix = np.concatenate((np.cumsum(rho[jp][::-1])[::-1], [0.0]))
+        l_min = np.clip(s_min - np.arange(n), 0, n)
+        out[j] -= coef * rho[j] * suffix[l_min]
+        out[j1] += coef * (np.where(ok, np.convolve(rho[j], rho[jp]), 0.0) @ D)
+    return out
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_grouped_rhs_matches_per_term_reference(seed):
+    spec = _reactive_spec()
+    grid = MF.energy_grid(1.0, spec.chem_energies(), m=96)
+    integ = MF.BoltzmannIntegrator(spec, grid, enable_slow_binary=True)
+    assert len({id(t[5]) for t in integ.slow_terms}) == 5
+    rho = np.random.default_rng(seed).random((2, grid.size))
+    rho /= rho.sum()
+    ref = _per_term_rhs(integ, rho)
+    assert np.max(np.abs(integ.rhs(rho) - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # the heat rows, one vector-matrix product each
+    M = grid.size - 1
+    b = MF._bath_hat_projection(grid, spec.rates.bath_beta)
+    rows = np.array([b @ integ.split_D[k:k + M + 1] for k in range(M + 1)])
+    assert np.max(np.abs(integ.heat_H - rows)) < 1e-14
+
+
+def test_clipped_mass_is_zero_without_rates():
+    spec = make_two_state(w12=0.0, w21=0.0, fast=0.0)
+    grid = MF.energy_grid(1.0, (0.0, 1.0), m=64, t_max=12.0)
+    traj = MF.integrate_boltzmann(MF.field_from_spec(spec, grid), spec, t_end=1.0,
+                                  dt=0.1)
+    assert traj.clipped_mass == 0.0
+
+
+def test_clipped_mass_is_reported_on_the_four_channel_model():
+    spec = _reactive_spec()
+    grid = MF.energy_grid(1.0, spec.chem_energies(), m=64)
+    traj = MF.integrate_boltzmann(MF.field_from_spec(spec, grid), spec, t_end=1.0,
+                                  enable_slow_binary=True)
+    assert math.isfinite(traj.clipped_mass) and traj.clipped_mass >= 0.0
+    assert traj.max_step_drift <= 1e-12
