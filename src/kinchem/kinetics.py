@@ -13,10 +13,12 @@ State-dependent rates are simulated exactly by thinning: each channel
 proposes at a constant bounding rate and accepts with the ratio of the true
 rate to the bound, so the accepted events follow the target law without any
 time discretization.  Between jumps particles fly freely on the 3-torus;
-positions are advanced lazily (only when a particle jumps or an observer
-samples), which keeps the per-event cost O(1).  Speeds ``spd`` are kept
-current during a run only when it tracks positions; an untracked run
-recomputes them all from the energies when it ends.
+positions are advanced lazily, which keeps the per-event cost O(1): a
+particle flies to the event time when it jumps, and every particle flies to
+the sample time, in one vector expression per axis, when an observer
+samples.  Speeds ``spd`` and flight clocks ``last_t`` are kept current
+during a run only when it tracks positions; an untracked run writes them
+back when it ends.
 
 ``run`` draws every variate it consumes from one ``numpy.random.Generator``
 seeded from the ``random.Random`` it is given, in small blocks per kind of
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Optional
@@ -99,6 +102,12 @@ class Snapshot:
 class EnsembleState:
     """N particles with types, kinetic energies, torus positions and directions.
 
+    ``types`` and ``energies``, which every event reads, are lists.  The eight
+    geometry columns ``x``, ``y``, ``z``, ``dirx``, ``diry``, ``dirz``, ``spd``
+    and ``last_t`` (the time each position was last advanced to) are
+    ``array('d')`` buffers, so ``flush_all`` and ``positions`` work on
+    zero-copy numpy views of them.
+
     The energy ledger tracks the exact kinetic/chemical totals (fsum over
     particles) and the cumulative bath exchange Q accumulated in compensated
     arithmetic; with the heat channel off the total T + K is conserved, with
@@ -113,14 +122,10 @@ class EnsembleState:
         self.species_mass = list(spec.masses())
         self.types = [0] * n            # 0-based internally
         self.energies = [0.0] * n
-        self.x = [0.0] * n
-        self.y = [0.0] * n
-        self.z = [0.0] * n
-        self.dirx = [1.0] * n
-        self.diry = [0.0] * n
-        self.dirz = [0.0] * n
-        self.spd = [0.0] * n
-        self.last_t = [0.0] * n
+        zeros = bytes(8 * n)
+        self.x, self.y, self.z, self.diry, self.dirz, self.spd, self.last_t = (
+            array("d", zeros) for _ in range(7))
+        self.dirx = array("d", [1.0]) * n
         self.sim_time = 0.0
         self.event_counts = {c: 0 for c in CHANNELS}
         self.proposal_counts = {c: 0 for c in CHANNELS}
@@ -163,13 +168,30 @@ class EnsembleState:
             self.last_t[i] = t
 
     def flush_all(self, t: float) -> None:
-        for i in range(self.n):
-            self.flush_particle(i, t)
+        """Advance every position to time t: flush_particle's arithmetic, vectorized.
+
+        A particle already at t moves by a zero step and keeps its bits.
+        """
+        L = self.box_side
+        last_t = np.frombuffer(self.last_t)
+        dt = t - last_t
+        s = np.frombuffer(self.spd)
+        for pos, d in ((self.x, self.dirx), (self.y, self.diry), (self.z, self.dirz)):
+            p = np.frombuffer(pos)
+            p[:] = (p + s * np.frombuffer(d) * dt) % L
+            p[p == L] = 0.0
+        last_t[:] = t
         self.sim_time = t
 
     def set_energy(self, i: int, energy: float) -> None:
         self.energies[i] = energy
         self.spd[i] = math.sqrt(2.0 * energy / self.species_mass[self.types[i]])
+
+    def refresh_speeds(self) -> None:
+        """Recompute every speed from its energy, with set_energy's arithmetic."""
+        energy = np.asarray(self.energies, dtype=float)
+        mass = np.asarray(self.species_mass, dtype=float)[self.types]
+        np.frombuffer(self.spd)[:] = np.sqrt(2.0 * energy / mass)
 
     def set_direction(self, i: int, dx: float, dy: float, dz: float) -> None:
         self.dirx[i] = dx
@@ -230,17 +252,21 @@ def sample_initial_state(spec: EnsembleSpec, seed: Optional[int] = None) -> Ense
         cum.append(acc)
     cum[-1] = max(cum[-1], 1.0)
     L = spec.box_side
+    normal = partial(rng.gauss, 0.0, 1.0)
+    geometry = []
     for i in range(state.n):
         u = rng.random()
         t = 0
         while cum[t] < u:
             t += 1
         state.types[i] = t
-        state.x[i] = rng.random() * L
-        state.y[i] = rng.random() * L
-        state.z[i] = rng.random() * L
-        state.set_energy(i, laws[t].sample(rng))
-        state.set_direction(i, *_random_direction(partial(rng.gauss, 0.0, 1.0)))
+        position = (rng.random() * L, rng.random() * L, rng.random() * L)
+        state.energies[i] = laws[t].sample(rng)
+        geometry.append(position + _random_direction(normal))
+    # one array per column: cheaper than a store per element
+    state.x, state.y, state.z, state.dirx, state.diry, state.dirz = (
+        array("d", col) for col in zip(*geometry))
+    state.refresh_speeds()
     return state
 
 
@@ -332,7 +358,9 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
 
     types = state.types
     T = state.energies
-    last_t = state.last_t
+    # an untracked run stamps last_t on every event: a list store is cheaper
+    # than an array store, and the finally block copies the list back
+    last_t = None if track_positions else state.last_t.tolist()
     events = []
     # per-channel counters and the Neumaier bath sum live in locals during the
     # run; _write_back stores them before each observer call and at exit
@@ -352,9 +380,9 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
     bath = _stream(lambda k: gen.gamma(1.5, 1.0 / r.bath_beta, k)).__next__
     normal = _stream(gen.standard_normal).__next__
 
-    set_energy = state.set_energy
     if track_positions:
         flush_particle = state.flush_particle
+        set_energy = state.set_energy
         dirx, diry, dirz = state.dirx, state.diry, state.dirz
 
         def relaunch(i, t, e):
@@ -370,9 +398,8 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
         if t_obs == last_emit[0]:
             return
         last_emit[0] = t_obs
-        if track_positions:
-            state.flush_all(t_obs)
         state.sim_time = t_obs
+        # a tracked snapshot flushes every position to t_obs, once
         snap = state.snapshot(with_positions=track_positions)
         for obs in observers:
             obs(snap)
@@ -563,12 +590,12 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
         _write_back(state, q, qc, props, accs, noops)
         if not track_positions:
             # no flight read the speeds, so they were left stale until now
-            for i in range(n):
-                set_energy(i, T[i])
+            state.refresh_speeds()
+            state.last_t[:] = array("d", last_t)
 
-    if track_positions:
-        state.flush_all(t)
     state.sim_time = t
     if observers:
-        emit(t)
+        emit(t)         # its snapshot flushes the positions
+    elif track_positions:
+        state.flush_all(t)
     return state, events

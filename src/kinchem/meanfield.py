@@ -550,6 +550,16 @@ class BoltzmannIntegrator:
         self.slow_loss = [(j, jp, np.clip(s_min - nodes, 0, M + 1), coef)
                           for (j, jp, s_min), coef in loss.items()]
 
+        # max_out_rate's constant parts, summed in the order of the terms:
+        # per type the largest node of its unary outflow, and its slow
+        # (coef, partner) terms
+        unary_out = np.zeros((J, M + 1))
+        for j, j1, rate, idx, frac in self.unary_terms:
+            unary_out[j] += rate
+        self.unary_out_max = [float(row.max()) for row in unary_out]
+        self.slow_out = [[(coef, jp) for jj, jp, j1, j1p, coef, D, s_min, ok
+                          in self.slow_terms if jj == j] for j in range(J)]
+
     # -- right-hand side ---------------------------------------------------------
 
     def rhs(self, rho: np.ndarray) -> np.ndarray:
@@ -587,24 +597,22 @@ class BoltzmannIntegrator:
         return out
 
     def max_out_rate(self, rho: np.ndarray) -> float:
-        """Largest total per-node outflow rate, for the step-size bound."""
+        """Largest total per-node outflow rate, for the step-size bound.
+
+        Only the unary rates vary over the nodes; every later term adds the
+        same number to each node.  Rounding is monotone, so adding those
+        terms to the largest unary node gives the largest node sum bitwise.
+        """
         type_mass = rho.sum(axis=1)
-        J = rho.shape[0]
         worst = 0.0
-        for j in range(J):
-            r = np.zeros(self.grid.size)
-            for jj, j1, rate, idx, frac in self.unary_terms:
-                if jj == j:
-                    r += rate
+        for j, r in enumerate(self.unary_out_max):
             if self.has_fast:
                 r += 2.0 * float(self.f_eff[j] @ type_mass)
             if self.heat_eff > 0.0:
                 r += self.heat_eff
-            if self.has_slow:
-                for jj, jp, j1, j1p, coef, D, s_min, ok in self.slow_terms:
-                    if jj == j:
-                        r += coef * rho[jp].sum()
-            worst = max(worst, float(r.max()))
+            for coef, jp in self.slow_out[j]:
+                r += coef * rho[jp].sum()
+            worst = max(worst, float(r))
         return worst
 
     def step(self, rho: np.ndarray, dt: float) -> np.ndarray:

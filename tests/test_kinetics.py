@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 import signal
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kinchem import stats as ST
-from kinchem.kinetics import CHANNELS, run, sample_initial_state, split_energy
+from kinchem.kinetics import (CHANNELS, EnsembleState, run, sample_initial_state,
+                              split_energy)
 from kinchem.model import EnergyLaw, RateTable, SpeciesSpec, TypeKernel
 from conftest import make_two_state
 
@@ -77,6 +79,95 @@ def test_all_rates_zero_is_pure_flight(two_state_spec_factory):
     expect = (pos0 + 5.0 * np.array(vel)) % 3.0
     assert np.allclose(state.positions(), expect, atol=1e-9)
     assert sum(state.event_counts.values()) == 0
+
+
+def _scalar_flush(state, t):
+    # the per-particle loop flush_all replaced, operand order and fold as in
+    # flush_particle: the bitwise reference for the vector flush
+    L = state.box_side
+    for i in range(state.n):
+        dt = t - state.last_t[i]
+        if dt != 0.0:
+            s = state.spd[i]
+            for pos, d in ((state.x, state.dirx), (state.y, state.diry),
+                           (state.z, state.dirz)):
+                v = (pos[i] + s * d[i] * dt) % L
+                pos[i] = v if v != L else 0.0
+            state.last_t[i] = t
+    state.sim_time = t
+
+
+def _geometry_bytes(state):
+    return [np.asarray(c, dtype=float).tobytes() for c in
+            (state.x, state.y, state.z, state.last_t)] + [repr(state.sim_time)]
+
+
+@pytest.mark.parametrize("n", [1, 7, 300])
+def test_flush_all_bitwise_equals_scalar_loop(two_state_spec_factory, n):
+    L = 2.5
+    spec = two_state_spec_factory(n=n, box_side=L)
+    rng = np.random.default_rng(n)
+    for trial in range(20):
+        t = float(rng.uniform(0.5, 40.0))
+        state = EnsembleState(spec)
+        for i in range(n):
+            state.x[i], state.y[i], state.z[i] = rng.uniform(0.0, L, 3)
+            g = rng.standard_normal(3)
+            state.set_direction(i, *(g / np.linalg.norm(g)))
+            kind = rng.integers(4)
+            state.spd[i] = 0.0 if kind == 0 else float(rng.exponential(3.0))
+            # kind 1: already at t, a zero step
+            state.last_t[i] = t if kind == 1 else float(rng.uniform(0.0, t))
+        if trial % 2 == 0:
+            # a tiny step backwards from 0 rounds `% L` up to L: it must fold to 0.0
+            state.x[0], state.dirx[0], state.spd[0] = 0.0, -1.0, 1e-20
+            state.last_t[0] = t - 1.0
+        ref = copy.deepcopy(state)
+        _scalar_flush(ref, t)
+        state.flush_all(t)
+        assert _geometry_bytes(state) == _geometry_bytes(ref)
+        if trial % 2 == 0:
+            assert (-1e-20) % L == L and repr(state.x[0]) == "0.0"
+
+
+def _count_flushes(state):
+    """Record the time of every flush_all call on ``state``."""
+    calls = []
+    flush_all = state.flush_all
+    state.flush_all = lambda t: (calls.append(t), flush_all(t))
+    return calls
+
+
+def test_each_sample_time_flushes_positions_once(two_state_spec_factory):
+    # pure flight: each snapshot holds exactly one flush from the previous one
+    spec = two_state_spec_factory(n=50, w12=0.0, w21=0.0, fast=0.0, box_side=2.0)
+    state = sample_initial_state(spec, 3)
+    ref = copy.deepcopy(state)
+    calls = _count_flushes(state)
+
+    def check(snap):
+        assert list(state.last_t) == [snap.time] * state.n
+        _scalar_flush(ref, snap.time)
+        expect = np.column_stack((ref.x, ref.y, ref.z))
+        assert snap.positions.tobytes() == expect.tobytes()
+
+    run(state, spec, 1.0, seed=4, observers=(check,), sample_every=0.25)
+    assert calls == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+    # with events: one flush_all per snapshot, none per event, and every
+    # position at the sample time when observers see it
+    spec = _four_channel_spec(two_state_spec_factory, 40)
+    state = sample_initial_state(spec, 5)
+    calls = _count_flushes(state)
+    snaps = []
+
+    def at_sample_time(snap):
+        assert list(state.last_t) == [snap.time] * state.n
+        snaps.append(snap.time)
+
+    run(state, spec, 3.0, seed=6, observers=(at_sample_time,), sample_every=0.2)
+    assert sum(state.event_counts.values()) > 100
+    assert calls == snaps and len(snaps) == 16
 
 
 # -- single events through run() ------------------------------------------------
@@ -246,7 +337,7 @@ def test_slow_binary_forbidden_target_is_noop(two_state_spec_factory):
     assert one_event(state, spec, seed=29, t_end=20.0) == []
     assert state.noop_counts["slow_binary"] == state.proposal_counts["slow_binary"] > 0
     assert state.types == [0, 0] and state.energies == [1.0, 2.0]
-    assert (state.dirx, state.diry, state.dirz) == directions
+    assert (list(state.dirx), list(state.diry), list(state.dirz)) == directions
 
 
 # -- trajectory-level invariants ------------------------------------------------------
@@ -550,8 +641,8 @@ def test_observers_see_exact_counters_mid_run(two_state_spec_factory, track_posi
         assert abs((snap.total_kinetic + snap.total_chemical - e0)
                    - snap.bath_exchange) <= 1e-12 * e0
     mass = state.species_mass
-    assert state.spd == [math.sqrt(2.0 * e / mass[j])
-                         for e, j in zip(state.energies, state.types)]
+    assert list(state.spd) == [math.sqrt(2.0 * e / mass[j])
+                               for e, j in zip(state.energies, state.types)]
 
 
 @pytest.mark.parametrize("max_events", [None, 25])

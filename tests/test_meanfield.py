@@ -459,3 +459,37 @@ def test_clipped_mass_is_reported_on_the_four_channel_model():
                                   enable_slow_binary=True)
     assert math.isfinite(traj.clipped_mass) and traj.clipped_mass >= 0.0
     assert traj.max_step_drift <= 1e-12
+
+
+def _max_out_rate_loop(integ, rho):
+    # the per-call loop max_out_rate replaced: each type's unary vectors and
+    # slow terms summed again on every call, then the largest node
+    type_mass = rho.sum(axis=1)
+    worst = 0.0
+    for j in range(rho.shape[0]):
+        r = np.zeros(integ.grid.size)
+        for jj, j1, rate, idx, frac in integ.unary_terms:
+            if jj == j:
+                r += rate
+        if integ.has_fast:
+            r += 2.0 * float(integ.f_eff[j] @ type_mass)
+        if integ.heat_eff > 0.0:
+            r += integ.heat_eff
+        if integ.has_slow:
+            for jj, jp, j1, j1p, coef, D, s_min, ok in integ.slow_terms:
+                if jj == j:
+                    r += coef * rho[jp].sum()
+        worst = max(worst, float(r.max()))
+    return worst
+
+
+@pytest.mark.parametrize("slow", (True, False))
+def test_max_out_rate_bitwise_equals_per_call_loop(slow):
+    spec = _reactive_spec()
+    grid = MF.energy_grid(1.0, spec.chem_energies(), m=64)
+    integ = MF.BoltzmannIntegrator(spec, grid, enable_slow_binary=slow)
+    assert integ.unary_terms and integ.has_slow == slow
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        rho = rng.random((2, grid.size)) * rng.exponential(1.0, (2, 1))
+        assert integ.max_out_rate(rho) == _max_out_rate_loop(integ, rho)
