@@ -2,7 +2,8 @@
 
 Each case is a SHA-256 digest of ``repr`` of the case's values, with every
 float written by ``repr`` (which round-trips exactly) and every container
-reduced to plain lists, so a digest pins values, not container types.  The
+reduced to plain lists, so a digest pins values, not container types; the
+``sim`` cases hash the bytes of the CSV files ``kinchem sim`` writes.  The
 digests live in ``fingerprints.json`` keyed by numpy major.minor, because
 numpy does not promise its Generator streams across versions.
 
@@ -16,20 +17,25 @@ one), run from the repository root::
 from __future__ import annotations
 
 import array
+import contextlib
 import hashlib
+import io
 import json
 import pathlib
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 
+from kinchem.cli import main
 from kinchem.kinetics import run, sample_initial_state
 from kinchem.model import RateTable, SpeciesSpec, TypeKernel
 from kinchem.oracle import contagion_model, simulate_pair_system, voter_model
 from conftest import make_two_state
 
 DIGESTS = pathlib.Path(__file__).with_name("fingerprints.json")
+TWO_STATE = pathlib.Path(__file__).resolve().parents[1] / "configs" / "two_state.yaml"
 NUMPY_KEY = "numpy " + ".".join(np.__version__.split(".")[:2])
 RECORD = "PYTHONPATH=src python tests/test_fingerprints.py --record"
 SEEDS = (1, 2, 3)
@@ -135,9 +141,20 @@ def pair_system_digests() -> dict:
             for N in (2, 50, 1025) for t in (0.0, 0.7) for seed in SEEDS}
 
 
+def sim_csv_digests() -> dict:
+    """Digests of the bytes of the CSVs ``kinchem sim --engine particle`` writes."""
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+        code = main(["sim", "--config", str(TWO_STATE), "--engine", "particle",
+                     "--t-end", "0.5", "--log-events", "--out", out])
+        assert code == 0
+        return {f"sim/particle/two_state/{name}":
+                hashlib.sha256((pathlib.Path(out) / name).read_bytes()).hexdigest()
+                for name in ("trajectory.csv", "events.csv")}
+
+
 # every case name starts with its group's name and a slash
 GROUPS = {"run": particle_digests, "sample_initial_state": initial_state_digests,
-          "simulate_pair_system": pair_system_digests}
+          "simulate_pair_system": pair_system_digests, "sim": sim_csv_digests}
 
 
 def _recorded() -> dict:
