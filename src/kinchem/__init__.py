@@ -22,6 +22,7 @@ from .model import (
 )
 from .kinetics import (
     EnsembleState,
+    EventLog,
     EventRecord,
     Snapshot,
     run,

@@ -21,11 +21,6 @@ from .model import load_config
 from .scenarios import (SCENARIOS, _jsonable, _observed_run, _thermo_table,
                         _write_csv, _write_json, run_scenario)
 
-EVENT_HEADER = ["time", "channel", "i", "j", "type_before", "T_before",
-                "type_after", "T_after", "type2_before", "T2_before",
-                "type2_after", "T2_after"]
-
-
 def _add_common(p, config: bool = False, seed: bool = True):
     if config:
         p.add_argument("--config", type=Path, required=True,
@@ -75,11 +70,12 @@ def build_parser() -> argparse.ArgumentParser:
                      default="particle")
     sim.add_argument("--t-end", type=float, required=True)
     sim.add_argument("--sample-every", type=float, default=None)
-    sim.add_argument("--replicas", type=int, default=1)
+    sim.add_argument("--replicas", type=int, default=None,
+                     help="independent particle runs (default 1)")
     sim.add_argument("--log-events", action="store_true",
                      help="write the accepted-event log as CSV")
-    sim.add_argument("--grid-size", type=int, default=512,
-                     help="energy nodes for the mean-field engine")
+    sim.add_argument("--grid-size", type=int, default=None,
+                     help="energy nodes for the mean-field engine (default 512)")
     sim.add_argument("--dt", type=float, default=None,
                      help="time step for the mean-field engine")
 
@@ -120,15 +116,6 @@ def _cmd_scenario(args) -> int:
     return _run_and_print(args.name, overrides, args)
 
 
-def _event_row(ev) -> list:
-    b2 = ev.before[1] if len(ev.before) > 1 else ("", "")
-    a2 = ev.after[1] if len(ev.after) > 1 else ("", "")
-    return [ev.time, ev.channel, ev.participants[0],
-            ev.participants[1] if len(ev.participants) > 1 else "",
-            ev.before[0][0], ev.before[0][1], ev.after[0][0], ev.after[0][1],
-            b2[0], b2[1], a2[0], a2[1]]
-
-
 def _cmd_sim(args) -> int:
     if not 0.0 <= args.t_end < math.inf:
         raise ValueError(f"--t-end must be nonnegative and finite, "
@@ -136,8 +123,17 @@ def _cmd_sim(args) -> int:
     if args.sample_every is not None and not 0.0 < args.sample_every < math.inf:
         raise ValueError(f"--sample-every must be positive and finite, "
                          f"got {args.sample_every!r}")
-    if args.replicas < 1:
-        raise ValueError(f"--replicas must be at least 1, got {args.replicas}")
+    # a flag of one engine is an error on another, never silently ignored
+    for flag, engine, given in (("--log-events", "particle", args.log_events),
+                                ("--replicas", "particle", args.replicas is not None),
+                                ("--grid-size", "meanfield", args.grid_size is not None),
+                                ("--dt", "meanfield", args.dt is not None)):
+        if given and args.engine != engine:
+            raise ValueError(f"{flag} applies only to --engine {engine}, "
+                             f"not {args.engine}")
+    replicas = 1 if args.replicas is None else args.replicas
+    if replicas < 1:
+        raise ValueError(f"--replicas must be at least 1, got {replicas}")
     sample = (args.sample_every if args.sample_every is not None
               else max(args.t_end / 50.0, 1e-9))
     spec = load_config(args.config)
@@ -146,22 +142,24 @@ def _cmd_sim(args) -> int:
     out = args.out or Path(".")
 
     if args.engine == "particle":
-        for rep in range(args.replicas):
+        for rep in range(replicas):
             _, col, events = _observed_run(spec, spec.rng_seed + 2 * rep,
                                            args.t_end, sample,
                                            record_events=args.log_events)
-            suffix = f"_{rep}" if args.replicas > 1 else ""
+            suffix = f"_{rep}" if replicas > 1 else ""
             print(f"wrote {_write_csv(out / f'trajectory{suffix}.csv', *col.table())}")
             if args.log_events:
-                path = _write_csv(out / f"events{suffix}.csv", EVENT_HEADER,
-                                  map(_event_row, events))
+                # csv writes the None of a one-particle event as an empty field
+                path = _write_csv(out / f"events{suffix}.csv", events.columns,
+                                  events.rows())
                 print(f"wrote {path}")
         return 0
 
     # deterministic engines
     beta = spec.rates.bath_beta
     if args.engine == "meanfield":
-        grid = MF.energy_grid(beta, spec.chem_energies(), m=args.grid_size)
+        m = 512 if args.grid_size is None else args.grid_size
+        grid = MF.energy_grid(beta, spec.chem_energies(), m=m)
         field = MF.field_from_spec(spec, grid)
         traj = MF.integrate_boltzmann(field, spec, args.t_end, dt=args.dt,
                                       sample_every=sample)

@@ -20,6 +20,10 @@ samples.  Speeds ``spd`` and flight clocks ``last_t`` are kept current
 during a run only when it tracks positions; an untracked run writes them
 back when it ends.
 
+With ``record_events`` a run logs each accepted event as one row of plain
+floats, ints and strings in an ``EventLog``; no object is kept per event, so
+a long log gives the garbage collector nothing to track.
+
 ``run`` draws every variate it consumes from one ``numpy.random.Generator``
 seeded from the ``random.Random`` it is given, in small blocks per kind of
 variate, so no event pays for a Python-level variate call.
@@ -39,6 +43,7 @@ from .model import EnsembleSpec, validate_spec
 
 __all__ = [
     "EnsembleState",
+    "EventLog",
     "EventRecord",
     "Snapshot",
     "sample_initial_state",
@@ -80,6 +85,62 @@ class EventRecord:
     participants: tuple
     before: tuple
     after: tuple
+
+
+class EventLog:
+    """Accepted events of a run, stored as rows of ``columns`` in one flat list.
+
+    A row holds only floats, ints, the channel string and ``None`` (the
+    second participant's fields of a one-particle event), so recording an
+    event allocates no object the garbage collector tracks.  ``rows()`` and
+    ``column()`` read the values as they are; indexing and iteration build
+    one ``EventRecord`` per event on demand.  A log equals another log, or a
+    list of records, that holds the same events.
+    """
+
+    columns = ("time", "channel", "i", "j", "type_before", "T_before",
+               "type_after", "T_after", "type2_before", "T2_before",
+               "type2_after", "T2_after")
+
+    __slots__ = ("_flat",)
+
+    def __init__(self):
+        self._flat = []
+
+    def __len__(self) -> int:
+        return len(self._flat) // len(self.columns)
+
+    def rows(self):
+        """Iterator over the events as tuples of the ``columns`` values."""
+        return zip(*[iter(self._flat)] * len(self.columns))
+
+    def column(self, name: str) -> list:
+        """Every event's value of column ``name``."""
+        return self._flat[self.columns.index(name)::len(self.columns)]
+
+    @staticmethod
+    def _record(row) -> EventRecord:
+        t, channel, i, j, a, Ta, a1, Ta1, b, Tb, b1, Tb1 = row
+        if j is None:
+            return EventRecord(t, channel, (i,), ((a, Ta),), ((a1, Ta1),))
+        return EventRecord(t, channel, (i, j), ((a, Ta), (b, Tb)), ((a1, Ta1), (b1, Tb1)))
+
+    def __iter__(self):
+        return map(self._record, self.rows())
+
+    def __getitem__(self, k):
+        width = len(self.columns)
+        picked = range(len(self))[k]
+        if isinstance(picked, range):
+            return [self[m] for m in picked]
+        return self._record(self._flat[picked * width:(picked + 1) * width])
+
+    def __eq__(self, other):
+        if isinstance(other, EventLog):
+            return self._flat == other._flat
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
 
 
 @dataclass
@@ -310,12 +371,12 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
     given), drawn in blocks with one stream per kind of variate.  The run is
     deterministic given (state, seed) for a given numpy version.
 
-    Returns (state, events) where events is the list of accepted EventRecords
-    (empty unless record_events).  Raises ValueError if ``spec`` fails
-    ``validate_spec``, if ``t_end`` is not >= ``state.sim_time`` (NaN
-    included), if ``t_end`` is infinite and no ``max_events`` bounds the run,
-    or if observers are given with a ``sample_every`` that is not positive
-    and finite.
+    Returns (state, events) where events is the ``EventLog`` of the accepted
+    events in time order (empty unless record_events).  Raises ValueError if
+    ``spec`` fails ``validate_spec``, if ``t_end`` is not >= ``state.sim_time``
+    (NaN included), if ``t_end`` is infinite and no ``max_events`` bounds the
+    run, or if observers are given with a ``sample_every`` that is not
+    positive and finite.
     """
     _require_valid(spec)
     if not t_end >= state.sim_time:        # also rejects NaN
@@ -361,7 +422,8 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
     # an untracked run stamps last_t on every event: a list store is cheaper
     # than an array store, and the finally block copies the list back
     last_t = None if track_positions else state.last_t.tolist()
-    events = []
+    events = EventLog()
+    log = events._flat.extend
     # per-channel counters and the Neumaier bath sum live in locals during the
     # run; _write_back stores them before each observer call and at exit
     props = [state.proposal_counts[c] for c in CHANNELS]
@@ -474,8 +536,8 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
                     last_t[i] = t
                 accs[0] += 1
                 if record_events:
-                    events.append(EventRecord(t, "unary", (i,), ((j0 + 1, Ti),),
-                                              ((j1 + 1, T1),)))
+                    log((t, "unary", i, None, j0 + 1, Ti, j1 + 1, T1,
+                         None, None, None, None))
             elif u < c2:
                 # slow binary channel
                 props[1] += 1
@@ -523,9 +585,8 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
                     last_t[i] = last_t[j] = t
                 accs[1] += 1
                 if record_events:
-                    events.append(EventRecord(t, "slow_binary", (i, j),
-                                              ((a + 1, Ti), (b + 1, Tj)),
-                                              ((j1 + 1, t1), (j1p + 1, t2))))
+                    log((t, "slow_binary", i, j, a + 1, Ti, j1 + 1, t1,
+                         b + 1, Tj, j1p + 1, t2))
             elif u < c3:
                 # fast binary channel
                 props[2] += 1
@@ -554,8 +615,7 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
                 accs[2] += 1
                 if record_events:
                     a, b = types[i] + 1, types[j] + 1
-                    events.append(EventRecord(t, "fast_binary", (i, j),
-                                              ((a, Ti), (b, Tj)), ((a, t1), (b, t2))))
+                    log((t, "fast_binary", i, j, a, Ti, a, t1, b, Tj, b, t2))
             else:
                 # heat channel (always accepted: constant rate)
                 props[3] += 1
@@ -584,7 +644,7 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
                 accs[3] += 1
                 if record_events:
                     a = types[i] + 1
-                    events.append(EventRecord(t, "heat", (i,), ((a, Ti),), ((a, t1),)))
+                    log((t, "heat", i, None, a, Ti, a, t1, None, None, None, None))
             n_left -= 1
     finally:
         _write_back(state, q, qc, props, accs, noops)

@@ -203,6 +203,27 @@ def test_sim_rejects_nonpositive_replicas(tmp_path, config_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("engine, flags, flag", [
+    ("reduced", ["--log-events", "--replicas", "3"], "--log-events"),
+    ("meanfield", ["--log-events"], "--log-events"),
+    ("reduced", ["--replicas", "3"], "--replicas"),
+    ("meanfield", ["--replicas", "1"], "--replicas"),
+    ("particle", ["--grid-size", "7", "--dt", "5"], "--grid-size"),
+    ("particle", ["--dt", "5"], "--dt"),
+    ("reduced", ["--grid-size", "64"], "--grid-size"),
+    ("reduced", ["--dt", "0.1"], "--dt"),
+])
+def test_sim_rejects_flags_of_another_engine(tmp_path, config_path, capsys, engine,
+                                             flags, flag):
+    # each of these used to exit 0 and ignore the flag without a word
+    out = tmp_path / "sim"
+    code = main(["sim", "--config", str(config_path), "--engine", engine,
+                 "--t-end", "0.5", *flags, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} applies only to --engine ")
+    assert not out.exists()
+
+
 def test_thermo_eval_reports_potentials(tmp_path, config_path, capsys):
     code = main(["thermo", "eval", "--config", str(config_path),
                  "--c", "0.3,0.7", "--beta", "1.0",

@@ -7,6 +7,10 @@ reduced to plain lists, so a digest pins values, not container types; the
 digests live in ``fingerprints.json`` keyed by numpy major.minor, because
 numpy does not promise its Generator streams across versions.
 
+The deterministic engines, the kinetic equation and the reduced ODE, are
+pinned by value instead, under the file's ``values`` key, and checked within
+``VALUE_TOL``: BLAS may sum in another order on another machine.
+
 A change that moves a digest changes what a seed produces; name the case and
 the reason in CHANGES.md before recording again.  To record the digests of
 the installed numpy version (adding a missing key, or replacing a changed
@@ -28,9 +32,10 @@ import tempfile
 import numpy as np
 import pytest
 
+from kinchem import meanfield as MF
 from kinchem.cli import main
 from kinchem.kinetics import run, sample_initial_state
-from kinchem.model import RateTable, SpeciesSpec, TypeKernel
+from kinchem.model import RateTable, SpeciesSpec, TypeKernel, load_config
 from kinchem.oracle import contagion_model, simulate_pair_system, voter_model
 from conftest import make_two_state
 
@@ -39,6 +44,7 @@ TWO_STATE = pathlib.Path(__file__).resolve().parents[1] / "configs" / "two_state
 NUMPY_KEY = "numpy " + ".".join(np.__version__.split(".")[:2])
 RECORD = "PYTHONPATH=src python tests/test_fingerprints.py --record"
 SEEDS = (1, 2, 3)
+VALUE_TOL = 1e-12
 COLUMNS = ("types", "energies", "x", "y", "z", "dirx", "diry", "dirz", "spd", "last_t")
 
 _MIX_KERNEL = TypeKernel(kind="table", table=(((1, 1), (((2, 2), 0.5), ((1, 1), 0.5))),
@@ -110,7 +116,7 @@ def _particle_case(spec, t_end, every, tracked, seed):
     first = _state_values(state)
     _, more = run(state, spec, 2.0 * t_end, seed=seed + 200, max_events=37,
                   record_events=True, track_positions=tracked)
-    log = [(e.time, e.channel, e.participants, e.before, e.after) for e in events + more]
+    log = [(e.time, e.channel, e.participants, e.before, e.after) for e in [*events, *more]]
     return _digest([log, first, _state_values(state),
                     [_snapshot_values(s) for s in snaps]])
 
@@ -157,6 +163,25 @@ GROUPS = {"run": particle_digests, "sample_initial_state": initial_state_digests
           "simulate_pair_system": pair_system_digests, "sim": sim_csv_digests}
 
 
+def engine_values() -> dict:
+    """Kinetic equation at m=64 and reduced ODE on configs/two_state.yaml, t = 0..2."""
+    spec = load_config(TWO_STATE)
+    beta = spec.rates.bath_beta
+    grid = MF.energy_grid(beta, spec.chem_energies(), m=64)
+    traj = MF.integrate_boltzmann(MF.field_from_spec(spec, grid), spec, 2.0,
+                                  sample_every=0.5)
+    red = MF.reduced_macro_ode(MF.MacroState(beta, spec.initial_distribution.type_weights),
+                               spec, 2.0, n_samples=5)
+    return {
+        "integrate_boltzmann/two_state/m=64": {
+            "masses": _plain(traj.concentrations()),
+            "mean_energy": [f.mean_energy() for f in traj.fields],
+            "max_step_drift": traj.max_step_drift,
+            "clipped_mass": traj.clipped_mass},
+        "reduced_macro_ode/two_state": {"concentrations": _plain(red.concentrations)},
+    }
+
+
 def _recorded() -> dict:
     table = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     if NUMPY_KEY not in table:
@@ -181,8 +206,21 @@ def test_every_recorded_fingerprint_has_a_group():
     assert not orphans, f"recorded cases no test computes: {orphans}"
 
 
+def test_engine_values_match_recorded():
+    want = json.loads(DIGESTS.read_text()).get("values")
+    assert want, f"no engine values recorded in {DIGESTS.name}; record them with: {RECORD}"
+    got = engine_values()
+    assert got.keys() == want.keys()
+    for case, fields in got.items():
+        assert fields.keys() == want[case].keys(), case
+        for name, value in fields.items():
+            np.testing.assert_allclose(value, want[case][name], rtol=0.0, atol=VALUE_TOL,
+                                       err_msg=f"{case}: {name}")
+
+
 def _record() -> None:
     table = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    table["values"] = engine_values()
     old = table.get(NUMPY_KEY, {})
     new = {}
     for make in GROUPS.values():

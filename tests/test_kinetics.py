@@ -1,4 +1,5 @@
 import copy
+import gc
 import math
 import random
 import signal
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kinchem import stats as ST
-from kinchem.kinetics import (CHANNELS, EnsembleState, run, sample_initial_state,
-                              split_energy)
+from kinchem.kinetics import (CHANNELS, EnsembleState, EventLog, run,
+                              sample_initial_state, split_energy)
+from kinchem.oracle import pairs_from_event_log
 from kinchem.model import EnergyLaw, RateTable, SpeciesSpec, TypeKernel
 from conftest import make_two_state
 
@@ -536,6 +538,43 @@ def test_run_with_rng_equals_run_with_seed(two_state_spec_factory):
     assert a.positions().tolist() == b.positions().tolist()
     assert (a.event_counts, a.proposal_counts, a.noop_counts) == \
         (b.event_counts, b.proposal_counts, b.noop_counts)
+
+
+def test_event_log_keeps_no_object_per_event(two_state_spec_factory):
+    # a record, tuple or numpy scalar per event would make the garbage
+    # collector scan the whole log again and again during a long run
+    spec = _four_channel_spec(two_state_spec_factory, 200)
+    _, events = run(sample_initial_state(spec, 75), spec, 2.0, seed=76,
+                    record_events=True)
+    assert set(events.column("channel")) == set(CHANNELS)
+    containers = [r for r in gc.get_referents(events) if r is not EventLog]
+    values = [v for c in containers for v in c]
+    assert all(type(c) is list for c in containers)
+    assert len(values) == len(events) * len(EventLog.columns)
+    assert not any(map(gc.is_tracked, values))
+    assert {type(v) for v in values} == {float, int, str, type(None)}
+
+    # the columns hold exactly the fields of the records built on demand
+    cols = [events.column(name) for name in EventLog.columns]
+    assert list(zip(*cols)) == list(events.rows())
+    records = list(events)
+    assert len(records) == len(events) and records == events
+    for k, (t, channel, i, j, a, Ta, a1, Ta1, b, Tb, b1, Tb1) in enumerate(events.rows()):
+        rec = events[k]
+        assert rec == records[k] == events[k - len(events)]
+        assert (rec.time, rec.channel) == (t, channel)
+        if j is None:
+            assert channel in ("unary", "heat") and b is Tb is b1 is Tb1 is None
+            assert (rec.participants, rec.before, rec.after) == \
+                ((i,), ((a, Ta),), ((a1, Ta1),))
+        else:
+            assert (rec.participants, rec.before, rec.after) == \
+                ((i, j), ((a, Ta), (b, Tb)), ((a1, Ta1), (b1, Tb1)))
+    assert pairs_from_event_log(events) == tuple(
+        rec.participants for rec in records if len(rec.participants) == 2)
+
+    _, none = run(sample_initial_state(spec, 75), spec, 2.0, seed=76)
+    assert len(none) == 0 and none == [] and list(none.rows()) == []
 
 
 def test_heat_only_run_relaxes_to_bath_mean(two_state_spec_factory):
