@@ -2,16 +2,17 @@
 fast-scale reductions.
 
 The full equation evolves the joint density p_t(j, T) on an energy grid under
-four transport terms mirroring the particle channels: unary type changes
-(exact energy shifts, deposited onto bracketing nodes), slow binary reactions
-(feature-gated, constant rates), fast kinetic-energy exchange, and bath
-contact.  Bath contact is a collision with a partner whose energy is drawn
-from the bath law Gamma(3/2, beta), so it shares the fast channel's
-deposition of the Beta(3/2, 3/2) split of a pair total; slow outcomes that
-shift no chemical energy reuse it too.  All channels are discretized
-conservatively in mass coordinates; linear two-node deposition preserves both
-the deposited mass and its mean energy, so the discrete operators inherit the
-continuum conservation laws up to grid-edge clipping.
+the four particle channels.  Unary type changes shift the energy exactly and
+deposit it onto the bracketing nodes.  Every other channel is a pair
+collision that redraws the pair's energy as a Beta(3/2, 3/2) split: a fast
+collision keeps both types, a slow outcome may change them and pays its
+chemical-energy shift from the pair total, and bath contact is a collision
+with a partner drawn from the bath law Gamma(3/2, beta).  So fast collisions
+and slow outcomes form one list of binary terms.  All channels are
+discretized conservatively in mass coordinates: one hat projection, shared by
+the split of a pair total and the bath law, carries a law onto the grid with
+its mass and mean energy, so the discrete operators inherit the continuum
+conservation laws up to grid-edge clipping.
 
 The split deposition needs no incomplete beta function: with theta =
 arcsin sqrt(u), Beta(3/2, 3/2) has the closed-form CDF F(u) = (2/pi)(theta -
@@ -45,6 +46,7 @@ __all__ = [
     "integrate_boltzmann",
     "reduced_macro_ode",
     "reduced_two_state",
+    "two_state_equilibrium",
     "survival_gbeta",
     "onsager_flux",
     "maxwell_unary_rates",
@@ -128,6 +130,13 @@ def reduced_two_state(spec: EnsembleSpec):
     return float(v[0, 1]), float(v[1, 0])
 
 
+def two_state_equilibrium(ratio: float, total: float = 1.0) -> tuple:
+    """Stationary (c1, c2) of the two-state chain with c1 / c2 = ratio =
+    v21 / v12 and c1 + c2 = total."""
+    c1 = total * ratio / (1.0 + ratio)
+    return c1, total - c1
+
+
 @dataclass(frozen=True)
 class MacroState:
     """Point of the reduced dynamics: inverse temperature and concentrations."""
@@ -138,10 +147,6 @@ class MacroState:
     def __post_init__(self):
         object.__setattr__(self, "concentrations",
                            tuple(float(c) for c in self.concentrations))
-
-    @property
-    def total(self) -> float:
-        return math.fsum(self.concentrations)
 
 
 @dataclass
@@ -155,11 +160,8 @@ class ReducedTrajectory:
         """Stationary concentrations with the same total (two-state only)."""
         if self.concentrations.shape[1] != 2:
             raise ValueError("closed-form equilibrium implemented for J = 2")
-        v12, v21 = self.rates[0, 1], self.rates[1, 0]
-        c = self.concentrations[0].sum()
-        ratio = v21 / v12
-        c1 = c * ratio / (1.0 + ratio)
-        return np.array([c1, c - c1])
+        ratio = self.rates[1, 0] / self.rates[0, 1]
+        return np.array(two_state_equilibrium(ratio, self.concentrations[0].sum()))
 
 
 def macro_vector_field(v: np.ndarray) -> Callable:
@@ -285,9 +287,6 @@ class DensityField:
         mass = self.masses()[j - 1]
         return self.values[j - 1] / mass
 
-    def copy(self) -> "DensityField":
-        return DensityField(self.grid.copy(), self.values.copy())
-
 
 def field_from_laws(grid: np.ndarray, weights: Sequence[float], laws) -> DensityField:
     """Nodal density for per-type weights and kinetic-energy laws."""
@@ -340,33 +339,43 @@ def _beta32_cdf_and_moment(u):
     return (2.0 / math.pi) * a, (a - np.sin(2.0 * theta) ** 3 / 3.0) / math.pi
 
 
+def _hat_weights(law: Callable, scale, grid: np.ndarray) -> np.ndarray:
+    """Weights E[hat_l(X)] of a law on [0, inf) carried onto the grid's hat
+    functions, which keeps its mass and mean.
+
+    ``law(edges)`` returns the CDF F and the partial first moment G / scale
+    at the M+3 edges T_{-1} .. T_{M+1}, in its last axis.  Their differences
+    are the mass and first moment of every interval, which give both wings
+    of each hat; the mass beyond the last node is folded into it.
+    """
+    M = grid.size - 1
+    h = grid[1] - grid[0]
+    F, G = law(np.concatenate(([grid[0] - h], grid, [grid[M] + h])))
+    # interval i = [T_{i-1}, T_i]: mass m0[..., i], first moment m1[..., i]
+    m0 = np.diff(F, axis=-1)
+    m1 = scale * np.diff(G, axis=-1)
+    # ascending wing on [T_{l-1}, T_l], weight (y - T_{l-1})/h
+    left = (m1[..., :-1] - (grid - h) * m0[..., :-1]) / h
+    # descending wing on [T_l, T_{l+1}], weight (T_{l+1} - y)/h
+    w = left + ((grid + h) * m0[..., 1:] - m1[..., 1:]) / h
+    w[..., M] = left[..., M] + (1.0 - F[..., M + 1])
+    return w
+
+
 def beta_split_deposition(totals: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Row-stochastic deposition of a Beta(3/2,3/2) split onto hat functions.
 
     Row s gives the expected nodal weights of an energy drawn as totals[s]*X,
     X ~ Beta(3/2,3/2); any mass beyond the last node is folded into it.  The
     closed-form F and G (``_beta32_cdf_and_moment``) are evaluated once per
-    row on the M+3 edges T_{-1} .. T_{M+1}; their differences are the mass
-    and first moment of every interval, which give both wings of each hat.
+    row on the grid's edges (``_hat_weights``); a zero total deposits on T_0.
     """
     totals = np.asarray(totals, dtype=float)
-    M = grid.size - 1
-    h = grid[1] - grid[0]
-    D = np.zeros((totals.size, M + 1))
+    D = np.zeros((totals.size, grid.size))
     pos = totals > 0.0
     S = totals[pos][:, None]
-    edges = np.concatenate(([grid[0] - h], grid, [grid[M] + h]))
-    F, G = _beta32_cdf_and_moment(np.clip(edges / S, 0.0, 1.0))
-    # interval i = [T_{i-1}, T_i]: mass m0[:, i], energy moment m1[:, i]
-    m0 = np.diff(F, axis=1)
-    m1 = S * np.diff(G, axis=1)
-    # ascending wing on [T_{m-1}, T_m], weight (y - T_{m-1})/h
-    left = (m1[:, :-1] - (grid - h) * m0[:, :-1]) / h
-    # descending wing on [T_m, T_{m+1}], weight (T_{m+1} - y)/h
-    block = left + ((grid + h) * m0[:, 1:] - m1[:, 1:]) / h
-    # last node: ascending wing plus the whole overflow tail beyond T_M
-    block[:, M] = left[:, M] + (1.0 - F[:, M + 1])
-    D[pos] = block
+    D[pos] = _hat_weights(lambda e: _beta32_cdf_and_moment(np.clip(e / S, 0.0, 1.0)),
+                          S, grid)
     D[~pos, 0] = 1.0
     D /= D.sum(axis=1, keepdims=True)
     return D
@@ -394,28 +403,14 @@ def _scatter(gains: np.ndarray, idx: np.ndarray, frac: np.ndarray,
     np.add.at(gains, idx + 1, mass * frac)
 
 
-def _gamma_partial_moments(x_lo, x_hi, beta: float):
-    """(mass, first moment) of Gamma(3/2, beta) on [max(x_lo, 0), x_hi]."""
-    x_lo = np.clip(x_lo, 0.0, None)
-    m0 = gammainc(1.5, beta * x_hi) - gammainc(1.5, beta * x_lo)
-    m1 = (1.5 / beta) * (gammainc(2.5, beta * x_hi) - gammainc(2.5, beta * x_lo))
-    return m0, m1
-
-
 def _bath_hat_projection(grid: np.ndarray, beta: float) -> np.ndarray:
-    """Weights b[l] = E[hat_l(xi)], xi ~ Gamma(3/2, beta): the bath law carried
-    onto the grid's hat functions, which keeps its mass and mean energy.
+    """Weights b[l] = E[hat_l(xi)], xi ~ Gamma(3/2, beta): the bath law on the
+    grid's hat functions, normalized to unit mass."""
+    def law(edges):
+        x = beta * np.clip(edges, 0.0, None)
+        return gammainc(1.5, x), gammainc(2.5, x)
 
-    Mass beyond the last node is folded into it.
-    """
-    M = grid.size - 1
-    h = grid[1] - grid[0]
-    # ascending wing on [T_{l-1}, T_l], descending wing on [T_l, T_{l+1}]
-    m0, m1 = _gamma_partial_moments(grid - h, grid, beta)
-    left = (m1 - (grid - h) * m0) / h
-    m0, m1 = _gamma_partial_moments(grid, grid + h, beta)
-    b = left + ((grid + h) * m0 - m1) / h
-    b[M] = left[M] + gammaincc(1.5, beta * grid[M])
+    b = _hat_weights(law, 1.5 / beta, grid)
     return b / b.sum()
 
 
@@ -425,21 +420,31 @@ def _bath_hat_projection(grid: np.ndarray, beta: float) -> np.ndarray:
 class BoltzmannIntegrator:
     """Conservative RK4 integrator for the discretized kinetic equation.
 
-    Operates on per-type mass vectors rho[j, k] = p(j, T_k) w_k.  Binary gain
-    terms are evaluated through the pair-total convolution: conv[s] =
-    sum_{k+l=s} rho_j[k] rho_j'[l] collects collisions with total energy s*h,
-    and a precomputed row-stochastic matrix redistributes each total through
-    the Beta split.  Bath contact reuses that matrix: the partner's energy is
-    the bath law projected onto the grid's hat functions, b[l], so node k
-    meets node l at pair total k + l and heat_H[k] = b @ split_D[k : k+M+1].
-    Slow outcomes with the same chemical-energy shift share one matrix, the
-    zero shift sharing split_D.  Each rhs call sums the weighted convolutions
-    per destination type and applies each distinct matrix once.
+    Operates on per-type mass vectors rho[j, k] = p(j, T_k) w_k.  Every pair
+    collision is one term (j, jp, j1, j1p, coef, D, s_min) of
+    ``binary_terms``: type j meets type jp at rate coef per unit mass of jp,
+    its slot becomes type j1 (the partner's new type j1p is carried by the
+    term of the swapped pair), and the pair total less the chemical energy the outcome takes up
+    is redrawn as a Beta(3/2, 3/2) split through the row-stochastic matrix
+    D.  A pair can react only from pair-total index s_min on, where the total
+    clears that energy; the rows of D below s_min are zero.  Fast collisions
+    come first: they keep both types, shift no chemical energy and have
+    threshold 0.  Terms with the same shift share one D, the zero shift's
+    being ``split_D``.
+
+    The one list gives every binary part of ``rhs`` and ``max_out_rate``.
+    Gains go through the pair-total convolution conv[s] = sum_{k+l=s}
+    rho_j[k] rho_jp[l]: each call sums the weighted convolutions per
+    destination type and applies each distinct D once.  Losses read the mass
+    of jp above the threshold, nodes l >= s_min - k.  Bath contact is a
+    collision with a partner drawn from the bath law, carried onto the grid's
+    hat functions by the projection (``_hat_weights``) that also builds D:
+    as b[l], node k meets node l at pair total k + l, so heat_H[k] = b @
+    split_D[k : k+M+1].
     """
 
     def __init__(self, spec: EnsembleSpec, grid: np.ndarray, *,
-                 enable_slow_binary: bool = False):
-        self.spec = spec
+                 enable_slow_binary: bool = True):
         self.grid = np.asarray(grid, dtype=float)
         self.h = float(self.grid[1] - self.grid[0])
         self.weights = _trapezoid_weights(self.grid)
@@ -466,99 +471,78 @@ class BoltzmannIntegrator:
                 idx, frac = shift_deposition(self.grid, K[j] - K[j1])
                 self.unary_terms.append((j, j1, rate, idx, frac))
 
-        # fast and heat channels share the pair-total split
+        # one split deposition per chemical-energy shift dK of an outcome;
+        # the rows whose pair total misses the deficit are zero
+        pair_totals = np.arange(2 * M + 1) * self.h
+        depositions = {}
+
+        def split(dK):
+            if dK not in depositions:
+                totals = pair_totals + dK
+                depositions[dK] = (beta_split_deposition(np.maximum(totals, 0.0), self.grid)
+                                   * (totals >= 0.0)[:, None])
+            return depositions[dK]
+
         self.f_eff = spec.scale_fast * np.array(r.fast_binary, dtype=float) \
             if J else np.zeros((0, 0))
-        self.has_fast = bool(J) and float(np.max(self.f_eff, initial=0.0)) > 0.0
-        self.heat_eff = spec.scale_heat * r.heat_rate
-        pair_totals = np.arange(2 * M + 1) * self.h
-        self.split_D = None
-        if self.has_fast or self.heat_eff > 0.0:
-            self.split_D = beta_split_deposition(pair_totals, self.grid)
+        self.binary_terms = [(int(j), int(jp), int(j), int(jp), 2.0 * self.f_eff[j, jp],
+                              split(0.0), 0) for j, jp in zip(*np.nonzero(self.f_eff))]
+        if enable_slow_binary and r.slow_fn is not None:
+            raise ValueError("mean-field slow binary supports constant rates only")
+        bmat = np.array(r.slow_binary, dtype=float) if enable_slow_binary else np.zeros((J, J))
+        for j in range(J):
+            for jp in range(J):
+                if bmat[j, jp] == 0.0:
+                    continue
+                # engine picks the ordered pair uniformly, so the effective
+                # first-slot kernel is the swap-symmetrized one
+                eff = {}
+                for (a, bb), prob in r.binary_kernel.outcomes(j + 1, jp + 1):
+                    eff[(a - 1, bb - 1)] = eff.get((a - 1, bb - 1), 0.0) + 0.5 * prob
+                for (a, bb), prob in r.binary_kernel.outcomes(jp + 1, j + 1):
+                    eff[(bb - 1, a - 1)] = eff.get((bb - 1, a - 1), 0.0) + 0.5 * prob
+                for (j1, j1p), prob in eff.items():
+                    dK = (K[j] + K[jp]) - (K[j1] + K[j1p])
+                    s_min = int(np.count_nonzero(pair_totals + dK < 0.0))
+                    self.binary_terms.append(
+                        (j, jp, j1, j1p, 2.0 * bmat[j, jp] * prob, split(dK), s_min))
 
         # heat channel: a collision with a partner drawn from the bath law
+        self.heat_eff = spec.scale_heat * r.heat_rate
         if self.heat_eff > 0.0:
             b = _bath_hat_projection(self.grid, r.bath_beta)
             # heat_H[k] = sum_l b[l] split_D[k + l]: one product with the band
             # matrix whose row k holds b in columns k .. k+M
             pad = np.zeros(M)
             band = sliding_window_view(np.concatenate((pad, b, pad)), 2 * M + 1)
-            self.heat_H = band[::-1] @ self.split_D
+            self.heat_H = band[::-1] @ split(0.0)
+        self.split_D = depositions.get(0.0)
 
-        # slow binary channel (constant rates only)
-        self.slow_terms = []
-        self.has_slow = False
-        if enable_slow_binary:
-            if r.slow_fn is not None:
-                raise ValueError("mean-field slow binary supports constant rates only")
-            bmat = np.array(r.slow_binary, dtype=float)
-            if float(np.max(bmat, initial=0.0)) > 0.0:
-                self.has_slow = True
-                kernel = r.binary_kernel
-                # outcomes with the same energy shift share one deposition
-                depositions = {} if self.split_D is None else {0.0: self.split_D}
-                for j in range(J):
-                    for jp in range(J):
-                        b = bmat[j, jp]
-                        if b == 0.0:
-                            continue
-                        # engine picks the ordered pair uniformly, so the
-                        # effective first-slot kernel is the swap-symmetrized one
-                        eff = {}
-                        for (a, bb), prob in kernel.outcomes(j + 1, jp + 1):
-                            eff[(a - 1, bb - 1)] = eff.get((a - 1, bb - 1), 0.0) + 0.5 * prob
-                        for (a, bb), prob in kernel.outcomes(jp + 1, j + 1):
-                            eff[(bb - 1, a - 1)] = eff.get((bb - 1, a - 1), 0.0) + 0.5 * prob
-                        for (j1, j1p), prob in eff.items():
-                            dK = (K[j] + K[jp]) - (K[j1] + K[j1p])
-                            totals = pair_totals + dK
-                            ok = totals >= 0.0
-                            if dK not in depositions:
-                                D = np.zeros((totals.size, M + 1))
-                                if ok.any():
-                                    D[ok] = beta_split_deposition(totals[ok], self.grid)
-                                depositions[dK] = D
-                            D = depositions[dK]
-                            # smallest pair-total index with E >= 0
-                            s_min = int(np.argmax(ok)) if ok.any() else totals.size
-                            self.slow_terms.append(
-                                (j, jp, j1, j1p, 2.0 * b * prob, D, s_min, ok))
         # gains, by linearity: per deposition matrix, each destination type
         # sums its weighted pair convolutions, deposited by one product per
-        # rhs call.  Slow gains need no threshold mask: the rows of D whose
-        # pair total misses the chemical-energy deficit are zero.
-        gains = [(self.split_D, int(j), (int(j), int(jp)), 2.0 * self.f_eff[j, jp])
-                 for j, jp in zip(*np.nonzero(self.f_eff))] if self.has_fast else []
-        gains += [(D, j1, (j, jp), coef)
-                  for j, jp, j1, j1p, coef, D, s_min, ok in self.slow_terms]
-        # conv(j, jp) == conv(jp, j): each unordered type pair once per call
-        self.conv_pairs = sorted({tuple(sorted(pair)) for _, _, pair, _ in gains})
-        groups = {}
-        for D, dest, pair, w in gains:
+        # rhs call; conv(j, jp) == conv(jp, j), so each unordered type pair
+        # is convolved once per call.  Losses: node k of type j meets jp
+        # only at nodes l >= s_min - k, and terms with the same pair and
+        # threshold share one coefficient.
+        self.conv_pairs = sorted({tuple(sorted(t[:2])) for t in self.binary_terms})
+        groups, loss = {}, {}
+        for j, jp, j1, j1p, coef, D, s_min in self.binary_terms:
             _, weights = groups.setdefault(id(D), (D, {}))
-            key = (dest, self.conv_pairs.index(tuple(sorted(pair))))
-            weights[key] = weights.get(key, 0.0) + w
+            key = (j1, self.conv_pairs.index(tuple(sorted((j, jp)))))
+            weights[key] = weights.get(key, 0.0) + coef
+            loss[j, jp, s_min] = loss.get((j, jp, s_min), 0.0) + coef
         self.gain_groups = [(D, [(dest, p, w) for (dest, p), w in weights.items()])
                             for D, weights in groups.values()]
-        # slow loss: node k of type j reacts only with partners l >= l_min[k],
-        # where the pair total clears the chemical-energy deficit; outcomes
-        # with the same threshold share one coefficient
-        loss = {}
-        for j, jp, j1, j1p, coef, D, s_min, ok in self.slow_terms:
-            loss[j, jp, s_min] = loss.get((j, jp, s_min), 0.0) + coef
         nodes = np.arange(M + 1)
-        self.slow_loss = [(j, jp, np.clip(s_min - nodes, 0, M + 1), coef)
-                          for (j, jp, s_min), coef in loss.items()]
+        self.binary_loss = [(j, jp, np.clip(s_min - nodes, 0, M + 1), coef)
+                            for (j, jp, s_min), coef in loss.items()]
 
-        # max_out_rate's constant parts, summed in the order of the terms:
-        # per type the largest node of its unary outflow, and its slow
-        # (coef, partner) terms
+        # max_out_rate's constant part: per type the largest node of its
+        # unary outflow
         unary_out = np.zeros((J, M + 1))
         for j, j1, rate, idx, frac in self.unary_terms:
             unary_out[j] += rate
         self.unary_out_max = [float(row.max()) for row in unary_out]
-        self.slow_out = [[(coef, jp) for jj, jp, j1, j1p, coef, D, s_min, ok
-                          in self.slow_terms if jj == j] for j in range(J)]
 
     # -- right-hand side ---------------------------------------------------------
 
@@ -571,56 +555,42 @@ class BoltzmannIntegrator:
             out[j] -= flux
             _scatter(out[j1], idx, frac, flux)
 
-        if self.gain_groups:
+        if self.binary_terms:
             conv = np.array([np.convolve(rho[j], rho[jp]) for j, jp in self.conv_pairs])
             for D, weights in self.gain_groups:
                 W = np.zeros((J, conv.shape[1]))
                 for dest, p, w in weights:
                     W[dest] += w * conv[p]
                 out += W @ D
-
-        if self.has_fast:
-            out -= 2.0 * (self.f_eff @ rho.sum(axis=1))[:, None] * rho
-
-        if self.heat_eff > 0.0:
-            out += self.heat_eff * (rho @ self.heat_H - rho)
-
-        if self.has_slow:
             # suffix[jp, l]: mass of type jp at nodes >= l, 0 past the last
             suffix = np.zeros((J, n_nodes + 1))
             suffix[:, :-1] = np.cumsum(rho[:, ::-1], axis=1)[:, ::-1]
             rate = np.zeros_like(rho)
-            for j, jp, l_min, coef in self.slow_loss:
+            for j, jp, l_min, coef in self.binary_loss:
                 rate[j] += coef * suffix[jp, l_min]
             out -= rate * rho
+
+        if self.heat_eff > 0.0:
+            out += self.heat_eff * (rho @ self.heat_H - rho)
 
         return out
 
     def max_out_rate(self, rho: np.ndarray) -> float:
         """Largest total per-node outflow rate, for the step-size bound.
 
-        Only the unary rates vary over the nodes; every later term adds the
-        same number to each node.  Rounding is monotone, so adding those
-        terms to the largest unary node gives the largest node sum bitwise.
+        Only the unary rates vary over the nodes; each binary term and bath
+        contact add the same number to every node.  Rounding is monotone, so
+        adding those terms to the largest unary node gives the largest node
+        sum bitwise.
         """
         type_mass = rho.sum(axis=1)
-        worst = 0.0
-        for j, r in enumerate(self.unary_out_max):
-            if self.has_fast:
-                r += 2.0 * float(self.f_eff[j] @ type_mass)
-            if self.heat_eff > 0.0:
-                r += self.heat_eff
-            for coef, jp in self.slow_out[j]:
-                r += coef * rho[jp].sum()
-            worst = max(worst, float(r))
-        return worst
+        out = list(self.unary_out_max)
+        for j, jp, j1, j1p, coef, D, s_min in self.binary_terms:
+            out[j] += coef * type_mass[jp]
+        return float(max((r + self.heat_eff for r in out), default=0.0))
 
     def step(self, rho: np.ndarray, dt: float) -> np.ndarray:
-        k1 = self.rhs(rho)
-        k2 = self.rhs(rho + 0.5 * dt * k1)
-        k3 = self.rhs(rho + 0.5 * dt * k2)
-        k4 = self.rhs(rho + dt * k3)
-        return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return rk4_step(self.rhs, rho, dt)
 
 
 @dataclass
@@ -640,8 +610,11 @@ class MeanFieldTrajectory:
 def integrate_boltzmann(field: DensityField, spec: EnsembleSpec, t_end: float,
                         dt: Optional[float] = None, *,
                         sample_every: Optional[float] = None,
-                        enable_slow_binary: bool = False) -> MeanFieldTrajectory:
+                        enable_slow_binary: bool = True) -> MeanFieldTrajectory:
     """March the density field to t_end with fixed-step RK4.
+
+    Every channel the spec sets runs, slow binary included unless
+    ``enable_slow_binary`` is False; a ``slow_fn`` plug-in raises ValueError.
 
     The step must satisfy dt * (max total outflow rate) <= 0.5; a violating
     request raises ValueError.  The field is clipped to nonnegative values and

@@ -412,7 +412,7 @@ def series_marginal(model: PairModel, mu0, t: float, n_max: int,
 
 
 def series_marginal_semigroup(model: PairModel, mu0, t: float, n_max: int,
-                              n_steps: int, renormalize: bool = True):
+                              n_steps: int):
     """Limit-dynamics marginal over horizons where a single truncation fails.
 
     The limiting one-particle dynamics is a time-homogeneous (nonlinear)
@@ -431,8 +431,7 @@ def series_marginal_semigroup(model: PairModel, mu0, t: float, n_max: int,
         res = series_marginal(model, mu, dt, n_max, n_particles=None)
         mu = res.marginal
         tail_total += res.tail_bound
-        if renormalize:
-            mu = mu / mu.sum()
+        mu = mu / mu.sum()
     return mu, tail_total
 
 

@@ -110,22 +110,22 @@ def _write_json(path: Path, data) -> str:
 
 
 def matched_two_species(beta: float, k1: float = 0.0, k2: float = 1.0,
-                        w12: float = 1.0, w21: float = 1.0,
-                        mass1: float = 1.0):
+                        w12: float = 1.0, w21: float = 1.0):
     """Two species whose thermodynamic equilibrium constant equals the
     stationary ratio of the effective two-state chain.
 
     The chain fixes the equilibrium ratio rho = w21 / (g_beta(k2-k1) w12);
     demanding kappa = exp(-beta dG0) = rho pins the mass ratio, i.e. the
     rates and the state functions describe the same equilibrium (the rate
-    choice is unique up to the overall time scale).  Returns (species, rho).
+    choice is unique up to the overall time scale).  Species 1 has unit
+    mass.  Returns (species, rho).
     """
     if k2 < k1:
         raise ValueError("expects k1 <= k2")
     g = MF.survival_gbeta(k2 - k1, beta)
     rho = w21 / (g * w12)
-    mass2 = mass1 * (rho * math.exp(-beta * (k2 - k1))) ** (2.0 / 3.0)
-    species = (SpeciesSpec(1, mass1, 3, k1), SpeciesSpec(2, mass2, 3, k2))
+    mass2 = (rho * math.exp(-beta * (k2 - k1))) ** (2.0 / 3.0)
+    species = (SpeciesSpec(1, 1.0, 3, k1), SpeciesSpec(2, mass2, 3, k2))
     return species, rho
 
 
@@ -200,11 +200,10 @@ def _thermo_table(times, concentrations, mean_T, spec: EnsembleSpec):
     chain's equilibrium at the same total concentration."""
     beta = spec.rates.bath_beta
     v12, v21 = MF.reduced_two_state(spec)
-    ratio = v21 / v12
     rows = []
     for t, c, mt in zip(times, concentrations, mean_T):
         ct = float(np.sum(c))
-        c_eq = np.array([ct * ratio / (1 + ratio), ct / (1 + ratio)])
+        c_eq = np.array(MF.two_state_equilibrium(v21 / v12, ct))
         # a vanished species has mu = -inf; the clamp keeps g, H and A finite
         pt = TH.ThermoPoint(beta, tuple(np.maximum(c, 1e-300)), spec.species)
         pots = TH.potentials(pt, 1.0)
@@ -372,9 +371,8 @@ def scenario_redistribution(seed: int, *, direction: str = "exothermic",
         if first_table is None:
             first_table = col.table()
 
-    c1e = rho / (1.0 + rho)
     pt0 = TH.ThermoPoint(beta, start, species)
-    pte = TH.ThermoPoint(beta, (c1e, 1.0 - c1e), species)
+    pte = TH.ThermoPoint(beta, MF.two_state_equilibrium(rho), species)
     dH = TH.hess_delta_H(pt0, pte, volume)
     q_mean = float(np.mean(qs))
     q_se = ST.stderr_mean(qs)
@@ -409,10 +407,8 @@ def scenario_hess(seed: int, *, n: int = 1500, beta: float = 1.0,
                               scale_fast=scale, scale_heat=scale,
                               weights=start, seed=seed)
         v12, v21 = MF.reduced_two_state(spec)
-        ratio = v21 / v12
-        c1e = ratio / (1.0 + ratio)
         pt0 = TH.ThermoPoint(beta, start, species)
-        pte = TH.ThermoPoint(beta, (c1e, 1.0 - c1e), species)
+        pte = TH.ThermoPoint(beta, MF.two_state_equilibrium(v21 / v12), species)
         d_hs.append(TH.hess_delta_H(pt0, pte, volume))
         reps = []
         for r in range(replicas):

@@ -8,7 +8,7 @@ import pytest
 from jsonschema import validate as validate_schema
 
 from kinchem.cli import build_parser, main
-from kinchem.model import load_config, save_config
+from kinchem.model import TypeKernel, load_config, save_config
 from kinchem.scenarios import SUMMARY_SCHEMA
 from conftest import make_two_state
 
@@ -163,6 +163,35 @@ def test_sim_meanfield_engine(tmp_path, config_path):
                  "--grid-size", "96", "--out", str(out)])
     assert code == 0
     assert (out / "meanfield_trajectory.csv").exists()
+
+
+def test_sim_meanfield_engine_runs_the_slow_channel(tmp_path):
+    # the kinetic equation used to drop a configured slow channel, so these
+    # two runs wrote byte-identical trajectories
+    kernel = TypeKernel(kind="table", table=(((1, 1), (((2, 2), 1.0),)),
+                                             ((2, 2), (((1, 1), 1.0),))))
+    written = []
+    for slow in (0.0, 5.0):
+        path = tmp_path / f"slow{slow}.yaml"
+        save_config(make_two_state(n=80, heat=1.0, scale_heat=1.0, slow=slow,
+                                   kernel=kernel), path)
+        out = tmp_path / f"mf{slow}"
+        assert main(["sim", "--config", str(path), "--engine", "meanfield",
+                     "--t-end", "0.5", "--sample-every", "0.25",
+                     "--grid-size", "48", "--out", str(out)]) == 0
+        written.append((out / "meanfield_trajectory.csv").read_bytes())
+    assert written[0] != written[1]
+
+
+def test_sim_seed_reaches_the_particle_run(tmp_path, config_path):
+    written = []
+    for run, seed in enumerate(("5", "5", "6")):
+        out = tmp_path / f"run{run}"
+        assert main(["sim", "--config", str(config_path), "--t-end", "0.5",
+                     "--seed", seed, "--out", str(out)]) == 0
+        written.append((out / "trajectory.csv").read_bytes())
+    assert written[0] == written[1]
+    assert written[0] != written[2]
 
 
 @pytest.mark.parametrize("engine", ["particle", "meanfield", "reduced"])

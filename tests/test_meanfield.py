@@ -262,9 +262,10 @@ def test_zero_shift_slow_outcomes_share_the_split_deposition(monkeypatch):
                         lambda *a: calls.append(1) or split(*a))
     integ = MF.BoltzmannIntegrator(spec, grid, enable_slow_binary=True)
     K = spec.chem_energies()
-    zero = [t for t in integ.slow_terms if K[t[0]] + K[t[1]] == K[t[2]] + K[t[3]]]
+    slow = integ.binary_terms[np.count_nonzero(integ.f_eff):]
+    zero = [t for t in slow if K[t[0]] + K[t[1]] == K[t[2]] + K[t[3]]]
     assert zero and all(t[5] is integ.split_D for t in zero)
-    assert len(zero) < len(integ.slow_terms)
+    assert len(zero) < len(slow)
     # one deposition per distinct shift: 0 and +-2 K2
     assert len(calls) == 3
 
@@ -419,7 +420,9 @@ def _per_term_rhs(integ, rho):
                 out[j] += 2.0 * integ.f_eff[j, jp] * (
                     np.convolve(rho[j], rho[jp]) @ integ.split_D)
         out[j] += integ.heat_eff * (rho[j] @ integ.heat_H - rho[j])
-    for j, jp, j1, j1p, coef, D, s_min, ok in integ.slow_terms:
+    # the slow outcomes follow the fast terms in the integrator's term list
+    for j, jp, j1, j1p, coef, D, s_min in integ.binary_terms[np.count_nonzero(integ.f_eff):]:
+        ok = np.arange(2 * n - 1) >= s_min
         suffix = np.concatenate((np.cumsum(rho[jp][::-1])[::-1], [0.0]))
         l_min = np.clip(s_min - np.arange(n), 0, n)
         out[j] -= coef * rho[j] * suffix[l_min]
@@ -432,7 +435,7 @@ def test_grouped_rhs_matches_per_term_reference(seed):
     spec = _reactive_spec()
     grid = MF.energy_grid(1.0, spec.chem_energies(), m=96)
     integ = MF.BoltzmannIntegrator(spec, grid, enable_slow_binary=True)
-    assert len({id(t[5]) for t in integ.slow_terms}) == 5
+    assert len({id(t[5]) for t in integ.binary_terms[np.count_nonzero(integ.f_eff):]}) == 5
     rho = np.random.default_rng(seed).random((2, grid.size))
     rho /= rho.sum()
     ref = _per_term_rhs(integ, rho)
@@ -463,7 +466,7 @@ def test_clipped_mass_is_reported_on_the_four_channel_model():
 
 def _max_out_rate_loop(integ, rho):
     # the per-call loop max_out_rate replaced: each type's unary vectors and
-    # slow terms summed again on every call, then the largest node
+    # binary terms summed again on every call, then the largest node
     type_mass = rho.sum(axis=1)
     worst = 0.0
     for j in range(rho.shape[0]):
@@ -471,14 +474,10 @@ def _max_out_rate_loop(integ, rho):
         for jj, j1, rate, idx, frac in integ.unary_terms:
             if jj == j:
                 r += rate
-        if integ.has_fast:
-            r += 2.0 * float(integ.f_eff[j] @ type_mass)
-        if integ.heat_eff > 0.0:
-            r += integ.heat_eff
-        if integ.has_slow:
-            for jj, jp, j1, j1p, coef, D, s_min, ok in integ.slow_terms:
-                if jj == j:
-                    r += coef * rho[jp].sum()
+        for jj, jp, j1, j1p, coef, D, s_min in integ.binary_terms:
+            if jj == j:
+                r += coef * type_mass[jp]
+        r += integ.heat_eff
         worst = max(worst, float(r.max()))
     return worst
 
@@ -488,7 +487,8 @@ def test_max_out_rate_bitwise_equals_per_call_loop(slow):
     spec = _reactive_spec()
     grid = MF.energy_grid(1.0, spec.chem_energies(), m=64)
     integ = MF.BoltzmannIntegrator(spec, grid, enable_slow_binary=slow)
-    assert integ.unary_terms and integ.has_slow == slow
+    n_fast = np.count_nonzero(integ.f_eff)
+    assert integ.unary_terms and (len(integ.binary_terms) > n_fast) == slow
     rng = np.random.default_rng(7)
     for _ in range(50):
         rho = rng.random((2, grid.size)) * rng.exponential(1.0, (2, 1))
