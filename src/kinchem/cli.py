@@ -169,7 +169,7 @@ def _cmd_sim(args) -> int:
     else:
         c0 = spec.initial_distribution.type_weights
         red = MF.reduced_macro_ode(MF.MacroState(beta, c0), spec, args.t_end,
-                                   n_samples=int(args.t_end / sample) + 1)
+                                   sample_every=sample)
         times = red.times
         concs = red.concentrations
         mean_T = [1.5 / beta] * len(times)

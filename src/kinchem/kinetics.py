@@ -16,9 +16,9 @@ time discretization.  Between jumps particles fly freely on the 3-torus;
 positions are advanced lazily, which keeps the per-event cost O(1): a
 particle flies to the event time when it jumps, and every particle flies to
 the sample time, in one vector expression per axis, when an observer
-samples.  Speeds ``spd`` and flight clocks ``last_t`` are kept current
-during a run only when it tracks positions; an untracked run writes them
-back when it ends.
+samples.  An untracked run moves no particle: positions and directions stay
+as they were, and when it ends it recomputes every speed ``spd`` from its
+energy and sets every flight clock ``last_t`` to its end time.
 
 With ``record_events`` a run logs each accepted event as one row of plain
 floats, ints and strings in an ``EventLog``; no object is kept per event, so
@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .model import EnsembleSpec, validate_spec
+from .model import EnsembleSpec, sample_times, validate_spec
 
 __all__ = [
     "EnsembleState",
@@ -55,25 +55,20 @@ CHANNELS = ("unary", "slow_binary", "fast_binary", "heat")
 
 
 def split_energy(total: float, frac: float):
-    """Split ``total`` as (t1, t2) with t1 + t2 == total exactly in floats.
+    """Split ``total`` at ``frac`` in [0, 1] as (t1, t2), both >= 0, with
+    t1 + t2 == total exactly in floats; a total <= 0 gives (0.0, 0.0).
 
-    The naive t1 = total*frac, t2 = total - t1 can miss closure by one ulp;
-    t1 is nudged until the float sum reproduces ``total`` bitwise, so pair
-    events never leak energy into the ledger.
+    Closure holds by construction (Sterbenz's lemma: y/2 <= x <= 2y makes
+    x - y exact).  Let p = fl(total*frac), so 0 <= p <= total, and
+    t2 = fl(total - p).  If p >= total/2, then t2 = total - p exactly and
+    t1 = total - t2 = p.  Otherwise t2 >= total/2, and t1 = total - t2 is
+    exact.  Either way t1 + t2 == total bitwise, so pair events never leak
+    energy into the ledger.
     """
     if total <= 0.0:
         return 0.0, 0.0
-    t1 = total * frac
-    t2 = total - t1
-    t1 = total - t2
-    for _ in range(8):
-        s = t1 + t2
-        if s == total:
-            break
-        t1 = math.nextafter(t1, 0.0 if s > total else math.inf)
-    if t1 < 0.0:
-        t1 = 0.0
-    return t1, t2
+    t2 = total - total * frac
+    return total - t2, t2
 
 
 @dataclass
@@ -93,9 +88,9 @@ class EventLog:
     A row holds only floats, ints, the channel string and ``None`` (the
     second participant's fields of a one-particle event), so recording an
     event allocates no object the garbage collector tracks.  ``rows()`` and
-    ``column()`` read the values as they are; indexing and iteration build
-    one ``EventRecord`` per event on demand.  A log equals another log, or a
-    list of records, that holds the same events.
+    ``column()`` read the values as they are; iteration builds one
+    ``EventRecord`` per event on demand.  A log equals another log that holds
+    the same events.
     """
 
     columns = ("time", "channel", "i", "j", "type_before", "T_before",
@@ -128,18 +123,9 @@ class EventLog:
     def __iter__(self):
         return map(self._record, self.rows())
 
-    def __getitem__(self, k):
-        width = len(self.columns)
-        picked = range(len(self))[k]
-        if isinstance(picked, range):
-            return [self[m] for m in picked]
-        return self._record(self._flat[picked * width:(picked + 1) * width])
-
     def __eq__(self, other):
         if isinstance(other, EventLog):
             return self._flat == other._flat
-        if isinstance(other, list):
-            return list(self) == other
         return NotImplemented
 
 
@@ -254,11 +240,6 @@ class EnsembleState:
         mass = np.asarray(self.species_mass, dtype=float)[self.types]
         np.frombuffer(self.spd)[:] = np.sqrt(2.0 * energy / mass)
 
-    def set_direction(self, i: int, dx: float, dy: float, dz: float) -> None:
-        self.dirx[i] = dx
-        self.diry[i] = dy
-        self.dirz[i] = dz
-
     # -- views ----------------------------------------------------------------
 
     def type_counts(self) -> np.ndarray:
@@ -361,10 +342,13 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
 
     Exact competing-clock simulation: one Poisson proposal stream per channel
     at a constant bounding rate, thinned to the true state-dependent rates.
-    Observers are called with a Snapshot at t0 and then every ``sample_every``
-    time units (and at t_end).  ``track_positions=False`` skips free flight
-    and direction resampling for runs whose observables ignore geometry; the
-    law of (types, energies) is unchanged.
+    Observers are called with a Snapshot at each instant of
+    ``model.sample_times(t0, t_end, sample_every)``: t0 + k*sample_every, then
+    t_end (or the time of the last event, when ``max_events`` stops the run
+    first).  ``track_positions=False`` skips free flight and direction
+    resampling for runs whose observables ignore geometry; the law of (types,
+    energies) is unchanged, positions and directions stay as they were, and
+    every flight clock ends at the run's end time.
 
     Every variate comes from one ``numpy.random.Generator`` seeded with 128
     bits of ``rng`` (built from ``seed``, or ``spec.rng_seed + 1``, when not
@@ -375,8 +359,9 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
     events in time order (empty unless record_events).  Raises ValueError if
     ``spec`` fails ``validate_spec``, if ``t_end`` is not >= ``state.sim_time``
     (NaN included), if ``t_end`` is infinite and no ``max_events`` bounds the
-    run, or if observers are given with a ``sample_every`` that is not
-    positive and finite.
+    run, if ``t_end`` is infinite and every channel's proposal rate is 0, or
+    if observers are given with a ``sample_every`` that is not positive and
+    finite.
     """
     _require_valid(spec)
     if not t_end >= state.sim_time:        # also rejects NaN
@@ -384,11 +369,7 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
     if max_events is None and t_end == math.inf:
         raise ValueError("t_end must be finite unless max_events is given")
     observers = tuple(observers)
-    if observers and sample_every is not None and not 0.0 < sample_every < math.inf:
-        raise ValueError(f"sample_every must be positive and finite, got {sample_every!r}")
-    if rng is None:
-        rng = random.Random(spec.rng_seed + 1 if seed is None else seed)
-    gen = np.random.default_rng(rng.getrandbits(128))
+    clock = sample_times(state.sim_time, t_end, sample_every) if observers else None
     n = state.n
     J = spec.n_types
     K = state.species_K
@@ -405,6 +386,12 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
     R_fast = (n - 1) * spec.scale_fast * fmax
     R_heat = n * spec.scale_heat * r.heat_rate
     R_total = R_unary + R_slow + R_fast + R_heat
+    if R_total == 0.0 and t_end == math.inf:
+        # no proposal ever comes, and no horizon is ever reached
+        raise ValueError("t_end must be finite when every channel's rate is 0")
+    if rng is None:
+        rng = random.Random(spec.rng_seed + 1 if seed is None else seed)
+    gen = np.random.default_rng(rng.getrandbits(128))
     c1 = R_unary
     c2 = c1 + R_slow
     c3 = c2 + R_fast
@@ -419,9 +406,6 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
 
     types = state.types
     T = state.energies
-    # an untracked run stamps last_t on every event: a list store is cheaper
-    # than an array store, and the finally block copies the list back
-    last_t = None if track_positions else state.last_t.tolist()
     events = EventLog()
     log = events._flat.extend
     # per-channel counters and the Neumaier bath sum live in locals during the
@@ -454,12 +438,7 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
             set_energy(i, e)
             dirx[i], diry[i], dirz[i] = _random_direction(normal)
 
-    last_emit = [None]
-
     def emit(t_obs):
-        if t_obs == last_emit[0]:
-            return
-        last_emit[0] = t_obs
         state.sim_time = t_obs
         # a tracked snapshot flushes every position to t_obs, once
         snap = state.snapshot(with_positions=track_positions)
@@ -469,9 +448,8 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
     t = state.sim_time
     next_obs = None
     if observers:
-        emit(t)
-        if sample_every is not None:
-            next_obs = t + sample_every
+        emit(next(clock))
+        next_obs = next(clock, None)
     # the loop looks up from the events only once t_next reaches t_stop, the
     # next sample time or the horizon; -inf makes the first proposal set it
     t_stop = -math.inf
@@ -483,13 +461,14 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
             t_next = t + waiting() / R_total if R_total > 0.0 else math.inf
             if t_next >= t_stop:
                 _write_back(state, q, qc, props, accs, noops)
-                while next_obs is not None and next_obs <= min(t_next, t_end):
+                # the clock ends at t_end, so no sample time lies beyond it
+                while next_obs is not None and next_obs <= t_next:
                     emit(next_obs)
-                    next_obs += sample_every
+                    next_obs = next(clock, None)
                 if t_next > t_end:
                     t = t_end
                     break
-                t_stop = t_end if next_obs is None else min(next_obs, t_end)
+                t_stop = t_end if next_obs is None else next_obs
             t = t_next
 
             u = uniform() * R_total
@@ -533,7 +512,6 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
                     relaunch(i, t, T1)
                 else:
                     T[i] = T1
-                    last_t[i] = t
                 accs[0] += 1
                 if record_events:
                     log((t, "unary", i, None, j0 + 1, Ti, j1 + 1, T1,
@@ -582,7 +560,6 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
                     relaunch(j, t, t2)
                 else:
                     T[i], T[j] = t1, t2
-                    last_t[i] = last_t[j] = t
                 accs[1] += 1
                 if record_events:
                     log((t, "slow_binary", i, j, a + 1, Ti, j1 + 1, t1,
@@ -597,21 +574,16 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
                 if fij < fmax and uniform() * fmax > fij:
                     continue
                 Ti, Tj = T[i], T[j]
-                # split_energy inlined: it would return a first guess that
-                # closes unchanged, so it runs only when the guess misses
+                # split_energy inlined; its guard changes nothing here, since
+                # a zero total splits as 0.0 - 0.0*frac
                 S = Ti + Tj
-                frac = split()
-                t1 = S * frac
-                t2 = S - t1
+                t2 = S - S * split()
                 t1 = S - t2
-                if t1 + t2 != S or S <= 0.0:
-                    t1, t2 = split_energy(S, frac)
                 if track_positions:
                     relaunch(i, t, t1)
                     relaunch(j, t, t2)
                 else:
                     T[i], T[j] = t1, t2
-                    last_t[i] = last_t[j] = t
                 accs[2] += 1
                 if record_events:
                     a, b = types[i] + 1, types[j] + 1
@@ -621,13 +593,9 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
                 props[3] += 1
                 i = particle()
                 Ti = T[i]
+                # split_energy inlined, keeping the particle's share
                 S = Ti + bath()
-                frac = split()
-                t1 = S * frac
-                t2 = S - t1
-                t1 = S - t2
-                if t1 + t2 != S or S <= 0.0:
-                    t1 = split_energy(S, frac)[0]
+                t1 = S - (S - S * split())
                 # Neumaier-compensated bath sum q + qc
                 delta = t1 - Ti
                 s = q + delta
@@ -640,7 +608,6 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
                     relaunch(i, t, t1)
                 else:
                     T[i] = t1
-                    last_t[i] = t
                 accs[3] += 1
                 if record_events:
                     a = types[i] + 1
@@ -651,11 +618,13 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
         if not track_positions:
             # no flight read the speeds, so they were left stale until now
             state.refresh_speeds()
-            state.last_t[:] = array("d", last_t)
+            np.frombuffer(state.last_t)[:] = t
 
+    # state.sim_time is still t0, or the last sample time if observers ran
+    if state.sim_time != t:
+        if observers:
+            emit(t)         # its snapshot flushes the positions
+        elif track_positions:
+            state.flush_all(t)
     state.sim_time = t
-    if observers:
-        emit(t)         # its snapshot flushes the positions
-    elif track_positions:
-        state.flush_all(t)
     return state, events

@@ -35,7 +35,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import integrate as _sintegrate
 from scipy.special import gammainc, gammaincc
 
-from .model import EnsembleSpec
+from .model import EnsembleSpec, sample_times
 
 __all__ = [
     "DensityField",
@@ -185,21 +185,24 @@ def rk4_step(f: Callable, y: np.ndarray, dt: float) -> np.ndarray:
 
 
 def reduced_macro_ode(state: MacroState, spec: EnsembleSpec, t_end: float,
-                      n_samples: int = 201) -> ReducedTrajectory:
+                      sample_every: Optional[float] = None) -> ReducedTrajectory:
     """Integrate the concentration dynamics on the fixed-beta equilibrium
     manifold with Maxwell-averaged unary rates; total concentration is
-    conserved by the antisymmetric flux structure of the vector field.  With
-    t_end = 0 the trajectory is the single row of initial data at t = 0; a
-    negative or non-finite t_end raises ValueError."""
+    conserved by the antisymmetric flux structure of the vector field.
+    Samples are taken at ``model.sample_times(0, t_end, sample_every)``, or
+    at 200 equal intervals when ``sample_every`` is None; with t_end = 0 the
+    trajectory is the single row of initial data at t = 0.  A negative or
+    non-finite t_end, or a bad ``sample_every``, raises ValueError."""
     if not 0.0 <= t_end < math.inf:
         raise ValueError(f"t_end must be nonnegative and finite, got {t_end!r}")
+    times = (np.linspace(0.0, t_end, 201) if sample_every is None
+             else np.fromiter(sample_times(0.0, t_end, sample_every), float))
     v = maxwell_unary_rates(spec, beta=state.beta)
     if t_end == 0.0:        # solve_ivp returns empty lists for an empty span
         return ReducedTrajectory(times=np.zeros(1), beta=state.beta, rates=v,
                                  concentrations=np.array(state.concentrations,
                                                          dtype=float, ndmin=2))
     f = macro_vector_field(v)
-    times = np.linspace(0.0, t_end, n_samples)
     sol = _sintegrate.solve_ivp(
         lambda t, c: f(c), (0.0, t_end), np.asarray(state.concentrations),
         method="DOP853", t_eval=times, rtol=1e-12, atol=1e-14)
@@ -619,14 +622,17 @@ def integrate_boltzmann(field: DensityField, spec: EnsembleSpec, t_end: float,
     The step must satisfy dt * (max total outflow rate) <= 0.5; a violating
     request raises ValueError.  The field is clipped to nonnegative values and
     renormalized after every step; the worst pre-renormalization drift and the
-    total clipped negative mass are reported on the trajectory.  A
-    negative or non-finite ``t_end``, or a ``sample_every`` that is not
-    positive and finite, raises ValueError.
+    total clipped negative mass are reported on the trajectory.
+
+    The step is capped at ``sample_every`` and the last step ends at t_end.
+    Snapshots are taken at the first step on or after each instant of
+    ``model.sample_times(0, t_end, sample_every)`` (instants that share a
+    step share its snapshot), so each is at most one step late.  A negative
+    or non-finite ``t_end``, or a bad ``sample_every``, raises ValueError.
     """
     if not 0.0 <= t_end < math.inf:
         raise ValueError(f"t_end must be nonnegative and finite, got {t_end!r}")
-    if sample_every is not None and not 0.0 < sample_every < math.inf:
-        raise ValueError(f"sample_every must be positive and finite, got {sample_every!r}")
+    clock = sample_times(0.0, t_end, sample_every)
     integ = BoltzmannIntegrator(spec, field.grid, enable_slow_binary=enable_slow_binary)
     w = integ.weights
     rho = field.values * w
@@ -637,21 +643,23 @@ def integrate_boltzmann(field: DensityField, spec: EnsembleSpec, t_end: float,
     if rate * dt > 0.5:
         raise ValueError(
             f"step size violates stability bound: dt*rate = {rate * dt:.3g} > 0.5")
-
-    def snap(t):
-        f = DensityField(field.grid, rho / w)
-        times.append(t)
-        fields.append(f)
+    if sample_every is not None:
+        dt = min(dt, sample_every)
 
     times: list = []
     fields: list = []
-    next_sample = sample_every
-    snap(0.0)
-    t = 0.0
+
+    def snap(t):
+        times.append(t)
+        fields.append(DensityField(field.grid, rho / w))
+    snap(next(clock))
+    next_sample = next(clock, math.inf)
     drift = 0.0
     clipped = 0.0
     n_steps = max(1, math.ceil(t_end / dt)) if t_end > 0 else 0
     dt_actual = t_end / n_steps if n_steps else 0.0
+    # a step within rounding of a clock instant counts as on it
+    slack = 1e-9 * dt_actual
     for k in range(n_steps):
         rho = integ.step(rho, dt_actual)
         clipped -= float(np.minimum(rho, 0.0).sum())
@@ -659,15 +667,14 @@ def integrate_boltzmann(field: DensityField, spec: EnsembleSpec, t_end: float,
         total = rho.sum()
         drift = max(drift, abs(total - 1.0))
         rho /= total
-        t = (k + 1) * dt_actual
-        if next_sample is not None and t + 1e-12 >= next_sample:
+        t = t_end if k == n_steps - 1 else (k + 1) * dt_actual
+        if t + slack >= next_sample:
             snap(t)
-            next_sample += sample_every
+            while next_sample <= t + slack:
+                next_sample = next(clock, math.inf)
         rate = integ.max_out_rate(rho)
         if rate * dt_actual > 0.5:
             raise ValueError(
                 f"step size violates stability bound at t={t:.3g}: "
                 f"dt*rate = {rate * dt_actual:.3g} > 0.5")
-    if not times or times[-1] != t_end:
-        snap(t_end)
     return MeanFieldTrajectory(np.asarray(times), fields, drift, clipped)

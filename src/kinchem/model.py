@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from itertools import chain, count, takewhile
+from typing import Callable, Iterator, Optional
 
 import yaml
 
@@ -28,6 +29,7 @@ __all__ = [
     "save_config",
     "spec_to_dict",
     "spec_from_dict",
+    "sample_times",
 ]
 
 
@@ -243,6 +245,23 @@ class ConfigError(ValueError):
 
 def _finite(x) -> bool:
     return isinstance(x, (int, float)) and math.isfinite(x)
+
+
+def sample_times(t0: float, t_end: float, every: Optional[float] = None) -> Iterator[float]:
+    """The observation clock of every engine, lazily: t0 + k*every while that
+    is below t_end - 1e-9*every, then t_end; t0 and t_end if ``every`` is None.
+
+    Instants are computed from k, never accumulated, so engines given the same
+    arguments sample at the same floats and ``t_end`` may be infinite.  An
+    ``every`` that is not positive and finite raises ValueError.
+    """
+    if every is None:
+        head, stop = (t0,), t_end
+    elif not 0.0 < every < math.inf:
+        raise ValueError(f"sample_every must be positive and finite, got {every!r}")
+    else:
+        head, stop = (t0 + k * every for k in count()), t_end - 1e-9 * every
+    return chain(takewhile(lambda t: t < stop, head), (t_end,))
 
 
 def validate_spec(spec: EnsembleSpec) -> ValidationReport:

@@ -294,7 +294,7 @@ def scenario_unimolecular(seed: int, *, n: int = 400, beta: float = 1.0,
 
     # reduced dynamics: identity g = mu c + S_M/(beta C), monotone g and S_M
     traj = MF.reduced_macro_ode(MF.MacroState(beta, (0.2, 0.8)), spec, 8.0,
-                                n_samples=401)
+                                sample_every=0.02)
     c_eq = traj.equilibrium()
     chk = TH.gibbs_identity_check(traj.times, traj.concentrations, species,
                                   beta, c_eq)
@@ -329,7 +329,7 @@ def scenario_meanfield_vs_mc(seed: int, *, n: int = 10000, beta: float = 1.0,
                               track_positions=False)
     c_mc = np.array(col.counts, dtype=float) / n
     traj = MF.reduced_macro_ode(MF.MacroState(beta, (0.1, 0.9)), spec, t_end,
-                                n_samples=len(col.times))
+                                sample_every=sample_every)
     diff = float(np.max(np.abs(c_mc - traj.concentrations)))
     tol = 3.0 / math.sqrt(n)
     checks = [_check("concentrations_match", diff <= tol, value=diff,
@@ -577,7 +577,7 @@ def scenario_flux_check(seed: int, *, beta: float = 1.0, t_end: float = 6.0,
     v12, v21 = MF.reduced_two_state(spec)
     f = MF.macro_vector_field(MF.maxwell_unary_rates(spec, beta))
     traj = MF.reduced_macro_ode(MF.MacroState(beta, (0.15, 0.85)), spec, t_end,
-                                n_samples=25)
+                                sample_every=t_end / 24)
     worst = 0.0
     rows = []
     for c in traj.concentrations[1:-1]:

@@ -194,6 +194,26 @@ def test_sim_seed_reaches_the_particle_run(tmp_path, config_path):
     assert written[0] != written[2]
 
 
+def _times_written(config_path, out, engine, t_end, every):
+    assert main(["sim", "--config", str(config_path), "--engine", engine,
+                 "--t-end", t_end, "--sample-every", every, "--out", str(out)]) == 0
+    name = "trajectory.csv" if engine == "particle" else f"{engine}_trajectory.csv"
+    with open(out / name) as fh:
+        return [float(row[0]) for row in list(csv.reader(fh))[1:]]
+
+
+@pytest.mark.parametrize("engine", ["particle", "reduced"])
+def test_sim_engines_sample_on_one_clock(tmp_path, config_path, engine):
+    # the particle engine accumulated its sample times (102 rows at t_end 10,
+    # interval 0.1, the last two 9.99999999999998 and 10.0) and the reduced
+    # ODE sampled linspace(0, t_end, n), so they disagreed off binary intervals
+    assert _times_written(config_path, tmp_path / "a", engine, "1", "0.3") == \
+        [0.0, 0.3, 0.6, 0.8999999999999999, 1.0]
+    times = _times_written(config_path, tmp_path / "b", engine, "10", "0.1")
+    assert len(times) == 101 and times[-1] == 10.0
+    assert all(a < b for a, b in zip(times, times[1:]))
+
+
 @pytest.mark.parametrize("engine", ["particle", "meanfield", "reduced"])
 @pytest.mark.parametrize("every", ["0", "-0.5", "inf"])
 def test_sim_rejects_bad_sample_interval(tmp_path, config_path, capsys, engine,

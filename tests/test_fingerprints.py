@@ -171,7 +171,7 @@ def engine_values() -> dict:
     traj = MF.integrate_boltzmann(MF.field_from_spec(spec, grid), spec, 2.0,
                                   sample_every=0.5)
     red = MF.reduced_macro_ode(MF.MacroState(beta, spec.initial_distribution.type_weights),
-                               spec, 2.0, n_samples=5)
+                               spec, 2.0, sample_every=0.5)
     return {
         "integrate_boltzmann/two_state/m=64": {
             "masses": _plain(traj.concentrations()),

@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kinchem import stats as ST
 from kinchem.kinetics import (CHANNELS, EnsembleState, EventLog, run,
@@ -37,6 +37,20 @@ def test_split_energy_closure_property(total, frac):
     assert t1 >= 0.0 and t2 >= 0.0
 
 
+@given(total=st.floats(min_value=5e-324, max_value=1e308),
+       frac=st.floats(min_value=0.0, max_value=1.0))
+@example(total=5e-324, frac=0.5)
+@example(total=2.2250738585072014e-308, frac=0.1)
+@example(total=1e308, frac=0.7)
+@example(total=1.0, frac=1.0)
+def test_split_energy_closes_by_construction_from_subnormal_to_1e308(total, frac):
+    # Sterbenz: either total - fl(total*frac) or total - t2 is exact, so no
+    # total in the float range needs a nudge or a clamp
+    t1, t2 = split_energy(total, frac)
+    assert t1 + t2 == total
+    assert t1 >= 0.0 and t2 >= 0.0
+
+
 @given(total=st.floats(max_value=0.0, allow_infinity=False),
        frac=st.floats(min_value=0.0, max_value=1.0))
 def test_split_energy_of_nonpositive_total_is_zero(total, frac):
@@ -52,7 +66,7 @@ def test_free_flight_identity_and_wrap(two_state_spec_factory):
     state = sample_initial_state(spec, 1)
     # particle 0: speed 1 along x; particle 1: zero energy
     state.x[0], state.y[0], state.z[0] = 0.0, 0.25, 0.5
-    state.set_direction(0, 1.0, 0.0, 0.0)
+    state.dirx[0], state.diry[0], state.dirz[0] = 1.0, 0.0, 0.0
     state.set_energy(0, 0.5)            # speed = sqrt(2*0.5/1) = 1
     state.set_energy(1, 0.0)
     x1_before = (state.x[1], state.y[1], state.z[1])
@@ -115,7 +129,7 @@ def test_flush_all_bitwise_equals_scalar_loop(two_state_spec_factory, n):
         for i in range(n):
             state.x[i], state.y[i], state.z[i] = rng.uniform(0.0, L, 3)
             g = rng.standard_normal(3)
-            state.set_direction(i, *(g / np.linalg.norm(g)))
+            state.dirx[i], state.diry[i], state.dirz[i] = g / np.linalg.norm(g)
             kind = rng.integers(4)
             state.spd[i] = 0.0 if kind == 0 else float(rng.exponential(3.0))
             # kind 1: already at t, a zero step
@@ -188,10 +202,10 @@ def prepared(spec, *particles):
 
 
 def one_event(state, spec, seed=0, t_end=1e9, **kw):
-    """Run until the first accepted event (or t_end); return the event log."""
+    """Run until the first accepted event (or t_end); return its records."""
     _, events = run(state, spec, t_end, seed=seed, max_events=1,
                     record_events=True, **kw)
-    return events
+    return list(events)
 
 
 # -- unary channel ---------------------------------------------------------------
@@ -219,7 +233,7 @@ def test_unary_conservation_arithmetic(two_state_spec_factory):
 def test_unary_direction_resampled(two_state_spec_factory):
     spec = two_state_spec_factory(n=1, k2=0.0, fast=0.0)
     state = prepared(spec, (1, 1.0))
-    state.set_direction(0, 1.0, 0.0, 0.0)
+    state.dirx[0], state.diry[0], state.dirz[0] = 1.0, 0.0, 0.0
     one_event(state, spec, seed=4)
     direction = (state.dirx[0], state.diry[0], state.dirz[0])
     assert state.types == [1]
@@ -558,10 +572,9 @@ def test_event_log_keeps_no_object_per_event(two_state_spec_factory):
     cols = [events.column(name) for name in EventLog.columns]
     assert list(zip(*cols)) == list(events.rows())
     records = list(events)
-    assert len(records) == len(events) and records == events
+    assert len(records) == len(events)
     for k, (t, channel, i, j, a, Ta, a1, Ta1, b, Tb, b1, Tb1) in enumerate(events.rows()):
-        rec = events[k]
-        assert rec == records[k] == events[k - len(events)]
+        rec = records[k]
         assert (rec.time, rec.channel) == (t, channel)
         if j is None:
             assert channel in ("unary", "heat") and b is Tb is b1 is Tb1 is None
@@ -574,7 +587,7 @@ def test_event_log_keeps_no_object_per_event(two_state_spec_factory):
         rec.participants for rec in records if len(rec.participants) == 2)
 
     _, none = run(sample_initial_state(spec, 75), spec, 2.0, seed=76)
-    assert len(none) == 0 and none == [] and list(none.rows()) == []
+    assert len(none) == 0 and list(none) == [] and list(none.rows()) == []
 
 
 def test_heat_only_run_relaxes_to_bath_mean(two_state_spec_factory):
@@ -697,3 +710,53 @@ def test_heat_only_run_counts_every_proposal_as_event(two_state_spec_factory,
         assert events > 25 and state.sim_time == 10.0
     else:
         assert events == 25 and state.sim_time < 10.0
+
+
+@pytest.mark.parametrize("track_positions", [False, True])
+def test_logged_pair_events_close_bitwise(two_state_spec_factory, track_positions):
+    # the fast channel splits the pair total inline: t1 + t2 must reproduce
+    # the disposable energy in floats on every pair event
+    spec = _four_channel_spec(two_state_spec_factory, 200)
+    _, events = run(sample_initial_state(spec, 91), spec, 5.0, seed=92,
+                    record_events=True, track_positions=track_positions)
+    K = spec.chem_energies()
+    pairs = [row for row in events.rows() if row[3] is not None]
+    assert {row[1] for row in pairs} == {"fast_binary", "slow_binary"}
+    assert len(pairs) > 1000
+    for t, channel, i, j, a, Ta, a1, Ta1, b, Tb, b1, Tb1 in pairs:
+        E = (Ta + Tb) + ((K[a - 1] + K[b - 1]) - (K[a1 - 1] + K[b1 - 1]))
+        assert Ta1 + Tb1 == E and Ta1 >= 0.0 and Tb1 >= 0.0
+
+
+@pytest.mark.parametrize("max_events", [None, 40])
+def test_untracked_run_moves_no_particle(two_state_spec_factory, max_events):
+    spec = _four_channel_spec(two_state_spec_factory, 60)
+    state = sample_initial_state(spec, 93)
+    run(state, spec, 0.7, seed=94)          # tracked: positions have moved
+    geometry = ("x", "y", "z", "dirx", "diry", "dirz")
+    before = [getattr(state, c).tobytes() for c in geometry]
+    run(state, spec, 2.0, seed=95, max_events=max_events, track_positions=False)
+    assert sum(state.event_counts.values()) > (40 if max_events is None else 0)
+    end = 2.0 if max_events is None else state.sim_time
+    assert 0.7 < end <= 2.0
+    assert [getattr(state, c).tobytes() for c in geometry] == before
+    assert list(state.last_t) == [end] * state.n
+    mass = state.species_mass
+    assert list(state.spd) == [math.sqrt(2.0 * e / mass[j])
+                               for e, j in zip(state.energies, state.types)]
+    # the flight clocks are current, so reading positions moves nothing
+    state.positions()
+    assert [getattr(state, c).tobytes() for c in geometry] == before
+
+
+def test_zero_rate_infinite_horizon_raises(two_state_spec_factory):
+    # with no proposal rate the next event time is inf, which is not beyond
+    # an infinite horizon: the run accepted heat events at t = inf
+    spec = two_state_spec_factory(n=10, w12=0.0, w21=0.0, fast=0.0)
+    state = sample_initial_state(spec, 1)
+    with pytest.raises(ValueError, match="every channel's rate is 0"):
+        run(state, spec, math.inf, seed=2, max_events=3, record_events=True)
+    assert sum(state.proposal_counts.values()) == 0 and state.bath_exchange == 0.0
+    # a finite horizon is pure flight
+    _, events = run(state, spec, 1.0, seed=2, max_events=3, record_events=True)
+    assert len(events) == 0 and state.sim_time == 1.0

@@ -1,5 +1,6 @@
 import math
 import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy import integrate as sintegrate
 from scipy.special import betainc
 
 from kinchem import meanfield as MF
-from kinchem.model import EnergyLaw, RateTable, TypeKernel
+from kinchem.model import EnergyLaw, RateTable, TypeKernel, load_config, sample_times
 from conftest import make_two_state
 
 
@@ -118,7 +119,7 @@ def test_reduced_ode_rejects_bad_horizon(t_end):
     try:
         with pytest.raises(ValueError, match="t_end must be nonnegative and finite"):
             MF.reduced_macro_ode(MF.MacroState(1.0, (0.3, 1.7)), spec, t_end,
-                                 n_samples=2)
+                                 sample_every=1.0)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -277,7 +278,7 @@ def test_unary_channel_matches_reduced_chain_after_projection():
     field = MF.field_from_spec(spec, grid)
     traj = MF.integrate_boltzmann(field, spec, t_end=3.0, sample_every=0.5)
     red = MF.reduced_macro_ode(MF.MacroState(1.0, (0.2, 0.8)), spec, 3.0,
-                               n_samples=len(traj.times))
+                               sample_every=0.5)
     diff = np.max(np.abs(traj.concentrations() - red.concentrations))
     assert diff < 0.03          # manifold lag is O(1/scale)
 
@@ -493,3 +494,26 @@ def test_max_out_rate_bitwise_equals_per_call_loop(slow):
     for _ in range(50):
         rho = rng.random((2, grid.size)) * rng.exponential(1.0, (2, 1))
         assert integ.max_out_rate(rho) == _max_out_rate_loop(integ, rho)
+
+
+@pytest.mark.parametrize("t_end, dt, every", [
+    (4.0, None, 0.08),      # stable step 0.1: the cap at 0.08 binds
+    (1.7, 0.07, 0.1),       # 17 steps of 0.1 summed to 1.7000000000000002
+    (1.0, None, 0.3),
+    (2.0, 0.05, 0.5),
+])
+def test_kinetic_equation_snapshots_follow_the_sample_clock(t_end, dt, every):
+    # a step longer than the interval used to coarsen the snapshots (41
+    # instead of 51 at t = 4, interval 0.08), and the last step's time was
+    # followed by a second snapshot at t_end
+    spec = load_config(Path(__file__).resolve().parents[1] / "configs" / "two_state.yaml")
+    grid = MF.energy_grid(spec.rates.bath_beta, spec.chem_energies(), m=32)
+    traj = MF.integrate_boltzmann(MF.field_from_spec(spec, grid), spec, t_end,
+                                  dt=dt, sample_every=every)
+    clock = list(sample_times(0.0, t_end, every))
+    step = min(every, dt or every)
+    assert len(traj.times) == len(traj.fields) == len(clock)
+    assert traj.times[0] == 0.0 and traj.times[-1] == t_end
+    assert all(a < b for a, b in zip(traj.times, traj.times[1:]))
+    for c, s in zip(clock, traj.times):
+        assert c - 1e-12 <= s <= c + step + 1e-12

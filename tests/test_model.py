@@ -6,7 +6,7 @@ import pytest
 
 from kinchem.model import (ConfigError, EnergyLaw, InitialDistribution,
                            RateTable, SpeciesSpec, TypeKernel, load_config,
-                           save_config, validate_spec)
+                           sample_times, save_config, validate_spec)
 from kinchem.kinetics import run, sample_initial_state
 from conftest import make_two_state
 
@@ -206,3 +206,25 @@ def test_invalid_spec_rejected_by_sampler():
     bad = spec.with_overrides(species=(SpeciesSpec(1, -2.0), spec.species[1]))
     with pytest.raises(ValueError, match="mass"):
         sample_initial_state(bad, 1)
+
+
+def test_sample_times_counts_intervals_and_ends_at_the_horizon():
+    # each instant is t0 + k*every, never an accumulated sum, then t_end
+    assert list(sample_times(0.0, 1.0, 0.3)) == [0.0, 0.3, 0.6, 0.8999999999999999, 1.0]
+    ten = list(sample_times(0.0, 10.0, 0.1))
+    assert len(ten) == 101 and ten[-1] == 10.0 and ten[-2] == 99 * 0.1
+    assert all(a < b for a, b in zip(ten, ten[1:]))
+    assert list(sample_times(2.0, 3.0, 0.5)) == [2.0, 2.5, 3.0]
+    # no sliver interval: an instant within 1e-9 intervals of t_end is t_end
+    assert list(sample_times(0.0, 1.0 + 1e-12, 0.5)) == [0.0, 0.5, 1.0 + 1e-12]
+    assert list(sample_times(0.0, 2.0)) == [0.0, 2.0]
+    assert list(sample_times(1.5, 1.5, 0.3)) == [1.5] == list(sample_times(1.5, 1.5))
+    # lazy, so an infinite horizon is fine
+    clock = sample_times(0.0, math.inf, 0.25)
+    assert [next(clock) for _ in range(5)] == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+@pytest.mark.parametrize("every", [0.0, -0.5, math.inf, math.nan])
+def test_sample_times_rejects_bad_interval(every):
+    with pytest.raises(ValueError, match="sample_every must be positive and finite"):
+        sample_times(0.0, 1.0, every)

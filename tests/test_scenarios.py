@@ -4,11 +4,14 @@ import inspect
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from jsonschema import validate as validate_schema
+from scipy.integrate import solve_ivp
 
 from kinchem.scenarios import (SCENARIOS, SUMMARY_SCHEMA, matched_two_species,
-                               run_scenario)
+                               run_scenario, two_state_spec)
+from kinchem import meanfield as MF
 from kinchem import thermo as TH
 
 
@@ -115,3 +118,20 @@ def test_summary_parameters_are_the_bound_keywords():
         for key, default in keywords.items():
             value = params.get(key, default)
             assert s["parameters"][key] == json.loads(json.dumps(value)), (name, key)
+
+
+def test_meanfield_vs_mc_compares_at_identical_instants():
+    # the reduced ODE was sampled at linspace(0, t_end, len(mc_times)), so
+    # an interval that does not divide t_end compared different instants
+    out = SCENARIOS["meanfield-vs-mc"](5, n=200, scale=2.0, t_end=1.0, sample_every=0.3)
+    header, rows = out["tables"]["meanfield_vs_mc.csv"]
+    times = [row[0] for row in rows]
+    assert times == [0.0, 0.3, 0.6, 0.8999999999999999, 1.0]
+    # the ODE column at each row is the reduced dynamics at that row's time
+    spec = two_state_spec(200, beta=1.0, w12=1.0, w21=1.0, scale_fast=2.0,
+                          scale_heat=2.0, weights=(0.1, 0.9), seed=5)
+    f = MF.macro_vector_field(MF.maxwell_unary_rates(spec, 1.0))
+    ref = solve_ivp(lambda t, c: f(c), (0.0, 1.0), [0.1, 0.9], t_eval=times,
+                    method="DOP853", rtol=1e-12, atol=1e-14)
+    c1_mf = [row[header.index("c1_mf")] for row in rows]
+    assert np.allclose(c1_mf, ref.y[0], rtol=0.0, atol=1e-9)

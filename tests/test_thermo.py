@@ -183,7 +183,7 @@ def test_gibbs_identity_and_monotonicity_along_reduced_ode():
     species, rho = matched_two_species(beta)
     spec = make_two_state(k2=1.0).with_overrides(species=species)
     traj = MF.reduced_macro_ode(MF.MacroState(beta, (0.15, 0.85)), spec, 8.0,
-                                n_samples=301)
+                                sample_every=8.0 / 300)
     c_eq = traj.equilibrium()
     chk = TH.gibbs_identity_check(traj.times, traj.concentrations, species,
                                   beta, c_eq)
