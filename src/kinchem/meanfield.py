@@ -18,6 +18,8 @@ The split deposition needs no incomplete beta function: with theta =
 arcsin sqrt(u), Beta(3/2, 3/2) has the closed-form CDF F(u) = (2/pi)(theta -
 sin 4 theta / 4) and partial first moment G(u) = (theta - sin 4 theta / 4 -
 sin^3 2 theta / 3) / pi, evaluated once per pair total on the grid's edges.
+Nor does the bath law need an incomplete gamma function: Gamma(3/2, 1) has
+the closed-form tail Q(3/2, x) = erfc(sqrt x) + 2 sqrt(x / pi) e^{-x}.
 
 In the limit of infinitely fast exchange and bath contact the kinetic
 marginal is pinned at density c sqrt(T) exp(-beta T) and only the type
@@ -32,8 +34,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import integrate as _sintegrate
-from scipy.special import gammainc, gammaincc
 
 from .model import EnsembleSpec, sample_times
 
@@ -67,7 +67,7 @@ def survival_gbeta(r: float, beta: float) -> float:
         raise ValueError("r must be >= 0")
     if beta <= 0.0:
         raise ValueError("beta must be > 0")
-    return float(gammaincc(1.5, beta * r))
+    return float(_gamma32_sf_cdf_and_moment(beta * r)[0])
 
 
 def onsager_flux(A: float, u12: float, u21: float, beta: float) -> float:
@@ -107,7 +107,8 @@ def maxwell_unary_rates(spec: EnsembleSpec, beta: Optional[float] = None) -> np.
             if r.unary_fn is None:
                 v[j, j1] = r.unary[j][j1] * survival_gbeta(thresh, beta)
             else:
-                val, _ = _sintegrate.quad(
+                from scipy.integrate import quad
+                val, _ = quad(
                     lambda T: r.unary_fn(j + 1, j1 + 1, T) * norm * math.sqrt(T)
                     * math.exp(-beta * T),
                     thresh, np.inf, limit=200)
@@ -193,6 +194,8 @@ def reduced_macro_ode(state: MacroState, spec: EnsembleSpec, t_end: float,
     at 200 equal intervals when ``sample_every`` is None; with t_end = 0 the
     trajectory is the single row of initial data at t = 0.  A negative or
     non-finite t_end, or a bad ``sample_every``, raises ValueError."""
+    from scipy.integrate import solve_ivp
+
     if not 0.0 <= t_end < math.inf:
         raise ValueError(f"t_end must be nonnegative and finite, got {t_end!r}")
     times = (np.linspace(0.0, t_end, 201) if sample_every is None
@@ -203,7 +206,7 @@ def reduced_macro_ode(state: MacroState, spec: EnsembleSpec, t_end: float,
                                  concentrations=np.array(state.concentrations,
                                                          dtype=float, ndmin=2))
     f = macro_vector_field(v)
-    sol = _sintegrate.solve_ivp(
+    sol = solve_ivp(
         lambda t, c: f(c), (0.0, t_end), np.asarray(state.concentrations),
         method="DOP853", t_eval=times, rtol=1e-12, atol=1e-14)
     if not sol.success:
@@ -342,6 +345,37 @@ def _beta32_cdf_and_moment(u):
     return (2.0 / math.pi) * a, (a - np.sin(2.0 * theta) ** 3 / 3.0) / math.pi
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _gamma32_sf_cdf_and_moment(x):
+    """(Q(3/2, x), P(3/2, x), P(5/2, x)) at x >= 0: the upper tail and the
+    CDF of Gamma(3/2, 1), and its partial first moment P(5/2, x) =
+    (2/3) int_0^x t f(t) dt, each to a few ulp in relative terms.
+
+    Q = erfc(sqrt x) + 2 sqrt(x / pi) e^{-x} and P(5/2) = P(3/2) - d with
+    d = x^{3/2} e^{-x} / Gamma(5/2).  Below x = 3, where 1 - Q would cancel,
+    P(5/2) = d (x / (5/2)) sum_n x^n / ((7/2)(9/2)...(5/2 + n)) and
+    P(3/2) = d + P(5/2), a series of positive terms.
+    """
+    x = np.minimum(np.asarray(x, dtype=float), 1e3)    # Q(3/2, x) is 0.0 from x = 750 on
+    s = np.sqrt(x)
+    e = np.exp(-x)
+    q = np.asarray(_erfc(s), dtype=float) + (2.0 / math.sqrt(math.pi)) * s * e
+    d = (4.0 / (3.0 * math.sqrt(math.pi))) * x * s * e
+    xs = np.minimum(x, 3.0)
+    term = np.ones_like(xs)
+    series = np.ones_like(xs)
+    k = 3.5
+    while np.any(term > 1e-17 * series):
+        term = term * xs / k
+        series = series + term
+        k += 1.0
+    small = x < 3.0
+    g = np.where(small, d * (x / 2.5) * series, 1.0 - q - d)
+    return q, np.where(small, d + g, 1.0 - q), g
+
+
 def _hat_weights(law: Callable, scale, grid: np.ndarray) -> np.ndarray:
     """Weights E[hat_l(X)] of a law on [0, inf) carried onto the grid's hat
     functions, which keeps its mass and mean.
@@ -410,8 +444,7 @@ def _bath_hat_projection(grid: np.ndarray, beta: float) -> np.ndarray:
     """Weights b[l] = E[hat_l(xi)], xi ~ Gamma(3/2, beta): the bath law on the
     grid's hat functions, normalized to unit mass."""
     def law(edges):
-        x = beta * np.clip(edges, 0.0, None)
-        return gammainc(1.5, x), gammainc(2.5, x)
+        return _gamma32_sf_cdf_and_moment(beta * np.clip(edges, 0.0, None))[1:]
 
     b = _hat_weights(law, 1.5 / beta, grid)
     return b / b.sum()

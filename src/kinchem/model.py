@@ -12,8 +12,6 @@ from dataclasses import dataclass, field, replace
 from itertools import chain, count, takewhile
 from typing import Callable, Iterator, Optional
 
-import yaml
-
 __all__ = [
     "SpeciesSpec",
     "EnergyLaw",
@@ -508,6 +506,8 @@ def spec_from_dict(data: dict) -> EnsembleSpec:
 
 def load_config(path) -> EnsembleSpec:
     """Load and validate a YAML config; raises ConfigError with context on failure."""
+    import yaml
+
     with open(path) as fh:
         try:
             data = yaml.safe_load(fh)
@@ -527,5 +527,7 @@ def load_config(path) -> EnsembleSpec:
 
 def save_config(spec: EnsembleSpec, path) -> None:
     """Write the spec as YAML; load_config(save_config(s)) == s for valid specs."""
+    import yaml
+
     with open(path, "w") as fh:
         yaml.safe_dump(spec_to_dict(spec), fh, sort_keys=False)

@@ -26,9 +26,6 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.sparse import csr_array
-from scipy.sparse.linalg import expm_multiply
 
 __all__ = [
     "PairModel",
@@ -301,6 +298,8 @@ def _simplex_exponential(hazards, t: float) -> float:
     """Integral over 0 < t_1 < ... < t_n < t of prod_k exp(-h_k (t_k - t_{k-1}))
     with h_{n+1} acting on the last interval; evaluated as a matrix exponential
     of the upper-bidiagonal stage matrix, robust to equal hazards."""
+    from scipy.linalg import expm
+
     m = len(hazards)
     B = np.diag(-np.asarray(hazards, dtype=float))
     for i in range(m - 1):
@@ -467,6 +466,9 @@ def exact_joint(model: PairModel, mu0, t: float, N: int) -> np.ndarray:
     |S|^2 N (N - 1) / 2 others), so the initial product law is propagated by
     the action of exp(L^T t) on it (Al-Mohy & Higham 2011) on the CSR form
     of the dense generator; the exponential itself is never formed."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.linalg import expm_multiply
+
     S = model.n_states
     mu0 = np.asarray(mu0, dtype=float)
     joint = mu0

@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from jsonschema import validate as _validate_schema
 
 from . import kinetics as KIN
 from . import meanfield as MF
@@ -624,6 +623,8 @@ def run_scenario(name: str, overrides: Optional[dict] = None,
     summary as ``summary.json``; ``outputs`` lists every file but the
     summary.  ``timing_s`` covers the scenario, not the writing.
     """
+    from jsonschema import validate
+
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; known: {sorted(SCENARIOS)}")
     scenario = SCENARIOS[name]
@@ -657,7 +658,7 @@ def run_scenario(name: str, overrides: Optional[dict] = None,
     }
     if "report" in body:
         summary["report"] = _jsonable(body["report"])
-    _validate_schema(summary, SUMMARY_SCHEMA)
+    validate(summary, SUMMARY_SCHEMA)
     if out_dir is not None:
         _write_json(out_dir / "summary.json", summary)
     return summary

@@ -5,7 +5,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats as _sstats
+
+from .meanfield import _gamma32_sf_cdf_and_moment
 
 __all__ = [
     "ks_distance",
@@ -58,6 +59,8 @@ def stderr_mean(sample) -> float:
 
 def chi2_uniformity_p(counts) -> float:
     """p-value of the chi-square test of equal cell probabilities."""
+    from scipy.special import chdtrc
+
     c = np.asarray(counts, dtype=float)
     if c.size < 2:
         raise ValueError("need at least two cells")
@@ -65,7 +68,7 @@ def chi2_uniformity_p(counts) -> float:
     if expected == 0.0:
         raise ValueError("empty counts")
     chi2 = float(((c - expected) ** 2 / expected).sum())
-    return float(_sstats.chi2.sf(chi2, df=c.size - 1))
+    return float(chdtrc(c.size - 1, chi2))
 
 
 def subbox_counts(positions, box_side: float, k: int) -> np.ndarray:
@@ -78,9 +81,7 @@ def subbox_counts(positions, box_side: float, k: int) -> np.ndarray:
 
 def gamma32_cdf(beta: float):
     """CDF of the kinetic-energy equilibrium law with density c sqrt(T) exp(-beta T)."""
-    from scipy.special import gammainc
-
     def cdf(x):
-        return gammainc(1.5, beta * np.asarray(x, dtype=float))
+        return _gamma32_sf_cdf_and_moment(beta * np.asarray(x, dtype=float))[1]
 
     return cdf

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import optimize as _sopt
 
 __all__ = [
     "ThermoPoint",
@@ -240,6 +239,8 @@ def variational_check(energies, beta: Optional[float] = None,
     ``mean_energy`` (solving for the matching beta first) must be given.
     A target energy outside [min e_k, max e_k] is infeasible.
     """
+    from scipy import optimize
+
     e = np.asarray(energies, dtype=float)
     if e.size < 2:
         raise ValueError("need at least two levels")
@@ -265,7 +266,7 @@ def variational_check(energies, beta: Optional[float] = None,
                 hi *= 2.0
                 if hi > 1e8:
                     raise ValueError("mean energy too close to the boundary")
-            beta = float(_sopt.brentq(umean, lo, hi, xtol=1e-14))
+            beta = float(optimize.brentq(umean, lo, hi, xtol=1e-14))
     gibbs = _gibbs_weights(e, beta)
     target_u = float(gibbs @ e)
 
@@ -287,7 +288,7 @@ def variational_check(energies, beta: Optional[float] = None,
         x0 /= x0.sum()
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="Values in x were outside bounds")
-        res = _sopt.minimize(
+        res = optimize.minimize(
             neg_entropy, x0, jac=grad, method="SLSQP",
             bounds=[(1e-12, 1.0)] * e.size,
             constraints=[

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import integrate as sintegrate
-from scipy.special import betainc
+from scipy.special import betainc, gammainc, gammaincc
 
 from kinchem import meanfield as MF
 from kinchem.model import EnergyLaw, RateTable, TypeKernel, load_config, sample_times
@@ -37,6 +37,69 @@ def test_survival_rejects_bad_arguments():
         MF.survival_gbeta(-0.1, 1.0)
     with pytest.raises(ValueError):
         MF.survival_gbeta(1.0, 0.0)
+
+
+# (x, Q(3/2, x), P(3/2, x), P(5/2, x)), each the double nearest to a
+# 40-digit mpmath value of the regularized incomplete gamma function
+GAMMA32_REFERENCE = (
+    (1e-10, 0.9999999999999992, 7.522527780185399e-16, 3.009011112039771e-26),
+    (1e-6, 0.9999999992477476, 7.522523267121693e-10, 3.009008962961884e-16),
+    (0.001, 0.999976225946348, 2.3774053651950565e-05, 9.50853459860795e-09),
+    (0.1, 0.9775892977616494, 0.0224107022383506, 0.0008861387888124426),
+    (0.5, 0.8012519569012008, 0.1987480430987992, 0.03743422675270363),
+    (1.0, 0.5724067044708798, 0.4275932955291202, 0.15085496391539036),
+    (2.75, 0.1386386173824151, 0.8613613826175849, 0.6420541191490415),
+    (3.0, 0.11161022509471256, 0.8883897749052875, 0.6937810815867216),
+    (3.25, 0.08966250398816791, 0.9103374960118321, 0.739441544089254),
+    (10.0, 0.00016974243555282643, 0.9998302575644472, 0.9987502694369687),
+    (50.0, 1.554159431389605e-21, 1.0, 1.0),
+    (300.0, 1.0078435921645642e-129, 1.0, 1.0),
+    (700.0, 2.945619361016309e-303, 1.0, 1.0),
+)
+
+
+def test_gamma32_closed_form_matches_high_precision_values():
+    x, *want = np.array(GAMMA32_REFERENCE).T
+    for got, ref in zip(MF._gamma32_sf_cdf_and_moment(x), want):
+        np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0.0)
+    for xi, *ref in GAMMA32_REFERENCE:      # scalar input, as survival_gbeta uses
+        np.testing.assert_allclose(MF._gamma32_sf_cdf_and_moment(xi), ref,
+                                   rtol=1e-15, atol=0.0)
+
+
+def test_gamma32_closed_form_matches_scipy():
+    x = np.geomspace(1e-10, 700.0, 2000)
+    q, p, g = MF._gamma32_sf_cdf_and_moment(x)
+    np.testing.assert_allclose(q, gammaincc(1.5, x), rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(p, gammainc(1.5, x), rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(g, gammainc(2.5, x), rtol=1e-13, atol=0.0)
+    # the benchmark's specs take the tail at x = 1.0
+    assert MF.survival_gbeta(1.0, 1.0) == gammaincc(1.5, 1.0)
+
+
+def _gammainc_bath_hat_projection(grid, beta):
+    """The bath projection as computed before the closed form, from scipy."""
+    def law(edges):
+        x = beta * np.clip(edges, 0.0, None)
+        return gammainc(1.5, x), gammainc(2.5, x)
+
+    b = MF._hat_weights(law, 1.5 / beta, grid)
+    return b / b.sum()
+
+
+@pytest.mark.parametrize("m", (64, 256))
+@pytest.mark.parametrize("beta", (0.5, 1.0, 2.0))
+def test_bath_hat_projection_matches_gammainc_version(m, beta):
+    grid = MF.energy_grid(beta, (0.0, 1.0), m=m)
+    h = grid[1] - grid[0]
+    # Each wing of a hat weight takes the difference of two values of F and
+    # of G (scaled by 1.5 / beta), multiplies F's by up to T_M + h and
+    # divides by h.  With F and G off by at most 2 eps in either evaluation,
+    # two evaluations differ by at most this much at any node.
+    eps = np.finfo(float).eps
+    tol = 8.0 * eps * (2.0 * 1.5 / beta + 2.0 * grid[-1] + h) / h
+    diff = MF._bath_hat_projection(grid, beta) - _gammainc_bath_hat_projection(grid, beta)
+    assert np.max(np.abs(diff)) <= tol
 
 
 # -- reduced chain -------------------------------------------------------------------

@@ -62,6 +62,19 @@ def test_chi2_uniformity_p_calibration():
     assert (ps < 0.01).mean() < 0.1
 
 
+@pytest.mark.parametrize("cells", (2, 3, 8, 64, 512))
+def test_chi2_uniformity_p_equals_chi2_sf(cells):
+    from scipy.stats import chi2
+
+    rng = np.random.default_rng(cells)
+    for lam in (3.0, 40.0):
+        counts = rng.poisson(lam, size=cells)
+        c = counts.astype(float)
+        expected = c.sum() / c.size
+        stat = float(((c - expected) ** 2 / expected).sum())
+        assert ST.chi2_uniformity_p(counts) == float(chi2.sf(stat, df=cells - 1))
+
+
 def test_subbox_counts_partition_everything():
     rng = np.random.default_rng(7)
     pos = rng.random((5000, 3)) * 4.0
