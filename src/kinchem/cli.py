@@ -93,7 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     orc_sub = orc.add_subparsers(dest="oracle_command", required=True)
     ver = orc_sub.add_parser("verify", help="series vs exact master equation")
     _add_common(ver)
-    ver.add_argument("--states", type=int, default=2)
     ver.add_argument("--n", type=int, default=5, help="number of particles")
     ver.add_argument("--lambda-t", type=float, default=0.1, dest="lambda_t")
     ver.add_argument("--nmax", type=int, default=4)
@@ -210,8 +209,8 @@ def _cmd_thermo(args) -> int:
 
 def _cmd_oracle(args) -> int:
     return _run_and_print("oracle-verify",
-                          {"states": args.states, "n": args.n,
-                           "lambda_t": args.lambda_t, "nmax": args.nmax}, args)
+                          {"n": args.n, "lambda_t": args.lambda_t,
+                           "nmax": args.nmax}, args)
 
 
 def main(argv=None) -> int:

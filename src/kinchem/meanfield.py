@@ -221,7 +221,10 @@ def reduced_macro_ode(state: MacroState, spec: EnsembleSpec, t_end: float,
 def energy_grid(beta: float, chem_energies: Sequence[float] = (),
                 m: int = 512, t_max: Optional[float] = None) -> np.ndarray:
     """Uniform grid 0 = T_0 < ... < T_M = t_max; default span covers the
-    chemical-energy range plus a 30/beta thermal tail."""
+    chemical-energy range plus a 30/beta thermal tail.  M = m must be at
+    least 1."""
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m!r}")
     if t_max is None:
         span = (max(chem_energies) - min(chem_energies)) if chem_energies else 0.0
         t_max = span + 30.0 / beta
@@ -657,14 +660,16 @@ def integrate_boltzmann(field: DensityField, spec: EnsembleSpec, t_end: float,
     renormalized after every step; the worst pre-renormalization drift and the
     total clipped negative mass are reported on the trajectory.
 
-    The step is capped at ``sample_every`` and the last step ends at t_end.
-    Snapshots are taken at the first step on or after each instant of
-    ``model.sample_times(0, t_end, sample_every)`` (instants that share a
-    step share its snapshot), so each is at most one step late.  A negative
-    or non-finite ``t_end``, or a bad ``sample_every``, raises ValueError.
+    Snapshots are taken exactly at the instants of
+    ``model.sample_times(0, t_end, sample_every)``: each interval [a, b] of
+    that clock is marched in ceil((b - a) / dt) equal steps and its snapshot
+    is stamped b.  A dt that is not positive and finite, a negative or
+    non-finite ``t_end``, or a bad ``sample_every`` raises ValueError.
     """
     if not 0.0 <= t_end < math.inf:
         raise ValueError(f"t_end must be nonnegative and finite, got {t_end!r}")
+    if dt is not None and not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     clock = sample_times(0.0, t_end, sample_every)
     integ = BoltzmannIntegrator(spec, field.grid, enable_slow_binary=enable_slow_binary)
     w = integ.weights
@@ -676,38 +681,28 @@ def integrate_boltzmann(field: DensityField, spec: EnsembleSpec, t_end: float,
     if rate * dt > 0.5:
         raise ValueError(
             f"step size violates stability bound: dt*rate = {rate * dt:.3g} > 0.5")
-    if sample_every is not None:
-        dt = min(dt, sample_every)
 
-    times: list = []
-    fields: list = []
-
-    def snap(t):
-        times.append(t)
-        fields.append(DensityField(field.grid, rho / w))
-    snap(next(clock))
-    next_sample = next(clock, math.inf)
+    a = next(clock)
+    times = [a]
+    fields = [DensityField(field.grid, rho / w)]
     drift = 0.0
     clipped = 0.0
-    n_steps = max(1, math.ceil(t_end / dt)) if t_end > 0 else 0
-    dt_actual = t_end / n_steps if n_steps else 0.0
-    # a step within rounding of a clock instant counts as on it
-    slack = 1e-9 * dt_actual
-    for k in range(n_steps):
-        rho = integ.step(rho, dt_actual)
-        clipped -= float(np.minimum(rho, 0.0).sum())
-        np.clip(rho, 0.0, None, out=rho)
-        total = rho.sum()
-        drift = max(drift, abs(total - 1.0))
-        rho /= total
-        t = t_end if k == n_steps - 1 else (k + 1) * dt_actual
-        if t + slack >= next_sample:
-            snap(t)
-            while next_sample <= t + slack:
-                next_sample = next(clock, math.inf)
-        rate = integ.max_out_rate(rho)
-        if rate * dt_actual > 0.5:
-            raise ValueError(
-                f"step size violates stability bound at t={t:.3g}: "
-                f"dt*rate = {rate * dt_actual:.3g} > 0.5")
+    for b in clock:
+        n = math.ceil((b - a) / dt)
+        h = (b - a) / n
+        for k in range(1, n + 1):
+            rho = integ.step(rho, h)
+            clipped -= float(np.minimum(rho, 0.0).sum())
+            np.clip(rho, 0.0, None, out=rho)
+            total = rho.sum()
+            drift = max(drift, abs(total - 1.0))
+            rho /= total
+            rate = integ.max_out_rate(rho)
+            if rate * h > 0.5:
+                raise ValueError(
+                    f"step size violates stability bound at t={a + k * h:.3g}: "
+                    f"dt*rate = {rate * h:.3g} > 0.5")
+        times.append(b)
+        fields.append(DensityField(field.grid, rho / w))
+        a = b
     return MeanFieldTrajectory(np.asarray(times), fields, drift, clipped)

@@ -358,6 +358,8 @@ def series_marginal(model: PairModel, mu0, t: float, n_max: int,
     missing mass 1 - total_mass is the summed truncation error, at most
     ``truncation_tail`` = (1 - e^{-2 lambda t})^{n_max + 1}.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max!r}")
     mu0 = np.asarray(mu0, dtype=float)
     if mu0.shape != (model.n_states,):
         raise ValueError("mu0 must be a distribution over the model states")

@@ -34,7 +34,7 @@ def test_scenario_command_writes_valid_summary(tmp_path, capsys):
 def test_scenario_exit_code_reflects_failing_check(tmp_path):
     # every oracle check passes, so the exit code is 0
     out = tmp_path / "oracle"
-    code = main(["oracle", "verify", "--states", "2", "--n", "5",
+    code = main(["oracle", "verify", "--n", "5",
                  "--lambda-t", "0.1", "--nmax", "4", "--out", str(out)])
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
@@ -78,6 +78,14 @@ def test_oracle_verify_fails_geometric_check_when_series_diverges(tmp_path):
     assert "diverges" in check["note"]
     json.loads((out / "oracle_verify.json").read_text(),
                parse_constant=reject_constant)
+
+
+def test_oracle_verify_rejects_negative_nmax(tmp_path, capsys):
+    # --nmax -1 summed no history and reported every check passed
+    out = tmp_path / "oracle"
+    assert main(["oracle", "verify", "--nmax", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: n_max must be nonnegative")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, key", [
@@ -194,24 +202,47 @@ def test_sim_seed_reaches_the_particle_run(tmp_path, config_path):
     assert written[0] != written[2]
 
 
-def _times_written(config_path, out, engine, t_end, every):
+def _time_column(config_path, out, engine, t_end, every, *flags):
+    """The first column of a `sim` trajectory, as the text written."""
     assert main(["sim", "--config", str(config_path), "--engine", engine,
-                 "--t-end", t_end, "--sample-every", every, "--out", str(out)]) == 0
+                 "--t-end", t_end, "--sample-every", every, *flags,
+                 "--out", str(out)]) == 0
     name = "trajectory.csv" if engine == "particle" else f"{engine}_trajectory.csv"
-    with open(out / name) as fh:
-        return [float(row[0]) for row in list(csv.reader(fh))[1:]]
+    with open(out / name, newline="") as fh:
+        return [row[0] for row in list(csv.reader(fh))[1:]]
 
 
-@pytest.mark.parametrize("engine", ["particle", "reduced"])
+def _times_written(config_path, out, engine, t_end, every):
+    # a coarse grid keeps the kinetic equation's 1000 steps to t = 10 cheap
+    flags = ["--grid-size", "16"] if engine == "meanfield" else []
+    return [float(t) for t in _time_column(config_path, out, engine, t_end,
+                                           every, *flags)]
+
+
+@pytest.mark.parametrize("engine", ["particle", "meanfield", "reduced"])
 def test_sim_engines_sample_on_one_clock(tmp_path, config_path, engine):
     # the particle engine accumulated its sample times (102 rows at t_end 10,
-    # interval 0.1, the last two 9.99999999999998 and 10.0) and the reduced
-    # ODE sampled linspace(0, t_end, n), so they disagreed off binary intervals
+    # interval 0.1, the last two 9.99999999999998 and 10.0), the reduced ODE
+    # sampled linspace(0, t_end, n), and the kinetic equation snapshotted at
+    # the first step on or after each instant, so they disagreed
     assert _times_written(config_path, tmp_path / "a", engine, "1", "0.3") == \
         [0.0, 0.3, 0.6, 0.8999999999999999, 1.0]
     times = _times_written(config_path, tmp_path / "b", engine, "10", "0.1")
     assert len(times) == 101 and times[-1] == 10.0
     assert all(a < b for a, b in zip(times, times[1:]))
+
+
+def test_sim_engines_write_identical_time_columns(tmp_path):
+    # a step of 0.12 does not divide the interval 0.3: the kinetic equation
+    # used to write 4 rows, at 0, 1/3, 2/3 and 1, where the others write 5
+    config = Path(__file__).resolve().parents[1] / "configs" / "two_state.yaml"
+    columns = [_time_column(config, tmp_path / engine, engine, "1", "0.3", *flags)
+               for engine, flags in (("particle", []),
+                                     ("meanfield", ["--dt", "0.12",
+                                                    "--grid-size", "64"]),
+                                     ("reduced", []))]
+    assert columns[0] == ["0.0", "0.3", "0.6", "0.8999999999999999", "1.0"]
+    assert columns[1] == columns[0] and columns[2] == columns[0]
 
 
 @pytest.mark.parametrize("engine", ["particle", "meanfield", "reduced"])
@@ -226,6 +257,21 @@ def test_sim_rejects_bad_sample_interval(tmp_path, config_path, capsys, engine,
     assert capsys.readouterr().err.startswith(
         "error: --sample-every must be positive and finite")
     assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize("flag", ["--dt=0", "--dt=-0.1", "--dt=nan",
+                                  "--grid-size=0", "--grid-size=-4"])
+def test_sim_rejects_bad_meanfield_step_or_grid(tmp_path, config_path, capsys,
+                                                flag):
+    # --dt 0 and --grid-size 0 ended in tracebacks, --dt -0.1 took one step
+    # over the whole horizon and blamed the stability bound
+    out = tmp_path / "sim"
+    code = main(["sim", "--config", str(config_path), "--engine", "meanfield",
+                 "--t-end", "1", flag, "--out", str(out)])
+    assert code == 2
+    name = "dt" if flag.startswith("--dt") else "m"
+    assert capsys.readouterr().err.startswith(f"error: {name} must be ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("engine", ["particle", "meanfield", "reduced"])
