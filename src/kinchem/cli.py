@@ -1,9 +1,11 @@
-"""Command line: scenario runner, raw simulation, thermodynamic reports,
-and the pair-interaction verification oracle.
+"""Command line: scenario runner (the pair-interaction verification oracle
+among the scenarios), raw simulation and thermodynamic reports.
 
-Grammar: kinchem <scenario|sim|thermo|oracle> [--seed U64] [--out DIR]
-[flags...]; ``sim`` and ``thermo eval`` also take the required --config PATH,
-and ``thermo eval``, which draws nothing, takes no --seed.
+Grammar: kinchem <scenario|sim|thermo> [--seed U64] [--out DIR] [flags...];
+``scenario NAME`` takes its parameters as repeatable ``--set KEY=VALUE``
+(the oracle is ``scenario oracle-verify``), ``sim`` and ``thermo eval`` also
+take the required --config PATH, and ``thermo eval``, which draws nothing,
+takes no --seed.
 Exit code is 0 iff every embedded check passed, 1 if one failed and 2 on a
 usage error.
 """
@@ -56,13 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     sc = sub.add_parser("scenario", help="run a named verification scenario")
     sc.add_argument("name", choices=sorted(SCENARIOS), help="scenario name")
     _add_common(sc)
-    sc.add_argument("--n", type=int, default=None, help="particle count override")
-    sc.add_argument("--beta", type=float, default=None, help="bath inverse temperature")
-    sc.add_argument("--replicas", type=int, default=None)
-    sc.add_argument("--direction", choices=("exothermic", "endothermic"),
-                    default=None)
     sc.add_argument("--set", dest="overrides", action="append", metavar="K=V",
-                    help="extra scenario parameter override (repeatable)")
+                    help="scenario parameter override (repeatable)")
 
     sim = sub.add_parser("sim", help="simulate one configured ensemble")
     _add_common(sim, config=True)
@@ -88,31 +85,15 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--beta", type=float, required=True)
     ev.add_argument("--volume", type=float, default=None,
                     help="defaults to box_side^3 from the config")
-
-    orc = sub.add_parser("oracle", help="pair-interaction model verification")
-    orc_sub = orc.add_subparsers(dest="oracle_command", required=True)
-    ver = orc_sub.add_parser("verify", help="series vs exact master equation")
-    _add_common(ver)
-    ver.add_argument("--n", type=int, default=5, help="number of particles")
-    ver.add_argument("--lambda-t", type=float, default=0.1, dest="lambda_t")
-    ver.add_argument("--nmax", type=int, default=4)
     return ap
 
 
-def _run_and_print(name: str, overrides: dict, args) -> int:
-    summary = run_scenario(name, overrides, out_dir=args.out,
-                           seed=7 if args.seed is None else args.seed)
+def _cmd_scenario(args) -> int:
+    seed = {} if args.seed is None else {"seed": args.seed}
+    summary = run_scenario(args.name, _parse_overrides(args.overrides),
+                           out_dir=args.out, **seed)
     print(json.dumps(summary, indent=2, allow_nan=False))
     return 0 if summary["passed"] else 1
-
-
-def _cmd_scenario(args) -> int:
-    overrides = _parse_overrides(args.overrides)
-    for key in ("n", "beta", "replicas", "direction"):
-        val = getattr(args, key)
-        if val is not None:
-            overrides[key] = val
-    return _run_and_print(args.name, overrides, args)
 
 
 def _cmd_sim(args) -> int:
@@ -175,7 +156,7 @@ def _cmd_sim(args) -> int:
     if spec.n_types == 2:
         header, rows = _thermo_table(times, concs, mean_T, spec)
     else:
-        header = ["t", *[f"c_{j + 1}" for j in range(spec.n_types)], "mean_T"]
+        header = ["time", *[f"c_{j + 1}" for j in range(spec.n_types)], "mean_T"]
         rows = ([t, *map(float, c), mt] for t, c, mt in zip(times, concs, mean_T))
     print(f"wrote {_write_csv(out / f'{args.engine}_trajectory.csv', header, rows)}")
     return 0
@@ -207,12 +188,6 @@ def _cmd_thermo(args) -> int:
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    return _run_and_print("oracle-verify",
-                          {"n": args.n, "lambda_t": args.lambda_t,
-                           "nmax": args.nmax}, args)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -222,8 +197,6 @@ def main(argv=None) -> int:
             return _cmd_sim(args)
         if args.command == "thermo":
             return _cmd_thermo(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
     except ValueError as exc:     # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

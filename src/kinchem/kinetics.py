@@ -376,8 +376,7 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
     r = spec.rates
 
     # channel bounds for thinning
-    sup = r.unary_bounds()
-    usup_type = [math.fsum(sup[j][j1] for j1 in range(J) if j1 != j) for j in range(J)]
+    usup_type = [math.fsum(r.unary[j][j1] for j1 in range(J) if j1 != j) for j in range(J)]
     ubar = max(usup_type) if J else 0.0
     R_unary = n * ubar
     bmax = max((r.slow_binary[a][b] for a in range(J) for b in range(J)), default=0.0)
@@ -491,7 +490,7 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
                 if unary_fn is not None and total > usup_type[j0] * (1.0 + 1e-12):
                     raise ValueError(
                         f"unary rate plug-in exceeds its declared supremum "
-                        f"({total} > {usup_type[j0]} for type {j0 + 1})")
+                        f"rates.unary ({total} > {usup_type[j0]} for type {j0 + 1})")
                 if total <= 0.0 or uniform() * ubar > total:
                     continue
                 # accepted: choose the target proportionally to the rates

@@ -190,16 +190,17 @@ def reduced_macro_ode(state: MacroState, spec: EnsembleSpec, t_end: float,
     """Integrate the concentration dynamics on the fixed-beta equilibrium
     manifold with Maxwell-averaged unary rates; total concentration is
     conserved by the antisymmetric flux structure of the vector field.
-    Samples are taken at ``model.sample_times(0, t_end, sample_every)``, or
-    at 200 equal intervals when ``sample_every`` is None; with t_end = 0 the
+    Samples are taken at ``model.sample_times(0, t_end, sample_every)``,
+    with ``sample_every`` = t_end / 200 when it is None; with t_end = 0 the
     trajectory is the single row of initial data at t = 0.  A negative or
     non-finite t_end, or a bad ``sample_every``, raises ValueError."""
     from scipy.integrate import solve_ivp
 
     if not 0.0 <= t_end < math.inf:
         raise ValueError(f"t_end must be nonnegative and finite, got {t_end!r}")
-    times = (np.linspace(0.0, t_end, 201) if sample_every is None
-             else np.fromiter(sample_times(0.0, t_end, sample_every), float))
+    if sample_every is None and t_end > 0.0:
+        sample_every = t_end / 200.0
+    times = np.fromiter(sample_times(0.0, t_end, sample_every), float)
     v = maxwell_unary_rates(spec, beta=state.beta)
     if t_end == 0.0:        # solve_ivp returns empty lists for an empty span
         return ReducedTrajectory(times=np.zeros(1), beta=state.beta, rates=v,

@@ -56,6 +56,10 @@ class SpeciesSpec:
                            tuple(float(m) for m in self.internal_masses))
 
 
+# each energy law and the parameters a config gives for it, no more, no fewer
+_LAW_PARAMS = {"uniform": ("low", "high"), "gamma": ("beta",), "point": ("value",)}
+
+
 @dataclass(frozen=True)
 class EnergyLaw:
     """Per-type initial kinetic-energy law: uniform(low, high), gamma(3/2, beta), or point(value)."""
@@ -76,15 +80,20 @@ class EnergyLaw:
         raise ValueError(f"unknown energy law {self.law!r}")
 
     def to_dict(self) -> dict:
-        if self.law == "uniform":
-            return {"law": "uniform", "low": self.low, "high": self.high}
-        if self.law == "gamma":
-            return {"law": "gamma", "beta": self.beta}
-        return {"law": "point", "value": self.value}
+        return {"law": self.law, **{k: getattr(self, k) for k in _LAW_PARAMS[self.law]}}
 
     @staticmethod
-    def from_dict(d: dict) -> "EnergyLaw":
-        return EnergyLaw(**d)
+    def from_dict(d: dict, section: str = "energy_law") -> "EnergyLaw":
+        """Read a law from a mapping that gives exactly its own parameters."""
+        law = _require(d, "law", section)
+        if law not in _LAW_PARAMS:
+            raise ConfigError(f"{section}: unknown value {law!r} of field 'law' "
+                              f"(expected one of {sorted(_LAW_PARAMS)})")
+        params = _LAW_PARAMS[law]
+        unknown = _unknown_fields(d, ("law", *params), section)
+        if unknown:
+            raise ConfigError("unknown field(s): " + ", ".join(unknown))
+        return EnergyLaw(law, **{k: _require(d, k, section) for k in params})
 
 
 @dataclass(frozen=True)
@@ -144,7 +153,7 @@ class TypeKernel:
         table = []
         for key, outs in d.get("entries", {}).items():
             a, b = (int(s) for s in key.split(","))
-            table.append(((a, b), tuple(((int(j1), int(j1p)), float(p))
+            table.append(((a, b), tuple(((j1, j1p), float(p))
                                         for j1, j1p, p in outs)))
         return TypeKernel(kind="table", table=tuple(table))
 
@@ -153,13 +162,15 @@ class TypeKernel:
 class RateTable:
     """Reaction rates shared by all engines.
 
-    ``unary`` holds the threshold-family base rates w_jj': the effective rate
-    is w_jj' when T + K_j - K_j' >= 0 and zero otherwise.  A general bounded
-    rate function can be plugged in through ``unary_fn`` (signature
-    ``(j, j1, T) -> rate`` with 1-based ids) together with its supremum table
-    ``unary_sup`` used for thinning; plug-ins are not serialized to config
-    files.  ``slow_binary`` holds the bounds b̄_jj' (also the constant rates
-    when ``slow_fn`` is absent), ``fast_binary`` the constants f_jj'.
+    ``unary`` holds the bounds ū_jj' that thin the unary channel.  Without
+    a plug-in they are also the threshold-family base rates: the effective
+    rate is w_jj' when T + K_j - K_j' >= 0 and zero otherwise.  A general
+    bounded rate function can be plugged in through ``unary_fn`` (signature
+    ``(j, j1, T) -> rate`` with 1-based ids), which the particle engine thins
+    against ``unary`` and stops on if it exceeds it.  Likewise
+    ``slow_binary`` holds the bounds b̄_jj' (also the constant rates when
+    ``slow_fn`` is absent), ``fast_binary`` the constants f_jj'.  Plug-ins
+    are not serialized to config files.
     """
 
     unary: tuple
@@ -169,19 +180,12 @@ class RateTable:
     bath_beta: float
     binary_kernel: TypeKernel = TypeKernel()
     unary_fn: Optional[Callable] = field(default=None, compare=False)
-    unary_sup: Optional[tuple] = None
     slow_fn: Optional[Callable] = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "unary", _matrix(self.unary))
         object.__setattr__(self, "slow_binary", _matrix(self.slow_binary))
         object.__setattr__(self, "fast_binary", _matrix(self.fast_binary))
-        if self.unary_sup is not None:
-            object.__setattr__(self, "unary_sup", _matrix(self.unary_sup))
-
-    def unary_bounds(self) -> tuple:
-        """Per-transition rate suprema used by the thinning proposal."""
-        return self.unary_sup if self.unary_sup is not None else self.unary
 
 
 @dataclass(frozen=True)
@@ -245,6 +249,10 @@ def _finite(x) -> bool:
     return isinstance(x, (int, float)) and math.isfinite(x)
 
 
+def _integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def sample_times(t0: float, t_end: float, every: Optional[float] = None) -> Iterator[float]:
     """The observation clock of every engine, lazily: t0 + k*every while that
     is below t_end - 1e-9*every, then t_end; t0 and t_end if ``every`` is None.
@@ -274,15 +282,15 @@ def validate_spec(spec: EnsembleSpec) -> ValidationReport:
         flag("species", "at least one species required")
     for pos, sp in enumerate(spec.species, start=1):
         tag = f"species[{pos}]"
-        if sp.type_id != pos:
-            flag(f"{tag}.type_id", f"expected consecutive id {pos}, got {sp.type_id}")
+        if not _integer(sp.type_id) or sp.type_id != pos:
+            flag(f"{tag}.type_id", f"expected consecutive integer id {pos}, got {sp.type_id!r}")
         if not _finite(sp.mass) or sp.mass <= 0.0:
             flag(f"{tag}.mass", f"must be positive and finite, got {sp.mass!r}")
-        if not isinstance(sp.dof, int) or sp.dof < 3:
+        if not _integer(sp.dof) or sp.dof < 3:
             flag(f"{tag}.dof", f"must be an integer >= 3, got {sp.dof!r}")
         if not _finite(sp.chem_energy) or sp.chem_energy < 0.0:
             flag(f"{tag}.chem_energy", f"must be finite and >= 0, got {sp.chem_energy!r}")
-        if isinstance(sp.dof, int) and sp.dof >= 3 and len(sp.internal_masses) != sp.dof - 3:
+        if _integer(sp.dof) and sp.dof >= 3 and len(sp.internal_masses) != sp.dof - 3:
             flag(f"{tag}.internal_masses",
                  f"count {len(sp.internal_masses)} != dof - 3 = {sp.dof - 3}")
         if any(m <= 0.0 for m in sp.internal_masses):
@@ -317,18 +325,6 @@ def validate_spec(spec: EnsembleSpec) -> ValidationReport:
         for a in range(J):
             if r.unary[a][a] != 0.0:
                 flag(f"rates.unary[{a + 1}][{a + 1}]", "diagonal entries must be 0")
-    if r.unary_fn is not None and r.unary_sup is None:
-        flag("rates.unary_sup", "required when a unary rate plug-in is set")
-    if r.unary_sup is not None:
-        sup_ok = check_matrix("unary_sup", r.unary_sup, symmetric=False)
-        if sup_ok and unary_ok and r.unary_fn is None:
-            # without a plug-in the unary table is the rate unary_sup bounds
-            for a in range(J):
-                for b in range(J):
-                    if r.unary_sup[a][b] < r.unary[a][b]:
-                        flag(f"rates.unary_sup[{a + 1}][{b + 1}]",
-                             f"bound {r.unary_sup[a][b]!r} is below the rate "
-                             f"{r.unary[a][b]!r} it must bound")
     if not _finite(r.heat_rate) or r.heat_rate < 0.0:
         flag("rates.heat_rate", f"must be finite and >= 0, got {r.heat_rate!r}")
     if not _finite(r.bath_beta) or r.bath_beta <= 0.0:
@@ -338,20 +334,20 @@ def validate_spec(spec: EnsembleSpec) -> ValidationReport:
     elif r.binary_kernel.kind == "table":
         for (a, b), outs in r.binary_kernel.table:
             tag = f"rates.binary_kernel[{a},{b}]"
-            if not (1 <= a <= J and 1 <= b <= J):
-                flag(tag, "type ids out of range")
+            if not all(_integer(j) and 1 <= j <= J for j in (a, b)):
+                flag(tag, f"type ids must be integers in 1..{J}")
                 continue
             total = 0.0
             for (j1, j1p), p in outs:
-                if not (1 <= j1 <= J and 1 <= j1p <= J):
-                    flag(tag, f"outcome ({j1},{j1p}) out of range")
+                if not all(_integer(j) and 1 <= j <= J for j in (j1, j1p)):
+                    flag(tag, f"outcome ({j1!r},{j1p!r}) needs integer type ids in 1..{J}")
                 if p < 0.0:
                     flag(tag, f"negative probability {p!r}")
                 total += p
             if abs(total - 1.0) > 1e-9:
                 flag(tag, f"outcome probabilities sum to {total!r}, expected 1")
 
-    if not isinstance(spec.n_particles, int) or spec.n_particles < 1:
+    if not _integer(spec.n_particles) or spec.n_particles < 1:
         flag("ensemble.n_particles", f"must be an integer >= 1, got {spec.n_particles!r}")
     if not _finite(spec.box_side) or spec.box_side <= 0.0:
         flag("ensemble.box_side", f"must be positive and finite, got {spec.box_side!r}")
@@ -359,7 +355,7 @@ def validate_spec(spec: EnsembleSpec) -> ValidationReport:
         flag("ensemble.scale_fast", f"must be finite and >= 1, got {spec.scale_fast!r}")
     if not _finite(spec.scale_heat) or spec.scale_heat < 0.0:
         flag("ensemble.scale_heat", f"must be finite and >= 0, got {spec.scale_heat!r}")
-    if not isinstance(spec.rng_seed, int) or not (0 <= spec.rng_seed < 2 ** 64):
+    if not _integer(spec.rng_seed) or not (0 <= spec.rng_seed < 2 ** 64):
         flag("ensemble.rng_seed", f"must be a 64-bit unsigned integer, got {spec.rng_seed!r}")
 
     dist = spec.initial_distribution
@@ -376,7 +372,7 @@ def validate_spec(spec: EnsembleSpec) -> ValidationReport:
         flag("ensemble.initial_distribution.energy_laws", f"need {J} laws")
     for pos, law in enumerate(dist.energy_laws, start=1):
         tag = f"ensemble.initial_distribution.energy_laws[{pos}]"
-        if law.law not in ("uniform", "gamma", "point"):
+        if law.law not in _LAW_PARAMS:
             flag(tag, f"unknown law {law.law!r}")
         elif law.law == "uniform" and not (0.0 <= law.low <= law.high):
             flag(tag, f"need 0 <= low <= high, got ({law.low!r}, {law.high!r})")
@@ -469,9 +465,9 @@ def spec_from_dict(data: dict) -> EnsembleSpec:
     species = []
     for i, sd in enumerate(species_raw, start=1):
         species.append(SpeciesSpec(
-            type_id=int(_require(sd, "type_id", f"species[{i}]")),
+            type_id=_require(sd, "type_id", f"species[{i}]"),
             mass=float(_require(sd, "mass", f"species[{i}]")),
-            dof=int(sd.get("dof", 3)),
+            dof=sd.get("dof", 3),
             chem_energy=float(sd.get("chem_energy", 0.0)),
             internal_masses=tuple(sd.get("internal_masses", ())),
         ))
@@ -488,19 +484,21 @@ def spec_from_dict(data: dict) -> EnsembleSpec:
     dist_raw = _require(ens, "initial_distribution", "ensemble")
     dist = InitialDistribution(
         type_weights=tuple(_require(dist_raw, "type_weights", "initial_distribution")),
-        energy_laws=tuple(EnergyLaw.from_dict(d)
-                          for d in _require(dist_raw, "energy_laws", "initial_distribution")),
+        energy_laws=tuple(EnergyLaw.from_dict(d, f"energy_laws[{i}]")
+                          for i, d in enumerate(_require(dist_raw, "energy_laws",
+                                                         "initial_distribution"),
+                                                start=1)),
     )
 
     return EnsembleSpec(
-        n_particles=int(_require(ens, "n_particles", "ensemble")),
+        n_particles=_require(ens, "n_particles", "ensemble"),
         box_side=float(_require(ens, "box_side", "ensemble")),
         species=tuple(species),
         rates=rates,
         initial_distribution=dist,
         scale_fast=float(ens.get("scale_fast", 1.0)),
         scale_heat=float(ens.get("scale_heat", 0.0)),
-        rng_seed=int(ens.get("rng_seed", 0)),
+        rng_seed=ens.get("rng_seed", 0),
     )
 
 

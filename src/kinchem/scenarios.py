@@ -209,7 +209,7 @@ def _thermo_table(times, concentrations, mean_T, spec: EnsembleSpec):
         rows.append((t, *map(float, c), mt, pots["g"], pots["H"],
                      TH.markov_entropy(np.asarray(c) / ct, c_eq / ct),
                      TH.affinity_and_kappa(pt)["A"]))
-    return ["t", "c_1", "c_2", "mean_T", "g", "H", "S_M", "A"], rows
+    return ["time", "c_1", "c_2", "mean_T", "g", "H", "S_M", "A"], rows
 
 
 # -- scenarios ---------------------------------------------------------------------
@@ -335,7 +335,7 @@ def scenario_meanfield_vs_mc(seed: int, *, n: int = 10000, beta: float = 1.0,
                      tolerance=tol, t_end=t_end)]
     rows = [(t, *cm, *cf) for t, cm, cf in zip(col.times, c_mc, traj.concentrations)]
     return {"checks": checks,
-            "tables": {"meanfield_vs_mc.csv": (["t", "c1_mc", "c2_mc", "c1_mf",
+            "tables": {"meanfield_vs_mc.csv": (["time", "c1_mc", "c2_mc", "c1_mf",
                                                 "c2_mf"], rows)}}
 
 
@@ -457,7 +457,7 @@ def scenario_poisson_invariance(seed: int, *, n: int = 10000, k_boxes: int = 12,
         checks.append(_check(f"chi2_uniform_t{t:g}", pval > 0.01, p=pval))
     return {"checks": checks,
             "tables": {"poisson_invariance.csv": (
-                ["t", "dispersion_index", "chi2_p"], rows)}}
+                ["time", "dispersion_index", "chi2_p"], rows)}}
 
 
 def scenario_chaos(seed: int, *, n_values=(100, 400, 1600),

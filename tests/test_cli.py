@@ -34,8 +34,8 @@ def test_scenario_command_writes_valid_summary(tmp_path, capsys):
 def test_scenario_exit_code_reflects_failing_check(tmp_path):
     # every oracle check passes, so the exit code is 0
     out = tmp_path / "oracle"
-    code = main(["oracle", "verify", "--n", "5",
-                 "--lambda-t", "0.1", "--nmax", "4", "--out", str(out)])
+    code = main(["scenario", "oracle-verify", "--set", "n=5", "--set",
+                 "lambda_t=0.1", "--set", "nmax=4", "--out", str(out)])
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
     validate_schema(summary, SUMMARY_SCHEMA)
@@ -66,8 +66,8 @@ def reject_constant(name):
 def test_oracle_verify_fails_geometric_check_when_series_diverges(tmp_path):
     # 2 lambda t = 1.2: the geometric series diverges and bounds nothing
     out = tmp_path / "oracle"
-    code = main(["oracle", "verify", "--lambda-t", "0.6", "--nmax", "4",
-                 "--out", str(out)])
+    code = main(["scenario", "oracle-verify", "--set", "lambda_t=0.6",
+                 "--set", "nmax=4", "--out", str(out)])
     assert code == 1
     summary = json.loads((out / "summary.json").read_text(),
                          parse_constant=reject_constant)
@@ -83,14 +83,15 @@ def test_oracle_verify_fails_geometric_check_when_series_diverges(tmp_path):
 def test_oracle_verify_rejects_negative_nmax(tmp_path, capsys):
     # --nmax -1 summed no history and reported every check passed
     out = tmp_path / "oracle"
-    assert main(["oracle", "verify", "--nmax", "-1", "--out", str(out)]) == 2
+    assert main(["scenario", "oracle-verify", "--set", "nmax=-1",
+                 "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: n_max must be nonnegative")
     assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, key", [
     (["scenario", "flux-check", "--set", "bogus=3"], "bogus"),
-    (["scenario", "meanfield-vs-mc", "--replicas", "3"], "replicas"),
+    (["scenario", "meanfield-vs-mc", "--set", "replicas=3"], "replicas"),
 ])
 def test_scenario_rejects_unknown_override(argv, key, capsys):
     assert main(argv) == 2
@@ -150,7 +151,7 @@ def test_sim_reduced_engine(tmp_path, config_path):
     assert code == 0
     with open(out / "reduced_trajectory.csv") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0][:4] == ["t", "c_1", "c_2", "mean_T"]
+    assert rows[0][:4] == ["time", "c_1", "c_2", "mean_T"]
     assert "S_M" in rows[0] and "A" in rows[0]
 
 

@@ -67,7 +67,6 @@ def _particle_specs():
         unary=r.unary, slow_binary=r.slow_binary, fast_binary=r.fast_binary,
         heat_rate=0.0, bath_beta=1.0, binary_kernel=_MIX_KERNEL,
         unary_fn=lambda j, j1, T: 0.25 + 0.25 * min(T, 3.0),
-        unary_sup=[[0.0, 1.0], [1.0, 0.0]],
         slow_fn=lambda a, b, T, Tp: 0.5 * min(T + Tp, 2.0)))
     return {
         "four-channel": (four, 3.0, 0.25),

@@ -419,8 +419,7 @@ def test_unary_rate_plugin_with_thinning(two_state_spec_factory):
     fn = lambda j, j1, T: 0.5 * min(T, 2.0)
     rates = RateTable(unary=spec.rates.unary, slow_binary=spec.rates.slow_binary,
                       fast_binary=spec.rates.fast_binary, heat_rate=0.0,
-                      bath_beta=1.0, unary_fn=fn,
-                      unary_sup=[[0.0, 1.0], [1.0, 0.0]])
+                      bath_beta=1.0, unary_fn=fn)
     spec = spec.with_overrides(rates=rates)
     state = sample_initial_state(spec, 53)
     mean_rate = np.mean([fn(1, 2, T) for T in state.energies])
@@ -435,8 +434,7 @@ def test_unary_plugin_exceeding_supremum_is_rejected(two_state_spec_factory):
     spec = two_state_spec_factory(n=50, k2=0.0, fast=0.0)
     rates = RateTable(unary=spec.rates.unary, slow_binary=spec.rates.slow_binary,
                       fast_binary=spec.rates.fast_binary, heat_rate=0.0,
-                      bath_beta=1.0, unary_fn=lambda j, j1, T: 5.0,
-                      unary_sup=[[0.0, 1.0], [1.0, 0.0]])
+                      bath_beta=1.0, unary_fn=lambda j, j1, T: 5.0)
     state = sample_initial_state(spec.with_overrides(rates=rates), 1)
     with pytest.raises(ValueError, match="supremum"):
         run(state, spec.with_overrides(rates=rates), 5.0, seed=2,
@@ -444,15 +442,13 @@ def test_unary_plugin_exceeding_supremum_is_rejected(two_state_spec_factory):
 
 
 def test_run_rejects_invalid_spec(two_state_spec_factory):
-    # a unary_sup a quarter of the rate it bounds would silently thin the
-    # unary channel to a quarter of its law
+    # a negative unary bound would make the channel's proposal rate negative
     spec = two_state_spec_factory(n=200, k2=0.0, fast=0.0)
     state = sample_initial_state(spec, 1)
     r = spec.rates
-    rates = RateTable(unary=r.unary, slow_binary=r.slow_binary,
-                      fast_binary=r.fast_binary, heat_rate=0.0, bath_beta=1.0,
-                      unary_sup=[[0.0, 0.25], [0.25, 0.0]])
-    with pytest.raises(ValueError, match=r"invalid spec:\n(.*\n)*rates\.unary_sup"):
+    rates = RateTable(unary=[[0.0, -1.0], [1.0, 0.0]], slow_binary=r.slow_binary,
+                      fast_binary=r.fast_binary, heat_rate=0.0, bath_beta=1.0)
+    with pytest.raises(ValueError, match=r"invalid spec:\n(.*\n)*rates\.unary\[1\]\[2\]"):
         run(state, spec.with_overrides(rates=rates), 4.0, seed=2)
     assert sum(state.proposal_counts.values()) == 0
 

@@ -169,6 +169,21 @@ def test_reduced_ode_at_zero_horizon_is_initial_row():
     assert traj.concentrations.tolist() == [[0.3, 1.7]]
 
 
+def test_reduced_ode_default_clock_is_201_equal_instants():
+    # the default clock is model.sample_times at t_end / 200, which replaced
+    # np.linspace(0, t_end, 201) and must give the same floats
+    horizons = ([k / 10 for k in range(1, 1001)] + [k / 7 for k in range(1, 1001)]
+                + [10.0 ** e for e in range(-8, 9)])
+    for t_end in horizons:
+        clock = np.fromiter(sample_times(0.0, t_end, t_end / 200.0), float)
+        assert clock.tobytes() == np.linspace(0.0, t_end, 201).tobytes(), t_end
+    spec = make_two_state(k2=1.0)
+    for t_end in (2.0, 0.3, 1.7, 40.0):
+        traj = MF.reduced_macro_ode(MF.MacroState(1.0, (0.3, 0.7)), spec, t_end)
+        assert traj.times.tobytes() == np.linspace(0.0, t_end, 201).tobytes()
+        assert traj.concentrations.shape == (201, 2)
+
+
 @pytest.mark.parametrize("t_end", [-1.0, math.inf, math.nan])
 def test_reduced_ode_rejects_bad_horizon(t_end):
     # -1 integrated backwards to c = (-0.98, 1.98); NaN and inf never
@@ -358,6 +373,41 @@ def test_unary_channel_matches_reduced_chain_after_projection():
                                sample_every=0.5)
     diff = np.max(np.abs(traj.concentrations() - red.concentrations))
     assert diff < 0.03          # manifold lag is O(1/scale)
+
+
+def test_unary_plugin_equal_to_the_table_matches_the_table_path():
+    # a unary_fn giving the table's base rates, its own bound; the energy
+    # gate T + K_j - K_j' >= 0 is the engines' to apply, as for the table
+    spec = make_two_state(k2=0.7, w12=1.0, w21=0.5, heat=1.0, scale_heat=1.0)
+    r = spec.rates
+    K = spec.chem_energies()
+    plug = spec.with_overrides(rates=RateTable(
+        unary=r.unary, slow_binary=r.slow_binary, fast_binary=r.fast_binary,
+        heat_rate=r.heat_rate, bath_beta=r.bath_beta,
+        unary_fn=lambda j, j1, T: r.unary[j - 1][j1 - 1]))
+    grid = MF.energy_grid(1.0, K, m=64)
+    table_terms = MF.BoltzmannIntegrator(spec, grid).unary_terms
+    plug_terms = MF.BoltzmannIntegrator(plug, grid).unary_terms
+    assert len(plug_terms) == len(table_terms) == 2
+    for (j, j1, rate, idx, frac), (pj, pj1, prate, pidx, pfrac) in zip(table_terms,
+                                                                      plug_terms):
+        assert (j, j1) == (pj, pj1)
+        assert rate.tobytes() == prate.tobytes()
+        assert idx.tobytes() == pidx.tobytes() and frac.tobytes() == pfrac.tobytes()
+    a = MF.integrate_boltzmann(MF.field_from_spec(spec, grid), spec, 1.0,
+                               sample_every=0.25)
+    b = MF.integrate_boltzmann(MF.field_from_spec(plug, grid), plug, 1.0,
+                               sample_every=0.25)
+    assert a.times.tolist() == b.times.tolist()
+    assert all(fa.values.tobytes() == fb.values.tobytes()
+               for fa, fb in zip(a.fields, b.fields))
+    assert (a.max_step_drift, a.clipped_mass) == (b.max_step_drift, b.clipped_mass)
+    # the Maxwell average by quadrature against the closed form w g_beta(threshold)
+    for beta in (0.5, 1.0, 3.0):
+        quad = MF.maxwell_unary_rates(plug, beta=beta)
+        assert abs(quad[0, 1] - 1.0 * MF.survival_gbeta(0.7, beta)) < 1e-9
+        assert abs(quad[1, 0] - 0.5 * MF.survival_gbeta(0.0, beta)) < 1e-9
+        assert np.max(np.abs(quad - MF.maxwell_unary_rates(spec, beta=beta))) < 1e-9
 
 
 def test_slow_binary_identity_kernel_equals_fast_operator():

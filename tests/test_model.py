@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 
 from kinchem.model import (ConfigError, EnergyLaw, InitialDistribution,
                            RateTable, SpeciesSpec, TypeKernel, load_config,
-                           sample_times, save_config, validate_spec)
+                           sample_times, save_config, spec_to_dict,
+                           validate_spec)
 from kinchem.kinetics import run, sample_initial_state
 from conftest import make_two_state
 
@@ -146,6 +148,53 @@ def test_unknown_config_field_rejected(tmp_path):
         load_config(path)
 
 
+def _load_edited(tmp_path, edit):
+    """load_config of make_two_state()'s config after ``edit`` changed its dict."""
+    import yaml
+    data = spec_to_dict(make_two_state(kernel=TypeKernel(
+        kind="table", table=(((1, 1), (((2, 2), 1.0),)),))))
+    edit(data)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(data))
+    return load_config(path)
+
+
+@pytest.mark.parametrize("law, message", [
+    ({"law": "uniform", "beta": 3.0}, "unknown field.*'beta' in section 'energy_laws\\[2\\]'"),
+    ({"law": "gamma"}, "missing field 'beta' in section 'energy_laws\\[2\\]'"),
+    ({"law": "uniform", "low": 0.5}, "missing field 'high'"),
+    ({"law": "point", "value": 1.0, "high": 2.0}, "unknown field.*'high'"),
+    ({"law": "gama", "beta": 1.0}, "'gama' of field 'law'"),
+], ids=["uniform-with-beta", "gamma-without-beta", "uniform-without-high",
+        "point-with-high", "unknown-law"])
+def test_energy_law_takes_exactly_its_parameters(tmp_path, law, message):
+    # {law: uniform, beta: 3.0} loaded as Uniform(0, 1) and {law: gamma} as
+    # beta = 1, each without a word
+    def edit(data):
+        data["ensemble"]["initial_distribution"]["energy_laws"][1] = law
+    with pytest.raises(ConfigError, match=message):
+        _load_edited(tmp_path, edit)
+    for law in ({"law": "uniform", "low": 0.5, "high": 2.0},
+                {"law": "gamma", "beta": 3.0}, {"law": "point", "value": 1.5}):
+        assert EnergyLaw.from_dict(law).to_dict() == law
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda d: d["ensemble"].update(n_particles=1000.9), "ensemble.n_particles"),
+    (lambda d: d["ensemble"].update(n_particles=1000.0), "ensemble.n_particles"),
+    (lambda d: d["ensemble"].update(rng_seed=True), "ensemble.rng_seed"),
+    (lambda d: d["species"][0].update(dof=3.7), "species[1].dof"),
+    (lambda d: d["species"][1].update(type_id=2.0), "species[2].type_id"),
+    (lambda d: d["rates"]["binary_kernel"]["entries"].update({"1,1": [[2.5, 2, 1.0]]}),
+     "rates.binary_kernel[1,1]"),
+], ids=["n_particles", "n_particles-float", "rng_seed-bool", "dof", "type_id",
+        "kernel-outcome"])
+def test_integer_fields_are_not_truncated(tmp_path, edit, field):
+    # n_particles 1000.9 loaded as 1000, dof 3.7 as 3, rng_seed true as 1
+    with pytest.raises(ConfigError, match=re.escape(field)):
+        _load_edited(tmp_path, edit)
+
+
 def test_binary_kernel_unknown_kind_or_identity_entries_rejected(tmp_path):
     with pytest.raises(ConfigError, match="'identiy' of field 'kind'"):
         TypeKernel.from_dict({"kind": "identiy"})
@@ -165,24 +214,6 @@ def test_binary_kernel_unknown_kind_or_identity_entries_rejected(tmp_path):
     path.write_text(text.replace("    kind: table\n", "    kind: tabel\n"))
     with pytest.raises(ConfigError, match="'tabel' of field 'kind'"):
         load_config(path)
-
-
-def test_unary_bound_below_its_rate_flagged():
-    spec = make_two_state(w12=1.0, w21=0.5)
-
-    def report(sup, fn=None):
-        rates = RateTable(unary=spec.rates.unary, slow_binary=spec.rates.slow_binary,
-                          fast_binary=spec.rates.fast_binary, heat_rate=0.0,
-                          bath_beta=1.0, unary_fn=fn, unary_sup=sup)
-        return validate_spec(spec.with_overrides(rates=rates))
-
-    assert report([[0.0, 1.0], [0.5, 0.0]]).ok
-    assert report([[0.0, 2.0], [0.5, 0.0]]).ok
-    bad = report([[0.0, 0.5], [0.25, 0.0]])
-    assert [v.field for v in bad.violations] == ["rates.unary_sup[1][2]",
-                                                 "rates.unary_sup[2][1]"]
-    # with a plug-in the table is not the thinned rate
-    assert report([[0.0, 0.5], [0.25, 0.0]], fn=lambda j, j1, T: 0.1).ok
 
 
 def test_negative_mass_rejected_on_load(tmp_path):
