@@ -20,17 +20,30 @@ samples.  An untracked run moves no particle: positions and directions stay
 as they were, and when it ends it recomputes every speed ``spd`` from its
 energy and sets every flight clock ``last_t`` to its end time.
 
+The event rules live in one C function, ``kc_run`` in ``_events.c``, which
+works on the state's column buffers in place.  ``run`` compiles it with
+``cc`` on first use into ``$XDG_CACHE_HOME/kinchem`` (default
+``~/.cache/kinchem``), keyed by the sha256 of the source and the build
+command, and loads it with ``ctypes``; importing this module does neither.
+Python keeps the set-up, the variate streams, rate plug-ins, observers and
+the ``EventLog``: the kernel calls back for each new block of variates and
+each plug-in rate, and returns at each sample time.
+
 With ``record_events`` a run logs each accepted event as one row of plain
 floats, ints and strings in an ``EventLog``; no object is kept per event, so
 a long log gives the garbage collector nothing to track.
 
 ``run`` draws every variate it consumes from one ``numpy.random.Generator``
-seeded from the ``random.Random`` it is given, in small blocks per kind of
-variate, so no event pays for a Python-level variate call.
+seeded from the ``random.Random`` it is given, in blocks of 512 per kind of
+variate, and the kernel reads each block in order.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+import pathlib
 import random
 from array import array
 from dataclasses import dataclass
@@ -149,11 +162,12 @@ class Snapshot:
 class EnsembleState:
     """N particles with types, kinetic energies, torus positions and directions.
 
-    ``types`` and ``energies``, which every event reads, are lists.  The eight
-    geometry columns ``x``, ``y``, ``z``, ``dirx``, ``diry``, ``dirz``, ``spd``
-    and ``last_t`` (the time each position was last advanced to) are
-    ``array('d')`` buffers, so ``flush_all`` and ``positions`` work on
-    zero-copy numpy views of them.
+    All ten columns are buffers that the event kernel changes in place:
+    ``types`` (0-based) is an ``array('q')``, and ``energies`` and the eight
+    geometry columns ``x``, ``y``, ``z``, ``dirx``, ``diry``, ``dirz``,
+    ``spd`` and ``last_t`` (the time each position was last advanced to) are
+    ``array('d')``.  ``flush_all`` and ``positions`` work on zero-copy numpy
+    views of them, and ``snapshot`` copies them.
 
     The energy ledger tracks the exact kinetic/chemical totals (fsum over
     particles) and the cumulative bath exchange Q accumulated in compensated
@@ -167,11 +181,10 @@ class EnsembleState:
         self.box_side = spec.box_side
         self.species_K = list(spec.chem_energies())
         self.species_mass = list(spec.masses())
-        self.types = [0] * n            # 0-based internally
-        self.energies = [0.0] * n
         zeros = bytes(8 * n)
-        self.x, self.y, self.z, self.diry, self.dirz, self.spd, self.last_t = (
-            array("d", zeros) for _ in range(7))
+        self.types = array("q", zeros)
+        self.energies, self.x, self.y, self.z, self.diry, self.dirz, self.spd, self.last_t = (
+            array("d", zeros) for _ in range(8))
         self.dirx = array("d", [1.0]) * n
         self.sim_time = 0.0
         self.event_counts = {c: 0 for c in CHANNELS}
@@ -199,25 +212,13 @@ class EnsembleState:
 
     # -- geometry -------------------------------------------------------------
 
-    def flush_particle(self, i: int, t: float) -> None:
-        """Advance particle i's position to time t along its current velocity."""
-        dt = t - self.last_t[i]
-        if dt != 0.0:
-            s = self.spd[i]
-            L = self.box_side
-            # `% L` of a tiny negative rounds to L itself; fold back to 0
-            x = (self.x[i] + s * self.dirx[i] * dt) % L
-            y = (self.y[i] + s * self.diry[i] * dt) % L
-            z = (self.z[i] + s * self.dirz[i] * dt) % L
-            self.x[i] = x if x != L else 0.0
-            self.y[i] = y if y != L else 0.0
-            self.z[i] = z if z != L else 0.0
-            self.last_t[i] = t
-
     def flush_all(self, t: float) -> None:
-        """Advance every position to time t: flush_particle's arithmetic, vectorized.
+        """Advance every position to time t along its current velocity.
 
-        A particle already at t moves by a zero step and keeps its bits.
+        The kernel's per-particle flight, vectorized: x + s*d*dt, then
+        Python's float ``%``, whose result for a tiny negative rounds to L
+        itself and is folded back to 0.  A particle already at t moves by a
+        zero step and keeps its bits.
         """
         L = self.box_side
         last_t = np.frombuffer(self.last_t)
@@ -230,15 +231,10 @@ class EnsembleState:
         last_t[:] = t
         self.sim_time = t
 
-    def set_energy(self, i: int, energy: float) -> None:
-        self.energies[i] = energy
-        self.spd[i] = math.sqrt(2.0 * energy / self.species_mass[self.types[i]])
-
     def refresh_speeds(self) -> None:
-        """Recompute every speed from its energy, with set_energy's arithmetic."""
-        energy = np.asarray(self.energies, dtype=float)
-        mass = np.asarray(self.species_mass, dtype=float)[self.types]
-        np.frombuffer(self.spd)[:] = np.sqrt(2.0 * energy / mass)
+        """Recompute every speed sqrt(2*T/m) from its energy, as the kernel does."""
+        mass = np.asarray(self.species_mass, dtype=float)[np.frombuffer(self.types, np.int64)]
+        np.frombuffer(self.spd)[:] = np.sqrt(2.0 * np.frombuffer(self.energies) / mass)
 
     # -- views ----------------------------------------------------------------
 
@@ -252,8 +248,9 @@ class EnsembleState:
     def snapshot(self, with_positions: bool = True) -> Snapshot:
         return Snapshot(
             time=self.sim_time,
-            types=np.asarray(self.types, dtype=np.int64) + 1,
-            energies=np.asarray(self.energies, dtype=float),
+            # copies: a numpy view of a column would change with the run
+            types=np.array(self.types, dtype=np.int64) + 1,
+            energies=np.array(self.energies, dtype=float),
             positions=self.positions() if with_positions else None,
             total_kinetic=self.total_kinetic(),
             total_chemical=self.total_chemical(),
@@ -312,22 +309,161 @@ def sample_initial_state(spec: EnsembleSpec, seed: Optional[int] = None) -> Ense
     return state
 
 
+# -- event kernel ----------------------------------------------------------------
+
+
+_SOURCE = pathlib.Path(__file__).with_name("_events.c")
+# no FMA contraction and no -ffast-math: every event must round as Python does
+_BUILD = ("cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_BLOCK = 512    # variates per refill of each stream; small blocks keep peak memory flat
+# kc_run's return codes
+_DONE, _STOP, _CALLBACK, _NO_MEMORY = range(4)
+
+_I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+_REFILL = ctypes.CFUNCTYPE(ctypes.c_int, _I64)
+_UNARY_FN = ctypes.CFUNCTYPE(ctypes.c_int, _I64, _F64, ctypes.POINTER(_F64))
+_SLOW_FN = ctypes.CFUNCTYPE(ctypes.c_int, _I64, _I64, _F64, _F64, ctypes.POINTER(_F64))
+
+
+# the Run struct's buffer pointers, in order
+_BUFFERS = ("K", "mass", "unary", "slow", "fast", "out_start", "out_types",
+            "out_prob", "types", "T", "x", "y", "z", "dirx", "diry", "dirz", "spd",
+            "last_t", "rates")
+
+
+class _Run(ctypes.Structure):
+    """The ``Run`` struct of ``_events.c``, field for field."""
+
+    _fields_ = (
+        [(f, _I64) for f in ("n", "n_types", "track", "record", "table_kernel", "block")]
+        + [(f, _F64) for f in ("R_total", "c1", "c2", "c3", "ubar", "bmax", "fmax",
+                                "box_side")]
+        + [(f, _PTR) for f in _BUFFERS]
+        + [("buf", _PTR * 7), ("pos", _I64 * 7), ("refill", _REFILL),
+           ("unary_fn", _UNARY_FN), ("slow_fn", _SLOW_FN)]
+        + [(f, _F64) for f in ("t", "t_next", "t_stop", "q", "qc")]
+        + [("n_left", _I64), ("resume", _I64), ("props", _I64 * 4), ("accs", _I64 * 4),
+           ("noops", _I64 * 4), ("log_i", _PTR), ("log_d", _PTR), ("log_len", _I64),
+           ("log_cap", _I64)])
+
+
+@functools.cache
+def _kernel():
+    """The event kernel, compiled into the cache directory unless already there."""
+    import hashlib
+
+    key = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_BUILD).encode()).hexdigest()
+    cache = pathlib.Path(os.environ.get("XDG_CACHE_HOME")
+                         or pathlib.Path.home() / ".cache") / "kinchem"
+    lib = cache / f"_events-{key[:16]}.so"
+    if not lib.exists():
+        import subprocess
+        import tempfile
+
+        cache.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix="_events-", suffix=".so", dir=cache)
+        os.close(fd)
+        cmd = [*_BUILD, "-o", tmp, str(_SOURCE), "-lm"]
+        try:
+            proc = subprocess.run(cmd, capture_output=True, text=True)
+            failure = proc.stderr if proc.returncode else None
+        except OSError as exc:
+            failure = str(exc)
+        if failure is not None:
+            os.unlink(tmp)
+            raise RuntimeError(f"cannot build the particle event kernel, which needs a "
+                               f"C compiler on PATH as cc; command: {' '.join(cmd)}\n"
+                               f"{failure}")
+        os.replace(tmp, lib)
+    dll = ctypes.PyDLL(str(lib))        # keeps the GIL held, so callbacks need no hand-off
+    dll.kc_run.argtypes = dll.kc_free_log.argtypes = (ctypes.POINTER(_Run),)
+    dll.kc_run.restype = ctypes.c_int
+    dll.kc_free_log.restype = None
+    return dll
+
+
+def _catching(fn, failure: list):
+    """``fn`` as a callback body that returns 0, or 1 with the exception kept
+    in ``failure``: ctypes would print an exception raised in a callback and
+    drop it."""
+    def call(*args):
+        try:
+            fn(*args)
+            return 0
+        except BaseException as exc:
+            failure.append(exc)
+            return 1
+    return call
+
+
+def _outcome_table(kernel, J: int):
+    """Slow-binary outcomes of each ordered type pair, row-major, as arrays
+    (offsets, 0-based outcome pairs, probabilities); a pair absent from a
+    table kernel keeps its types with probability 1."""
+    start, pairs, probs = [0], [], []
+    for a in range(1, J + 1):
+        for b in range(1, J + 1):
+            for (x1, x2), prob in kernel.outcomes(a, b):
+                pairs += (x1 - 1, x2 - 1)
+                probs.append(prob)
+            start.append(len(probs))
+    return (np.array(start, np.int64), np.array(pairs, np.int64),
+            np.array(probs, dtype=float))
+
+
+def _address(buf) -> int:
+    return buf.ctypes.data if isinstance(buf, np.ndarray) else buf.buffer_info()[0]
+
+
+def _columns(state: EnsembleState, J: int) -> list:
+    """The state's ten columns, checked to be what the kernel indexes blindly:
+    n int64 types in 0..J-1 and n doubles per other column, with J species."""
+    cols = [state.types, state.energies, state.x, state.y, state.z, state.dirx,
+            state.diry, state.dirz, state.spd, state.last_t]
+    fits = ([getattr(c, "typecode", None) for c in cols] == ["q"] + ["d"] * 9
+            and all(len(c) == state.n for c in cols)
+            and len(state.species_K) == len(state.species_mass) == J)
+    if fits:
+        types = np.frombuffer(state.types, np.int64)
+        fits = 0 <= types.min() and types.max() < J
+    if not fits:
+        raise ValueError(f"state does not fit the spec: need {state.n} types in "
+                         f"0..{J - 1} as array('q') and {state.n} floats per column "
+                         f"as array('d'), with {J} species")
+    return cols
+
+
+_CHANNEL_NAMES = np.array(CHANNELS, dtype=object)
+
+
+def _logged_rows(ctx) -> list:
+    """The kernel's event rows as ``EventLog``'s flat list of plain values."""
+    m = ctx.log_len
+    if m == 0:
+        return []
+    ints = np.ctypeslib.as_array(ctypes.cast(ctx.log_i, ctypes.POINTER(_I64)), (m, 7))
+    dbls = np.ctypeslib.as_array(ctypes.cast(ctx.log_d, ctypes.POINTER(_F64)), (m, 5))
+    one = ints[:, 2] < 0            # a one-particle event: no second participant
+    cols = (dbls[:, 0], _CHANNEL_NAMES[ints[:, 0]], ints[:, 1], ints[:, 2], ints[:, 3],
+            dbls[:, 1], ints[:, 4], dbls[:, 2], ints[:, 5], dbls[:, 3], ints[:, 6],
+            dbls[:, 4])
+    width = len(EventLog.columns)
+    flat = [None] * (m * width)
+    for k, col in enumerate(cols):
+        if k == 3 or k >= 8:        # j and the second participant's fields
+            col = col.astype(object)
+            col[one] = None
+        flat[k::width] = col.tolist()
+    return flat
+
+
 # -- trajectory driver ---------------------------------------------------------
 
 
-_BLOCK = 512    # variates per refill of each stream; small blocks keep peak memory flat
-
-
-def _stream(draw):
-    """Endless iterator over the values of ``draw(_BLOCK)``, one block at a time."""
-    while True:
-        yield from draw(_BLOCK).tolist()
-
-
-def _write_back(state, q, qc, props, accs, noops):
-    """Store run()'s local bath sum and per-channel counters into ``state``."""
-    state._q, state._q_comp = q, qc
-    for c, p, a, o in zip(CHANNELS, props, accs, noops):
+def _write_back(state, ctx) -> None:
+    """Store the kernel's bath sum and per-channel counters into ``state``."""
+    state._q, state._q_comp = ctx.q, ctx.qc
+    for c, p, a, o in zip(CHANNELS, ctx.props, ctx.accs, ctx.noops):
         state.proposal_counts[c] = p
         state.event_counts[c] = a
         state.noop_counts[c] = o
@@ -353,7 +489,10 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
     Every variate comes from one ``numpy.random.Generator`` seeded with 128
     bits of ``rng`` (built from ``seed``, or ``spec.rng_seed + 1``, when not
     given), drawn in blocks with one stream per kind of variate.  The run is
-    deterministic given (state, seed) for a given numpy version.
+    deterministic given (state, seed) for a given numpy version.  The events
+    run in the compiled kernel, built on the first call (see the module
+    docstring); an exception raised by a rate plug-in or an observer
+    propagates, with the counters of the proposals made until then.
 
     Returns (state, events) where events is the ``EventLog`` of the accepted
     events in time order (empty unless record_events).  Raises ValueError if
@@ -361,7 +500,9 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
     (NaN included), if ``t_end`` is infinite and no ``max_events`` bounds the
     run, if ``t_end`` is infinite and every channel's proposal rate is 0, or
     if observers are given with a ``sample_every`` that is not positive and
-    finite.
+    finite, or if a column of ``state`` is not the buffer the kernel reads or
+    holds a type id outside the spec; RuntimeError, naming the command, if
+    the kernel cannot be built.
     """
     _require_valid(spec)
     if not t_end >= state.sim_time:        # also rejects NaN
@@ -372,7 +513,6 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
     clock = sample_times(state.sim_time, t_end, sample_every) if observers else None
     n = state.n
     J = spec.n_types
-    K = state.species_K
     r = spec.rates
 
     # channel bounds for thinning
@@ -388,54 +528,75 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
     if R_total == 0.0 and t_end == math.inf:
         # no proposal ever comes, and no horizon is ever reached
         raise ValueError("t_end must be finite when every channel's rate is 0")
+    columns = _columns(state, J)
+    kc = _kernel()
     if rng is None:
         rng = random.Random(spec.rng_seed + 1 if seed is None else seed)
     gen = np.random.default_rng(rng.getrandbits(128))
-    c1 = R_unary
-    c2 = c1 + R_slow
-    c3 = c2 + R_fast
 
-    unary_fn = r.unary_fn
-    slow_fn = r.slow_fn
-    w = r.unary
-    bmat = r.slow_binary
-    fmat = r.fast_binary
-    kernel = r.binary_kernel
-    identity_kernel = kernel.kind == "identity"
+    # the seven variate streams, in the kernel's order; each is refilled only
+    # when the kernel has read its last block, so none is drawn ahead
+    draws = (
+        gen.standard_exponential,                           # waiting times
+        gen.random,                                         # uniforms
+        lambda k: gen.integers(n, size=k),                  # particles
+        lambda k: gen.integers(n - 1, size=k),              # partners
+        # Beta(3/2, 3/2) is the conditional law of X1/(X1+X2) for i.i.d.
+        # energies with density c sqrt(x) exp(-beta x): the one split law of
+        # the fast, slow-binary and heat channels
+        lambda k: gen.beta(1.5, 1.5, k),
+        lambda k: gen.gamma(1.5, 1.0 / r.bath_beta, k),     # bath energies
+        gen.standard_normal,                                # directions
+    )
+    bufs = [np.empty(_BLOCK, np.int64 if k in (2, 3) else float) for k in range(7)]
 
-    types = state.types
-    T = state.energies
-    events = EventLog()
-    log = events._flat.extend
-    # per-channel counters and the Neumaier bath sum live in locals during the
-    # run; _write_back stores them before each observer call and at exit
-    props = [state.proposal_counts[c] for c in CHANNELS]
-    accs = [state.event_counts[c] for c in CHANNELS]
-    noops = [state.noop_counts[c] for c in CHANNELS]
-    q, qc = state._q, state._q_comp
+    def refill(k):
+        bufs[k][:] = draws[k](_BLOCK)
 
-    waiting = _stream(gen.standard_exponential).__next__
-    uniform = _stream(gen.random).__next__
-    particle = _stream(lambda k: gen.integers(n, size=k)).__next__
-    partner = _stream(lambda k: gen.integers(n - 1, size=k)).__next__
-    # Beta(3/2, 3/2) is the conditional law of X1/(X1+X2) for i.i.d. energies
-    # with density c sqrt(x) exp(-beta x): the one split law of the fast,
-    # slow-binary and heat channels
-    split = _stream(lambda k: gen.beta(1.5, 1.5, k)).__next__
-    bath = _stream(lambda k: gen.gamma(1.5, 1.0 / r.bath_beta, k)).__next__
-    normal = _stream(gen.standard_normal).__next__
+    failure = []
+    tables = [np.array(x, dtype=float) for x in (state.species_K, state.species_mass,
+                                                 r.unary, r.slow_binary, r.fast_binary)]
+    tables += _outcome_table(r.binary_kernel, J)
+    ctx = _Run(n=n, n_types=J, track=track_positions, record=record_events,
+               table_kernel=r.binary_kernel.kind != "identity", block=_BLOCK, R_total=R_total,
+               c1=R_unary, c2=R_unary + R_slow, c3=R_unary + R_slow + R_fast,
+               ubar=ubar, bmax=bmax, fmax=fmax, box_side=state.box_side,
+               refill=_REFILL(_catching(refill, failure)),
+               t=state.sim_time, q=state._q, qc=state._q_comp,
+               # accepted events left before max_events stops the run; -1 never reaches 0
+               n_left=-1 if max_events is None else max(max_events, 0))
+    rates = np.zeros(J)                 # the unary channel's scratch row
+    for name, buf in zip(_BUFFERS, [*tables, *columns, rates], strict=True):
+        setattr(ctx, name, _address(buf))
+    for k, buf in enumerate(bufs):
+        ctx.buf[k] = _address(buf)
+        ctx.pos[k] = _BLOCK
+    if r.unary_fn is not None:
+        def unary_rates(j0, T, out):
+            total = 0.0
+            for j1 in range(J):
+                if j1 != j0:
+                    out[j1] = rate = r.unary_fn(j0 + 1, j1 + 1, T)
+                    total += rate
+            if total > usup_type[j0] * (1.0 + 1e-12):
+                raise ValueError(
+                    f"unary rate plug-in exceeds its declared supremum "
+                    f"rates.unary ({total} > {usup_type[j0]} for type {j0 + 1})")
 
-    if track_positions:
-        flush_particle = state.flush_particle
-        set_energy = state.set_energy
-        dirx, diry, dirz = state.dirx, state.diry, state.dirz
+        ctx.unary_fn = _UNARY_FN(_catching(unary_rates, failure))
+    if r.slow_fn is not None:
+        def slow_rate(a, b, Ta, Tb, out):
+            out[0] = rate = r.slow_fn(a + 1, b + 1, Ta, Tb)
+            if rate > bmax * (1.0 + 1e-12):
+                raise ValueError(
+                    f"slow binary rate plug-in exceeds its thinning bound "
+                    f"({rate} > {bmax} for types {a + 1},{b + 1})")
 
-        def relaunch(i, t, e):
-            # fly particle i to the event time on its old velocity, then give
-            # it energy e, the matching speed and a fresh direction
-            flush_particle(i, t)
-            set_energy(i, e)
-            dirx[i], diry[i], dirz[i] = _random_direction(normal)
+        ctx.slow_fn = _SLOW_FN(_catching(slow_rate, failure))
+    for k, c in enumerate(CHANNELS):
+        ctx.props[k] = state.proposal_counts[c]
+        ctx.accs[k] = state.event_counts[c]
+        ctx.noops[k] = state.noop_counts[c]
 
     def emit(t_obs):
         state.sim_time = t_obs
@@ -449,171 +610,34 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
     if observers:
         emit(next(clock))
         next_obs = next(clock, None)
-    # the loop looks up from the events only once t_next reaches t_stop, the
-    # next sample time or the horizon; -inf makes the first proposal set it
-    t_stop = -math.inf
-    # accepted events left before max_events stops the run; -1 never reaches 0
-    n_left = -1 if max_events is None else max(max_events, 0)
+    # the kernel returns once a proposal time reaches t_stop, the next sample
+    # time or the horizon; -inf makes the first proposal set it
+    ctx.t_stop = -math.inf
+    events = EventLog()
 
     try:
-        while n_left:
-            t_next = t + waiting() / R_total if R_total > 0.0 else math.inf
-            if t_next >= t_stop:
-                _write_back(state, q, qc, props, accs, noops)
-                # the clock ends at t_end, so no sample time lies beyond it
-                while next_obs is not None and next_obs <= t_next:
-                    emit(next_obs)
-                    next_obs = next(clock, None)
-                if t_next > t_end:
-                    t = t_end
-                    break
-                t_stop = t_end if next_obs is None else next_obs
-            t = t_next
-
-            u = uniform() * R_total
-            if u < c1:
-                # unary channel
-                props[0] += 1
-                i = particle()
-                j0 = types[i]
-                Ti = T[i]
-                rates = [0.0] * J
-                total = 0.0
-                for j1 in range(J):
-                    if j1 != j0:
-                        if unary_fn is None:
-                            rate = w[j0][j1] if Ti + K[j0] - K[j1] >= 0.0 else 0.0
-                        else:
-                            rate = unary_fn(j0 + 1, j1 + 1, Ti)
-                        rates[j1] = rate
-                        total += rate
-                if unary_fn is not None and total > usup_type[j0] * (1.0 + 1e-12):
-                    raise ValueError(
-                        f"unary rate plug-in exceeds its declared supremum "
-                        f"rates.unary ({total} > {usup_type[j0]} for type {j0 + 1})")
-                if total <= 0.0 or uniform() * ubar > total:
-                    continue
-                # accepted: choose the target proportionally to the rates
-                pick = uniform() * total
-                acc = 0.0
-                j1 = j0
-                for cand, rate in enumerate(rates):
-                    acc += rate
-                    if pick < acc:
-                        j1 = cand
-                        break
-                T1 = Ti + K[j0] - K[j1]
-                if T1 < 0.0:
-                    noops[0] += 1
-                    continue
-                types[i] = j1
-                if track_positions:
-                    relaunch(i, t, T1)
-                else:
-                    T[i] = T1
-                accs[0] += 1
-                if record_events:
-                    log((t, "unary", i, None, j0 + 1, Ti, j1 + 1, T1,
-                         None, None, None, None))
-            elif u < c2:
-                # slow binary channel
-                props[1] += 1
-                i = particle()
-                k = partner()
-                j = k if k < i else k + 1
-                a, b = types[i], types[j]
-                Ti, Tj = T[i], T[j]
-                if slow_fn is None:
-                    rate = bmat[a][b]
-                else:
-                    rate = slow_fn(a + 1, b + 1, Ti, Tj)
-                    if rate > bmax * (1.0 + 1e-12):
-                        raise ValueError(
-                            f"slow binary rate plug-in exceeds its thinning bound "
-                            f"({rate} > {bmax} for types {a + 1},{b + 1})")
-                if rate < bmax and uniform() * bmax > rate:
-                    continue
-                if identity_kernel:
-                    j1, j1p = a, b
-                else:
-                    outs = kernel.outcomes(a + 1, b + 1)
-                    pick = uniform()
-                    acc = 0.0
-                    j1, j1p = a + 1, b + 1
-                    for (x1, x2), prob in outs:
-                        acc += prob
-                        if pick < acc:
-                            j1, j1p = x1, x2
-                            break
-                    j1 -= 1
-                    j1p -= 1
-                E = (Ti + Tj) + ((K[a] + K[b]) - (K[j1] + K[j1p]))
-                if E < 0.0:
-                    noops[1] += 1
-                    continue
-                t1, t2 = split_energy(E, split())
-                types[i] = j1
-                types[j] = j1p
-                if track_positions:
-                    relaunch(i, t, t1)
-                    relaunch(j, t, t2)
-                else:
-                    T[i], T[j] = t1, t2
-                accs[1] += 1
-                if record_events:
-                    log((t, "slow_binary", i, j, a + 1, Ti, j1 + 1, t1,
-                         b + 1, Tj, j1p + 1, t2))
-            elif u < c3:
-                # fast binary channel
-                props[2] += 1
-                i = particle()
-                k = partner()
-                j = k if k < i else k + 1
-                fij = fmat[types[i]][types[j]]
-                if fij < fmax and uniform() * fmax > fij:
-                    continue
-                Ti, Tj = T[i], T[j]
-                # split_energy inlined; its guard changes nothing here, since
-                # a zero total splits as 0.0 - 0.0*frac
-                S = Ti + Tj
-                t2 = S - S * split()
-                t1 = S - t2
-                if track_positions:
-                    relaunch(i, t, t1)
-                    relaunch(j, t, t2)
-                else:
-                    T[i], T[j] = t1, t2
-                accs[2] += 1
-                if record_events:
-                    a, b = types[i] + 1, types[j] + 1
-                    log((t, "fast_binary", i, j, a, Ti, a, t1, b, Tj, b, t2))
-            else:
-                # heat channel (always accepted: constant rate)
-                props[3] += 1
-                i = particle()
-                Ti = T[i]
-                # split_energy inlined, keeping the particle's share
-                S = Ti + bath()
-                t1 = S - (S - S * split())
-                # Neumaier-compensated bath sum q + qc
-                delta = t1 - Ti
-                s = q + delta
-                if abs(q) >= abs(delta):
-                    qc += (q - s) + delta
-                else:
-                    qc += (delta - s) + q
-                q = s
-                if track_positions:
-                    relaunch(i, t, t1)
-                else:
-                    T[i] = t1
-                accs[3] += 1
-                if record_events:
-                    a = types[i] + 1
-                    log((t, "heat", i, None, a, Ti, a, t1, None, None, None, None))
-            n_left -= 1
+        while True:
+            status = kc.kc_run(ctx)
+            t = ctx.t
+            if status == _DONE:             # max_events reached
+                break
+            if status == _CALLBACK:
+                raise failure[0]
+            if status == _NO_MEMORY:
+                raise MemoryError("no memory to grow the event log")
+            _write_back(state, ctx)
+            # the clock ends at t_end, so no sample time lies beyond it
+            while next_obs is not None and next_obs <= ctx.t_next:
+                emit(next_obs)
+                next_obs = next(clock, None)
+            if ctx.t_next > t_end:
+                t = t_end
+                break
+            ctx.t_stop = t_end if next_obs is None else next_obs
     finally:
-        _write_back(state, q, qc, props, accs, noops)
+        _write_back(state, ctx)
+        events._flat.extend(_logged_rows(ctx))
+        kc.kc_free_log(ctx)
         if not track_positions:
             # no flight read the speeds, so they were left stale until now
             state.refresh_speeds()

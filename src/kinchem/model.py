@@ -93,7 +93,8 @@ class EnergyLaw:
         unknown = _unknown_fields(d, ("law", *params), section)
         if unknown:
             raise ConfigError("unknown field(s): " + ", ".join(unknown))
-        return EnergyLaw(law, **{k: _require(d, k, section) for k in params})
+        return EnergyLaw(law, **{k: _real(_require(d, k, section), f"{section}.{k}")
+                                 for k in params})
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,7 @@ class TypeKernel:
         table = []
         for key, outs in d.get("entries", {}).items():
             a, b = (int(s) for s in key.split(","))
-            table.append(((a, b), tuple(((j1, j1p), float(p))
+            table.append(((a, b), tuple(((j1, j1p), _real(p, f"rates.binary_kernel[{key}]"))
                                         for j1, j1p, p in outs)))
         return TypeKernel(kind="table", table=tuple(table))
 
@@ -246,7 +247,7 @@ class ConfigError(ValueError):
 
 
 def _finite(x) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def _integer(x) -> bool:
@@ -374,6 +375,8 @@ def validate_spec(spec: EnsembleSpec) -> ValidationReport:
         tag = f"ensemble.initial_distribution.energy_laws[{pos}]"
         if law.law not in _LAW_PARAMS:
             flag(tag, f"unknown law {law.law!r}")
+        elif not all(_finite(getattr(law, k)) for k in _LAW_PARAMS[law.law]):
+            flag(tag, f"parameters must be finite numbers, got {law.to_dict()!r}")
         elif law.law == "uniform" and not (0.0 <= law.low <= law.high):
             flag(tag, f"need 0 <= low <= high, got ({law.low!r}, {law.high!r})")
         elif law.law == "gamma" and law.beta <= 0.0:
@@ -427,6 +430,20 @@ def _require(d: dict, key: str, section: str):
     return d[key]
 
 
+def _real(x, where: str) -> float:
+    """``x`` as a float; a bool, which Python counts as a number, is refused."""
+    if isinstance(x, bool):
+        raise ConfigError(f"{where}: must be a number, got {x!r}")
+    return float(x)
+
+
+def _reals(values, where: str) -> tuple:
+    """Every entry of ``values`` through ``_real``; a row of a matrix is ``where[k]``."""
+    return tuple(_real(x, f"{where}[{k}]") if not isinstance(x, (list, tuple))
+                 else _reals(x, f"{where}[{k}]")
+                 for k, x in enumerate(values, start=1))
+
+
 # accepted fields per section: what spec_to_dict writes plus the optional ones
 _ROOT_KEYS = ("ensemble", "species", "rates")
 _ENSEMBLE_KEYS = ("n_particles", "box_side", "scale_fast", "scale_heat",
@@ -464,26 +481,27 @@ def spec_from_dict(data: dict) -> EnsembleSpec:
 
     species = []
     for i, sd in enumerate(species_raw, start=1):
+        tag = f"species[{i}]"
         species.append(SpeciesSpec(
-            type_id=_require(sd, "type_id", f"species[{i}]"),
-            mass=float(_require(sd, "mass", f"species[{i}]")),
+            type_id=_require(sd, "type_id", tag),
+            mass=_real(_require(sd, "mass", tag), f"{tag}.mass"),
             dof=sd.get("dof", 3),
-            chem_energy=float(sd.get("chem_energy", 0.0)),
-            internal_masses=tuple(sd.get("internal_masses", ())),
+            chem_energy=_real(sd.get("chem_energy", 0.0), f"{tag}.chem_energy"),
+            internal_masses=_reals(sd.get("internal_masses", ()), f"{tag}.internal_masses"),
         ))
 
     rates = RateTable(
-        unary=_require(rates_raw, "unary", "rates"),
-        slow_binary=_require(rates_raw, "slow_binary", "rates"),
-        fast_binary=_require(rates_raw, "fast_binary", "rates"),
-        heat_rate=float(_require(rates_raw, "heat_rate", "rates")),
-        bath_beta=float(_require(rates_raw, "bath_beta", "rates")),
+        **{name: _reals(_require(rates_raw, name, "rates"), f"rates.{name}")
+           for name in ("unary", "slow_binary", "fast_binary")},
+        heat_rate=_real(_require(rates_raw, "heat_rate", "rates"), "rates.heat_rate"),
+        bath_beta=_real(_require(rates_raw, "bath_beta", "rates"), "rates.bath_beta"),
         binary_kernel=TypeKernel.from_dict(rates_raw.get("binary_kernel", {"kind": "identity"})),
     )
 
     dist_raw = _require(ens, "initial_distribution", "ensemble")
     dist = InitialDistribution(
-        type_weights=tuple(_require(dist_raw, "type_weights", "initial_distribution")),
+        type_weights=_reals(_require(dist_raw, "type_weights", "initial_distribution"),
+                            "ensemble.initial_distribution.type_weights"),
         energy_laws=tuple(EnergyLaw.from_dict(d, f"energy_laws[{i}]")
                           for i, d in enumerate(_require(dist_raw, "energy_laws",
                                                          "initial_distribution"),
@@ -492,12 +510,12 @@ def spec_from_dict(data: dict) -> EnsembleSpec:
 
     return EnsembleSpec(
         n_particles=_require(ens, "n_particles", "ensemble"),
-        box_side=float(_require(ens, "box_side", "ensemble")),
+        box_side=_real(_require(ens, "box_side", "ensemble"), "ensemble.box_side"),
         species=tuple(species),
         rates=rates,
         initial_distribution=dist,
-        scale_fast=float(ens.get("scale_fast", 1.0)),
-        scale_heat=float(ens.get("scale_heat", 0.0)),
+        scale_fast=_real(ens.get("scale_fast", 1.0), "ensemble.scale_fast"),
+        scale_heat=_real(ens.get("scale_heat", 0.0), "ensemble.scale_heat"),
         rng_seed=ens.get("rng_seed", 0),
     )
 

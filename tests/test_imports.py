@@ -1,9 +1,12 @@
-"""kinchem starts on numpy alone.
+"""kinchem starts on numpy alone, and builds its event kernel on first use.
 
 Importing the package, its CLI, its scenarios and its statistics loads no
 scipy, jsonschema or yaml module; each function that needs one imports it on
-first call.  A particle run of ``kinchem sim`` never needs scipy.  Each check
-runs in a fresh interpreter, since this test process has loaded scipy already.
+first call.  A particle run of ``kinchem sim`` never needs scipy.  Importing
+neither compiles nor loads the particle engine's C kernel: the first
+``run()`` compiles it into ``$XDG_CACHE_HOME/kinchem`` and later interpreters
+load it from there.  Each check runs in a fresh interpreter, since this test
+process has loaded scipy and the kernel already.
 """
 from __future__ import annotations
 
@@ -14,37 +17,83 @@ import subprocess
 import sys
 
 import kinchem
+from kinchem import kinetics
 
 SRC = pathlib.Path(kinchem.__file__).resolve().parents[1]
 TWO_STATE = pathlib.Path(__file__).resolve().parents[1] / "configs" / "two_state.yaml"
 DEFERRED = ("scipy", "jsonschema", "yaml")
+IMPORTS = "import kinchem, kinchem.cli, kinchem.scenarios, kinchem.stats"
 
 
-def _loaded_after(code: str) -> list:
+def _python(code: str, **env) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter with kinchem importable and ``env`` set."""
+    full = dict(os.environ, **env)
+    full["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=full, timeout=120)
+
+
+def _loaded_after(code: str, **env) -> list:
     """Top-level packages among DEFERRED in sys.modules after running ``code``."""
     probe = (f"{code}\nimport json, sys\n"
              f"print(json.dumps(sorted({{m.split('.')[0] for m in sys.modules}}"
              f" & set({DEFERRED!r}))))")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=env, timeout=120)
+    proc = _python(probe, **env)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_import_loads_no_scipy_jsonschema_or_yaml():
-    assert _loaded_after("import kinchem, kinchem.cli, kinchem.scenarios, kinchem.stats") == []
-
-
-def test_particle_sim_loads_no_scipy(tmp_path):
+def _sim_code(tmp_path) -> str:
+    """A particle ``kinchem sim`` on a 40-particle two-state config, as a script."""
     config = tmp_path / "two_state.yaml"
     config.write_text(TWO_STATE.read_text().replace("n_particles: 1000", "n_particles: 40"))
-    code = ("import contextlib, io\n"
+    return ("import contextlib, io\n"
             "from kinchem.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert main(['sim', '--config', {str(config)!r}, '--engine', 'particle',\n"
             f"                 '--t-end', '0.5', '--out', {str(tmp_path / 'out')!r}]) == 0\n")
-    loaded = _loaded_after(code)
+
+
+def test_import_loads_no_scipy_jsonschema_or_yaml():
+    assert _loaded_after(IMPORTS) == []
+
+
+def test_particle_sim_loads_no_scipy(tmp_path):
+    loaded = _loaded_after(_sim_code(tmp_path))
     assert "scipy" not in loaded
     assert (tmp_path / "out" / "trajectory.csv").is_file()
+
+
+def test_kernel_is_built_on_first_run_and_then_loaded_from_the_cache(tmp_path):
+    env = {"XDG_CACHE_HOME": str(tmp_path / "cache")}
+    cache = tmp_path / "cache" / "kinchem"
+    proc = _python(f"{IMPORTS}\nfrom kinchem.kinetics import _kernel\n"
+                   "print(_kernel.cache_info().currsize)", **env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
+    assert not (tmp_path / "cache").exists()
+
+    proc = _python(_sim_code(tmp_path), **env)
+    assert proc.returncode == 0, proc.stderr
+    built = sorted(p.name for p in cache.iterdir())
+    assert len(built) == 1 and built[0].startswith("_events-") and built[0].endswith(".so")
+    mtime = (cache / built[0]).stat().st_mtime_ns
+
+    # no compiler on PATH: the cached library must serve
+    proc = _python(_sim_code(tmp_path), PATH="", **env)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in cache.iterdir()) == built
+    assert (cache / built[0]).stat().st_mtime_ns == mtime
+
+
+def test_missing_compiler_names_the_build_command(tmp_path):
+    env = {"XDG_CACHE_HOME": str(tmp_path / "cache"), "PATH": ""}
+    proc = _python("from kinchem.kinetics import run, sample_initial_state\n"
+                   "from kinchem.scenarios import two_state_spec\n"
+                   "spec = two_state_spec(10)\n"
+                   "run(sample_initial_state(spec, 1), spec, 1.0, seed=2)\n", **env)
+    assert proc.returncode != 0
+    assert "RuntimeError" in proc.stderr
+    assert " ".join(kinetics._BUILD) in proc.stderr
+    # the failed build leaves no file behind
+    assert list((tmp_path / "cache" / "kinchem").iterdir()) == []

@@ -67,8 +67,8 @@ def test_free_flight_identity_and_wrap(two_state_spec_factory):
     # particle 0: speed 1 along x; particle 1: zero energy
     state.x[0], state.y[0], state.z[0] = 0.0, 0.25, 0.5
     state.dirx[0], state.diry[0], state.dirz[0] = 1.0, 0.0, 0.0
-    state.set_energy(0, 0.5)            # speed = sqrt(2*0.5/1) = 1
-    state.set_energy(1, 0.0)
+    state.energies[0], state.energies[1] = 0.5, 0.0
+    state.refresh_speeds()              # speeds 1 and 0
     x1_before = (state.x[1], state.y[1], state.z[1])
 
     run(state, spec, 0.0, seed=2)
@@ -91,15 +91,15 @@ def test_all_rates_zero_is_pure_flight(two_state_spec_factory):
             state.spd[i] * state.dirz[i]) for i in range(20)]
     pos0 = state.positions().copy()
     run(state, spec, t_end=5.0, seed=3)
-    assert state.energies == e0 and state.types == t0
+    assert state.energies.tolist() == e0 and state.types.tolist() == t0
     expect = (pos0 + 5.0 * np.array(vel)) % 3.0
     assert np.allclose(state.positions(), expect, atol=1e-9)
     assert sum(state.event_counts.values()) == 0
 
 
 def _scalar_flush(state, t):
-    # the per-particle loop flush_all replaced, operand order and fold as in
-    # flush_particle: the bitwise reference for the vector flush
+    # the per-particle flight of the event kernel (relaunch in _events.c),
+    # operand order and fold included: the bitwise reference for the vector flush
     L = state.box_side
     for i in range(state.n):
         dt = t - state.last_t[i]
@@ -197,7 +197,8 @@ def prepared(spec, *particles):
     state = sample_initial_state(spec, 1)
     for i, (type_id, T) in enumerate(particles):
         state.types[i] = type_id - 1
-        state.set_energy(i, T)
+        state.energies[i] = T
+    state.refresh_speeds()
     return state
 
 
@@ -217,17 +218,17 @@ def test_unary_conservation_arithmetic(two_state_spec_factory):
                                         SpeciesSpec(2, 1.0, 3, 2.0)))
     up = prepared(spec, (1, 2.0))
     assert one_event(up, spec)[0].after == ((2, 1.0),)
-    assert up.types == [1] and up.energies == [1.0]
+    assert up.types.tolist() == [1] and up.energies.tolist() == [1.0]
 
     # T + K_1 - K_2 < 0: the target's rate is 0, so proposals never jump
     noop = prepared(spec, (1, 0.5))
     assert one_event(noop, spec, t_end=20.0) == []
     assert noop.proposal_counts["unary"] > 0 and noop.noop_counts["unary"] == 0
-    assert noop.types == [0] and noop.energies == [0.5]
+    assert noop.types.tolist() == [0] and noop.energies.tolist() == [0.5]
 
     down = prepared(spec, (2, 0.0))
     assert one_event(down, spec)[0].after == ((1, 1.0),)
-    assert down.types == [0] and down.energies == [1.0]
+    assert down.types.tolist() == [0] and down.energies.tolist() == [1.0]
 
 
 def test_unary_direction_resampled(two_state_spec_factory):
@@ -236,7 +237,7 @@ def test_unary_direction_resampled(two_state_spec_factory):
     state.dirx[0], state.diry[0], state.dirz[0] = 1.0, 0.0, 0.0
     one_event(state, spec, seed=4)
     direction = (state.dirx[0], state.diry[0], state.dirz[0])
-    assert state.types == [1]
+    assert state.types.tolist() == [1]
     assert abs(sum(d * d for d in direction) - 1.0) < 1e-12
     assert direction != (1.0, 0.0, 0.0)
 
@@ -249,7 +250,7 @@ def test_fast_collision_conserves_pair_total(two_state_spec_factory):
     state = prepared(spec, (1, 1.0), (2, 0.0))
     assert one_event(state, spec, seed=7)[0].channel == "fast_binary"
     assert state.energies[0] + state.energies[1] == 1.0
-    assert state.types == [0, 1]
+    assert state.types.tolist() == [0, 1]
 
 
 def test_fast_collision_beta_split_moments(two_state_spec_factory):
@@ -306,7 +307,7 @@ def test_heat_rate_zero_never_fires(two_state_spec_factory):
     state = sample_initial_state(spec, 1)
     e0 = list(state.energies)
     run(state, spec, 10.0, seed=2, track_positions=False)
-    assert state.energies == e0
+    assert state.energies.tolist() == e0
 
 
 # -- slow binary channel -----------------------------------------------------------
@@ -321,7 +322,7 @@ def test_slow_binary_identity_kernel_reduces_to_fast(two_state_spec_factory):
     spec = slow_pair_spec(two_state_spec_factory, k2=1.0)
     state = prepared(spec, (1, 1.0), (2, 0.5))
     assert one_event(state, spec, seed=19)[0].channel == "slow_binary"
-    assert state.types == [0, 1]
+    assert state.types.tolist() == [0, 1]
     assert state.energies[0] + state.energies[1] == 1.5
 
 
@@ -338,10 +339,10 @@ def test_slow_binary_conserves_total_energy_exactly(two_state_spec_factory):
         disposable = (ta + tb) + ((K[0] + K[0]) - (K[1] + K[1]))
         if disposable < 0.0:
             assert state.noop_counts["slow_binary"] > 0
-            assert state.types == [0, 0]
-            assert state.energies == [ta, tb]
+            assert state.types.tolist() == [0, 0]
+            assert state.energies.tolist() == [ta, tb]
         else:
-            assert state.types == [1, 1]
+            assert state.types.tolist() == [1, 1]
             assert state.energies[0] + state.energies[1] == disposable
 
 
@@ -352,7 +353,7 @@ def test_slow_binary_forbidden_target_is_noop(two_state_spec_factory):
     directions = (list(state.dirx), list(state.diry), list(state.dirz))
     assert one_event(state, spec, seed=29, t_end=20.0) == []
     assert state.noop_counts["slow_binary"] == state.proposal_counts["slow_binary"] > 0
-    assert state.types == [0, 0] and state.energies == [1.0, 2.0]
+    assert state.types.tolist() == [0, 0] and state.energies.tolist() == [1.0, 2.0]
     assert (list(state.dirx), list(state.diry), list(state.dirz)) == directions
 
 
@@ -485,6 +486,68 @@ def test_slow_plugin_exceeding_bound_is_rejected(two_state_spec_factory):
     state = sample_initial_state(spec, 1)
     with pytest.raises(ValueError, match="slow binary rate plug-in exceeds"):
         run(state, spec, 5.0, seed=2, track_positions=False)
+
+
+def _raising_on_call(k, exc, rate):
+    """A rate plug-in returning ``rate`` that raises ``exc`` on its k-th call; ``.calls`` counts."""
+    def fn(*args):
+        fn.calls += 1
+        if fn.calls == k:
+            raise exc
+        return rate
+    fn.calls = 0
+    return fn
+
+
+@pytest.mark.parametrize("track_positions", [False, True])
+@pytest.mark.parametrize("channel", ["unary", "slow_binary"])
+def test_plugin_exceptions_reach_the_caller(two_state_spec_factory, capfd, channel,
+                                            track_positions):
+    # the kernel calls plug-ins back from C, where an exception would be
+    # printed and dropped; it must propagate with its own type, and the
+    # counters must hold the proposals made up to the raise
+    if channel == "unary":
+        fn = _raising_on_call(40, ZeroDivisionError("unary plug-in"), 0.5)
+        spec = two_state_spec_factory(n=50, k2=0.0, fast=0.0)
+        r = spec.rates
+        spec = spec.with_overrides(rates=RateTable(
+            unary=r.unary, slow_binary=r.slow_binary, fast_binary=r.fast_binary,
+            heat_rate=0.0, bath_beta=1.0, unary_fn=fn))
+        exc_type = ZeroDivisionError
+    else:
+        fn = _raising_on_call(40, KeyError("slow plug-in"), 0.5)
+        spec = _slow_plugin_spec(two_state_spec_factory, fn, 50)
+        exc_type = KeyError
+    state = sample_initial_state(spec, 3)
+    capfd.readouterr()
+    with pytest.raises(exc_type, match="plug-in"):
+        run(state, spec, 50.0, seed=4, track_positions=track_positions)
+    assert capfd.readouterr().err == ""
+    # two types: one plug-in call per proposal, the 40th raised
+    assert fn.calls == 40
+    assert state.proposal_counts == {c: 40 if c == channel else 0 for c in CHANNELS}
+    assert 0 < state.event_counts[channel] < 40
+    assert state.sim_time == 0.0
+
+
+def test_snapshots_are_copies(two_state_spec_factory):
+    # the state's columns are buffers the kernel writes in place, and a numpy
+    # view of one would change with the run
+    spec = _four_channel_spec(two_state_spec_factory, 40)
+    state = sample_initial_state(spec, 85)
+    kept = []
+
+    def keep_first(snap):
+        if not kept:
+            kept.append((snap, [snap.types.copy(), snap.energies.copy(),
+                                snap.positions.copy()]))
+
+    run(state, spec, 3.0, seed=86, observers=(keep_first,), sample_every=0.5)
+    snap, copies = kept[0]
+    assert all(state.event_counts[c] > 0 for c in CHANNELS)
+    assert [a.tobytes() for a in (snap.types, snap.energies, snap.positions)] == \
+        [a.tobytes() for a in copies]
+    assert state.energies.tobytes() != copies[1].tobytes()
 
 
 class _NoVariateRandom(random.Random):
@@ -743,6 +806,23 @@ def test_untracked_run_moves_no_particle(two_state_spec_factory, max_events):
     # the flight clocks are current, so reading positions moves nothing
     state.positions()
     assert [getattr(state, c).tobytes() for c in geometry] == before
+
+
+def test_run_rejects_columns_the_kernel_cannot_read(two_state_spec_factory):
+    # the kernel indexes the species tables by type and reads n values per
+    # column through raw pointers, so a bad column must fail before it runs
+    spec = two_state_spec_factory(n=10)
+    for bad in ("type", "length", "container"):
+        state = sample_initial_state(spec, 1)
+        if bad == "type":
+            state.types[3] = 2
+        elif bad == "length":
+            state.spd.pop()
+        else:
+            state.energies = list(state.energies)
+        with pytest.raises(ValueError, match="state does not fit the spec"):
+            run(state, spec, 1.0, seed=2)
+        assert sum(state.proposal_counts.values()) == 0
 
 
 def test_zero_rate_infinite_horizon_raises(two_state_spec_factory):

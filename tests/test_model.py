@@ -195,6 +195,42 @@ def test_integer_fields_are_not_truncated(tmp_path, edit, field):
         _load_edited(tmp_path, edit)
 
 
+def _law(d, k):
+    return d["ensemble"]["initial_distribution"]["energy_laws"][k]
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda d: d["ensemble"].update(box_side=True), "ensemble.box_side"),
+    (lambda d: d["ensemble"].update(scale_fast=True), "ensemble.scale_fast"),
+    (lambda d: d["ensemble"].update(scale_heat=False), "ensemble.scale_heat"),
+    (lambda d: d["ensemble"]["initial_distribution"].update(type_weights=[True, False]),
+     "ensemble.initial_distribution.type_weights[1]"),
+    (lambda d: _law(d, 0).update(beta=True), "energy_laws[1].beta"),
+    (lambda d: d["species"][0].update(mass=True), "species[1].mass"),
+    (lambda d: d["species"][1].update(chem_energy=True), "species[2].chem_energy"),
+    (lambda d: d["rates"].update(heat_rate=True), "rates.heat_rate"),
+    (lambda d: d["rates"].update(bath_beta=True), "rates.bath_beta"),
+    (lambda d: d["rates"]["unary"][0].__setitem__(1, True), "rates.unary[1][2]"),
+    (lambda d: d["rates"]["fast_binary"][1].__setitem__(1, True), "rates.fast_binary[2][2]"),
+    (lambda d: d["rates"]["binary_kernel"]["entries"]["1,1"][0].__setitem__(2, True),
+     "rates.binary_kernel[1,1]"),
+], ids=["box_side", "scale_fast", "scale_heat", "type_weights", "law-beta", "mass",
+        "chem_energy", "heat_rate", "bath_beta", "unary", "fast_binary", "kernel-prob"])
+def test_float_fields_reject_booleans(tmp_path, edit, field):
+    # box_side, mass and heat_rate true loaded as 1.0 and beta true as True
+    message = re.escape(field) + ": must be a number, got (True|False)"
+    with pytest.raises(ConfigError, match=message):
+        _load_edited(tmp_path, edit)
+
+
+def test_validate_spec_flags_booleans_in_float_fields():
+    spec = make_two_state(box_side=True, laws=(EnergyLaw("gamma", beta=True),) * 2)
+    spec = spec.with_overrides(species=(SpeciesSpec(1, True), spec.species[1]))
+    fields = {v.field for v in validate_spec(spec).violations}
+    assert {"ensemble.box_side", "species[1].mass",
+            "ensemble.initial_distribution.energy_laws[1]"} <= fields
+
+
 def test_binary_kernel_unknown_kind_or_identity_entries_rejected(tmp_path):
     with pytest.raises(ConfigError, match="'identiy' of field 'kind'"):
         TypeKernel.from_dict({"kind": "identiy"})
