@@ -27,7 +27,6 @@ from .kinetics import (
     Snapshot,
     run,
     sample_initial_state,
-    split_energy,
 )
 from .meanfield import (
     DensityField,

@@ -1,13 +1,14 @@
-/* The particle engine's event loop: kinetics.run() calls kc_run().
+/* The particle engine: kinetics.run() calls kc_run() for the event loop and
+ * kc_flush() to fly every particle to a sample time.
  *
  * Four channels on competing exponential clocks, thinned against constant
  * bounds: unary type changes, slow binary reactions, fast binary (Kac)
- * collisions and bath exchange.  Every expression keeps the operand order
- * of the Python statement of the rules, and the file must be built without
- * FMA contraction or -ffast-math, so each event's floats are the ones
- * Python arithmetic gives.
+ * collisions and bath exchange; split() redraws a pair's energy and fly()
+ * moves a particle.  The file must be built without FMA contraction or
+ * -ffast-math: tests/fingerprints.json pins each expression's rounding.
  *
- * Variates come from seven streams of `block` values each, read in order.
+ * Variates come from seven streams of `block` doubles each, read in order;
+ * the particle and partner streams hold integers, exact below 2^53.
  * When a stream runs out, refill(k) asks Python for its next block, so the
  * numpy Generator is drawn in the same order as a Python loop would draw
  * it.  Plug-in rates are Python callbacks too, which also check the rates
@@ -44,7 +45,7 @@ typedef struct {
     int64_t *types;
     double *T, *x, *y, *z, *dirx, *diry, *dirz, *spd, *last_t;
     double *rates;                /* J scratch values */
-    void *buf[N_STREAMS];
+    double *buf;                  /* N_STREAMS rows of block values */
     int64_t pos[N_STREAMS];
     refill_fn refill;
     unary_fn unary_fn;            /* NULL: threshold rates from unary */
@@ -58,47 +59,32 @@ typedef struct {
     int64_t log_len, log_cap;
 } Run;
 
-static int next_double(Run *r, int k, double *v)
+/* inline, as is pick_partner: every draw passes here, and gcc -O2 would call it */
+static inline int next_value(Run *r, int k, double *v)
 {
     if (r->pos[k] == r->block) {
         if (r->refill(k))
             return 1;
         r->pos[k] = 0;
     }
-    *v = ((double *)r->buf[k])[r->pos[k]++];
+    *v = r->buf[k * r->block + r->pos[k]++];
     return 0;
 }
 
-static int next_int(Run *r, int k, int64_t *v)
-{
-    if (r->pos[k] == r->block) {
-        if (r->refill(k))
-            return 1;
-        r->pos[k] = 0;
-    }
-    *v = ((int64_t *)r->buf[k])[r->pos[k]++];
-    return 0;
-}
-
-#define DRAW(k, v) do { if (next_double(r, k, &(v))) return KC_CALLBACK; } while (0)
-#define DRAW_INT(k, v) do { if (next_int(r, k, &(v))) return KC_CALLBACK; } while (0)
+#define DRAW(k, v) do { if (next_value(r, k, &(v))) return KC_CALLBACK; } while (0)
 
 /* Python's float % for a positive L, then the fold of L itself back to 0. */
 static double wrap(double v, double L)
 {
-    double m = fmod(v, L);
-    if (m != 0.0) {
-        if ((L < 0.0) != (m < 0.0))
-            m += L;
-    } else {
-        m = copysign(0.0, L);
-    }
+    double m = fmod(v, L) + 0.0;  /* + 0.0 turns fmod's -0.0 into 0.0 */
+    if (m < 0.0)
+        m += L;
     return m != L ? m : 0.0;
 }
 
-/* Fly particle i to time t on its old velocity, then give it energy e, the
- * matching speed and a direction uniform on the sphere. */
-static int relaunch(Run *r, int64_t i, double t, double e)
+/* Fly particle i to time t on its current velocity: x + s*d*dt per axis,
+ * then wrap onto the torus.  A particle already at t keeps its bits. */
+static void fly(Run *r, int64_t i, double t)
 {
     double dt = t - r->last_t[i];
     if (dt != 0.0) {
@@ -108,7 +94,23 @@ static int relaunch(Run *r, int64_t i, double t, double e)
         r->z[i] = wrap(r->z[i] + s * r->dirz[i] * dt, L);
         r->last_t[i] = t;
     }
+}
+
+void kc_flush(Run *r, double t)
+{
+    for (int64_t i = 0; i < r->n; i++)
+        fly(r, i, t);
+}
+
+/* Give particle i energy e.  A tracked particle first flies to the event
+ * time on its old velocity, then gets the matching speed and a direction
+ * uniform on the sphere. */
+static int set_energy(Run *r, int64_t i, double e)
+{
     r->T[i] = e;
+    if (!r->track)
+        return KC_DONE;
+    fly(r, i, r->t);
     r->spd[i] = sqrt(2.0 * e / r->mass[r->types[i]]);
     for (;;) {
         double gx, gy, gz, n2;
@@ -126,12 +128,15 @@ static int relaunch(Run *r, int64_t i, double t, double e)
     }
 }
 
-static int set_energy(Run *r, int64_t i, double e)
+/* Split E at frac in [0, 1] as t1 + t2 == E bitwise, both >= 0; (0, 0) for
+ * E <= 0.  By Sterbenz's lemma, t2 = E - fl(E*frac) is exact when
+ * fl(E*frac) >= E/2, and otherwise t2 >= E/2 and t1 = E - t2 is exact. */
+static void split(double E, double frac, double *t1, double *t2)
 {
-    if (r->track)
-        return relaunch(r, i, r->t, e);
-    r->T[i] = e;
-    return KC_DONE;
+    if (E <= 0.0)
+        E = 0.0;
+    *t2 = E - E * frac;
+    *t1 = E - *t2;
 }
 
 /* One event-log row; j < 0 marks a one-particle event. */
@@ -166,7 +171,8 @@ static int unary_event(Run *r)
     int64_t J = r->n_types, i, j0, j1;
     double Ti, total = 0.0, u, pick, acc, T1;
     r->props[UNARY]++;
-    DRAW_INT(PARTICLE, i);
+    DRAW(PARTICLE, u);
+    i = (int64_t)u;
     j0 = r->types[i];
     Ti = r->T[i];
     if (r->unary_fn != NULL && r->unary_fn(j0, Ti, r->rates))
@@ -210,12 +216,13 @@ static int unary_event(Run *r)
     return KC_DONE;
 }
 
-static int pick_partner(Run *r, int64_t *i, int64_t *j)
+static inline int pick_partner(Run *r, int64_t *i, int64_t *j)
 {
-    int64_t k;
-    DRAW_INT(PARTICLE, *i);
-    DRAW_INT(PARTNER, k);
-    *j = k < *i ? k : k + 1;
+    double u, v;
+    DRAW(PARTICLE, u);
+    DRAW(PARTNER, v);
+    *i = (int64_t)u;
+    *j = (int64_t)v + ((int64_t)v >= *i);
     return KC_DONE;
 }
 
@@ -258,15 +265,8 @@ static int slow_event(Run *r)
         r->noops[SLOW]++;
         return KC_DONE;
     }
-    /* kinetics.split_energy */
     DRAW(SPLIT, frac);
-    if (E <= 0.0) {
-        t1 = 0.0;
-        t2 = 0.0;
-    } else {
-        t2 = E - E * frac;
-        t1 = E - t2;
-    }
+    split(E, frac, &t1, &t2);
     r->types[i] = j1;
     r->types[j] = j1p;
     CHECK(set_energy(r, i, t1));
@@ -281,7 +281,7 @@ static int slow_event(Run *r)
 static int fast_event(Run *r)
 {
     int64_t i, j, a, b;
-    double fij, u, Ti, Tj, S, frac, t1, t2;
+    double fij, u, Ti, Tj, frac, t1, t2;
     r->props[FAST]++;
     CHECK(pick_partner(r, &i, &j));
     a = r->types[i];
@@ -294,12 +294,8 @@ static int fast_event(Run *r)
     }
     Ti = r->T[i];
     Tj = r->T[j];
-    /* split_energy's arithmetic; its guard changes nothing here, since a
-     * zero total splits as 0.0 - 0.0*frac */
-    S = Ti + Tj;
     DRAW(SPLIT, frac);
-    t2 = S - S * frac;
-    t1 = S - t2;
+    split(Ti + Tj, frac, &t1, &t2);
     CHECK(set_energy(r, i, t1));
     CHECK(set_energy(r, j, t2));
     r->accs[FAST]++;
@@ -312,15 +308,15 @@ static int fast_event(Run *r)
 static int heat_event(Run *r)
 {
     int64_t i, a;
-    double Ti, xi, S, frac, t1, delta, s;
+    double u, Ti, xi, frac, t1, t2, delta, s;
     r->props[HEAT]++;
-    DRAW_INT(PARTICLE, i);
+    DRAW(PARTICLE, u);
+    i = (int64_t)u;
     Ti = r->T[i];
-    /* split_energy's arithmetic, keeping the particle's share */
+    /* the particle keeps its share of a split with a bath partner */
     DRAW(BATH, xi);
-    S = Ti + xi;
     DRAW(SPLIT, frac);
-    t1 = S - (S - S * frac);
+    split(Ti + xi, frac, &t1, &t2);
     /* Neumaier-compensated bath sum q + qc */
     delta = t1 - Ti;
     s = r->q + delta;

@@ -15,19 +15,19 @@ rate to the bound, so the accepted events follow the target law without any
 time discretization.  Between jumps particles fly freely on the 3-torus;
 positions are advanced lazily, which keeps the per-event cost O(1): a
 particle flies to the event time when it jumps, and every particle flies to
-the sample time, in one vector expression per axis, when an observer
-samples.  An untracked run moves no particle: positions and directions stay
-as they were, and when it ends it recomputes every speed ``spd`` from its
+the sample time when an observer samples and to the end time when the run
+ends.  An untracked run moves no particle: positions and directions stay as
+they were, and when it ends it recomputes every speed ``spd`` from its
 energy and sets every flight clock ``last_t`` to its end time.
 
-The event rules live in one C function, ``kc_run`` in ``_events.c``, which
-works on the state's column buffers in place.  ``run`` compiles it with
-``cc`` on first use into ``$XDG_CACHE_HOME/kinchem`` (default
-``~/.cache/kinchem``), keyed by the sha256 of the source and the build
-command, and loads it with ``ctypes``; importing this module does neither.
-Python keeps the set-up, the variate streams, rate plug-ins, observers and
-the ``EventLog``: the kernel calls back for each new block of variates and
-each plug-in rate, and returns at each sample time.
+The event rules and the flight live in C, ``kc_run`` and ``kc_flush`` in
+``_events.c``, which work on the state's column buffers in place.  ``run``
+compiles the file with ``cc`` on first use into ``$XDG_CACHE_HOME/kinchem``
+(default ``~/.cache/kinchem``), keyed by the sha256 of the source and the
+build command, and loads it with ``ctypes``; importing this module does
+neither.  Python keeps the set-up, the variate streams, rate plug-ins,
+observers and the ``EventLog``: the kernel calls back for each new block of
+variates and each plug-in rate, and returns at each sample time.
 
 With ``record_events`` a run logs each accepted event as one row of plain
 floats, ints and strings in an ``EventLog``; no object is kept per event, so
@@ -61,27 +61,9 @@ __all__ = [
     "Snapshot",
     "sample_initial_state",
     "run",
-    "split_energy",
 ]
 
 CHANNELS = ("unary", "slow_binary", "fast_binary", "heat")
-
-
-def split_energy(total: float, frac: float):
-    """Split ``total`` at ``frac`` in [0, 1] as (t1, t2), both >= 0, with
-    t1 + t2 == total exactly in floats; a total <= 0 gives (0.0, 0.0).
-
-    Closure holds by construction (Sterbenz's lemma: y/2 <= x <= 2y makes
-    x - y exact).  Let p = fl(total*frac), so 0 <= p <= total, and
-    t2 = fl(total - p).  If p >= total/2, then t2 = total - p exactly and
-    t1 = total - t2 = p.  Otherwise t2 >= total/2, and t1 = total - t2 is
-    exact.  Either way t1 + t2 == total bitwise, so pair events never leak
-    energy into the ledger.
-    """
-    if total <= 0.0:
-        return 0.0, 0.0
-    t2 = total - total * frac
-    return total - t2, t2
 
 
 @dataclass
@@ -166,8 +148,8 @@ class EnsembleState:
     ``types`` (0-based) is an ``array('q')``, and ``energies`` and the eight
     geometry columns ``x``, ``y``, ``z``, ``dirx``, ``diry``, ``dirz``,
     ``spd`` and ``last_t`` (the time each position was last advanced to) are
-    ``array('d')``.  ``flush_all`` and ``positions`` work on zero-copy numpy
-    views of them, and ``snapshot`` copies them.
+    ``array('d')``.  ``refresh_speeds`` works on zero-copy numpy views of
+    them, and ``snapshot`` copies them.
 
     The energy ledger tracks the exact kinetic/chemical totals (fsum over
     particles) and the cumulative bath exchange Q accumulated in compensated
@@ -212,25 +194,6 @@ class EnsembleState:
 
     # -- geometry -------------------------------------------------------------
 
-    def flush_all(self, t: float) -> None:
-        """Advance every position to time t along its current velocity.
-
-        The kernel's per-particle flight, vectorized: x + s*d*dt, then
-        Python's float ``%``, whose result for a tiny negative rounds to L
-        itself and is folded back to 0.  A particle already at t moves by a
-        zero step and keeps its bits.
-        """
-        L = self.box_side
-        last_t = np.frombuffer(self.last_t)
-        dt = t - last_t
-        s = np.frombuffer(self.spd)
-        for pos, d in ((self.x, self.dirx), (self.y, self.diry), (self.z, self.dirz)):
-            p = np.frombuffer(pos)
-            p[:] = (p + s * np.frombuffer(d) * dt) % L
-            p[p == L] = 0.0
-        last_t[:] = t
-        self.sim_time = t
-
     def refresh_speeds(self) -> None:
         """Recompute every speed sqrt(2*T/m) from its energy, as the kernel does."""
         mass = np.asarray(self.species_mass, dtype=float)[np.frombuffer(self.types, np.int64)]
@@ -242,7 +205,9 @@ class EnsembleState:
         return np.bincount(self.types, minlength=len(self.species_K))
 
     def positions(self) -> np.ndarray:
-        self.flush_all(self.sim_time)
+        """The (n, 3) positions as the columns hold them: every particle sits
+        at ``sim_time`` after ``sample_initial_state`` and whenever ``run``
+        returns or calls an observer, so no flight is left to apply."""
         return np.column_stack((self.x, self.y, self.z))
 
     def snapshot(self, with_positions: bool = True) -> Snapshot:
@@ -313,7 +278,7 @@ def sample_initial_state(spec: EnsembleSpec, seed: Optional[int] = None) -> Ense
 
 
 _SOURCE = pathlib.Path(__file__).with_name("_events.c")
-# no FMA contraction and no -ffast-math: every event must round as Python does
+# no FMA contraction and no -ffast-math: every event must round as the fingerprints pin
 _BUILD = ("cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _BLOCK = 512    # variates per refill of each stream; small blocks keep peak memory flat
 # kc_run's return codes
@@ -328,7 +293,7 @@ _SLOW_FN = ctypes.CFUNCTYPE(ctypes.c_int, _I64, _I64, _F64, _F64, ctypes.POINTER
 # the Run struct's buffer pointers, in order
 _BUFFERS = ("K", "mass", "unary", "slow", "fast", "out_start", "out_types",
             "out_prob", "types", "T", "x", "y", "z", "dirx", "diry", "dirz", "spd",
-            "last_t", "rates")
+            "last_t", "rates", "buf")
 
 
 class _Run(ctypes.Structure):
@@ -339,7 +304,7 @@ class _Run(ctypes.Structure):
         + [(f, _F64) for f in ("R_total", "c1", "c2", "c3", "ubar", "bmax", "fmax",
                                 "box_side")]
         + [(f, _PTR) for f in _BUFFERS]
-        + [("buf", _PTR * 7), ("pos", _I64 * 7), ("refill", _REFILL),
+        + [("pos", _I64 * 7), ("refill", _REFILL),
            ("unary_fn", _UNARY_FN), ("slow_fn", _SLOW_FN)]
         + [(f, _F64) for f in ("t", "t_next", "t_stop", "q", "qc")]
         + [("n_left", _I64), ("resume", _I64), ("props", _I64 * 4), ("accs", _I64 * 4),
@@ -375,10 +340,14 @@ def _kernel():
                                f"C compiler on PATH as cc; command: {' '.join(cmd)}\n"
                                f"{failure}")
         os.replace(tmp, lib)
+        # delete the libraries of older sources; a build's mkstemp file has 8
+        # random characters, never 16 hex digits
+        for old in set(cache.glob("_events-" + "[0-9a-f]" * 16 + ".so")) - {lib}:
+            old.unlink(missing_ok=True)
     dll = ctypes.PyDLL(str(lib))        # keeps the GIL held, so callbacks need no hand-off
     dll.kc_run.argtypes = dll.kc_free_log.argtypes = (ctypes.POINTER(_Run),)
-    dll.kc_run.restype = ctypes.c_int
-    dll.kc_free_log.restype = None
+    dll.kc_flush.argtypes = (ctypes.POINTER(_Run), _F64)
+    dll.kc_free_log.restype = dll.kc_flush.restype = None
     return dll
 
 
@@ -534,8 +503,8 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
         rng = random.Random(spec.rng_seed + 1 if seed is None else seed)
     gen = np.random.default_rng(rng.getrandbits(128))
 
-    # the seven variate streams, in the kernel's order; each is refilled only
-    # when the kernel has read its last block, so none is drawn ahead
+    # the seven variate streams as doubles, in the kernel's order; each is
+    # refilled only when the kernel has read its last block, so none is drawn ahead
     draws = (
         gen.standard_exponential,                           # waiting times
         gen.random,                                         # uniforms
@@ -548,10 +517,10 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
         lambda k: gen.gamma(1.5, 1.0 / r.bath_beta, k),     # bath energies
         gen.standard_normal,                                # directions
     )
-    bufs = [np.empty(_BLOCK, np.int64 if k in (2, 3) else float) for k in range(7)]
+    bufs = np.empty((len(draws), _BLOCK))       # one row per stream
 
     def refill(k):
-        bufs[k][:] = draws[k](_BLOCK)
+        bufs[k] = draws[k](_BLOCK)
 
     failure = []
     tables = [np.array(x, dtype=float) for x in (state.species_K, state.species_mass,
@@ -566,11 +535,9 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
                # accepted events left before max_events stops the run; -1 never reaches 0
                n_left=-1 if max_events is None else max(max_events, 0))
     rates = np.zeros(J)                 # the unary channel's scratch row
-    for name, buf in zip(_BUFFERS, [*tables, *columns, rates], strict=True):
+    for name, buf in zip(_BUFFERS, [*tables, *columns, rates, bufs], strict=True):
         setattr(ctx, name, _address(buf))
-    for k, buf in enumerate(bufs):
-        ctx.buf[k] = _address(buf)
-        ctx.pos[k] = _BLOCK
+    ctx.pos[:] = [_BLOCK] * len(draws)      # every stream starts empty
     if r.unary_fn is not None:
         def unary_rates(j0, T, out):
             total = 0.0
@@ -599,8 +566,9 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
         ctx.noops[k] = state.noop_counts[c]
 
     def emit(t_obs):
+        if track_positions:
+            kc.kc_flush(ctx, t_obs)
         state.sim_time = t_obs
-        # a tracked snapshot flushes every position to t_obs, once
         snap = state.snapshot(with_positions=track_positions)
         for obs in observers:
             obs(snap)
@@ -644,10 +612,9 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
             np.frombuffer(state.last_t)[:] = t
 
     # state.sim_time is still t0, or the last sample time if observers ran
-    if state.sim_time != t:
-        if observers:
-            emit(t)         # its snapshot flushes the positions
-        elif track_positions:
-            state.flush_all(t)
+    if observers and state.sim_time != t:
+        emit(t)
+    elif track_positions:
+        kc.kc_flush(ctx, t)
     state.sim_time = t
     return state, events

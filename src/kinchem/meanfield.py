@@ -336,17 +336,31 @@ def field_from_spec(spec: EnsembleSpec, grid: np.ndarray) -> DensityField:
 # -- deposition kernels ----------------------------------------------------------
 
 
-def _beta32_cdf_and_moment(u):
+def _beta32_cdf_and_moment(u: np.ndarray):
     """(F(u), G(u)): the CDF of Beta(3/2,3/2) and its partial first moment
     G(u) = int_0^u x f(x) dx, in closed form through theta = arcsin sqrt(u).
 
     The density is (2/pi)(1 - cos 4 theta) d theta, so F = (2/pi)(theta -
     sin 4 theta / 4) and G = (theta - sin 4 theta / 4 - sin^3 2 theta / 3) / pi,
-    which equal betainc(3/2, 3/2, u) and betainc(5/2, 3/2, u) / 2.
+    which equal betainc(3/2, 3/2, u) and betainc(5/2, 3/2, u) / 2.  Below
+    u = 1/16, where those differences cancel, both come from the series of
+    the density (8/pi) sqrt(x (1 - x)) instead.
     """
     theta = np.arcsin(np.sqrt(u))
     a = theta - 0.25 * np.sin(4.0 * theta)
-    return (2.0 / math.pi) * a, (a - np.sin(2.0 * theta) ** 3 / 3.0) / math.pi
+    F, G = (2.0 / math.pi) * a, (a - np.sin(2.0 * theta) ** 3 / 3.0) / math.pi
+    small = np.flatnonzero((0.0 < u) & (u < 0.0625))     # faster than a mask
+    x = u.ravel()[small]
+    # sqrt(1 - x) = sum_k c_k x^k, summed by Horner; 14 terms reach 16^-14
+    c = np.cumprod([1.0] + [(k - 1.5) / k for k in range(1, 14)])
+    f = g = 0.0
+    for k in range(c.size - 1, -1, -1):
+        f = f * x + c[k] / (k + 1.5)
+        g = g * x + c[k] / (k + 2.5)
+    r = (8.0 / math.pi) * x * np.sqrt(x)
+    F.ravel()[small] = r * f
+    G.ravel()[small] = r * x * g
+    return F, G
 
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)
@@ -384,22 +398,27 @@ def _hat_weights(law: Callable, scale, grid: np.ndarray) -> np.ndarray:
     """Weights E[hat_l(X)] of a law on [0, inf) carried onto the grid's hat
     functions, which keeps its mass and mean.
 
-    ``law(edges)`` returns the CDF F and the partial first moment G / scale
-    at the M+3 edges T_{-1} .. T_{M+1}, in its last axis.  Their differences
-    are the mass and first moment of every interval, which give both wings
-    of each hat; the mass beyond the last node is folded into it.
+    ``law(edges)`` returns (upper, F, G) at the M+3 edges T_{-1} ..
+    T_{M+1}, in its last axis: the CDF F and the partial first moment
+    G / scale (scale being the law's mean), except at the edges ``upper``
+    marks above the median, where they are F - 1 and G / scale - 1, the
+    negated upper tails, which keep the digits that F near 1 loses.  Their
+    differences are the mass and first moment of every interval, which give
+    both wings of each hat; the mass beyond the last node is folded into it.
     """
     M = grid.size - 1
     h = grid[1] - grid[0]
-    F, G = law(np.concatenate(([grid[0] - h], grid, [grid[M] + h])))
-    # interval i = [T_{i-1}, T_i]: mass m0[..., i], first moment m1[..., i]
-    m0 = np.diff(F, axis=-1)
-    m1 = scale * np.diff(G, axis=-1)
-    # ascending wing on [T_{l-1}, T_l], weight (y - T_{l-1})/h
-    left = (m1[..., :-1] - (grid - h) * m0[..., :-1]) / h
-    # descending wing on [T_l, T_{l+1}], weight (T_{l+1} - y)/h
-    w = left + ((grid + h) * m0[..., 1:] - m1[..., 1:]) / h
-    w[..., M] = left[..., M] + (1.0 - F[..., M + 1])
+    edges = np.concatenate(([grid[0] - h], grid, [grid[M] + h]))
+    upper, F, G = law(edges)
+    # interval i = [T_{i-1}, T_i]: mass m0[..., i] and mu[..., i], the law's
+    # integral of (y - T_{i-1})/h over it; F and G drop by 1 across the median
+    across = np.diff(upper, axis=-1)
+    m0 = np.diff(F, axis=-1) + across
+    mu = (scale * (np.diff(G, axis=-1) + across) - edges[:-1] * m0) / h
+    # ascending wing on [T_{l-1}, T_l], weight (y - T_{l-1})/h, and descending
+    # wing on [T_l, T_{l+1}], weight 1 - (y - T_l)/h
+    w = mu[..., :-1] + m0[..., 1:] - mu[..., 1:]
+    w[..., M] = mu[..., M] + ((1.0 - upper[..., M + 1]) - F[..., M + 1])
     return w
 
 
@@ -415,8 +434,17 @@ def beta_split_deposition(totals: np.ndarray, grid: np.ndarray) -> np.ndarray:
     D = np.zeros((totals.size, grid.size))
     pos = totals > 0.0
     S = totals[pos][:, None]
-    D[pos] = _hat_weights(lambda e: _beta32_cdf_and_moment(np.clip(e / S, 0.0, 1.0)),
-                          S, grid)
+
+    def law(edges):
+        u = edges / S
+        # the law is symmetric about 1/2: its upper tails at u are the lower
+        # ones at 1 - u, which is exact for u >= 1/2; outside [0, 1] both are 0
+        upper = u > 0.5
+        v = np.minimum(u, 1.0 - u)
+        F, G = _beta32_cdf_and_moment(np.maximum(v, 0.0, out=v))
+        return upper, np.where(upper, -F, F), 2.0 * np.where(upper, G - F, G)
+
+    D[pos] = _hat_weights(law, S / 2.0, grid)
     D[~pos, 0] = 1.0
     D /= D.sum(axis=1, keepdims=True)
     return D
@@ -448,7 +476,12 @@ def _bath_hat_projection(grid: np.ndarray, beta: float) -> np.ndarray:
     """Weights b[l] = E[hat_l(xi)], xi ~ Gamma(3/2, beta): the bath law on the
     grid's hat functions, normalized to unit mass."""
     def law(edges):
-        return _gamma32_sf_cdf_and_moment(beta * np.clip(edges, 0.0, None))[1:]
+        x = beta * np.clip(edges, 0.0, None)
+        q, p, g = _gamma32_sf_cdf_and_moment(x)
+        upper = q < 0.5
+        # Q(5/2, x) = Q(3/2, x) + x^{3/2} e^{-x} / Gamma(5/2)
+        q52 = q + (2.0 / 3.0) * x * gamma32_density(x, 1.0)
+        return upper, np.where(upper, -q, p), np.where(upper, -q52, g)
 
     b = _hat_weights(law, 1.5 / beta, grid)
     return b / b.sum()

@@ -3,13 +3,16 @@
 Importing the package, its CLI, its scenarios and its statistics loads no
 scipy, jsonschema or yaml module; each function that needs one imports it on
 first call.  A particle run of ``kinchem sim`` never needs scipy.  Importing
-neither compiles nor loads the particle engine's C kernel: the first
-``run()`` compiles it into ``$XDG_CACHE_HOME/kinchem`` and later interpreters
-load it from there.  Each check runs in a fresh interpreter, since this test
-process has loaded scipy and the kernel already.
+neither compiles nor loads the particle engine's C kernel, and neither do
+``sample_initial_state`` and the views of its state: the first ``run()``
+compiles it into ``$XDG_CACHE_HOME/kinchem``, deleting the libraries of
+older sources there, and later interpreters load it from there.  Each
+check runs in a fresh interpreter, since this test process has loaded scipy
+and the kernel already.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pathlib
@@ -84,6 +87,35 @@ def test_kernel_is_built_on_first_run_and_then_loaded_from_the_cache(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert sorted(p.name for p in cache.iterdir()) == built
     assert (cache / built[0]).stat().st_mtime_ns == mtime
+
+
+def test_set_up_loads_no_kernel(tmp_path):
+    # a run's set-up and the views of its state need no compiled code
+    env = {"XDG_CACHE_HOME": str(tmp_path / "cache")}
+    proc = _python("from kinchem.kinetics import _kernel, sample_initial_state\n"
+                   "from kinchem.scenarios import two_state_spec\n"
+                   "state = sample_initial_state(two_state_spec(10), 1)\n"
+                   "state.positions()\n"
+                   "state.snapshot()\n"
+                   "print(_kernel.cache_info().currsize)", **env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
+    assert not (tmp_path / "cache").exists()
+
+
+def test_a_new_build_deletes_stale_libraries(tmp_path):
+    env = {"XDG_CACHE_HOME": str(tmp_path / "cache")}
+    cache = tmp_path / "cache" / "kinchem"
+    cache.mkdir(parents=True)
+    (cache / "_events-0123456789abcdef.so").write_bytes(b"stale")
+    # another build's temporary file, as tempfile.mkstemp names it
+    (cache / "_events-x1_y2z3q.so").write_bytes(b"building")
+    proc = _python(_sim_code(tmp_path), **env)
+    assert proc.returncode == 0, proc.stderr
+    key = hashlib.sha256(kinetics._SOURCE.read_bytes()
+                         + " ".join(kinetics._BUILD).encode()).hexdigest()
+    assert sorted(p.name for p in cache.iterdir()) == [
+        f"_events-{key[:16]}.so", "_events-x1_y2z3q.so"]
 
 
 def test_missing_compiler_names_the_build_command(tmp_path):

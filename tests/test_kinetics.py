@@ -11,50 +11,108 @@ from hypothesis import example, given, settings, strategies as st
 
 from kinchem import stats as ST
 from kinchem.kinetics import (CHANNELS, EnsembleState, EventLog, run,
-                              sample_initial_state, split_energy)
+                              sample_initial_state)
 from kinchem.oracle import pairs_from_event_log
 from kinchem.model import EnergyLaw, RateTable, SpeciesSpec, TypeKernel
 from conftest import make_two_state
 
 
 # -- split closure -------------------------------------------------------------
+#
+# The kernel's split() redraws a pair total E as (t1, t2) with t1 + t2 == E
+# bitwise (Sterbenz's lemma; see _events.c).  Each test runs it through
+# run(): a fast collision of an untracked pair that holds (total, 0.0), a
+# slow outcome that pays a chemical-energy shift, and bath contact.
+
+
+# two particles whose only channel is the fast collision
+_SPLIT_SPEC = make_two_state(n=2, w12=0.0, w21=0.0)
+
+
+def _collide(total, seed, partner=0.0):
+    """One fast collision of a pair holding (total, partner); returns the state."""
+    state = sample_initial_state(_SPLIT_SPEC, 1)
+    state.energies[0], state.energies[1] = total, partner
+    # the speed of an energy near 1e308 overflows to inf; an untracked run
+    # never reads it
+    with np.errstate(over="ignore"):
+        run(state, _SPLIT_SPEC, 1e9, seed=seed, max_events=1, track_positions=False)
+    assert state.event_counts["fast_binary"] == 1
+    return state
 
 
 def test_split_energy_closes_exactly():
-    rng = random.Random(0)
-    for _ in range(100000):
-        total = rng.uniform(0.0, 10.0) if rng.random() < 0.9 else 1.0
-        t1, t2 = split_energy(total, rng.betavariate(1.5, 1.5))
-        assert t1 + t2 == total
-        assert t1 >= 0.0 and t2 >= 0.0
+    # 10^5 collisions of one pair: its total never moves, bitwise
+    total = 7.3
+    state = _collide(total, seed=0)
+    _, events = run(state, _SPLIT_SPEC, 1e9, seed=1, max_events=100000, record_events=True,
+                    track_positions=False)
+    t1, t2 = np.array(events.column("T_after")), np.array(events.column("T2_after"))
+    assert t1.size == 100000
+    assert np.all(t1 + t2 == total)
+    assert np.all(t1 >= 0.0) and np.all(t2 >= 0.0)
+    assert state.energies[0] + state.energies[1] == total
 
 
-@given(total=st.floats(min_value=0.0, max_value=1e12),
-       frac=st.floats(min_value=0.0, max_value=1.0))
-def test_split_energy_closure_property(total, frac):
-    t1, t2 = split_energy(total, frac)
-    assert t1 + t2 == total
-    assert t1 >= 0.0 and t2 >= 0.0
+@settings(deadline=None)
+@given(total=st.floats(min_value=0.0, max_value=1e12), seed=st.integers(0, 2 ** 32 - 1))
+def test_split_energy_closure_property(total, seed):
+    state = _collide(total, seed)
+    assert state.energies[0] + state.energies[1] == total
+    assert state.energies[0] >= 0.0 and state.energies[1] >= 0.0
 
 
-@given(total=st.floats(min_value=5e-324, max_value=1e308),
-       frac=st.floats(min_value=0.0, max_value=1.0))
-@example(total=5e-324, frac=0.5)
-@example(total=2.2250738585072014e-308, frac=0.1)
-@example(total=1e308, frac=0.7)
-@example(total=1.0, frac=1.0)
-def test_split_energy_closes_by_construction_from_subnormal_to_1e308(total, frac):
+@settings(deadline=None)
+@given(total=st.floats(min_value=5e-324, max_value=1e308), seed=st.integers(0, 2 ** 32 - 1))
+@example(total=5e-324, seed=0)
+@example(total=2.2250738585072014e-308, seed=1)
+@example(total=1e308, seed=2)
+@example(total=1.0, seed=3)
+def test_split_energy_closes_by_construction_from_subnormal_to_1e308(total, seed):
     # Sterbenz: either total - fl(total*frac) or total - t2 is exact, so no
     # total in the float range needs a nudge or a clamp
-    t1, t2 = split_energy(total, frac)
-    assert t1 + t2 == total
-    assert t1 >= 0.0 and t2 >= 0.0
+    state = _collide(total, seed)
+    assert state.energies[0] + state.energies[1] == total
+    assert state.energies[0] >= 0.0 and state.energies[1] >= 0.0
 
 
-@given(total=st.floats(max_value=0.0, allow_infinity=False),
-       frac=st.floats(min_value=0.0, max_value=1.0))
-def test_split_energy_of_nonpositive_total_is_zero(total, frac):
-    assert split_energy(total, frac) == (0.0, 0.0)
+@settings(deadline=None)
+@given(total=st.floats(min_value=0.0, max_value=1e12), seed=st.integers(0, 2 ** 32 - 1))
+def test_split_of_a_slow_outcome_closes_after_its_shift(total, seed):
+    # (1, 1) -> (2, 2) takes up 2*K_2 = 0.5 of the pair total
+    kernel = TypeKernel(kind="table", table=(((1, 1), (((2, 2), 1.0),)),))
+    spec = slow_pair_spec(make_two_state, k2=0.25, kernel=kernel)
+    state = prepared(spec, (1, total), (1, 0.0))
+    run(state, spec, 20.0, seed=seed, max_events=1, track_positions=False)
+    K = spec.chem_energies()
+    disposable = (total + 0.0) + ((K[0] + K[0]) - (K[1] + K[1]))
+    if disposable < 0.0:
+        # a negative total never reaches the split: the outcome is a no-op
+        assert state.noop_counts["slow_binary"] > 0
+        assert state.energies.tolist() == [total, 0.0]
+    else:
+        assert state.types.tolist() == [1, 1]
+        assert state.energies[0] + state.energies[1] == disposable
+        assert state.energies[0] >= 0.0 and state.energies[1] >= 0.0
+
+
+@settings(deadline=None)
+@given(energy=st.floats(min_value=0.0, max_value=1e12), seed=st.integers(0, 2 ** 32 - 1))
+def test_split_with_the_bath_moves_energy_by_the_heat_exchanged(energy, seed):
+    spec = make_two_state(n=1, w12=0.0, w21=0.0, fast=0.0, heat=1.0, scale_heat=1.0)
+    state = prepared(spec, (1, energy))
+    run(state, spec, 1e9, seed=seed, max_events=1, track_positions=False)
+    assert state.event_counts["heat"] == 1
+    assert state.energies[0] >= 0.0
+    assert state.energies[0] - energy == state.bath_exchange
+
+
+def test_split_energy_of_zero_total_is_zero():
+    # a zero pair total splits as (+0.0, +0.0), whatever the sign of its zeros
+    for zero in (0.0, -0.0):
+        for seed in range(5):
+            state = _collide(zero, seed, partner=zero)
+            assert [repr(e) for e in state.energies] == ["0.0", "0.0"]
 
 
 # -- free flight ----------------------------------------------------------------
@@ -98,8 +156,8 @@ def test_all_rates_zero_is_pure_flight(two_state_spec_factory):
 
 
 def _scalar_flush(state, t):
-    # the per-particle flight of the event kernel (relaunch in _events.c),
-    # operand order and fold included: the bitwise reference for the vector flush
+    # the per-particle flight of the event kernel (fly in _events.c),
+    # operand order and fold included: the bitwise reference for its flush
     L = state.box_side
     for i in range(state.n):
         dt = t - state.last_t[i]
@@ -120,8 +178,9 @@ def _geometry_bytes(state):
 
 @pytest.mark.parametrize("n", [1, 7, 300])
 def test_flush_all_bitwise_equals_scalar_loop(two_state_spec_factory, n):
+    # a tracked run with every rate 0 only flies each particle to t
     L = 2.5
-    spec = two_state_spec_factory(n=n, box_side=L)
+    spec = two_state_spec_factory(n=n, w12=0.0, w21=0.0, fast=0.0, box_side=L)
     rng = np.random.default_rng(n)
     for trial in range(20):
         t = float(rng.uniform(0.5, 40.0))
@@ -134,24 +193,19 @@ def test_flush_all_bitwise_equals_scalar_loop(two_state_spec_factory, n):
             state.spd[i] = 0.0 if kind == 0 else float(rng.exponential(3.0))
             # kind 1: already at t, a zero step
             state.last_t[i] = t if kind == 1 else float(rng.uniform(0.0, t))
-        if trial % 2 == 0:
-            # a tiny step backwards from 0 rounds `% L` up to L: it must fold to 0.0
-            state.x[0], state.dirx[0], state.spd[0] = 0.0, -1.0, 1e-20
+        if trial % 4 != 3:
+            # a tiny step backwards from 0 rounds `% L` up to L, and a step of
+            # exactly -L makes fmod give -0.0: both must come out as 0.0
+            state.x[0], state.dirx[0] = 0.0, -1.0
+            state.spd[0] = 1e-20 if trial % 2 == 0 else L
             state.last_t[0] = t - 1.0
         ref = copy.deepcopy(state)
         _scalar_flush(ref, t)
-        state.flush_all(t)
+        run(state, spec, t, seed=trial)
         assert _geometry_bytes(state) == _geometry_bytes(ref)
-        if trial % 2 == 0:
-            assert (-1e-20) % L == L and repr(state.x[0]) == "0.0"
-
-
-def _count_flushes(state):
-    """Record the time of every flush_all call on ``state``."""
-    calls = []
-    flush_all = state.flush_all
-    state.flush_all = lambda t: (calls.append(t), flush_all(t))
-    return calls
+        if trial % 4 != 3:
+            assert repr(state.x[0]) == "0.0"
+    assert (-1e-20) % L == L and repr((-L) % L) == "0.0"
 
 
 def test_each_sample_time_flushes_positions_once(two_state_spec_factory):
@@ -159,22 +213,21 @@ def test_each_sample_time_flushes_positions_once(two_state_spec_factory):
     spec = two_state_spec_factory(n=50, w12=0.0, w21=0.0, fast=0.0, box_side=2.0)
     state = sample_initial_state(spec, 3)
     ref = copy.deepcopy(state)
-    calls = _count_flushes(state)
+    times = []
 
     def check(snap):
         assert list(state.last_t) == [snap.time] * state.n
         _scalar_flush(ref, snap.time)
         expect = np.column_stack((ref.x, ref.y, ref.z))
         assert snap.positions.tobytes() == expect.tobytes()
+        times.append(snap.time)
 
     run(state, spec, 1.0, seed=4, observers=(check,), sample_every=0.25)
-    assert calls == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert times == [0.0, 0.25, 0.5, 0.75, 1.0]
 
-    # with events: one flush_all per snapshot, none per event, and every
-    # position at the sample time when observers see it
+    # with events: every position at the sample time when observers see it
     spec = _four_channel_spec(two_state_spec_factory, 40)
     state = sample_initial_state(spec, 5)
-    calls = _count_flushes(state)
     snaps = []
 
     def at_sample_time(snap):
@@ -183,7 +236,7 @@ def test_each_sample_time_flushes_positions_once(two_state_spec_factory):
 
     run(state, spec, 3.0, seed=6, observers=(at_sample_time,), sample_every=0.2)
     assert sum(state.event_counts.values()) > 100
-    assert calls == snaps and len(snaps) == 16
+    assert len(snaps) == 16
 
 
 # -- single events through run() ------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import math
 import signal
 from pathlib import Path
@@ -81,7 +82,9 @@ def _gammainc_bath_hat_projection(grid, beta):
     """The bath projection as computed before the closed form, from scipy."""
     def law(edges):
         x = beta * np.clip(edges, 0.0, None)
-        return gammainc(1.5, x), gammainc(2.5, x)
+        upper = gammaincc(1.5, x) < 0.5
+        return (upper, np.where(upper, -gammaincc(1.5, x), gammainc(1.5, x)),
+                np.where(upper, -gammaincc(2.5, x), gammainc(2.5, x)))
 
     b = MF._hat_weights(law, 1.5 / beta, grid)
     return b / b.sum()
@@ -100,6 +103,34 @@ def test_bath_hat_projection_matches_gammainc_version(m, beta):
     tol = 8.0 * eps * (2.0 * 1.5 / beta + 2.0 * grid[-1] + h) / h
     diff = MF._bath_hat_projection(grid, beta) - _gammainc_bath_hat_projection(grid, beta)
     assert np.max(np.abs(diff)) <= tol
+
+
+# Hat weights evaluated at 50 digits on the same float grids, each row
+# normalized; `PYTHONPATH=src python tests/hat_weights_reference.py` wrote
+# them with mpmath 1.3.
+HAT_REFERENCE = json.loads(Path(__file__).with_name("hat_weights_reference.json").read_text())
+
+
+@pytest.mark.parametrize("m", (256, 512))
+def test_bath_hat_projection_keeps_the_tail_digits(m):
+    # the tail weights come from differences of Q, not of F near 1
+    grid = MF.energy_grid(1.0, (0.0, 1.0), m=m)
+    np.testing.assert_allclose(MF._bath_hat_projection(grid, 1.0),
+                               HAT_REFERENCE["bath"][str(m)], rtol=1e-11, atol=0.0)
+
+
+def test_split_deposition_keeps_the_tail_digits():
+    # Each interval's mass and moment are differences of tail values off by
+    # a few ulp and at most S/h times the interval's mass; each wing
+    # multiplies them by T_l/h.  Weights the split cannot reach stay 0.
+    grid = MF.energy_grid(1.0, (0.0, 1.0), m=256)
+    h = grid[1] - grid[0]
+    totals = np.array(HAT_REFERENCE["split_totals"])
+    D = MF.beta_split_deposition(totals, grid)
+    eps = np.finfo(float).eps
+    for S, row, want in zip(totals, D, HAT_REFERENCE["split"]):
+        rtol = 4.0 * eps * (1.0 + grid / h) * (1.0 + S / h)
+        assert np.all(np.abs(row - want) <= rtol * np.abs(want)), S
 
 
 # -- reduced chain -------------------------------------------------------------------
