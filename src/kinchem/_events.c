@@ -1,5 +1,6 @@
 /* The particle engine: kinetics.run() calls kc_run() for the event loop and
- * kc_flush() to fly every particle to a sample time.
+ * kc_flush() to fly every particle to a sample time.  The same library holds
+ * the oracle's pair process, kc_pair_system() (at the end of the file).
  *
  * Four channels on competing exponential clocks, thinned against constant
  * bounds: unary type changes, slow binary reactions, fast binary (Kac)
@@ -102,6 +103,14 @@ void kc_flush(Run *r, double t)
         fly(r, i, t);
 }
 
+/* sqrt(2*e/m), and sqrt(e/m)*sqrt(2) only where 2*e/m overflows (e above
+ * about 9e307), as EnsembleState.refresh_speeds computes it */
+static double speed(double e, double m)
+{
+    double v = 2.0 * e / m;
+    return isinf(v) ? sqrt(e / m) * sqrt(2.0) : sqrt(v);
+}
+
 /* Give particle i energy e.  A tracked particle first flies to the event
  * time on its old velocity, then gets the matching speed and a direction
  * uniform on the sphere. */
@@ -111,7 +120,7 @@ static int set_energy(Run *r, int64_t i, double e)
     if (!r->track)
         return KC_DONE;
     fly(r, i, r->t);
-    r->spd[i] = sqrt(2.0 * e / r->mass[r->types[i]]);
+    r->spd[i] = speed(e, r->mass[r->types[i]]);
     for (;;) {
         double gx, gy, gz, n2;
         DRAW(NORMAL, gx);
@@ -376,4 +385,145 @@ void kc_free_log(Run *r)
     r->log_i = NULL;
     r->log_d = NULL;
     r->log_len = r->log_cap = 0;
+}
+
+/* -- the oracle's pair process --------------------------------------------
+ *
+ * oracle.simulate_pair_system() calls kc_pair_system() for everything but
+ * the event count.  The draws are those of CPython's random.Random(seed),
+ * word for word: MT19937 (Matsumoto & Nishimura 1998) seeded as CPython
+ * seeds an int, random()'s 53-bit uniform, and randrange(n) as its
+ * getrandbits(n.bit_length()) rejection loop. */
+
+#define MT_N 624
+#define MT_M 397
+
+typedef struct {
+    uint32_t s[MT_N];
+    int i;
+} MT;
+
+/* init_genrand(19650218), then init_by_array over the key's little-endian
+ * 32-bit words */
+static void mt_seed(MT *mt, const unsigned char *key, int64_t n_words)
+{
+    uint32_t *s = mt->s;
+    int64_t i = 1, j = 0, k;
+    s[0] = 19650218u;
+    for (k = 1; k < MT_N; k++)
+        s[k] = 1812433253u * (s[k - 1] ^ (s[k - 1] >> 30)) + (uint32_t)k;
+    mt->i = MT_N;
+    for (k = n_words > MT_N ? n_words : MT_N; k; k--) {
+        const unsigned char *w = key + 4 * j;
+        uint32_t word = w[0] | (uint32_t)w[1] << 8 | (uint32_t)w[2] << 16
+                        | (uint32_t)w[3] << 24;
+        s[i] = (s[i] ^ ((s[i - 1] ^ (s[i - 1] >> 30)) * 1664525u)) + word + (uint32_t)j;
+        i++;
+        j++;
+        if (i >= MT_N) {
+            s[0] = s[MT_N - 1];
+            i = 1;
+        }
+        if (j >= n_words)
+            j = 0;
+    }
+    for (k = MT_N - 1; k; k--) {
+        s[i] = (s[i] ^ ((s[i - 1] ^ (s[i - 1] >> 30)) * 1566083941u)) - (uint32_t)i;
+        i++;
+        if (i >= MT_N) {
+            s[0] = s[MT_N - 1];
+            i = 1;
+        }
+    }
+    s[0] = 0x80000000u;
+}
+
+/* word k of the next state from words k, next = k + 1 and far = k + M,
+ * both mod N: past the end they are words already replaced in this pass */
+static inline uint32_t mt_twist(const uint32_t *s, int k, int next, int far)
+{
+    uint32_t y = (s[k] & 0x80000000u) | (s[next] & 0x7fffffffu);
+    return s[far] ^ (y >> 1) ^ (y & 1u ? 0x9908b0dfu : 0u);
+}
+
+static uint32_t mt_word(MT *mt)
+{
+    uint32_t y, *s = mt->s;
+    if (mt->i == MT_N) {
+        int k = 0;
+        for (; k < MT_N - MT_M; k++)
+            s[k] = mt_twist(s, k, k + 1, k + MT_M);
+        for (; k < MT_N - 1; k++)
+            s[k] = mt_twist(s, k, k + 1, k + MT_M - MT_N);
+        s[k] = mt_twist(s, k, 0, MT_M - 1);
+        mt->i = 0;
+    }
+    y = s[mt->i++];
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680u;
+    y ^= (y << 15) & 0xefc60000u;
+    return y ^ (y >> 18);
+}
+
+/* random(): 27 + 26 bits of two words */
+static double mt_uniform(MT *mt)
+{
+    double a = mt_word(mt) >> 5;
+    double b = mt_word(mt) >> 6;
+    return (a * 67108864.0 + b) / 9007199254740992.0;
+}
+
+static int bit_length(int64_t n)
+{
+    int bits = 0;
+    while (n >> bits)
+        bits++;
+    return bits;
+}
+
+/* randrange(n) for 1 <= n < 2^32, bits = n.bit_length(): the top bits of a
+ * word, drawn again while they reach n */
+static inline int64_t mt_below(MT *mt, int64_t n, int bits)
+{
+    uint32_t v;
+    do
+        v = mt_word(mt) >> (32 - bits);
+    while (v >= n);
+    return v;
+}
+
+/* One trajectory of n particles over n_states states, left in states[n]:
+ * initial states from the cumulative law cum0, then n_events pair events,
+ * each the ordered pair (i, j != i) and an outcome o of the cumulative
+ * kernel row of (states[i], states[j]), which sets them to (o / S, o % S).
+ * Each search stops at the first cumulative value >= u; the caller sets the
+ * entry of the last state and of each row's last outcome with positive
+ * probability to +inf, so no search runs past it. */
+void kc_pair_system(const unsigned char *key, int64_t n_words, int64_t n,
+                    int64_t n_states, const double *cum0, const double *rows,
+                    int64_t n_events, int64_t *states)
+{
+    MT mt;
+    int64_t S = n_states;
+    int bits_n = bit_length(n), bits_m = bit_length(n - 1);
+    mt_seed(&mt, key, n_words);
+    for (int64_t p = 0; p < n; p++) {
+        double u = mt_uniform(&mt);
+        int64_t s = 0;
+        while (cum0[s] < u)
+            s++;
+        states[p] = s;
+    }
+    for (; n_events > 0; n_events--) {
+        int64_t i = mt_below(&mt, n, bits_n);
+        int64_t k = mt_below(&mt, n - 1, bits_m);
+        int64_t j = k < i ? k : k + 1;
+        const double *row = rows + (states[i] * S + states[j]) * S * S;
+        double u = mt_uniform(&mt);
+        int64_t o = 0;
+        while (row[o] < u)
+            o++;
+        states[i] = o / S;
+        states[j] = o % S;
+    }
 }

@@ -27,7 +27,8 @@ compiles the file with ``cc`` on first use into ``$XDG_CACHE_HOME/kinchem``
 build command, and loads it with ``ctypes``; importing this module does
 neither.  Python keeps the set-up, the variate streams, rate plug-ins,
 observers and the ``EventLog``: the kernel calls back for each new block of
-variates and each plug-in rate, and returns at each sample time.
+variates and each plug-in rate, and returns at each sample time.  The same
+library runs ``oracle.simulate_pair_system`` (``kc_pair_system``).
 
 With ``record_events`` a run logs each accepted event as one row of plain
 floats, ints and strings in an ``EventLog``; no object is kept per event, so
@@ -195,9 +196,17 @@ class EnsembleState:
     # -- geometry -------------------------------------------------------------
 
     def refresh_speeds(self) -> None:
-        """Recompute every speed sqrt(2*T/m) from its energy, as the kernel does."""
+        """Recompute every speed sqrt(2*T/m) from its energy, as the kernel does:
+        sqrt(T/m)*sqrt(2) where 2*T/m overflows (T above about 9e307)."""
         mass = np.asarray(self.species_mass, dtype=float)[np.frombuffer(self.types, np.int64)]
-        np.frombuffer(self.spd)[:] = np.sqrt(2.0 * np.frombuffer(self.energies) / mass)
+        T = np.frombuffer(self.energies)
+        with np.errstate(over="ignore"):
+            v = 2.0 * T / mass
+        spd = np.frombuffer(self.spd)
+        spd[:] = np.sqrt(v)
+        big = np.isinf(v)
+        if big.any():
+            spd[big] = np.sqrt(T[big] / mass[big]) * math.sqrt(2.0)
 
     # -- views ----------------------------------------------------------------
 
@@ -314,7 +323,8 @@ class _Run(ctypes.Structure):
 
 @functools.cache
 def _kernel():
-    """The event kernel, compiled into the cache directory unless already there."""
+    """The C kernel of ``run()`` and ``oracle.simulate_pair_system``, compiled
+    into the cache directory unless already there."""
     import hashlib
 
     key = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_BUILD).encode()).hexdigest()
@@ -336,9 +346,9 @@ def _kernel():
             failure = str(exc)
         if failure is not None:
             os.unlink(tmp)
-            raise RuntimeError(f"cannot build the particle event kernel, which needs a "
-                               f"C compiler on PATH as cc; command: {' '.join(cmd)}\n"
-                               f"{failure}")
+            raise RuntimeError(f"cannot build the C kernel of the particle engine and the "
+                               f"oracle's replicas, which needs a C compiler on PATH as "
+                               f"cc; command: {' '.join(cmd)}\n{failure}")
         os.replace(tmp, lib)
         # delete the libraries of older sources; a build's mkstemp file has 8
         # random characters, never 16 hex digits
@@ -347,7 +357,8 @@ def _kernel():
     dll = ctypes.PyDLL(str(lib))        # keeps the GIL held, so callbacks need no hand-off
     dll.kc_run.argtypes = dll.kc_free_log.argtypes = (ctypes.POINTER(_Run),)
     dll.kc_flush.argtypes = (ctypes.POINTER(_Run), _F64)
-    dll.kc_free_log.restype = dll.kc_flush.restype = None
+    dll.kc_pair_system.argtypes = (ctypes.c_char_p, _I64, _I64, _I64, _PTR, _PTR, _I64, _PTR)
+    dll.kc_free_log.restype = dll.kc_flush.restype = dll.kc_pair_system.restype = None
     return dll
 
 

@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
+
+from .kinetics import _kernel
 
 __all__ = [
     "PairModel",
@@ -503,43 +505,46 @@ def simulate_pair_system(model: PairModel, N: int, t: float, mu0,
                          seed: int) -> np.ndarray:
     """One trajectory of the N-particle process; returns the final state vector.
 
-    The draws reproduce ``random.Random(seed)``'s stream word for word: the N
-    initial uniforms come from one ``getrandbits(64 N)`` block, each pair of
-    32-bit words combined by ``random()``'s own formula, and every
-    ``randrange`` is its ``getrandbits`` rejection loop inlined.  The event
-    count is a numpy Poisson draw from a second seeded generator.
+    The trajectory runs in the C kernel ``kc_pair_system`` (``_events.c``,
+    built with ``cc`` on first use, see ``kinetics``), whose draws reproduce
+    ``random.Random(seed)``'s stream word for word: the N initial states by
+    ``random()``, then per event the pair by two ``randrange`` calls and the
+    outcome by ``random()``.  The event count is a numpy Poisson draw from a
+    second seeded generator.  Raises ValueError unless 2 <= N < 2**32, seed
+    >= 0, ``mu0`` is a distribution over the model's states and the model's
+    kernel has their pairs' shape; TypeError for a non-integer N or seed;
+    RuntimeError if the C kernel cannot be built.
     """
+    N, seed = operator.index(N), operator.index(seed)
     if N < 2:
         raise ValueError("need at least two particles")
+    if N >= 2 ** 32:
+        raise ValueError(f"N must be below 2**32, got {N}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     S = model.n_states
-    rng = random.Random(seed)
-    cum0 = np.cumsum(np.asarray(mu0, dtype=float))
-    words = np.frombuffer(rng.getrandbits(64 * N).to_bytes(8 * N, "little"),
-                          dtype="<u4")
-    u0 = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 9007199254740992.0
-    states = np.searchsorted(cum0, u0).tolist()
-    n_events = np.random.default_rng(seed ^ 0x9E3779B97F4A7C15).poisson(
-        N * model.rate * t)
-    rows = np.cumsum(model.kernel, axis=1).tolist()
-    outcomes = [divmod(out, S) for out in range(S * S)]
-    uniform, getrandbits = rng.random, rng.getrandbits
-    M = N - 1
-    bits_n, bits_m = N.bit_length(), M.bit_length()
-    for _ in range(int(n_events)):
-        i = getrandbits(bits_n)
-        while i >= N:
-            i = getrandbits(bits_n)
-        k = getrandbits(bits_m)
-        while k >= M:
-            k = getrandbits(bits_m)
-        j = k if k < i else k + 1
-        row = rows[states[i] * S + states[j]]
-        u = uniform()
-        out = 0
-        while row[out] < u:
-            out += 1
-        states[i], states[j] = outcomes[out]
-    return np.asarray(states, dtype=np.int64)
+    mu0 = np.asarray(mu0, dtype=float)
+    if mu0.shape != (S,) or not (mu0 >= 0.0).all():
+        raise ValueError("mu0 must be a distribution over the model states")
+    if not abs(mu0.sum() - 1.0) <= 1e-9:
+        raise ValueError("mu0 must sum to 1")
+    rows = np.cumsum(model.kernel, axis=1, dtype=float)
+    if rows.shape != (S * S, S * S):    # kc_pair_system indexes it blindly
+        raise ValueError(f"kernel must be ({S * S}, {S * S})")
+    n_events = int(np.random.default_rng(seed ^ 0x9E3779B97F4A7C15).poisson(
+        N * model.rate * t))
+    # +inf at the last state and the last outcome of each row with positive
+    # probability: no search runs past them, and no draw that stops at or
+    # before them changes
+    cum0 = np.cumsum(mu0)
+    cum0[S - 1 - np.argmax(mu0[::-1] > 0.0)] = np.inf
+    rows[np.arange(S * S), S * S - 1 - np.argmax(model.kernel[:, ::-1] > 0.0, axis=1)] = np.inf
+    # the seed's little-endian 32-bit words, as random.seed splits an int
+    key = seed.to_bytes(4 * max(1, -(-seed.bit_length() // 32)), "little")
+    states = np.empty(N, dtype=np.int64)
+    _kernel().kc_pair_system(key, len(key) // 4, N, S, cum0.ctypes.data, rows.ctypes.data,
+                             n_events, states.ctypes.data)
+    return states
 
 
 @dataclass

@@ -466,7 +466,8 @@ def scenario_chaos(seed: int, *, n_values=(100, 400, 1600),
                    exact_ns=(3, 4, 5, 6)) -> dict:
     """Decay of pair correlations with system size in the pair-interaction
     model: simulated runs must show a ~1/N factorization defect, and the
-    exact small-N law must approach the product form monotonically."""
+    exact small-N law must approach the product form monotonically.  The
+    replicas run in the compiled kernel, so this scenario needs ``cc``."""
     model = ORC.contagion_model(alpha=alpha, rate=lam)
     mu0 = np.array([0.6, 0.4])
     if isinstance(replicas, int):

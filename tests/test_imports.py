@@ -3,10 +3,12 @@
 Importing the package, its CLI, its scenarios and its statistics loads no
 scipy, jsonschema or yaml module; each function that needs one imports it on
 first call.  A particle run of ``kinchem sim`` never needs scipy.  Importing
-neither compiles nor loads the particle engine's C kernel, and neither do
-``sample_initial_state`` and the views of its state: the first ``run()``
-compiles it into ``$XDG_CACHE_HOME/kinchem``, deleting the libraries of
-older sources there, and later interpreters load it from there.  Each
+neither compiles nor loads the C kernel of the particle engine and the
+oracle's replicas, and neither do ``sample_initial_state``, the views of its
+state or the oracle's exact laws: the first ``run()`` or
+``simulate_pair_system`` compiles it into ``$XDG_CACHE_HOME/kinchem``,
+deleting the libraries of older sources there, and later interpreters load
+it from there.  Each
 check runs in a fresh interpreter, since this test process has loaded scipy
 and the kernel already.
 """
@@ -101,6 +103,25 @@ def test_set_up_loads_no_kernel(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0"]
     assert not (tmp_path / "cache").exists()
+
+
+def test_oracle_builds_the_kernel_only_for_replicas(tmp_path):
+    # the exact laws need no kernel; the first replica builds it
+    cache = tmp_path / "cache" / "kinchem"
+    proc = _python("import os\n"
+                   "import kinchem.oracle as O\n"
+                   "from kinchem.kinetics import _kernel\n"
+                   "model = O.contagion_model()\n"
+                   "O.series_marginal(model, (0.6, 0.4), 0.5, 2, n_particles=4)\n"
+                   "O.exact_marginal(model, (0.6, 0.4), 0.5, 4)\n"
+                   f"print(_kernel.cache_info().currsize, os.path.exists({str(cache)!r}))\n"
+                   "O.simulate_pair_system(model, 2, 0.5, (0.6, 0.4), 1)\n"
+                   "print(_kernel.cache_info().currsize)\n",
+                   XDG_CACHE_HOME=str(tmp_path / "cache"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False", "1"]
+    built = [p.name for p in cache.iterdir()]
+    assert len(built) == 1 and built[0].startswith("_events-") and built[0].endswith(".so")
 
 
 def test_a_new_build_deletes_stale_libraries(tmp_path):

@@ -3,6 +3,8 @@ import gc
 import math
 import random
 import signal
+import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -33,10 +35,7 @@ def _collide(total, seed, partner=0.0):
     """One fast collision of a pair holding (total, partner); returns the state."""
     state = sample_initial_state(_SPLIT_SPEC, 1)
     state.energies[0], state.energies[1] = total, partner
-    # the speed of an energy near 1e308 overflows to inf; an untracked run
-    # never reads it
-    with np.errstate(over="ignore"):
-        run(state, _SPLIT_SPEC, 1e9, seed=seed, max_events=1, track_positions=False)
+    run(state, _SPLIT_SPEC, 1e9, seed=seed, max_events=1, track_positions=False)
     assert state.event_counts["fast_binary"] == 1
     return state
 
@@ -153,6 +152,38 @@ def test_all_rates_zero_is_pure_flight(two_state_spec_factory):
     expect = (pos0 + 5.0 * np.array(vel)) % 3.0
     assert np.allclose(state.positions(), expect, atol=1e-9)
     assert sum(state.event_counts.values()) == 0
+
+
+def test_flight_at_the_top_of_the_float_range_stays_in_the_box(two_state_spec_factory):
+    # 2*T/m overflows for T above about 9e307; the speed is then
+    # sqrt(T/m)*sqrt(2), finite, and the particles stay on the torus
+    spec = two_state_spec_factory(n=2, w12=0.0, w21=0.0, fast=0.0, box_side=3.0)
+    state = sample_initial_state(spec, 2)
+    state.energies[0] = state.energies[1] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state.refresh_speeds()
+    m = state.species_mass[state.types[0]]
+    assert state.spd[0] == math.sqrt(1e308 / m) * math.sqrt(2.0) < math.inf
+    run(state, spec, t_end=1.0, seed=3)
+    pos = state.positions()
+    assert np.all(np.isfinite(pos)) and np.all((0.0 <= pos) & (pos < 3.0))
+
+
+def test_kernel_speed_at_the_top_of_the_float_range():
+    # a tracked collision of a pair holding the largest float: the larger
+    # share's 2*T/m overflows, and the kernel takes sqrt(T/m)*sqrt(2) for it
+    state = sample_initial_state(_SPLIT_SPEC, 1)
+    state.energies[0], state.energies[1] = sys.float_info.max, 0.0
+    run(state, _SPLIT_SPEC, 1e9, seed=0, max_events=1)
+    assert state.event_counts["fast_binary"] == 1
+    assert max(state.energies) > sys.float_info.max / 2
+    for i in range(2):
+        T, m = state.energies[i], state.species_mass[state.types[i]]
+        expect = math.sqrt(2.0 * T / m)
+        if expect == math.inf:
+            expect = math.sqrt(T / m) * math.sqrt(2.0)
+        assert state.spd[i] == expect < math.inf
 
 
 def _scalar_flush(state, t):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -509,12 +510,27 @@ def per_particle_simulation(model, N, t, mu0, seed):
     return np.asarray(states, dtype=np.int64)
 
 
+def trailing_zero_model():
+    """Two states whose kernel rows all end in outcomes of probability 0."""
+    k = np.array([[0.5, 0.25, 0.25, 0.0],
+                  [0.3, 0.7, 0.0, 0.0],
+                  [0.3, 0.0, 0.7, 0.0],
+                  [0.25, 0.375, 0.375, 0.0]])
+    return O.PairModel(2, k, 1.0)
+
+
+# seeds of one to four 32-bit words, as random.seed splits an int
+MULTI_WORD_SEEDS = (2 ** 32 - 1, 2 ** 32, 2 ** 64 + 7, 3 ** 70)
+
+
 def test_simulate_pair_system_bitwise_equals_per_particle_draws():
     models = [(O.contagion_model(0.5, 1.0), (0.6, 0.4)),
-              (O.voter_model(1.0, n_states=3), (0.2, 0.5, 0.3))]
+              (O.voter_model(1.0, n_states=3), (0.2, 0.5, 0.3)),
+              (O.voter_model(1.0, n_states=3), (0.4, 0.6, 0.0)),
+              (trailing_zero_model(), (0.6, 0.4))]
     for model, mu0 in models:
-        for seed in range(20):
-            for N in (2, 50):
+        for seed in (*range(20), *MULTI_WORD_SEEDS):
+            for N in (2, 4, 5, 50):
                 for t in (0.0, 0.7):
                     got = O.simulate_pair_system(model, N, t, mu0, seed)
                     ref = per_particle_simulation(model, N, t, mu0, seed)
@@ -527,13 +543,60 @@ def test_simulate_pair_system_bitwise_at_rejection_heavy_sizes():
     models = [(O.contagion_model(0.5, 1.0), (0.6, 0.4)),
               (O.voter_model(1.0, n_states=3), (0.2, 0.5, 0.3))]
     for model, mu0 in models:
-        for seed in range(3):
-            for N in (3, 1025, 1600):
+        for seed in (*range(3), *MULTI_WORD_SEEDS):
+            for N in (3, 1024, 1025, 1600):
                 got = O.simulate_pair_system(model, N, 0.5, mu0, seed)
                 ref = per_particle_simulation(model, N, 0.5, mu0, seed)
                 assert got.tobytes() == ref.tobytes()
     with pytest.raises(ValueError, match="two particles"):
         O.simulate_pair_system(models[0][0], 1, 0.5, models[0][1], 0)
+
+
+@pytest.mark.parametrize("mu0, match", [
+    ((0.5, 0.4), "sum to 1"),               # state 2 would be drawn, outside the model
+    ((0.6, 0.4, 0.0), "distribution"),
+    ((1.5, -0.5), "distribution"),
+    ((np.nan, 1.0), "distribution"),
+    ((np.inf, 0.0), "sum to 1"),
+])
+def test_simulate_pair_system_rejects_a_bad_initial_law(mu0, match):
+    with pytest.raises(ValueError, match=match):
+        O.simulate_pair_system(O.contagion_model(), 100, 0.5, mu0, seed=3)
+
+
+def test_simulate_pair_system_rejects_a_kernel_changed_to_the_wrong_size():
+    model = O.contagion_model()
+    model.kernel = np.eye(9)
+    with pytest.raises(ValueError, match="kernel must be"):
+        O.simulate_pair_system(model, 100, 0.5, (0.6, 0.4), seed=3)
+
+
+@pytest.mark.parametrize("N, seed, error, match", [
+    (50, -1, ValueError, "nonnegative"),
+    (50, 1.0, TypeError, None),
+    (50, "3", TypeError, None),
+    (50.0, 3, TypeError, None),
+])
+def test_simulate_pair_system_rejects_bad_sizes_and_seeds(N, seed, error, match):
+    with pytest.raises(error, match=match):
+        O.simulate_pair_system(O.contagion_model(), N, 0.5, (0.6, 0.4), seed)
+
+
+def test_simulate_pair_system_refuses_2_pow_32_particles_before_allocating(monkeypatch):
+    # one-word getrandbits draws cannot index 2**32 particles; the refusal
+    # comes before the state vector (32 GiB) or the kernel is touched
+    def no_kernel():
+        raise AssertionError("the kernel was reached")
+
+    monkeypatch.setattr(O, "_kernel", no_kernel)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            O.simulate_pair_system(O.contagion_model(), 2 ** 32, 0.5, (0.6, 0.4), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
 
 
 def scalar_loop_jackknife_stderr(reps, N, k, S):
