@@ -98,9 +98,11 @@ def _digest(obj) -> str:
 
 
 def _state_values(state):
-    return ([getattr(state, c) for c in COLUMNS],
-            [state.sim_time, state._q, state._q_comp, state.bath_exchange],
-            [state.event_counts, state.proposal_counts, state.noop_counts])
+    """The state's values now, as plain copies: a later run changes the columns
+    and counters in place."""
+    return _plain(([getattr(state, c) for c in COLUMNS],
+                   [state.sim_time, state._q, state._q_comp, state.bath_exchange],
+                   [state.event_counts, state.proposal_counts, state.noop_counts]))
 
 
 def _snapshot_values(snap):
