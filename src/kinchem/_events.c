@@ -5,8 +5,10 @@
  * Four channels on competing exponential clocks, thinned against constant
  * bounds: unary type changes, slow binary reactions, fast binary (Kac)
  * collisions and bath exchange; split() redraws a pair's energy and fly()
- * moves a particle.  The file must be built without FMA contraction or
- * -ffast-math: tests/fingerprints.json pins each expression's rounding.
+ * moves a particle at the speed of its energy.  kc_run and kc_flush work in
+ * place on the state's buffers: its columns, counters and bath sum.  The
+ * file must be built without FMA contraction or -ffast-math:
+ * tests/fingerprints.json pins each expression's rounding.
  *
  * Variates come from seven streams of `block` doubles each, read in order;
  * the particle and partner streams hold integers, exact below 2^53.
@@ -44,17 +46,18 @@ typedef struct {
     const int64_t *out_types;     /* 0-based outcome pairs */
     const double *out_prob;
     int64_t *types;
-    double *T, *x, *y, *z, *dirx, *diry, *dirz, *spd, *last_t;
+    double *T, *x, *y, *z, *dirx, *diry, *dirz, *last_t;
+    int64_t *props, *accs, *noops;  /* 4 per-channel counters each */
+    double *q;                    /* bath sum q[0] + q[1], Neumaier compensated */
     double *rates;                /* J scratch values */
     double *buf;                  /* N_STREAMS rows of block values */
     int64_t pos[N_STREAMS];
     refill_fn refill;
     unary_fn unary_fn;            /* NULL: threshold rates from unary */
     slow_fn slow_fn;              /* NULL: constant rates from slow */
-    /* advanced by kc_run */
-    double t, t_next, t_stop, q, qc;
+    /* advanced by kc_run, as are the particle columns, counters and bath sum */
+    double t, t_next, t_stop;
     int64_t n_left, resume;
-    int64_t props[4], accs[4], noops[4];
     int64_t *log_i;
     double *log_d;
     int64_t log_len, log_cap;
@@ -83,13 +86,22 @@ static double wrap(double v, double L)
     return m != L ? m : 0.0;
 }
 
-/* Fly particle i to time t on its current velocity: x + s*d*dt per axis,
- * then wrap onto the torus.  A particle already at t keeps its bits. */
+/* The speed of kinetic energy e at mass m: sqrt(2*e/m), and sqrt(e/m)*sqrt(2)
+ * only where 2*e/m overflows (e above about 9e307). */
+static double speed(double e, double m)
+{
+    double v = 2.0 * e / m;
+    return isinf(v) ? sqrt(e / m) * sqrt(2.0) : sqrt(v);
+}
+
+/* Fly particle i to time t on its current velocity: the speed of its energy
+ * and type's mass, x + s*d*dt per axis, then wrap onto the torus.  A particle
+ * already at t keeps its bits. */
 static void fly(Run *r, int64_t i, double t)
 {
     double dt = t - r->last_t[i];
     if (dt != 0.0) {
-        double s = r->spd[i], L = r->box_side;
+        double s = speed(r->T[i], r->mass[r->types[i]]), L = r->box_side;
         r->x[i] = wrap(r->x[i] + s * r->dirx[i] * dt, L);
         r->y[i] = wrap(r->y[i] + s * r->diry[i] * dt, L);
         r->z[i] = wrap(r->z[i] + s * r->dirz[i] * dt, L);
@@ -103,24 +115,17 @@ void kc_flush(Run *r, double t)
         fly(r, i, t);
 }
 
-/* sqrt(2*e/m), and sqrt(e/m)*sqrt(2) only where 2*e/m overflows (e above
- * about 9e307), as EnsembleState.refresh_speeds computes it */
-static double speed(double e, double m)
+/* Give particle i type a and energy e.  A tracked particle first flies to
+ * the event time on its old velocity, then gets a direction uniform on the
+ * sphere. */
+static int set_particle(Run *r, int64_t i, int64_t a, double e)
 {
-    double v = 2.0 * e / m;
-    return isinf(v) ? sqrt(e / m) * sqrt(2.0) : sqrt(v);
-}
-
-/* Give particle i energy e.  A tracked particle first flies to the event
- * time on its old velocity, then gets the matching speed and a direction
- * uniform on the sphere. */
-static int set_energy(Run *r, int64_t i, double e)
-{
+    if (r->track)
+        fly(r, i, r->t);
+    r->types[i] = a;
     r->T[i] = e;
     if (!r->track)
         return KC_DONE;
-    fly(r, i, r->t);
-    r->spd[i] = speed(e, r->mass[r->types[i]]);
     for (;;) {
         double gx, gy, gz, n2;
         DRAW(NORMAL, gx);
@@ -216,8 +221,7 @@ static int unary_event(Run *r)
         r->noops[UNARY]++;
         return KC_DONE;
     }
-    r->types[i] = target;
-    CHECK(set_energy(r, i, T1));
+    CHECK(set_particle(r, i, target, T1));
     r->accs[UNARY]++;
     r->n_left--;
     if (r->record)
@@ -276,10 +280,8 @@ static int slow_event(Run *r)
     }
     DRAW(SPLIT, frac);
     split(E, frac, &t1, &t2);
-    r->types[i] = j1;
-    r->types[j] = j1p;
-    CHECK(set_energy(r, i, t1));
-    CHECK(set_energy(r, j, t2));
+    CHECK(set_particle(r, i, j1, t1));
+    CHECK(set_particle(r, j, j1p, t2));
     r->accs[SLOW]++;
     r->n_left--;
     if (r->record)
@@ -305,8 +307,8 @@ static int fast_event(Run *r)
     Tj = r->T[j];
     DRAW(SPLIT, frac);
     split(Ti + Tj, frac, &t1, &t2);
-    CHECK(set_energy(r, i, t1));
-    CHECK(set_energy(r, j, t2));
+    CHECK(set_particle(r, i, a, t1));
+    CHECK(set_particle(r, j, b, t2));
     r->accs[FAST]++;
     r->n_left--;
     if (r->record)
@@ -317,7 +319,7 @@ static int fast_event(Run *r)
 static int heat_event(Run *r)
 {
     int64_t i, a;
-    double u, Ti, xi, frac, t1, t2, delta, s;
+    double u, Ti, xi, frac, t1, t2, delta, s, *q = r->q;
     r->props[HEAT]++;
     DRAW(PARTICLE, u);
     i = (int64_t)u;
@@ -326,20 +328,20 @@ static int heat_event(Run *r)
     DRAW(BATH, xi);
     DRAW(SPLIT, frac);
     split(Ti + xi, frac, &t1, &t2);
-    /* Neumaier-compensated bath sum q + qc */
+    /* Neumaier-compensated bath sum q[0] + q[1] */
     delta = t1 - Ti;
-    s = r->q + delta;
-    if (fabs(r->q) >= fabs(delta))
-        r->qc += (r->q - s) + delta;
+    s = q[0] + delta;
+    if (fabs(q[0]) >= fabs(delta))
+        q[1] += (q[0] - s) + delta;
     else
-        r->qc += (delta - s) + r->q;
-    r->q = s;
-    CHECK(set_energy(r, i, t1));
+        q[1] += (delta - s) + q[0];
+    q[0] = s;
+    a = r->types[i];
+    CHECK(set_particle(r, i, a, t1));
     r->accs[HEAT]++;
     r->n_left--;
-    a = r->types[i] + 1;
     if (r->record)
-        return log_event(r, HEAT, i, -1, a, Ti, a, t1, 0, 0.0, 0, 0.0);
+        return log_event(r, HEAT, i, -1, a + 1, Ti, a + 1, t1, 0, 0.0, 0, 0.0);
     return KC_DONE;
 }
 

@@ -16,12 +16,14 @@ time discretization.  Between jumps particles fly freely on the 3-torus;
 positions are advanced lazily, which keeps the per-event cost O(1): a
 particle flies to the event time when it jumps, and every particle flies to
 the sample time when an observer samples and to the end time when the run
-ends.  An untracked run moves no particle: positions and directions stay as
-they were, and when it ends it recomputes every speed ``spd`` from its
-energy and sets every flight clock ``last_t`` to its end time.
+ends.  No speed is stored: a particle flies at sqrt(2*T/m) of its energy and
+mass at the time it flies.  An untracked run moves no particle: positions and
+directions stay as they were, and when it ends it sets every flight clock
+``last_t`` to its end time.
 
 The event rules and the flight live in C, ``kc_run`` and ``kc_flush`` in
-``_events.c``, which work on the state's column buffers in place.  ``run``
+``_events.c``, which work in place on the state's buffers: its columns, its
+per-channel counters and its bath sum.  ``run``
 compiles the file with ``cc`` on first use into ``$XDG_CACHE_HOME/kinchem``
 (default ``~/.cache/kinchem``), keyed by the sha256 of the source and the
 build command, and loads it with ``ctypes``; importing this module does
@@ -145,17 +147,19 @@ class Snapshot:
 class EnsembleState:
     """N particles with types, kinetic energies, torus positions and directions.
 
-    All ten columns are buffers that the event kernel changes in place:
-    ``types`` (0-based) is an ``array('q')``, and ``energies`` and the eight
-    geometry columns ``x``, ``y``, ``z``, ``dirx``, ``diry``, ``dirz``,
-    ``spd`` and ``last_t`` (the time each position was last advanced to) are
-    ``array('d')``.  ``refresh_speeds`` works on zero-copy numpy views of
-    them, and ``snapshot`` copies them.
+    All nine columns are buffers that the event kernel changes in place:
+    ``types`` (0-based) is an ``array('q')``, and ``energies`` and the seven
+    geometry columns ``x``, ``y``, ``z``, ``dirx``, ``diry``, ``dirz`` and
+    ``last_t`` (the time each position was last advanced to) are
+    ``array('d')``; ``snapshot`` copies them.  A particle's speed is
+    sqrt(2*T/m), derived when it flies.  The kernel also counts into the
+    state's per-channel proposal, accept and no-op rows (``array('q')``),
+    which ``proposal_counts``, ``event_counts`` and ``noop_counts`` read.
 
     The energy ledger tracks the exact kinetic/chemical totals (fsum over
     particles) and the cumulative bath exchange Q accumulated in compensated
-    arithmetic; with the heat channel off the total T + K is conserved, with
-    it on the change equals Q.
+    arithmetic, an ``array('d')`` of sum and compensation; with the heat
+    channel off the total T + K is conserved, with it on the change equals Q.
     """
 
     def __init__(self, spec: EnsembleSpec):
@@ -166,15 +170,30 @@ class EnsembleState:
         self.species_mass = list(spec.masses())
         zeros = bytes(8 * n)
         self.types = array("q", zeros)
-        self.energies, self.x, self.y, self.z, self.diry, self.dirz, self.spd, self.last_t = (
-            array("d", zeros) for _ in range(8))
+        self.energies, self.x, self.y, self.z, self.diry, self.dirz, self.last_t = (
+            array("d", zeros) for _ in range(7))
         self.dirx = array("d", [1.0]) * n
         self.sim_time = 0.0
-        self.event_counts = {c: 0 for c in CHANNELS}
-        self.proposal_counts = {c: 0 for c in CHANNELS}
-        self.noop_counts = {c: 0 for c in CHANNELS}
-        self._q = 0.0                   # bath exchange, Neumaier compensated
-        self._q_comp = 0.0
+        self._proposals, self._accepts, self._noops = (
+            array("q", bytes(8 * len(CHANNELS))) for _ in range(3))
+        self._bath = array("d", [0.0, 0.0])     # bath exchange, Neumaier compensated
+
+    # -- counters -------------------------------------------------------------
+
+    @property
+    def proposal_counts(self) -> dict:
+        """Proposals per channel, accepted or thinned."""
+        return dict(zip(CHANNELS, self._proposals))
+
+    @property
+    def event_counts(self) -> dict:
+        """Accepted events per channel."""
+        return dict(zip(CHANNELS, self._accepts))
+
+    @property
+    def noop_counts(self) -> dict:
+        """Accepted proposals whose energy gate left the state as it was."""
+        return dict(zip(CHANNELS, self._noops))
 
     # -- ledger ---------------------------------------------------------------
 
@@ -187,26 +206,11 @@ class EnsembleState:
 
     @property
     def bath_exchange(self) -> float:
-        return self._q + self._q_comp
+        return self._bath[0] + self._bath[1]
 
     def energy_ledger(self) -> tuple:
         """(total_kinetic, total_chemical, cumulative_bath_exchange)."""
         return self.total_kinetic(), self.total_chemical(), self.bath_exchange
-
-    # -- geometry -------------------------------------------------------------
-
-    def refresh_speeds(self) -> None:
-        """Recompute every speed sqrt(2*T/m) from its energy, as the kernel does:
-        sqrt(T/m)*sqrt(2) where 2*T/m overflows (T above about 9e307)."""
-        mass = np.asarray(self.species_mass, dtype=float)[np.frombuffer(self.types, np.int64)]
-        T = np.frombuffer(self.energies)
-        with np.errstate(over="ignore"):
-            v = 2.0 * T / mass
-        spd = np.frombuffer(self.spd)
-        spd[:] = np.sqrt(v)
-        big = np.isinf(v)
-        if big.any():
-            spd[big] = np.sqrt(T[big] / mass[big]) * math.sqrt(2.0)
 
     # -- views ----------------------------------------------------------------
 
@@ -229,7 +233,7 @@ class EnsembleState:
             total_kinetic=self.total_kinetic(),
             total_chemical=self.total_chemical(),
             bath_exchange=self.bath_exchange,
-            event_counts=dict(self.event_counts),
+            event_counts=self.event_counts,
         )
 
 
@@ -279,7 +283,6 @@ def sample_initial_state(spec: EnsembleSpec, seed: Optional[int] = None) -> Ense
     # one array per column: cheaper than a store per element
     state.x, state.y, state.z, state.dirx, state.diry, state.dirz = (
         array("d", col) for col in zip(*geometry))
-    state.refresh_speeds()
     return state
 
 
@@ -301,8 +304,8 @@ _SLOW_FN = ctypes.CFUNCTYPE(ctypes.c_int, _I64, _I64, _F64, _F64, ctypes.POINTER
 
 # the Run struct's buffer pointers, in order
 _BUFFERS = ("K", "mass", "unary", "slow", "fast", "out_start", "out_types",
-            "out_prob", "types", "T", "x", "y", "z", "dirx", "diry", "dirz", "spd",
-            "last_t", "rates", "buf")
+            "out_prob", "types", "T", "x", "y", "z", "dirx", "diry", "dirz", "last_t",
+            "props", "accs", "noops", "q", "rates", "buf")
 
 
 class _Run(ctypes.Structure):
@@ -315,10 +318,9 @@ class _Run(ctypes.Structure):
         + [(f, _PTR) for f in _BUFFERS]
         + [("pos", _I64 * 7), ("refill", _REFILL),
            ("unary_fn", _UNARY_FN), ("slow_fn", _SLOW_FN)]
-        + [(f, _F64) for f in ("t", "t_next", "t_stop", "q", "qc")]
-        + [("n_left", _I64), ("resume", _I64), ("props", _I64 * 4), ("accs", _I64 * 4),
-           ("noops", _I64 * 4), ("log_i", _PTR), ("log_d", _PTR), ("log_len", _I64),
-           ("log_cap", _I64)])
+        + [(f, _F64) for f in ("t", "t_next", "t_stop")]
+        + [(f, _I64) for f in ("n_left", "resume")]
+        + [("log_i", _PTR), ("log_d", _PTR), ("log_len", _I64), ("log_cap", _I64)])
 
 
 @functools.cache
@@ -396,11 +398,11 @@ def _address(buf) -> int:
 
 
 def _columns(state: EnsembleState, J: int) -> list:
-    """The state's ten columns, checked to be what the kernel indexes blindly:
+    """The state's nine columns, checked to be what the kernel indexes blindly:
     n int64 types in 0..J-1 and n doubles per other column, with J species."""
     cols = [state.types, state.energies, state.x, state.y, state.z, state.dirx,
-            state.diry, state.dirz, state.spd, state.last_t]
-    fits = ([getattr(c, "typecode", None) for c in cols] == ["q"] + ["d"] * 9
+            state.diry, state.dirz, state.last_t]
+    fits = ([getattr(c, "typecode", None) for c in cols] == ["q"] + ["d"] * 8
             and all(len(c) == state.n for c in cols)
             and len(state.species_K) == len(state.species_mass) == J)
     if fits:
@@ -438,15 +440,6 @@ def _logged_rows(ctx) -> list:
 
 
 # -- trajectory driver ---------------------------------------------------------
-
-
-def _write_back(state, ctx) -> None:
-    """Store the kernel's bath sum and per-channel counters into ``state``."""
-    state._q, state._q_comp = ctx.q, ctx.qc
-    for c, p, a, o in zip(CHANNELS, ctx.props, ctx.accs, ctx.noops):
-        state.proposal_counts[c] = p
-        state.event_counts[c] = a
-        state.noop_counts[c] = o
 
 
 def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
@@ -541,12 +534,13 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
                table_kernel=r.binary_kernel.kind != "identity", block=_BLOCK, R_total=R_total,
                c1=R_unary, c2=R_unary + R_slow, c3=R_unary + R_slow + R_fast,
                ubar=ubar, bmax=bmax, fmax=fmax, box_side=state.box_side,
-               refill=_REFILL(_catching(refill, failure)),
-               t=state.sim_time, q=state._q, qc=state._q_comp,
+               refill=_REFILL(_catching(refill, failure)), t=state.sim_time,
                # accepted events left before max_events stops the run; -1 never reaches 0
                n_left=-1 if max_events is None else max(max_events, 0))
     rates = np.zeros(J)                 # the unary channel's scratch row
-    for name, buf in zip(_BUFFERS, [*tables, *columns, rates, bufs], strict=True):
+    counters = [state._proposals, state._accepts, state._noops, state._bath]
+    for name, buf in zip(_BUFFERS, [*tables, *columns, *counters, rates, bufs],
+                         strict=True):
         setattr(ctx, name, _address(buf))
     ctx.pos[:] = [_BLOCK] * len(draws)      # every stream starts empty
     if r.unary_fn is not None:
@@ -571,10 +565,6 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
                     f"({rate} > {bmax} for types {a + 1},{b + 1})")
 
         ctx.slow_fn = _SLOW_FN(_catching(slow_rate, failure))
-    for k, c in enumerate(CHANNELS):
-        ctx.props[k] = state.proposal_counts[c]
-        ctx.accs[k] = state.event_counts[c]
-        ctx.noops[k] = state.noop_counts[c]
 
     def emit(t_obs):
         if track_positions:
@@ -589,13 +579,13 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
     if observers:
         emit(next(clock))
         next_obs = next(clock, None)
-    # the kernel returns once a proposal time reaches t_stop, the next sample
-    # time or the horizon; -inf makes the first proposal set it
-    ctx.t_stop = -math.inf
     events = EventLog()
 
     try:
         while True:
+            # the kernel returns once a proposal time reaches the next sample
+            # time or the horizon
+            ctx.t_stop = t_end if next_obs is None else next_obs
             status = kc.kc_run(ctx)
             t = ctx.t
             if status == _DONE:             # max_events reached
@@ -604,7 +594,6 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
                 raise failure[0]
             if status == _NO_MEMORY:
                 raise MemoryError("no memory to grow the event log")
-            _write_back(state, ctx)
             # the clock ends at t_end, so no sample time lies beyond it
             while next_obs is not None and next_obs <= ctx.t_next:
                 emit(next_obs)
@@ -612,14 +601,11 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
             if ctx.t_next > t_end:
                 t = t_end
                 break
-            ctx.t_stop = t_end if next_obs is None else next_obs
     finally:
-        _write_back(state, ctx)
         events._flat.extend(_logged_rows(ctx))
         kc.kc_free_log(ctx)
         if not track_positions:
-            # no flight read the speeds, so they were left stale until now
-            state.refresh_speeds()
+            # no particle flew: every flight clock moves to where the run stopped
             np.frombuffer(state.last_t)[:] = t
 
     # state.sim_time is still t0, or the last sample time if observers ran

@@ -27,6 +27,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import pathlib
 import sys
 import tempfile
@@ -47,7 +48,7 @@ NUMPY_KEY = "numpy " + ".".join(np.__version__.split(".")[:2])
 RECORD = "PYTHONPATH=src python tests/test_fingerprints.py --record"
 SEEDS = (1, 2, 3)
 VALUE_TOL = 1e-12
-COLUMNS = ("types", "energies", "x", "y", "z", "dirx", "diry", "dirz", "spd", "last_t")
+COLUMNS = ("types", "energies", "x", "y", "z", "dirx", "diry", "dirz", "last_t")
 
 _MIX_KERNEL = TypeKernel(kind="table", table=(((1, 1), (((2, 2), 0.5), ((1, 1), 0.5))),
                                               ((2, 2), (((1, 1), 1.0),))))
@@ -99,9 +100,13 @@ def _digest(obj) -> str:
 
 def _state_values(state):
     """The state's values now, as plain copies: a later run changes the columns
-    and counters in place."""
-    return _plain(([getattr(state, c) for c in COLUMNS],
-                   [state.sim_time, state._q, state._q_comp, state.bath_exchange],
+    and counters in place.  The speeds sqrt(2*T/m) are hashed before
+    ``last_t``, where the digests were recorded from a stored speed column."""
+    columns = [getattr(state, c) for c in COLUMNS]
+    mass = state.species_mass
+    columns.insert(-1, [math.sqrt(2.0 * T / mass[j])
+                        for T, j in zip(state.energies, state.types)])
+    return _plain((columns, [state.sim_time, *state._bath, state.bath_exchange],
                    [state.event_counts, state.proposal_counts, state.noop_counts]))
 
 

@@ -4,7 +4,6 @@ import math
 import random
 import signal
 import sys
-import warnings
 from collections import Counter
 
 import numpy as np
@@ -117,6 +116,14 @@ def test_split_energy_of_zero_total_is_zero():
 # -- free flight ----------------------------------------------------------------
 
 
+def _speed(state, i):
+    """The speed the kernel's fly() derives for particle i: sqrt(2*T/m), and
+    sqrt(T/m)*sqrt(2) where 2*T/m overflows (T above about 9e307)."""
+    T, m = state.energies[i], state.species_mass[state.types[i]]
+    v = 2.0 * T / m
+    return math.sqrt(T / m) * math.sqrt(2.0) if v == math.inf else math.sqrt(v)
+
+
 def test_free_flight_identity_and_wrap(two_state_spec_factory):
     spec = two_state_spec_factory(n=2, w12=0.0, w21=0.0, fast=0.0, box_side=1.0,
                                   laws=(EnergyLaw("point", value=0.5),) * 2)
@@ -124,8 +131,7 @@ def test_free_flight_identity_and_wrap(two_state_spec_factory):
     # particle 0: speed 1 along x; particle 1: zero energy
     state.x[0], state.y[0], state.z[0] = 0.0, 0.25, 0.5
     state.dirx[0], state.diry[0], state.dirz[0] = 1.0, 0.0, 0.0
-    state.energies[0], state.energies[1] = 0.5, 0.0
-    state.refresh_speeds()              # speeds 1 and 0
+    state.energies[0], state.energies[1] = 0.5, 0.0     # speeds 1 and 0
     x1_before = (state.x[1], state.y[1], state.z[1])
 
     run(state, spec, 0.0, seed=2)
@@ -144,8 +150,8 @@ def test_all_rates_zero_is_pure_flight(two_state_spec_factory):
     state = sample_initial_state(spec, 2)
     e0 = list(state.energies)
     t0 = list(state.types)
-    vel = [(state.spd[i] * state.dirx[i], state.spd[i] * state.diry[i],
-            state.spd[i] * state.dirz[i]) for i in range(20)]
+    vel = [(_speed(state, i) * state.dirx[i], _speed(state, i) * state.diry[i],
+            _speed(state, i) * state.dirz[i]) for i in range(20)]
     pos0 = state.positions().copy()
     run(state, spec, t_end=5.0, seed=3)
     assert state.energies.tolist() == e0 and state.types.tolist() == t0
@@ -154,36 +160,54 @@ def test_all_rates_zero_is_pure_flight(two_state_spec_factory):
     assert sum(state.event_counts.values()) == 0
 
 
+def test_flight_reads_the_energy_it_flies_on(two_state_spec_factory):
+    # no speed is stored: an energy edited between runs sets the next flight,
+    # T = 2m flying at speed 2 with no call in between
+    spec = two_state_spec_factory(n=1, w12=0.0, w21=0.0, fast=0.0, box_side=3.0)
+    state = sample_initial_state(spec, 2)
+    state.x[0], state.y[0], state.z[0] = 0.0, 0.25, 0.5
+    state.dirx[0], state.diry[0], state.dirz[0] = 1.0, 0.0, 0.0
+    state.energies[0] = 2.0 * state.species_mass[state.types[0]]
+    run(state, spec, t_end=1.0, seed=3)
+    assert (state.x[0], state.y[0], state.z[0]) == (2.0, 0.25, 0.5)
+
+
 def test_flight_at_the_top_of_the_float_range_stays_in_the_box(two_state_spec_factory):
     # 2*T/m overflows for T above about 9e307; the speed is then
     # sqrt(T/m)*sqrt(2), finite, and the particles stay on the torus
-    spec = two_state_spec_factory(n=2, w12=0.0, w21=0.0, fast=0.0, box_side=3.0)
+    L = 3.0
+    spec = two_state_spec_factory(n=2, w12=0.0, w21=0.0, fast=0.0, box_side=L)
     state = sample_initial_state(spec, 2)
     state.energies[0] = state.energies[1] = 1e308
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        state.refresh_speeds()
+    state.x[0], state.dirx[0], state.diry[0], state.dirz[0] = 0.0, 1.0, 0.0, 0.0
     m = state.species_mass[state.types[0]]
-    assert state.spd[0] == math.sqrt(1e308 / m) * math.sqrt(2.0) < math.inf
+    s = math.sqrt(1e308 / m) * math.sqrt(2.0)
+    assert 2.0 * 1e308 / m == math.inf and s < math.inf
     run(state, spec, t_end=1.0, seed=3)
+    assert state.x[0] == (s * 1.0 * 1.0) % L
     pos = state.positions()
-    assert np.all(np.isfinite(pos)) and np.all((0.0 <= pos) & (pos < 3.0))
+    assert np.all(np.isfinite(pos)) and np.all((0.0 <= pos) & (pos < L))
 
 
 def test_kernel_speed_at_the_top_of_the_float_range():
-    # a tracked collision of a pair holding the largest float: the larger
-    # share's 2*T/m overflows, and the kernel takes sqrt(T/m)*sqrt(2) for it
+    # a tracked collision of a pair holding the largest float: the pair flies
+    # to it, and on from it, at sqrt(T/m)*sqrt(2) wherever 2*T/m overflows
     state = sample_initial_state(_SPLIT_SPEC, 1)
     state.energies[0], state.energies[1] = sys.float_info.max, 0.0
+    ref = copy.deepcopy(state)
     run(state, _SPLIT_SPEC, 1e9, seed=0, max_events=1)
     assert state.event_counts["fast_binary"] == 1
+    t = state.sim_time
+    _scalar_flush(ref, t)
+    assert _geometry_bytes(state) == _geometry_bytes(ref)
     assert max(state.energies) > sys.float_info.max / 2
-    for i in range(2):
-        T, m = state.energies[i], state.species_mass[state.types[i]]
-        expect = math.sqrt(2.0 * T / m)
-        if expect == math.inf:
-            expect = math.sqrt(T / m) * math.sqrt(2.0)
-        assert state.spd[i] == expect < math.inf
+    # then pure flight of the new energies for one time unit
+    still = make_two_state(n=2, w12=0.0, w21=0.0, fast=0.0)
+    ref = copy.deepcopy(state)
+    _scalar_flush(ref, t + 1.0)
+    run(state, still, t + 1.0, seed=1)
+    assert _geometry_bytes(state) == _geometry_bytes(ref)
+    assert np.all(np.isfinite(state.positions()))
 
 
 def _scalar_flush(state, t):
@@ -193,7 +217,7 @@ def _scalar_flush(state, t):
     for i in range(state.n):
         dt = t - state.last_t[i]
         if dt != 0.0:
-            s = state.spd[i]
+            s = _speed(state, i)
             for pos, d in ((state.x, state.dirx), (state.y, state.diry),
                            (state.z, state.dirz)):
                 v = (pos[i] + s * d[i] * dt) % L
@@ -221,14 +245,15 @@ def test_flush_all_bitwise_equals_scalar_loop(two_state_spec_factory, n):
             g = rng.standard_normal(3)
             state.dirx[i], state.diry[i], state.dirz[i] = g / np.linalg.norm(g)
             kind = rng.integers(4)
-            state.spd[i] = 0.0 if kind == 0 else float(rng.exponential(3.0))
+            state.energies[i] = 0.0 if kind == 0 else float(rng.exponential(4.5))
             # kind 1: already at t, a zero step
             state.last_t[i] = t if kind == 1 else float(rng.uniform(0.0, t))
         if trial % 4 != 3:
             # a tiny step backwards from 0 rounds `% L` up to L, and a step of
-            # exactly -L makes fmod give -0.0: both must come out as 0.0
+            # exactly -L (speed 2.5 at T = 3.125, m = 1) makes fmod give -0.0:
+            # both must come out as 0.0
             state.x[0], state.dirx[0] = 0.0, -1.0
-            state.spd[0] = 1e-20 if trial % 2 == 0 else L
+            state.energies[0] = 5e-41 if trial % 2 == 0 else 3.125
             state.last_t[0] = t - 1.0
         ref = copy.deepcopy(state)
         _scalar_flush(ref, t)
@@ -282,7 +307,6 @@ def prepared(spec, *particles):
     for i, (type_id, T) in enumerate(particles):
         state.types[i] = type_id - 1
         state.energies[i] = T
-    state.refresh_speeds()
     return state
 
 
@@ -819,8 +843,8 @@ def test_run_rejects_bad_sample_interval(two_state_spec_factory, every):
 
 @pytest.mark.parametrize("track_positions", [False, True])
 def test_observers_see_exact_counters_mid_run(two_state_spec_factory, track_positions):
-    # run() keeps counters, the bath sum and (untracked) speeds in locals:
-    # every snapshot and the final state must still read exact values
+    # the kernel counts into the state's own buffers as it runs: every
+    # snapshot and the final state must read exact values
     spec = _four_channel_spec(two_state_spec_factory, 40)
     state = sample_initial_state(spec, 81)
     e0 = state.total_kinetic() + state.total_chemical()
@@ -835,9 +859,8 @@ def test_observers_see_exact_counters_mid_run(two_state_spec_factory, track_posi
         assert snap.event_counts == {c: logged[c] for c in CHANNELS}
         assert abs((snap.total_kinetic + snap.total_chemical - e0)
                    - snap.bath_exchange) <= 1e-12 * e0
-    mass = state.species_mass
-    assert list(state.spd) == [math.sqrt(2.0 * e / mass[j])
-                               for e, j in zip(state.energies, state.types)]
+    logged = Counter(e.channel for e in events)
+    assert state.event_counts == {c: logged[c] for c in CHANNELS}
 
 
 @pytest.mark.parametrize("max_events", [None, 25])
@@ -884,9 +907,6 @@ def test_untracked_run_moves_no_particle(two_state_spec_factory, max_events):
     assert 0.7 < end <= 2.0
     assert [getattr(state, c).tobytes() for c in geometry] == before
     assert list(state.last_t) == [end] * state.n
-    mass = state.species_mass
-    assert list(state.spd) == [math.sqrt(2.0 * e / mass[j])
-                               for e, j in zip(state.energies, state.types)]
     # the flight clocks are current, so reading positions moves nothing
     state.positions()
     assert [getattr(state, c).tobytes() for c in geometry] == before
@@ -901,7 +921,7 @@ def test_run_rejects_columns_the_kernel_cannot_read(two_state_spec_factory):
         if bad == "type":
             state.types[3] = 2
         elif bad == "length":
-            state.spd.pop()
+            state.last_t.pop()
         else:
             state.energies = list(state.energies)
         with pytest.raises(ValueError, match="state does not fit the spec"):
