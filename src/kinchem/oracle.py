@@ -64,8 +64,8 @@ class PairModel:
 
     ``kernel[(s, s'), (s1, s1')]`` (flattened as s * |S| + s') is the
     probability that a firing pair in states (s, s') moves to (s1, s1').
-    Rows must sum to one and the kernel must commute with swapping the two
-    particles.
+    Entries must be finite and nonnegative, rows must sum to one and the
+    kernel must commute with swapping the two particles.
     """
 
     n_states: int
@@ -77,8 +77,10 @@ class PairModel:
         S = self.n_states
         if self.kernel.shape != (S * S, S * S):
             raise ValueError(f"kernel must be ({S * S}, {S * S})")
-        if self.rate <= 0.0:
-            raise ValueError("rate must be positive")
+        if not 0.0 < self.rate < math.inf:
+            raise ValueError("rate must be positive and finite")
+        if not (np.isfinite(self.kernel).all() and (self.kernel >= 0.0).all()):
+            raise ValueError("kernel entries must be finite and nonnegative")
         rows = self.kernel.sum(axis=1)
         if np.max(np.abs(rows - 1.0)) > 1e-12:
             raise ValueError("kernel rows must sum to 1")
@@ -314,6 +316,17 @@ def _pairs_meeting(a: int, N: int) -> int:
     return (N * (N - 1) - (N - a) * (N - a - 1)) // 2
 
 
+def _distribution(model: PairModel, mu0) -> np.ndarray:
+    """``mu0`` as floats, checked to be a law over the model's states: shape
+    (|S|,), no negative or NaN entry, and a sum within 1e-9 of 1."""
+    mu0 = np.asarray(mu0, dtype=float)
+    if mu0.shape != (model.n_states,) or not (mu0 >= 0.0).all():
+        raise ValueError("mu0 must be a distribution over the model states")
+    if not abs(mu0.sum() - 1.0) <= 1e-9:
+        raise ValueError("mu0 must sum to 1")
+    return mu0
+
+
 def _apply_sequence(model: PairModel, pairs, n_labels: int, mu0: np.ndarray) -> np.ndarray:
     """Chronological product of pair operators applied to the i.i.d. initial
     product measure over ``n_labels`` particles; returns the anchor marginal."""
@@ -362,11 +375,7 @@ def series_marginal(model: PairModel, mu0, t: float, n_max: int,
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max!r}")
-    mu0 = np.asarray(mu0, dtype=float)
-    if mu0.shape != (model.n_states,):
-        raise ValueError("mu0 must be a distribution over the model states")
-    if abs(mu0.sum() - 1.0) > 1e-9:
-        raise ValueError("mu0 must sum to 1")
+    mu0 = _distribution(model, mu0)
     lam = model.rate
     N = n_particles
     if N is not None and N < 2:
@@ -474,7 +483,7 @@ def exact_joint(model: PairModel, mu0, t: float, N: int) -> np.ndarray:
     from scipy.sparse.linalg import expm_multiply
 
     S = model.n_states
-    mu0 = np.asarray(mu0, dtype=float)
+    mu0 = _distribution(model, mu0)
     joint = mu0
     for _ in range(N - 1):
         joint = np.multiply.outer(joint, mu0)
@@ -523,11 +532,7 @@ def simulate_pair_system(model: PairModel, N: int, t: float, mu0,
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     S = model.n_states
-    mu0 = np.asarray(mu0, dtype=float)
-    if mu0.shape != (S,) or not (mu0 >= 0.0).all():
-        raise ValueError("mu0 must be a distribution over the model states")
-    if not abs(mu0.sum() - 1.0) <= 1e-9:
-        raise ValueError("mu0 must sum to 1")
+    mu0 = _distribution(model, mu0)
     rows = np.cumsum(model.kernel, axis=1, dtype=float)
     if rows.shape != (S * S, S * S):    # kc_pair_system indexes it blindly
         raise ValueError(f"kernel must be ({S * S}, {S * S})")

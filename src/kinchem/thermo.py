@@ -46,8 +46,8 @@ class ThermoPoint:
             raise ValueError("beta must be positive and finite")
         if len(self.concentrations) != len(self.species):
             raise ValueError("one concentration per species required")
-        if any(c < 0.0 for c in self.concentrations):
-            raise ValueError("concentrations must be >= 0")
+        if not all(0.0 <= c < math.inf for c in self.concentrations):    # NaN too
+            raise ValueError("concentrations must be finite and >= 0")
 
     @property
     def total(self) -> float:

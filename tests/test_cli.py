@@ -345,6 +345,17 @@ def test_thermo_eval_writes_strict_json_at_zero_concentration(tmp_path,
     assert None in report["potentials"]["mu"]     # log of a zero concentration
 
 
+@pytest.mark.parametrize("c", ["nan,0.5", "0.5,inf"])
+def test_thermo_eval_rejects_non_finite_concentrations(tmp_path, config_path, capsys, c):
+    # NaN used to exit 0 with null P, U and H and finite S, G and g
+    out = tmp_path / "th"
+    code = main(["thermo", "eval", "--config", str(config_path), "--c", c,
+                 "--beta", "1.0", "--out", str(out)])
+    assert code == 2
+    assert "concentrations must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_override_changes_config(config_path):
     spec = load_config(config_path)
     assert spec.rng_seed == 21

@@ -28,8 +28,23 @@ def test_pair_model_validates_rows_and_symmetry():
     asym[1] = [0.0, 0.0, 0.5, 0.5]      # (0,1) behaves differently from (1,0)
     with pytest.raises(ValueError, match="symmetric"):
         O.PairModel(2, asym, 1.0)
-    with pytest.raises(ValueError, match="rate"):
-        O.PairModel(2, k, 0.0)
+    for rate in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="rate"):
+            O.PairModel(2, k, rate)
+
+
+@pytest.mark.parametrize("rows", [
+    {0: [np.nan, 1.0, 0.0, 0.0]},           # the sum check alone reads NaN as no error
+    {0: [np.inf, 1.0, 0.0, 0.0]},
+    # rows that sum to 1 and map onto each other when the pair swaps
+    {1: [-0.5, 1.5, 0.0, 0.0], 2: [-0.5, 0.0, 1.5, 0.0]},
+])
+def test_pair_model_refuses_non_finite_or_negative_kernel_entries(rows):
+    k = np.eye(4)
+    for r, row in rows.items():
+        k[r] = row
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        O.PairModel(2, k, 1.0)
 
 
 # -- classification ---------------------------------------------------------------
@@ -552,16 +567,29 @@ def test_simulate_pair_system_bitwise_at_rejection_heavy_sizes():
         O.simulate_pair_system(models[0][0], 1, 0.5, models[0][1], 0)
 
 
-@pytest.mark.parametrize("mu0, match", [
+_BAD_INITIAL_LAWS = [
     ((0.5, 0.4), "sum to 1"),               # state 2 would be drawn, outside the model
     ((0.6, 0.4, 0.0), "distribution"),
     ((1.5, -0.5), "distribution"),
     ((np.nan, 1.0), "distribution"),
     ((np.inf, 0.0), "sum to 1"),
-])
+]
+
+
+@pytest.mark.parametrize("mu0, match", _BAD_INITIAL_LAWS)
 def test_simulate_pair_system_rejects_a_bad_initial_law(mu0, match):
     with pytest.raises(ValueError, match=match):
         O.simulate_pair_system(O.contagion_model(), 100, 0.5, mu0, seed=3)
+
+
+@pytest.mark.parametrize("mu0, match", _BAD_INITIAL_LAWS)
+def test_series_and_exact_laws_refuse_a_bad_initial_law(mu0, match):
+    # series_marginal returned [1.319, -0.571] for (1.5, -0.5), and
+    # exact_marginal [1.897, -0.897]
+    with pytest.raises(ValueError, match=match):
+        O.series_marginal(O.contagion_model(), mu0, 0.5, 2)
+    with pytest.raises(ValueError, match=match):
+        O.exact_marginal(O.contagion_model(), mu0, 0.5, 3)
 
 
 def test_simulate_pair_system_rejects_a_kernel_changed_to_the_wrong_size():

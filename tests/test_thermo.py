@@ -81,6 +81,13 @@ def test_zero_concentration_flagged():
         TH.chemical_potential(TH.ThermoPoint(1.0, (0.0, 1.0), TWO))
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, -0.1])
+def test_thermo_point_refuses_non_finite_or_negative_concentrations(c):
+    # a NaN concentration used to pass and drop out of S, G and g unseen
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        TH.ThermoPoint(1.0, (c, 0.5), TWO)
+
+
 # -- potentials --------------------------------------------------------------------
 
 
