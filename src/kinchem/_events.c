@@ -20,13 +20,13 @@
  *
  * kc_run returns KC_STOP when the next proposal time reaches t_stop, with
  * that time in t_next; the next call resumes from it without a new draw.
+ *
+ * With `record` set, kc_run appends each accepted event to `log`, which run()
+ * copies into its EventLog once, when the run ends.
  */
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
-
-#define LOG_INTS 7      /* channel, i, j, type_before, type_after, type2_before, type2_after */
-#define LOG_DOUBLES 5   /* time, T_before, T_after, T2_before, T2_after */
 
 enum { KC_DONE, KC_STOP, KC_CALLBACK, KC_NO_MEMORY };
 enum { WAITING, UNIFORM, PARTICLE, PARTNER, SPLIT, BATH, NORMAL, N_STREAMS };
@@ -36,6 +36,23 @@ typedef int (*refill_fn)(int64_t stream);
 /* unary_fn stores the rate of j -> j1 in rates[j1] for every j1 != j */
 typedef int (*unary_fn)(int64_t j, double T, double *rates);
 typedef int (*slow_fn)(int64_t a, int64_t b, double Ta, double Tb, double *rate);
+
+/* One accepted event, field for field a row of kinetics.EventLog.  j < 0
+ * marks a one-particle event, whose second participant's fields are 0. */
+typedef struct {
+    double time;
+    int64_t channel, i, j, type_before;
+    double T_before;
+    int64_t type_after;
+    double T_after;
+    int64_t type2_before;
+    double T2_before;
+    int64_t type2_after;
+    double T2_after;
+} Event;
+
+/* a C99 static assertion: EventLog reads rows of twelve 8-byte words */
+typedef char event_is_twelve_words[sizeof(Event) == 12 * sizeof(int64_t) ? 1 : -1];
 
 typedef struct {
     /* set by run() */
@@ -58,8 +75,7 @@ typedef struct {
     /* advanced by kc_run, as are the particle columns, counters and bath sum */
     double t, t_next, t_stop;
     int64_t n_left, resume;
-    int64_t *log_i;
-    double *log_d;
+    Event *log;
     int64_t log_len, log_cap;
 } Run;
 
@@ -153,28 +169,19 @@ static void split(double E, double frac, double *t1, double *t2)
     *t1 = E - *t2;
 }
 
-/* One event-log row; j < 0 marks a one-particle event. */
 static int log_event(Run *r, int64_t channel, int64_t i, int64_t j,
                      int64_t a, double Ta, int64_t a1, double Ta1,
                      int64_t b, double Tb, int64_t b1, double Tb1)
 {
     if (r->log_len == r->log_cap) {
         int64_t cap = r->log_cap ? 2 * r->log_cap : 1024;
-        int64_t *li = realloc(r->log_i, (size_t)cap * LOG_INTS * sizeof *li);
-        if (li == NULL)
+        Event *log = realloc(r->log, (size_t)cap * sizeof *log);
+        if (log == NULL)
             return KC_NO_MEMORY;
-        r->log_i = li;
-        double *ld = realloc(r->log_d, (size_t)cap * LOG_DOUBLES * sizeof *ld);
-        if (ld == NULL)
-            return KC_NO_MEMORY;
-        r->log_d = ld;
+        r->log = log;
         r->log_cap = cap;
     }
-    int64_t *pi = r->log_i + r->log_len * LOG_INTS;
-    double *pd = r->log_d + r->log_len * LOG_DOUBLES;
-    pi[0] = channel; pi[1] = i; pi[2] = j; pi[3] = a; pi[4] = a1; pi[5] = b; pi[6] = b1;
-    pd[0] = r->t; pd[1] = Ta; pd[2] = Ta1; pd[3] = Tb; pd[4] = Tb1;
-    r->log_len++;
+    r->log[r->log_len++] = (Event){r->t, channel, i, j, a, Ta, a1, Ta1, b, Tb, b1, Tb1};
     return KC_DONE;
 }
 
@@ -382,10 +389,8 @@ int kc_run(Run *r)
 
 void kc_free_log(Run *r)
 {
-    free(r->log_i);
-    free(r->log_d);
-    r->log_i = NULL;
-    r->log_d = NULL;
+    free(r->log);
+    r->log = NULL;
     r->log_len = r->log_cap = 0;
 }
 

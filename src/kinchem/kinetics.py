@@ -32,9 +32,9 @@ observers and the ``EventLog``: the kernel calls back for each new block of
 variates and each plug-in rate, and returns at each sample time.  The same
 library runs ``oracle.simulate_pair_system`` (``kc_pair_system``).
 
-With ``record_events`` a run logs each accepted event as one row of plain
-floats, ints and strings in an ``EventLog``; no object is kept per event, so
-a long log gives the garbage collector nothing to track.
+With ``record_events`` a run's ``EventLog`` keeps each accepted event as the
+kernel wrote it, one row of a numpy structured array converted only when
+read, so a long log gives the garbage collector nothing to track.
 
 ``run`` draws every variate it consumes from one ``numpy.random.Generator``
 seeded from the ``random.Random`` it is given, in blocks of 512 per kind of
@@ -81,49 +81,57 @@ class EventRecord:
 
 
 class EventLog:
-    """Accepted events of a run, stored as rows of ``columns`` in one flat list.
+    """Accepted events of a run, one row of ``columns`` per event.
 
-    A row holds only floats, ints, the channel string and ``None`` (the
-    second participant's fields of a one-particle event), so recording an
-    event allocates no object the garbage collector tracks.  ``rows()`` and
-    ``column()`` read the values as they are; iteration builds one
-    ``EventRecord`` per event on demand.  A log equals another log that holds
-    the same events.
+    The rows are the kernel's ``Event`` structs, held in one numpy structured
+    array of ``dtype``.  ``rows()`` and ``column()`` convert them as they are
+    read, to floats, ints, the channel's name and ``None`` for the second
+    participant's fields of a one-particle event; iteration builds one
+    ``EventRecord`` per event.  A log equals another log that holds the same
+    events.
     """
 
     columns = ("time", "channel", "i", "j", "type_before", "T_before",
                "type_after", "T_after", "type2_before", "T2_before",
                "type2_after", "T2_after")
+    dtype = np.dtype([(c, "f8" if c == "time" or c[0] == "T" else "i8") for c in columns])
+    _second = ("j", "type2_before", "T2_before", "type2_after", "T2_after")
 
-    __slots__ = ("_flat",)
+    __slots__ = ("_rows",)
 
-    def __init__(self):
-        self._flat = []
+    def __init__(self, data=b""):
+        """The log of the rows in ``data``, a buffer of ``dtype`` items."""
+        self._rows = np.frombuffer(data, self.dtype)
 
     def __len__(self) -> int:
-        return len(self._flat) // len(self.columns)
+        return len(self._rows)
 
     def rows(self):
         """Iterator over the events as tuples of the ``columns`` values."""
-        return zip(*[iter(self._flat)] * len(self.columns))
+        # 1024 rows at a time: a long log's values all at once would take
+        # several times the memory of the log itself
+        for k in range(0, len(self), 1024):
+            yield from zip(*map(EventLog(self._rows[k:k + 1024]).column, self.columns))
 
     def column(self, name: str) -> list:
         """Every event's value of column ``name``."""
-        return self._flat[self.columns.index(name)::len(self.columns)]
-
-    @staticmethod
-    def _record(row) -> EventRecord:
-        t, channel, i, j, a, Ta, a1, Ta1, b, Tb, b1, Tb1 = row
-        if j is None:
-            return EventRecord(t, channel, (i,), ((a, Ta),), ((a1, Ta1),))
-        return EventRecord(t, channel, (i, j), ((a, Ta), (b, Tb)), ((a1, Ta1), (b1, Tb1)))
+        values = self._rows[name].tolist()
+        if name == "channel":
+            return [CHANNELS[c] for c in values]
+        if name in self._second:
+            return [None if j < 0 else v for j, v in zip(self._rows["j"].tolist(), values)]
+        return values
 
     def __iter__(self):
-        return map(self._record, self.rows())
+        for t, channel, i, j, a, Ta, a1, Ta1, b, Tb, b1, Tb1 in self.rows():
+            if j is None:
+                yield EventRecord(t, channel, (i,), ((a, Ta),), ((a1, Ta1),))
+            else:
+                yield EventRecord(t, channel, (i, j), ((a, Ta), (b, Tb)), ((a1, Ta1), (b1, Tb1)))
 
     def __eq__(self, other):
         if isinstance(other, EventLog):
-            return self._flat == other._flat
+            return np.array_equal(self._rows, other._rows)
         return NotImplemented
 
 
@@ -156,10 +164,10 @@ class EnsembleState:
     state's per-channel proposal, accept and no-op rows (``array('q')``),
     which ``proposal_counts``, ``event_counts`` and ``noop_counts`` read.
 
-    The energy ledger tracks the exact kinetic/chemical totals (fsum over
-    particles) and the cumulative bath exchange Q accumulated in compensated
-    arithmetic, an ``array('d')`` of sum and compensation; with the heat
-    channel off the total T + K is conserved, with it on the change equals Q.
+    The energy ledger tracks the exact kinetic/chemical totals (correctly
+    rounded sums over particles) and the cumulative bath exchange Q in
+    compensated arithmetic, an ``array('d')`` of sum and compensation; with
+    the heat channel off T + K is conserved, with it on the change equals Q.
     """
 
     def __init__(self, spec: EnsembleSpec):
@@ -201,8 +209,10 @@ class EnsembleState:
         return math.fsum(self.energies)
 
     def total_chemical(self) -> float:
-        K = self.species_K
-        return math.fsum(K[t] for t in self.types)
+        """The exact sum of K over the particles, rounded once as ``fsum`` rounds."""
+        from fractions import Fraction      # imports decimal: kept out of `import kinchem`
+        counts = self.type_counts().tolist()
+        return float(sum(Fraction(K) * n for K, n in zip(self.species_K, counts)))
 
     @property
     def bath_exchange(self) -> float:
@@ -215,7 +225,7 @@ class EnsembleState:
     # -- views ----------------------------------------------------------------
 
     def type_counts(self) -> np.ndarray:
-        return np.bincount(self.types, minlength=len(self.species_K))
+        return np.bincount(np.frombuffer(self.types, np.int64), minlength=len(self.species_K))
 
     def positions(self) -> np.ndarray:
         """The (n, 3) positions as the columns hold them: every particle sits
@@ -320,7 +330,7 @@ class _Run(ctypes.Structure):
            ("unary_fn", _UNARY_FN), ("slow_fn", _SLOW_FN)]
         + [(f, _F64) for f in ("t", "t_next", "t_stop")]
         + [(f, _I64) for f in ("n_left", "resume")]
-        + [("log_i", _PTR), ("log_d", _PTR), ("log_len", _I64), ("log_cap", _I64)])
+        + [("log", _PTR), ("log_len", _I64), ("log_cap", _I64)])
 
 
 @functools.cache
@@ -415,30 +425,6 @@ def _columns(state: EnsembleState, J: int) -> list:
     return cols
 
 
-_CHANNEL_NAMES = np.array(CHANNELS, dtype=object)
-
-
-def _logged_rows(ctx) -> list:
-    """The kernel's event rows as ``EventLog``'s flat list of plain values."""
-    m = ctx.log_len
-    if m == 0:
-        return []
-    ints = np.ctypeslib.as_array(ctypes.cast(ctx.log_i, ctypes.POINTER(_I64)), (m, 7))
-    dbls = np.ctypeslib.as_array(ctypes.cast(ctx.log_d, ctypes.POINTER(_F64)), (m, 5))
-    one = ints[:, 2] < 0            # a one-particle event: no second participant
-    cols = (dbls[:, 0], _CHANNEL_NAMES[ints[:, 0]], ints[:, 1], ints[:, 2], ints[:, 3],
-            dbls[:, 1], ints[:, 4], dbls[:, 2], ints[:, 5], dbls[:, 3], ints[:, 6],
-            dbls[:, 4])
-    width = len(EventLog.columns)
-    flat = [None] * (m * width)
-    for k, col in enumerate(cols):
-        if k == 3 or k >= 8:        # j and the second participant's fields
-            col = col.astype(object)
-            col[one] = None
-        flat[k::width] = col.tolist()
-    return flat
-
-
 # -- trajectory driver ---------------------------------------------------------
 
 
@@ -468,7 +454,9 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
     propagates, with the counters of the proposals made until then.
 
     Returns (state, events) where events is the ``EventLog`` of the accepted
-    events in time order (empty unless record_events).  Raises ValueError if
+    events in time order (empty unless record_events).  Raises TypeError if
+    ``max_events`` is neither None nor an int (a bool included); ValueError
+    if ``max_events`` is negative, if both ``seed`` and ``rng`` are given, if
     ``spec`` fails ``validate_spec``, if ``t_end`` is not >= ``state.sim_time``
     (NaN included), if ``t_end`` is infinite and no ``max_events`` bounds the
     run, if ``t_end`` is infinite and every channel's proposal rate is 0, or
@@ -477,6 +465,12 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
     holds a type id outside the spec; RuntimeError, naming the command, if
     the kernel cannot be built.
     """
+    if isinstance(max_events, bool) or not isinstance(max_events, (int, np.integer, type(None))):
+        raise TypeError(f"max_events must be an int or None, got {max_events!r}")
+    if max_events is not None and max_events < 0:
+        raise ValueError(f"max_events must be >= 0, got {max_events!r}")
+    if seed is not None and rng is not None:
+        raise ValueError("give seed or rng, not both")
     _require_valid(spec)
     if not t_end >= state.sim_time:        # also rejects NaN
         raise ValueError(f"t_end must be >= state.sim_time, got {t_end!r}")
@@ -536,7 +530,7 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
                ubar=ubar, bmax=bmax, fmax=fmax, box_side=state.box_side,
                refill=_REFILL(_catching(refill, failure)), t=state.sim_time,
                # accepted events left before max_events stops the run; -1 never reaches 0
-               n_left=-1 if max_events is None else max(max_events, 0))
+               n_left=-1 if max_events is None else int(max_events))
     rates = np.zeros(J)                 # the unary channel's scratch row
     counters = [state._proposals, state._accepts, state._noops, state._bath]
     for name, buf in zip(_BUFFERS, [*tables, *columns, *counters, rates, bufs],
@@ -579,7 +573,6 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
     if observers:
         emit(next(clock))
         next_obs = next(clock, None)
-    events = EventLog()
 
     try:
         while True:
@@ -602,7 +595,9 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
                 t = t_end
                 break
     finally:
-        events._flat.extend(_logged_rows(ctx))
+        # one copy of the kernel's rows; ctypes.string_at would cap it at 2 GiB
+        rows = ctypes.c_char * (ctx.log_len * EventLog.dtype.itemsize)
+        events = EventLog(rows.from_address(ctx.log or 0).raw)
         kc.kc_free_log(ctx)
         if not track_positions:
             # no particle flew: every flight clock moves to where the run stopped

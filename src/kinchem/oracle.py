@@ -191,10 +191,9 @@ def extract_theta_v(pairs, v) -> tuple:
 
 
 def pairs_from_event_log(events) -> tuple:
-    """Participant pairs of the binary events in a particle-engine ``EventLog``."""
-    return tuple((i, j) for channel, i, j in zip(events.column("channel"),
-                                                 events.column("i"), events.column("j"))
-                 if channel in ("slow_binary", "fast_binary"))
+    """Participant pairs of the binary events in a particle-engine ``EventLog``:
+    the events with a second participant ``j``."""
+    return tuple((i, j) for i, j in zip(events.column("i"), events.column("j")) if j is not None)
 
 
 def _falling(n: int, k: int) -> int:

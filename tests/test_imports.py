@@ -1,16 +1,15 @@
 """kinchem starts on numpy alone, and builds its event kernel on first use.
 
 Importing the package, its CLI, its scenarios and its statistics loads no
-scipy, jsonschema or yaml module; each function that needs one imports it on
-first call.  A particle run of ``kinchem sim`` never needs scipy.  Importing
-neither compiles nor loads the C kernel of the particle engine and the
-oracle's replicas, and neither do ``sample_initial_state``, the views of its
-state or the oracle's exact laws: the first ``run()`` or
-``simulate_pair_system`` compiles it into ``$XDG_CACHE_HOME/kinchem``,
-deleting the libraries of older sources there, and later interpreters load
-it from there.  Each
-check runs in a fresh interpreter, since this test process has loaded scipy
-and the kernel already.
+scipy, jsonschema, yaml or fractions module (fractions imports decimal);
+each function that needs one imports it on first call.  A particle run of
+``kinchem sim`` never needs scipy.  Importing neither compiles nor loads the
+C kernel of the particle engine and the oracle's replicas, and neither do
+``sample_initial_state``, the views of its state or the oracle's exact laws:
+the first ``run()`` or ``simulate_pair_system`` compiles it into
+``$XDG_CACHE_HOME/kinchem``, deleting the libraries of older sources there,
+and later interpreters load it from there.  Each check runs in a fresh
+interpreter, since this test process has loaded scipy and the kernel already.
 """
 from __future__ import annotations
 
@@ -26,7 +25,7 @@ from kinchem import kinetics
 
 SRC = pathlib.Path(kinchem.__file__).resolve().parents[1]
 TWO_STATE = pathlib.Path(__file__).resolve().parents[1] / "configs" / "two_state.yaml"
-DEFERRED = ("scipy", "jsonschema", "yaml")
+DEFERRED = ("scipy", "jsonschema", "yaml", "fractions")
 IMPORTS = "import kinchem, kinchem.cli, kinchem.scenarios, kinchem.stats"
 
 

@@ -4,13 +4,14 @@ import math
 import random
 import signal
 import sys
+from array import array
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kinchem import stats as ST
+from kinchem import kinetics, stats as ST
 from kinchem.kinetics import (CHANNELS, EnsembleState, EventLog, run,
                               sample_initial_state)
 from kinchem.oracle import pairs_from_event_log
@@ -722,18 +723,18 @@ def test_run_with_rng_equals_run_with_seed(two_state_spec_factory):
 
 
 def test_event_log_keeps_no_object_per_event(two_state_spec_factory):
-    # a record, tuple or numpy scalar per event would make the garbage
+    # a record, tuple or Python number per event would make the garbage
     # collector scan the whole log again and again during a long run
     spec = _four_channel_spec(two_state_spec_factory, 200)
     _, events = run(sample_initial_state(spec, 75), spec, 2.0, seed=76,
                     record_events=True)
     assert set(events.column("channel")) == set(CHANNELS)
-    containers = [r for r in gc.get_referents(events) if r is not EventLog]
-    values = [v for c in containers for v in c]
-    assert all(type(c) is list for c in containers)
-    assert len(values) == len(events) * len(EventLog.columns)
-    assert not any(map(gc.is_tracked, values))
-    assert {type(v) for v in values} == {float, int, str, type(None)}
+    held = [r for r in gc.get_referents(events) if r is not EventLog]
+    assert len(held) == 1 and type(held[0]) is np.ndarray
+    assert held[0].dtype == EventLog.dtype and len(held[0]) == len(events)
+    assert not gc.is_tracked(held[0]) and gc.get_referents(held[0]) == []
+    # read back, the values are plain Python ones
+    assert {type(v) for row in events.rows() for v in row} == {float, int, str, type(None)}
 
     # the columns hold exactly the fields of the records built on demand
     cols = [events.column(name) for name in EventLog.columns]
@@ -755,6 +756,14 @@ def test_event_log_keeps_no_object_per_event(two_state_spec_factory):
 
     _, none = run(sample_initial_state(spec, 75), spec, 2.0, seed=76)
     assert len(none) == 0 and list(none) == [] and list(none.rows()) == []
+
+
+def test_event_log_rows_are_the_kernels_events():
+    # the kernel stores Event structs of twelve 8-byte fields in columns
+    # order, and _events.c does not build if an Event is not twelve words
+    assert EventLog.dtype.names == EventLog.columns
+    assert EventLog.dtype.itemsize == 12 * 8
+    assert "".join(EventLog.dtype[c].kind for c in EventLog.columns) == "fiiiifififif"
 
 
 def test_heat_only_run_relaxes_to_bath_mean(two_state_spec_factory):
@@ -910,6 +919,47 @@ def test_untracked_run_moves_no_particle(two_state_spec_factory, max_events):
     # the flight clocks are current, so reading positions moves nothing
     state.positions()
     assert [getattr(state, c).tobytes() for c in geometry] == before
+
+
+@pytest.mark.parametrize("max_events, error", [(-5, ValueError), (True, TypeError),
+                                               (2.5, TypeError), ("3", TypeError)])
+def test_run_rejects_bad_max_events(two_state_spec_factory, monkeypatch, max_events, error):
+    # -5 ran no event, True one event, and 2.5 failed in ctypes only after
+    # the kernel was built
+    monkeypatch.setattr(kinetics, "_kernel", lambda: pytest.fail("the kernel was built"))
+    spec = two_state_spec_factory(n=10)
+    state = sample_initial_state(spec, 1)
+    with pytest.raises(error, match="max_events"):
+        run(state, spec, 1.0, seed=2, max_events=max_events)
+    monkeypatch.undo()
+    run(state, spec, 1.0, seed=2, max_events=0)
+    assert sum(state.proposal_counts.values()) == 0 and state.sim_time == 0.0
+
+
+def test_run_rejects_seed_with_rng(two_state_spec_factory, monkeypatch):
+    # the seed was dropped without a word: the log was that of rng alone
+    monkeypatch.setattr(kinetics, "_kernel", lambda: pytest.fail("the kernel was built"))
+    spec = two_state_spec_factory(n=10)
+    state = sample_initial_state(spec, 1)
+    with pytest.raises(ValueError, match="seed or rng"):
+        run(state, spec, 1.0, seed=3, rng=random.Random(99))
+    assert sum(state.proposal_counts.values()) == 0
+
+
+_AWKWARD_K = st.sampled_from([0.1, 1 / 3, 1e16, 2.5e-300, -0.7]) | st.floats(-1e300, 1e300)
+
+
+@settings(deadline=None)
+@given(K=st.lists(_AWKWARD_K, min_size=1, max_size=5), data=st.data())
+def test_total_chemical_is_the_per_particle_fsum(K, data):
+    # the chemical total sums K once per type count; the per-particle fsum
+    # is its reference, bit for bit
+    state = EnsembleState(make_two_state(n=40))
+    state.species_K = K
+    types = data.draw(st.lists(st.integers(0, len(K) - 1), min_size=40, max_size=40))
+    state.types = array("q", types)
+    assert state.total_chemical() == math.fsum(K[t] for t in types)
+    assert state.snapshot().total_chemical == state.total_chemical()
 
 
 def test_run_rejects_columns_the_kernel_cannot_read(two_state_spec_factory):
