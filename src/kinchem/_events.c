@@ -25,6 +25,7 @@
  * copies into its EventLog once, when the run ends.
  */
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -51,8 +52,24 @@ typedef struct {
     double T2_after;
 } Event;
 
-/* a C99 static assertion: EventLog reads rows of twelve 8-byte words */
+/* C99 static assertions: EventLog reads rows of twelve 8-byte words, field
+ * k of its columns at byte 8 * k */
 typedef char event_is_twelve_words[sizeof(Event) == 12 * sizeof(int64_t) ? 1 : -1];
+#define EVENT_WORD(field, k) typedef char event_##field##_is_word_##k[ \
+    offsetof(Event, field) == 8 * (k) && sizeof ((Event *)0)->field == 8 ? 1 : -1]
+EVENT_WORD(time, 0);
+EVENT_WORD(channel, 1);
+EVENT_WORD(i, 2);
+EVENT_WORD(j, 3);
+EVENT_WORD(type_before, 4);
+EVENT_WORD(T_before, 5);
+EVENT_WORD(type_after, 6);
+EVENT_WORD(T_after, 7);
+EVENT_WORD(type2_before, 8);
+EVENT_WORD(T2_before, 9);
+EVENT_WORD(type2_after, 10);
+EVENT_WORD(T2_after, 11);
+#undef EVENT_WORD
 
 typedef struct {
     /* set by run() */
@@ -499,20 +516,43 @@ static inline int64_t mt_below(MT *mt, int64_t n, int bits)
     return v;
 }
 
+/* The running sums of p[0..m-1] into cum, added in order as np.cumsum adds
+ * them, then +inf at the last positive entry (the last entry if none is):
+ * no search runs past it, and no draw that stops at or before it changes. */
+static void cumulative(const double *p, int64_t m, double *cum)
+{
+    double acc = 0.0;
+    int64_t last = m - 1;
+    for (int64_t k = 0; k < m; k++) {
+        acc += p[k];
+        cum[k] = acc;
+        if (p[k] > 0.0)
+            last = k;
+    }
+    cum[last] = INFINITY;
+}
+
 /* One trajectory of n particles over n_states states, left in states[n]:
- * initial states from the cumulative law cum0, then n_events pair events,
- * each the ordered pair (i, j != i) and an outcome o of the cumulative
- * kernel row of (states[i], states[j]), which sets them to (o / S, o % S).
- * Each search stops at the first cumulative value >= u; the caller sets the
- * entry of the last state and of each row's last outcome with positive
- * probability to +inf, so no search runs past it. */
-void kc_pair_system(const unsigned char *key, int64_t n_words, int64_t n,
-                    int64_t n_states, const double *cum0, const double *rows,
-                    int64_t n_events, int64_t *states)
+ * initial states from the law mu0, then n_events pair events, each the
+ * ordered pair (i, j != i) and an outcome o of the kernel row of
+ * (states[i], states[j]) (S*S rows of S*S outcomes, row-major), which sets
+ * them to (o / S, o % S).  Each search stops at the first cumulative value
+ * >= u of the tables built here, which are freed before the return.
+ * Returns KC_NO_MEMORY if they cannot be allocated, else KC_DONE. */
+int kc_pair_system(const unsigned char *key, int64_t n_words, int64_t n,
+                   int64_t n_states, const double *mu0, const double *kernel,
+                   int64_t n_events, int64_t *states)
 {
     MT mt;
-    int64_t S = n_states;
+    int64_t S = n_states, m = S * S;
     int bits_n = bit_length(n), bits_m = bit_length(n - 1);
+    double *cum0 = malloc((size_t)(S + m * m) * sizeof *cum0), *rows;
+    if (!cum0)
+        return KC_NO_MEMORY;
+    rows = cum0 + S;
+    cumulative(mu0, S, cum0);
+    for (int64_t r = 0; r < m; r++)
+        cumulative(kernel + r * m, m, rows + r * m);
     mt_seed(&mt, key, n_words);
     for (int64_t p = 0; p < n; p++) {
         double u = mt_uniform(&mt);
@@ -525,7 +565,7 @@ void kc_pair_system(const unsigned char *key, int64_t n_words, int64_t n,
         int64_t i = mt_below(&mt, n, bits_n);
         int64_t k = mt_below(&mt, n - 1, bits_m);
         int64_t j = k < i ? k : k + 1;
-        const double *row = rows + (states[i] * S + states[j]) * S * S;
+        const double *row = rows + (states[i] * S + states[j]) * m;
         double u = mt_uniform(&mt);
         int64_t o = 0;
         while (row[o] < u)
@@ -533,4 +573,6 @@ void kc_pair_system(const unsigned char *key, int64_t n_words, int64_t n,
         states[i] = o / S;
         states[j] = o % S;
     }
+    free(cum0);
+    return KC_DONE;
 }

@@ -370,7 +370,7 @@ def _kernel():
     dll.kc_run.argtypes = dll.kc_free_log.argtypes = (ctypes.POINTER(_Run),)
     dll.kc_flush.argtypes = (ctypes.POINTER(_Run), _F64)
     dll.kc_pair_system.argtypes = (ctypes.c_char_p, _I64, _I64, _I64, _PTR, _PTR, _I64, _PTR)
-    dll.kc_free_log.restype = dll.kc_flush.restype = dll.kc_pair_system.restype = None
+    dll.kc_free_log.restype = dll.kc_flush.restype = None
     return dll
 
 

@@ -12,8 +12,12 @@ backward closure over shared particles.  This module implements
 * the truncated resummation series for the marginal, with exact
   simplex-exponential time integrals, at finite N and in the N -> infinity
   limit where only essential sequences survive,
-* brute-force oracles: master-equation propagation for small N, direct
-  process simulation, and k-particle factorization statistics.
+* exact laws: the one-particle marginal and the pair law from the master
+  equation lumped onto occupation counts, which is exact because the kernel
+  is swap-symmetric and the initial data are i.i.d.; the dense master
+  equation on the |S|^N product space survives only as their small-N
+  validator,
+* direct process simulation and k-particle factorization statistics.
 
 Particle labels are arbitrary hashables; sequence positions are 0-based.
 """
@@ -326,6 +330,22 @@ def _distribution(model: PairModel, mu0) -> np.ndarray:
     return mu0
 
 
+def _horizon(t: float) -> float:
+    """``t``, checked to be a finite, nonnegative time."""
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
+    return t
+
+
+def _particles(N) -> int:
+    """``N`` as an int, checked to be at least two particles; TypeError for a
+    non-integer N."""
+    N = operator.index(N)
+    if N < 2:
+        raise ValueError("need at least two particles")
+    return N
+
+
 def _apply_sequence(model: PairModel, pairs, n_labels: int, mu0: np.ndarray) -> np.ndarray:
     """Chronological product of pair operators applied to the i.i.d. initial
     product measure over ``n_labels`` particles; returns the anchor marginal."""
@@ -375,10 +395,9 @@ def series_marginal(model: PairModel, mu0, t: float, n_max: int,
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max!r}")
     mu0 = _distribution(model, mu0)
+    t = _horizon(t)
     lam = model.rate
-    N = n_particles
-    if N is not None and N < 2:
-        raise ValueError("need at least two particles")
+    N = n_particles if n_particles is None else _particles(n_particles)
     tail = truncation_tail(lam, t, n_max)
     if tol is not None and tail > tol:
         raise ValueError(f"truncation tail {tail:.3g} above tolerance {tol:.3g}")
@@ -474,15 +493,19 @@ def master_generator(model: PairModel, N: int) -> np.ndarray:
 
 def exact_joint(model: PairModel, mu0, t: float, N: int) -> np.ndarray:
     """Exact joint law at time t from the master equation, as an (|S|,)*N
-    tensor.  The generator is sparse (each state reaches at most
-    |S|^2 N (N - 1) / 2 others), so the initial product law is propagated by
-    the action of exp(L^T t) on it (Al-Mohy & Higham 2011) on the CSR form
-    of the dense generator; the exponential itself is never formed."""
+    tensor: the small-N validator of the count chain of ``exact_marginal``
+    and ``exact_pair_correlation``.  The generator is sparse (each state
+    reaches at most |S|^2 N (N - 1) / 2 others), so the initial product law
+    is propagated by the action of exp(L^T t) on it (Al-Mohy & Higham 2011)
+    on the CSR form of the dense generator; the exponential itself is never
+    formed."""
     from scipy.sparse import csr_array
     from scipy.sparse.linalg import expm_multiply
 
     S = model.n_states
     mu0 = _distribution(model, mu0)
+    t = _horizon(t)
+    N = _particles(N)
     joint = mu0
     for _ in range(N - 1):
         joint = np.multiply.outer(joint, mu0)
@@ -492,15 +515,69 @@ def exact_joint(model: PairModel, mu0, t: float, N: int) -> np.ndarray:
     return out.reshape((S,) * N)
 
 
+def _count_law(model: PairModel, mu0, t: float, N: int):
+    """Law at time t of the occupation counts (n_0, ..., n_{|S|-1}) of the
+    process of N >= 2 particles: returns (counts, p), one row of ``counts``
+    per count vector and its probability in ``p``.
+
+    The kernel is swap-symmetric and the initial law i.i.d., so the master
+    equation lumps exactly onto the C(N + |S| - 1, |S| - 1) count vectors
+    (Kemeny & Snell 1960).  Each unordered state pair {a, b} fires at rate
+    2 lambda / (N - 1) times its number of particle pairs, n_a n_b, or
+    n_a (n_a - 1) / 2 when a = b, and moves one particle pair to (c, d) with
+    probability kernel4()[a, b, c, d].  The initial law is multinomial(N, mu0),
+    computed in log space so that large N does not overflow; the law at t is
+    p0 exp(L t) with the chain's dense generator L.
+    """
+    from scipy.linalg import expm
+
+    S = model.n_states
+    mu0 = _distribution(model, mu0)
+    t = _horizon(t)
+    counts = np.array([c + (N - sum(c),) for c in itertools.product(range(N + 1), repeat=S - 1)
+                       if sum(c) <= N], dtype=np.int64)
+    # base-(N + 1) keys, ascending as the rows are
+    place = (N + 1) ** np.arange(S - 1, -1, -1)
+    keys = counts @ place
+    rate = 2.0 * model.rate / (N - 1)
+    k4 = model.kernel4()
+    unit = np.eye(S, dtype=np.int64)
+    L = np.zeros((len(counts), len(counts)))
+    for a in range(S):
+        for b in range(a, S):
+            pairs = counts[:, a] * (counts[:, b] - (a == b)) // (1 + (a == b))
+            live = np.flatnonzero(pairs)
+            w = rate * pairs[live]
+            for c in range(S):
+                for d in range(S):
+                    if k4[a, b, c, d] > 0.0:
+                        moved = counts[live] - unit[a] - unit[b] + unit[c] + unit[d]
+                        L[live, np.searchsorted(keys, moved @ place)] += w * k4[a, b, c, d]
+            L[live, live] -= w
+    lgf = np.array([math.lgamma(k + 1.0) for k in range(N + 1)])
+    # 0 log 0 = 0: a state of probability 0 weighs only where it is occupied
+    log_p0 = lgf[N] - lgf[counts].sum(axis=1) + counts @ np.log(np.where(mu0 > 0.0, mu0, 1.0))
+    log_p0[counts[:, mu0 == 0.0].any(axis=1)] = -np.inf
+    return counts, np.exp(log_p0) @ expm(L * t)
+
+
 def exact_marginal(model: PairModel, mu0, t: float, N: int) -> np.ndarray:
-    joint = exact_joint(model, mu0, t, N)
-    return joint.sum(axis=tuple(range(1, joint.ndim)))
+    """Exact one-particle marginal at time t: E[n_a] / N under the law of the
+    count chain (``_count_law``)."""
+    N = _particles(N)
+    counts, p = _count_law(model, mu0, t, N)
+    return p @ counts / N
 
 
 def exact_pair_correlation(model: PairModel, mu0, t: float, N: int) -> float:
-    """max_{a,b} |mu_12(a,b) - mu_1(a) mu_2(b)| from the exact joint law."""
-    joint = exact_joint(model, mu0, t, N)
-    pair = joint.sum(axis=tuple(range(2, joint.ndim))) if N > 2 else joint
+    """max_{a,b} |mu_12(a,b) - mu_1(a) mu_2(b)| for the exact pair law
+    mu_12(a, b) = E[n_a (n_b - delta_ab)] / (N (N - 1)) under the law of the
+    count chain (``_count_law``)."""
+    N = _particles(N)
+    counts, p = _count_law(model, mu0, t, N)
+    S = model.n_states
+    falling = counts[:, :, None] * (counts[:, None, :] - np.eye(S, dtype=np.int64))
+    pair = (p @ falling.reshape(len(p), S * S)).reshape(S, S) / (N * (N - 1))
     m1 = pair.sum(axis=1)
     m2 = pair.sum(axis=0)
     return float(np.max(np.abs(pair - np.outer(m1, m2))))
@@ -513,41 +590,37 @@ def simulate_pair_system(model: PairModel, N: int, t: float, mu0,
                          seed: int) -> np.ndarray:
     """One trajectory of the N-particle process; returns the final state vector.
 
-    The trajectory runs in the C kernel ``kc_pair_system`` (``_events.c``,
-    built with ``cc`` on first use, see ``kinetics``), whose draws reproduce
-    ``random.Random(seed)``'s stream word for word: the N initial states by
-    ``random()``, then per event the pair by two ``randrange`` calls and the
-    outcome by ``random()``.  The event count is a numpy Poisson draw from a
-    second seeded generator.  Raises ValueError unless 2 <= N < 2**32, seed
-    >= 0, ``mu0`` is a distribution over the model's states and the model's
-    kernel has their pairs' shape; TypeError for a non-integer N or seed;
-    RuntimeError if the C kernel cannot be built.
+    The trajectory runs in one call of the C kernel ``kc_pair_system``
+    (``_events.c``, built with ``cc`` on first use, see ``kinetics``), which
+    builds the cumulative tables of ``mu0`` and the kernel.  Its draws
+    reproduce ``random.Random(seed)``'s stream word for word: the N initial
+    states by ``random()``, then per event the pair by two ``randrange``
+    calls and the outcome by ``random()``.  The event count is a numpy
+    Poisson draw from a second seeded generator.  Raises ValueError unless
+    2 <= N < 2**32, t is finite and nonnegative, seed >= 0, ``mu0`` is a
+    distribution over the model's states and the model's kernel has their
+    pairs' shape; TypeError for a non-integer N or seed; RuntimeError if the
+    C kernel cannot be built; MemoryError if it cannot allocate its tables.
     """
-    N, seed = operator.index(N), operator.index(seed)
-    if N < 2:
-        raise ValueError("need at least two particles")
+    N, seed = _particles(N), operator.index(seed)
     if N >= 2 ** 32:
         raise ValueError(f"N must be below 2**32, got {N}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    t = _horizon(t)
     S = model.n_states
-    mu0 = _distribution(model, mu0)
-    rows = np.cumsum(model.kernel, axis=1, dtype=float)
-    if rows.shape != (S * S, S * S):    # kc_pair_system indexes it blindly
+    mu0 = np.ascontiguousarray(_distribution(model, mu0))
+    kernel = np.ascontiguousarray(model.kernel, dtype=float)
+    if kernel.shape != (S * S, S * S):  # kc_pair_system indexes it blindly
         raise ValueError(f"kernel must be ({S * S}, {S * S})")
     n_events = int(np.random.default_rng(seed ^ 0x9E3779B97F4A7C15).poisson(
         N * model.rate * t))
-    # +inf at the last state and the last outcome of each row with positive
-    # probability: no search runs past them, and no draw that stops at or
-    # before them changes
-    cum0 = np.cumsum(mu0)
-    cum0[S - 1 - np.argmax(mu0[::-1] > 0.0)] = np.inf
-    rows[np.arange(S * S), S * S - 1 - np.argmax(model.kernel[:, ::-1] > 0.0, axis=1)] = np.inf
     # the seed's little-endian 32-bit words, as random.seed splits an int
     key = seed.to_bytes(4 * max(1, -(-seed.bit_length() // 32)), "little")
     states = np.empty(N, dtype=np.int64)
-    _kernel().kc_pair_system(key, len(key) // 4, N, S, cum0.ctypes.data, rows.ctypes.data,
-                             n_events, states.ctypes.data)
+    if _kernel().kc_pair_system(key, len(key) // 4, N, S, mu0.ctypes.data, kernel.ctypes.data,
+                                n_events, states.ctypes.data):
+        raise MemoryError("no memory for the cumulative tables of the pair process")
     return states
 
 

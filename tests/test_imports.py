@@ -8,7 +8,8 @@ C kernel of the particle engine and the oracle's replicas, and neither do
 ``sample_initial_state``, the views of its state or the oracle's exact laws:
 the first ``run()`` or ``simulate_pair_system`` compiles it into
 ``$XDG_CACHE_HOME/kinchem``, deleting the libraries of older sources there,
-and later interpreters load it from there.  Each check runs in a fresh
+and later interpreters load it from there.  The exact laws load
+scipy.linalg but no scipy.sparse.  Each check runs in a fresh
 interpreter, since this test process has loaded scipy and the kernel already.
 """
 from __future__ import annotations
@@ -121,6 +122,19 @@ def test_oracle_builds_the_kernel_only_for_replicas(tmp_path):
     assert proc.stdout.split() == ["0", "False", "1"]
     built = [p.name for p in cache.iterdir()]
     assert len(built) == 1 and built[0].startswith("_events-") and built[0].endswith(".so")
+
+
+def test_exact_laws_load_no_scipy_sparse():
+    # the count chain propagates with scipy.linalg.expm alone
+    proc = _python("import sys\n"
+                   "import kinchem.oracle as O\n"
+                   "model = O.voter_model(0.7, n_states=3)\n"
+                   "O.exact_marginal(model, (0.2, 0.5, 0.3), 0.5, 6)\n"
+                   "O.exact_pair_correlation(model, (0.2, 0.5, 0.3), 0.5, 6)\n"
+                   "print('scipy.linalg' in sys.modules,\n"
+                   "      sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "[]"]
 
 
 def test_a_new_build_deletes_stale_libraries(tmp_path):

@@ -766,6 +766,13 @@ def test_event_log_rows_are_the_kernels_events():
     assert "".join(EventLog.dtype[c].kind for c in EventLog.columns) == "fiiiifififif"
 
 
+def test_event_log_fields_sit_at_the_kernels_offsets():
+    # _events.c does not build unless field k of an Event is 8 bytes at byte
+    # 8 * k, in columns order
+    assert [EventLog.dtype.fields[c][1] for c in EventLog.columns] == list(range(0, 96, 8))
+    assert all(EventLog.dtype[c].itemsize == 8 for c in EventLog.columns)
+
+
 def test_heat_only_run_relaxes_to_bath_mean(two_state_spec_factory):
     # many-particle form of test_heat_exchange_long_run_mean, sampled at fixed
     # times: the mean relaxes as exp(-t/2) from 5, so 30 time units of

@@ -447,6 +447,47 @@ def test_exact_pair_correlation_decreases_with_system_size():
     assert max(scaled) / min(scaled) < 1.25
 
 
+def dense_laws(model, mu0, t, N):
+    """Marginal and pair correlation derived from the dense ``exact_joint``."""
+    joint = O.exact_joint(model, mu0, t, N)
+    pair = joint.sum(axis=tuple(range(2, N))) if N > 2 else joint
+    corr = float(np.max(np.abs(pair - np.outer(pair.sum(axis=1), pair.sum(axis=0)))))
+    return joint.sum(axis=tuple(range(1, N))), corr
+
+
+def test_count_chain_laws_equal_the_dense_joints():
+    # the 3-state voter model stops at N = 6: its dense generator at N = 8
+    # takes 6561**2 doubles (344 MB)
+    cases = [(O.contagion_model(0.5, 1.3), (0.6, 0.4), range(2, 9)),
+             (O.voter_model(0.7, n_states=3), (0.2, 0.5, 0.3), range(2, 7)),
+             (O.voter_model(0.7, n_states=3), (0.4, 0.6, 0.0), range(2, 7)),
+             (trailing_zero_model(), (0.6, 0.4), range(2, 9))]
+    for model, mu0, ns in cases:
+        for N in ns:
+            for t in (0.0, 0.5, 2.0):
+                marginal, corr = dense_laws(model, mu0, t, N)
+                assert np.max(np.abs(O.exact_marginal(model, mu0, t, N) - marginal)) <= 1e-14
+                assert abs(O.exact_pair_correlation(model, mu0, t, N) - corr) <= 1e-14
+
+
+def test_exact_laws_never_build_the_dense_generator(monkeypatch):
+    def no_dense(*args):
+        raise AssertionError("the dense generator was built")
+
+    monkeypatch.setattr(O, "master_generator", no_dense)
+    model = O.voter_model(0.7, n_states=3)
+    assert abs(O.exact_marginal(model, (0.2, 0.5, 0.3), 0.5, 12).sum() - 1.0) <= 1e-12
+    assert O.exact_pair_correlation(model, (0.2, 0.5, 0.3), 0.5, 12) > 0.0
+
+
+def test_count_chain_initial_law_does_not_overflow_at_large_N():
+    # the multinomial coefficients pass 1e308 from N = 1030 on
+    model = O.contagion_model(0.5, 1.0)
+    mu0 = np.array([0.6, 0.4])
+    assert np.max(np.abs(O.exact_marginal(model, mu0, 0.0, 1200) - mu0)) <= 1e-12
+    assert O.exact_pair_correlation(model, mu0, 0.0, 1200) <= 1e-12
+
+
 def test_chaos_statistic_recovers_known_decay():
     model = O.contagion_model(0.5, 1.0)
     mu0 = np.array([0.6, 0.4])
@@ -567,6 +608,34 @@ def test_simulate_pair_system_bitwise_at_rejection_heavy_sizes():
         O.simulate_pair_system(models[0][0], 1, 0.5, models[0][1], 0)
 
 
+def test_simulate_pair_system_bits_do_not_depend_on_the_kernel_layout():
+    # kc_pair_system builds its tables from a C-ordered float kernel
+    cases = [(O.voter_model(1.0, n_states=3), np.array([0.2, 0.5, 0.3])),
+             (O.contagion_model(1.0, 1.0), np.array([0.6, 0.4]))]
+    def bits(model, mu0):
+        return [O.simulate_pair_system(model, 50, 0.7, mu0, seed).tobytes() for seed in range(5)]
+
+    for model, mu0 in cases:
+        fortran = O.PairModel(model.n_states, model.kernel, model.rate)
+        fortran.kernel = np.asfortranarray(model.kernel)
+        assert bits(fortran, mu0) == bits(model, mu0)
+        assert bits(model, np.repeat(mu0, 2)[::2]) == bits(model, mu0)
+    # contagion at alpha = 1 has kernel entries 0 and 1 only
+    integer = O.contagion_model(1.0, 1.0)
+    integer.kernel = integer.kernel.astype(np.int64)
+    assert bits(integer, (0.6, 0.4)) == bits(O.contagion_model(1.0, 1.0), (0.6, 0.4))
+
+
+def test_simulate_pair_system_raises_memory_error_when_the_tables_fail(monkeypatch):
+    class NoMemory:
+        def kc_pair_system(self, *args):
+            return 3
+
+    monkeypatch.setattr(O, "_kernel", NoMemory)
+    with pytest.raises(MemoryError):
+        O.simulate_pair_system(O.contagion_model(), 10, 0.5, (0.6, 0.4), 3)
+
+
 _BAD_INITIAL_LAWS = [
     ((0.5, 0.4), "sum to 1"),               # state 2 would be drawn, outside the model
     ((0.6, 0.4, 0.0), "distribution"),
@@ -656,3 +725,30 @@ def test_jackknife_bitwise_equals_scalar_loop():
         rep = O.chaos_statistic(runs, k=k, n_states=2)
         for N, reps in runs.items():
             assert rep.stderrs[N] == scalar_loop_jackknife_stderr(reps, N, k, 2)
+
+
+_TIMED_LAWS = {
+    "series_marginal": lambda model, t: O.series_marginal(model, (0.6, 0.4), t, 2, n_particles=4),
+    "series_limit": lambda model, t: O.series_marginal(model, (0.6, 0.4), t, 2),
+    "exact_joint": lambda model, t: O.exact_joint(model, (0.6, 0.4), t, 4),
+    "exact_marginal": lambda model, t: O.exact_marginal(model, (0.6, 0.4), t, 4),
+    "exact_pair_correlation": lambda model, t: O.exact_pair_correlation(model, (0.6, 0.4), t, 4),
+    "simulate_pair_system": lambda model, t: O.simulate_pair_system(model, 4, t, (0.6, 0.4), 3),
+}
+
+
+@pytest.mark.parametrize("t", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("law", list(_TIMED_LAWS))
+def test_oracle_refuses_a_bad_horizon(law, t):
+    # exact_marginal at t = -1 returned a back-propagated vector and
+    # series_marginal the "marginal" [21.7, 32.2]
+    with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+        _TIMED_LAWS[law](O.contagion_model(), t)
+
+
+@pytest.mark.parametrize("law", [O.exact_joint, O.exact_marginal, O.exact_pair_correlation])
+def test_exact_laws_refuse_fewer_than_two_particles(law):
+    # N = 1 raised ZeroDivisionError
+    for N in (1, 0, -3):
+        with pytest.raises(ValueError, match="two particles"):
+            law(O.contagion_model(), (0.6, 0.4), 0.5, N)
