@@ -413,11 +413,25 @@ void kc_free_log(Run *r)
 
 /* -- the oracle's pair process --------------------------------------------
  *
- * oracle.simulate_pair_system() calls kc_pair_system() for everything but
- * the event count.  The draws are those of CPython's random.Random(seed),
- * word for word: MT19937 (Matsumoto & Nishimura 1998) seeded as CPython
- * seeds an int, random()'s 53-bit uniform, and randrange(n) as its
- * getrandbits(n.bit_length()) rejection loop. */
+ * oracle.simulate_pair_system() calls kc_pair_system() for the whole
+ * trajectory.  The event count is numpy's
+ * default_rng(seed ^ 0x9E3779B97F4A7C15).poisson(lam), bit for bit: the
+ * SeedSequence entropy mix and generate_state (O'Neill's seed_seq_fe
+ * design), PCG64 (XSL-RR 128/64, O'Neill 2014) seeded as numpy seeds it,
+ * and numpy's random_poisson: PTRS (Hormann 1993) with its random_loggam
+ * for lam >= 10, the multiplication method below.  The other draws are
+ * those of CPython's random.Random(seed), word for word: MT19937
+ * (Matsumoto & Nishimura 1998) seeded as CPython seeds an int, random()'s
+ * 53-bit uniform, and randrange(n) as its getrandbits(n.bit_length())
+ * rejection loop.  Both generators are seeded from the seed's
+ * little-endian 32-bit words. */
+
+/* word j of a little-endian key */
+static uint32_t key_word(const unsigned char *key, int64_t j)
+{
+    const unsigned char *w = key + 4 * j;
+    return w[0] | (uint32_t)w[1] << 8 | (uint32_t)w[2] << 16 | (uint32_t)w[3] << 24;
+}
 
 #define MT_N 624
 #define MT_M 397
@@ -438,10 +452,8 @@ static void mt_seed(MT *mt, const unsigned char *key, int64_t n_words)
         s[k] = 1812433253u * (s[k - 1] ^ (s[k - 1] >> 30)) + (uint32_t)k;
     mt->i = MT_N;
     for (k = n_words > MT_N ? n_words : MT_N; k; k--) {
-        const unsigned char *w = key + 4 * j;
-        uint32_t word = w[0] | (uint32_t)w[1] << 8 | (uint32_t)w[2] << 16
-                        | (uint32_t)w[3] << 24;
-        s[i] = (s[i] ^ ((s[i - 1] ^ (s[i - 1] >> 30)) * 1664525u)) + word + (uint32_t)j;
+        s[i] = (s[i] ^ ((s[i - 1] ^ (s[i - 1] >> 30)) * 1664525u)) + key_word(key, j)
+               + (uint32_t)j;
         i++;
         j++;
         if (i >= MT_N) {
@@ -516,6 +528,149 @@ static inline int64_t mt_below(MT *mt, int64_t n, int bits)
     return v;
 }
 
+/* numpy's default_rng(seed ^ 0x9E3779B97F4A7C15): a SeedSequence pool of 4
+ * words, hashmix and mix as in bit_generator.pyx, and PCG64 seeded from
+ * generate_state(4, uint64) = v0..v3 with initstate v0:v1 and initseq
+ * v2:v3 (high:low 64-bit halves) */
+__extension__ typedef unsigned __int128 u128;
+
+typedef struct {
+    u128 state, inc;
+} PCG;
+
+static uint32_t hashmix(uint32_t value, uint32_t *h)
+{
+    value ^= *h;
+    *h *= 0x931e8875u;
+    value *= *h;
+    return value ^ value >> 16;
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t r = 0xca01f9ddu * x - 0x4973f715u * y;
+    return r ^ r >> 16;
+}
+
+static void pcg_step(PCG *g)
+{
+    g->state = g->state * ((u128)2549297995355413924ULL << 64 | 4865540595714422341ULL)
+               + g->inc;
+}
+
+/* The entropy is the key's words with the salt XORed into the low two: the
+ * words of seed ^ salt.  The XOR keeps a seed >= 2^64 its word count; below
+ * 2^64 the count is at most 2, and a pool of 4 mixes zero words as none. */
+static void pcg_seed(PCG *g, const unsigned char *key, int64_t n_words)
+{
+    uint32_t pool[4], h = 0x43b0d7e5u;
+    uint64_t v[4];
+    for (int i = 0; i < 4; i++) {
+        uint32_t w = i < n_words ? key_word(key, i) : 0u;
+        pool[i] = hashmix(w ^ (i == 0 ? 0x7F4A7C15u : i == 1 ? 0x9E3779B9u : 0u), &h);
+    }
+    for (int src = 0; src < 4; src++)
+        for (int dst = 0; dst < 4; dst++)
+            if (src != dst)
+                pool[dst] = mix(pool[dst], hashmix(pool[src], &h));
+    for (int64_t src = 4; src < n_words; src++)
+        for (int dst = 0; dst < 4; dst++)
+            pool[dst] = mix(pool[dst], hashmix(key_word(key, src), &h));
+    h = 0x8b51f9ddu;
+    for (int i = 0; i < 8; i++) {
+        uint32_t x = pool[i % 4] ^ h;
+        h *= 0x58f38dedu;
+        x *= h;
+        x ^= x >> 16;
+        v[i / 2] = i % 2 ? v[i / 2] | (uint64_t)x << 32 : x;
+    }
+    g->state = 0;
+    g->inc = ((u128)v[2] << 64 | v[3]) << 1 | 1u;
+    pcg_step(g);
+    g->state += (u128)v[0] << 64 | v[1];
+    pcg_step(g);
+}
+
+/* next_double: the top 53 bits of the XSL-RR output */
+static double pcg_double(PCG *g)
+{
+    uint64_t x;
+    unsigned rot;
+    pcg_step(g);
+    x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
+    rot = (unsigned)(g->state >> 122);
+    return ((x >> rot | x << (-rot & 63u)) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* numpy's random_loggam: log Gamma(x) by Stirling's series at x0 >= 7 */
+static double loggam(double x)
+{
+    static const double a[10] = {8.333333333333333e-02, -2.777777777777778e-03,
+                                 7.936507936507937e-04, -5.952380952380952e-04,
+                                 8.417508417508418e-04, -1.917526917526918e-03,
+                                 6.410256410256410e-03, -2.955065359477124e-02,
+                                 1.796443723688307e-01, -1.39243221690590e+00};
+    int64_t n = 0;
+    double x0, x2, gl0, gl;
+    if (x == 1.0 || x == 2.0)
+        return 0.0;
+    if (x < 7.0)
+        n = (int64_t)(7 - x);
+    x0 = x + n;
+    x2 = (1.0 / x0) * (1.0 / x0);
+    gl0 = a[9];
+    for (int k = 8; k >= 0; k--) {
+        gl0 *= x2;
+        gl0 += a[k];
+    }
+    gl = gl0 / x0 + 0.5 * 1.8378770664093453 + (x0 - 0.5) * log(x0) - x0;
+    for (; n > 0; n--) {
+        gl -= log(x0 - 1.0);
+        x0 -= 1.0;
+    }
+    return gl;
+}
+
+/* numpy's random_poisson for 0 <= lam <= POISSON_LAM_MAX, which Python
+ * checks.  The candidate k stays a double: numpy's int64 k is exactly that
+ * integer, and an x86 cast of a k out of int64 range gives INT64_MIN, which
+ * numpy rejects as k < 0. */
+static int64_t poisson(PCG *g, double lam)
+{
+    double slam, loglam, a, b, invalpha, vr;
+    if (lam == 0.0)
+        return 0;
+    if (lam < 10.0) {                   /* the multiplication method */
+        double enlam = exp(-lam), prod = 1.0;
+        int64_t x = 0;
+        for (;;) {
+            prod *= pcg_double(g);
+            if (!(prod > enlam))
+                return x;
+            x++;
+        }
+    }
+    slam = sqrt(lam);                   /* PTRS */
+    loglam = log(lam);
+    b = 0.931 + 2.53 * slam;
+    a = -0.059 + 0.02483 * b;
+    invalpha = 1.1239 + 1.1328 / (b - 3.4);
+    vr = 0.9277 - 3.6224 / (b - 2);
+    for (;;) {
+        double U = pcg_double(g) - 0.5;
+        double V = pcg_double(g);
+        double us = 0.5 - fabs(U);
+        double k = floor((2 * a / us + b) * U + lam + 0.43);
+        if (us >= 0.07 && V <= vr)
+            return (int64_t)k;
+        if (!(k >= 0.0 && k < 9223372036854775808.0) || (us < 0.013 && V > us))
+            continue;
+        if (log(V) + log(invalpha) - log(a / (us * us) + b)
+            <= -lam + k * loglam - loggam(k + 1))
+            return (int64_t)k;
+    }
+}
+
 /* The running sums of p[0..m-1] into cum, added in order as np.cumsum adds
  * them, then +inf at the last positive entry (the last entry if none is):
  * no search runs past it, and no draw that stops at or before it changes. */
@@ -532,8 +687,17 @@ static void cumulative(const double *p, int64_t m, double *cum)
     cum[last] = INFINITY;
 }
 
+/* The pair process's event count for the seed whose words are key:
+ * numpy's default_rng(seed ^ 0x9E3779B97F4A7C15).poisson(lam) */
+int64_t kc_event_count(const unsigned char *key, int64_t n_words, double lam)
+{
+    PCG pcg;
+    pcg_seed(&pcg, key, n_words);
+    return poisson(&pcg, lam);
+}
+
 /* One trajectory of n particles over n_states states, left in states[n]:
- * initial states from the law mu0, then n_events pair events, each the
+ * initial states from the law mu0, then Poisson(lam) pair events, each the
  * ordered pair (i, j != i) and an outcome o of the kernel row of
  * (states[i], states[j]) (S*S rows of S*S outcomes, row-major), which sets
  * them to (o / S, o % S).  Each search stops at the first cumulative value
@@ -541,10 +705,10 @@ static void cumulative(const double *p, int64_t m, double *cum)
  * Returns KC_NO_MEMORY if they cannot be allocated, else KC_DONE. */
 int kc_pair_system(const unsigned char *key, int64_t n_words, int64_t n,
                    int64_t n_states, const double *mu0, const double *kernel,
-                   int64_t n_events, int64_t *states)
+                   double lam, int64_t *states)
 {
     MT mt;
-    int64_t S = n_states, m = S * S;
+    int64_t S = n_states, m = S * S, n_events = kc_event_count(key, n_words, lam);
     int bits_n = bit_length(n), bits_m = bit_length(n - 1);
     double *cum0 = malloc((size_t)(S + m * m) * sizeof *cum0), *rows;
     if (!cum0)

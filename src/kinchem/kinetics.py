@@ -369,7 +369,9 @@ def _kernel():
     dll = ctypes.PyDLL(str(lib))        # keeps the GIL held, so callbacks need no hand-off
     dll.kc_run.argtypes = dll.kc_free_log.argtypes = (ctypes.POINTER(_Run),)
     dll.kc_flush.argtypes = (ctypes.POINTER(_Run), _F64)
-    dll.kc_pair_system.argtypes = (ctypes.c_char_p, _I64, _I64, _I64, _PTR, _PTR, _I64, _PTR)
+    dll.kc_pair_system.argtypes = (ctypes.c_char_p, _I64, _I64, _I64, _PTR, _PTR, _F64, _PTR)
+    dll.kc_event_count.argtypes = (ctypes.c_char_p, _I64, _F64)
+    dll.kc_event_count.restype = _I64
     dll.kc_free_log.restype = dll.kc_flush.restype = None
     return dll
 

@@ -586,6 +586,15 @@ def exact_pair_correlation(model: PairModel, mu0, t: float, N: int) -> float:
 # -- simulation and the factorization statistic ----------------------------------------
 
 
+def _seed_key(seed: int) -> bytes:
+    """The seed's little-endian 32-bit words, as random.seed splits an int."""
+    return seed.to_bytes(4 * max(1, -(-seed.bit_length() // 32)), "little")
+
+
+# numpy's POISSON_LAM_MAX, the largest mean its Generator.poisson accepts
+_POISSON_LAM_MAX = float(2 ** 63 - 1) - math.sqrt(2 ** 63 - 1) * 10
+
+
 def simulate_pair_system(model: PairModel, N: int, t: float, mu0,
                          seed: int) -> np.ndarray:
     """One trajectory of the N-particle process; returns the final state vector.
@@ -595,12 +604,16 @@ def simulate_pair_system(model: PairModel, N: int, t: float, mu0,
     builds the cumulative tables of ``mu0`` and the kernel.  Its draws
     reproduce ``random.Random(seed)``'s stream word for word: the N initial
     states by ``random()``, then per event the pair by two ``randrange``
-    calls and the outcome by ``random()``.  The event count is a numpy
-    Poisson draw from a second seeded generator.  Raises ValueError unless
-    2 <= N < 2**32, t is finite and nonnegative, seed >= 0, ``mu0`` is a
-    distribution over the model's states and the model's kernel has their
-    pairs' shape; TypeError for a non-integer N or seed; RuntimeError if the
-    C kernel cannot be built; MemoryError if it cannot allocate its tables.
+    calls and the outcome by ``random()``.  The kernel draws the event count
+    first, bit for bit as
+    ``np.random.default_rng(seed ^ 0x9E3779B97F4A7C15).poisson(N * rate * t)``
+    draws it, so the replicas do not depend on the installed numpy; a test
+    pins the two to each other.  Raises ValueError unless 2 <= N < 2**32, t
+    is finite and nonnegative, seed >= 0, the Poisson mean N * rate * t is
+    at most numpy's limit (about 9.2e18), ``mu0`` is a distribution over the
+    model's states and the model's kernel has their pairs' shape; TypeError
+    for a non-integer N or seed; RuntimeError if the C kernel cannot be
+    built; MemoryError if it cannot allocate its tables.
     """
     N, seed = _particles(N), operator.index(seed)
     if N >= 2 ** 32:
@@ -613,13 +626,14 @@ def simulate_pair_system(model: PairModel, N: int, t: float, mu0,
     kernel = np.ascontiguousarray(model.kernel, dtype=float)
     if kernel.shape != (S * S, S * S):  # kc_pair_system indexes it blindly
         raise ValueError(f"kernel must be ({S * S}, {S * S})")
-    n_events = int(np.random.default_rng(seed ^ 0x9E3779B97F4A7C15).poisson(
-        N * model.rate * t))
-    # the seed's little-endian 32-bit words, as random.seed splits an int
-    key = seed.to_bytes(4 * max(1, -(-seed.bit_length() // 32)), "little")
+    lam = N * model.rate * t
+    if not 0.0 <= lam <= _POISSON_LAM_MAX:
+        raise ValueError(f"the Poisson mean N * rate * t must be between 0 and "
+                         f"{_POISSON_LAM_MAX!r}, got {lam!r}")
+    key = _seed_key(seed)
     states = np.empty(N, dtype=np.int64)
     if _kernel().kc_pair_system(key, len(key) // 4, N, S, mu0.ctypes.data, kernel.ctypes.data,
-                                n_events, states.ctypes.data):
+                                lam, states.ctypes.data):
         raise MemoryError("no memory for the cumulative tables of the pair process")
     return states
 

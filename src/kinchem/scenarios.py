@@ -15,6 +15,7 @@ import csv
 import inspect
 import json
 import math
+import numbers
 import time
 from pathlib import Path
 from typing import Optional
@@ -610,16 +611,35 @@ SCENARIOS: dict = {
 }
 
 
+def _fits(value, default) -> bool:
+    """Whether an override has the type of its parameter's default: an
+    integer for an int, a real number for a float, None or a real number for
+    None (the optional floats), a string for a string, and a tuple or list of
+    such for a tuple.  A bool is no number here."""
+    if isinstance(default, tuple):
+        return isinstance(value, (tuple, list)) and all(_fits(v, default[0]) for v in value)
+    if isinstance(value, bool):
+        return isinstance(default, bool)
+    if isinstance(default, int):
+        return isinstance(value, numbers.Integral)
+    if default is None and value is None:
+        return True
+    if default is None or isinstance(default, float):
+        return isinstance(value, numbers.Real)
+    return isinstance(value, type(default))
+
+
 def run_scenario(name: str, overrides: Optional[dict] = None,
                  out_dir=None, seed: int = 7) -> dict:
     """Execute a named scenario and return its summary.
 
     ``parameters`` records every keyword parameter of the scenario at its
-    effective value (default or override); an unknown override raises
-    ValueError.  With ``out_dir`` given, each table is written as CSV, the
-    report (if any) as ``<name>.json`` with dashes as underscores, and the
-    summary as ``summary.json``; ``outputs`` lists every file but the
-    summary.  ``timing_s`` covers the scenario, not the writing.
+    effective value (default or override); an unknown override, or one
+    whose type does not fit its default (``_fits``), raises ValueError.
+    With ``out_dir`` given, each table is written as CSV, the report (if
+    any) as ``<name>.json`` with dashes as underscores, and the summary as
+    ``summary.json``; ``outputs`` lists every file but the summary.
+    ``timing_s`` covers the scenario, not the writing.
     """
     from jsonschema import validate
 
@@ -633,6 +653,10 @@ def run_scenario(name: str, overrides: Optional[dict] = None,
     if unknown:
         raise ValueError(f"unknown override(s) {unknown} for scenario {name!r}; "
                          f"known: {list(params)}")
+    for key, value in (overrides or {}).items():
+        if not _fits(value, params[key]):
+            raise ValueError(f"override {key}={value!r} for scenario {name!r} does not "
+                             f"have the type of its default {params[key]!r}")
     params.update(overrides or {})
     t0 = time.perf_counter()
     body = scenario(seed, **params)

@@ -99,6 +99,24 @@ def test_scenario_rejects_unknown_override(argv, key, capsys):
     assert re.match(f"error: unknown override.*{key}", err)
 
 
+@pytest.mark.parametrize("override, key", [
+    ("n=5.0", "n"), ("n=True", "n"), ("nmax='4'", "nmax"), ("alpha=True", "alpha"),
+])
+def test_scenario_rejects_an_override_of_the_wrong_type(override, key, tmp_path, capsys):
+    # n=5.0 reached oracle._particles and ended in a TypeError traceback
+    out = tmp_path / "oracle"
+    assert main(["scenario", "oracle-verify", "--set", override, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: override {key}=")
+    assert not out.exists()
+
+
+def test_scenario_takes_an_integer_for_a_float(tmp_path):
+    assert main(["scenario", "flux-check", "--set", "t_end=2",
+                 "--out", str(tmp_path / "flux")]) == 0
+    summary = json.loads((tmp_path / "flux" / "summary.json").read_text())
+    assert summary["parameters"]["t_end"] == 2
+
+
 def test_scenario_rejects_unknown_name():
     with pytest.raises(SystemExit):
         main(["scenario", "not-a-scenario"])

@@ -696,6 +696,44 @@ def test_simulate_pair_system_refuses_2_pow_32_particles_before_allocating(monke
     assert peak < 2 ** 16
 
 
+def test_event_count_equals_numpys_poisson_draw():
+    # kc_pair_system draws its event count through kc_event_count, as
+    # default_rng(seed ^ salt).poisson(lam) draws it: lam = 0, the
+    # multiplication method below 10 and PTRS from 10, for seeds whose salted
+    # words are [0] (salt itself), one to four words and seven words; a numpy
+    # release that changes the Generator's streams shows here
+    count = O._kernel().kc_event_count
+    salt = 0x9E3779B97F4A7C15
+    seeds = (0, 1, 2, 3, salt, salt ^ 1, *MULTI_WORD_SEEDS, 2 ** 200 + 12345)
+    for seed in seeds:
+        key = O._seed_key(seed)
+        for lam in (0.0, 1e-3, 0.5, 3.0, 9.999, 10.0, 10.5, 50.0, 800.0, 1234.5,
+                    1e6, 1e9, 1e15):
+            ref = int(np.random.default_rng(seed ^ salt).poisson(lam))
+            assert count(key, len(key) // 4, lam) == ref, (seed, lam)
+
+
+def test_poisson_mean_limit_is_numpys():
+    rng = np.random.default_rng(0)
+    assert rng.poisson(O._POISSON_LAM_MAX) > 0
+    with pytest.raises(ValueError):
+        rng.poisson(np.nextafter(O._POISSON_LAM_MAX, np.inf))
+
+
+@pytest.mark.parametrize("rate, t", [(1e300, 1e300), (1e17, 1.0), (math.nan, 0.5)])
+def test_simulate_pair_system_refuses_an_impossible_poisson_mean(monkeypatch, rate, t):
+    # numpy refuses a mean above POISSON_LAM_MAX, inf or nan; the kernel's
+    # count loop would cast or spin on one, so the refusal comes first
+    def no_kernel():
+        raise AssertionError("the kernel was reached")
+
+    monkeypatch.setattr(O, "_kernel", no_kernel)
+    model = O.contagion_model()
+    model.rate = rate
+    with pytest.raises(ValueError, match="Poisson mean"):
+        O.simulate_pair_system(model, 100, t, (0.6, 0.4), 3)
+
+
 def scalar_loop_jackknife_stderr(reps, N, k, S):
     """Jackknife error of the defect with one leave-one-out mean per replica."""
     counts = np.stack([np.bincount(r, minlength=S) for r in reps]).astype(float)
