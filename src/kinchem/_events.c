@@ -4,10 +4,12 @@
  *
  * Four channels on competing exponential clocks, thinned against constant
  * bounds: unary type changes, slow binary reactions, fast binary (Kac)
- * collisions and bath exchange; split() redraws a pair's energy and fly()
- * moves a particle at the speed of its energy.  kc_run and kc_flush work in
- * place on the state's buffers: its columns, counters and bath sum.  The
- * file must be built without FMA contraction or -ffast-math:
+ * collisions and bath exchange.  The two pair channels share one rule,
+ * binary_event(): a Kac collision is a slow reaction under the identity
+ * type kernel, with its own rate table.  split() redraws a pair's energy
+ * and fly() moves a particle at the speed of its energy.  kc_run and
+ * kc_flush work in place on the state's buffers: its columns, counters and
+ * bath sum.  The file must be built without FMA contraction or -ffast-math:
  * tests/fingerprints.json pins each expression's rounding.
  *
  * Variates come from seven streams of `block` doubles each, read in order;
@@ -96,7 +98,7 @@ typedef struct {
     int64_t log_len, log_cap;
 } Run;
 
-/* inline, as is pick_partner: every draw passes here, and gcc -O2 would call it */
+/* inline: every draw passes here, and gcc -O2 would call it */
 static inline int next_value(Run *r, int k, double *v)
 {
     if (r->pos[k] == r->block) {
@@ -253,38 +255,38 @@ static int unary_event(Run *r)
     return KC_DONE;
 }
 
-static inline int pick_partner(Run *r, int64_t *i, int64_t *j)
-{
-    double u, v;
-    DRAW(PARTICLE, u);
-    DRAW(PARTNER, v);
-    *i = (int64_t)u;
-    *j = (int64_t)v + ((int64_t)v >= *i);
-    return KC_DONE;
-}
-
-static int slow_event(Run *r)
+/* A pair event of channel ch.  A slow reaction has plug-in or table rates,
+ * thinned against bmax, and draws its outcome pair from the type kernel; a
+ * fast (Kac) collision is a slow reaction under the identity kernel with
+ * the rates of `fast`, thinned against fmax.  Its shift is exactly 0, which
+ * validate_spec guarantees by refusing energies whose sums overflow. */
+static int binary_event(Run *r, int ch)
 {
     int64_t J = r->n_types, i, j, a, b, j1, j1p;
-    double Ti, Tj, rate, u, E, frac, t1, t2;
-    r->props[SLOW]++;
-    CHECK(pick_partner(r, &i, &j));
+    double Ti, Tj, rate, bound = ch == SLOW ? r->bmax : r->fmax, u, v, E, frac, t1, t2;
+    r->props[ch]++;
+    DRAW(PARTICLE, u);
+    DRAW(PARTNER, v);
+    i = (int64_t)u;
+    j = (int64_t)v + ((int64_t)v >= i);
     a = r->types[i];
     b = r->types[j];
     Ti = r->T[i];
     Tj = r->T[j];
-    if (r->slow_fn == NULL)
+    if (ch == FAST)
+        rate = r->fast[a * J + b];
+    else if (r->slow_fn == NULL)
         rate = r->slow[a * J + b];
     else if (r->slow_fn(a, b, Ti, Tj, &rate))
         return KC_CALLBACK;
-    if (rate < r->bmax) {
+    if (rate < bound) {
         DRAW(UNIFORM, u);
-        if (u * r->bmax > rate)
+        if (u * bound > rate)
             return KC_DONE;
     }
     j1 = a;
     j1p = b;
-    if (r->table_kernel) {
+    if (ch == SLOW && r->table_kernel) {
         int64_t o = r->out_start[a * J + b], end = r->out_start[a * J + b + 1];
         double acc = 0.0;
         DRAW(UNIFORM, u);
@@ -299,44 +301,17 @@ static int slow_event(Run *r)
     }
     E = (Ti + Tj) + ((r->K[a] + r->K[b]) - (r->K[j1] + r->K[j1p]));
     if (E < 0.0) {
-        r->noops[SLOW]++;
+        r->noops[ch]++;
         return KC_DONE;
     }
     DRAW(SPLIT, frac);
     split(E, frac, &t1, &t2);
     CHECK(set_particle(r, i, j1, t1));
     CHECK(set_particle(r, j, j1p, t2));
-    r->accs[SLOW]++;
+    r->accs[ch]++;
     r->n_left--;
     if (r->record)
-        return log_event(r, SLOW, i, j, a + 1, Ti, j1 + 1, t1, b + 1, Tj, j1p + 1, t2);
-    return KC_DONE;
-}
-
-static int fast_event(Run *r)
-{
-    int64_t i, j, a, b;
-    double fij, u, Ti, Tj, frac, t1, t2;
-    r->props[FAST]++;
-    CHECK(pick_partner(r, &i, &j));
-    a = r->types[i];
-    b = r->types[j];
-    fij = r->fast[a * r->n_types + b];
-    if (fij < r->fmax) {
-        DRAW(UNIFORM, u);
-        if (u * r->fmax > fij)
-            return KC_DONE;
-    }
-    Ti = r->T[i];
-    Tj = r->T[j];
-    DRAW(SPLIT, frac);
-    split(Ti + Tj, frac, &t1, &t2);
-    CHECK(set_particle(r, i, a, t1));
-    CHECK(set_particle(r, j, b, t2));
-    r->accs[FAST]++;
-    r->n_left--;
-    if (r->record)
-        return log_event(r, FAST, i, j, a + 1, Ti, a + 1, t1, b + 1, Tj, b + 1, t2);
+        return log_event(r, ch, i, j, a + 1, Ti, j1 + 1, t1, b + 1, Tj, j1p + 1, t2);
     return KC_DONE;
 }
 
@@ -393,9 +368,9 @@ int kc_run(Run *r)
         if (u < r->c1)
             rc = unary_event(r);
         else if (u < r->c2)
-            rc = slow_event(r);
+            rc = binary_event(r, SLOW);
         else if (u < r->c3)
-            rc = fast_event(r);
+            rc = binary_event(r, FAST);
         else
             rc = heat_event(r);
         if (rc)

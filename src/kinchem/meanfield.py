@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .model import EnsembleSpec, sample_times
+from .model import EnsembleSpec, TypeKernel, sample_times
 
 __all__ = [
     "DensityField",
@@ -223,12 +223,14 @@ def energy_grid(beta: float, chem_energies: Sequence[float] = (),
                 m: int = 512, t_max: Optional[float] = None) -> np.ndarray:
     """Uniform grid 0 = T_0 < ... < T_M = t_max; default span covers the
     chemical-energy range plus a 30/beta thermal tail.  M = m must be at
-    least 1."""
+    least 1 and t_max positive and finite."""
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m!r}")
     if t_max is None:
         span = (max(chem_energies) - min(chem_energies)) if chem_energies else 0.0
         t_max = span + 30.0 / beta
+    if not (math.isfinite(t_max) and t_max > 0.0):
+        raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
     return np.linspace(0.0, t_max, m + 1)
 
 
@@ -262,7 +264,7 @@ class DensityField:
         if self.values.ndim != 2 or self.values.shape[1] != self.grid.size:
             raise ValueError("values must have shape (J, len(grid))")
         h = np.diff(self.grid)
-        if h.size == 0 or not np.allclose(h, h[0], rtol=1e-9):
+        if h.size == 0 or not h[0] > 0.0 or not np.allclose(h, h[0], rtol=1e-9):
             raise ValueError("grid must be uniform and strictly increasing")
 
     @property
@@ -299,12 +301,18 @@ class DensityField:
 
 
 def field_from_laws(grid: np.ndarray, weights: Sequence[float], laws) -> DensityField:
-    """Nodal density for per-type weights and kinetic-energy laws."""
+    """Nodal density for per-type weights and kinetic-energy laws.  A uniform
+    or point law that reaches past the grid's last node is refused."""
     grid = np.asarray(grid, dtype=float)
+    last = float(grid[-1])
     vals = np.zeros((len(weights), grid.size))
     w = _trapezoid_weights(grid)
     h = grid[1] - grid[0]
     for j, (wt, law) in enumerate(zip(weights, laws)):
+        top = {"uniform": law.high, "point": law.value}.get(law.law, last)
+        if not top <= last:
+            raise ValueError(f"{law.law} law {law.to_dict()!r} reaches past the grid's "
+                             f"last node {last!r}")
         if law.law == "gamma":
             dens = gamma32_density(grid, law.beta)
         elif law.law == "uniform":
@@ -500,9 +508,10 @@ class BoltzmannIntegrator:
     term of the swapped pair), and the pair total less the chemical energy the outcome takes up
     is redrawn as a Beta(3/2, 3/2) split through the row-stochastic matrix
     D.  A pair can react only from pair-total index s_min on, where the total
-    clears that energy; the rows of D below s_min are zero.  Fast collisions
-    come first: they keep both types, shift no chemical energy and have
-    threshold 0.  Terms with the same shift share one D, the zero shift's
+    clears that energy; the rows of D below s_min are zero.  Fast (Kac)
+    collisions come first, built by the same loop as slow reactions under
+    the identity kernel: they keep both types, shift no chemical energy and
+    have threshold 0.  Terms with the same shift share one D, the zero shift's
     being ``split_D``.
 
     The one list gives every binary part of ``rhs`` and ``max_out_rate``.
@@ -558,27 +567,24 @@ class BoltzmannIntegrator:
 
         self.f_eff = spec.scale_fast * np.array(r.fast_binary, dtype=float) \
             if J else np.zeros((0, 0))
-        self.binary_terms = [(int(j), int(jp), int(j), int(jp), 2.0 * self.f_eff[j, jp],
-                              split(0.0), 0) for j, jp in zip(*np.nonzero(self.f_eff))]
         if enable_slow_binary and r.slow_fn is not None:
             raise ValueError("mean-field slow binary supports constant rates only")
         bmat = np.array(r.slow_binary, dtype=float) if enable_slow_binary else np.zeros((J, J))
-        for j in range(J):
-            for jp in range(J):
-                if bmat[j, jp] == 0.0:
-                    continue
+        self.binary_terms = []
+        for mat, kernel in ((self.f_eff, TypeKernel()), (bmat, r.binary_kernel)):
+            for j, jp in np.argwhere(mat).tolist():
                 # engine picks the ordered pair uniformly, so the effective
                 # first-slot kernel is the swap-symmetrized one
                 eff = {}
-                for (a, bb), prob in r.binary_kernel.outcomes(j + 1, jp + 1):
+                for (a, bb), prob in kernel.outcomes(j + 1, jp + 1):
                     eff[(a - 1, bb - 1)] = eff.get((a - 1, bb - 1), 0.0) + 0.5 * prob
-                for (a, bb), prob in r.binary_kernel.outcomes(jp + 1, j + 1):
+                for (a, bb), prob in kernel.outcomes(jp + 1, j + 1):
                     eff[(bb - 1, a - 1)] = eff.get((bb - 1, a - 1), 0.0) + 0.5 * prob
                 for (j1, j1p), prob in eff.items():
                     dK = (K[j] + K[jp]) - (K[j1] + K[j1p])
                     s_min = int(np.count_nonzero(pair_totals + dK < 0.0))
                     self.binary_terms.append(
-                        (j, jp, j1, j1p, 2.0 * bmat[j, jp] * prob, split(dK), s_min))
+                        (j, jp, j1, j1p, 2.0 * mat[j, jp] * prob, split(dK), s_min))
 
         # heat channel: a collision with a partner drawn from the bath law
         self.heat_eff = spec.scale_heat * r.heat_rate

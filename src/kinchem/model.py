@@ -350,6 +350,14 @@ def validate_spec(spec: EnsembleSpec) -> ValidationReport:
 
     if not _integer(spec.n_particles) or spec.n_particles < 1:
         flag("ensemble.n_particles", f"must be an integer >= 1, got {spec.n_particles!r}")
+    elif all(_finite(sp.chem_energy) for sp in spec.species) and J:
+        # neither a pair's chemical energy K[a] + K[b] nor the ensemble's total
+        # may overflow: an inf - inf shift would make energies NaN.  The
+        # kernel counts particles in int64, so the product needs no more.
+        k_max = max(sp.chem_energy for sp in spec.species)
+        if not math.isfinite(min(max(spec.n_particles, 2), 2 ** 63) * k_max):
+            flag("species", f"chemical energies up to {k_max!r} overflow the total of "
+                            f"{spec.n_particles} particles")
     if not _finite(spec.box_side) or spec.box_side <= 0.0:
         flag("ensemble.box_side", f"must be positive and finite, got {spec.box_side!r}")
     if not _finite(spec.scale_fast) or spec.scale_fast < 1.0:

@@ -997,3 +997,38 @@ def test_zero_rate_infinite_horizon_raises(two_state_spec_factory):
     # a finite horizon is pure flight
     _, events = run(state, spec, 1.0, seed=2, max_events=3, record_events=True)
     assert len(events) == 0 and state.sim_time == 1.0
+
+
+def test_fast_collision_is_a_slow_reaction_under_the_identity_kernel():
+    # the kernel's two pair channels share one rule: a run whose pairs meet
+    # only by fast collisions and one whose pairs meet only by slow reactions
+    # under the identity kernel, at the same rates, make the same draws in the
+    # same order and leave the same bits, with their pair counters swapped.
+    # The rates differ by pair, so thinning uniforms are drawn and rejections
+    # happen too.
+    pair_rates = [[0.7, 0.3], [0.3, 0.1]]
+    runs = []
+    for pair_channel in ("fast_binary", "slow_binary"):
+        spec = make_two_state(n=50, k2=0.5, heat=1.0, scale_heat=1.0, fast=0.0)
+        r = spec.rates
+        spec = spec.with_overrides(rates=RateTable(
+            unary=r.unary, heat_rate=r.heat_rate, bath_beta=r.bath_beta,
+            **{"slow_binary": r.slow_binary, "fast_binary": r.fast_binary,
+               pair_channel: pair_rates}))
+        state = sample_initial_state(spec, 3)
+        _, events = run(state, spec, 2.0, seed=4, record_events=True)
+        runs.append((state, events))
+    (fast, fast_events), (slow, slow_events) = runs
+    assert 0 < fast.event_counts["fast_binary"] < fast.proposal_counts["fast_binary"]
+    for name in ("types", "energies", "x", "y", "z", "dirx", "diry", "dirz", "last_t"):
+        assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes(), name
+    assert fast.bath_exchange.hex() == slow.bath_exchange.hex()
+    swap = {"fast_binary": "slow_binary", "slow_binary": "fast_binary"}
+    for counts in ("proposal_counts", "event_counts", "noop_counts"):
+        assert {swap.get(c, c): n for c, n in getattr(fast, counts).items()} \
+            == getattr(slow, counts), counts
+    assert [swap.get(c, c) for c in fast_events.column("channel")] \
+        == slow_events.column("channel")
+    for name in EventLog.columns:
+        if name != "channel":
+            assert fast_events.column(name) == slow_events.column(name), name

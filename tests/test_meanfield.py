@@ -454,6 +454,19 @@ def test_slow_binary_identity_kernel_equals_fast_operator():
     assert np.max(np.abs(ib.rhs(rho) - iff.rhs(rho))) < 1e-14
 
 
+def test_fast_collision_is_a_slow_reaction_under_the_identity_kernel():
+    # both pair channels build their terms in one loop: a fast-only and a
+    # slow-only spec (identity kernel) at the same rates give the same terms
+    # and, bit for bit, the same final field
+    finals = []
+    for fast, slow in ((0.7, 0.0), (0.0, 0.7)):
+        spec = make_two_state(n=50, k2=0.5, heat=1.0, scale_heat=1.0, fast=fast, slow=slow)
+        grid = MF.energy_grid(1.0, spec.chem_energies(), m=64)
+        traj = MF.integrate_boltzmann(MF.field_from_spec(spec, grid), spec, 1.0)
+        finals.append(traj.final().values.tobytes())
+    assert finals[0] == finals[1]
+
+
 def test_slow_binary_respects_energy_threshold():
     # reactive kernel (1,1)->(2,2) with large K2: below threshold nothing moves
     from kinchem.model import TypeKernel
@@ -478,6 +491,33 @@ def test_observables_converge_under_grid_doubling():
         traj = MF.integrate_boltzmann(field, spec, t_end=2.0)
         cs.append(traj.final().masses())
     assert np.max(np.abs(cs[0] - cs[1])) < 0.01 * np.max(cs[1])
+
+
+@pytest.mark.parametrize("law", [EnergyLaw("point", value=100.0),
+                                 EnergyLaw("uniform", low=20.0, high=100.0),
+                                 EnergyLaw("point", value=math.nan)])
+def test_field_from_laws_refuses_a_law_past_the_last_node(law):
+    # on this grid (last node 31) a point law at 100 lost mass to clipping
+    # and a uniform law on [20, 100] was cut off at 31, both silently
+    grid = MF.energy_grid(1.0, (0.0, 1.0), m=64)
+    with pytest.raises(ValueError, match=r"reaches past the grid's last node 31\.0"):
+        MF.field_from_laws(grid, (0.5, 0.5), (EnergyLaw("gamma", beta=1.0), law))
+    # a law that ends on the last node is kept whole
+    edge = MF.field_from_laws(grid, (0.5, 0.5), (EnergyLaw("point", value=31.0),
+                                                 EnergyLaw("uniform", low=20.0, high=31.0)))
+    assert abs(edge.mean_energy() - (31.0 + 25.5) / 2) < 0.05
+
+
+@pytest.mark.parametrize("grid", [[0.0, 0.0, 0.0], [0.0, -1.0, -2.0], [0.0, math.nan, 1.0]])
+def test_density_field_refuses_a_grid_that_does_not_increase(grid):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        MF.DensityField(grid=grid, values=np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("t_max", [0.0, -5.0, math.inf, math.nan])
+def test_energy_grid_refuses_a_span_that_is_not_positive_and_finite(t_max):
+    with pytest.raises(ValueError, match="^t_max must be positive and finite"):
+        MF.energy_grid(1.0, m=4, t_max=t_max)
 
 
 def test_point_mass_field_deposits_unit_mass():

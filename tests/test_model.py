@@ -268,6 +268,24 @@ def test_parse_error_reports_context(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("n", [20, 2, 1])
+def test_chemical_energies_whose_total_overflows_are_flagged(n):
+    # K[a] + K[b] = inf made the slow shift inf - inf: 17 of 20 energies
+    # turned NaN in a run of the 20-particle spec, and no error was raised.
+    # The kinetic equation sums a pair's energies whatever n is.
+    spec = make_two_state(n=n, k2=1e308, slow=1.0, fast=0.0, w12=0.0, w21=0.0,
+                          weights=(0.0, 1.0))
+    report = validate_spec(spec)
+    assert [v.field for v in report.violations] == ["species"]
+    assert "overflow" in str(report)
+    with pytest.raises(ValueError, match="overflow"):
+        sample_initial_state(spec, 1)
+
+
+def test_chemical_energies_below_the_overflow_are_valid():
+    assert validate_spec(make_two_state(n=20, k2=1e306)).ok
+
+
 def test_invalid_spec_rejected_by_sampler():
     spec = make_two_state()
     bad = spec.with_overrides(species=(SpeciesSpec(1, -2.0), spec.species[1]))
