@@ -10,9 +10,9 @@ chemical-energy shift from the pair total, and bath contact is a collision
 with a partner drawn from the bath law Gamma(3/2, beta).  So fast collisions
 and slow outcomes form one list of binary terms.  All channels are
 discretized conservatively in mass coordinates: one hat projection, shared by
-the split of a pair total and the bath law, carries a law onto the grid with
-its mass and mean energy, so the discrete operators inherit the continuum
-conservation laws up to grid-edge clipping.
+the split of a pair total, the bath law and the initial laws, carries a law
+onto the grid with its mass and mean energy, so the discrete operators
+inherit the continuum conservation laws up to grid-edge clipping.
 
 The split deposition needs no incomplete beta function: with theta =
 arcsin sqrt(u), Beta(3/2, 3/2) has the closed-form CDF F(u) = (2/pi)(theta -
@@ -249,10 +249,12 @@ def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DensityField:
-    """Discretized joint density p(j, T): values[j, k] = p(j, T_k) >= 0.
+    """Discretized joint density p(j, T) on a uniform grid: values[j, k] w_k
+    >= 0 is the mass of type j on node k's hat function, w being the
+    trapezoid weights, so values[j, k] is p(j, T_k) for a smooth density.
 
-    Normalization is the trapezoid rule summed over types; the integrators
-    renormalize after every step and clip negative undershoots.
+    Masses sum over the trapezoid rule; ``integrate_boltzmann`` clips
+    negative undershoots and rescales to unit mass after every step.
     """
 
     grid: np.ndarray
@@ -285,15 +287,6 @@ class DensityField:
         w = self.weights()
         return float((self.values @ (w * self.grid)).sum() / self.norm())
 
-    def renormalize(self) -> float:
-        """Clip negatives and rescale to unit mass; returns the pre-scaling drift."""
-        np.clip(self.values, 0.0, None, out=self.values)
-        n = self.norm()
-        if n <= 0.0:
-            raise ValueError("field has no mass")
-        self.values /= n
-        return abs(n - 1.0)
-
     def marginal(self, j: int) -> np.ndarray:
         """Normalized kinetic-energy density of (1-based) type j."""
         mass = self.masses()[j - 1]
@@ -301,42 +294,33 @@ class DensityField:
 
 
 def field_from_laws(grid: np.ndarray, weights: Sequence[float], laws) -> DensityField:
-    """Nodal density for per-type weights and kinetic-energy laws.  A uniform
-    or point law that reaches past the grid's last node is refused."""
+    """Density field of per-type weights and kinetic-energy laws: each law is
+    carried onto the grid's hat functions (``_hat_weights``), which keeps
+    its mass and mean, and scaled to its type's weight.  A uniform or point
+    law that reaches below 0 or past the grid's last node, or a uniform law
+    with low > high, is refused."""
     grid = np.asarray(grid, dtype=float)
     last = float(grid[-1])
-    vals = np.zeros((len(weights), grid.size))
-    w = _trapezoid_weights(grid)
-    h = grid[1] - grid[0]
+    rho = np.zeros((len(weights), grid.size))
     for j, (wt, law) in enumerate(zip(weights, laws)):
+        low = {"uniform": law.low, "point": law.value}.get(law.law, 0.0)
         top = {"uniform": law.high, "point": law.value}.get(law.law, last)
         if not top <= last:
             raise ValueError(f"{law.law} law {law.to_dict()!r} reaches past the grid's "
                              f"last node {last!r}")
+        if not 0.0 <= low <= top:
+            raise ValueError(f"{law.law} law {law.to_dict()!r} needs 0 <= low <= high")
         if law.law == "gamma":
-            dens = gamma32_density(grid, law.beta)
-        elif law.law == "uniform":
-            dens = ((grid >= law.low) & (grid <= law.high)).astype(float)
-            if dens.sum() == 0:
-                raise ValueError("uniform law lies outside the grid")
-        elif law.law == "point":
-            dens = np.zeros(grid.size)
-            k = min(int(law.value / h), grid.size - 2)
-            frac = (law.value - grid[k]) / h
-            dens[k] = (1.0 - frac) / w[k]
-            dens[k + 1] = frac / w[k + 1]
+            rho[j] = wt * _gamma32_hat_weights(grid, law.beta)
+        elif law.law in ("uniform", "point"):
+            rho[j] = wt * _uniform_hat_weights(grid, low, top)
         else:
             raise ValueError(f"unknown law {law.law!r}")
-        mass = float(dens @ w)
-        if mass > 0:
-            vals[j] = wt * dens / mass
-    field = DensityField(grid, vals)
-    field.renormalize()
-    return field
+    return DensityField(grid, rho / _trapezoid_weights(grid))
 
 
 def field_from_spec(spec: EnsembleSpec, grid: np.ndarray) -> DensityField:
-    """The spec's initial distribution as a nodal density on ``grid``."""
+    """The spec's initial distribution as a density field on ``grid``."""
     dist = spec.initial_distribution
     return field_from_laws(grid, dist.type_weights, dist.energy_laws)
 
@@ -408,11 +392,12 @@ def _hat_weights(law: Callable, scale, grid: np.ndarray) -> np.ndarray:
 
     ``law(edges)`` returns (upper, F, G) at the M+3 edges T_{-1} ..
     T_{M+1}, in its last axis: the CDF F and the partial first moment
-    G / scale (scale being the law's mean), except at the edges ``upper``
-    marks above the median, where they are F - 1 and G / scale - 1, the
-    negated upper tails, which keep the digits that F near 1 loses.  Their
-    differences are the mass and first moment of every interval, which give
-    both wings of each hat; the mass beyond the last node is folded into it.
+    G / scale (scale being the law's mean, or 1 if no edge is ``upper``),
+    except at the edges ``upper`` marks above the median, where they are
+    F - 1 and G / scale - 1, the negated upper tails, which keep the digits
+    that F near 1 loses.  Their differences are the mass and first moment of
+    every interval, which give both wings of each hat; the mass beyond the
+    last node is folded into it.
     """
     M = grid.size - 1
     h = grid[1] - grid[0]
@@ -480,9 +465,9 @@ def _scatter(gains: np.ndarray, idx: np.ndarray, frac: np.ndarray,
     np.add.at(gains, idx + 1, mass * frac)
 
 
-def _bath_hat_projection(grid: np.ndarray, beta: float) -> np.ndarray:
-    """Weights b[l] = E[hat_l(xi)], xi ~ Gamma(3/2, beta): the bath law on the
-    grid's hat functions, normalized to unit mass."""
+def _gamma32_hat_weights(grid: np.ndarray, beta: float) -> np.ndarray:
+    """Weights b[l] = E[hat_l(xi)], xi ~ Gamma(3/2, beta), the bath law and the
+    gamma initial law, on the grid's hat functions, normalized to unit mass."""
     def law(edges):
         x = beta * np.clip(edges, 0.0, None)
         q, p, g = _gamma32_sf_cdf_and_moment(x)
@@ -493,6 +478,19 @@ def _bath_hat_projection(grid: np.ndarray, beta: float) -> np.ndarray:
 
     b = _hat_weights(law, 1.5 / beta, grid)
     return b / b.sum()
+
+
+def _uniform_hat_weights(grid: np.ndarray, low: float, high: float) -> np.ndarray:
+    """Weights E[hat_l(X)], X ~ Uniform[low, high] inside the grid, and for
+    low == high the limit law, the point mass at low."""
+    def law(edges):
+        # F(y) = (c - low) / (high - low) with c = clip(y, low, high), whose
+        # limit is the step y > low, and G(y) = F(y) (low + c) / 2
+        c = np.clip(edges, low, high)
+        F = (c - low) / (high - low) if high > low else (edges > low).astype(float)
+        return np.zeros(edges.shape, bool), F, F * (low + c) / 2.0
+
+    return _hat_weights(law, 1.0, grid)
 
 
 # -- the four-channel integrator --------------------------------------------------
@@ -589,7 +587,7 @@ class BoltzmannIntegrator:
         # heat channel: a collision with a partner drawn from the bath law
         self.heat_eff = spec.scale_heat * r.heat_rate
         if self.heat_eff > 0.0:
-            b = _bath_hat_projection(self.grid, r.bath_beta)
+            b = _gamma32_hat_weights(self.grid, r.bath_beta)
             # heat_H[k] = sum_l b[l] split_D[k + l]: one product with the band
             # matrix whose row k holds b in columns k .. k+M
             pad = np.zeros(M)

@@ -505,8 +505,9 @@ def scenario_chaos(seed: int, *, n_values=(100, 400, 1600),
 
 def scenario_oracle_verify(seed: int, *, n: int = 5, lambda_t: float = 0.1,
                            nmax: int = 4, alpha: float = 0.6) -> dict:
-    """Truncated resummation series against the dense master-equation
-    marginal, plus the exact combinatorial counting identities."""
+    """Truncated resummation series against the exact marginal of the count
+    chain (``oracle.exact_marginal``), plus the exact combinatorial counting
+    identities."""
     model = ORC.contagion_model(alpha=alpha, rate=lambda_t)   # t = 1
     mu0 = np.array([0.7, 0.3])
     res = ORC.series_marginal(model, mu0, 1.0, n_max=nmax, n_particles=n)

@@ -3,7 +3,8 @@
 Importing the package, its CLI, its scenarios and its statistics loads no
 scipy, jsonschema, yaml or fractions module (fractions imports decimal);
 each function that needs one imports it on first call.  A particle run of
-``kinchem sim`` never needs scipy.  Importing neither compiles nor loads the
+``kinchem sim`` never needs scipy, nor does building a mean-field
+initial field from any law.  Importing neither compiles nor loads the
 C kernel of the particle engine and the oracle's replicas, and neither do
 ``sample_initial_state``, the views of its state or the oracle's exact laws:
 the first ``run()`` or ``simulate_pair_system`` compiles it into
@@ -67,6 +68,20 @@ def test_particle_sim_loads_no_scipy(tmp_path):
     loaded = _loaded_after(_sim_code(tmp_path))
     assert "scipy" not in loaded
     assert (tmp_path / "out" / "trajectory.csv").is_file()
+
+
+def test_initial_fields_load_no_scipy():
+    # the meanfield bench's set-up builds a field; scipy would add about 0.5 s
+    code = ("from kinchem import meanfield as MF\n"
+            "from kinchem.model import EnergyLaw, InitialDistribution\n"
+            "from kinchem.scenarios import two_state_spec\n"
+            "spec = two_state_spec(10)\n"
+            "grid = MF.energy_grid(1.0, spec.chem_energies(), m=64)\n"
+            "for law in (EnergyLaw('gamma', beta=1.0), EnergyLaw('uniform', low=0.1, high=0.3),\n"
+            "            EnergyLaw('point', value=1.23)):\n"
+            "    dist = InitialDistribution((0.5, 0.5), (law, law))\n"
+            "    MF.field_from_spec(spec.with_overrides(initial_distribution=dist), grid)\n")
+    assert "scipy" not in _loaded_after(code)
 
 
 def test_kernel_is_built_on_first_run_and_then_loaded_from_the_cache(tmp_path):

@@ -1,6 +1,7 @@
 import json
 import math
 import signal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -101,7 +102,7 @@ def test_bath_hat_projection_matches_gammainc_version(m, beta):
     # two evaluations differ by at most this much at any node.
     eps = np.finfo(float).eps
     tol = 8.0 * eps * (2.0 * 1.5 / beta + 2.0 * grid[-1] + h) / h
-    diff = MF._bath_hat_projection(grid, beta) - _gammainc_bath_hat_projection(grid, beta)
+    diff = MF._gamma32_hat_weights(grid, beta) - _gammainc_bath_hat_projection(grid, beta)
     assert np.max(np.abs(diff)) <= tol
 
 
@@ -115,7 +116,7 @@ HAT_REFERENCE = json.loads(Path(__file__).with_name("hat_weights_reference.json"
 def test_bath_hat_projection_keeps_the_tail_digits(m):
     # the tail weights come from differences of Q, not of F near 1
     grid = MF.energy_grid(1.0, (0.0, 1.0), m=m)
-    np.testing.assert_allclose(MF._bath_hat_projection(grid, 1.0),
+    np.testing.assert_allclose(MF._gamma32_hat_weights(grid, 1.0),
                                HAT_REFERENCE["bath"][str(m)], rtol=1e-11, atol=0.0)
 
 
@@ -447,7 +448,7 @@ def test_slow_binary_identity_kernel_equals_fast_operator():
     grid = MF.energy_grid(1.0, (0.0, 1.0), m=96, t_max=12.0)
     rng = np.random.default_rng(0)
     field = MF.DensityField(grid, rng.random((2, grid.size)))
-    field.renormalize()
+    field.values /= field.norm()
     ib = MF.BoltzmannIntegrator(spec_b, grid, enable_slow_binary=True)
     iff = MF.BoltzmannIntegrator(spec_f, grid)
     rho = field.values * ib.weights
@@ -506,6 +507,90 @@ def test_field_from_laws_refuses_a_law_past_the_last_node(law):
     edge = MF.field_from_laws(grid, (0.5, 0.5), (EnergyLaw("point", value=31.0),
                                                  EnergyLaw("uniform", low=20.0, high=31.0)))
     assert abs(edge.mean_energy() - (31.0 + 25.5) / 2) < 0.05
+
+
+@pytest.mark.parametrize("law", [EnergyLaw("uniform", low=0.5, high=0.2),
+                                 EnergyLaw("uniform", low=-1.0, high=2.0),
+                                 EnergyLaw("point", value=-0.5)])
+def test_field_from_laws_refuses_a_reversed_or_negative_law(law):
+    # unvalidated laws: a reversed one would build a point mass at low, and
+    # mass below 0 would be lost off the first node
+    grid = MF.energy_grid(1.0, (0.0, 1.0), m=64)
+    with pytest.raises(ValueError, match=r"needs 0 <= low <= high"):
+        MF.field_from_laws(grid, (1.0,), (law,))
+
+
+# each law with its mean; the grid of beta = 1 and K = (0, 1) ends at 31
+_INITIAL_LAWS = [(EnergyLaw("gamma", beta=1.0), 1.5), (EnergyLaw("gamma", beta=2.5), 0.6),
+                 (EnergyLaw("uniform", low=0.0, high=4.0), 2.0),
+                 (EnergyLaw("uniform", low=0.1, high=0.3), 0.2),
+                 (EnergyLaw("uniform", low=1.37, high=9.91), (1.37 + 9.91) / 2),
+                 (EnergyLaw("uniform", low=20.0, high=31.0), 25.5),
+                 (EnergyLaw("point", value=1.23), 1.23),
+                 (EnergyLaw("point", value=0.0), 0.0),
+                 (EnergyLaw("point", value=31.0), 31.0)]
+
+
+@pytest.mark.parametrize("m", (16, 32, 64, 128, 256, 512))
+@pytest.mark.parametrize("law, mean", _INITIAL_LAWS,
+                         ids=[str(law.to_dict()) for law, _ in _INITIAL_LAWS])
+def test_initial_field_keeps_each_laws_mass_and_mean(m, law, mean):
+    # nodal values gave Gamma(3/2, 1) a mean of 1.6142 at m = 64 and refused
+    # Uniform[0.1, 0.3], which lies between two nodes there
+    grid = MF.energy_grid(1.0, (0.0, 1.0), m=m)
+    assert grid[-1] == 31.0
+    field = MF.field_from_laws(grid, (0.3, 0.0, 0.7), (law,) * 3)
+    assert field.values.min() >= 0.0
+    assert not field.values[1].any()
+    masses = field.masses()
+    assert abs(masses[0] - 0.3) <= 1e-12 and abs(masses[2] - 0.7) <= 1e-12
+    w = field.weights()
+    for j in (0, 2):
+        assert abs(field.values[j] @ (w * grid) / masses[j] - mean) <= 1e-12
+    if law.law == "point" and law.value in (0.0, 31.0):
+        # a point law on a node puts its whole weight there
+        node = 0 if law.value == 0.0 else m
+        assert np.flatnonzero(field.values[2]).tolist() == [node]
+
+
+@pytest.mark.parametrize("a", (0.0, 1.23, 31.0 / 32, 31.0))
+def test_uniform_law_of_zero_width_is_the_point_law(a):
+    grid = MF.energy_grid(1.0, (0.0, 1.0), m=64)
+    uniform = MF.field_from_laws(grid, (1.0,), (EnergyLaw("uniform", low=a, high=a),))
+    point = MF.field_from_laws(grid, (1.0,), (EnergyLaw("point", value=a),))
+    assert uniform.values.tobytes() == point.values.tobytes()
+
+
+def _exact_uniform_hat_weights(grid, low, high):
+    """E[hat_l(X)], X ~ Uniform[low, high], as exact rationals of the float
+    grid, its step h = T_1 - T_0 and the law's ends."""
+    T = [Fraction(t) for t in grid.tolist()]
+    h = T[1] - T[0]
+    a, b = Fraction(low), Fraction(high)
+
+    def integral(lo, hi, c0, c1):
+        # the law's integral of c0 + c1 y over [lo, hi]
+        lo, hi = max(lo, a), min(hi, b)
+        return (c0 * (hi - lo) + c1 * (hi * hi - lo * lo) / 2) / (b - a) if lo < hi else 0
+
+    M = len(T) - 1
+    return [(integral(T[l - 1], T[l], -T[l - 1] / h, 1 / h) if l > 0 else 0)
+            + (integral(T[l], T[l + 1], 1 + T[l] / h, -1 / h) if l < M else 0)
+            for l in range(M + 1)]
+
+
+@pytest.mark.parametrize("low, high, m", [(0.1, 0.3, 64), (0.7, 2.9, 32),
+                                          (1.37, 9.91, 16), (12.3, 12.31, 16)])
+def test_uniform_hat_weights_match_their_exact_integrals(low, high, m):
+    # Each wing is a difference of G values near high / 2 less T_l times a
+    # difference of F, divided by h, so its rounding grows like eps high / h:
+    # below 1e-15 on these grids, up to 8e-14 for Uniform[0.05, 30.9] at
+    # m = 512, as for the bath's weights.
+    grid = MF.energy_grid(1.0, (0.0, 1.0), m=m)
+    assert low not in grid and high not in grid
+    got = MF._uniform_hat_weights(grid, low, high)
+    exact = _exact_uniform_hat_weights(grid, low, high)
+    assert max(abs(Fraction(g) - e) for g, e in zip(got.tolist(), exact)) <= 1e-15
 
 
 @pytest.mark.parametrize("grid", [[0.0, 0.0, 0.0], [0.0, -1.0, -2.0], [0.0, math.nan, 1.0]])
@@ -641,7 +726,7 @@ def test_grouped_rhs_matches_per_term_reference(seed):
     assert np.max(np.abs(integ.rhs(rho) - ref)) <= 1e-14 * np.max(np.abs(ref))
     # the heat rows, one vector-matrix product each
     M = grid.size - 1
-    b = MF._bath_hat_projection(grid, spec.rates.bath_beta)
+    b = MF._gamma32_hat_weights(grid, spec.rates.bath_beta)
     rows = np.array([b @ integ.split_D[k:k + M + 1] for k in range(M + 1)])
     assert np.max(np.abs(integ.heat_H - rows)) < 1e-14
 
