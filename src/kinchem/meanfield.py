@@ -219,16 +219,42 @@ def reduced_macro_ode(state: MacroState, spec: EnsembleSpec, t_end: float,
 # -- energy-grid machinery -------------------------------------------------------
 
 
+def _common_step(values: Sequence[float]) -> float:
+    """Largest d of which every difference of ``values`` is a whole multiple,
+    by Euclid's algorithm on the differences from the smallest value, a
+    remainder within a few ulp of the largest magnitude counting as 0; 0.0
+    when the values are all equal or there are none."""
+    low = min(values, default=0.0)
+    tol = 8.0 * np.finfo(float).eps * max(map(abs, values), default=0.0)
+    d = 0.0
+    for v in values:
+        a, b = max(d, v - low), min(d, v - low)
+        while b > tol:
+            r = a % b
+            a, b = b, min(r, b - r)
+        d = a
+    return d
+
+
 def energy_grid(beta: float, chem_energies: Sequence[float] = (),
                 m: int = 512, t_max: Optional[float] = None) -> np.ndarray:
-    """Uniform grid 0 = T_0 < ... < T_M = t_max; default span covers the
-    chemical-energy range plus a 30/beta thermal tail.  M = m must be at
-    least 1 and t_max positive and finite."""
+    """Uniform grid 0 = T_0 < ... < T_M = t_max, M = m >= 1 intervals.
+
+    A given t_max, positive and finite, is kept.  The default span covers
+    the chemical-energy range plus a 30/beta thermal tail, at step h0 =
+    span / m.  When the chemical energies differ by whole multiples of a
+    common step d >= h0, the step becomes h = d / floor(d / h0) and t_max =
+    m h, no shorter than the span: every chemical-energy difference is then
+    a whole number of steps, so ``BoltzmannIntegrator`` deposits every
+    binary channel through one split matrix."""
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m!r}")
     if t_max is None:
         span = (max(chem_energies) - min(chem_energies)) if chem_energies else 0.0
         t_max = span + 30.0 / beta
+        d = _common_step(chem_energies) if math.isfinite(span) else 0.0
+        if d > 0.0 and d >= t_max / m:
+            t_max = m * (d / math.floor(d / (t_max / m)))
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
     return np.linspace(0.0, t_max, m + 1)
@@ -294,28 +320,31 @@ class DensityField:
 
 
 def field_from_laws(grid: np.ndarray, weights: Sequence[float], laws) -> DensityField:
-    """Density field of per-type weights and kinetic-energy laws: each law is
-    carried onto the grid's hat functions (``_hat_weights``), which keeps
-    its mass and mean, and scaled to its type's weight.  A uniform or point
-    law that reaches below 0 or past the grid's last node, or a uniform law
-    with low > high, is refused."""
+    """Density field of per-type weights and kinetic-energy laws: each
+    distinct law is carried once onto the grid's hat functions
+    (``_hat_weights``), which keeps its mass and mean, and scaled to each
+    type's weight.  A uniform or point law that reaches below 0 or past the
+    grid's last node, or a uniform law with low > high, is refused."""
     grid = np.asarray(grid, dtype=float)
     last = float(grid[-1])
     rho = np.zeros((len(weights), grid.size))
+    projected = {}
     for j, (wt, law) in enumerate(zip(weights, laws)):
-        low = {"uniform": law.low, "point": law.value}.get(law.law, 0.0)
-        top = {"uniform": law.high, "point": law.value}.get(law.law, last)
-        if not top <= last:
-            raise ValueError(f"{law.law} law {law.to_dict()!r} reaches past the grid's "
-                             f"last node {last!r}")
-        if not 0.0 <= low <= top:
-            raise ValueError(f"{law.law} law {law.to_dict()!r} needs 0 <= low <= high")
-        if law.law == "gamma":
-            rho[j] = wt * _gamma32_hat_weights(grid, law.beta)
-        elif law.law in ("uniform", "point"):
-            rho[j] = wt * _uniform_hat_weights(grid, low, top)
-        else:
-            raise ValueError(f"unknown law {law.law!r}")
+        if law not in projected:
+            low = {"uniform": law.low, "point": law.value}.get(law.law, 0.0)
+            top = {"uniform": law.high, "point": law.value}.get(law.law, last)
+            if not top <= last:
+                raise ValueError(f"{law.law} law {law.to_dict()!r} reaches past the grid's "
+                                 f"last node {last!r}")
+            if not 0.0 <= low <= top:
+                raise ValueError(f"{law.law} law {law.to_dict()!r} needs 0 <= low <= high")
+            if law.law == "gamma":
+                projected[law] = _gamma32_hat_weights(grid, law.beta)
+            elif law.law in ("uniform", "point"):
+                projected[law] = _uniform_hat_weights(grid, low, top)
+            else:
+                raise ValueError(f"unknown law {law.law!r}")
+        rho[j] = wt * projected[law]
     return DensityField(grid, rho / _trapezoid_weights(grid))
 
 
@@ -500,27 +529,31 @@ class BoltzmannIntegrator:
     """Conservative RK4 integrator for the discretized kinetic equation.
 
     Operates on per-type mass vectors rho[j, k] = p(j, T_k) w_k.  Every pair
-    collision is one term (j, jp, j1, j1p, coef, D, s_min) of
+    collision is one term (j, jp, j1, j1p, coef, dK, s_min) of
     ``binary_terms``: type j meets type jp at rate coef per unit mass of jp,
     its slot becomes type j1 (the partner's new type j1p is carried by the
-    term of the swapped pair), and the pair total less the chemical energy the outcome takes up
-    is redrawn as a Beta(3/2, 3/2) split through the row-stochastic matrix
-    D.  A pair can react only from pair-total index s_min on, where the total
-    clears that energy; the rows of D below s_min are zero.  Fast (Kac)
-    collisions come first, built by the same loop as slow reactions under
-    the identity kernel: they keep both types, shift no chemical energy and
-    have threshold 0.  Terms with the same shift share one D, the zero shift's
-    being ``split_D``.
+    term of the swapped pair), and the pair total less the chemical energy
+    -dK the outcome takes up is redrawn as a Beta(3/2, 3/2) split.  A pair
+    can react only from pair-total index s_min on, where the total clears
+    that energy.  Fast (Kac) collisions come first, built by the same loop
+    as slow reactions under the identity kernel: they keep both types, shift
+    no chemical energy and have threshold 0.
 
     The one list gives every binary part of ``rhs`` and ``max_out_rate``.
     Gains go through the pair-total convolution conv[s] = sum_{k+l=s}
-    rho_j[k] rho_jp[l]: each call sums the weighted convolutions per
-    destination type and applies each distinct D once.  Losses read the mass
-    of jp above the threshold, nodes l >= s_min - k.  Bath contact is a
-    collision with a partner drawn from the bath law, carried onto the grid's
-    hat functions by the projection (``_hat_weights``) that also builds D:
-    as b[l], node k meets node l at pair total k + l, so heat_H[k] = b @
-    split_D[k : k+M+1].
+    rho_j[k] rho_jp[l], deposited by one split matrix per row lattice: a
+    shift dK within rounding of n grid steps moves the pair total s h to row
+    s + n of the matrix whose row r splits the total r h, rows below 0
+    dropped, so on a grid that ``energy_grid`` aligns to the chemical
+    energies every term reads that one matrix; a shift off the lattice keeps
+    its own matrix, whose rows below s_min are zero.  Each ``rhs`` call sums
+    the weighted convolutions per matrix and destination type and makes one
+    product per matrix.  Losses read the mass of jp above the threshold,
+    nodes l >= s_min - k.  Bath contact is a collision with a partner drawn
+    from the bath law, carried onto the grid's hat functions by the
+    projection (``_hat_weights``) that also builds the split: as b[l], node
+    k meets node l at pair total k + l, so heat_H[k] = b @ split_D[k :
+    k+M+1], split_D being the zero-shift rows 0 .. 2M.
     """
 
     def __init__(self, spec: EnsembleSpec, grid: np.ndarray, *,
@@ -551,17 +584,16 @@ class BoltzmannIntegrator:
                 idx, frac = shift_deposition(self.grid, K[j] - K[j1])
                 self.unary_terms.append((j, j1, rate, idx, frac))
 
-        # one split deposition per chemical-energy shift dK of an outcome;
-        # the rows whose pair total misses the deficit are zero
+        # a shift dK within the rounding of the chemical energies of n steps
+        # moves the pair total by n rows; any other shift is off the lattice,
+        # and so is one of more than 2M rows, which would lengthen the one
+        # matrix by rows that no other shift reads
         pair_totals = np.arange(2 * M + 1) * self.h
-        depositions = {}
+        tol = 16.0 * np.finfo(float).eps * max(map(abs, K), default=0.0)
 
-        def split(dK):
-            if dK not in depositions:
-                totals = pair_totals + dK
-                depositions[dK] = (beta_split_deposition(np.maximum(totals, 0.0), self.grid)
-                                   * (totals >= 0.0)[:, None])
-            return depositions[dK]
+        def row_shift(dK):
+            n = round(dK / self.h)
+            return n if abs(dK - n * self.h) <= tol and abs(n) <= 2 * M else None
 
         self.f_eff = spec.scale_fast * np.array(r.fast_binary, dtype=float) \
             if J else np.zeros((0, 0))
@@ -569,6 +601,7 @@ class BoltzmannIntegrator:
             raise ValueError("mean-field slow binary supports constant rates only")
         bmat = np.array(r.slow_binary, dtype=float) if enable_slow_binary else np.zeros((J, J))
         self.binary_terms = []
+        shifts = {}
         for mat, kernel in ((self.f_eff, TypeKernel()), (bmat, r.binary_kernel)):
             for j, jp in np.argwhere(mat).tolist():
                 # engine picks the ordered pair uniformly, so the effective
@@ -580,36 +613,52 @@ class BoltzmannIntegrator:
                     eff[(bb - 1, a - 1)] = eff.get((bb - 1, a - 1), 0.0) + 0.5 * prob
                 for (j1, j1p), prob in eff.items():
                     dK = (K[j] + K[jp]) - (K[j1] + K[j1p])
-                    s_min = int(np.count_nonzero(pair_totals + dK < 0.0))
+                    n = shifts.setdefault(dK, row_shift(dK))
+                    s_min = (max(0, -n) if n is not None
+                             else int(np.count_nonzero(pair_totals + dK < 0.0)))
                     self.binary_terms.append(
-                        (j, jp, j1, j1p, 2.0 * mat[j, jp] * prob, split(dK), s_min))
+                        (j, jp, j1, j1p, 2.0 * mat[j, jp] * prob, dK, s_min))
+
+        # one split deposition per row lattice, rows 0 .. 2M + the largest
+        # shift; one per shift off the lattice, its rows below s_min zero
+        self.heat_eff = spec.scale_heat * r.heat_rate
+        lattice = [n for n in shifts.values() if n is not None]
+        matrices, self.split_D = {}, None
+        if lattice or self.heat_eff > 0.0:
+            totals = np.arange(2 * M + 1 + max([0, *lattice])) * self.h
+            matrices[None] = beta_split_deposition(totals, self.grid)
+            self.split_D = matrices[None][:2 * M + 1]
+        for dK, n in shifts.items():
+            if n is None:
+                totals = pair_totals + dK
+                matrices[dK] = (beta_split_deposition(np.maximum(totals, 0.0), self.grid)
+                                * (totals >= 0.0)[:, None])
 
         # heat channel: a collision with a partner drawn from the bath law
-        self.heat_eff = spec.scale_heat * r.heat_rate
         if self.heat_eff > 0.0:
             b = _gamma32_hat_weights(self.grid, r.bath_beta)
             # heat_H[k] = sum_l b[l] split_D[k + l]: one product with the band
             # matrix whose row k holds b in columns k .. k+M
             pad = np.zeros(M)
             band = sliding_window_view(np.concatenate((pad, b, pad)), 2 * M + 1)
-            self.heat_H = band[::-1] @ split(0.0)
-        self.split_D = depositions.get(0.0)
+            self.heat_H = band[::-1] @ self.split_D
 
-        # gains, by linearity: per deposition matrix, each destination type
-        # sums its weighted pair convolutions, deposited by one product per
-        # rhs call; conv(j, jp) == conv(jp, j), so each unordered type pair
-        # is convolved once per call.  Losses: node k of type j meets jp
-        # only at nodes l >= s_min - k, and terms with the same pair and
-        # threshold share one coefficient.
+        # gains, by linearity: per split matrix, each destination type sums
+        # its weighted pair convolutions at their row shifts, deposited by
+        # one product per rhs call; conv(j, jp) == conv(jp, j), so each
+        # unordered type pair is convolved once per call.  Losses: node k of
+        # type j meets jp only at nodes l >= s_min - k, and terms with the
+        # same pair and threshold share one coefficient.
         self.conv_pairs = sorted({tuple(sorted(t[:2])) for t in self.binary_terms})
         groups, loss = {}, {}
-        for j, jp, j1, j1p, coef, D, s_min in self.binary_terms:
-            _, weights = groups.setdefault(id(D), (D, {}))
-            key = (j1, self.conv_pairs.index(tuple(sorted((j, jp)))))
+        for j, jp, j1, j1p, coef, dK, s_min in self.binary_terms:
+            n = shifts[dK]
+            weights = groups.setdefault(dK if n is None else None, {})
+            key = (n or 0, j1, self.conv_pairs.index(tuple(sorted((j, jp)))))
             weights[key] = weights.get(key, 0.0) + coef
             loss[j, jp, s_min] = loss.get((j, jp, s_min), 0.0) + coef
-        self.gain_groups = [(D, [(dest, p, w) for (dest, p), w in weights.items()])
-                            for D, weights in groups.values()]
+        self.gain_groups = [(matrices[g], [(n, dest, p, w) for (n, dest, p), w in weights.items()])
+                            for g, weights in groups.items()]
         nodes = np.arange(M + 1)
         self.binary_loss = [(j, jp, np.clip(s_min - nodes, 0, M + 1), coef)
                             for (j, jp, s_min), coef in loss.items()]
@@ -634,10 +683,12 @@ class BoltzmannIntegrator:
 
         if self.binary_terms:
             conv = np.array([np.convolve(rho[j], rho[jp]) for j, jp in self.conv_pairs])
+            S = conv.shape[1]
             for D, weights in self.gain_groups:
-                W = np.zeros((J, conv.shape[1]))
-                for dest, p, w in weights:
-                    W[dest] += w * conv[p]
+                # pair total s lands on row s + n; rows below 0 are dropped
+                W = np.zeros((J, D.shape[0]))
+                for n, dest, p, w in weights:
+                    W[dest, max(n, 0):n + S] += w * conv[p, max(-n, 0):]
                 out += W @ D
             # suffix[jp, l]: mass of type jp at nodes >= l, 0 past the last
             suffix = np.zeros((J, n_nodes + 1))
@@ -662,7 +713,7 @@ class BoltzmannIntegrator:
         """
         type_mass = rho.sum(axis=1)
         out = list(self.unary_out_max)
-        for j, jp, j1, j1p, coef, D, s_min in self.binary_terms:
+        for j, jp, j1, j1p, coef, dK, s_min in self.binary_terms:
             out[j] += coef * type_mass[jp]
         return float(max((r + self.heat_eff for r in out), default=0.0))
 

@@ -6,9 +6,9 @@ were made with mpmath 1.3):
     PYTHONPATH=src python tests/hat_weights_reference.py
 
 It evaluates the hat weights that ``meanfield._hat_weights`` computes, at 50
-digits, on the same float grids: the bath law Gamma(3/2, 1) on the two-state
-grid at m = 256 and 512, and the Beta(3/2, 3/2) split of six pair totals on
-the m = 256 grid.  F and G come from mpmath's regularized incomplete gamma
+digits, on the same float grids: the bath law Gamma(3/2, 1) on the grids
+of top node 31 at m = 256 and 512, and the Beta(3/2, 3/2) split of six pair
+totals on the m = 256 grid.  F and G come from mpmath's regularized incomplete gamma
 and beta functions; each row is normalized to unit mass, as the code does.
 """
 import json
@@ -64,7 +64,7 @@ def split(grid, total):
 
 
 def main():
-    grids = {m: MF.energy_grid(1.0, (0.0, 1.0), m=m) for m in (256, 512)}
+    grids = {m: MF.energy_grid(1.0, (0.0, 1.0), m=m, t_max=31.0) for m in (256, 512)}
     h = float(grids[256][1] - grids[256][0])
     totals = [s * h for s in (1, 7, 64, 256, 512)] + [10.0 + 1.0 / 3.0]
     OUT.write_text(json.dumps({

@@ -115,7 +115,7 @@ HAT_REFERENCE = json.loads(Path(__file__).with_name("hat_weights_reference.json"
 @pytest.mark.parametrize("m", (256, 512))
 def test_bath_hat_projection_keeps_the_tail_digits(m):
     # the tail weights come from differences of Q, not of F near 1
-    grid = MF.energy_grid(1.0, (0.0, 1.0), m=m)
+    grid = MF.energy_grid(1.0, (0.0, 1.0), m=m, t_max=31.0)
     np.testing.assert_allclose(MF._gamma32_hat_weights(grid, 1.0),
                                HAT_REFERENCE["bath"][str(m)], rtol=1e-11, atol=0.0)
 
@@ -124,7 +124,7 @@ def test_split_deposition_keeps_the_tail_digits():
     # Each interval's mass and moment are differences of tail values off by
     # a few ulp and at most S/h times the interval's mass; each wing
     # multiplies them by T_l/h.  Weights the split cannot reach stay 0.
-    grid = MF.energy_grid(1.0, (0.0, 1.0), m=256)
+    grid = MF.energy_grid(1.0, (0.0, 1.0), m=256, t_max=31.0)
     h = grid[1] - grid[0]
     totals = np.array(HAT_REFERENCE["split_totals"])
     D = MF.beta_split_deposition(totals, grid)
@@ -372,7 +372,8 @@ def test_heat_operator_is_stochastic_and_halves_pair_energy(m, beta):
     assert np.max(np.abs((H @ grid)[inner] - (grid[inner] + 1.5 / beta) / 2.0)) < 1e-8
 
 
-def test_zero_shift_slow_outcomes_share_the_split_deposition(monkeypatch):
+@pytest.mark.parametrize("t_max, n_calls", [(None, 1), (12.0, 3)])
+def test_zero_shift_slow_outcomes_share_the_split_deposition(monkeypatch, t_max, n_calls):
     from kinchem.model import TypeKernel
     kernel = TypeKernel(kind="table", table=(
         ((1, 1), (((2, 2), 0.5), ((1, 1), 0.5))),
@@ -380,7 +381,7 @@ def test_zero_shift_slow_outcomes_share_the_split_deposition(monkeypatch):
     ))
     spec = make_two_state(k2=1.0, fast=1.0, heat=1.0, scale_heat=1.0, slow=1.0,
                           kernel=kernel)
-    grid = MF.energy_grid(1.0, (0.0, 1.0), m=64, t_max=12.0)
+    grid = MF.energy_grid(1.0, (0.0, 1.0), m=64, t_max=t_max)
     calls = []
     split = MF.beta_split_deposition
     monkeypatch.setattr(MF, "beta_split_deposition",
@@ -389,10 +390,15 @@ def test_zero_shift_slow_outcomes_share_the_split_deposition(monkeypatch):
     K = spec.chem_energies()
     slow = integ.binary_terms[np.count_nonzero(integ.f_eff):]
     zero = [t for t in slow if K[t[0]] + K[t[1]] == K[t[2]] + K[t[3]]]
-    assert zero and all(t[5] is integ.split_D for t in zero)
-    assert len(zero) < len(slow)
-    # one deposition per distinct shift: 0 and +-2 K2
-    assert len(calls) == 3
+    assert zero and len(zero) < len(slow)
+    # the zero shift reads the matrix whose leading rows are split_D, with
+    # the fast terms and bath contact
+    D, entries = integ.gain_groups[0]
+    assert np.shares_memory(D, integ.split_D)
+    # the aligned grid (step 1/2) puts the shifts +-2 K2 on the same matrix,
+    # 4 rows away; on the grid of step 3/16 each has its own
+    assert {n for n, *_ in entries} == ({0, -4, 4} if t_max is None else {0})
+    assert len(calls) == len(integ.gain_groups) == n_calls
 
 
 def test_unary_channel_matches_reduced_chain_after_projection():
@@ -500,7 +506,7 @@ def test_observables_converge_under_grid_doubling():
 def test_field_from_laws_refuses_a_law_past_the_last_node(law):
     # on this grid (last node 31) a point law at 100 lost mass to clipping
     # and a uniform law on [20, 100] was cut off at 31, both silently
-    grid = MF.energy_grid(1.0, (0.0, 1.0), m=64)
+    grid = MF.energy_grid(1.0, (0.0, 1.0), m=64, t_max=31.0)
     with pytest.raises(ValueError, match=r"reaches past the grid's last node 31\.0"):
         MF.field_from_laws(grid, (0.5, 0.5), (EnergyLaw("gamma", beta=1.0), law))
     # a law that ends on the last node is kept whole
@@ -520,7 +526,7 @@ def test_field_from_laws_refuses_a_reversed_or_negative_law(law):
         MF.field_from_laws(grid, (1.0,), (law,))
 
 
-# each law with its mean; the grid of beta = 1 and K = (0, 1) ends at 31
+# each law with its mean, on grids that end at 31
 _INITIAL_LAWS = [(EnergyLaw("gamma", beta=1.0), 1.5), (EnergyLaw("gamma", beta=2.5), 0.6),
                  (EnergyLaw("uniform", low=0.0, high=4.0), 2.0),
                  (EnergyLaw("uniform", low=0.1, high=0.3), 0.2),
@@ -537,7 +543,7 @@ _INITIAL_LAWS = [(EnergyLaw("gamma", beta=1.0), 1.5), (EnergyLaw("gamma", beta=2
 def test_initial_field_keeps_each_laws_mass_and_mean(m, law, mean):
     # nodal values gave Gamma(3/2, 1) a mean of 1.6142 at m = 64 and refused
     # Uniform[0.1, 0.3], which lies between two nodes there
-    grid = MF.energy_grid(1.0, (0.0, 1.0), m=m)
+    grid = MF.energy_grid(1.0, (0.0, 1.0), m=m, t_max=31.0)
     assert grid[-1] == 31.0
     field = MF.field_from_laws(grid, (0.3, 0.0, 0.7), (law,) * 3)
     assert field.values.min() >= 0.0
@@ -603,6 +609,62 @@ def test_density_field_refuses_a_grid_that_does_not_increase(grid):
 def test_energy_grid_refuses_a_span_that_is_not_positive_and_finite(t_max):
     with pytest.raises(ValueError, match="^t_max must be positive and finite"):
         MF.energy_grid(1.0, m=4, t_max=t_max)
+
+
+# (beta, chemical energies, m): the two-state config at m = 32 .. 1024, the
+# benchmark's reactive model (K = (0, 1), beta = 1) at m = 256, this file's
+# reactive model, and tenths whose remainders round off 0
+_ALIGNED = ([(1.0, (0.0, 1.0), m) for m in (32, 64, 128, 256, 512, 1024)]
+            + [(1.0, (0.0, 0.7), 96), (0.5, (0.0, 0.1, 0.2, 0.3), 1000),
+               (2.0, (1000.0, 1000.5, 1001.5), 512)])
+
+
+@pytest.mark.parametrize("beta, K, m", _ALIGNED)
+def test_default_grid_puts_every_chemical_energy_difference_on_a_node(beta, K, m):
+    grid = MF.energy_grid(beta, K, m=m)
+    h = grid[1] - grid[0]
+    assert grid.size == m + 1 and grid[0] == 0.0
+    assert grid[-1] >= (max(K) - min(K)) + 30.0 / beta
+    steps = [(b - a) / h for a in K for b in K if b > a]
+    assert all(round(s) >= 1 and abs(s - round(s)) <= 1e-12 * s for s in steps)
+
+
+def test_two_state_config_grid_is_aligned():
+    spec = load_config(Path(__file__).resolve().parents[1] / "configs" / "two_state.yaml")
+    assert (spec.rates.bath_beta, spec.chem_energies()) == (1.0, (0.0, 1.0))
+    assert MF.energy_grid(1.0, spec.chem_energies(), m=512)[1] == 1.0 / 16
+
+
+@pytest.mark.parametrize("t_max, m", [(31.0, 64), (32.0, 256), (12.0, 48), (33.0, 96),
+                                      (0.7, 7)])
+def test_energy_grid_keeps_a_given_span(t_max, m):
+    grid = MF.energy_grid(1.0, (0.0, 1.0), m=m, t_max=t_max)
+    assert grid.tobytes() == np.linspace(0.0, t_max, m + 1).tobytes()
+
+
+# one species, none, no common step, and a common step below span / m
+@pytest.mark.parametrize("K, m", [((0.0,), 256), ((), 64), ((0.0, 1.0, math.sqrt(2.0)), 256),
+                                  ((0.0, 1.0, 1.0 + 1e-9), 512), ((0.0, 0.01), 64),
+                                  ((0.0, 1.0), 16)])
+def test_energy_grid_without_a_common_step_keeps_the_default_span(K, m):
+    span = (max(K) - min(K) if K else 0.0) + 30.0
+    assert MF.energy_grid(1.0, K, m=m).tobytes() == np.linspace(0.0, span, m + 1).tobytes()
+
+
+def test_field_from_laws_projects_a_shared_law_once(monkeypatch):
+    grid = MF.energy_grid(1.0, (0.0, 1.0), m=256)
+    weights = (0.3, 0.5, 0.2)
+    laws = (EnergyLaw("gamma", beta=1.0), EnergyLaw("gamma", beta=1.0),
+            EnergyLaw("gamma", beta=2.0))
+    per_type = np.array([w * MF._gamma32_hat_weights(grid, law.beta)
+                         for w, law in zip(weights, laws)])
+    calls = []
+    project = MF._gamma32_hat_weights
+    monkeypatch.setattr(MF, "_gamma32_hat_weights",
+                        lambda *a: calls.append(a[1]) or project(*a))
+    field = MF.field_from_laws(grid, weights, laws)
+    assert calls == [1.0, 2.0]
+    assert field.values.tobytes() == (per_type / MF._trapezoid_weights(grid)).tobytes()
 
 
 def test_point_mass_field_deposits_unit_mass():
@@ -688,8 +750,10 @@ def _reactive_spec():
 def _per_term_rhs(integ, rho):
     # one convolution and one deposition product per fast pair and per slow
     # outcome, and the heat rows one at a time: the loop the grouped rhs
-    # replaced, on the integrator's own matrices
+    # replaced, each slow outcome through its own split of the pair totals
+    # shifted by its dK
     J, n = rho.shape
+    totals = np.arange(2 * n - 1) * (integ.grid[1] - integ.grid[0])
     out = np.zeros_like(rho)
     mass = rho.sum(axis=1)
     for j, j1, rate, idx, frac in integ.unary_terms:
@@ -705,7 +769,8 @@ def _per_term_rhs(integ, rho):
                     np.convolve(rho[j], rho[jp]) @ integ.split_D)
         out[j] += integ.heat_eff * (rho[j] @ integ.heat_H - rho[j])
     # the slow outcomes follow the fast terms in the integrator's term list
-    for j, jp, j1, j1p, coef, D, s_min in integ.binary_terms[np.count_nonzero(integ.f_eff):]:
+    for j, jp, j1, j1p, coef, dK, s_min in integ.binary_terms[np.count_nonzero(integ.f_eff):]:
+        D = MF.beta_split_deposition(np.maximum(totals + dK, 0.0), integ.grid)
         ok = np.arange(2 * n - 1) >= s_min
         suffix = np.concatenate((np.cumsum(rho[jp][::-1])[::-1], [0.0]))
         l_min = np.clip(s_min - np.arange(n), 0, n)
@@ -715,20 +780,42 @@ def _per_term_rhs(integ, rho):
 
 
 @pytest.mark.parametrize("seed", (0, 1, 2))
-def test_grouped_rhs_matches_per_term_reference(seed):
+@pytest.mark.parametrize("t_max, n_matrices", [(None, 1), (33.0, 5)])
+def test_grouped_rhs_matches_per_term_reference(seed, t_max, n_matrices):
+    # the default grid's step 0.35 aligns the shifts 0, +-0.7 and +-1.4 to
+    # one matrix; the step 0.34375 aligns only the zero shift
     spec = _reactive_spec()
-    grid = MF.energy_grid(1.0, spec.chem_energies(), m=96)
+    grid = MF.energy_grid(1.0, spec.chem_energies(), m=96, t_max=t_max)
     integ = MF.BoltzmannIntegrator(spec, grid, enable_slow_binary=True)
-    assert len({id(t[5]) for t in integ.binary_terms[np.count_nonzero(integ.f_eff):]}) == 5
+    assert len(integ.gain_groups) == n_matrices
     rho = np.random.default_rng(seed).random((2, grid.size))
     rho /= rho.sum()
     ref = _per_term_rhs(integ, rho)
     assert np.max(np.abs(integ.rhs(rho) - ref)) <= 1e-14 * np.max(np.abs(ref))
-    # the heat rows, one vector-matrix product each
+    # split_D is the zero shift's matrix, and the heat rows one vector-matrix
+    # product each
     M = grid.size - 1
+    zero = MF.beta_split_deposition(np.arange(2 * M + 1) * (grid[1] - grid[0]), grid)
+    assert integ.split_D.tobytes() == zero.tobytes()
     b = MF._gamma32_hat_weights(grid, spec.rates.bath_beta)
     rows = np.array([b @ integ.split_D[k:k + M + 1] for k in range(M + 1)])
     assert np.max(np.abs(integ.heat_H - rows)) < 1e-14
+
+
+def test_shifts_beyond_the_pair_totals_keep_their_own_matrices():
+    # K2 = 40 on a grid of step 1/8: the shifts +-80 are 640 rows, more than
+    # the 193 pair totals, so the one matrix does not grow to reach them
+    kernel = TypeKernel(kind="table", table=(((1, 1), (((2, 2), 1.0),)),
+                                             ((2, 2), (((1, 1), 1.0),))))
+    spec = make_two_state(fast=1.0, slow=1.0, k2=40.0, heat=1.0, scale_heat=1.0,
+                          kernel=kernel)
+    grid = MF.energy_grid(1.0, (0.0,), m=96, t_max=12.0)
+    integ = MF.BoltzmannIntegrator(spec, grid, enable_slow_binary=True)
+    assert [D.shape for D, _ in integ.gain_groups] == [(193, 97)] * 3
+    rho = np.random.default_rng(3).random((2, grid.size))
+    rho /= rho.sum()
+    ref = _per_term_rhs(integ, rho)
+    assert np.max(np.abs(integ.rhs(rho) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_clipped_mass_is_zero_without_rates():
