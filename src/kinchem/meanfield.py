@@ -3,7 +3,8 @@ fast-scale reductions.
 
 The full equation evolves the joint density p_t(j, T) on an energy grid under
 the four particle channels.  Unary type changes shift the energy exactly and
-deposit it onto the bracketing nodes.  Every other channel is a pair
+deposit it onto the bracketing nodes, each node's rate weighted by the
+fraction of its cell above the threshold.  Every other channel is a pair
 collision that redraws the pair's energy as a Beta(3/2, 3/2) split: a fast
 collision keeps both types, a slow outcome may change them and pays its
 chemical-energy shift from the pair total, and bath contact is a collision
@@ -219,13 +220,21 @@ def reduced_macro_ode(state: MacroState, spec: EnsembleSpec, t_end: float,
 # -- energy-grid machinery -------------------------------------------------------
 
 
+def _rounding(values: Sequence[float]) -> float:
+    """16 ulp of the largest magnitude of ``values``: the rounding within
+    which a difference of chemical energies is a whole number of steps, both
+    when ``energy_grid`` picks the step and when ``BoltzmannIntegrator``
+    reads a shift as whole rows."""
+    return 16.0 * np.finfo(float).eps * max(map(abs, values), default=0.0)
+
+
 def _common_step(values: Sequence[float]) -> float:
     """Largest d of which every difference of ``values`` is a whole multiple,
     by Euclid's algorithm on the differences from the smallest value, a
-    remainder within a few ulp of the largest magnitude counting as 0; 0.0
-    when the values are all equal or there are none."""
+    remainder within ``_rounding(values)`` counting as 0; 0.0 when the
+    values are all equal or there are none."""
     low = min(values, default=0.0)
-    tol = 8.0 * np.finfo(float).eps * max(map(abs, values), default=0.0)
+    tol = _rounding(values)
     d = 0.0
     for v in values:
         a, b = max(d, v - low), min(d, v - low)
@@ -488,6 +497,16 @@ def shift_deposition(grid: np.ndarray, delta: float):
     return idx, frac
 
 
+def _cell_fraction_above(grid: np.ndarray, threshold: float) -> np.ndarray:
+    """Fraction of each node's cell [T_k - h/2, T_k + h/2], cut to the grid,
+    that lies above ``threshold``: 1 everywhere when the threshold is at or
+    below T_0, 1/2 at a node on it, continuous in the threshold."""
+    h = grid[1] - grid[0]
+    lo = np.maximum(grid - 0.5 * h, grid[0])
+    hi = np.minimum(grid + 0.5 * h, grid[-1])
+    return np.clip((hi - threshold) / (hi - lo), 0.0, 1.0)
+
+
 def _scatter(gains: np.ndarray, idx: np.ndarray, frac: np.ndarray,
              mass: np.ndarray) -> None:
     np.add.at(gains, idx, mass * (1.0 - frac))
@@ -528,14 +547,22 @@ def _uniform_hat_weights(grid: np.ndarray, low: float, high: float) -> np.ndarra
 class BoltzmannIntegrator:
     """Conservative RK4 integrator for the discretized kinetic equation.
 
-    Operates on per-type mass vectors rho[j, k] = p(j, T_k) w_k.  Every pair
-    collision is one term (j, jp, j1, j1p, coef, dK, s_min) of
+    Operates on per-type mass vectors rho[j, k] = p(j, T_k) w_k.  A unary
+    change j -> j1 needs kinetic energy T >= K_j1 - K_j: its rate at node k
+    is weighted by the fraction of the cell [T_k - h/2, T_k + h/2] above
+    that threshold (``_cell_fraction_above``), 1/2 at a node on it, and the
+    node's moved mass lands at T_k + K_j - K_j1 on the bracketing nodes.  On
+    a grid aligned to the chemical energies every threshold is a node, so no
+    node below it moves and the channel conserves energy; off the lattice
+    the node just below a threshold moves part of its cell, and that mass,
+    which would land below 0, lands on T_0.  Every pair collision is one term (j, jp, j1, j1p, coef, dK, s_min) of
     ``binary_terms``: type j meets type jp at rate coef per unit mass of jp,
     its slot becomes type j1 (the partner's new type j1p is carried by the
     term of the swapped pair), and the pair total less the chemical energy
     -dK the outcome takes up is redrawn as a Beta(3/2, 3/2) split.  A pair
     can react only from pair-total index s_min on, where the total clears
-    that energy.  Fast (Kac) collisions come first, built by the same loop
+    that energy; a term with s_min > 2M never fires and only counts toward
+    ``max_out_rate``.  Fast (Kac) collisions come first, built by the same loop
     as slow reactions under the identity kernel: they keep both types, shift
     no chemical energy and have threshold 0.
 
@@ -572,13 +599,13 @@ class BoltzmannIntegrator:
             for j1 in range(J):
                 if j1 == j:
                     continue
+                cut = _cell_fraction_above(self.grid, K[j1] - K[j])
                 if r.unary_fn is None:
-                    allowed = self.grid + K[j] - K[j1] >= 0.0
-                    rate = np.where(allowed, r.unary[j][j1], 0.0)
+                    rate = r.unary[j][j1] * cut
                 else:
-                    rate = np.array([r.unary_fn(j + 1, j1 + 1, float(T))
-                                     if T + K[j] - K[j1] >= 0.0 else 0.0
-                                     for T in self.grid])
+                    rate = np.array([r.unary_fn(j + 1, j1 + 1, float(T)) * c
+                                     if c > 0.0 else 0.0
+                                     for T, c in zip(self.grid, cut)])
                 if not rate.any():
                     continue
                 idx, frac = shift_deposition(self.grid, K[j] - K[j1])
@@ -586,14 +613,14 @@ class BoltzmannIntegrator:
 
         # a shift dK within the rounding of the chemical energies of n steps
         # moves the pair total by n rows; any other shift is off the lattice,
-        # and so is one of more than 2M rows, which would lengthen the one
+        # and so is a gain of more than 2M rows, which would lengthen the one
         # matrix by rows that no other shift reads
         pair_totals = np.arange(2 * M + 1) * self.h
-        tol = 16.0 * np.finfo(float).eps * max(map(abs, K), default=0.0)
+        tol = _rounding(K)
 
         def row_shift(dK):
             n = round(dK / self.h)
-            return n if abs(dK - n * self.h) <= tol and abs(n) <= 2 * M else None
+            return n if abs(dK - n * self.h) <= tol and n <= 2 * M else None
 
         self.f_eff = spec.scale_fast * np.array(r.fast_binary, dtype=float) \
             if J else np.zeros((0, 0))
@@ -620,16 +647,19 @@ class BoltzmannIntegrator:
                         (j, jp, j1, j1p, 2.0 * mat[j, jp] * prob, dK, s_min))
 
         # one split deposition per row lattice, rows 0 .. 2M + the largest
-        # shift; one per shift off the lattice, its rows below s_min zero
+        # shift; one per shift off the lattice, its rows below s_min zero.  A
+        # shift no pair total can pay (s_min > 2M) never fires and is left
+        # out of the gains and losses.
         self.heat_eff = spec.scale_heat * r.heat_rate
-        lattice = [n for n in shifts.values() if n is not None]
+        live = {dK for *_, dK, s_min in self.binary_terms if s_min <= 2 * M}
+        lattice = [n for dK, n in shifts.items() if dK in live and n is not None]
         matrices, self.split_D = {}, None
         if lattice or self.heat_eff > 0.0:
             totals = np.arange(2 * M + 1 + max([0, *lattice])) * self.h
             matrices[None] = beta_split_deposition(totals, self.grid)
             self.split_D = matrices[None][:2 * M + 1]
         for dK, n in shifts.items():
-            if n is None:
+            if dK in live and n is None:
                 totals = pair_totals + dK
                 matrices[dK] = (beta_split_deposition(np.maximum(totals, 0.0), self.grid)
                                 * (totals >= 0.0)[:, None])
@@ -649,9 +679,12 @@ class BoltzmannIntegrator:
         # unordered type pair is convolved once per call.  Losses: node k of
         # type j meets jp only at nodes l >= s_min - k, and terms with the
         # same pair and threshold share one coefficient.
-        self.conv_pairs = sorted({tuple(sorted(t[:2])) for t in self.binary_terms})
+        self.conv_pairs = sorted({tuple(sorted(t[:2])) for t in self.binary_terms
+                                  if t[5] in live})
         groups, loss = {}, {}
         for j, jp, j1, j1p, coef, dK, s_min in self.binary_terms:
+            if dK not in live:
+                continue
             n = shifts[dK]
             weights = groups.setdefault(dK if n is None else None, {})
             key = (n or 0, j1, self.conv_pairs.index(tuple(sorted((j, jp)))))
@@ -681,7 +714,7 @@ class BoltzmannIntegrator:
             out[j] -= flux
             _scatter(out[j1], idx, frac, flux)
 
-        if self.binary_terms:
+        if self.gain_groups:
             conv = np.array([np.convolve(rho[j], rho[jp]) for j, jp in self.conv_pairs])
             S = conv.shape[1]
             for D, weights in self.gain_groups:

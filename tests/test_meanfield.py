@@ -10,7 +10,8 @@ from scipy import integrate as sintegrate
 from scipy.special import betainc, gammainc, gammaincc
 
 from kinchem import meanfield as MF
-from kinchem.model import EnergyLaw, RateTable, TypeKernel, load_config, sample_times
+from kinchem.model import (EnergyLaw, InitialDistribution, RateTable, SpeciesSpec, TypeKernel,
+                           load_config, sample_times)
 from conftest import make_two_state
 
 
@@ -413,6 +414,70 @@ def test_unary_channel_matches_reduced_chain_after_projection():
     assert diff < 0.03          # manifold lag is O(1/scale)
 
 
+def _unary_rates(spec, grid):
+    return {(j, j1): rate for j, j1, rate, *_ in MF.BoltzmannIntegrator(spec, grid).unary_terms}
+
+
+def _constant_plugin(spec):
+    r = spec.rates
+    return spec.with_overrides(rates=RateTable(
+        unary=r.unary, slow_binary=r.slow_binary, fast_binary=r.fast_binary,
+        heat_rate=r.heat_rate, bath_beta=r.bath_beta,
+        unary_fn=lambda j, j1, T: r.unary[j - 1][j1 - 1]))
+
+
+@pytest.mark.parametrize("plugin", (False, True))
+def test_unary_gate_gives_a_node_on_the_threshold_half_its_cell(plugin):
+    # K2 = 0.7 on its default grid, step 0.35: the threshold of 1 -> 2 is
+    # node 2, within rounding, and counts half its cell whichever way the
+    # rounding of its energy falls, in the table and the plug-in path alike
+    spec = make_two_state(k2=0.7, w12=1.0, w21=0.5, heat=1.0, scale_heat=1.0)
+    grid = MF.energy_grid(1.0, spec.chem_energies(), m=96)
+    assert abs(grid[1] - 0.35) <= 1e-15 and abs(grid[2] - 0.7) <= 1e-15
+    rates = _unary_rates(_constant_plugin(spec) if plugin else spec, grid)
+    want = np.ones(grid.size)
+    want[:3] = (0.0, 0.0, 0.5)
+    assert np.max(np.abs(rates[0, 1] - want)) <= 1e-14
+    assert rates[1, 0].tobytes() == np.full(grid.size, 0.5).tobytes()
+
+
+@pytest.mark.parametrize("t_max, threshold", [(32.0, 1.0), (31.0, 1.0), (33.0, 0.7),
+                                              (12.0, 0.01), (12.0, 11.99), (12.0, 0.0)])
+def test_unary_gate_weights_add_up_to_the_energy_above_the_threshold(t_max, threshold):
+    # each node counts the part of its cell above the threshold, so the cells'
+    # weighted widths add up to the length of [threshold, T_M]; nothing is
+    # counted below it, and every node whose cell lies above counts whole
+    grid = np.linspace(0.0, t_max, 97)
+    h = grid[1] - grid[0]
+    width = np.minimum(grid + h / 2, t_max) - np.maximum(grid - h / 2, 0.0)
+    cut = MF._cell_fraction_above(grid, threshold)
+    assert abs(cut @ width - (t_max - threshold)) <= 1e-12 * t_max
+    assert np.all(cut[grid + h / 2 <= threshold] == 0.0)
+    assert np.all(cut[grid - h / 2 >= threshold] == 1.0)
+
+
+def test_unary_gate_converges_faster_than_first_order():
+    # everything starts in state 2 of the two-state model at scale 5 and is
+    # near its fixed point at t = 8; the fixed point's c1 differs from the
+    # chain equilibrium by a grid error plus a finite-scale offset, which the
+    # differences of successive grids cancel.  Counting the threshold node's
+    # whole cell, as a nodal gate does, gives order 1 at best (0.9 measured
+    # on these grids); half of it gives order 1.5 (the sqrt(T) edge of the
+    # density at T = 0)
+    spec = make_two_state(k2=1.0, fast=1.0, heat=1.0, scale_fast=5.0, scale_heat=5.0,
+                          weights=(0.0, 1.0))
+    c1 = []
+    for m in (64, 128, 256):
+        grid = MF.energy_grid(1.0, spec.chem_energies(), m=m)
+        traj = MF.integrate_boltzmann(MF.field_from_spec(spec, grid), spec, 8.0)
+        c1.append(traj.final().masses()[0])
+    v12, v21 = MF.reduced_two_state(spec)
+    err = np.array(c1) - MF.two_state_equilibrium(v21 / v12)[0]
+    assert abs(err[0]) < 0.005 and abs(err[2]) < 0.001
+    order = math.log2((c1[1] - c1[0]) / (c1[2] - c1[1]))
+    assert order > 1.25
+
+
 def test_unary_plugin_equal_to_the_table_matches_the_table_path():
     # a unary_fn giving the table's base rates, its own bound; the energy
     # gate T + K_j - K_j' >= 0 is the engines' to apply, as for the table
@@ -619,6 +684,23 @@ _ALIGNED = ([(1.0, (0.0, 1.0), m) for m in (32, 64, 128, 256, 512, 1024)]
                (2.0, (1000.0, 1000.5, 1001.5), 512)])
 
 
+def _all_outcomes_spec(beta, K):
+    # one species per chemical energy, and a slow channel whose table kernel
+    # takes every type pair to every type pair: every shift dK occurs
+    J = len(K)
+    pairs = [(a, b) for a in range(1, J + 1) for b in range(1, J + 1)]
+    kernel = TypeKernel(kind="table", table=tuple(
+        (pair, tuple((out, 1.0 / len(pairs)) for out in pairs)) for pair in pairs))
+    base = make_two_state(beta=beta, heat=1.0, scale_heat=1.0)
+    return base.with_overrides(
+        species=tuple(SpeciesSpec(j + 1, 1.0, 3, k) for j, k in enumerate(K)),
+        initial_distribution=InitialDistribution(
+            (1.0 / J,) * J, (EnergyLaw("gamma", beta=beta),) * J),
+        rates=RateTable(unary=np.zeros((J, J)), slow_binary=np.ones((J, J)),
+                        fast_binary=np.ones((J, J)), heat_rate=1.0, bath_beta=beta,
+                        binary_kernel=kernel))
+
+
 @pytest.mark.parametrize("beta, K, m", _ALIGNED)
 def test_default_grid_puts_every_chemical_energy_difference_on_a_node(beta, K, m):
     grid = MF.energy_grid(beta, K, m=m)
@@ -627,6 +709,11 @@ def test_default_grid_puts_every_chemical_energy_difference_on_a_node(beta, K, m
     assert grid[-1] >= (max(K) - min(K)) + 30.0 / beta
     steps = [(b - a) / h for a in K for b in K if b > a]
     assert all(round(s) >= 1 and abs(s - round(s)) <= 1e-12 * s for s in steps)
+    # and the integrator reads every shift as whole rows of one matrix
+    integ = MF.BoltzmannIntegrator(_all_outcomes_spec(beta, K), grid)
+    shifts = {n for _, entries in integ.gain_groups for n, *_ in entries}
+    assert len(integ.gain_groups) == 1
+    assert shifts == {round((a + b - c - d) / h) for a in K for b in K for c in K for d in K}
 
 
 def test_two_state_config_grid_is_aligned():
@@ -802,16 +889,20 @@ def test_grouped_rhs_matches_per_term_reference(seed, t_max, n_matrices):
     assert np.max(np.abs(integ.heat_H - rows)) < 1e-14
 
 
-def test_shifts_beyond_the_pair_totals_keep_their_own_matrices():
+def test_shifts_beyond_the_pair_totals_do_not_grow_the_shared_matrix():
     # K2 = 40 on a grid of step 1/8: the shifts +-80 are 640 rows, more than
-    # the 193 pair totals, so the one matrix does not grow to reach them
+    # the 193 pair totals.  The gain +80 keeps its own matrix, so the shared
+    # one does not grow to reach it; no pair total pays the deficit -80, so
+    # that outcome gets no matrix at all
     kernel = TypeKernel(kind="table", table=(((1, 1), (((2, 2), 1.0),)),
                                              ((2, 2), (((1, 1), 1.0),))))
     spec = make_two_state(fast=1.0, slow=1.0, k2=40.0, heat=1.0, scale_heat=1.0,
                           kernel=kernel)
     grid = MF.energy_grid(1.0, (0.0,), m=96, t_max=12.0)
     integ = MF.BoltzmannIntegrator(spec, grid, enable_slow_binary=True)
-    assert [D.shape for D, _ in integ.gain_groups] == [(193, 97)] * 3
+    assert [D.shape for D, _ in integ.gain_groups] == [(193, 97)] * 2
+    assert {n for _, entries in integ.gain_groups for n, *_ in entries} == {0}
+    assert all(s_min <= 192 for *_, s_min in integ.binary_loss)
     rho = np.random.default_rng(3).random((2, grid.size))
     rho /= rho.sum()
     ref = _per_term_rhs(integ, rho)
