@@ -419,6 +419,7 @@ def _unary_rates(spec, grid):
 
 
 def _constant_plugin(spec):
+    # a unary_fn giving the table's base rates, its own bound
     r = spec.rates
     return spec.with_overrides(rates=RateTable(
         unary=r.unary, slow_binary=r.slow_binary, fast_binary=r.fast_binary,
@@ -479,16 +480,11 @@ def test_unary_gate_converges_faster_than_first_order():
 
 
 def test_unary_plugin_equal_to_the_table_matches_the_table_path():
-    # a unary_fn giving the table's base rates, its own bound; the energy
-    # gate T + K_j - K_j' >= 0 is the engines' to apply, as for the table
+    # the energy gate T + K_j - K_j' >= 0 is the engines' to apply, as for
+    # the table
     spec = make_two_state(k2=0.7, w12=1.0, w21=0.5, heat=1.0, scale_heat=1.0)
-    r = spec.rates
-    K = spec.chem_energies()
-    plug = spec.with_overrides(rates=RateTable(
-        unary=r.unary, slow_binary=r.slow_binary, fast_binary=r.fast_binary,
-        heat_rate=r.heat_rate, bath_beta=r.bath_beta,
-        unary_fn=lambda j, j1, T: r.unary[j - 1][j1 - 1]))
-    grid = MF.energy_grid(1.0, K, m=64)
+    plug = _constant_plugin(spec)
+    grid = MF.energy_grid(1.0, spec.chem_energies(), m=64)
     table_terms = MF.BoltzmannIntegrator(spec, grid).unary_terms
     plug_terms = MF.BoltzmannIntegrator(plug, grid).unary_terms
     assert len(plug_terms) == len(table_terms) == 2
