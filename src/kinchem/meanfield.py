@@ -507,12 +507,6 @@ def _cell_fraction_above(grid: np.ndarray, threshold: float) -> np.ndarray:
     return np.clip((hi - threshold) / (hi - lo), 0.0, 1.0)
 
 
-def _scatter(gains: np.ndarray, idx: np.ndarray, frac: np.ndarray,
-             mass: np.ndarray) -> None:
-    np.add.at(gains, idx, mass * (1.0 - frac))
-    np.add.at(gains, idx + 1, mass * frac)
-
-
 def _gamma32_hat_weights(grid: np.ndarray, beta: float) -> np.ndarray:
     """Weights b[l] = E[hat_l(xi)], xi ~ Gamma(3/2, beta), the bath law and the
     gamma initial law, on the grid's hat functions, normalized to unit mass."""
@@ -555,11 +549,12 @@ class BoltzmannIntegrator:
     a grid aligned to the chemical energies every threshold is a node, so no
     node below it moves and the channel conserves energy; off the lattice
     the node just below a threshold moves part of its cell, and that mass,
-    which would land below 0, lands on T_0.  Every pair collision is one term (j, jp, j1, j1p, coef, dK, s_min) of
-    ``binary_terms``: type j meets type jp at rate coef per unit mass of jp,
-    its slot becomes type j1 (the partner's new type j1p is carried by the
-    term of the swapped pair), and the pair total less the chemical energy
-    -dK the outcome takes up is redrawn as a Beta(3/2, 3/2) split.  A pair
+    which would land below 0, lands on T_0.  Every pair collision is one
+    term (j, jp, j1, j1p, coef, dK, s_min) of ``binary_terms``: type j meets
+    type jp at rate coef per unit mass of jp, its slot becomes type j1 (the
+    partner's new type j1p is carried by the term of the swapped pair), and
+    the pair total less the chemical energy -dK the outcome takes up is
+    redrawn as a Beta(3/2, 3/2) split.  A pair
     can react only from pair-total index s_min on, where the total clears
     that energy; a term with s_min > 2M never fires and only counts toward
     ``max_out_rate``.  Fast (Kac) collisions come first, built by the same loop
@@ -573,14 +568,22 @@ class BoltzmannIntegrator:
     s + n of the matrix whose row r splits the total r h, rows below 0
     dropped, so on a grid that ``energy_grid`` aligns to the chemical
     energies every term reads that one matrix; a shift off the lattice keeps
-    its own matrix, whose rows below s_min are zero.  Each ``rhs`` call sums
-    the weighted convolutions per matrix and destination type and makes one
-    product per matrix.  Losses read the mass of jp above the threshold,
-    nodes l >= s_min - k.  Bath contact is a collision with a partner drawn
-    from the bath law, carried onto the grid's hat functions by the
-    projection (``_hat_weights``) that also builds the split: as b[l], node
-    k meets node l at pair total k + l, so heat_H[k] = b @ split_D[k :
-    k+M+1], split_D being the zero-shift rows 0 .. 2M.
+    its own matrix, whose rows below s_min are zero.  Losses read the mass of
+    jp above the threshold, nodes l >= s_min - k.  Bath contact is a
+    collision with a partner drawn from the bath law, carried onto the grid's
+    hat functions by the projection (``_hat_weights``) that also builds the
+    split: as b[l], node k meets node l at pair total k + l, so heat_H[k] =
+    b @ split_D[k : k+M+1], split_D being the zero-shift rows 0 .. 2M.
+
+    ``__init__`` turns the term lists into flat tables over (type, node), so
+    ``rhs`` loops over no term.  The unary gains are one scatter table
+    (source, destination, coefficient), applied by one ``np.bincount``.  Each
+    node's unary rates plus the bath contact rate are one constant out-rate
+    array.  Per split matrix, one scatter table places the weighted
+    convolutions in W, rows by destination type (one bincount), deposited by
+    one product W @ D.  The binary out-rates are one gather from the partner
+    masses' suffix sums, an index row per (j, jp, s_min), weighed by a
+    (type, row) coefficient matrix.
     """
 
     def __init__(self, spec: EnsembleSpec, grid: np.ndarray, *,
@@ -692,9 +695,7 @@ class BoltzmannIntegrator:
             loss[j, jp, s_min] = loss.get((j, jp, s_min), 0.0) + coef
         self.gain_groups = [(matrices[g], [(n, dest, p, w) for (n, dest, p), w in weights.items()])
                             for g, weights in groups.items()]
-        nodes = np.arange(M + 1)
-        self.binary_loss = [(j, jp, np.clip(s_min - nodes, 0, M + 1), coef)
-                            for (j, jp, s_min), coef in loss.items()]
+        self.binary_loss = [(j, jp, coef, s_min) for (j, jp, s_min), coef in loss.items()]
 
         # max_out_rate's constant part: per type the largest node of its
         # unary outflow
@@ -703,37 +704,59 @@ class BoltzmannIntegrator:
             unary_out[j] += rate
         self.unary_out_max = [float(row.max()) for row in unary_out]
 
+        # rhs tables, flat over (type, node).  Unary gains: each term moves
+        # rate (1 - frac) of node k's mass to node idx[k] of type j1 and
+        # rate frac to idx[k] + 1.  Every node loses mass at its unary rates
+        # and at the bath contact rate, a constant per (type, node).
+        n_nodes, S = M + 1, 2 * M + 1
+        unary = [(np.zeros(0, int), np.zeros(0, int), np.zeros(0))]
+        for j, j1, rate, idx, frac in self.unary_terms:
+            for at, coef in ((idx, rate * (1.0 - frac)), (idx + 1, rate * frac)):
+                k = np.flatnonzero(coef)
+                unary.append((j * n_nodes + k, j1 * n_nodes + at[k], coef[k]))
+        self._unary_gain = [np.concatenate(part) for part in zip(*unary)]
+        self._out_rate = unary_out + self.heat_eff
+        # binary gains: per matrix, the flat convolutions' entries (src)
+        # weighted into W, of shape (J, rows), at (dst): pair total s of
+        # conv_pairs[p] lands on row s + n of type dest, rows below 0 dropped
+        self._gain_tables = []
+        for D, entries in self.gain_groups:
+            rows, src, dst, coef = D.shape[0], [], [], []
+            for n, dest, p, w in entries:
+                cols = np.arange(max(n, 0), n + S)
+                src.append(p * S + cols - n)
+                dst.append(dest * rows + cols)
+                coef.append(np.full(cols.size, w))
+            self._gain_tables.append((D, *map(np.concatenate, (src, dst, coef))))
+        # binary losses: node k of type j meets jp at nodes l >= s_min - k,
+        # whose mass is entry n_nodes - l of row jp of the cumulative sums
+        # from the last node, 0 prepended; (J, terms) coefficients weigh them
+        self._loss_at = np.zeros((len(self.binary_loss), n_nodes), dtype=int)
+        self._loss_coef = np.zeros((J, len(self.binary_loss)))
+        for i, (j, jp, coef, s_min) in enumerate(self.binary_loss):
+            l_min = np.clip(s_min - np.arange(n_nodes), 0, n_nodes)
+            self._loss_at[i] = jp * (n_nodes + 1) + n_nodes - l_min
+            self._loss_coef[j, i] = coef
+
     # -- right-hand side ---------------------------------------------------------
 
     def rhs(self, rho: np.ndarray) -> np.ndarray:
         J, n_nodes = rho.shape
-        out = np.zeros_like(rho)
-
-        for j, j1, rate, idx, frac in self.unary_terms:
-            flux = rate * rho[j]
-            out[j] -= flux
-            _scatter(out[j1], idx, frac, flux)
-
-        if self.gain_groups:
-            conv = np.array([np.convolve(rho[j], rho[jp]) for j, jp in self.conv_pairs])
-            S = conv.shape[1]
-            for D, weights in self.gain_groups:
-                # pair total s lands on row s + n; rows below 0 are dropped
-                W = np.zeros((J, D.shape[0]))
-                for n, dest, p, w in weights:
-                    W[dest, max(n, 0):n + S] += w * conv[p, max(-n, 0):]
-                out += W @ D
-            # suffix[jp, l]: mass of type jp at nodes >= l, 0 past the last
-            suffix = np.zeros((J, n_nodes + 1))
-            suffix[:, :-1] = np.cumsum(rho[:, ::-1], axis=1)[:, ::-1]
-            rate = np.zeros_like(rho)
-            for j, jp, l_min, coef in self.binary_loss:
-                rate[j] += coef * suffix[jp, l_min]
-            out -= rate * rho
-
+        src, dst, coef = self._unary_gain
+        out = np.bincount(dst, rho.ravel()[src] * coef, minlength=rho.size)
+        out = out.astype(float, copy=False).reshape(J, n_nodes)   # empty bincounts are int
+        rate = self._out_rate
+        if self._gain_tables:
+            conv = np.concatenate([np.convolve(rho[j], rho[jp]) for j, jp in self.conv_pairs])
+            for D, src, dst, coef in self._gain_tables:
+                W = np.bincount(dst, conv[src] * coef, minlength=J * D.shape[0])
+                out += W.reshape(J, -1) @ D
+            tail = np.zeros((J, n_nodes + 1))     # tail[j, i]: mass on j's last i nodes
+            np.cumsum(rho[:, ::-1], axis=1, out=tail[:, 1:])
+            rate = rate + self._loss_coef @ tail.ravel()[self._loss_at]
         if self.heat_eff > 0.0:
-            out += self.heat_eff * (rho @ self.heat_H - rho)
-
+            out += self.heat_eff * (rho @ self.heat_H)
+        out -= rate * rho
         return out
 
     def max_out_rate(self, rho: np.ndarray) -> float:

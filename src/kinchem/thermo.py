@@ -54,9 +54,8 @@ class ThermoPoint:
         return math.fsum(self.concentrations)
 
 
-def lambda_B(species, beta: float):
-    """Activity prefactors: B_j = (2 pi / m_j)^{3/2} prod_k (2 pi / m_{j,k})^{1/2}
-    and lambda_j = beta^{-d_j/2} B_j."""
+def _prefactors(species, beta: float):
+    """``lambda_B`` as two lists of floats."""
     if beta <= 0.0:
         raise ValueError("beta must be > 0")
     B = []
@@ -69,14 +68,25 @@ def lambda_B(species, beta: float):
             b *= math.sqrt(2.0 * math.pi / mk)
         B.append(b)
         lam.append(beta ** (-0.5 * sp.dof) * b)
+    return B, lam
+
+
+def lambda_B(species, beta: float):
+    """Activity prefactors: B_j = (2 pi / m_j)^{3/2} prod_k (2 pi / m_{j,k})^{1/2}
+    and lambda_j = beta^{-d_j/2} B_j."""
+    B, lam = _prefactors(species, beta)
     return np.array(B), np.array(lam)
+
+
+def _standard_potentials(species, beta: float) -> list:
+    """``standard_potential`` as a list of floats."""
+    return [-math.log(lam) / beta for lam in _prefactors(species, beta)[1]]
 
 
 def standard_potential(point: ThermoPoint) -> np.ndarray:
     """Standard chemical potentials mu_{j,0} = -beta^{-1} ln lambda_j
     (the value of mu_j - K_j at unit concentration)."""
-    _, lam = lambda_B(point.species, point.beta)
-    return -np.log(lam) / point.beta
+    return np.array(_standard_potentials(point.species, point.beta))
 
 
 def chemical_potential(point: ThermoPoint) -> np.ndarray:
@@ -105,32 +115,32 @@ def potentials(point: ThermoPoint, volume: float) -> dict:
     H = U + P Lambda, S_j = <n_j> (d_j/2 + 1 + beta K_j - beta mu_j),
     G = sum mu_j <n_j>, F = U - beta^{-1} S, Omega = -P Lambda,
     g = G / Lambda.  Zero-concentration species contribute nothing
-    (the c ln c terms vanish in the limit).
+    (the c ln c terms vanish in the limit).  The sums run over the species
+    on plain floats; ``mu`` (-inf at zero concentration) and ``n`` are
+    arrays.
     """
     if volume <= 0.0:
         raise ValueError("volume must be > 0")
     beta = point.beta
-    c = np.asarray(point.concentrations)
-    K = np.array([sp.chem_energy for sp in point.species])
-    d = np.array([float(sp.dof) for sp in point.species])
-    mu0 = standard_potential(point)
-    n = c * volume
-
-    P = c.sum() / beta
-    U = float(n @ (0.5 * d / beta + K))
-    H = float(n @ (0.5 * d + 1.0 + beta * K)) / beta
-
-    live = c > 0.0
-    mu = np.full(c.size, -math.inf)
-    mu[live] = mu0[live] + np.log(c[live]) / beta + K[live]
-    S = float(np.sum(n[live] * (0.5 * d[live] + 1.0 + beta * K[live] - beta * mu[live])))
-    G = float(np.sum(mu[live] * n[live]))
-    F = U - S / beta
-    Omega = -P * volume
-    g = float(np.sum(mu[live] * c[live]))
-
-    return {"P": float(P), "U": U, "H": H, "S": S, "G": G, "F": F,
-            "Omega": float(Omega), "g": g, "mu": mu, "n": n}
+    mu, n = [], []
+    U = H = S = G = g = 0.0
+    for sp, c, mu0 in zip(point.species, point.concentrations,
+                          _standard_potentials(point.species, beta)):
+        K, half_d = sp.chem_energy, 0.5 * sp.dof
+        n_j = c * volume
+        U += n_j * (half_d / beta + K)
+        H += n_j * (half_d + 1.0 + beta * K)
+        mu_j = -math.inf
+        if c > 0.0:
+            mu_j = mu0 + math.log(c) / beta + K
+            S += n_j * (half_d + 1.0 + beta * K - beta * mu_j)
+            G += mu_j * n_j
+            g += mu_j * c
+        mu.append(mu_j)
+        n.append(n_j)
+    P = sum(point.concentrations) / beta
+    return {"P": P, "U": U, "H": H / beta, "S": S, "G": G, "F": U - S / beta,
+            "Omega": -P * volume, "g": g, "mu": np.array(mu), "n": np.array(n)}
 
 
 def reaction_free_energy(point: ThermoPoint) -> float:
@@ -138,10 +148,10 @@ def reaction_free_energy(point: ThermoPoint) -> float:
     so that kappa = exp(-beta dG0) equals the equilibrium ratio c_1/c_2."""
     if len(point.species) != 2:
         raise ValueError("reaction quantities require exactly two species")
-    mu0 = standard_potential(point)
+    mu0 = _standard_potentials(point.species, point.beta)
     K1 = point.species[0].chem_energy
     K2 = point.species[1].chem_energy
-    return float(mu0[0] - mu0[1] + K1 - K2)
+    return mu0[0] - mu0[1] + K1 - K2
 
 
 def affinity_and_kappa(point: ThermoPoint) -> dict:
@@ -170,15 +180,19 @@ def affinity_and_kappa(point: ThermoPoint) -> dict:
 
 
 def markov_entropy(p, pi) -> float:
-    """Relative entropy S_M = sum p_j ln(p_j / pi_j) >= 0, zero iff p == pi."""
+    """Relative entropy S_M = sum p_j ln(p_j / pi_j) >= 0, zero iff p == pi,
+    summed over the entries on plain floats."""
     p = np.asarray(p, dtype=float)
     pi = np.asarray(pi, dtype=float)
     if p.shape != pi.shape:
         raise ValueError("distributions must have equal length")
-    if np.any((p > 0.0) & (pi <= 0.0)):
-        raise ValueError("support of p must lie inside the support of pi")
-    live = p > 0.0
-    return float(np.sum(p[live] * np.log(p[live] / pi[live])))
+    s = 0.0
+    for a, b in zip(p.ravel().tolist(), pi.ravel().tolist()):
+        if a > 0.0:
+            if b <= 0.0:
+                raise ValueError("support of p must lie inside the support of pi")
+            s += a * math.log(a / b)
+    return s
 
 
 def gibbs_identity_check(times, concentrations, species, beta: float,

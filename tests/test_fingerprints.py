@@ -11,7 +11,8 @@ The deterministic engines, the kinetic equation and the reduced ODE, are
 pinned by value instead, under the file's ``values`` key, and checked within
 ``VALUE_TOL``: BLAS may sum in another order on another machine.  Recording
 keeps every recorded value that still passes and replaces only those that
-fail.
+fail, naming each replaced field ``values/<case>/<field>`` among the changed
+cases it prints.
 
 A change that moves a digest changes what a seed produces; name the case and
 the reason in CHANGES.md before recording again.  To record the digests of
@@ -226,6 +227,22 @@ def test_engine_values_match_recorded():
                                        err_msg=f"{case}: {name}")
 
 
+def test_recording_names_each_moved_engine_value():
+    recorded = {"a/m=1": {"x": [1.0, 2.0], "y": 0.5, "z": [[3.0]]},
+                "b": {"x": [1.0]}}
+    got = {"a/m=1": {"x": [1.0 + VALUE_TOL / 2, 2.0], "y": 0.5 + 4 * VALUE_TOL,
+                     "z": [[3.0], [4.0]], "new": 1.0},
+           "b": {"x": [1.0 - 2 * VALUE_TOL]}, "c": {"x": [5.0]}}
+    values, moved = _kept_values(recorded, got)
+    # a value within VALUE_TOL keeps its recorded bits; one beyond it, or a
+    # field whose shape changed, moves; a field or case new to the file is
+    # recorded without a name
+    assert values == {"a/m=1": {"x": [1.0, 2.0], "y": 0.5 + 4 * VALUE_TOL,
+                                "z": [[3.0], [4.0]], "new": 1.0},
+                      "b": {"x": [1.0 - 2 * VALUE_TOL]}, "c": {"x": [5.0]}}
+    assert moved == ["values/a/m=1/y", "values/a/m=1/z", "values/b/x"]
+
+
 def _kept(old, new):
     """``new``, keeping each entry of ``old`` that matches it within VALUE_TOL."""
     if old is None or np.shape(old) != np.shape(new):
@@ -234,17 +251,28 @@ def _kept(old, new):
     return np.where(np.abs(o - n) <= VALUE_TOL, o, n).tolist()
 
 
+def _kept_values(recorded: dict, got: dict):
+    """The ``values`` block to record from ``got`` (``_kept`` per field), and
+    the names ``values/<case>/<field>`` of the recorded fields it moves."""
+    values, moved = {}, []
+    for case, fields in got.items():
+        values[case] = {}
+        for name, value in fields.items():
+            old = recorded.get(case, {}).get(name)
+            values[case][name] = _kept(old, value)
+            if old is not None and values[case][name] != old:
+                moved.append(f"values/{case}/{name}")
+    return values, moved
+
+
 def _record() -> None:
     table = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
-    recorded = table.get("values", {})
-    table["values"] = {case: {name: _kept(recorded.get(case, {}).get(name), value)
-                              for name, value in fields.items()}
-                       for case, fields in engine_values().items()}
+    table["values"], moved = _kept_values(table.get("values", {}), engine_values())
     old = table.get(NUMPY_KEY, {})
     new = {}
     for make in GROUPS.values():
         new.update(make())
-    changed = sorted(k for k in new if k in old and old[k] != new[k])
+    changed = sorted(k for k in new if k in old and old[k] != new[k]) + moved
     table[NUMPY_KEY] = dict(sorted(new.items()))
     DIGESTS.write_text(json.dumps(dict(sorted(table.items())), indent=1) + "\n")
     print(f"recorded {len(new)} fingerprints for {NUMPY_KEY} in {DIGESTS}; "

@@ -850,7 +850,8 @@ def _per_term_rhs(integ, rho):
             if integ.f_eff[j, jp]:
                 out[j] += 2.0 * integ.f_eff[j, jp] * (
                     np.convolve(rho[j], rho[jp]) @ integ.split_D)
-        out[j] += integ.heat_eff * (rho[j] @ integ.heat_H - rho[j])
+        if integ.heat_eff > 0.0:
+            out[j] += integ.heat_eff * (rho[j] @ integ.heat_H - rho[j])
     # the slow outcomes follow the fast terms in the integrator's term list
     for j, jp, j1, j1p, coef, dK, s_min in integ.binary_terms[np.count_nonzero(integ.f_eff):]:
         D = MF.beta_split_deposition(np.maximum(totals + dK, 0.0), integ.grid)
@@ -903,6 +904,121 @@ def test_shifts_beyond_the_pair_totals_do_not_grow_the_shared_matrix():
     rho /= rho.sum()
     ref = _per_term_rhs(integ, rho)
     assert np.max(np.abs(integ.rhs(rho) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _one_species_fast_only():
+    base = make_two_state()
+    return base.with_overrides(
+        species=(SpeciesSpec(1, 1.0, 3, 0.0),),
+        initial_distribution=InitialDistribution((1.0,), (EnergyLaw("gamma", beta=1.0),)),
+        rates=RateTable(unary=[[0.0]], slow_binary=[[0.0]], fast_binary=[[1.0]],
+                        heat_rate=0.0, bath_beta=1.0))
+
+
+def _plugin_unary(spec):
+    # an energy-dependent unary_fn on the four-channel model, kernel kept
+    r = spec.rates
+    return spec.with_overrides(rates=RateTable(
+        unary=r.unary, slow_binary=r.slow_binary, fast_binary=r.fast_binary,
+        heat_rate=r.heat_rate, bath_beta=r.bath_beta, binary_kernel=r.binary_kernel,
+        unary_fn=lambda j, j1, T: 0.25 + 0.25 * min(T, 3.0)))
+
+
+def _three_species_off_lattice():
+    # K = (0, 1, sqrt 2) has no common step, so the nonzero shifts are off
+    # the lattice and each keeps its own matrix; unary rates on every pair
+    spec = _all_outcomes_spec(1.0, (0.0, 1.0, math.sqrt(2.0)))
+    r = spec.rates
+    return spec.with_overrides(rates=RateTable(
+        unary=((0.0, 1.0, 0.5), (0.5, 0.0, 1.0), (1.0, 0.5, 0.0)),
+        slow_binary=r.slow_binary, fast_binary=r.fast_binary, heat_rate=r.heat_rate,
+        bath_beta=r.bath_beta, binary_kernel=r.binary_kernel))
+
+
+_MIX_KERNEL = TypeKernel(kind="table", table=(((1, 1), (((2, 2), 0.5), ((1, 1), 0.5))),
+                                              ((2, 2), (((1, 1), 1.0),))))
+
+# the rhs tables' edge cases: (spec, grid size m, what the case checks)
+_TABLE_CASES = {
+    "one-species-fast-only": (_one_species_fast_only, 64),    # no unary terms
+    "heat-only": (lambda: make_two_state(w12=0.0, w21=0.0, fast=0.0, heat=1.0,
+                                         scale_heat=2.0), 64),  # no gain table
+    "slow-without-fast": (lambda: make_two_state(fast=0.0, slow=1.0, heat=1.0,
+                                                 scale_heat=1.0, kernel=_MIX_KERNEL), 64),
+    "unary-plugin": (lambda: _plugin_unary(_reactive_spec()), 96),
+    "three-species-off-lattice": (_three_species_off_lattice, 48),
+}
+
+
+def _table_case(name, seed):
+    make, m = _TABLE_CASES[name]
+    spec = make()
+    grid = MF.energy_grid(spec.rates.bath_beta, spec.chem_energies(), m=m)
+    integ = MF.BoltzmannIntegrator(spec, grid, enable_slow_binary=True)
+    rho = np.random.default_rng(seed).random((spec.n_types, grid.size))
+    return integ, rho / rho.sum()
+
+
+def test_table_cases_cover_what_they_name():
+    integ, _ = _table_case("one-species-fast-only", 0)
+    assert not integ.unary_terms and integ.heat_eff == 0.0 and len(integ.gain_groups) == 1
+    integ, _ = _table_case("heat-only", 0)
+    assert not integ.gain_groups and not integ.binary_terms and integ.heat_eff > 0.0
+    integ, _ = _table_case("slow-without-fast", 0)
+    assert not integ.f_eff.any() and integ.binary_terms
+    integ, _ = _table_case("three-species-off-lattice", 0)
+    assert len(integ.gain_groups) > 1 and len(integ.unary_terms) == 6
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+@pytest.mark.parametrize("name", sorted(_TABLE_CASES))
+def test_table_rhs_matches_per_term_reference_on_edge_cases(name, seed):
+    integ, rho = _table_case(name, seed)
+    ref = _per_term_rhs(integ, rho)
+    assert np.max(np.abs(integ.rhs(rho) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE_CASES))
+def test_rhs_conserves_mass_on_edge_cases(name):
+    # every channel moves mass between nodes and types and never drops it:
+    # the unary weights (1 - frac, frac), each split row and each heat row
+    # sum to 1, and a pair below its threshold neither gains nor loses.  The
+    # bound is rounding: products of up to 2M + 1 terms and the rows'
+    # normalization err by at most about 500 eps = 1e-13 of the gross flux,
+    # which the total outflow rate times the mass bounds; a wrong table entry
+    # moves a whole term's flux
+    integ, rho = _table_case(name, 5)
+    gross = integ.max_out_rate(rho) * rho.sum()
+    assert gross > 0.0
+    assert abs(integ.rhs(rho).sum()) <= 1e-12 * gross
+
+
+def test_rhs_conserves_energy_without_heat_on_the_aligned_grid():
+    # the benchmark's reactive model with bath contact off, on its aligned
+    # default grid (m = 256, h = 1/8, T_M = 32), at its initial field: every
+    # chemical-energy shift is a whole number of rows, so unary changes and
+    # pair collisions keep T + K except where an outgoing energy passes T_M
+    # and is folded onto it.  That loss is about the collision rate per unit
+    # mass (about 15) times E(Y - 32)+ for Y ~ Gamma(3/2, 1) (about 8e-14),
+    # so 1.3e-12, plus rounding of order 1e-13; the bound allows about 8 times
+    # that.  A gain one row off would move energy h times the flux, order 1
+    spec = make_two_state(w12=1.0, w21=0.5, scale_fast=10.0, heat=1.0, scale_heat=0.0)
+    spec = spec.with_overrides(rates=RateTable(
+        unary=spec.rates.unary, slow_binary=((0.6, 0.3), (0.3, 0.6)),
+        fast_binary=((1.0, 0.5), (0.5, 0.8)), heat_rate=1.0, bath_beta=1.0,
+        binary_kernel=TypeKernel(kind="table", table=(
+            ((1, 1), (((2, 2), 0.5), ((1, 1), 0.5))),
+            ((2, 2), (((1, 1), 0.5), ((2, 2), 0.5)))))))
+    grid = MF.energy_grid(1.0, spec.chem_energies(), m=256)
+    assert grid[1] == 0.125 and grid[-1] == 32.0
+    integ = MF.BoltzmannIntegrator(spec, grid, enable_slow_binary=True)
+    assert integ.heat_eff == 0.0 and len(integ.gain_groups) == 1
+    rho = MF.field_from_spec(spec, grid).values * integ.weights
+    rho /= rho.sum()
+    energy = grid[None, :] + np.array(spec.chem_energies())[:, None]
+    out = integ.rhs(rho)
+    assert abs(float((energy * out).sum())) <= 1e-11
+    assert abs(out.sum()) <= 1e-12 * integ.max_out_rate(rho)
 
 
 def test_clipped_mass_is_zero_without_rates():

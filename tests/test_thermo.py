@@ -127,6 +127,60 @@ def test_zero_concentration_species_contributes_nothing():
         assert abs(full[key] - only[key]) < 1e-12
 
 
+def _closed_form_potentials(beta, c, species, vol):
+    """Each potential of ``potentials`` written out species by species, with
+    the sum of its terms' magnitudes as the scale of its rounding."""
+    sums = {key: [] for key in ("P", "U", "H", "S", "G", "g")}
+    mu, mu_scale = [], []
+    for sp, cj in zip(species, c):
+        lam = beta ** (-sp.dof / 2.0) * (2.0 * math.pi / sp.mass) ** 1.5 * math.prod(
+            math.sqrt(2.0 * math.pi / mk) for mk in sp.internal_masses)
+        n, K, d = cj * vol, sp.chem_energy, sp.dof
+        sums["P"].append(cj / beta)
+        sums["U"].append(n * (d / (2.0 * beta) + K))
+        sums["H"].append(n * (d / 2.0 + 1.0 + beta * K) / beta)
+        if cj == 0.0:
+            mu.append(-math.inf)
+            mu_scale.append(0.0)
+            continue
+        parts = (-math.log(lam) / beta, math.log(cj) / beta, K)
+        mu.append(math.fsum(parts))
+        mu_scale.append(math.fsum(map(abs, parts)))
+        sums["S"].append(n * (d / 2.0 + 1.0 + beta * K - beta * mu[-1]))
+        sums["G"].append(mu[-1] * n)
+        sums["g"].append(mu[-1] * cj)
+    want = {key: math.fsum(terms) for key, terms in sums.items()}
+    scale = {key: math.fsum(map(abs, terms)) for key, terms in sums.items()}
+    live = [(cj * vol, cj, s) for cj, s in zip(c, mu_scale) if cj > 0.0]
+    # the error of each mu_j carries into S, G and g with its weight
+    scale["S"] += beta * math.fsum(n * s for n, _, s in live)
+    scale["G"] += math.fsum(n * s for n, _, s in live)
+    scale["g"] += math.fsum(cj * s for _, cj, s in live)
+    want["F"], scale["F"] = want["U"] - want["S"] / beta, scale["U"] + scale["S"] / beta
+    want["Omega"], scale["Omega"] = -want["P"] * vol, scale["P"] * vol
+    return want, scale, mu, mu_scale
+
+
+@pytest.mark.parametrize("J", (1, 2, 3, 4))
+def test_potentials_match_the_closed_form_sums(J):
+    rng = np.random.default_rng(40 + J)
+    for _ in range(300):
+        sp = tuple(random_species(rng, j + 1) for j in range(J))
+        beta = float(rng.uniform(0.2, 4.0))
+        c = tuple(0.0 if rng.random() < 0.25 else float(rng.uniform(1e-3, 6.0))
+                  for _ in range(J))
+        vol = float(rng.uniform(0.5, 20.0))
+        got = TH.potentials(TH.ThermoPoint(beta, c, sp), vol)
+        want, scale, mu, mu_scale = _closed_form_potentials(beta, c, sp, vol)
+        for key, value in want.items():
+            assert abs(got[key] - value) <= 1e-14 * scale[key], key
+        assert isinstance(got["mu"], np.ndarray) and isinstance(got["n"], np.ndarray)
+        assert got["mu"].shape == got["n"].shape == (J,)
+        assert got["n"].tolist() == [cj * vol for cj in c]
+        for m_got, m_want, s in zip(got["mu"], mu, mu_scale):
+            assert m_got == m_want if s == 0.0 else abs(m_got - m_want) <= 1e-14 * s
+
+
 # -- two-state reaction quantities ----------------------------------------------------
 
 
@@ -183,6 +237,30 @@ def test_markov_entropy_rejects_support_mismatch():
         TH.markov_entropy([0.5, 0.5], [1.0, 0.0])
     with pytest.raises(ValueError):
         TH.markov_entropy([0.5, 0.5], [0.3, 0.3, 0.4])
+
+
+def test_markov_entropy_takes_lists_and_arrays_alike():
+    rng = np.random.default_rng(12)
+    for J in (1, 2, 3, 4):
+        for _ in range(50):
+            pi = rng.dirichlet(np.ones(J))
+            p = rng.dirichlet(np.ones(J)) * (rng.random(J) < 0.7)
+            s = TH.markov_entropy(p, pi)
+            assert isinstance(s, float)
+            assert TH.markov_entropy(p.tolist(), pi.tolist()) == s
+            assert TH.markov_entropy(tuple(p), pi) == s
+            # numpy's log and the order of the sum differ by an ulp per term
+            live = p > 0.0
+            terms = p[live] * np.log(p[live] / pi[live])
+            tol = 4.0 * J * np.finfo(float).eps * (1.0 + math.fsum(np.abs(terms)))
+            assert abs(s - math.fsum(terms)) <= tol
+    for p, pi in (([0.5, 0.5], [0.2, 0.3, 0.5]), (np.ones(3) / 3, np.ones(2) / 2)):
+        with pytest.raises(ValueError, match="equal length"):
+            TH.markov_entropy(p, pi)
+    for p, pi in (([0.5, 0.5], [1.0, 0.0]), (np.array([0.2, 0.8]), np.array([0.0, 1.0]))):
+        with pytest.raises(ValueError, match="support"):
+            TH.markov_entropy(p, pi)
+    assert TH.markov_entropy([0.0, 1.0], [0.0, 1.0]) == 0.0
 
 
 def test_gibbs_identity_and_monotonicity_along_reduced_ode():
