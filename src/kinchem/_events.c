@@ -30,6 +30,7 @@
 #include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 enum { KC_DONE, KC_STOP, KC_CALLBACK, KC_NO_MEMORY };
 enum { WAITING, UNIFORM, PARTICLE, PARTNER, SPLIT, BATH, NORMAL, N_STREAMS };
@@ -399,7 +400,11 @@ void kc_free_log(Run *r)
  * (Matsumoto & Nishimura 1998) seeded as CPython seeds an int, random()'s
  * 53-bit uniform, and randrange(n) as its getrandbits(n.bit_length())
  * rejection loop.  Both generators are seeded from the seed's
- * little-endian 32-bit words. */
+ * little-endian 32-bit words.  MT19937's seeding starts from the state of
+ * init_genrand(19650218), which no seed changes: mt_seed computes it once
+ * and copies it on every later call.  Python checks every argument first
+ * (oracle.simulate_pair_system); the law and the kernel arrive as
+ * row-major doubles. */
 
 /* word j of a little-endian key */
 static uint32_t key_word(const unsigned char *key, int64_t j)
@@ -416,15 +421,22 @@ typedef struct {
     int i;
 } MT;
 
-/* init_genrand(19650218), then init_by_array over the key's little-endian
- * 32-bit words */
+/* init_genrand(19650218), the same for every seed and copied from base,
+ * then init_by_array over the key's little-endian 32-bit words.  base is
+ * filled on the first call; base[0] = 19650218 is nonzero once it is.  The
+ * library is loaded with ctypes.PyDLL, which holds the GIL through each
+ * call, so no two calls fill it at once. */
 static void mt_seed(MT *mt, const unsigned char *key, int64_t n_words)
 {
+    static uint32_t base[MT_N];
     uint32_t *s = mt->s;
     int64_t i = 1, j = 0, k;
-    s[0] = 19650218u;
-    for (k = 1; k < MT_N; k++)
-        s[k] = 1812433253u * (s[k - 1] ^ (s[k - 1] >> 30)) + (uint32_t)k;
+    if (!base[0]) {
+        base[0] = 19650218u;
+        for (k = 1; k < MT_N; k++)
+            base[k] = 1812433253u * (base[k - 1] ^ (base[k - 1] >> 30)) + (uint32_t)k;
+    }
+    memcpy(s, base, sizeof base);
     mt->i = MT_N;
     for (k = n_words > MT_N ? n_words : MT_N; k; k--) {
         s[i] = (s[i] ^ ((s[i - 1] ^ (s[i - 1] >> 30)) * 1664525u)) + key_word(key, j)

@@ -23,6 +23,7 @@ Particle labels are arbitrary hashables; sequence positions are 0-based.
 """
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 import operator
@@ -243,22 +244,25 @@ def canonical_anchored_sequences(n: int):
     relabeling that maps one generated sequence onto another must fix each
     label where it first appears, so it is the identity.  A concrete
     sequence over N particles arises from exactly one representative in
-    (N-1)(N-2)...(N-r) ways.  Yields (pairs, r).
+    (N-1)(N-2)...(N-r) ways.  Yields (pairs, r), depth first from an
+    explicit stack of suffixes: before a suffix over labels 0..r come first
+    the pairs of two of its labels, then each of its labels with r + 1.
     """
     if n == 0:
         yield (), 0
         return
-
-    def build(suffix_rev, r):
-        if len(suffix_rev) == n:
-            yield tuple(reversed(suffix_rev)), r
-            return
-        for a, b in itertools.combinations(range(r + 1), 2):
-            yield from build(suffix_rev + [(a, b)], r)
-        for a in range(r + 1):
-            yield from build(suffix_rev + [(a, r + 1)], r + 1)
-
-    yield from build([(0, 1)], 1)
+    # moves[r]: each pair that may precede a suffix over labels 0..r, with
+    # the largest label after it, in the order tried
+    moves = [[(p, r) for p in itertools.combinations(range(r + 1), 2)]
+             + [((a, r + 1), r + 1) for a in range(r + 1)] for r in range(n)]
+    stack = [((), 0)]       # suffixes still to extend, the next one on top
+    while stack:
+        suffix, r = stack.pop()
+        if len(suffix) == n - 1:
+            for p, r1 in moves[r]:
+                yield (p,) + suffix, r1
+        else:
+            stack.extend(((p,) + suffix, r1) for p, r1 in reversed(moves[r]))
 
 
 def count_sequences_by_type(n: int, n_particles: int) -> dict:
@@ -321,11 +325,14 @@ def _pairs_meeting(a: int, N: int) -> int:
 
 def _distribution(model: PairModel, mu0) -> np.ndarray:
     """``mu0`` as floats, checked to be a law over the model's states: shape
-    (|S|,), no negative or NaN entry, and a sum within 1e-9 of 1."""
+    (|S|,), no negative or NaN entry, and a sum within 1e-9 of 1.  The
+    entries are checked as Python floats: on |S| of them numpy's reductions
+    cost more than the checks."""
     mu0 = np.asarray(mu0, dtype=float)
-    if mu0.shape != (model.n_states,) or not (mu0 >= 0.0).all():
+    p = mu0.tolist()
+    if mu0.shape != (model.n_states,) or not all(x >= 0.0 for x in p):
         raise ValueError("mu0 must be a distribution over the model states")
-    if not abs(mu0.sum() - 1.0) <= 1e-9:
+    if not abs(sum(p) - 1.0) <= 1e-9:
         raise ValueError("mu0 must sum to 1")
     return mu0
 
@@ -355,10 +362,12 @@ def _apply_sequence(model: PairModel, pairs, n_labels: int, mu0: np.ndarray) -> 
         joint = np.multiply.outer(joint, mu0)
     joint = np.asarray(joint, dtype=float).reshape((S,) * n_labels)
     for (a, b) in pairs:
-        moved = np.moveaxis(joint, (a, b), (n_labels - 2, n_labels - 1))
-        shape = moved.shape
+        # the pair's axes last, the others in order, and back: the views
+        # np.moveaxis would make, without its argument normalisation
+        order = [k for k in range(n_labels) if k != a and k != b] + [a, b]
+        moved = joint.transpose(order)
         flat = moved.reshape(-1, S * S) @ model.kernel
-        joint = np.moveaxis(flat.reshape(shape), (n_labels - 2, n_labels - 1), (a, b))
+        joint = flat.reshape(moved.shape).transpose(sorted(range(n_labels), key=order.__getitem__))
     axes = tuple(range(1, n_labels))
     return joint.sum(axis=axes) if axes else joint
 
@@ -608,12 +617,19 @@ def simulate_pair_system(model: PairModel, N: int, t: float, mu0,
     first, bit for bit as
     ``np.random.default_rng(seed ^ 0x9E3779B97F4A7C15).poisson(N * rate * t)``
     draws it, so the replicas do not depend on the installed numpy; a test
-    pins the two to each other.  Raises ValueError unless 2 <= N < 2**32, t
-    is finite and nonnegative, seed >= 0, the Poisson mean N * rate * t is
-    at most numpy's limit (about 9.2e18), ``mu0`` is a distribution over the
-    model's states and the model's kernel has their pairs' shape; TypeError
-    for a non-integer N or seed; RuntimeError if the C kernel cannot be
-    built; MemoryError if it cannot allocate its tables.
+    pins the two to each other.  MT19937's seeding starts from a state that
+    no seed changes, which the kernel computes once and copies per call.
+
+    Every argument is checked here, before the kernel is reached, at as
+    little cost per call as the checks allow: ``mu0`` on Python floats, and
+    the law and the kernel passed as bytes rather than through ``.ctypes``.
+    Raises ValueError unless 2 <= N < 2**32, t is finite and nonnegative,
+    seed >= 0, the Poisson mean N * rate * t is at most numpy's limit (about
+    9.2e18), ``mu0`` is a distribution over the model's states (shape
+    (|S|,), no negative or NaN entry, sum within 1e-9 of 1) and the model's
+    kernel has their pairs' shape; TypeError for a non-integer N or seed;
+    RuntimeError if the C kernel cannot be built; MemoryError if it cannot
+    allocate its tables.
     """
     N, seed = _particles(N), operator.index(seed)
     if N >= 2 ** 32:
@@ -622,8 +638,8 @@ def simulate_pair_system(model: PairModel, N: int, t: float, mu0,
         raise ValueError(f"seed must be nonnegative, got {seed}")
     t = _horizon(t)
     S = model.n_states
-    mu0 = np.ascontiguousarray(_distribution(model, mu0))
-    kernel = np.ascontiguousarray(model.kernel, dtype=float)
+    mu0 = _distribution(model, mu0)
+    kernel = np.asarray(model.kernel, dtype=float)
     if kernel.shape != (S * S, S * S):  # kc_pair_system indexes it blindly
         raise ValueError(f"kernel must be ({S * S}, {S * S})")
     lam = N * model.rate * t
@@ -632,8 +648,9 @@ def simulate_pair_system(model: PairModel, N: int, t: float, mu0,
                          f"{_POISSON_LAM_MAX!r}, got {lam!r}")
     key = _seed_key(seed)
     states = np.empty(N, dtype=np.int64)
-    if _kernel().kc_pair_system(key, len(key) // 4, N, S, mu0.ctypes.data, kernel.ctypes.data,
-                                lam, states.ctypes.data):
+    # the states' address through a one-byte view, cheaper than .ctypes
+    if _kernel().kc_pair_system(key, len(key) // 4, N, S, mu0.tobytes(), kernel.tobytes(), lam,
+                                ctypes.addressof(ctypes.c_char.from_buffer(states))):
         raise MemoryError("no memory for the cumulative tables of the pair process")
     return states
 
@@ -681,6 +698,8 @@ def chaos_statistic(runs: Mapping[int, Sequence], k: int = 2,
     is estimated from falling-factorial count statistics (an exact average
     over particle tuples), with a leave-one-replica-out jackknife error; the
     decay exponent is the least-squares slope of log defect against log N.
+    Raises ValueError unless every replica under N holds N states, each
+    below ``n_states`` when it is given.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -693,8 +712,16 @@ def chaos_statistic(runs: Mapping[int, Sequence], k: int = 2,
         reps = [np.asarray(r, dtype=np.int64) for r in runs[N]]
         if len(reps) < 3:
             raise ValueError(f"insufficient replicas at N={N}")
-        S = n_states if n_states is not None else int(max(r.max() for r in reps)) + 1
-        counts = np.stack([np.bincount(r, minlength=S) for r in reps]).astype(float)
+        S = n_states if n_states is not None else int(max(r.max(initial=0) for r in reps)) + 1
+        rows = [np.bincount(r, minlength=S) for r in reps]
+        if max(map(len, rows)) > S:
+            raise ValueError(f"replica states at N={N} must lie below n_states={S}")
+        counts = np.stack(rows)
+        bad = np.flatnonzero(counts.sum(axis=1) != N)
+        if bad.size:
+            raise ValueError(f"replica {bad[0]} at N={N} holds {counts[bad[0]].sum()} "
+                             f"particle states, not {N}")
+        counts = counts.astype(float)
         joint, marg = _factorization_defect(counts, N, k)
         R = counts.shape[0]
 

@@ -222,6 +222,33 @@ def test_canonical_sequences_are_one_per_relabeling_class():
     assert sum(1 for _ in O.canonical_anchored_sequences(6)) == 14583
 
 
+def recursive_anchored_sequences(n):
+    """The recursive form of ``canonical_anchored_sequences``: one generator
+    per suffix, extended by the pairs of two old labels, then by each old
+    label with the new one."""
+    if n == 0:
+        yield (), 0
+        return
+
+    def build(suffix_rev, r):
+        if len(suffix_rev) == n:
+            yield tuple(reversed(suffix_rev)), r
+            return
+        for a, b in itertools.combinations(range(r + 1), 2):
+            yield from build(suffix_rev + [(a, b)], r)
+        for a in range(r + 1):
+            yield from build(suffix_rev + [(a, r + 1)], r + 1)
+
+    yield from build([(0, 1)], 1)
+
+
+def test_canonical_sequences_equal_the_recursive_generator_in_order():
+    for n in range(7):
+        assert list(O.canonical_anchored_sequences(n)) == list(recursive_anchored_sequences(n))
+    gen = O.canonical_anchored_sequences(6)
+    assert next(gen) == next(recursive_anchored_sequences(6))  # still a lazy generator
+
+
 def test_simplex_volume_identity_by_monte_carlo():
     rng = np.random.default_rng(17)
     m = 200000
@@ -255,6 +282,43 @@ def test_pair_operators_do_not_expand_total_variation():
             joint = np.moveaxis(flat.reshape(shape), (n_lab - 2, n_lab - 1),
                                 (a, b))
         assert np.abs(joint).sum() <= np.abs(mu).sum() + 1e-12
+
+
+def moveaxis_apply_sequence(model, pairs, n_labels, mu0):
+    """``_apply_sequence`` with each pair's axes moved last and back by
+    np.moveaxis."""
+    S = model.n_states
+    joint = mu0
+    for _ in range(n_labels - 1):
+        joint = np.multiply.outer(joint, mu0)
+    joint = np.asarray(joint, dtype=float).reshape((S,) * n_labels)
+    for (a, b) in pairs:
+        moved = np.moveaxis(joint, (a, b), (n_labels - 2, n_labels - 1))
+        shape = moved.shape
+        flat = moved.reshape(-1, S * S) @ model.kernel
+        joint = np.moveaxis(flat.reshape(shape), (n_labels - 2, n_labels - 1), (a, b))
+    axes = tuple(range(1, n_labels))
+    return joint.sum(axis=axes) if axes else joint
+
+
+_SERIES_MODELS = [(O.contagion_model(0.6, 0.1), np.array([0.7, 0.3])),
+                  (O.voter_model(1.0, n_states=3), np.array([0.2, 0.5, 0.3]))]
+
+
+def test_pair_operators_equal_the_moveaxis_reference_bitwise(monkeypatch):
+    for model, mu0 in _SERIES_MODELS:
+        for n in range(5):
+            for pairs, r in O.canonical_anchored_sequences(n):
+                for seq in (pairs, tuple((b, a) for a, b in pairs)):
+                    got = O._apply_sequence(model, seq, r + 1, mu0)
+                    assert got.tobytes() == moveaxis_apply_sequence(model, seq, r + 1, mu0).tobytes()
+        for N in (8, None):
+            got = O.series_marginal(model, mu0, 1.0, 4, n_particles=N)
+            with monkeypatch.context() as m:
+                m.setattr(O, "_apply_sequence", moveaxis_apply_sequence)
+                ref = O.series_marginal(model, mu0, 1.0, 4, n_particles=N)
+            assert got.marginal.tobytes() == ref.marginal.tobytes()
+            assert got.mass_by_length.tobytes() == ref.mass_by_length.tobytes()
 
 
 def test_series_time_zero_returns_initial_measure():
@@ -535,6 +599,36 @@ def test_chaos_statistic_on_particle_ensemble_types():
     assert rep.slope < -0.4
 
 
+def test_chaos_statistic_refuses_replicas_of_the_wrong_size():
+    # replicas of 15 states under N = 20 returned a defect computed with the
+    # wrong N
+    model = O.contagion_model(0.5, 1.0)
+    runs = {N: [O.simulate_pair_system(model, N, 0.5, (0.6, 0.4), seed=r) for r in range(5)]
+            for N in (20, 40)}
+    for n_states in (2, None):
+        short = {**runs, 20: runs[20][:3] + [runs[20][3][:15]] + runs[20][4:]}
+        with pytest.raises(ValueError, match="replica 3 at N=20 holds 15 particle states, not 20"):
+            O.chaos_statistic(short, k=2, n_states=n_states)
+        long = {**runs, 40: [np.r_[r, 0] for r in runs[40]]}
+        with pytest.raises(ValueError, match="replica 0 at N=40 holds 41"):
+            O.chaos_statistic(long, k=2, n_states=n_states)
+        empty = {**runs, 20: runs[20][:4] + [np.array([], dtype=np.int64)]}
+        with pytest.raises(ValueError, match="replica 4 at N=20 holds 0 particle states"):
+            O.chaos_statistic(empty, k=2, n_states=n_states)
+
+
+def test_chaos_statistic_refuses_states_past_n_states():
+    # states >= n_states widened the count rows without an error
+    model = O.contagion_model(0.5, 1.0)
+    runs = {N: [O.simulate_pair_system(model, N, 0.5, (0.6, 0.4), seed=r) for r in range(5)]
+            for N in (20, 40)}
+    for shifted in ([r + 2 for r in runs[20]], runs[20][:4] + [np.r_[runs[20][4][:-1], 2]]):
+        with pytest.raises(ValueError, match="must lie below n_states=2"):
+            O.chaos_statistic({**runs, 20: shifted}, k=2, n_states=2)
+    assert O.chaos_statistic(runs, k=2, n_states=3).correlations == \
+        O.chaos_statistic(runs, k=2, n_states=2).correlations
+
+
 def test_chaos_statistic_k3_runs():
     model = O.contagion_model(0.5, 1.0)
     mu0 = np.array([0.6, 0.4])
@@ -592,6 +686,25 @@ def test_simulate_pair_system_bitwise_equals_per_particle_draws():
                     ref = per_particle_simulation(model, N, t, mu0, seed)
                     assert got.dtype == ref.dtype
                     assert got.tobytes() == ref.tobytes()
+
+
+# seeds of 623, 624, 625 and 1300 words, and two of 625 with zero low words:
+# init_by_array runs max(624, words) steps, and kc_event_count mixes every
+# word past the fourth into its pool
+LONG_SEEDS = (*(2 ** (32 * w - 1) + 3 ** 1300 for w in (623, 624, 625, 1300)),
+              2 ** (32 * 624), 2 ** (32 * 624) + 5)
+
+
+def test_simulate_pair_system_bitwise_for_seeds_longer_than_the_mersenne_state():
+    assert [len(O._seed_key(s)) // 4 for s in LONG_SEEDS] == [623, 624, 625, 1300, 625, 625]
+    models = [(O.contagion_model(0.5, 1.0), (0.6, 0.4)),
+              (O.voter_model(1.0, n_states=3), (0.2, 0.5, 0.3))]
+    for model, mu0 in models:
+        for seed in LONG_SEEDS:
+            for N in (2, 50):
+                got = O.simulate_pair_system(model, N, 0.7, mu0, seed)
+                ref = per_particle_simulation(model, N, 0.7, mu0, seed)
+                assert got.tobytes() == ref.tobytes()
 
 
 def test_simulate_pair_system_bitwise_at_rejection_heavy_sizes():
