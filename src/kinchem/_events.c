@@ -402,9 +402,18 @@ void kc_free_log(Run *r)
  * rejection loop.  Both generators are seeded from the seed's
  * little-endian 32-bit words.  MT19937's seeding starts from the state of
  * init_genrand(19650218), which no seed changes: mt_seed computes it once
- * and copies it on every later call.  Python checks every argument first
- * (oracle.simulate_pair_system); the law and the kernel arrive as
- * row-major doubles. */
+ * and copies it on every later call.  The words come from a block of 624:
+ * each refill runs the twist and then tempers the whole state into an
+ * output buffer, both loops without a branch on the data.  Python checks
+ * every argument first (oracle.simulate_pair_system); the law and the
+ * kernel arrive as row-major doubles.
+ *
+ * A state or outcome is drawn as the first index q whose cumulative value
+ * is >= u.  No entry of a law or a kernel row is negative (PairModel and
+ * oracle._distribution refuse one), so the sums are nondecreasing, and
+ * cumulative() sets +inf from the last positive entry on: that index is the
+ * number of entries < u, which count_below counts over a whole table but
+ * its final entry, without an exit that depends on u. */
 
 /* word j of a little-endian key */
 static uint32_t key_word(const unsigned char *key, int64_t j)
@@ -417,7 +426,8 @@ static uint32_t key_word(const unsigned char *key, int64_t j)
 #define MT_M 397
 
 typedef struct {
-    uint32_t s[MT_N];
+    uint32_t s[MT_N];           /* the state */
+    uint32_t out[MT_N];         /* the tempered words of s, out[i] next */
     int i;
 } MT;
 
@@ -429,7 +439,7 @@ typedef struct {
 static void mt_seed(MT *mt, const unsigned char *key, int64_t n_words)
 {
     static uint32_t base[MT_N];
-    uint32_t *s = mt->s;
+    uint32_t *s = mt->s, prev;
     int64_t i = 1, j = 0, k;
     if (!base[0]) {
         base[0] = 19650218u;
@@ -438,23 +448,24 @@ static void mt_seed(MT *mt, const unsigned char *key, int64_t n_words)
     }
     memcpy(s, base, sizeof base);
     mt->i = MT_N;
+    prev = s[0];                        /* s[i - 1], carried in a register */
     for (k = n_words > MT_N ? n_words : MT_N; k; k--) {
-        s[i] = (s[i] ^ ((s[i - 1] ^ (s[i - 1] >> 30)) * 1664525u)) + key_word(key, j)
-               + (uint32_t)j;
+        prev = s[i] = (s[i] ^ ((prev ^ (prev >> 30)) * 1664525u)) + key_word(key, j)
+                      + (uint32_t)j;
         i++;
         j++;
         if (i >= MT_N) {
-            s[0] = s[MT_N - 1];
+            s[0] = prev;
             i = 1;
         }
         if (j >= n_words)
             j = 0;
     }
     for (k = MT_N - 1; k; k--) {
-        s[i] = (s[i] ^ ((s[i - 1] ^ (s[i - 1] >> 30)) * 1566083941u)) - (uint32_t)i;
+        prev = s[i] = (s[i] ^ ((prev ^ (prev >> 30)) * 1566083941u)) - (uint32_t)i;
         i++;
         if (i >= MT_N) {
-            s[0] = s[MT_N - 1];
+            s[0] = prev;
             i = 1;
         }
     }
@@ -466,26 +477,34 @@ static void mt_seed(MT *mt, const unsigned char *key, int64_t n_words)
 static inline uint32_t mt_twist(const uint32_t *s, int k, int next, int far)
 {
     uint32_t y = (s[k] & 0x80000000u) | (s[next] & 0x7fffffffu);
-    return s[far] ^ (y >> 1) ^ (y & 1u ? 0x9908b0dfu : 0u);
+    return s[far] ^ (y >> 1) ^ (-(y & 1u) & 0x9908b0dfu);
 }
 
-static uint32_t mt_word(MT *mt)
+/* the next state, tempered into out */
+static void mt_refill(MT *mt)
 {
-    uint32_t y, *s = mt->s;
-    if (mt->i == MT_N) {
-        int k = 0;
-        for (; k < MT_N - MT_M; k++)
-            s[k] = mt_twist(s, k, k + 1, k + MT_M);
-        for (; k < MT_N - 1; k++)
-            s[k] = mt_twist(s, k, k + 1, k + MT_M - MT_N);
-        s[k] = mt_twist(s, k, 0, MT_M - 1);
-        mt->i = 0;
+    uint32_t *s = mt->s;
+    int k = 0;
+    for (; k < MT_N - MT_M; k++)
+        s[k] = mt_twist(s, k, k + 1, k + MT_M);
+    for (; k < MT_N - 1; k++)
+        s[k] = mt_twist(s, k, k + 1, k + MT_M - MT_N);
+    s[k] = mt_twist(s, k, 0, MT_M - 1);
+    for (k = 0; k < MT_N; k++) {
+        uint32_t y = s[k];
+        y ^= y >> 11;
+        y ^= (y << 7) & 0x9d2c5680u;
+        y ^= (y << 15) & 0xefc60000u;
+        mt->out[k] = y ^ (y >> 18);
     }
-    y = s[mt->i++];
-    y ^= y >> 11;
-    y ^= (y << 7) & 0x9d2c5680u;
-    y ^= (y << 15) & 0xefc60000u;
-    return y ^ (y >> 18);
+    mt->i = 0;
+}
+
+static inline uint32_t mt_word(MT *mt)
+{
+    if (mt->i == MT_N)
+        mt_refill(mt);
+    return mt->out[mt->i++];
 }
 
 /* random(): 27 + 26 bits of two words */
@@ -659,8 +678,8 @@ static int64_t poisson(PCG *g, double lam)
 }
 
 /* The running sums of p[0..m-1] into cum, added in order as np.cumsum adds
- * them, then +inf at the last positive entry (the last entry if none is):
- * no search runs past it, and no draw that stops at or before it changes. */
+ * them, then +inf from the last positive entry on (the last entry if none
+ * is): no draw passes it, and no draw that stops at or before it changes. */
 static void cumulative(const double *p, int64_t m, double *cum)
 {
     double acc = 0.0;
@@ -671,7 +690,18 @@ static void cumulative(const double *p, int64_t m, double *cum)
         if (p[k] > 0.0)
             last = k;
     }
-    cum[last] = INFINITY;
+    for (; last < m; last++)
+        cum[last] = INFINITY;
+}
+
+/* the first index q with cum[q] >= u, for nondecreasing sums of m entries
+ * that end in +inf: the number of the first m - 1 below u */
+static inline int64_t count_below(const double *cum, int64_t m, double u)
+{
+    int64_t n = 0;
+    for (int64_t q = 0; q < m - 1; q++)
+        n += cum[q] < u;
+    return n;
 }
 
 /* The pair process's event count for the seed whose words are key:
@@ -687,9 +717,10 @@ int64_t kc_event_count(const unsigned char *key, int64_t n_words, double lam)
  * initial states from the law mu0, then Poisson(lam) pair events, each the
  * ordered pair (i, j != i) and an outcome o of the kernel row of
  * (states[i], states[j]) (S*S rows of S*S outcomes, row-major), which sets
- * them to (o / S, o % S).  Each search stops at the first cumulative value
- * >= u of the tables built here, which are freed before the return.
- * Returns KC_NO_MEMORY if they cannot be allocated, else KC_DONE. */
+ * them to (o / S, o % S).  Each draw is the first cumulative value >= u of
+ * the tables built here, found by count_below as a count; the tables are
+ * freed before the return.  Returns KC_NO_MEMORY if they cannot be
+ * allocated, else KC_DONE. */
 int kc_pair_system(const unsigned char *key, int64_t n_words, int64_t n,
                    int64_t n_states, const double *mu0, const double *kernel,
                    double lam, int64_t *states)
@@ -705,22 +736,13 @@ int kc_pair_system(const unsigned char *key, int64_t n_words, int64_t n,
     for (int64_t r = 0; r < m; r++)
         cumulative(kernel + r * m, m, rows + r * m);
     mt_seed(&mt, key, n_words);
-    for (int64_t p = 0; p < n; p++) {
-        double u = mt_uniform(&mt);
-        int64_t s = 0;
-        while (cum0[s] < u)
-            s++;
-        states[p] = s;
-    }
+    for (int64_t p = 0; p < n; p++)
+        states[p] = count_below(cum0, S, mt_uniform(&mt));
     for (; n_events > 0; n_events--) {
         int64_t i = mt_below(&mt, n, bits_n);
         int64_t k = mt_below(&mt, n - 1, bits_m);
         int64_t j = k < i ? k : k + 1;
-        const double *row = rows + (states[i] * S + states[j]) * m;
-        double u = mt_uniform(&mt);
-        int64_t o = 0;
-        while (row[o] < u)
-            o++;
+        int64_t o = count_below(rows + (states[i] * S + states[j]) * m, m, mt_uniform(&mt));
         states[i] = o / S;
         states[j] = o % S;
     }

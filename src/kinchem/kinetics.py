@@ -27,10 +27,13 @@ per-channel counters and its bath sum.  ``run``
 compiles the file with ``cc`` on first use into ``$XDG_CACHE_HOME/kinchem``
 (default ``~/.cache/kinchem``), keyed by the sha256 of the source and the
 build command, and loads it with ``ctypes``; importing this module does
-neither.  Python keeps the set-up, the variate streams, rate plug-ins,
-observers and the ``EventLog``: the kernel calls back for each new block of
-variates and each plug-in rate, and returns at each sample time.  The same
-library runs ``oracle.simulate_pair_system`` (``kc_pair_system``).
+neither.  The library's name also carries a hash of the source file's path,
+and a build deletes only the older libraries of that path, so checkouts that
+share the cache never delete each other's.  Python keeps the set-up, the
+variate streams, rate plug-ins, observers and the ``EventLog``: the kernel
+calls back for each new block of variates and each plug-in rate, and
+returns at each sample time.  The same library runs
+``oracle.simulate_pair_system`` (``kc_pair_system``).
 
 With ``record_events`` a run's ``EventLog`` keeps each accepted event as the
 kernel wrote it, one row of a numpy structured array converted only when
@@ -340,9 +343,10 @@ def _kernel():
     import hashlib
 
     key = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_BUILD).encode()).hexdigest()
+    checkout = hashlib.sha256(str(_SOURCE.resolve()).encode()).hexdigest()[:8]
     cache = pathlib.Path(os.environ.get("XDG_CACHE_HOME")
                          or pathlib.Path.home() / ".cache") / "kinchem"
-    lib = cache / f"_events-{key[:16]}.so"
+    lib = cache / f"_events-{checkout}-{key[:16]}.so"
     if not lib.exists():
         import subprocess
         import tempfile
@@ -362,9 +366,9 @@ def _kernel():
                                f"oracle's replicas, which needs a C compiler on PATH as "
                                f"cc; command: {' '.join(cmd)}\n{failure}")
         os.replace(tmp, lib)
-        # delete the libraries of older sources; a build's mkstemp file has 8
-        # random characters, never 16 hex digits
-        for old in set(cache.glob("_events-" + "[0-9a-f]" * 16 + ".so")) - {lib}:
+        # delete the libraries of this checkout's older sources; a build's
+        # mkstemp file has 8 random characters, never two hex fields
+        for old in set(cache.glob(f"_events-{checkout}-" + "[0-9a-f]" * 16 + ".so")) - {lib}:
             old.unlink(missing_ok=True)
     dll = ctypes.PyDLL(str(lib))        # keeps the GIL held, so callbacks need no hand-off
     dll.kc_run.argtypes = dll.kc_free_log.argtypes = (ctypes.POINTER(_Run),)

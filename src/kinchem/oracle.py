@@ -613,7 +613,11 @@ def simulate_pair_system(model: PairModel, N: int, t: float, mu0,
     builds the cumulative tables of ``mu0`` and the kernel.  Its draws
     reproduce ``random.Random(seed)``'s stream word for word: the N initial
     states by ``random()``, then per event the pair by two ``randrange``
-    calls and the outcome by ``random()``.  The kernel draws the event count
+    calls and the outcome by ``random()``.  The kernel tempers its Mersenne
+    words in blocks of 624, and finds each state or outcome as the number of
+    cumulative values below the uniform rather than by a search; since no
+    entry is negative the sums are nondecreasing, and the count is the
+    search's index.  The kernel draws the event count
     first, bit for bit as
     ``np.random.default_rng(seed ^ 0x9E3779B97F4A7C15).poisson(N * rate * t)``
     draws it, so the replicas do not depend on the installed numpy; a test

@@ -8,10 +8,11 @@ initial field from any law.  Importing neither compiles nor loads the
 C kernel of the particle engine and the oracle's replicas, and neither do
 ``sample_initial_state``, the views of its state or the oracle's exact laws:
 the first ``run()`` or ``simulate_pair_system`` compiles it into
-``$XDG_CACHE_HOME/kinchem``, deleting the libraries of older sources there,
-and later interpreters load it from there.  The exact laws load
-scipy.linalg but no scipy.sparse.  Each check runs in a fresh
-interpreter, since this test process has loaded scipy and the kernel already.
+``$XDG_CACHE_HOME/kinchem``, deleting the libraries of this checkout's older
+sources there but no other checkout's, and later interpreters load it from
+there.  The exact laws load scipy.linalg but no scipy.sparse.  Each check
+runs in a fresh interpreter, since this test process has loaded scipy and
+the kernel already.
 """
 from __future__ import annotations
 
@@ -152,19 +153,45 @@ def test_exact_laws_load_no_scipy_sparse():
     assert proc.stdout.split() == ["True", "[]"]
 
 
+def _checkout() -> str:
+    """The hash of this checkout's source path that prefixes its libraries."""
+    return hashlib.sha256(str(kinetics._SOURCE.resolve()).encode()).hexdigest()[:8]
+
+
+def _library_name() -> str:
+    """The name ``_kernel`` gives this checkout's library of the current source."""
+    key = hashlib.sha256(kinetics._SOURCE.read_bytes()
+                         + " ".join(kinetics._BUILD).encode()).hexdigest()
+    return f"_events-{_checkout()}-{key[:16]}.so"
+
+
 def test_a_new_build_deletes_stale_libraries(tmp_path):
     env = {"XDG_CACHE_HOME": str(tmp_path / "cache")}
     cache = tmp_path / "cache" / "kinchem"
     cache.mkdir(parents=True)
-    (cache / "_events-0123456789abcdef.so").write_bytes(b"stale")
+    (cache / f"_events-{_checkout()}-0123456789abcdef.so").write_bytes(b"stale")
     # another build's temporary file, as tempfile.mkstemp names it
     (cache / "_events-x1_y2z3q.so").write_bytes(b"building")
     proc = _python(_sim_code(tmp_path), **env)
     assert proc.returncode == 0, proc.stderr
-    key = hashlib.sha256(kinetics._SOURCE.read_bytes()
-                         + " ".join(kinetics._BUILD).encode()).hexdigest()
-    assert sorted(p.name for p in cache.iterdir()) == [
-        f"_events-{key[:16]}.so", "_events-x1_y2z3q.so"]
+    assert sorted(p.name for p in cache.iterdir()) == [_library_name(), "_events-x1_y2z3q.so"]
+
+
+def test_a_new_build_keeps_other_checkouts_libraries(tmp_path):
+    # two checkouts whose sources differ share one cache: neither build may
+    # delete the other's library, or switching between them rebuilds both
+    env = {"XDG_CACHE_HOME": str(tmp_path / "cache")}
+    cache = tmp_path / "cache" / "kinchem"
+    cache.mkdir(parents=True)
+    other = "00000000" if _checkout() != "00000000" else "11111111"
+    others = [f"_events-{other}-0123456789abcdef.so",
+              "_events-0123456789abcdef.so"]        # named before the checkout prefix
+    for name in others:
+        (cache / name).write_bytes(b"another checkout")
+    proc = _python(_sim_code(tmp_path), **env)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in cache.iterdir()) == sorted([_library_name(), *others])
+    assert all((cache / name).read_bytes() == b"another checkout" for name in others)
 
 
 def test_missing_compiler_names_the_build_command(tmp_path):

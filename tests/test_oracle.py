@@ -721,6 +721,45 @@ def test_simulate_pair_system_bitwise_at_rejection_heavy_sizes():
         O.simulate_pair_system(models[0][0], 1, 0.5, models[0][1], 0)
 
 
+def single_outcome_model(outcome: int):
+    """Two states whose every pair moves to one outcome: 0 is (0, 0), the
+    first entry of each kernel row, and 3 is (1, 1), the last."""
+    k = np.zeros((4, 4))
+    k[:, outcome] = 1.0
+    return O.PairModel(2, k, 1.0)
+
+
+@pytest.mark.parametrize("model, mu0", [
+    (O.contagion_model(0.5, 1.0), (0.0, 1.0)),
+    (O.voter_model(1.0, n_states=3), (0.0, 0.4, 0.6)),
+    (single_outcome_model(0), (0.6, 0.4)),
+    (single_outcome_model(3), (0.6, 0.4)),
+    (single_outcome_model(3), (0.0, 1.0)),
+], ids=["contagion-first-zero", "voter3-first-zero", "first-outcome-only",
+        "last-outcome-only", "last-outcome-only-first-zero"])
+def test_simulate_pair_system_bitwise_for_tables_with_zero_entries(model, mu0):
+    # kc_pair_system counts the cumulative values below u instead of
+    # searching for the first one >= u: a zero first entry repeats a sum of
+    # 0, and a row whose only positive outcome comes first is +inf throughout
+    for seed in (*range(10), *MULTI_WORD_SEEDS):
+        for N in (2, 5, 50):
+            for t in (0.0, 0.7):
+                got = O.simulate_pair_system(model, N, t, mu0, seed)
+                ref = per_particle_simulation(model, N, t, mu0, seed)
+                assert got.tobytes() == ref.tobytes()
+
+
+def test_simulate_pair_system_bitwise_for_a_large_voter_replica_with_a_zero_first_state():
+    # at N = 1600 and t = 0.5 a replica draws 6,700-7,100 Mersenne words,
+    # about 11 blocks of 624, and its events read 9-entry kernel rows; the
+    # rejection-heavy test runs this size with no zero in the law
+    model = O.voter_model(1.0, n_states=3)
+    for seed in (0, 1, 2 ** 64 + 7):
+        got = O.simulate_pair_system(model, 1600, 0.5, (0.0, 0.4, 0.6), seed)
+        ref = per_particle_simulation(model, 1600, 0.5, (0.0, 0.4, 0.6), seed)
+        assert got.tobytes() == ref.tobytes()
+
+
 def test_simulate_pair_system_bits_do_not_depend_on_the_kernel_layout():
     # kc_pair_system builds its tables from a C-ordered float kernel
     cases = [(O.voter_model(1.0, n_states=3), np.array([0.2, 0.5, 0.3])),
