@@ -90,8 +90,7 @@ class EventLog:
     array of ``dtype``.  ``rows()`` and ``column()`` convert them as they are
     read, to floats, ints, the channel's name and ``None`` for the second
     participant's fields of a one-particle event; iteration builds one
-    ``EventRecord`` per event.  A log equals another log that holds the same
-    events.
+    ``EventRecord`` per event.
     """
 
     columns = ("time", "channel", "i", "j", "type_before", "T_before",
@@ -131,11 +130,6 @@ class EventLog:
                 yield EventRecord(t, channel, (i,), ((a, Ta),), ((a1, Ta1),))
             else:
                 yield EventRecord(t, channel, (i, j), ((a, Ta), (b, Tb)), ((a1, Ta1), (b1, Tb1)))
-
-    def __eq__(self, other):
-        if isinstance(other, EventLog):
-            return np.array_equal(self._rows, other._rows)
-        return NotImplemented
 
 
 @dataclass

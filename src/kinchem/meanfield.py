@@ -1,19 +1,20 @@
 """Deterministic integration of the one-particle kinetic equation and its
 fast-scale reductions.
 
-The full equation evolves the joint density p_t(j, T) on an energy grid under
-the four particle channels.  Unary type changes shift the energy exactly and
-deposit it onto the bracketing nodes, each node's rate weighted by the
-fraction of its cell above the threshold.  Every other channel is a pair
-collision that redraws the pair's energy as a Beta(3/2, 3/2) split: a fast
-collision keeps both types, a slow outcome may change them and pays its
-chemical-energy shift from the pair total, and bath contact is a collision
-with a partner drawn from the bath law Gamma(3/2, beta).  So fast collisions
-and slow outcomes form one list of binary terms.  All channels are
-discretized conservatively in mass coordinates: one hat projection, shared by
-the split of a pair total, the bath law and the initial laws, carries a law
-onto the grid with its mass and mean energy, so the discrete operators
-inherit the continuum conservation laws up to grid-edge clipping.
+The full equation evolves the joint law p_t(j, T) on an energy grid under
+the four particle channels, held as the mass of each type on each node's hat
+function.  Unary type changes shift the energy exactly and deposit it onto
+the bracketing nodes, each node's rate weighted by the fraction of its cell
+above the threshold.  Every other channel is a pair collision that redraws
+the pair's energy as a Beta(3/2, 3/2) split: a fast collision keeps both
+types, a slow outcome may change them and pays its chemical-energy shift from
+the pair total, and bath contact is a collision with a partner drawn from the
+bath law Gamma(3/2, beta).  So fast collisions and slow outcomes form one
+list of binary terms.  All channels are discretized conservatively on those
+masses: one hat projection, shared by the split of a pair total, the bath law
+and the initial laws, carries a law onto the grid with its mass and mean
+energy, so the discrete operators inherit the continuum conservation laws up
+to grid-edge clipping.  Only ``DensityField.marginal`` forms a density.
 
 The split deposition needs no incomplete beta function: with theta =
 arcsin sqrt(u), Beta(3/2, 3/2) has the closed-form CDF F(u) = (2/pi)(theta -
@@ -284,12 +285,12 @@ def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DensityField:
-    """Discretized joint density p(j, T) on a uniform grid: values[j, k] w_k
-    >= 0 is the mass of type j on node k's hat function, w being the
-    trapezoid weights, so values[j, k] is p(j, T_k) for a smooth density.
+    """Discretized joint law p(j, T) on a uniform grid: values[j, k] >= 0 is
+    the mass of type j on node k's hat function, so values[j, k] / w_k, w
+    being the trapezoid weights, is p(j, T_k) for a smooth density.
 
-    Masses sum over the trapezoid rule; ``integrate_boltzmann`` clips
-    negative undershoots and rescales to unit mass after every step.
+    ``integrate_boltzmann`` clips negative undershoots and rescales to unit
+    mass after every step.
     """
 
     grid: np.ndarray
@@ -308,35 +309,31 @@ class DensityField:
     def n_types(self) -> int:
         return self.values.shape[0]
 
-    def weights(self) -> np.ndarray:
-        return _trapezoid_weights(self.grid)
-
     def masses(self) -> np.ndarray:
-        """Per-type probability masses (trapezoid)."""
-        return self.values @ self.weights()
+        """Per-type probability masses."""
+        return self.values.sum(axis=1)
 
     def norm(self) -> float:
         return float(self.masses().sum())
 
     def mean_energy(self) -> float:
-        w = self.weights()
-        return float((self.values @ (w * self.grid)).sum() / self.norm())
+        return float((self.values @ self.grid).sum() / self.norm())
 
     def marginal(self, j: int) -> np.ndarray:
-        """Normalized kinetic-energy density of (1-based) type j."""
+        """Normalized kinetic-energy density of (1-based) type j at the nodes."""
         mass = self.masses()[j - 1]
-        return self.values[j - 1] / mass
+        return self.values[j - 1] / (mass * _trapezoid_weights(self.grid))
 
 
 def field_from_laws(grid: np.ndarray, weights: Sequence[float], laws) -> DensityField:
-    """Density field of per-type weights and kinetic-energy laws: each
+    """Field of per-type weights and kinetic-energy laws: each
     distinct law is carried once onto the grid's hat functions
     (``_hat_weights``), which keeps its mass and mean, and scaled to each
     type's weight.  A uniform or point law that reaches below 0 or past the
     grid's last node, or a uniform law with low > high, is refused."""
     grid = np.asarray(grid, dtype=float)
     last = float(grid[-1])
-    rho = np.zeros((len(weights), grid.size))
+    mass = np.zeros((len(weights), grid.size))
     projected = {}
     for j, (wt, law) in enumerate(zip(weights, laws)):
         if law not in projected:
@@ -353,12 +350,12 @@ def field_from_laws(grid: np.ndarray, weights: Sequence[float], laws) -> Density
                 projected[law] = _uniform_hat_weights(grid, low, top)
             else:
                 raise ValueError(f"unknown law {law.law!r}")
-        rho[j] = wt * projected[law]
-    return DensityField(grid, rho / _trapezoid_weights(grid))
+        mass[j] = wt * projected[law]
+    return DensityField(grid, mass)
 
 
 def field_from_spec(spec: EnsembleSpec, grid: np.ndarray) -> DensityField:
-    """The spec's initial distribution as a density field on ``grid``."""
+    """The spec's initial distribution as a field on ``grid``."""
     dist = spec.initial_distribution
     return field_from_laws(grid, dist.type_weights, dist.energy_laws)
 
@@ -541,7 +538,7 @@ def _uniform_hat_weights(grid: np.ndarray, low: float, high: float) -> np.ndarra
 class BoltzmannIntegrator:
     """Conservative RK4 integrator for the discretized kinetic equation.
 
-    Operates on per-type mass vectors rho[j, k] = p(j, T_k) w_k.  A unary
+    Operates on the masses rho[j, k] of ``DensityField.values``.  A unary
     change j -> j1 needs kinetic energy T >= K_j1 - K_j: its rate at node k
     is weighted by the fraction of the cell [T_k - h/2, T_k + h/2] above
     that threshold (``_cell_fraction_above``), 1/2 at a node on it, and the
@@ -590,7 +587,6 @@ class BoltzmannIntegrator:
                  enable_slow_binary: bool = True):
         self.grid = np.asarray(grid, dtype=float)
         self.h = float(self.grid[1] - self.grid[0])
-        self.weights = _trapezoid_weights(self.grid)
         J = spec.n_types
         M = self.grid.size - 1
         K = spec.chem_energies()
@@ -795,7 +791,7 @@ def integrate_boltzmann(field: DensityField, spec: EnsembleSpec, t_end: float,
                         dt: Optional[float] = None, *,
                         sample_every: Optional[float] = None,
                         enable_slow_binary: bool = True) -> MeanFieldTrajectory:
-    """March the density field to t_end with fixed-step RK4.
+    """March the field to t_end with fixed-step RK4.
 
     Every channel the spec sets runs, slow binary included unless
     ``enable_slow_binary`` is False; a ``slow_fn`` plug-in raises ValueError.
@@ -817,9 +813,7 @@ def integrate_boltzmann(field: DensityField, spec: EnsembleSpec, t_end: float,
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     clock = sample_times(0.0, t_end, sample_every)
     integ = BoltzmannIntegrator(spec, field.grid, enable_slow_binary=enable_slow_binary)
-    w = integ.weights
-    rho = field.values * w
-    rho /= rho.sum()
+    rho = field.values / field.values.sum()
     rate = integ.max_out_rate(rho)
     if dt is None:
         dt = 0.4 / rate if rate > 0.0 else t_end or 1.0
@@ -829,7 +823,9 @@ def integrate_boltzmann(field: DensityField, spec: EnsembleSpec, t_end: float,
 
     a = next(clock)
     times = [a]
-    fields = [DensityField(field.grid, rho / w)]
+    # each snapshot holds the step's own array: rk4_step returns a new one,
+    # and the clip and the renormalization act in place only on that one
+    fields = [DensityField(field.grid, rho)]
     drift = 0.0
     clipped = 0.0
     for b in clock:
@@ -848,6 +844,6 @@ def integrate_boltzmann(field: DensityField, spec: EnsembleSpec, t_end: float,
                     f"step size violates stability bound at t={a + k * h:.3g}: "
                     f"dt*rate = {rate * h:.3g} > 0.5")
         times.append(b)
-        fields.append(DensityField(field.grid, rho / w))
+        fields.append(DensityField(field.grid, rho))
         a = b
     return MeanFieldTrajectory(np.asarray(times), fields, drift, clipped)

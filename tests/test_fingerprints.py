@@ -12,7 +12,8 @@ pinned by value instead, under the file's ``values`` key, and checked within
 ``VALUE_TOL``: BLAS may sum in another order on another machine.  Recording
 keeps every recorded value that still passes and replaces only those that
 fail, naming each replaced field ``values/<case>/<field>`` among the changed
-cases it prints.
+cases it prints, and prints the largest |new - recorded| of every recorded
+field, kept or replaced.
 
 A change that moves a digest changes what a seed produces; name the case and
 the reason in CHANGES.md before recording again.  To record the digests of
@@ -233,14 +234,18 @@ def test_recording_names_each_moved_engine_value():
     got = {"a/m=1": {"x": [1.0 + VALUE_TOL / 2, 2.0], "y": 0.5 + 4 * VALUE_TOL,
                      "z": [[3.0], [4.0]], "new": 1.0},
            "b": {"x": [1.0 - 2 * VALUE_TOL]}, "c": {"x": [5.0]}}
-    values, moved = _kept_values(recorded, got)
+    values, moved, largest = _kept_values(recorded, got)
     # a value within VALUE_TOL keeps its recorded bits; one beyond it, or a
     # field whose shape changed, moves; a field or case new to the file is
-    # recorded without a name
+    # recorded without a name.  Each recorded field of unchanged shape
+    # reports its largest move, kept or not.
     assert values == {"a/m=1": {"x": [1.0, 2.0], "y": 0.5 + 4 * VALUE_TOL,
                                 "z": [[3.0], [4.0]], "new": 1.0},
                       "b": {"x": [1.0 - 2 * VALUE_TOL]}, "c": {"x": [5.0]}}
     assert moved == ["values/a/m=1/y", "values/a/m=1/z", "values/b/x"]
+    assert largest == {"values/a/m=1/x": (1.0 + VALUE_TOL / 2) - 1.0,
+                       "values/a/m=1/y": (0.5 + 4 * VALUE_TOL) - 0.5,
+                       "values/b/x": 1.0 - (1.0 - 2 * VALUE_TOL)}
 
 
 def _kept(old, new):
@@ -252,22 +257,26 @@ def _kept(old, new):
 
 
 def _kept_values(recorded: dict, got: dict):
-    """The ``values`` block to record from ``got`` (``_kept`` per field), and
-    the names ``values/<case>/<field>`` of the recorded fields it moves."""
-    values, moved = {}, []
+    """The ``values`` block to record from ``got`` (``_kept`` per field), the
+    names ``values/<case>/<field>`` of the recorded fields it moves, and the
+    largest |new - recorded| of each recorded field whose shape is kept."""
+    values, moved, largest = {}, [], {}
     for case, fields in got.items():
         values[case] = {}
         for name, value in fields.items():
             old = recorded.get(case, {}).get(name)
             values[case][name] = _kept(old, value)
+            key = f"values/{case}/{name}"
+            if old is not None and np.shape(old) == np.shape(value):
+                largest[key] = float(np.max(np.abs(np.subtract(value, old)), initial=0.0))
             if old is not None and values[case][name] != old:
-                moved.append(f"values/{case}/{name}")
-    return values, moved
+                moved.append(key)
+    return values, moved, largest
 
 
 def _record() -> None:
     table = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
-    table["values"], moved = _kept_values(table.get("values", {}), engine_values())
+    table["values"], moved, largest = _kept_values(table.get("values", {}), engine_values())
     old = table.get(NUMPY_KEY, {})
     new = {}
     for make in GROUPS.values():
@@ -277,6 +286,8 @@ def _record() -> None:
     DIGESTS.write_text(json.dumps(dict(sorted(table.items())), indent=1) + "\n")
     print(f"recorded {len(new)} fingerprints for {NUMPY_KEY} in {DIGESTS}; "
           f"changed: {changed or 'none'}")
+    print("largest |new - recorded| per engine value: "
+          + (", ".join(f"{k} {v:.2g}" for k, v in largest.items()) or "none"))
 
 
 if __name__ == "__main__":

@@ -505,7 +505,7 @@ def test_determinism_identical_event_logs(two_state_spec_factory):
     b = sample_initial_state(spec, 43)
     _, ev_a = run(a, spec, 2.0, seed=44, record_events=True)
     _, ev_b = run(b, spec, 2.0, seed=44, record_events=True)
-    assert ev_a == ev_b
+    assert list(ev_a.rows()) == list(ev_b.rows())
     assert a.energies == b.energies and a.types == b.types
     assert a.positions().tolist() == b.positions().tolist()
 
@@ -715,7 +715,8 @@ def test_run_with_rng_equals_run_with_seed(two_state_spec_factory):
     b = sample_initial_state(spec, 73)
     _, ev_a = run(a, spec, 2.0, seed=74, record_events=True)
     _, ev_b = run(b, spec, 2.0, rng=random.Random(74), record_events=True)
-    assert ev_a and ev_a == ev_b
+    assert len(ev_a) > 0
+    assert list(ev_a.rows()) == list(ev_b.rows())
     assert a.energies == b.energies and a.types == b.types
     assert a.positions().tolist() == b.positions().tolist()
     assert (a.event_counts, a.proposal_counts, a.noop_counts) == \
