@@ -14,11 +14,13 @@
  *
  * Variates come from seven streams of `block` doubles each, read in order;
  * the particle and partner streams hold integers, exact below 2^53.
- * When a stream runs out, refill(k) asks Python for its next block, so the
- * numpy Generator is drawn in the same order as a Python loop would draw
- * it.  Plug-in rates are Python callbacks too, which also check the rates
- * against their thinning bounds.  A callback returns nonzero when it raised;
- * kc_run then returns KC_CALLBACK and Python re-raises.
+ * When a stream runs out, kc_fill() draws its next block on the run's numpy
+ * Generator, through its bitgen_t, with the C functions that the Generator's
+ * own methods call (numpy's libnpyrandom.a, linked into this library): the
+ * blocks are bit for bit those of the numpy calls, drawn in the same order.
+ * Plug-in rates are Python callbacks, which also check the rates against
+ * their thinning bounds.  A callback returns nonzero when it raised; kc_run
+ * then returns KC_CALLBACK and Python re-raises.
  *
  * kc_run returns KC_STOP when the next proposal time reaches t_stop, with
  * that time in t_next; the next call resumes from it without a new draw.
@@ -27,16 +29,37 @@
  * copies into its EventLog once, when the run ends.
  */
 #include <math.h>
+#include <stdbool.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-enum { KC_DONE, KC_STOP, KC_CALLBACK, KC_NO_MEMORY };
+/* KC_NO_PARTNER: the partner stream asked for at n < 2; KC_BAD_TABLE: a
+ * negative, NaN or infinite entry in a table of kc_pair_system */
+enum { KC_DONE, KC_STOP, KC_CALLBACK, KC_NO_MEMORY, KC_NO_PARTNER, KC_BAD_TABLE };
 enum { WAITING, UNIFORM, PARTICLE, PARTNER, SPLIT, BATH, NORMAL, N_STREAMS };
 enum { UNARY, SLOW, FAST, HEAT };
 
-typedef int (*refill_fn)(int64_t stream);
+/* numpy's bitgen_t, field for field as numpy/random/bitgen.h declares it,
+ * and the samplers of numpy/random/distributions.h that the Generator's
+ * methods call.  That header includes Python.h, which strict C99 refuses. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+void random_standard_exponential_fill(bitgen_t *bitgen_state, intptr_t cnt, double *out);
+void random_standard_uniform_fill(bitgen_t *bitgen_state, intptr_t cnt, double *out);
+void random_standard_normal_fill(bitgen_t *bitgen_state, intptr_t cnt, double *out);
+void random_bounded_uint64_fill(bitgen_t *bitgen_state, uint64_t off, uint64_t rng,
+                                intptr_t cnt, bool use_masked, uint64_t *out);
+double random_beta(bitgen_t *bitgen_state, double a, double b);
+double random_gamma(bitgen_t *bitgen_state, double shape, double scale);
+
 /* unary_fn stores the rate of j -> j1 in rates[j1] for every j1 != j */
 typedef int (*unary_fn)(int64_t j, double T, double *rates);
 typedef int (*slow_fn)(int64_t a, int64_t b, double Ta, double Tb, double *rate);
@@ -77,7 +100,7 @@ EVENT_WORD(T2_after, 11);
 typedef struct {
     /* set by run() */
     int64_t n, n_types, track, record, table_kernel, block;
-    double R_total, c1, c2, c3, ubar, bmax, fmax, box_side;
+    double R_total, c1, c2, c3, ubar, bmax, fmax, box_side, bath_scale;
     const double *K, *mass, *unary, *slow, *fast;  /* J, J, J*J, J*J, J*J */
     const int64_t *out_start;     /* J*J + 1 offsets into out_types / out_prob */
     const int64_t *out_types;     /* 0-based outcome pairs */
@@ -89,7 +112,7 @@ typedef struct {
     double *rates;                /* J scratch values */
     double *buf;                  /* N_STREAMS rows of block values */
     int64_t pos[N_STREAMS];
-    refill_fn refill;
+    bitgen_t *bitgen;             /* the run's Generator */
     unary_fn unary_fn;            /* NULL: threshold rates from unary */
     slow_fn slow_fn;              /* NULL: constant rates from slow */
     /* advanced by kc_run, as are the particle columns, counters and bath sum */
@@ -99,19 +122,67 @@ typedef struct {
     int64_t log_len, log_cap;
 } Run;
 
+/* The next m variates of stream k into out, as numpy's Generator draws
+ * them: standard_exponential(m), random(m), integers(n, size=m),
+ * integers(n - 1, size=m), beta(1.5, 1.5, m), gamma(1.5, bath_scale, m) and
+ * standard_normal(m), the integers as doubles.  Beta(3/2, 3/2) is the
+ * conditional law of X1/(X1+X2) for i.i.d. energies with density
+ * c sqrt(x) exp(-beta x): the one split law of the fast, slow-binary and
+ * heat channels.  Returns KC_NO_PARTNER for the partner stream at n < 2,
+ * whose bound n - 2 would wrap. */
+int kc_fill(bitgen_t *bg, int64_t k, int64_t n, double bath_scale, int64_t m, double *out)
+{
+    int64_t i;
+    switch (k) {
+    case WAITING:
+        random_standard_exponential_fill(bg, m, out);
+        break;
+    case UNIFORM:
+        random_standard_uniform_fill(bg, m, out);
+        break;
+    case PARTICLE:
+    case PARTNER:
+        if (k == PARTNER && n < 2)
+            return KC_NO_PARTNER;
+        /* integers in place of the doubles, each read by memcpy before the
+         * double overwrites it */
+        random_bounded_uint64_fill(bg, 0, (uint64_t)(n - 1 - (k == PARTNER)), m, false,
+                                   (uint64_t *)out);
+        for (i = 0; i < m; i++) {
+            uint64_t v;
+            memcpy(&v, out + i, sizeof v);
+            out[i] = (double)v;
+        }
+        break;
+    case SPLIT:
+        for (i = 0; i < m; i++)
+            out[i] = random_beta(bg, 1.5, 1.5);
+        break;
+    case BATH:
+        for (i = 0; i < m; i++)
+            out[i] = random_gamma(bg, 1.5, bath_scale);
+        break;
+    default:
+        random_standard_normal_fill(bg, m, out);
+    }
+    return KC_DONE;
+}
+
 /* inline: every draw passes here, and gcc -O2 would call it */
 static inline int next_value(Run *r, int k, double *v)
 {
     if (r->pos[k] == r->block) {
-        if (r->refill(k))
-            return 1;
+        int rc = kc_fill(r->bitgen, k, r->n, r->bath_scale, r->block, r->buf + k * r->block);
+        if (rc)
+            return rc;
         r->pos[k] = 0;
     }
     *v = r->buf[k * r->block + r->pos[k]++];
-    return 0;
+    return KC_DONE;
 }
 
-#define DRAW(k, v) do { if (next_value(r, k, &(v))) return KC_CALLBACK; } while (0)
+#define CHECK(call) do { int rc_ = (call); if (rc_) return rc_; } while (0)
+#define DRAW(k, v) CHECK(next_value(r, k, &(v)))
 
 /* Python's float % for a positive L, then the fold of L itself back to 0. */
 static double wrap(double v, double L)
@@ -204,8 +275,6 @@ static int log_event(Run *r, int64_t channel, int64_t i, int64_t j,
     r->log[r->log_len++] = (Event){r->t, channel, i, j, a, Ta, a1, Ta1, b, Tb, b1, Tb1};
     return KC_DONE;
 }
-
-#define CHECK(call) do { int rc_ = (call); if (rc_) return rc_; } while (0)
 
 static int unary_event(Run *r)
 {
@@ -409,11 +478,13 @@ void kc_free_log(Run *r)
  * kernel arrive as row-major doubles.
  *
  * A state or outcome is drawn as the first index q whose cumulative value
- * is >= u.  No entry of a law or a kernel row is negative (PairModel and
- * oracle._distribution refuse one), so the sums are nondecreasing, and
- * cumulative() sets +inf from the last positive entry on: that index is the
- * number of entries < u, which count_below counts over a whole table but
- * its final entry, without an exit that depends on u. */
+ * is >= u.  No entry of a law or a kernel row is negative, NaN or infinite
+ * (oracle._distribution refuses such a law, and cumulative() such a kernel,
+ * which a caller may have reassigned after PairModel checked it), so the
+ * sums are nondecreasing, and cumulative() sets +inf from the last positive
+ * entry on: that index is the number of entries < u, which count_below
+ * counts over a whole table but its final entry, without an exit that
+ * depends on u. */
 
 /* word j of a little-endian key */
 static uint32_t key_word(const unsigned char *key, int64_t j)
@@ -679,12 +750,15 @@ static int64_t poisson(PCG *g, double lam)
 
 /* The running sums of p[0..m-1] into cum, added in order as np.cumsum adds
  * them, then +inf from the last positive entry on (the last entry if none
- * is): no draw passes it, and no draw that stops at or before it changes. */
-static void cumulative(const double *p, int64_t m, double *cum)
+ * is): no draw passes it, and no draw that stops at or before it changes.
+ * Returns KC_BAD_TABLE if an entry is negative, NaN or infinite. */
+static int cumulative(const double *p, int64_t m, double *cum)
 {
     double acc = 0.0;
     int64_t last = m - 1;
     for (int64_t k = 0; k < m; k++) {
+        if (!(p[k] >= 0.0 && p[k] < INFINITY))
+            return KC_BAD_TABLE;
         acc += p[k];
         cum[k] = acc;
         if (p[k] > 0.0)
@@ -692,6 +766,7 @@ static void cumulative(const double *p, int64_t m, double *cum)
     }
     for (; last < m; last++)
         cum[last] = INFINITY;
+    return KC_DONE;
 }
 
 /* the first index q with cum[q] >= u, for nondecreasing sums of m entries
@@ -720,21 +795,26 @@ int64_t kc_event_count(const unsigned char *key, int64_t n_words, double lam)
  * them to (o / S, o % S).  Each draw is the first cumulative value >= u of
  * the tables built here, found by count_below as a count; the tables are
  * freed before the return.  Returns KC_NO_MEMORY if they cannot be
- * allocated, else KC_DONE. */
+ * allocated, KC_BAD_TABLE if an entry of mu0 or the kernel is negative, NaN
+ * or infinite, else KC_DONE. */
 int kc_pair_system(const unsigned char *key, int64_t n_words, int64_t n,
                    int64_t n_states, const double *mu0, const double *kernel,
                    double lam, int64_t *states)
 {
     MT mt;
     int64_t S = n_states, m = S * S, n_events = kc_event_count(key, n_words, lam);
-    int bits_n = bit_length(n), bits_m = bit_length(n - 1);
+    int bits_n = bit_length(n), bits_m = bit_length(n - 1), rc;
     double *cum0 = malloc((size_t)(S + m * m) * sizeof *cum0), *rows;
     if (!cum0)
         return KC_NO_MEMORY;
     rows = cum0 + S;
-    cumulative(mu0, S, cum0);
-    for (int64_t r = 0; r < m; r++)
-        cumulative(kernel + r * m, m, rows + r * m);
+    rc = cumulative(mu0, S, cum0);
+    for (int64_t r = 0; r < m && !rc; r++)
+        rc = cumulative(kernel + r * m, m, rows + r * m);
+    if (rc) {
+        free(cum0);
+        return rc;
+    }
     mt_seed(&mt, key, n_words);
     for (int64_t p = 0; p < n; p++)
         states[p] = count_below(cum0, S, mt_uniform(&mt));

@@ -25,15 +25,16 @@ The event rules and the flight live in C, ``kc_run`` and ``kc_flush`` in
 ``_events.c``, which work in place on the state's buffers: its columns, its
 per-channel counters and its bath sum.  ``run``
 compiles the file with ``cc`` on first use into ``$XDG_CACHE_HOME/kinchem``
-(default ``~/.cache/kinchem``), keyed by the sha256 of the source and the
-build command, and loads it with ``ctypes``; importing this module does
-neither.  The library's name also carries a hash of the source file's path,
-and a build deletes only the older libraries of that path, so checkouts that
-share the cache never delete each other's.  Python keeps the set-up, the
-variate streams, rate plug-ins, observers and the ``EventLog``: the kernel
-calls back for each new block of variates and each plug-in rate, and
-returns at each sample time.  The same library runs
-``oracle.simulate_pair_system`` (``kc_pair_system``).
+(default ``~/.cache/kinchem``), linked with numpy's static library of random
+samplers (``numpy/random/lib/libnpyrandom.a``) and keyed by the sha256 of
+the source, the build command and that library, and loads it with
+``ctypes``; importing this module does neither.  The library's name also
+carries a hash of the source file's path, and a build deletes only the older
+libraries of that path, so checkouts that share the cache never delete each
+other's.  Python keeps the set-up, rate plug-ins, observers and the
+``EventLog``: the kernel calls back for each plug-in rate, and returns at
+each sample time.  The same library runs ``oracle.simulate_pair_system``
+(``kc_pair_system``).
 
 With ``record_events`` a run's ``EventLog`` keeps each accepted event as the
 kernel wrote it, one row of a numpy structured array converted only when
@@ -41,7 +42,10 @@ read, so a long log gives the garbage collector nothing to track.
 
 ``run`` draws every variate it consumes from one ``numpy.random.Generator``
 seeded from the ``random.Random`` it is given, in blocks of 512 per kind of
-variate, and the kernel reads each block in order.
+variate, and the kernel reads each block in order.  The kernel draws each
+block itself, on the Generator's ``bitgen_t``, with the C functions that
+numpy's own methods call (``kc_fill``), so a block holds the bits of the
+numpy call it stands for.
 """
 from __future__ import annotations
 
@@ -299,12 +303,12 @@ def sample_initial_state(spec: EnsembleSpec, seed: Optional[int] = None) -> Ense
 _SOURCE = pathlib.Path(__file__).with_name("_events.c")
 # no FMA contraction and no -ffast-math: every event must round as the fingerprints pin
 _BUILD = ("cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
-_BLOCK = 512    # variates per refill of each stream; small blocks keep peak memory flat
-# kc_run's return codes
-_DONE, _STOP, _CALLBACK, _NO_MEMORY = range(4)
+_BLOCK = 512    # variates per fill of each stream; small blocks keep peak memory flat
+_STREAMS = 7    # the kernel's variate streams, WAITING to NORMAL
+# the return codes of kc_run, kc_fill and kc_pair_system
+_DONE, _STOP, _CALLBACK, _NO_MEMORY, _NO_PARTNER, _BAD_TABLE = range(6)
 
 _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-_REFILL = ctypes.CFUNCTYPE(ctypes.c_int, _I64)
 _UNARY_FN = ctypes.CFUNCTYPE(ctypes.c_int, _I64, _F64, ctypes.POINTER(_F64))
 _SLOW_FN = ctypes.CFUNCTYPE(ctypes.c_int, _I64, _I64, _F64, _F64, ctypes.POINTER(_F64))
 
@@ -321,22 +325,36 @@ class _Run(ctypes.Structure):
     _fields_ = (
         [(f, _I64) for f in ("n", "n_types", "track", "record", "table_kernel", "block")]
         + [(f, _F64) for f in ("R_total", "c1", "c2", "c3", "ubar", "bmax", "fmax",
-                                "box_side")]
+                                "box_side", "bath_scale")]
         + [(f, _PTR) for f in _BUFFERS]
-        + [("pos", _I64 * 7), ("refill", _REFILL),
+        + [("pos", _I64 * _STREAMS), ("bitgen", _PTR),
            ("unary_fn", _UNARY_FN), ("slow_fn", _SLOW_FN)]
         + [(f, _F64) for f in ("t", "t_next", "t_stop")]
         + [(f, _I64) for f in ("n_left", "resume")]
         + [("log", _PTR), ("log_len", _I64), ("log_cap", _I64)])
 
 
+def _npyrandom() -> pathlib.Path:
+    """numpy's static library of the Generator's samplers, which the kernel links."""
+    return pathlib.Path(np.random.__file__).with_name("lib") / "libnpyrandom.a"
+
+
 @functools.cache
 def _kernel():
     """The C kernel of ``run()`` and ``oracle.simulate_pair_system``, compiled
-    into the cache directory unless already there."""
+    into the cache directory unless already there.  The library's name hashes
+    numpy's archive along with the source and the build command, so a new
+    numpy builds a new library."""
     import hashlib
 
-    key = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_BUILD).encode()).hexdigest()
+    archive = _npyrandom()
+    try:
+        samplers = archive.read_bytes()
+    except OSError as exc:
+        raise RuntimeError(f"cannot read numpy's library of random samplers, which the C "
+                           f"kernel of the particle engine links: {archive}\n{exc}") from None
+    key = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_BUILD).encode()
+                         + samplers).hexdigest()
     checkout = hashlib.sha256(str(_SOURCE.resolve()).encode()).hexdigest()[:8]
     cache = pathlib.Path(os.environ.get("XDG_CACHE_HOME")
                          or pathlib.Path.home() / ".cache") / "kinchem"
@@ -348,7 +366,7 @@ def _kernel():
         cache.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix="_events-", suffix=".so", dir=cache)
         os.close(fd)
-        cmd = [*_BUILD, "-o", tmp, str(_SOURCE), "-lm"]
+        cmd = [*_BUILD, "-o", tmp, str(_SOURCE), str(archive), "-lm"]
         try:
             proc = subprocess.run(cmd, capture_output=True, text=True)
             failure = proc.stderr if proc.returncode else None
@@ -370,6 +388,7 @@ def _kernel():
     dll.kc_pair_system.argtypes = (ctypes.c_char_p, _I64, _I64, _I64, _PTR, _PTR, _F64, _PTR)
     dll.kc_event_count.argtypes = (ctypes.c_char_p, _I64, _F64)
     dll.kc_event_count.restype = _I64
+    dll.kc_fill.argtypes = (_PTR, _I64, _I64, _F64, _I64, _PTR)
     dll.kc_free_log.restype = dll.kc_flush.restype = None
     return dll
 
@@ -447,11 +466,13 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
 
     Every variate comes from one ``numpy.random.Generator`` seeded with 128
     bits of ``rng`` (built from ``seed``, or ``spec.rng_seed + 1``, when not
-    given), drawn in blocks with one stream per kind of variate.  The run is
-    deterministic given (state, seed) for a given numpy version.  The events
-    run in the compiled kernel, built on the first call (see the module
-    docstring); an exception raised by a rate plug-in or an observer
-    propagates, with the counters of the proposals made until then.
+    given), drawn in blocks with one stream per kind of variate.  The kernel
+    fills each block in C with numpy's own samplers, bit for bit the block
+    of the Generator method it stands for.  The run is deterministic given
+    (state, seed) for a given numpy version.  The events run in the compiled
+    kernel, built on the first call (see the module docstring); an exception
+    raised by a rate plug-in or an observer propagates, with the counters of
+    the proposals made until then.
 
     Returns (state, events) where events is the ``EventLog`` of the accepted
     events in time order (empty unless record_events).  Raises TypeError if
@@ -463,7 +484,7 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
     if observers are given with a ``sample_every`` that is not positive and
     finite, or if a column of ``state`` is not the buffer the kernel reads or
     holds a type id outside the spec; RuntimeError, naming the command, if
-    the kernel cannot be built.
+    the kernel cannot be built, or naming numpy's archive if it is missing.
     """
     if isinstance(max_events, bool) or not isinstance(max_events, (int, np.integer, type(None))):
         raise TypeError(f"max_events must be an int or None, got {max_events!r}")
@@ -499,26 +520,12 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
     kc = _kernel()
     if rng is None:
         rng = random.Random(spec.rng_seed + 1 if seed is None else seed)
+    # the kernel holds only a pointer to this Generator's bitgen_t: the local
+    # keeps the Generator alive until the run returns
     gen = np.random.default_rng(rng.getrandbits(128))
-
-    # the seven variate streams as doubles, in the kernel's order; each is
-    # refilled only when the kernel has read its last block, so none is drawn ahead
-    draws = (
-        gen.standard_exponential,                           # waiting times
-        gen.random,                                         # uniforms
-        lambda k: gen.integers(n, size=k),                  # particles
-        lambda k: gen.integers(n - 1, size=k),              # partners
-        # Beta(3/2, 3/2) is the conditional law of X1/(X1+X2) for i.i.d.
-        # energies with density c sqrt(x) exp(-beta x): the one split law of
-        # the fast, slow-binary and heat channels
-        lambda k: gen.beta(1.5, 1.5, k),
-        lambda k: gen.gamma(1.5, 1.0 / r.bath_beta, k),     # bath energies
-        gen.standard_normal,                                # directions
-    )
-    bufs = np.empty((len(draws), _BLOCK))       # one row per stream
-
-    def refill(k):
-        bufs[k] = draws[k](_BLOCK)
+    # one row per variate stream; the kernel fills a row only when it has read
+    # the row's last value, so no stream is drawn ahead
+    bufs = np.empty((_STREAMS, _BLOCK))
 
     failure = []
     tables = [np.array(x, dtype=float) for x in (state.species_K, state.species_mass,
@@ -528,7 +535,8 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
                table_kernel=r.binary_kernel.kind != "identity", block=_BLOCK, R_total=R_total,
                c1=R_unary, c2=R_unary + R_slow, c3=R_unary + R_slow + R_fast,
                ubar=ubar, bmax=bmax, fmax=fmax, box_side=state.box_side,
-               refill=_REFILL(_catching(refill, failure)), t=state.sim_time,
+               bath_scale=1.0 / r.bath_beta, bitgen=gen.bit_generator.ctypes.bit_generator,
+               t=state.sim_time,
                # accepted events left before max_events stops the run; -1 never reaches 0
                n_left=-1 if max_events is None else int(max_events))
     rates = np.zeros(J)                 # the unary channel's scratch row
@@ -536,7 +544,7 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
     for name, buf in zip(_BUFFERS, [*tables, *columns, *counters, rates, bufs],
                          strict=True):
         setattr(ctx, name, _address(buf))
-    ctx.pos[:] = [_BLOCK] * len(draws)      # every stream starts empty
+    ctx.pos[:] = [_BLOCK] * _STREAMS        # every stream starts empty
     if r.unary_fn is not None:
         def unary_rates(j0, T, out):
             total = 0.0
@@ -587,6 +595,8 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
                 raise failure[0]
             if status == _NO_MEMORY:
                 raise MemoryError("no memory to grow the event log")
+            if status == _NO_PARTNER:
+                raise RuntimeError(f"the kernel asked for a pair partner among {n} particle(s)")
             # the clock ends at t_end, so no sample time lies beyond it
             while next_obs is not None and next_obs <= ctx.t_next:
                 emit(next_obs)

@@ -32,7 +32,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .kinetics import _kernel
+from .kinetics import _BAD_TABLE, _kernel
 
 __all__ = [
     "PairModel",
@@ -624,16 +624,19 @@ def simulate_pair_system(model: PairModel, N: int, t: float, mu0,
     pins the two to each other.  MT19937's seeding starts from a state that
     no seed changes, which the kernel computes once and copies per call.
 
-    Every argument is checked here, before the kernel is reached, at as
-    little cost per call as the checks allow: ``mu0`` on Python floats, and
-    the law and the kernel passed as bytes rather than through ``.ctypes``.
-    Raises ValueError unless 2 <= N < 2**32, t is finite and nonnegative,
-    seed >= 0, the Poisson mean N * rate * t is at most numpy's limit (about
-    9.2e18), ``mu0`` is a distribution over the model's states (shape
-    (|S|,), no negative or NaN entry, sum within 1e-9 of 1) and the model's
-    kernel has their pairs' shape; TypeError for a non-integer N or seed;
-    RuntimeError if the C kernel cannot be built; MemoryError if it cannot
-    allocate its tables.
+    Every argument is checked at as little cost per call as the checks
+    allow: ``mu0`` on Python floats, and the law and the kernel passed as
+    bytes rather than through ``.ctypes``.  The kernel's entries are checked
+    by ``kc_pair_system`` as it builds its tables, since a caller may have
+    reassigned ``model.kernel`` after ``PairModel`` checked it; everything
+    else here, before the C kernel is reached.  Raises ValueError unless
+    2 <= N < 2**32, t is finite and nonnegative, seed >= 0, the Poisson mean
+    N * rate * t is at most numpy's limit (about 9.2e18), ``mu0`` is a
+    distribution over the model's states (shape (|S|,), no negative or NaN
+    entry, sum within 1e-9 of 1) and the model's kernel has their pairs'
+    shape with finite, nonnegative entries; TypeError for a non-integer N or
+    seed; RuntimeError if the C kernel cannot be built; MemoryError if it
+    cannot allocate its tables.
     """
     N, seed = _particles(N), operator.index(seed)
     if N >= 2 ** 32:
@@ -653,8 +656,11 @@ def simulate_pair_system(model: PairModel, N: int, t: float, mu0,
     key = _seed_key(seed)
     states = np.empty(N, dtype=np.int64)
     # the states' address through a one-byte view, cheaper than .ctypes
-    if _kernel().kc_pair_system(key, len(key) // 4, N, S, mu0.tobytes(), kernel.tobytes(), lam,
-                                ctypes.addressof(ctypes.c_char.from_buffer(states))):
+    status = _kernel().kc_pair_system(key, len(key) // 4, N, S, mu0.tobytes(), kernel.tobytes(),
+                                      lam, ctypes.addressof(ctypes.c_char.from_buffer(states)))
+    if status == _BAD_TABLE:
+        raise ValueError("kernel entries must be finite and nonnegative")
+    if status:
         raise MemoryError("no memory for the cumulative tables of the pair process")
     return states
 

@@ -8,7 +8,8 @@ initial field from any law.  Importing neither compiles nor loads the
 C kernel of the particle engine and the oracle's replicas, and neither do
 ``sample_initial_state``, the views of its state or the oracle's exact laws:
 the first ``run()`` or ``simulate_pair_system`` compiles it into
-``$XDG_CACHE_HOME/kinchem``, deleting the libraries of this checkout's older
+``$XDG_CACHE_HOME/kinchem``, linked with numpy's archive of samplers whose
+bytes its name hashes, deleting the libraries of this checkout's older
 sources there but no other checkout's, and later interpreters load it from
 there.  The exact laws load scipy.linalg but no scipy.sparse.  Each check
 runs in a fresh interpreter, since this test process has loaded scipy and
@@ -159,9 +160,10 @@ def _checkout() -> str:
 
 
 def _library_name() -> str:
-    """The name ``_kernel`` gives this checkout's library of the current source."""
-    key = hashlib.sha256(kinetics._SOURCE.read_bytes()
-                         + " ".join(kinetics._BUILD).encode()).hexdigest()
+    """The name ``_kernel`` gives this checkout's library of the current source,
+    built with the installed numpy's archive of samplers."""
+    key = hashlib.sha256(kinetics._SOURCE.read_bytes() + " ".join(kinetics._BUILD).encode()
+                         + kinetics._npyrandom().read_bytes()).hexdigest()
     return f"_events-{_checkout()}-{key[:16]}.so"
 
 
@@ -205,3 +207,20 @@ def test_missing_compiler_names_the_build_command(tmp_path):
     assert " ".join(kinetics._BUILD) in proc.stderr
     # the failed build leaves no file behind
     assert list((tmp_path / "cache" / "kinchem").iterdir()) == []
+
+
+def test_missing_numpy_archive_names_its_path(tmp_path):
+    # the library links numpy's samplers statically; without them no build starts
+    missing = tmp_path / "numpy" / "random" / "lib" / "libnpyrandom.a"
+    env = {"XDG_CACHE_HOME": str(tmp_path / "cache")}
+    proc = _python("import pathlib\n"
+                   "from kinchem import kinetics\n"
+                   "from kinchem.scenarios import two_state_spec\n"
+                   f"kinetics._npyrandom = lambda: pathlib.Path({str(missing)!r})\n"
+                   "spec = two_state_spec(10)\n"
+                   "kinetics.run(kinetics.sample_initial_state(spec, 1), spec, 1.0, seed=2)\n",
+                   **env)
+    assert proc.returncode != 0
+    assert "RuntimeError" in proc.stderr
+    assert str(missing) in proc.stderr
+    assert [p for p in (tmp_path / "cache").rglob("*") if p.is_file()] == []

@@ -709,6 +709,71 @@ def test_run_makes_no_python_variate_call(two_state_spec_factory):
     assert abs((e1 - e0) - state.bath_exchange) / e0 < 1e-12
 
 
+# -- the kernel's variate blocks ------------------------------------------------
+#
+# kc_fill draws each stream's block on a Generator's bitgen_t with the C
+# samplers that numpy's own methods call; every block must hold the bits of
+# the numpy call it stands for, and leave the Generator where that call does.
+
+
+def _fill(gen, stream, n, beta):
+    """kc_fill's status and block of ``stream`` for n particles at bath beta."""
+    out = np.empty(kinetics._BLOCK)
+    status = kinetics._kernel().kc_fill(gen.bit_generator.ctypes.bit_generator, stream, n,
+                                        1.0 / beta, kinetics._BLOCK, out.ctypes.data)
+    return status, out
+
+
+@pytest.mark.parametrize("seed", [1, 7, 2 ** 127 + 3])
+@pytest.mark.parametrize("n", [2, 3, 2 ** 33])
+@pytest.mark.parametrize("beta", [1.0, 0.37])
+def test_each_streams_block_is_the_numpy_calls_block(seed, n, beta):
+    ours, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    numpy_calls = (                     # in the kernel's stream order
+        twin.standard_exponential,
+        twin.random,
+        lambda k: twin.integers(n, size=k),
+        lambda k: twin.integers(n - 1, size=k),
+        lambda k: twin.beta(1.5, 1.5, k),
+        lambda k: twin.gamma(1.5, 1.0 / beta, k),
+        twin.standard_normal,
+    )
+    for block in range(3):
+        for stream, call in enumerate(numpy_calls):
+            status, got = _fill(ours, stream, n, beta)
+            assert status == kinetics._DONE
+            want = call(kinetics._BLOCK).astype(float)
+            assert got.tobytes() == want.tobytes(), (block, stream)
+    assert ours.bit_generator.state == twin.bit_generator.state
+
+
+def test_the_partner_stream_is_refused_below_two_particles():
+    ours, twin = np.random.default_rng(5), np.random.default_rng(5)
+    status, _ = _fill(ours, 3, 1, 1.0)
+    assert status == kinetics._NO_PARTNER
+    assert ours.bit_generator.state == twin.bit_generator.state
+    # the particle stream at n = 1 is integers(1): zeros
+    status, got = _fill(ours, 2, 1, 1.0)
+    assert status == kinetics._DONE
+    assert got.tobytes() == twin.integers(1, size=kinetics._BLOCK).astype(float).tobytes()
+    assert ours.bit_generator.state == twin.bit_generator.state
+
+
+def test_a_one_particle_run_with_every_channel_on_closes_its_ledger():
+    # no pair channel proposes at n = 1, so the partner stream is never filled
+    spec = make_two_state(n=1, k2=0.5, slow=1.0, fast=1.0, heat=1.0, scale_heat=1.0,
+                          kernel=_MIX_KERNEL)
+    state = sample_initial_state(spec, 3)
+    e0 = state.total_kinetic() + state.total_chemical()
+    _, events = run(state, spec, 50.0, seed=4, record_events=True)
+    e1 = state.total_kinetic() + state.total_chemical()
+    assert abs((e1 - e0) - state.bath_exchange) <= 1e-12 * max(e0, e1)
+    assert state.proposal_counts["slow_binary"] == state.proposal_counts["fast_binary"] == 0
+    assert state.event_counts["unary"] > 0 and state.event_counts["heat"] > 0
+    assert len(events) == sum(state.event_counts.values())
+    assert state.sim_time == 50.0
+
+
 def test_run_with_rng_equals_run_with_seed(two_state_spec_factory):
     spec = _four_channel_spec(two_state_spec_factory, 100)
     a = sample_initial_state(spec, 73)

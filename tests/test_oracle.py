@@ -820,6 +820,21 @@ def test_simulate_pair_system_rejects_a_kernel_changed_to_the_wrong_size():
         O.simulate_pair_system(model, 100, 0.5, (0.6, 0.4), seed=3)
 
 
+@pytest.mark.parametrize("rows, entries", [
+    (1, (0.0, 1.5, 0.0, -0.5)),
+    (slice(None), np.nan),
+    (1, (0.0, np.inf, 0.0, 0.0)),
+])
+def test_simulate_pair_system_refuses_a_reassigned_kernel_with_a_bad_entry(rows, entries):
+    # PairModel checked the kernel it was built with; a reassigned one is
+    # checked by kc_pair_system's table build
+    model = O.contagion_model()
+    model.kernel = model.kernel.copy()
+    model.kernel[rows] = entries
+    with pytest.raises(ValueError, match="kernel entries must be finite and nonnegative"):
+        O.simulate_pair_system(model, 20, 0.5, (0.6, 0.4), seed=3)
+
+
 @pytest.mark.parametrize("N, seed, error, match", [
     (50, -1, ValueError, "nonnegative"),
     (50, 1.0, TypeError, None),
