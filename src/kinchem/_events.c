@@ -59,6 +59,7 @@ void random_bounded_uint64_fill(bitgen_t *bitgen_state, uint64_t off, uint64_t r
                                 intptr_t cnt, bool use_masked, uint64_t *out);
 double random_beta(bitgen_t *bitgen_state, double a, double b);
 double random_gamma(bitgen_t *bitgen_state, double shape, double scale);
+int64_t random_poisson(bitgen_t *bitgen_state, double lam);
 
 /* unary_fn stores the rate of j -> j1 in rates[j1] for every j1 != j */
 typedef int (*unary_fn)(int64_t j, double T, double *rates);
@@ -462,9 +463,10 @@ void kc_free_log(Run *r)
  * trajectory.  The event count is numpy's
  * default_rng(seed ^ 0x9E3779B97F4A7C15).poisson(lam), bit for bit: the
  * SeedSequence entropy mix and generate_state (O'Neill's seed_seq_fe
- * design), PCG64 (XSL-RR 128/64, O'Neill 2014) seeded as numpy seeds it,
- * and numpy's random_poisson: PTRS (Hormann 1993) with its random_loggam
- * for lam >= 10, the multiplication method below.  The other draws are
+ * design), PCG64 (XSL-RR 128/64, O'Neill 2014) seeded as numpy seeds it
+ * (a port: libnpyrandom.a holds no seeding), and that archive's own
+ * random_poisson: PTRS (Hormann 1993) for lam >= 10, the multiplication
+ * method below, as the installed numpy draws it.  The other draws are
  * those of CPython's random.Random(seed), word for word: MT19937
  * (Matsumoto & Nishimura 1998) seeded as CPython seeds an int, random()'s
  * 53-bit uniform, and randrange(n) as its getrandbits(n.bit_length())
@@ -668,84 +670,16 @@ static void pcg_seed(PCG *g, const unsigned char *key, int64_t n_words)
     pcg_step(g);
 }
 
-/* next_double: the top 53 bits of the XSL-RR output */
-static double pcg_double(PCG *g)
+/* next_double of a bitgen_t on a PCG: the top 53 bits of the XSL-RR output */
+static double pcg_double(void *st)
 {
+    PCG *g = st;
     uint64_t x;
     unsigned rot;
     pcg_step(g);
     x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
     rot = (unsigned)(g->state >> 122);
     return ((x >> rot | x << (-rot & 63u)) >> 11) * (1.0 / 9007199254740992.0);
-}
-
-/* numpy's random_loggam: log Gamma(x) by Stirling's series at x0 >= 7 */
-static double loggam(double x)
-{
-    static const double a[10] = {8.333333333333333e-02, -2.777777777777778e-03,
-                                 7.936507936507937e-04, -5.952380952380952e-04,
-                                 8.417508417508418e-04, -1.917526917526918e-03,
-                                 6.410256410256410e-03, -2.955065359477124e-02,
-                                 1.796443723688307e-01, -1.39243221690590e+00};
-    int64_t n = 0;
-    double x0, x2, gl0, gl;
-    if (x == 1.0 || x == 2.0)
-        return 0.0;
-    if (x < 7.0)
-        n = (int64_t)(7 - x);
-    x0 = x + n;
-    x2 = (1.0 / x0) * (1.0 / x0);
-    gl0 = a[9];
-    for (int k = 8; k >= 0; k--) {
-        gl0 *= x2;
-        gl0 += a[k];
-    }
-    gl = gl0 / x0 + 0.5 * 1.8378770664093453 + (x0 - 0.5) * log(x0) - x0;
-    for (; n > 0; n--) {
-        gl -= log(x0 - 1.0);
-        x0 -= 1.0;
-    }
-    return gl;
-}
-
-/* numpy's random_poisson for 0 <= lam <= POISSON_LAM_MAX, which Python
- * checks.  The candidate k stays a double: numpy's int64 k is exactly that
- * integer, and an x86 cast of a k out of int64 range gives INT64_MIN, which
- * numpy rejects as k < 0. */
-static int64_t poisson(PCG *g, double lam)
-{
-    double slam, loglam, a, b, invalpha, vr;
-    if (lam == 0.0)
-        return 0;
-    if (lam < 10.0) {                   /* the multiplication method */
-        double enlam = exp(-lam), prod = 1.0;
-        int64_t x = 0;
-        for (;;) {
-            prod *= pcg_double(g);
-            if (!(prod > enlam))
-                return x;
-            x++;
-        }
-    }
-    slam = sqrt(lam);                   /* PTRS */
-    loglam = log(lam);
-    b = 0.931 + 2.53 * slam;
-    a = -0.059 + 0.02483 * b;
-    invalpha = 1.1239 + 1.1328 / (b - 3.4);
-    vr = 0.9277 - 3.6224 / (b - 2);
-    for (;;) {
-        double U = pcg_double(g) - 0.5;
-        double V = pcg_double(g);
-        double us = 0.5 - fabs(U);
-        double k = floor((2 * a / us + b) * U + lam + 0.43);
-        if (us >= 0.07 && V <= vr)
-            return (int64_t)k;
-        if (!(k >= 0.0 && k < 9223372036854775808.0) || (us < 0.013 && V > us))
-            continue;
-        if (log(V) + log(invalpha) - log(a / (us * us) + b)
-            <= -lam + k * loglam - loggam(k + 1))
-            return (int64_t)k;
-    }
 }
 
 /* The running sums of p[0..m-1] into cum, added in order as np.cumsum adds
@@ -780,12 +714,15 @@ static inline int64_t count_below(const double *cum, int64_t m, double u)
 }
 
 /* The pair process's event count for the seed whose words are key:
- * numpy's default_rng(seed ^ 0x9E3779B97F4A7C15).poisson(lam) */
+ * numpy's default_rng(seed ^ 0x9E3779B97F4A7C15).poisson(lam), with
+ * random_poisson reading the seeded PCG64 through next_double, the one
+ * field it uses.  Python checks 0 <= lam <= POISSON_LAM_MAX first. */
 int64_t kc_event_count(const unsigned char *key, int64_t n_words, double lam)
 {
     PCG pcg;
+    bitgen_t bg = {&pcg, NULL, NULL, pcg_double, NULL};
     pcg_seed(&pcg, key, n_words);
-    return poisson(&pcg, lam);
+    return random_poisson(&bg, lam);
 }
 
 /* One trajectory of n particles over n_states states, left in states[n]:

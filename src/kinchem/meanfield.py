@@ -320,7 +320,10 @@ class DensityField:
         return float((self.values @ self.grid).sum() / self.norm())
 
     def marginal(self, j: int) -> np.ndarray:
-        """Normalized kinetic-energy density of (1-based) type j at the nodes."""
+        """Normalized kinetic-energy density of (1-based) type j at the nodes;
+        ValueError unless 1 <= j <= n_types."""
+        if not 1 <= j <= self.n_types:
+            raise ValueError(f"type must be in 1..{self.n_types}, got {j!r}")
         mass = self.masses()[j - 1]
         return self.values[j - 1] / (mass * _trapezoid_weights(self.grid))
 

@@ -294,8 +294,8 @@ def validate_spec(spec: EnsembleSpec) -> ValidationReport:
         if _integer(sp.dof) and sp.dof >= 3 and len(sp.internal_masses) != sp.dof - 3:
             flag(f"{tag}.internal_masses",
                  f"count {len(sp.internal_masses)} != dof - 3 = {sp.dof - 3}")
-        if any(m <= 0.0 for m in sp.internal_masses):
-            flag(f"{tag}.internal_masses", "all oscillator masses must be positive")
+        if not all(_finite(m) and m > 0.0 for m in sp.internal_masses):
+            flag(f"{tag}.internal_masses", "all oscillator masses must be positive and finite")
 
     r = spec.rates
 
@@ -342,9 +342,10 @@ def validate_spec(spec: EnsembleSpec) -> ValidationReport:
             for (j1, j1p), p in outs:
                 if not all(_integer(j) and 1 <= j <= J for j in (j1, j1p)):
                     flag(tag, f"outcome ({j1!r},{j1p!r}) needs integer type ids in 1..{J}")
-                if p < 0.0:
-                    flag(tag, f"negative probability {p!r}")
-                total += p
+                if not _finite(p) or p < 0.0:
+                    flag(tag, f"probability must be finite and >= 0, got {p!r}")
+                # a NaN total skips the sum check of an entry flagged above
+                total += p if _finite(p) else math.nan
             if abs(total - 1.0) > 1e-9:
                 flag(tag, f"outcome probabilities sum to {total!r}, expected 1")
 
@@ -371,8 +372,8 @@ def validate_spec(spec: EnsembleSpec) -> ValidationReport:
     if len(dist.type_weights) != J:
         flag("ensemble.initial_distribution.type_weights", f"need {J} weights")
     else:
-        if any(w < 0.0 for w in dist.type_weights):
-            flag("ensemble.initial_distribution.type_weights", "weights must be >= 0")
+        if not all(_finite(w) and w >= 0.0 for w in dist.type_weights):
+            flag("ensemble.initial_distribution.type_weights", "weights must be finite and >= 0")
         total = math.fsum(dist.type_weights)
         if abs(total - 1.0) > 1e-9:
             flag("ensemble.initial_distribution.type_weights",

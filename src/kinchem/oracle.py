@@ -617,12 +617,14 @@ def simulate_pair_system(model: PairModel, N: int, t: float, mu0,
     words in blocks of 624, and finds each state or outcome as the number of
     cumulative values below the uniform rather than by a search; since no
     entry is negative the sums are nondecreasing, and the count is the
-    search's index.  The kernel draws the event count
-    first, bit for bit as
+    search's index.  The kernel draws the event count first, bit for bit as
     ``np.random.default_rng(seed ^ 0x9E3779B97F4A7C15).poisson(N * rate * t)``
-    draws it, so the replicas do not depend on the installed numpy; a test
-    pins the two to each other.  MT19937's seeding starts from a state that
-    no seed changes, which the kernel computes once and copies per call.
+    draws it: it seeds PCG64 as that Generator is seeded and calls the
+    installed numpy's own ``random_poisson`` (from ``libnpyrandom.a``, which
+    the kernel links); a test pins the two to each other.  That C function
+    checks nothing, so the mean is refused here first.  MT19937's seeding
+    starts from a state that no seed changes, which the kernel computes once
+    and copies per call.
 
     Every argument is checked at as little cost per call as the checks
     allow: ``mu0`` on Python floats, and the law and the kernel passed as

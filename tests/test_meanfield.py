@@ -1104,3 +1104,12 @@ def test_kinetic_equation_snapshots_follow_the_sample_clock(t_end, dt, every):
                                   dt=dt, sample_every=every)
     assert list(traj.times) == list(sample_times(0.0, t_end, every))
     assert len(traj.fields) == len(traj.times)
+
+
+@pytest.mark.parametrize("j", [0, -1, 3])
+def test_marginal_refuses_a_type_out_of_range(j):
+    # values[j - 1] would index from the end for j = 0 or -1
+    field = MF.DensityField(np.linspace(0.0, 1.0, 5), np.full((2, 5), 0.1))
+    with pytest.raises(ValueError, match="1..2"):
+        field.marginal(j)
+    assert field.marginal(2).shape == (5,)

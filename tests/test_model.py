@@ -57,6 +57,37 @@ def test_negative_mass_and_weights_flagged():
                validate_spec(spec.with_overrides(initial_distribution=dist)).violations)
 
 
+def test_nan_type_weight_flagged(tmp_path):
+    # NaN compares False both with 0 and in the sum's tolerance, so only an
+    # explicit finiteness check catches it; a YAML .nan reaches the same path
+    spec = make_two_state(weights=(math.nan, 1.0))
+    assert any(v.field == "ensemble.initial_distribution.type_weights"
+               for v in validate_spec(spec).violations)
+    path = tmp_path / "cfg.yaml"
+    save_config(make_two_state(weights=(0.25, 0.75)), path)
+    text = path.read_text()
+    assert "- 0.25\n" in text
+    path.write_text(text.replace("- 0.25\n", "- .nan\n", 1))
+    with pytest.raises(ConfigError, match="type_weights"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, "1.0"])
+def test_table_kernel_probability_must_be_finite(p):
+    kernel = TypeKernel(kind="table", table=(((1, 1), (((2, 2), p),)),))
+    report = validate_spec(make_two_state(kernel=kernel))
+    assert any(v.field == "rates.binary_kernel[1,1]" and "finite" in v.message
+               for v in report.violations)
+
+
+@pytest.mark.parametrize("m", [math.nan, math.inf])
+def test_internal_masses_must_be_finite(m):
+    spec = make_two_state()
+    bad = (SpeciesSpec(1, 1.0, dof=4, internal_masses=(m,)), spec.species[1])
+    report = validate_spec(spec.with_overrides(species=bad))
+    assert [v.field for v in report.violations] == ["species[1].internal_masses"]
+
+
 def test_sample_point_mass_energies_and_octants():
     laws = (EnergyLaw("point", value=1.0),) * 2
     spec = make_two_state(n=1000, weights=(1.0, 0.0), laws=laws, box_side=2.0)

@@ -865,17 +865,19 @@ def test_simulate_pair_system_refuses_2_pow_32_particles_before_allocating(monke
 
 def test_event_count_equals_numpys_poisson_draw():
     # kc_pair_system draws its event count through kc_event_count, as
-    # default_rng(seed ^ salt).poisson(lam) draws it: lam = 0, the
-    # multiplication method below 10 and PTRS from 10, for seeds whose salted
-    # words are [0] (salt itself), one to four words and seven words; a numpy
-    # release that changes the Generator's streams shows here
+    # default_rng(seed ^ salt).poisson(lam) draws it: the kernel's port of
+    # the SeedSequence and PCG64 seeding feeds numpy's own random_poisson.
+    # lam = 0, the multiplication method below 10, PTRS from 10 and the
+    # largest and smallest positive means Python lets through (PTRS casts its
+    # candidate to int64 there), for seeds whose salted words are [0] (salt
+    # itself), one to four words and seven words
     count = O._kernel().kc_event_count
     salt = 0x9E3779B97F4A7C15
     seeds = (0, 1, 2, 3, salt, salt ^ 1, *MULTI_WORD_SEEDS, 2 ** 200 + 12345)
     for seed in seeds:
         key = O._seed_key(seed)
-        for lam in (0.0, 1e-3, 0.5, 3.0, 9.999, 10.0, 10.5, 50.0, 800.0, 1234.5,
-                    1e6, 1e9, 1e15):
+        for lam in (0.0, 1e-300, 1e-3, 0.5, 3.0, 9.999, 10.0, 10.5, 50.0, 800.0,
+                    1234.5, 1e6, 1e9, 1e15, 1e18, O._POISSON_LAM_MAX):
             ref = int(np.random.default_rng(seed ^ salt).poisson(lam))
             assert count(key, len(key) // 4, lam) == ref, (seed, lam)
 
