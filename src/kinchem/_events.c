@@ -55,11 +55,14 @@ typedef struct {
 void random_standard_exponential_fill(bitgen_t *bitgen_state, intptr_t cnt, double *out);
 void random_standard_uniform_fill(bitgen_t *bitgen_state, intptr_t cnt, double *out);
 void random_standard_normal_fill(bitgen_t *bitgen_state, intptr_t cnt, double *out);
+double random_standard_uniform(bitgen_t *bitgen_state);
 void random_bounded_uint64_fill(bitgen_t *bitgen_state, uint64_t off, uint64_t rng,
                                 intptr_t cnt, bool use_masked, uint64_t *out);
 double random_beta(bitgen_t *bitgen_state, double a, double b);
 double random_gamma(bitgen_t *bitgen_state, double shape, double scale);
 int64_t random_poisson(bitgen_t *bitgen_state, double lam);
+uint64_t random_bounded_uint64(bitgen_t *bitgen_state, uint64_t off, uint64_t rng,
+                               uint64_t mask, bool use_masked);
 
 /* unary_fn stores the rate of j -> j1 in rates[j1] for every j1 != j */
 typedef int (*unary_fn)(int64_t j, double T, double *rates);
@@ -460,24 +463,17 @@ void kc_free_log(Run *r)
 /* -- the oracle's pair process --------------------------------------------
  *
  * oracle.simulate_pair_system() calls kc_pair_system() for the whole
- * trajectory.  The event count is numpy's
- * default_rng(seed ^ 0x9E3779B97F4A7C15).poisson(lam), bit for bit: the
- * SeedSequence entropy mix and generate_state (O'Neill's seed_seq_fe
- * design), PCG64 (XSL-RR 128/64, O'Neill 2014) seeded as numpy seeds it
- * (a port: libnpyrandom.a holds no seeding), and that archive's own
- * random_poisson: PTRS (Hormann 1993) for lam >= 10, the multiplication
- * method below, as the installed numpy draws it.  The other draws are
- * those of CPython's random.Random(seed), word for word: MT19937
- * (Matsumoto & Nishimura 1998) seeded as CPython seeds an int, random()'s
- * 53-bit uniform, and randrange(n) as its getrandbits(n.bit_length())
- * rejection loop.  Both generators are seeded from the seed's
- * little-endian 32-bit words.  MT19937's seeding starts from the state of
- * init_genrand(19650218), which no seed changes: mt_seed computes it once
- * and copies it on every later call.  The words come from a block of 624:
- * each refill runs the twist and then tempers the whole state into an
- * output buffer, both loops without a branch on the data.  Python checks
- * every argument first (oracle.simulate_pair_system); the law and the
- * kernel arrive as row-major doubles.
+ * trajectory.  A replica is the stream of numpy's default_rng(seed), bit for
+ * bit: the SeedSequence entropy mix and generate_state (O'Neill's
+ * seed_seq_fe design), PCG64 (XSL-RR 128/64, O'Neill 2014) seeded as numpy
+ * seeds it (a port: libnpyrandom.a holds no seeding), and that archive's
+ * own samplers on it, in the order of the Generator calls poisson(lam),
+ * then random() per particle, then per event integers(n), integers(n - 1)
+ * and random().  The bitgen_t gives next_uint64 and next_double as numpy's
+ * PCG64 does, and next_uint32 with its buffering: the low half of a fresh
+ * 64-bit output, then its high half.  Python checks every argument first
+ * (oracle.simulate_pair_system); the law and the kernel arrive as
+ * row-major doubles.
  *
  * A state or outcome is drawn as the first index q whose cumulative value
  * is >= u.  No entry of a law or a kernel row is negative, NaN or infinite
@@ -495,126 +491,16 @@ static uint32_t key_word(const unsigned char *key, int64_t j)
     return w[0] | (uint32_t)w[1] << 8 | (uint32_t)w[2] << 16 | (uint32_t)w[3] << 24;
 }
 
-#define MT_N 624
-#define MT_M 397
-
-typedef struct {
-    uint32_t s[MT_N];           /* the state */
-    uint32_t out[MT_N];         /* the tempered words of s, out[i] next */
-    int i;
-} MT;
-
-/* init_genrand(19650218), the same for every seed and copied from base,
- * then init_by_array over the key's little-endian 32-bit words.  base is
- * filled on the first call; base[0] = 19650218 is nonzero once it is.  The
- * library is loaded with ctypes.PyDLL, which holds the GIL through each
- * call, so no two calls fill it at once. */
-static void mt_seed(MT *mt, const unsigned char *key, int64_t n_words)
-{
-    static uint32_t base[MT_N];
-    uint32_t *s = mt->s, prev;
-    int64_t i = 1, j = 0, k;
-    if (!base[0]) {
-        base[0] = 19650218u;
-        for (k = 1; k < MT_N; k++)
-            base[k] = 1812433253u * (base[k - 1] ^ (base[k - 1] >> 30)) + (uint32_t)k;
-    }
-    memcpy(s, base, sizeof base);
-    mt->i = MT_N;
-    prev = s[0];                        /* s[i - 1], carried in a register */
-    for (k = n_words > MT_N ? n_words : MT_N; k; k--) {
-        prev = s[i] = (s[i] ^ ((prev ^ (prev >> 30)) * 1664525u)) + key_word(key, j)
-                      + (uint32_t)j;
-        i++;
-        j++;
-        if (i >= MT_N) {
-            s[0] = prev;
-            i = 1;
-        }
-        if (j >= n_words)
-            j = 0;
-    }
-    for (k = MT_N - 1; k; k--) {
-        prev = s[i] = (s[i] ^ ((prev ^ (prev >> 30)) * 1566083941u)) - (uint32_t)i;
-        i++;
-        if (i >= MT_N) {
-            s[0] = prev;
-            i = 1;
-        }
-    }
-    s[0] = 0x80000000u;
-}
-
-/* word k of the next state from words k, next = k + 1 and far = k + M,
- * both mod N: past the end they are words already replaced in this pass */
-static inline uint32_t mt_twist(const uint32_t *s, int k, int next, int far)
-{
-    uint32_t y = (s[k] & 0x80000000u) | (s[next] & 0x7fffffffu);
-    return s[far] ^ (y >> 1) ^ (-(y & 1u) & 0x9908b0dfu);
-}
-
-/* the next state, tempered into out */
-static void mt_refill(MT *mt)
-{
-    uint32_t *s = mt->s;
-    int k = 0;
-    for (; k < MT_N - MT_M; k++)
-        s[k] = mt_twist(s, k, k + 1, k + MT_M);
-    for (; k < MT_N - 1; k++)
-        s[k] = mt_twist(s, k, k + 1, k + MT_M - MT_N);
-    s[k] = mt_twist(s, k, 0, MT_M - 1);
-    for (k = 0; k < MT_N; k++) {
-        uint32_t y = s[k];
-        y ^= y >> 11;
-        y ^= (y << 7) & 0x9d2c5680u;
-        y ^= (y << 15) & 0xefc60000u;
-        mt->out[k] = y ^ (y >> 18);
-    }
-    mt->i = 0;
-}
-
-static inline uint32_t mt_word(MT *mt)
-{
-    if (mt->i == MT_N)
-        mt_refill(mt);
-    return mt->out[mt->i++];
-}
-
-/* random(): 27 + 26 bits of two words */
-static double mt_uniform(MT *mt)
-{
-    double a = mt_word(mt) >> 5;
-    double b = mt_word(mt) >> 6;
-    return (a * 67108864.0 + b) / 9007199254740992.0;
-}
-
-static int bit_length(int64_t n)
-{
-    int bits = 0;
-    while (n >> bits)
-        bits++;
-    return bits;
-}
-
-/* randrange(n) for 1 <= n < 2^32, bits = n.bit_length(): the top bits of a
- * word, drawn again while they reach n */
-static inline int64_t mt_below(MT *mt, int64_t n, int bits)
-{
-    uint32_t v;
-    do
-        v = mt_word(mt) >> (32 - bits);
-    while (v >= n);
-    return v;
-}
-
-/* numpy's default_rng(seed ^ 0x9E3779B97F4A7C15): a SeedSequence pool of 4
- * words, hashmix and mix as in bit_generator.pyx, and PCG64 seeded from
+/* numpy's default_rng(seed): a SeedSequence pool of 4 words, hashmix and
+ * mix as in bit_generator.pyx, and PCG64 seeded from
  * generate_state(4, uint64) = v0..v3 with initstate v0:v1 and initseq
  * v2:v3 (high:low 64-bit halves) */
 __extension__ typedef unsigned __int128 u128;
 
 typedef struct {
     u128 state, inc;
+    int has_uint32;             /* uinteger holds the next 32-bit output */
+    uint32_t uinteger;
 } PCG;
 
 static uint32_t hashmix(uint32_t value, uint32_t *h)
@@ -637,17 +523,14 @@ static void pcg_step(PCG *g)
                + g->inc;
 }
 
-/* The entropy is the key's words with the salt XORed into the low two: the
- * words of seed ^ salt.  The XOR keeps a seed >= 2^64 its word count; below
- * 2^64 the count is at most 2, and a pool of 4 mixes zero words as none. */
+/* the entropy is the key's words; a pool of 4 mixes missing words as zeros,
+ * and every word past the fourth into each pool word */
 static void pcg_seed(PCG *g, const unsigned char *key, int64_t n_words)
 {
     uint32_t pool[4], h = 0x43b0d7e5u;
     uint64_t v[4];
-    for (int i = 0; i < 4; i++) {
-        uint32_t w = i < n_words ? key_word(key, i) : 0u;
-        pool[i] = hashmix(w ^ (i == 0 ? 0x7F4A7C15u : i == 1 ? 0x9E3779B9u : 0u), &h);
-    }
+    for (int i = 0; i < 4; i++)
+        pool[i] = hashmix(i < n_words ? key_word(key, i) : 0u, &h);
     for (int src = 0; src < 4; src++)
         for (int dst = 0; dst < 4; dst++)
             if (src != dst)
@@ -668,10 +551,11 @@ static void pcg_seed(PCG *g, const unsigned char *key, int64_t n_words)
     pcg_step(g);
     g->state += (u128)v[0] << 64 | v[1];
     pcg_step(g);
+    g->has_uint32 = 0;
 }
 
-/* next_double of a bitgen_t on a PCG: the top 53 bits of the XSL-RR output */
-static double pcg_double(void *st)
+/* the XSL-RR output of the next state */
+static uint64_t pcg_uint64(void *st)
 {
     PCG *g = st;
     uint64_t x;
@@ -679,7 +563,27 @@ static double pcg_double(void *st)
     pcg_step(g);
     x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
     rot = (unsigned)(g->state >> 122);
-    return ((x >> rot | x << (-rot & 63u)) >> 11) * (1.0 / 9007199254740992.0);
+    return x >> rot | x << (-rot & 63u);
+}
+
+static uint32_t pcg_uint32(void *st)
+{
+    PCG *g = st;
+    uint64_t x;
+    if (g->has_uint32) {
+        g->has_uint32 = 0;
+        return g->uinteger;
+    }
+    x = pcg_uint64(g);
+    g->has_uint32 = 1;
+    g->uinteger = (uint32_t)(x >> 32);
+    return (uint32_t)x;
+}
+
+/* the top 53 bits of an output */
+static double pcg_double(void *st)
+{
+    return (pcg_uint64(st) >> 11) * (1.0 / 9007199254740992.0);
 }
 
 /* The running sums of p[0..m-1] into cum, added in order as np.cumsum adds
@@ -714,13 +618,12 @@ static inline int64_t count_below(const double *cum, int64_t m, double u)
 }
 
 /* The pair process's event count for the seed whose words are key:
- * numpy's default_rng(seed ^ 0x9E3779B97F4A7C15).poisson(lam), with
- * random_poisson reading the seeded PCG64 through next_double, the one
- * field it uses.  Python checks 0 <= lam <= POISSON_LAM_MAX first. */
+ * numpy's default_rng(seed).poisson(lam), the first draw of a replica.
+ * Python checks 0 <= lam <= POISSON_LAM_MAX first. */
 int64_t kc_event_count(const unsigned char *key, int64_t n_words, double lam)
 {
     PCG pcg;
-    bitgen_t bg = {&pcg, NULL, NULL, pcg_double, NULL};
+    bitgen_t bg = {&pcg, pcg_uint64, pcg_uint32, pcg_double, pcg_uint64};
     pcg_seed(&pcg, key, n_words);
     return random_poisson(&bg, lam);
 }
@@ -738,9 +641,10 @@ int kc_pair_system(const unsigned char *key, int64_t n_words, int64_t n,
                    int64_t n_states, const double *mu0, const double *kernel,
                    double lam, int64_t *states)
 {
-    MT mt;
-    int64_t S = n_states, m = S * S, n_events = kc_event_count(key, n_words, lam);
-    int bits_n = bit_length(n), bits_m = bit_length(n - 1), rc;
+    PCG pcg;
+    bitgen_t bg = {&pcg, pcg_uint64, pcg_uint32, pcg_double, pcg_uint64};
+    int64_t S = n_states, m = S * S, n_events;
+    int rc;
     double *cum0 = malloc((size_t)(S + m * m) * sizeof *cum0), *rows;
     if (!cum0)
         return KC_NO_MEMORY;
@@ -752,14 +656,16 @@ int kc_pair_system(const unsigned char *key, int64_t n_words, int64_t n,
         free(cum0);
         return rc;
     }
-    mt_seed(&mt, key, n_words);
+    pcg_seed(&pcg, key, n_words);
+    n_events = random_poisson(&bg, lam);
     for (int64_t p = 0; p < n; p++)
-        states[p] = count_below(cum0, S, mt_uniform(&mt));
+        states[p] = count_below(cum0, S, random_standard_uniform(&bg));
     for (; n_events > 0; n_events--) {
-        int64_t i = mt_below(&mt, n, bits_n);
-        int64_t k = mt_below(&mt, n - 1, bits_m);
+        int64_t i = (int64_t)random_bounded_uint64(&bg, 0, (uint64_t)(n - 1), 0, false);
+        int64_t k = (int64_t)random_bounded_uint64(&bg, 0, (uint64_t)(n - 2), 0, false);
         int64_t j = k < i ? k : k + 1;
-        int64_t o = count_below(rows + (states[i] * S + states[j]) * m, m, mt_uniform(&mt));
+        int64_t o = count_below(rows + (states[i] * S + states[j]) * m, m,
+                                random_standard_uniform(&bg));
         states[i] = o / S;
         states[j] = o % S;
     }

@@ -34,7 +34,8 @@ libraries of that path, so checkouts that share the cache never delete each
 other's.  Python keeps the set-up, rate plug-ins, observers and the
 ``EventLog``: the kernel calls back for each plug-in rate, and returns at
 each sample time.  The same library runs ``oracle.simulate_pair_system``
-(``kc_pair_system``).
+(``kc_pair_system``), each replica the stream of ``np.random.default_rng(seed)``
+drawn with the same samplers.
 
 With ``record_events`` a run's ``EventLog`` keeps each accepted event as the
 kernel wrote it, one row of a numpy structured array converted only when
@@ -62,7 +63,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .model import EnsembleSpec, sample_times, validate_spec
+from .model import EnsembleSpec, _require_valid, sample_times
 
 __all__ = [
     "EnsembleState",
@@ -256,12 +257,6 @@ def _random_direction(normal):
         if n2 > 1e-300:
             inv = 1.0 / math.sqrt(n2)
             return gx * inv, gy * inv, gz * inv
-
-
-def _require_valid(spec: EnsembleSpec) -> None:
-    report = validate_spec(spec)
-    if not report.ok:
-        raise ValueError(f"invalid spec:\n{report}")
 
 
 def sample_initial_state(spec: EnsembleSpec, seed: Optional[int] = None) -> EnsembleState:
@@ -480,7 +475,8 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
     if ``max_events`` is negative, if both ``seed`` and ``rng`` are given, if
     ``spec`` fails ``validate_spec``, if ``t_end`` is not >= ``state.sim_time``
     (NaN included), if ``t_end`` is infinite and no ``max_events`` bounds the
-    run, if ``t_end`` is infinite and every channel's proposal rate is 0, or
+    run, if the channels' proposal rate at the state's N is not finite, if
+    ``t_end`` is infinite and every channel's proposal rate is 0, or
     if observers are given with a ``sample_every`` that is not positive and
     finite, or if a column of ``state`` is not the buffer the kernel reads or
     holds a type id outside the spec; RuntimeError, naming the command, if
@@ -513,6 +509,10 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
     R_fast = (n - 1) * spec.scale_fast * fmax
     R_heat = n * spec.scale_heat * r.heat_rate
     R_total = R_unary + R_slow + R_fast + R_heat
+    if not math.isfinite(R_total):
+        # validate_spec refuses this at the spec's N; a larger state can still
+        # overflow, and the kernel's loop could not be stopped
+        raise ValueError(f"the channels' proposal rate at n = {n} is {R_total!r}, not finite")
     if R_total == 0.0 and t_end == math.inf:
         # no proposal ever comes, and no horizon is ever reached
         raise ValueError("t_end must be finite when every channel's rate is 0")

@@ -37,7 +37,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .model import EnsembleSpec, TypeKernel, sample_times
+from .model import EnsembleSpec, TypeKernel, _require_valid, sample_times
 
 __all__ = [
     "DensityField",
@@ -807,9 +807,11 @@ def integrate_boltzmann(field: DensityField, spec: EnsembleSpec, t_end: float,
     Snapshots are taken exactly at the instants of
     ``model.sample_times(0, t_end, sample_every)``: each interval [a, b] of
     that clock is marched in ceil((b - a) / dt) equal steps and its snapshot
-    is stamped b.  A dt that is not positive and finite, a negative or
-    non-finite ``t_end``, or a bad ``sample_every`` raises ValueError.
+    is stamped b.  A spec that fails ``validate_spec``, a dt that is not
+    positive and finite, a negative or non-finite ``t_end``, or a bad
+    ``sample_every`` raises ValueError.
     """
+    _require_valid(spec)
     if not 0.0 <= t_end < math.inf:
         raise ValueError(f"t_end must be nonnegative and finite, got {t_end!r}")
     if dt is not None and not 0.0 < dt < math.inf:

@@ -367,6 +367,24 @@ def validate_spec(spec: EnsembleSpec) -> ValidationReport:
         flag("ensemble.scale_heat", f"must be finite and >= 0, got {spec.scale_heat!r}")
     if not _integer(spec.rng_seed) or not (0 <= spec.rng_seed < 2 ** 64):
         flag("ensemble.rng_seed", f"must be a 64-bit unsigned integer, got {spec.rng_seed!r}")
+    if not bad:
+        # the engines run on the effective rates, scale * rate, and the
+        # particle engine proposes at the sum of the channels' thinning
+        # bounds: an inf there makes a run that never ends, or a step of 0.
+        # The kernel counts particles in int64, as for the energies above
+        n = min(spec.n_particles, 2 ** 63)
+        fmax = max(max(row) for row in r.fast_binary)
+        bounds = {
+            "rates.unary": (n * max(sum(row) for row in r.unary), ""),
+            "rates.slow_binary": ((n - 1) * max(max(row) for row in r.slow_binary), ""),
+            "rates.fast_binary": ((n - 1) * (spec.scale_fast * fmax), " times scale_fast"),
+            "rates.heat_rate": (n * (spec.scale_heat * r.heat_rate), " times scale_heat")}
+        for name, (bound, note) in bounds.items():
+            if not math.isfinite(bound):
+                flag(name, f"its proposal bound at n_particles = {n}{note} is {bound!r}")
+        total = sum(bound for bound, _ in bounds.values())
+        if not bad and not math.isfinite(total):
+            flag("rates", f"the channels' proposal bounds at n_particles = {n} sum to {total!r}")
 
     dist = spec.initial_distribution
     if len(dist.type_weights) != J:
@@ -394,6 +412,12 @@ def validate_spec(spec: EnsembleSpec) -> ValidationReport:
             flag(tag, f"point law needs value >= 0, got {law.value!r}")
 
     return ValidationReport(bad)
+
+
+def _require_valid(spec: EnsembleSpec) -> None:
+    report = validate_spec(spec)
+    if not report.ok:
+        raise ValueError(f"invalid spec:\n{report}")
 
 
 # -- config file round trip ---------------------------------------------------

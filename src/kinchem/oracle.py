@@ -14,9 +14,7 @@ backward closure over shared particles.  This module implements
   limit where only essential sequences survive,
 * exact laws: the one-particle marginal and the pair law from the master
   equation lumped onto occupation counts, which is exact because the kernel
-  is swap-symmetric and the initial data are i.i.d.; the dense master
-  equation on the |S|^N product space survives only as their small-N
-  validator,
+  is swap-symmetric and the initial data are i.i.d.,
 * direct process simulation and k-particle factorization statistics.
 
 Particle labels are arbitrary hashables; sequence positions are 0-based.
@@ -48,8 +46,6 @@ __all__ = [
     "SeriesResult",
     "series_marginal",
     "series_marginal_semigroup",
-    "master_generator",
-    "exact_joint",
     "exact_marginal",
     "exact_pair_correlation",
     "simulate_pair_system",
@@ -477,53 +473,6 @@ def series_marginal_semigroup(model: PairModel, mu0, t: float, n_max: int,
 # -- exact small-N oracles ------------------------------------------------------------
 
 
-def master_generator(model: PairModel, N: int) -> np.ndarray:
-    """Dense generator of the N-particle process on the |S|^N product space."""
-    S = model.n_states
-    dim = S ** N
-    rate = 2.0 * model.rate / (N - 1)
-    L = np.zeros((dim, dim))
-    k4 = model.kernel4()
-    powers = [S ** (N - 1 - i) for i in range(N)]
-    # one update per (pair, outcome) over every state at once; each cell only
-    # takes contributions from its own row, in the order of the scalar loop
-    idx = np.arange(dim)
-    digits = [(idx // powers[v]) % S for v in range(N)]
-    for v in range(N):
-        for w in range(v + 1, N):
-            a, b = digits[v], digits[w]
-            for c in range(S):
-                for d in range(S):
-                    jdx = idx + (c - a) * powers[v] + (d - b) * powers[w]
-                    L[idx, jdx] += rate * k4[a, b, c, d]
-            L[idx, idx] -= rate
-    return L
-
-
-def exact_joint(model: PairModel, mu0, t: float, N: int) -> np.ndarray:
-    """Exact joint law at time t from the master equation, as an (|S|,)*N
-    tensor: the small-N validator of the count chain of ``exact_marginal``
-    and ``exact_pair_correlation``.  The generator is sparse (each state
-    reaches at most |S|^2 N (N - 1) / 2 others), so the initial product law
-    is propagated by the action of exp(L^T t) on it (Al-Mohy & Higham 2011)
-    on the CSR form of the dense generator; the exponential itself is never
-    formed."""
-    from scipy.sparse import csr_array
-    from scipy.sparse.linalg import expm_multiply
-
-    S = model.n_states
-    mu0 = _distribution(model, mu0)
-    t = _horizon(t)
-    N = _particles(N)
-    joint = mu0
-    for _ in range(N - 1):
-        joint = np.multiply.outer(joint, mu0)
-    vec = joint.reshape(-1)
-    L = master_generator(model, N)
-    out = expm_multiply(csr_array(L.T * t), vec)
-    return out.reshape((S,) * N)
-
-
 def _count_law(model: PairModel, mu0, t: float, N: int):
     """Law at time t of the occupation counts (n_0, ..., n_{|S|-1}) of the
     process of N >= 2 particles: returns (counts, p), one row of ``counts``
@@ -596,7 +545,7 @@ def exact_pair_correlation(model: PairModel, mu0, t: float, N: int) -> float:
 
 
 def _seed_key(seed: int) -> bytes:
-    """The seed's little-endian 32-bit words, as random.seed splits an int."""
+    """The seed's little-endian 32-bit words, as SeedSequence splits an int."""
     return seed.to_bytes(4 * max(1, -(-seed.bit_length() // 32)), "little")
 
 
@@ -610,21 +559,18 @@ def simulate_pair_system(model: PairModel, N: int, t: float, mu0,
 
     The trajectory runs in one call of the C kernel ``kc_pair_system``
     (``_events.c``, built with ``cc`` on first use, see ``kinetics``), which
-    builds the cumulative tables of ``mu0`` and the kernel.  Its draws
-    reproduce ``random.Random(seed)``'s stream word for word: the N initial
-    states by ``random()``, then per event the pair by two ``randrange``
-    calls and the outcome by ``random()``.  The kernel tempers its Mersenne
-    words in blocks of 624, and finds each state or outcome as the number of
-    cumulative values below the uniform rather than by a search; since no
-    entry is negative the sums are nondecreasing, and the count is the
-    search's index.  The kernel draws the event count first, bit for bit as
-    ``np.random.default_rng(seed ^ 0x9E3779B97F4A7C15).poisson(N * rate * t)``
-    draws it: it seeds PCG64 as that Generator is seeded and calls the
-    installed numpy's own ``random_poisson`` (from ``libnpyrandom.a``, which
-    the kernel links); a test pins the two to each other.  That C function
-    checks nothing, so the mean is refused here first.  MT19937's seeding
-    starts from a state that no seed changes, which the kernel computes once
-    and copies per call.
+    builds the cumulative tables of ``mu0`` and the kernel.  The trajectory
+    is the stream of ``g = np.random.default_rng(seed)``, bit for bit: the
+    event count ``g.poisson(N * rate * t)``, then the N initial states by
+    ``g.random()``, then per event the pair by ``g.integers(N)`` and
+    ``g.integers(N - 1)`` and the outcome by ``g.random()``.  The kernel
+    seeds PCG64 as that Generator is seeded and draws with the installed
+    numpy's own samplers (from ``libnpyrandom.a``, which the kernel links);
+    a test pins the two to each other.  Those C functions check nothing, so
+    the mean is refused here first.  Each state or outcome is found as the
+    number of cumulative values below the uniform rather than by a search;
+    since no entry is negative the sums are nondecreasing, and the count is
+    the search's index.
 
     Every argument is checked at as little cost per call as the checks
     allow: ``mu0`` on Python floats, and the law and the kernel passed as

@@ -16,6 +16,7 @@ from kinchem.kinetics import (CHANNELS, EnsembleState, EventLog, run,
                               sample_initial_state)
 from kinchem.oracle import pairs_from_event_log
 from kinchem.model import EnergyLaw, RateTable, SpeciesSpec, TypeKernel
+from kinchem.scenarios import two_state_spec
 from conftest import make_two_state
 
 
@@ -561,6 +562,26 @@ def test_run_rejects_invalid_spec(two_state_spec_factory):
     with pytest.raises(ValueError, match=r"invalid spec:\n(.*\n)*rates\.unary\[1\]\[2\]"):
         run(state, spec.with_overrides(rates=rates), 4.0, seed=2)
     assert sum(state.proposal_counts.values()) == 0
+
+
+def test_run_refuses_an_overflowing_rate_before_the_kernel(monkeypatch):
+    # heat 1e300 at scale 1e300 is valid entry by entry, but the channel
+    # proposes at inf: the run still ran in C after 20 s, where no signal
+    # stops it.  A state larger than its spec can overflow where the spec's
+    # N does not
+    def no_kernel():
+        raise AssertionError("the kernel was reached")
+
+    monkeypatch.setattr(kinetics, "_kernel", no_kernel)
+    bad = two_state_spec(4, heat=1e300, scale_heat=1e300)
+    with pytest.raises(ValueError, match=r"rates\.heat_rate: .* is inf"):
+        sample_initial_state(bad, 1)
+    state = sample_initial_state(two_state_spec(4), 1)
+    with pytest.raises(ValueError, match=r"rates\.heat_rate: .* is inf"):
+        run(state, bad, 0.01, seed=2)
+    near = two_state_spec(2, heat=1e308 / 3, scale_heat=1.0)
+    with pytest.raises(ValueError, match="proposal rate at n = 10 is inf"):
+        run(sample_initial_state(two_state_spec(10), 1), near, 0.01, seed=2)
 
 
 def _slow_plugin_spec(two_state_spec_factory, slow_fn, n):

@@ -12,6 +12,7 @@ from scipy.special import betainc, gammainc, gammaincc
 from kinchem import meanfield as MF
 from kinchem.model import (EnergyLaw, InitialDistribution, RateTable, SpeciesSpec, TypeKernel,
                            load_config, sample_times)
+from kinchem.scenarios import two_state_spec
 from conftest import make_two_state
 
 
@@ -578,6 +579,15 @@ def test_observables_converge_under_grid_doubling():
         traj = MF.integrate_boltzmann(field, spec, t_end=2.0)
         cs.append(traj.final().masses())
     assert np.max(np.abs(cs[0] - cs[1])) < 0.01 * np.max(cs[1])
+
+
+def test_integrate_boltzmann_refuses_an_overflowing_rate():
+    # heat 1e300 at scale 1e300 is valid entry by entry; the step bound then
+    # gave dt = 0.4 / inf = 0 and a ZeroDivisionError
+    spec = two_state_spec(4, heat=1e300, scale_heat=1e300)
+    grid = MF.energy_grid(spec.rates.bath_beta, spec.chem_energies(), m=16)
+    with pytest.raises(ValueError, match=r"invalid spec:\n.*rates\.heat_rate"):
+        MF.integrate_boltzmann(MF.field_from_spec(spec, grid), spec, 0.01)
 
 
 @pytest.mark.parametrize("law", [EnergyLaw("point", value=100.0),

@@ -10,6 +10,7 @@ from kinchem.model import (ConfigError, EnergyLaw, InitialDistribution,
                            sample_times, save_config, spec_to_dict,
                            validate_spec)
 from kinchem.kinetics import run, sample_initial_state
+from kinchem.scenarios import two_state_spec
 from conftest import make_two_state
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -315,6 +316,23 @@ def test_chemical_energies_whose_total_overflows_are_flagged(n):
 
 def test_chemical_energies_below_the_overflow_are_valid():
     assert validate_spec(make_two_state(n=20, k2=1e306)).ok
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"n": 4, "heat": 1e300, "scale_heat": 1e300}, "rates.heat_rate"),
+    ({"n": 4, "fast": 1e300, "scale_fast": 1e300}, "rates.fast_binary"),
+    ({"n": 1, "fast": 1e300, "scale_fast": 1e300}, "rates.fast_binary"),
+    ({"n": 2, "w12": 1e308}, "rates.unary"),
+    ({"n": 2, "fast": 1e308, "heat": 0.6e308, "scale_heat": 1.0}, "rates"),
+])
+def test_rates_whose_effective_values_overflow_are_flagged(overrides, field):
+    # each factor is finite, but the engines use the product, or the sum of
+    # the channels' thinning bounds at the spec's N: a particle run of the
+    # first spec still ran in C after 20 s, and the kinetic equation raised
+    # ZeroDivisionError on a step of size 0.4 / inf
+    report = validate_spec(two_state_spec(**overrides))
+    assert [v.field for v in report.violations] == [field]
+    assert validate_spec(two_state_spec(2, heat=1e308 / 3, scale_heat=1.0)).ok
 
 
 def test_invalid_spec_rejected_by_sampler():

@@ -61,6 +61,13 @@ def test_poisson_invariance_scenario_small():
 
 
 def test_chaos_scenario_small():
+    # False-alarm rate: with the seed shifted by 10000*o, o = 1..400, the
+    # slope had mean -1.01 and sd 0.23 and left (-1.7, -0.4) on 6 of 400
+    # streams, and product_at_time_zero (largest z: mean 1.13, sd 0.64)
+    # failed on 1; 7 of 400 (1.8%) failed in all.  On the replicas' earlier
+    # Mersenne Twister stream: mean -1.01, sd 0.22, 4 and 1 failures.  A red
+    # here after a change of variate stream can be such a chance event;
+    # check other seeds before calling it a bug, and never re-seed.
     s = run_scenario("chaos", {"n_values": (50, 100, 200),
                                "replicas": (400, 400, 400),
                                "exact_ns": (3, 4, 5)}, seed=11)
