@@ -63,7 +63,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .model import EnsembleSpec, _require_valid, sample_times
+from .model import EnsembleSpec, sample_times
 
 __all__ = [
     "EnsembleState",
@@ -260,10 +260,9 @@ def _random_direction(normal):
 
 
 def sample_initial_state(spec: EnsembleSpec, seed: Optional[int] = None) -> EnsembleState:
-    """Draw the initial ensemble: i.i.d. uniform positions on the torus, types
-    from the weight vector, energies from the per-type laws, directions
-    uniform on the sphere.  Pure function of (spec, seed)."""
-    _require_valid(spec)
+    """Draw the initial ensemble of a spec, valid once made: i.i.d. uniform
+    positions on the torus, types from the weight vector, energies from the
+    per-type laws, directions uniform on the sphere.  Pure function of (spec, seed)."""
     rng = random.Random(spec.rng_seed if seed is None else seed)
     state = EnsembleState(spec)
     weights = spec.initial_distribution.type_weights
@@ -471,16 +470,16 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
 
     Returns (state, events) where events is the ``EventLog`` of the accepted
     events in time order (empty unless record_events).  Raises TypeError if
-    ``max_events`` is neither None nor an int (a bool included); ValueError
-    if ``max_events`` is negative, if both ``seed`` and ``rng`` are given, if
-    ``spec`` fails ``validate_spec``, if ``t_end`` is not >= ``state.sim_time``
+    ``spec`` is not an ``EnsembleSpec`` or ``max_events`` neither None nor an
+    int (a bool included); ValueError if ``max_events`` is negative, if both
+    ``seed`` and ``rng`` are given, if ``t_end`` is not >= ``state.sim_time``
     (NaN included), if ``t_end`` is infinite and no ``max_events`` bounds the
     run, if the channels' proposal rate at the state's N is not finite, if
-    ``t_end`` is infinite and every channel's proposal rate is 0, or
-    if observers are given with a ``sample_every`` that is not positive and
+    ``t_end`` is infinite and every channel's proposal rate is 0, or if
+    observers are given with a ``sample_every`` that is not positive and
     finite, or if a column of ``state`` is not the buffer the kernel reads or
-    holds a type id outside the spec; RuntimeError, naming the command, if
-    the kernel cannot be built, or naming numpy's archive if it is missing.
+    holds a type id outside the spec; RuntimeError, naming the command, if the
+    kernel cannot be built, or naming numpy's archive if it is missing.
     """
     if isinstance(max_events, bool) or not isinstance(max_events, (int, np.integer, type(None))):
         raise TypeError(f"max_events must be an int or None, got {max_events!r}")
@@ -488,7 +487,8 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
         raise ValueError(f"max_events must be >= 0, got {max_events!r}")
     if seed is not None and rng is not None:
         raise ValueError("give seed or rng, not both")
-    _require_valid(spec)
+    if not isinstance(spec, EnsembleSpec):
+        raise TypeError(f"spec must be an EnsembleSpec, got {type(spec).__name__}")
     if not t_end >= state.sim_time:        # also rejects NaN
         raise ValueError(f"t_end must be >= state.sim_time, got {t_end!r}")
     if max_events is None and t_end == math.inf:
@@ -510,8 +510,7 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
     R_heat = n * spec.scale_heat * r.heat_rate
     R_total = R_unary + R_slow + R_fast + R_heat
     if not math.isfinite(R_total):
-        # validate_spec refuses this at the spec's N; a larger state can still
-        # overflow, and the kernel's loop could not be stopped
+        # a state larger than its spec's N can overflow; the kernel could not stop
         raise ValueError(f"the channels' proposal rate at n = {n} is {R_total!r}, not finite")
     if R_total == 0.0 and t_end == math.inf:
         # no proposal ever comes, and no horizon is ever reached

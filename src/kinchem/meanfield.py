@@ -37,7 +37,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .model import EnsembleSpec, TypeKernel, _require_valid, sample_times
+from .model import EnsembleSpec, TypeKernel, sample_times
 
 __all__ = [
     "DensityField",
@@ -790,6 +790,10 @@ class MeanFieldTrajectory:
         return self.fields[-1]
 
 
+# the most RK4 steps integrate_boltzmann takes on; its docstring says why
+MAX_RK4_STEPS = 10 ** 6
+
+
 def integrate_boltzmann(field: DensityField, spec: EnsembleSpec, t_end: float,
                         dt: Optional[float] = None, *,
                         sample_every: Optional[float] = None,
@@ -807,11 +811,15 @@ def integrate_boltzmann(field: DensityField, spec: EnsembleSpec, t_end: float,
     Snapshots are taken exactly at the instants of
     ``model.sample_times(0, t_end, sample_every)``: each interval [a, b] of
     that clock is marched in ceil((b - a) / dt) equal steps and its snapshot
-    is stamped b.  A spec that fails ``validate_spec``, a dt that is not
-    positive and finite, a negative or non-finite ``t_end``, or a bad
-    ``sample_every`` raises ValueError.
+    is stamped b.  A dt that is not positive and finite, a negative or
+    non-finite ``t_end``, or a bad ``sample_every`` raises ValueError.
+
+    The steps are counted before the first is taken, and more than
+    ``MAX_RK4_STEPS`` = 10**6 raise ValueError naming the count: at the
+    rates a valid spec allows, dt * rate <= 0.5 can ask for 1e300 steps.
+    The most any test takes is 570, the ``meanfield`` benchmark workload 150
+    and README's ``sim --engine meanfield`` example 50; no scenario calls this.
     """
-    _require_valid(spec)
     if not 0.0 <= t_end < math.inf:
         raise ValueError(f"t_end must be nonnegative and finite, got {t_end!r}")
     if dt is not None and not 0.0 < dt < math.inf:
@@ -826,15 +834,24 @@ def integrate_boltzmann(field: DensityField, spec: EnsembleSpec, t_end: float,
         raise ValueError(
             f"step size violates stability bound: dt*rate = {rate * dt:.3g} > 0.5")
 
-    a = next(clock)
-    times = [a]
+    # a loop once started runs all its steps: count them first
+    times, steps, counted = [next(clock)], [], 0
+    for b in clock:
+        n = (b - times[-1]) / dt
+        if counted + n > MAX_RK4_STEPS:
+            need = counted + (t_end - times[-1]) / dt
+            raise ValueError(f"t_end = {t_end!r} needs at least {need:.7g} RK4 steps of "
+                             f"dt = {dt:.3g}, more than MAX_RK4_STEPS = {MAX_RK4_STEPS}")
+        steps.append(math.ceil(n))
+        counted += steps[-1]
+        times.append(b)
     # each snapshot holds the step's own array: rk4_step returns a new one,
     # and the clip and the renormalization act in place only on that one
     fields = [DensityField(field.grid, rho)]
     drift = 0.0
     clipped = 0.0
-    for b in clock:
-        n = math.ceil((b - a) / dt)
+    a = times[0]
+    for b, n in zip(times[1:], steps):
         h = (b - a) / n
         for k in range(1, n + 1):
             rho = integ.step(rho, h)
@@ -848,7 +865,6 @@ def integrate_boltzmann(field: DensityField, spec: EnsembleSpec, t_end: float,
                 raise ValueError(
                     f"step size violates stability bound at t={a + k * h:.3g}: "
                     f"dt*rate = {rate * h:.3g} > 0.5")
-        times.append(b)
         fields.append(DensityField(field.grid, rho))
         a = b
     return MeanFieldTrajectory(np.asarray(times), fields, drift, clipped)

@@ -1,9 +1,9 @@
 """Model configuration: species constants, rate tables, ensemble setup.
 
-All objects here are plain immutable data, validated once and then shared
-read-only by the particle and mean-field engines.  Units follow k_B = 1:
-inverse temperature beta and every energy (kinetic T, chemical K_j) share
-one unit, lengths are arbitrary.
+All objects here are plain immutable data, a spec validated when it is made,
+then shared read-only by the particle and mean-field engines.  Units follow
+k_B = 1: inverse temperature beta and every energy (kinetic T, chemical K_j)
+share one unit, lengths are arbitrary.
 """
 from __future__ import annotations
 
@@ -123,6 +123,10 @@ class TypeKernel:
     kind: str = "identity"
     table: tuple = ()
 
+    def __post_init__(self):
+        object.__setattr__(self, "table", tuple((tuple(ab), tuple((tuple(o), p) for o, p in outs))
+                                                for ab, outs in self.table))
+
     def outcomes(self, j: int, jp: int) -> tuple:
         """Outcome distribution for an ordered (1-based) type pair."""
         if self.kind == "identity":
@@ -191,7 +195,7 @@ class RateTable:
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Full configuration of one finite-N ensemble on the periodic box."""
+    """Full configuration of one finite-N ensemble on the periodic box, checked when made."""
 
     n_particles: int
     box_side: float
@@ -204,6 +208,8 @@ class EnsembleSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "species", tuple(self.species))
+        if not (report := validate_spec(self)).ok:
+            raise ValueError(f"invalid spec:\n{report}")
 
     @property
     def n_types(self) -> int:
@@ -272,8 +278,17 @@ def sample_times(t0: float, t_end: float, every: Optional[float] = None) -> Iter
 
 
 def validate_spec(spec: EnsembleSpec) -> ValidationReport:
-    """Check every invariant of the configuration; returns all violations found."""
-    bad = []
+    """Every violation of the spec's invariants; ``EnsembleSpec`` raises on any when made."""
+    r, dist = spec.rates, spec.initial_distribution
+    parts = [("rates", r, RateTable), ("ensemble.initial_distribution", dist, InitialDistribution),
+             ("rates.binary_kernel", getattr(r, "binary_kernel", None), TypeKernel),
+             *((f"species[{k}]", sp, SpeciesSpec) for k, sp in enumerate(spec.species, 1)),
+             *((f"ensemble.initial_distribution.energy_laws[{k}]", law, EnergyLaw)
+               for k, law in enumerate(getattr(dist, "energy_laws", ()), 1))]
+    bad = [Violation(name, f"must be a {kind.__name__}, got {type(part).__name__}")
+           for name, part, kind in parts if not isinstance(part, kind)]
+    if bad:
+        return ValidationReport(bad)
 
     def flag(fieldname, msg):
         bad.append(Violation(fieldname, msg))
@@ -296,8 +311,6 @@ def validate_spec(spec: EnsembleSpec) -> ValidationReport:
                  f"count {len(sp.internal_masses)} != dof - 3 = {sp.dof - 3}")
         if not all(_finite(m) and m > 0.0 for m in sp.internal_masses):
             flag(f"{tag}.internal_masses", "all oscillator masses must be positive and finite")
-
-    r = spec.rates
 
     def check_matrix(name, mat, symmetric):
         """Flag every bad entry; False when the shape itself is wrong."""
@@ -386,7 +399,6 @@ def validate_spec(spec: EnsembleSpec) -> ValidationReport:
         if not bad and not math.isfinite(total):
             flag("rates", f"the channels' proposal bounds at n_particles = {n} sum to {total!r}")
 
-    dist = spec.initial_distribution
     if len(dist.type_weights) != J:
         flag("ensemble.initial_distribution.type_weights", f"need {J} weights")
     else:
@@ -412,12 +424,6 @@ def validate_spec(spec: EnsembleSpec) -> ValidationReport:
             flag(tag, f"point law needs value >= 0, got {law.value!r}")
 
     return ValidationReport(bad)
-
-
-def _require_valid(spec: EnsembleSpec) -> None:
-    report = validate_spec(spec)
-    if not report.ok:
-        raise ValueError(f"invalid spec:\n{report}")
 
 
 # -- config file round trip ---------------------------------------------------
@@ -554,7 +560,8 @@ def spec_from_dict(data: dict) -> EnsembleSpec:
 
 
 def load_config(path) -> EnsembleSpec:
-    """Load and validate a YAML config; raises ConfigError with context on failure."""
+    """Load a YAML config; any failure raises ConfigError naming the path and,
+    for an invalid spec, every violation."""
     import yaml
 
     with open(path) as fh:
@@ -563,15 +570,9 @@ def load_config(path) -> EnsembleSpec:
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
     try:
-        spec = spec_from_dict(data)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"malformed config {path}: {exc}") from exc
-    report = validate_spec(spec)
-    if not report.ok:
-        raise ConfigError(f"invalid config {path}:\n{report}")
-    return spec
+        return spec_from_dict(data)
+    except (TypeError, ValueError) as exc:      # a ConfigError included
+        raise ConfigError(f"invalid config {path}: {exc}") from exc
 
 
 def save_config(spec: EnsembleSpec, path) -> None:

@@ -136,6 +136,12 @@ def test_criterion_07_hess_law():
 
 
 def test_criterion_08_poisson_spatial_invariance():
+    # False-alarm rate: over seeds 1000..1399 the scenario failed on 6 of 400
+    # (1.5%, 95% Clopper-Pearson 0.6-3.2%), each time on one chi2 p below
+    # 0.01 (2 at t = 1, 3 at t = 2, 1 at t = 4).  At each time the dispersion
+    # had mean 0.999-1.001 and sd 0.032-0.035, and it never left 0.9-1.1
+    # (0.9027 to 1.0998).  So about one stream change in 70 turns this check
+    # red with no defect
     summary = run_scenario("poisson-invariance", {"n": 10000}, seed=7)
     ok = summary["passed"]
     disp = [c["value"] for c in summary["checks"] if "dispersion" in c["name"]]

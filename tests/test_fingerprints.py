@@ -151,10 +151,16 @@ def initial_state_digests() -> dict:
 def pair_system_digests() -> dict:
     models = {"contagion": (contagion_model(0.5, 1.0), (0.7, 0.3)),
               "voter-3": (voter_model(1.0, 3), (0.5, 0.3, 0.2))}
-    return {f"simulate_pair_system/{name}/N={N}/t={t}/seed={seed}":
-            _digest(simulate_pair_system(model, N, t, mu0, seed))
-            for name, (model, mu0) in models.items()
-            for N in (2, 50, 1025) for t in (0.0, 0.7) for seed in SEEDS}
+    out = {f"simulate_pair_system/{name}/N={N}/t={t}/seed={seed}":
+           _digest(simulate_pair_system(model, N, t, mu0, seed))
+           for name, (model, mu0) in models.items()
+           for N in (2, 50, 1025) for t in (0.0, 0.7) for seed in SEEDS}
+    # two particles end in one of only 4 (contagion) or 9 (voter-3) states, so
+    # one replica's digest can stay put when the stream changes; 64 cannot
+    for name, (model, mu0) in models.items():
+        out[f"simulate_pair_system/{name}/N=2/t=0.7/seeds=1..64"] = _digest(
+            [simulate_pair_system(model, 2, 0.7, mu0, seed) for seed in range(1, 65)])
+    return out
 
 
 def sim_csv_digests() -> dict:

@@ -4,6 +4,7 @@ import math
 import random
 import signal
 import sys
+import types
 from array import array
 from collections import Counter
 
@@ -567,21 +568,32 @@ def test_run_rejects_invalid_spec(two_state_spec_factory):
 def test_run_refuses_an_overflowing_rate_before_the_kernel(monkeypatch):
     # heat 1e300 at scale 1e300 is valid entry by entry, but the channel
     # proposes at inf: the run still ran in C after 20 s, where no signal
-    # stops it.  A state larger than its spec can overflow where the spec's
-    # N does not
+    # stops it.  Such a spec is refused as it is made, so no run is given
+    # it; a state larger than its spec can overflow where the spec's N does not
     def no_kernel():
         raise AssertionError("the kernel was reached")
 
     monkeypatch.setattr(kinetics, "_kernel", no_kernel)
-    bad = two_state_spec(4, heat=1e300, scale_heat=1e300)
-    with pytest.raises(ValueError, match=r"rates\.heat_rate: .* is inf"):
-        sample_initial_state(bad, 1)
-    state = sample_initial_state(two_state_spec(4), 1)
-    with pytest.raises(ValueError, match=r"rates\.heat_rate: .* is inf"):
-        run(state, bad, 0.01, seed=2)
+    with pytest.raises(ValueError, match=r"invalid spec:\n.*rates\.heat_rate: .* is inf"):
+        two_state_spec(4, heat=1e300, scale_heat=1e300)
     near = two_state_spec(2, heat=1e308 / 3, scale_heat=1.0)
     with pytest.raises(ValueError, match="proposal rate at n = 10 is inf"):
         run(sample_initial_state(two_state_spec(10), 1), near, 0.01, seed=2)
+
+
+def test_run_refuses_anything_but_a_spec_before_the_kernel(monkeypatch):
+    # the kernel indexes the spec's tables blindly: a look-alike whose parts
+    # were never checked, or could change after the check, never reaches it
+    def no_kernel():
+        raise AssertionError("the kernel was reached")
+
+    monkeypatch.setattr(kinetics, "_kernel", no_kernel)
+    spec = two_state_spec(4)
+    state = sample_initial_state(spec, 1)
+    look_alike = types.SimpleNamespace(**vars(spec))
+    with pytest.raises(TypeError, match="spec must be an EnsembleSpec, got SimpleNamespace"):
+        run(state, look_alike, 0.01, seed=2)
+    assert sum(state.proposal_counts.values()) == 0
 
 
 def _slow_plugin_spec(two_state_spec_factory, slow_fn, n):

@@ -1,6 +1,7 @@
 import json
 import math
 import signal
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -583,11 +584,33 @@ def test_observables_converge_under_grid_doubling():
 
 def test_integrate_boltzmann_refuses_an_overflowing_rate():
     # heat 1e300 at scale 1e300 is valid entry by entry; the step bound then
-    # gave dt = 0.4 / inf = 0 and a ZeroDivisionError
-    spec = two_state_spec(4, heat=1e300, scale_heat=1e300)
-    grid = MF.energy_grid(spec.rates.bath_beta, spec.chem_energies(), m=16)
+    # gave dt = 0.4 / inf = 0 and a ZeroDivisionError.  The spec is refused
+    # as it is made, so the kinetic equation is never given it
     with pytest.raises(ValueError, match=r"invalid spec:\n.*rates\.heat_rate"):
-        MF.integrate_boltzmann(MF.field_from_spec(spec, grid), spec, 0.01)
+        two_state_spec(4, heat=1e300, scale_heat=1e300)
+
+
+def test_integrate_boltzmann_refuses_too_many_steps_before_the_first():
+    # a valid spec: dt * rate <= 0.5 asks for 2.5e148 steps, and the run was
+    # still going when a 20 s timeout killed it
+    spec = two_state_spec(4, heat=1e150, scale_heat=1.0)
+    grid = MF.energy_grid(spec.rates.bath_beta, spec.chem_energies(), m=16)
+    field = MF.field_from_spec(spec, grid)
+    start = time.perf_counter()
+    for every in (None, 1e-3):
+        with pytest.raises(ValueError, match=r"t_end = 0\.01 needs at least 2\.5e\+148 RK4 "
+                                             r"steps of dt = 4e-151, more than "
+                                             r"MAX_RK4_STEPS = 1000000$"):
+            MF.integrate_boltzmann(field, spec, 0.01, sample_every=every)
+    assert time.perf_counter() - start < 1.0
+    # the count sums over the clock's intervals: two halves of 500001 steps are too many
+    ok = two_state_spec(4, heat=1.0, scale_heat=1.0)
+    field = MF.field_from_spec(ok, grid)
+    with pytest.raises(ValueError, match="needs at least 1000002 RK4 steps"):
+        MF.integrate_boltzmann(field, ok, 0.01, dt=0.01 / (MF.MAX_RK4_STEPS + 1),
+                               sample_every=0.005)
+    traj = MF.integrate_boltzmann(field, ok, 0.01, dt=1e-4, sample_every=0.005)
+    assert traj.times.tolist() == [0.0, 0.005, 0.01]
 
 
 @pytest.mark.parametrize("law", [EnergyLaw("point", value=100.0),

@@ -1,6 +1,8 @@
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +18,13 @@ from conftest import make_two_state
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
+def refused(build):
+    """(field, message) of each violation that ``build()`` raises making a spec."""
+    with pytest.raises(ValueError, match="^invalid spec:\n") as info:
+        build()
+    return [tuple(line.split(": ", 1)) for line in str(info.value).splitlines()[1:]]
+
+
 def test_well_formed_spec_is_valid():
     spec = make_two_state()
     assert validate_spec(spec).ok
@@ -26,24 +35,22 @@ def test_fast_rate_symmetry_violation_flagged():
     rates = RateTable(unary=spec.rates.unary, slow_binary=spec.rates.slow_binary,
                       fast_binary=[[1.0, 1.0], [2.0, 1.0]],
                       heat_rate=0.0, bath_beta=1.0)
-    report = validate_spec(spec.with_overrides(rates=rates))
-    assert not report.ok
-    assert any("fast_binary" in str(v) and "symmetry" in str(v)
-               for v in report.violations)
+    violations = refused(lambda: spec.with_overrides(rates=rates))
+    assert any(field == "rates.fast_binary" and "symmetry" in message
+               for field, message in violations)
 
 
 def test_low_dof_flagged():
     spec = make_two_state()
     bad = (SpeciesSpec(1, 1.0, dof=2), spec.species[1])
-    report = validate_spec(spec.with_overrides(species=bad))
-    assert any("dof" in v.field for v in report.violations)
+    assert any("dof" in field for field, _ in refused(lambda: spec.with_overrides(species=bad)))
 
 
 def test_internal_mass_count_must_match_dof():
     spec = make_two_state()
     bad = (SpeciesSpec(1, 1.0, dof=5, internal_masses=(1.0,)), spec.species[1])
-    report = validate_spec(spec.with_overrides(species=bad))
-    assert any("internal_masses" in v.field for v in report.violations)
+    assert any("internal_masses" in field
+               for field, _ in refused(lambda: spec.with_overrides(species=bad)))
     good = (SpeciesSpec(1, 1.0, dof=5, internal_masses=(1.0, 2.0)), spec.species[1])
     assert validate_spec(spec.with_overrides(species=good)).ok
 
@@ -51,19 +58,17 @@ def test_internal_mass_count_must_match_dof():
 def test_negative_mass_and_weights_flagged():
     spec = make_two_state()
     bad = (SpeciesSpec(1, -1.0), spec.species[1])
-    assert any("mass" in v.field for v in
-               validate_spec(spec.with_overrides(species=bad)).violations)
+    assert any("mass" in field for field, _ in refused(lambda: spec.with_overrides(species=bad)))
     dist = InitialDistribution((0.7, 0.7), spec.initial_distribution.energy_laws)
-    assert any("type_weights" in v.field for v in
-               validate_spec(spec.with_overrides(initial_distribution=dist)).violations)
+    assert any("type_weights" in field for field, _ in
+               refused(lambda: spec.with_overrides(initial_distribution=dist)))
 
 
 def test_nan_type_weight_flagged(tmp_path):
     # NaN compares False both with 0 and in the sum's tolerance, so only an
     # explicit finiteness check catches it; a YAML .nan reaches the same path
-    spec = make_two_state(weights=(math.nan, 1.0))
-    assert any(v.field == "ensemble.initial_distribution.type_weights"
-               for v in validate_spec(spec).violations)
+    assert any(field == "ensemble.initial_distribution.type_weights"
+               for field, _ in refused(lambda: make_two_state(weights=(math.nan, 1.0))))
     path = tmp_path / "cfg.yaml"
     save_config(make_two_state(weights=(0.25, 0.75)), path)
     text = path.read_text()
@@ -76,17 +81,16 @@ def test_nan_type_weight_flagged(tmp_path):
 @pytest.mark.parametrize("p", [math.nan, math.inf, "1.0"])
 def test_table_kernel_probability_must_be_finite(p):
     kernel = TypeKernel(kind="table", table=(((1, 1), (((2, 2), p),)),))
-    report = validate_spec(make_two_state(kernel=kernel))
-    assert any(v.field == "rates.binary_kernel[1,1]" and "finite" in v.message
-               for v in report.violations)
+    assert any(field == "rates.binary_kernel[1,1]" and "finite" in message
+               for field, message in refused(lambda: make_two_state(kernel=kernel)))
 
 
 @pytest.mark.parametrize("m", [math.nan, math.inf])
 def test_internal_masses_must_be_finite(m):
     spec = make_two_state()
     bad = (SpeciesSpec(1, 1.0, dof=4, internal_masses=(m,)), spec.species[1])
-    report = validate_spec(spec.with_overrides(species=bad))
-    assert [v.field for v in report.violations] == ["species[1].internal_masses"]
+    violations = refused(lambda: spec.with_overrides(species=bad))
+    assert [field for field, _ in violations] == ["species[1].internal_masses"]
 
 
 def test_sample_point_mass_energies_and_octants():
@@ -256,9 +260,11 @@ def test_float_fields_reject_booleans(tmp_path, edit, field):
 
 
 def test_validate_spec_flags_booleans_in_float_fields():
-    spec = make_two_state(box_side=True, laws=(EnergyLaw("gamma", beta=True),) * 2)
-    spec = spec.with_overrides(species=(SpeciesSpec(1, True), spec.species[1]))
-    fields = {v.field for v in validate_spec(spec).violations}
+    spec = make_two_state()
+    dist = InitialDistribution((0.5, 0.5), (EnergyLaw("gamma", beta=True),) * 2)
+    fields = {field for field, _ in refused(lambda: spec.with_overrides(
+        box_side=True, initial_distribution=dist,
+        species=(SpeciesSpec(1, True), spec.species[1])))}
     assert {"ensemble.box_side", "species[1].mass",
             "ensemble.initial_distribution.energy_laws[1]"} <= fields
 
@@ -305,13 +311,10 @@ def test_chemical_energies_whose_total_overflows_are_flagged(n):
     # K[a] + K[b] = inf made the slow shift inf - inf: 17 of 20 energies
     # turned NaN in a run of the 20-particle spec, and no error was raised.
     # The kinetic equation sums a pair's energies whatever n is.
-    spec = make_two_state(n=n, k2=1e308, slow=1.0, fast=0.0, w12=0.0, w21=0.0,
-                          weights=(0.0, 1.0))
-    report = validate_spec(spec)
-    assert [v.field for v in report.violations] == ["species"]
-    assert "overflow" in str(report)
-    with pytest.raises(ValueError, match="overflow"):
-        sample_initial_state(spec, 1)
+    violations = refused(lambda: make_two_state(n=n, k2=1e308, slow=1.0, fast=0.0,
+                                                w12=0.0, w21=0.0, weights=(0.0, 1.0)))
+    assert [field for field, _ in violations] == ["species"]
+    assert "overflow" in violations[0][1]
 
 
 def test_chemical_energies_below_the_overflow_are_valid():
@@ -330,16 +333,53 @@ def test_rates_whose_effective_values_overflow_are_flagged(overrides, field):
     # the channels' thinning bounds at the spec's N: a particle run of the
     # first spec still ran in C after 20 s, and the kinetic equation raised
     # ZeroDivisionError on a step of size 0.4 / inf
-    report = validate_spec(two_state_spec(**overrides))
-    assert [v.field for v in report.violations] == [field]
+    assert [f for f, _ in refused(lambda: two_state_spec(**overrides))] == [field]
     assert validate_spec(two_state_spec(2, heat=1e308 / 3, scale_heat=1.0)).ok
 
 
 def test_invalid_spec_rejected_by_sampler():
+    # the spec is refused as it is made, so no sampler is ever given it
     spec = make_two_state()
-    bad = spec.with_overrides(species=(SpeciesSpec(1, -2.0), spec.species[1]))
     with pytest.raises(ValueError, match="mass"):
-        sample_initial_state(bad, 1)
+        spec.with_overrides(species=(SpeciesSpec(1, -2.0), spec.species[1]))
+
+
+def test_specs_that_no_engine_checked_cannot_be_made():
+    # reduced_macro_ode ran on w12 = -1 and returned c2 = -0.140, and
+    # field_from_spec took n_particles = 0: neither engine checks its spec
+    assert "rates.unary[1][2]" in {f for f, _ in refused(lambda: two_state_spec(4, w12=-1.0))}
+    assert refused(lambda: two_state_spec(4).with_overrides(n_particles=0)) == [
+        ("ensemble.n_particles", "must be an integer >= 1, got 0")]
+    # a table given as lists is held as tuples, which no later change alters
+    kernel = TypeKernel(kind="table", table=[[[1, 1], [[[2, 2], 0.5], [[1, 1], 0.5]]]])
+    assert kernel.table == (((1, 1), (((2, 2), 0.5), ((1, 1), 0.5))),)
+
+    def only_tuples(x):
+        return not isinstance(x, list) and (not isinstance(x, tuple) or all(map(only_tuples, x)))
+    assert only_tuples(kernel.table)
+
+
+def _mutable(part):
+    return SimpleNamespace(**vars(part))
+
+
+@pytest.mark.parametrize("name, kind, swap", [
+    ("rates", "RateTable", lambda s: {"rates": _mutable(s.rates)}),
+    ("rates.binary_kernel", "TypeKernel",
+     lambda s: {"rates": replace(s.rates, binary_kernel=_mutable(s.rates.binary_kernel))}),
+    ("species[2]", "SpeciesSpec", lambda s: {"species": (s.species[0], _mutable(s.species[1]))}),
+    ("ensemble.initial_distribution", "InitialDistribution",
+     lambda s: {"initial_distribution": _mutable(s.initial_distribution)}),
+    ("ensemble.initial_distribution.energy_laws[1]", "EnergyLaw",
+     lambda s: {"initial_distribution": replace(s.initial_distribution, energy_laws=(
+         _mutable(s.initial_distribution.energy_laws[0]), s.initial_distribution.energy_laws[1]))}),
+], ids=["rates", "kernel", "species", "distribution", "law"])
+def test_a_part_that_is_not_its_frozen_model_type_is_refused(name, kind, swap):
+    # a spec is checked only when it is made, and the kernel reads its tables
+    # blindly: a part that could change after the check is refused
+    spec = make_two_state()
+    assert refused(lambda: spec.with_overrides(**swap(spec))) == [
+        (name, f"must be a {kind}, got SimpleNamespace")]
 
 
 def test_sample_times_counts_intervals_and_ends_at_the_horizon():
