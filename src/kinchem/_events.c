@@ -1,6 +1,7 @@
-/* The particle engine: kinetics.run() calls kc_run() for the event loop and
- * kc_flush() to fly every particle to a sample time.  The same library holds
- * the oracle's pair process, kc_pair_system() (at the end of the file).
+/* The particle engine: kinetics.run() calls kc_run() for the event loop,
+ * kc_flush() to fly every particle to a sample time and kc_sum() for each
+ * snapshot's kinetic total.  The same library holds the oracle's pair
+ * process, kc_pair_system() (after the engine, before kc_sum).
  *
  * Four channels on competing exponential clocks, thinned against constant
  * bounds: unary type changes, slow binary reactions, fast binary (Kac)
@@ -36,8 +37,9 @@
 #include <string.h>
 
 /* KC_NO_PARTNER: the partner stream asked for at n < 2; KC_BAD_TABLE: a
- * negative, NaN or infinite entry in a table of kc_pair_system */
-enum { KC_DONE, KC_STOP, KC_CALLBACK, KC_NO_MEMORY, KC_NO_PARTNER, KC_BAD_TABLE };
+ * negative, NaN or infinite entry in a table of kc_pair_system; KC_FSUM: a
+ * buffer that kc_sum hands back to math.fsum */
+enum { KC_DONE, KC_STOP, KC_CALLBACK, KC_NO_MEMORY, KC_NO_PARTNER, KC_BAD_TABLE, KC_FSUM };
 enum { WAITING, UNIFORM, PARTICLE, PARTNER, SPLIT, BATH, NORMAL, N_STREAMS };
 enum { UNARY, SLOW, FAST, HEAT };
 
@@ -670,5 +672,112 @@ int kc_pair_system(const unsigned char *key, int64_t n_words, int64_t n,
         states[j] = o % S;
     }
     free(cum0);
+    return KC_DONE;
+}
+
+/* -- exact sums ---------------------------------------------------------------
+ *
+ * kc_sum() writes the sum of n doubles, correctly rounded to nearest with
+ * ties to even: the bits of Python's math.fsum (Shewchuk's partials), which
+ * the tests pin it to.  It is a small superaccumulator in Neal's sense
+ * ("Fast exact summation using small and large superaccumulators", 2015),
+ * one bucket per biased exponent.  A finite double is m * 2^(e - 1075) with
+ * |m| < 2^53 and e its biased exponent (1 for a subnormal), and bucket e
+ * adds the signed m of every entry of exponent e.  A bucket has 128 bits:
+ * n < 2^63 entries of |m| < 2^53 keep it below 2^116, so no bucket carries
+ * before the end, for any n.  Then each bucket, shifted to its exponent,
+ * adds into the 64-bit digits of one integer X = sum * 2^1074, which is
+ * rounded once: the 64 bits of |X| from its top set bit down, with a sticky
+ * 1 for any set bit below them, convert to double as |X| itself rounds
+ * (IEEE conversion, to nearest with ties to even), and scaling by a power
+ * of two is then exact.
+ *
+ * fsum raises or returns a special value for a NaN or infinite entry, and
+ * raises OverflowError when one of its partial sums overflows, which
+ * depends on the order of the entries.  kc_sum returns KC_FSUM without
+ * writing *out for those inputs: for a NaN or infinite entry, and whenever n
+ * entries of the largest exponent present could sum to 2^1021 or more.
+ * Below that no partial sum of fsum's comes near 2^1024.  Python then calls
+ * math.fsum on the same buffer. */
+
+__extension__ typedef __int128 i128;
+
+enum { SUM_EXPONENTS = 2048, SUM_DIGITS = 34 };  /* |X| < 2^2095: 33 digits and a sign */
+
+/* the 64 bits of |X| from bit p up, with a sticky 1 for any set bit below p */
+static uint64_t rounding_window(const uint64_t *digit, int64_t p)
+{
+    int64_t d = p >> 6, s = p & 63;
+    uint64_t w = digit[d] >> s, below = 0;
+    if (s) {
+        w |= digit[d + 1] << (64 - s);
+        below = digit[d] << (64 - s);
+    }
+    for (int64_t k = 0; k < d; k++)
+        below |= digit[k];
+    return w | (below != 0);
+}
+
+int kc_sum(const double *x, int64_t n, double *out)
+{
+    i128 bucket[SUM_EXPONENTS], acc[SUM_DIGITS], carry = 0;
+    uint64_t digit[SUM_DIGITS], w;
+    int64_t emax = 0, width = 0, top, p = 0, b = 63;
+    bool negative;
+
+    memset(bucket, 0, sizeof bucket);
+    memset(acc, 0, sizeof acc);
+    for (int64_t k = 0; k < n; k++) {
+        uint64_t u;
+        int64_t e, m;
+        memcpy(&u, x + k, sizeof u);
+        e = (int64_t)(u >> 52 & 0x7ff);
+        m = (int64_t)(u & UINT64_C(0xfffffffffffff)) | (int64_t)(e != 0) << 52;
+        e += e == 0;
+        bucket[e] += u >> 63 ? -m : m;
+        emax = e > emax ? e : emax;
+    }
+    for (uint64_t r = (uint64_t)n; r; r >>= 1)
+        width++;
+    if (emax + width > 2043)        /* n * 2^(emax - 1022) > 2^1021; a NaN or inf has 2047 */
+        return KC_FSUM;
+
+    /* bucket e is worth bucket[e] * 2^(e - 1) in X: three digits from
+     * d = (e - 1) / 64 on, the third signed */
+    for (int64_t e = 1; e <= emax; e++) {
+        int64_t d = (e - 1) >> 6, s = (e - 1) & 63;
+        u128 v = (u128)bucket[e];
+        if (!bucket[e])
+            continue;
+        acc[d] += (uint64_t)(v << s);
+        acc[d + 1] += (uint64_t)(v >> (64 - s));
+        acc[d + 2] += (int64_t)(bucket[e] >> 64 >> (64 - s));
+    }
+    for (int64_t d = 0; d < SUM_DIGITS; d++) {
+        i128 t = acc[d] + carry;
+        digit[d] = (uint64_t)t;
+        carry = t >> 64;
+    }
+    negative = carry < 0;
+    if (negative) {                 /* |X|: the two's complement */
+        bool one = true;
+        for (int64_t d = 0; d < SUM_DIGITS; d++) {
+            digit[d] = ~digit[d] + one;
+            one = one && !digit[d];
+        }
+    }
+
+    /* the window's lowest bit p: 0 while |X| < 2^64, where the conversion
+     * is exact below 2^53 (X = 0 gives fsum's +0.0) and the sum is normal
+     * above; else 63 below the top set bit */
+    for (top = SUM_DIGITS - 1; top > 0 && !digit[top]; top--)
+        ;
+    if (top) {
+        while (!(digit[top] >> b))
+            b--;
+        p = 64 * top + b - 63;
+    }
+    w = rounding_window(digit, p);
+    *out = ldexp(negative ? -(double)w : (double)w, (int)(p - 1074));
     return KC_DONE;
 }

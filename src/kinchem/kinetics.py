@@ -37,6 +37,16 @@ each sample time.  The same library runs ``oracle.simulate_pair_system``
 (``kc_pair_system``), each replica the stream of ``np.random.default_rng(seed)``
 drawn with the same samplers.
 
+The energy ledger's totals are exact sums rounded once, bit for bit
+``math.fsum``.  Inside ``run`` each observer's snapshot takes its kinetic
+total from the kernel's ``kc_sum``, which sums the raw energy buffer in
+128-bit buckets per binary exponent and hands a NaN, an infinity or a
+magnitude near overflow back to ``math.fsum``, so its errors hold too.  The
+chemical total is integer arithmetic on each K's binary fraction and the
+type counts, rounded by one int division.  ``total_kinetic()`` and
+``snapshot()`` called outside a run use ``math.fsum``, so set-up and the
+state's views load no compiled code.
+
 With ``record_events`` a run's ``EventLog`` keeps each accepted event as the
 kernel wrote it, one row of a numpy structured array converted only when
 read, so a long log gives the garbage collector nothing to track.
@@ -207,14 +217,20 @@ class EnsembleState:
 
     # -- ledger ---------------------------------------------------------------
 
-    def total_kinetic(self) -> float:
-        return math.fsum(self.energies)
+    def total_kinetic(self, kernel=None) -> float:
+        """The sum of the energies, rounded once, bit for bit ``math.fsum``:
+        by the loaded C kernel ``kernel`` over the raw buffer when given
+        (``run`` passes it), else by ``math.fsum``, which loads nothing."""
+        return math.fsum(self.energies) if kernel is None else _fsum(kernel, self.energies)
 
     def total_chemical(self) -> float:
         """The exact sum of K over the particles, rounded once as ``fsum`` rounds."""
-        from fractions import Fraction      # imports decimal: kept out of `import kinchem`
+        # each K is p / 2**k: add the counts' numerators over the largest
+        # denominator, then one correctly rounded int division
+        ratios = [K.as_integer_ratio() for K in self.species_K]
+        den = max(q for _, q in ratios)
         counts = self.type_counts().tolist()
-        return float(sum(Fraction(K) * n for K, n in zip(self.species_K, counts)))
+        return sum(p * (den // q) * c for (p, q), c in zip(ratios, counts)) / den
 
     @property
     def bath_exchange(self) -> float:
@@ -235,14 +251,16 @@ class EnsembleState:
         returns or calls an observer, so no flight is left to apply."""
         return np.column_stack((self.x, self.y, self.z))
 
-    def snapshot(self, with_positions: bool = True) -> Snapshot:
+    def snapshot(self, with_positions: bool = True, kernel=None) -> Snapshot:
+        """The state's copy at ``sim_time``; ``kernel`` sums its energies as
+        in ``total_kinetic``."""
         return Snapshot(
             time=self.sim_time,
             # copies: a numpy view of a column would change with the run
             types=np.array(self.types, dtype=np.int64) + 1,
             energies=np.array(self.energies, dtype=float),
             positions=self.positions() if with_positions else None,
-            total_kinetic=self.total_kinetic(),
+            total_kinetic=self.total_kinetic(kernel),
             total_chemical=self.total_chemical(),
             bath_exchange=self.bath_exchange,
             event_counts=self.event_counts,
@@ -299,8 +317,8 @@ _SOURCE = pathlib.Path(__file__).with_name("_events.c")
 _BUILD = ("cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _BLOCK = 512    # variates per fill of each stream; small blocks keep peak memory flat
 _STREAMS = 7    # the kernel's variate streams, WAITING to NORMAL
-# the return codes of kc_run, kc_fill and kc_pair_system
-_DONE, _STOP, _CALLBACK, _NO_MEMORY, _NO_PARTNER, _BAD_TABLE = range(6)
+# the return codes of kc_run, kc_fill, kc_pair_system and kc_sum
+_DONE, _STOP, _CALLBACK, _NO_MEMORY, _NO_PARTNER, _BAD_TABLE, _FSUM = range(7)
 
 _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 _UNARY_FN = ctypes.CFUNCTYPE(ctypes.c_int, _I64, _F64, ctypes.POINTER(_F64))
@@ -383,8 +401,20 @@ def _kernel():
     dll.kc_event_count.argtypes = (ctypes.c_char_p, _I64, _F64)
     dll.kc_event_count.restype = _I64
     dll.kc_fill.argtypes = (_PTR, _I64, _I64, _F64, _I64, _PTR)
+    dll.kc_sum.argtypes = (_PTR, _I64, ctypes.POINTER(_F64))
     dll.kc_free_log.restype = dll.kc_flush.restype = None
     return dll
+
+
+def _fsum(kc, buf) -> float:
+    """``math.fsum(buf)`` of an ``array('d')``, summed over its raw buffer by
+    the kernel ``kc``; a buffer it hands back (a NaN or an infinity, or
+    magnitudes at which a partial sum could overflow) goes to ``math.fsum``
+    itself, so its errors and special values hold as well."""
+    out = _F64()
+    if kc.kc_sum(_address(buf), len(buf), ctypes.byref(out)) == _FSUM:
+        return math.fsum(buf)
+    return out.value
 
 
 def _catching(fn, failure: list):
@@ -571,7 +601,7 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
         if track_positions:
             kc.kc_flush(ctx, t_obs)
         state.sim_time = t_obs
-        snap = state.snapshot(with_positions=track_positions)
+        snap = state.snapshot(with_positions=track_positions, kernel=kc)
         for obs in observers:
             obs(snap)
 

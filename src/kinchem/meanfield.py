@@ -829,7 +829,10 @@ def integrate_boltzmann(field: DensityField, spec: EnsembleSpec, t_end: float,
     rho = field.values / field.values.sum()
     rate = integ.max_out_rate(rho)
     if dt is None:
-        dt = 0.4 / rate if rate > 0.0 else t_end or 1.0
+        dt = 0.4 / rate if rate > 0.0 else math.inf
+        if dt == math.inf:      # rate 0, or below 0.4 / DBL_MAX
+            # any dt at least as long as a sample interval takes the same steps
+            dt = t_end or 1.0
     if rate * dt > 0.5:
         raise ValueError(
             f"step size violates stability bound: dt*rate = {rate * dt:.3g} > 0.5")

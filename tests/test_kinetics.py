@@ -1,12 +1,15 @@
 import copy
+import ctypes
 import gc
 import math
 import random
 import signal
+import struct
 import sys
 import types
 from array import array
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -1066,6 +1069,122 @@ def test_total_chemical_is_the_per_particle_fsum(K, data):
     state.types = array("q", types)
     assert state.total_chemical() == math.fsum(K[t] for t in types)
     assert state.snapshot().total_chemical == state.total_chemical()
+
+
+# -- kinetic totals: kc_sum against math.fsum ----------------------------------
+#
+# Each snapshot's kinetic total inside run() is the kernel's kc_sum over the
+# raw energy buffer; math.fsum is its reference, bit for bit with the sign of
+# zero, and on the inputs kc_sum hands back, with fsum's own errors.
+
+
+def _bits(f, values):
+    """What ``f(values)`` gives: its float's bytes, or its exception's type and text."""
+    try:
+        return struct.pack("<d", f(values))
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _kc_sum(values):
+    """kc_sum's (status, sum) over ``values`` as an ``array('d')``."""
+    buf = array("d", values)
+    out = ctypes.c_double()
+    status = kinetics._kernel().kc_sum(buf.buffer_info()[0], len(buf), ctypes.byref(out))
+    return status, out.value
+
+
+def _assert_fsum_parity(values):
+    want = _bits(math.fsum, values)
+    assert _bits(partial(kinetics._fsum, kinetics._kernel()), array("d", values)) == want
+    status, total = _kc_sum(values)
+    if status == kinetics._DONE:
+        assert struct.pack("<d", total) == want
+    else:
+        # only a NaN, an infinity or a magnitude near the largest float goes back
+        assert status == kinetics._FSUM
+        assert not all(abs(v) < 1e300 for v in values)
+
+
+_SUMMANDS = (st.floats(allow_nan=False, allow_infinity=False)
+             | st.floats(-1e-300, 1e-300, allow_subnormal=True)
+             | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                1.0, 1e16, 2.0 ** -53, 1.7976931348623157e308,
+                                -1.7976931348623157e308, 8.98846567431158e307]))
+
+
+@st.composite
+def _cancelling(draw):
+    """A list of summands and the negations of some of them, shuffled."""
+    values = draw(st.lists(_SUMMANDS, max_size=30))
+    values += [-v for v in draw(st.lists(st.sampled_from(values), max_size=30))] if values else []
+    return draw(st.permutations(values))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(values=st.lists(_SUMMANDS, max_size=40) | _cancelling())
+def test_kc_sum_is_fsum_bit_for_bit(values):
+    _assert_fsum_parity(values)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(mantissa=st.integers(2 ** 52, 2 ** 53 - 1), exponent=st.integers(-1022, 960),
+       n=st.integers(2 ** 11 + 1, 6000), seed=st.integers(0, 2 ** 32))
+def test_kc_sum_is_fsum_past_a_64_bit_bucket(mantissa, exponent, n, seed):
+    # more than 2**11 entries of one exponent, each mantissa at least 2**52:
+    # their bucket passes 2**63, which only its 128 bits hold
+    v = math.ldexp(mantissa, exponent - 52)
+    _assert_fsum_parity(random.Random(seed).choices((v, v, v, -v), k=n))
+    _assert_fsum_parity([v] * n + [math.ldexp(1.0, exponent - 80)])
+
+
+@pytest.mark.parametrize("values, want", [
+    ([], 0.0), ([-0.0], 0.0), ([-0.0, -0.0], 0.0), ([1.0, -1.0], 0.0),
+    ([5e-324, 5e-324, -5e-324], 5e-324),
+    ([math.inf], math.inf), ([math.nan], math.nan),
+    ([math.inf, -math.inf], ValueError),
+    ([1e308, 1e308, -1e308], OverflowError),
+    # fsum's half-even correction across partials: the tie of the top two
+    # partials is broken upwards by a third, below them
+    ([1e-16, 1.0, 1e16], 1.0000000000000002e16),
+    ([1.0, 2.0 ** -53, 2.0 ** -106], 1.0000000000000002),
+    ([1.0, 2.0 ** -53, -(2.0 ** -106)], 1.0),
+    ([2.0 ** 53, 1.0, 2.0 ** -60], 2.0 ** 53 + 2.0),
+])
+def test_kc_sum_cases(values, want):
+    _assert_fsum_parity(values)
+    got = _bits(math.fsum, values)
+    if isinstance(want, type):
+        assert got[0] is want
+    elif math.isnan(want):
+        assert math.isnan(struct.unpack("<d", got)[0])
+    else:
+        assert got == struct.pack("<d", want)
+
+
+@pytest.mark.parametrize("track", [True, False])
+def test_run_snapshots_carry_the_fsum_of_their_energies(two_state_spec_factory, track):
+    spec = two_state_spec_factory(n=200, heat=1.0, scale_heat=1.0)
+    snaps = []
+    run(sample_initial_state(spec, 1), spec, 1.0, seed=2, observers=(snaps.append,),
+        sample_every=0.1, track_positions=track)
+    # without rates: the awkward energies reach every snapshot as they are
+    still = two_state_spec_factory(n=8, w12=0.0, w21=0.0, fast=0.0)
+    state = sample_initial_state(still, 1)
+    state.energies = array("d", [5e-324, 1e300, 2.2e-308, 3.1e300, 1e-310, 0.0, 1.0, 2e299])
+    run(state, still, 1.0, observers=(snaps.append,), sample_every=0.5, track_positions=track)
+    assert len(snaps) == 11 + 3
+    for snap in snaps:
+        assert struct.pack("<d", snap.total_kinetic) == struct.pack(
+            "<d", math.fsum(snap.energies))
+    # kc_sum hands back an overflowing state, and fsum raises for run() as
+    # for total_kinetic()
+    state.energies = array("d", [1e308] * 8)
+    with pytest.raises(OverflowError):
+        state.total_kinetic()
+    with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+        run(state, still, 2.0, observers=(snaps.append,), sample_every=0.5,
+            track_positions=track)
 
 
 def test_run_rejects_columns_the_kernel_cannot_read(two_state_spec_factory):

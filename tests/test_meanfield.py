@@ -590,6 +590,18 @@ def test_integrate_boltzmann_refuses_an_overflowing_rate():
         two_state_spec(4, heat=1e300, scale_heat=1e300)
 
 
+@pytest.mark.parametrize("rates", [dict(w12=1e-310), dict(fast=1e-310),
+                                   dict(heat=1e-310, scale_heat=1.0)])
+def test_integrate_boltzmann_takes_a_rate_whose_step_bound_overflows(rates):
+    # each channel alone at a subnormal rate: the default dt = 0.4 / rate was
+    # inf, and the run failed with "dt*rate = inf > 0.5"
+    spec = make_two_state(4, **{"w12": 0.0, "w21": 0.0, "fast": 0.0, **rates})
+    grid = MF.energy_grid(spec.rates.bath_beta, spec.chem_energies(), m=16)
+    traj = MF.integrate_boltzmann(MF.field_from_spec(spec, grid), spec, 1.0)
+    assert traj.times[-1] == 1.0
+    assert traj.max_step_drift <= 1e-12
+
+
 def test_integrate_boltzmann_refuses_too_many_steps_before_the_first():
     # a valid spec: dt * rate <= 0.5 asks for 2.5e148 steps, and the run was
     # still going when a 20 s timeout killed it
