@@ -1,7 +1,8 @@
 /* The particle engine: kinetics.run() calls kc_run() for the event loop,
- * kc_flush() to fly every particle to a sample time and kc_sum() for each
- * snapshot's kinetic total.  The same library holds the oracle's pair
- * process, kc_pair_system() (after the engine, before kc_sum).
+ * kc_observe() to fly every particle to a sample time and copy it out, in
+ * one pass, and kc_sum() for each snapshot's kinetic total.  The same
+ * library holds the oracle's pair process, kc_pair_system() (after the
+ * engine, before kc_sum).
  *
  * Four channels on competing exponential clocks, thinned against constant
  * bounds: unary type changes, slow binary reactions, fast binary (Kac)
@@ -190,10 +191,18 @@ static inline int next_value(Run *r, int k, double *v)
 #define CHECK(call) do { int rc_ = (call); if (rc_) return rc_; } while (0)
 #define DRAW(k, v) CHECK(next_value(r, k, &(v)))
 
-/* Python's float % for a positive L, then the fold of L itself back to 0. */
+/* Python's float % for a positive L, then the fold of L itself back to 0.
+ * On [0, 2L), where a flight mostly lands, that is v or v - L, and fmod
+ * gives the same bits: v - L is exact for L <= v < 2L by Sterbenz's lemma.
+ * Below 0, from 2L on and for NaN, fmod. */
 static double wrap(double v, double L)
 {
-    double m = fmod(v, L) + 0.0;  /* + 0.0 turns fmod's -0.0 into 0.0 */
+    double m;
+    if (v >= 0.0 && v < L)
+        return v + 0.0;         /* + 0.0 turns -0.0 into 0.0 */
+    if (v >= L && v < 2.0 * L)
+        return v - L;
+    m = fmod(v, L) + 0.0;       /* and fmod's -0.0 too */
     if (m < 0.0)
         m += L;
     return m != L ? m : 0.0;
@@ -222,10 +231,30 @@ static void fly(Run *r, int64_t i, double t)
     }
 }
 
-void kc_flush(Run *r, double t)
+/* Observe every particle at time t, in one pass: a tracked particle flies
+ * to t; then, when positions is given, its (x, y, z) fills row i of that
+ * (n, 3) array, and when types is given, types[i] gets its 1-based type,
+ * energies[i] its energy and counts (J entries) one more of its type.  With
+ * every output NULL, only the flight is left. */
+void kc_observe(Run *r, double t, int64_t *types, double *energies, double *positions,
+                int64_t *counts)
 {
-    for (int64_t i = 0; i < r->n; i++)
-        fly(r, i, t);
+    if (types != NULL)
+        memset(counts, 0, (size_t)r->n_types * sizeof *counts);
+    for (int64_t i = 0; i < r->n; i++) {
+        if (r->track)
+            fly(r, i, t);
+        if (positions != NULL) {
+            positions[3 * i] = r->x[i];
+            positions[3 * i + 1] = r->y[i];
+            positions[3 * i + 2] = r->z[i];
+        }
+        if (types != NULL) {
+            types[i] = r->types[i] + 1;
+            energies[i] = r->T[i];
+            counts[r->types[i]]++;
+        }
+    }
 }
 
 /* Give particle i type a and energy e.  A tracked particle first flies to

@@ -16,15 +16,20 @@ time discretization.  Between jumps particles fly freely on the 3-torus;
 positions are advanced lazily, which keeps the per-event cost O(1): a
 particle flies to the event time when it jumps, and every particle flies to
 the sample time when an observer samples and to the end time when the run
-ends.  No speed is stored: a particle flies at sqrt(2*T/m) of its energy and
-mass at the time it flies.  An untracked run moves no particle: positions and
-directions stay as they were, and when it ends it sets every flight clock
-``last_t`` to its end time.
+ends.  The torus wrap is Python's ``%`` with L folded to 0, bit for bit: a
+coordinate that lands in [0, 2L) is moved back by 0 or L, exactly, and
+``fmod`` is left to the rest.  No speed is stored: a particle flies at
+sqrt(2*T/m) of its energy and mass at the time it flies.  An untracked run
+moves no particle: positions and directions stay as they were, and when it
+ends it sets every flight clock ``last_t`` to its end time.
 
-The event rules and the flight live in C, ``kc_run`` and ``kc_flush`` in
+The event rules and the flight live in C, ``kc_run`` and ``kc_observe`` in
 ``_events.c``, which work in place on the state's buffers: its columns, its
-per-channel counters and its bath sum.  ``run``
-compiles the file with ``cc`` on first use into ``$XDG_CACHE_HOME/kinchem``
+per-channel counters and its bath sum.  At each sample time ``kc_observe``
+makes one pass over the particles: it flies each to the sample time and
+copies its type, energy and position into the snapshot's arrays, counting
+the types as it goes; at the end of a run without observers it only flies.
+``run`` compiles the file with ``cc`` on first use into ``$XDG_CACHE_HOME/kinchem``
 (default ``~/.cache/kinchem``), linked with numpy's static library of random
 samplers (``numpy/random/lib/libnpyrandom.a``) and keyed by the sha256 of
 the source, the build command and that library, and loads it with
@@ -39,13 +44,13 @@ drawn with the same samplers.
 
 The energy ledger's totals are exact sums rounded once, bit for bit
 ``math.fsum``.  Inside ``run`` each observer's snapshot takes its kinetic
-total from the kernel's ``kc_sum``, which sums the raw energy buffer in
+total from the kernel's ``kc_sum``, which sums the copied energies in
 128-bit buckets per binary exponent and hands a NaN, an infinity or a
 magnitude near overflow back to ``math.fsum``, so its errors hold too.  The
 chemical total is integer arithmetic on each K's binary fraction and the
 type counts, rounded by one int division.  ``total_kinetic()`` and
-``snapshot()`` called outside a run use ``math.fsum``, so set-up and the
-state's views load no compiled code.
+``snapshot()`` called outside a run use ``math.fsum`` and ``np.bincount``,
+so set-up and the state's views load no compiled code.
 
 With ``record_events`` a run's ``EventLog`` keeps each accepted event as the
 kernel wrote it, one row of a numpy structured array converted only when
@@ -159,9 +164,15 @@ class Snapshot:
     total_chemical: float
     bath_exchange: float
     event_counts: dict
+    species_counts: np.ndarray  # particles per type, 0-based, one entry per species
 
     def type_counts(self, n_types: int) -> np.ndarray:
-        return np.bincount(self.types - 1, minlength=n_types)
+        """Particles per type id 1, 2, ...: ``np.bincount(self.types - 1,
+        minlength=n_types)``, read off ``species_counts``."""
+        counts = np.trim_zeros(self.species_counts, "b")
+        out = np.zeros(max(n_types, len(counts)), np.intp)
+        out[:len(counts)] = counts
+        return out
 
 
 class EnsembleState:
@@ -217,20 +228,21 @@ class EnsembleState:
 
     # -- ledger ---------------------------------------------------------------
 
-    def total_kinetic(self, kernel=None) -> float:
-        """The sum of the energies, rounded once, bit for bit ``math.fsum``:
-        by the loaded C kernel ``kernel`` over the raw buffer when given
-        (``run`` passes it), else by ``math.fsum``, which loads nothing."""
-        return math.fsum(self.energies) if kernel is None else _fsum(kernel, self.energies)
+    def total_kinetic(self) -> float:
+        """The sum of the energies, rounded once: ``math.fsum``."""
+        return math.fsum(self.energies)
 
     def total_chemical(self) -> float:
         """The exact sum of K over the particles, rounded once as ``fsum`` rounds."""
+        return self._chemical(self.type_counts())
+
+    def _chemical(self, counts) -> float:
+        """The exact sum of K over ``counts`` particles per 0-based type."""
         # each K is p / 2**k: add the counts' numerators over the largest
         # denominator, then one correctly rounded int division
         ratios = [K.as_integer_ratio() for K in self.species_K]
         den = max(q for _, q in ratios)
-        counts = self.type_counts().tolist()
-        return sum(p * (den // q) * c for (p, q), c in zip(ratios, counts)) / den
+        return sum(p * (den // q) * c for (p, q), c in zip(ratios, counts.tolist())) / den
 
     @property
     def bath_exchange(self) -> float:
@@ -251,19 +263,38 @@ class EnsembleState:
         returns or calls an observer, so no flight is left to apply."""
         return np.column_stack((self.x, self.y, self.z))
 
-    def snapshot(self, with_positions: bool = True, kernel=None) -> Snapshot:
-        """The state's copy at ``sim_time``; ``kernel`` sums its energies as
-        in ``total_kinetic``."""
+    def snapshot(self, with_positions: bool = True, run=None) -> Snapshot:
+        """The state's copy at ``sim_time``.  ``run()`` passes its kernel's
+        ``Run`` struct as ``run``: one kernel pass then flies each tracked
+        particle to ``sim_time``, copies it and counts its type, and the
+        kernel sums the energies.  Without it the copies are numpy's, the
+        sum ``math.fsum``'s, and no compiled code is loaded."""
+        if run is None:
+            # copies: a numpy view of a column would change with the run
+            types = np.array(self.types, dtype=np.int64) + 1
+            energies = np.array(self.energies, dtype=float)
+            positions = self.positions() if with_positions else None
+            counts = self.type_counts()
+            total_kinetic = self.total_kinetic()
+        else:
+            kc = _kernel()
+            types, energies = np.empty(self.n, np.int64), np.empty(self.n)
+            positions = np.empty((self.n, 3)) if with_positions else None
+            counts = np.empty(len(self.species_K), np.int64)
+            kc.kc_observe(run, self.sim_time, types.ctypes.data, energies.ctypes.data,
+                          None if positions is None else positions.ctypes.data,
+                          counts.ctypes.data)
+            total_kinetic = _fsum(kc, energies)
         return Snapshot(
             time=self.sim_time,
-            # copies: a numpy view of a column would change with the run
-            types=np.array(self.types, dtype=np.int64) + 1,
-            energies=np.array(self.energies, dtype=float),
-            positions=self.positions() if with_positions else None,
-            total_kinetic=self.total_kinetic(kernel),
-            total_chemical=self.total_chemical(),
+            types=types,
+            energies=energies,
+            positions=positions,
+            total_kinetic=total_kinetic,
+            total_chemical=self._chemical(counts),
             bath_exchange=self.bath_exchange,
             event_counts=self.event_counts,
+            species_counts=counts,
         )
 
 
@@ -396,21 +427,21 @@ def _kernel():
             old.unlink(missing_ok=True)
     dll = ctypes.PyDLL(str(lib))        # keeps the GIL held, so callbacks need no hand-off
     dll.kc_run.argtypes = dll.kc_free_log.argtypes = (ctypes.POINTER(_Run),)
-    dll.kc_flush.argtypes = (ctypes.POINTER(_Run), _F64)
+    dll.kc_observe.argtypes = (ctypes.POINTER(_Run), _F64, _PTR, _PTR, _PTR, _PTR)
     dll.kc_pair_system.argtypes = (ctypes.c_char_p, _I64, _I64, _I64, _PTR, _PTR, _F64, _PTR)
     dll.kc_event_count.argtypes = (ctypes.c_char_p, _I64, _F64)
     dll.kc_event_count.restype = _I64
     dll.kc_fill.argtypes = (_PTR, _I64, _I64, _F64, _I64, _PTR)
     dll.kc_sum.argtypes = (_PTR, _I64, ctypes.POINTER(_F64))
-    dll.kc_free_log.restype = dll.kc_flush.restype = None
+    dll.kc_free_log.restype = dll.kc_observe.restype = None
     return dll
 
 
 def _fsum(kc, buf) -> float:
-    """``math.fsum(buf)`` of an ``array('d')``, summed over its raw buffer by
-    the kernel ``kc``; a buffer it hands back (a NaN or an infinity, or
-    magnitudes at which a partial sum could overflow) goes to ``math.fsum``
-    itself, so its errors and special values hold as well."""
+    """``math.fsum(buf)`` of an ``array('d')`` or a float64 array, summed
+    over its raw buffer by the kernel ``kc``; a buffer it hands back (a NaN
+    or an infinity, or magnitudes at which a partial sum could overflow) goes
+    to ``math.fsum`` itself, so its errors and special values hold as well."""
     out = _F64()
     if kc.kc_sum(_address(buf), len(buf), ctypes.byref(out)) == _FSUM:
         return math.fsum(buf)
@@ -598,10 +629,8 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
         ctx.slow_fn = _SLOW_FN(_catching(slow_rate, failure))
 
     def emit(t_obs):
-        if track_positions:
-            kc.kc_flush(ctx, t_obs)
         state.sim_time = t_obs
-        snap = state.snapshot(with_positions=track_positions, kernel=kc)
+        snap = state.snapshot(with_positions=track_positions, run=ctx)
         for obs in observers:
             obs(snap)
 
@@ -646,6 +675,6 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
     if observers and state.sim_time != t:
         emit(t)
     elif track_positions:
-        kc.kc_flush(ctx, t)
+        kc.kc_observe(ctx, t, None, None, None, None)
     state.sim_time = t
     return state, events

@@ -8,6 +8,7 @@ enthalpy, entropy, the free energies, and the two-state reaction quantities
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -78,9 +79,11 @@ def lambda_B(species, beta: float):
     return np.array(B), np.array(lam)
 
 
-def _standard_potentials(species, beta: float) -> list:
-    """``standard_potential`` as a list of floats."""
-    return [-math.log(lam) / beta for lam in _prefactors(species, beta)[1]]
+@functools.lru_cache(maxsize=64, typed=True)
+def _standard_potentials(species: tuple, beta: float) -> tuple:
+    """``standard_potential`` as a tuple of floats, computed once per
+    (species, beta): a trajectory's state points all share them."""
+    return tuple(-math.log(lam) / beta for lam in _prefactors(species, beta)[1])
 
 
 def standard_potential(point: ThermoPoint) -> np.ndarray:

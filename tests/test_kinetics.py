@@ -19,7 +19,8 @@ from kinchem import kinetics, stats as ST
 from kinchem.kinetics import (CHANNELS, EnsembleState, EventLog, run,
                               sample_initial_state)
 from kinchem.oracle import pairs_from_event_log
-from kinchem.model import EnergyLaw, RateTable, SpeciesSpec, TypeKernel
+from kinchem.model import (EnergyLaw, EnsembleSpec, InitialDistribution, RateTable,
+                           SpeciesSpec, TypeKernel)
 from kinchem.scenarios import two_state_spec
 from conftest import make_two_state
 
@@ -268,6 +269,71 @@ def test_flush_all_bitwise_equals_scalar_loop(two_state_spec_factory, n):
         if trial % 4 != 3:
             assert repr(state.x[0]) == "0.0"
     assert (-1e-20) % L == L and repr((-L) % L) == "0.0"
+
+
+def _landing_cases(L):
+    """(x, T, d, v): a start x, an energy T (speed sqrt(2T) at mass 1) and a
+    direction d whose flight over dt = 1 lands at v = x + s*d, on each branch
+    of the kernel's wrap(): [0, L) as it is, [L, 2L) less L, and fmod below
+    0 and from 2L on; v None: below 0, where v + L rounds to L."""
+    below_L, below_2L = math.nextafter(L, 0.0), math.nextafter(2.0 * L, 0.0)
+    return [
+        (1.25, 0.0, 1.0, 1.25),                 # no speed
+        (0.0, 0.5, 0.0, 0.0),                   # no direction
+        (-0.0, 0.5, -0.0, -0.0),                # -0.0 lands, and wraps to 0.0
+        (below_L - 1.0, 0.5, 1.0, below_L),     # the last float of [0, L)
+        (1.5, 0.5, 1.0, L),                     # L itself folds to 0.0
+        (2.0, 0.5, 1.0, 3.0),
+        (below_2L - 4.0, 8.0, 1.0, below_2L),   # the last float of [L, 2L)
+        (1.0, 8.0, 1.0, 2.0 * L),
+        (0.5, 0.5, -1.0, -0.5),
+        (0.0, 3.125, -1.0, -L),                 # fmod's -0.0 wraps to 0.0
+        (0.0, 5e-41, -1.0, None),               # -1e-20
+        (1e-17, 0.5, -1.0, 1e-17 - 1.0),
+        (0.25, 128.0, 1.0, 16.25),              # box sides either way
+        (2.25, 128.0, -1.0, -13.75),
+        (1.0, 5e11, 0.75, 750001.0),
+        (1.0, 5e11, -0.75, -749999.0),
+    ]
+
+
+def test_wrap_keeps_the_bits_of_python_mod(two_state_spec_factory):
+    # each landing point goes through one branch of wrap(): every coordinate
+    # comes out as (x + s*d*dt) % L with L folded to 0.0, bit for bit, at the
+    # end of a run and in an observer's snapshot
+    L = 2.5
+    cases = _landing_cases(L)
+    for x, T, d, v in cases:
+        land = x + math.sqrt(2.0 * T) * d * 1.0
+        assert (land < 0.0 and land + L == L) if v is None else land.hex() == v.hex()
+    spec = two_state_spec_factory(n=3 * len(cases), w12=0.0, w21=0.0, fast=0.0, box_side=L)
+
+    def fresh():
+        # case k on axis a of particle 3k + a; the other two axes stand still
+        state = EnsembleState(spec)
+        for k, (x, T, d, _) in enumerate(cases):
+            for a in range(3):
+                i = 3 * k + a
+                state.energies[i] = T
+                for b, (pos, dirs) in enumerate(((state.x, state.dirx), (state.y, state.diry),
+                                                 (state.z, state.dirz))):
+                    pos[i], dirs[i] = (x, d) if b == a else (1.25, 0.0)
+        return state
+
+    ref = fresh()
+    _scalar_flush(ref, 1.0)
+    zeros = [k for k, (_, _, _, v) in enumerate(cases) if v is None or v % L == 0.0]
+    assert len(zeros) == 6
+    assert all(ref.x[3 * k].hex() == "0x0.0p+0" for k in zeros)
+    state = fresh()
+    run(state, spec, 1.0, seed=1)
+    assert _geometry_bytes(state) == _geometry_bytes(ref)
+    state, seen = fresh(), []
+    run(state, spec, 1.0, seed=1, observers=(seen.append,), sample_every=1.0)
+    assert _geometry_bytes(state) == _geometry_bytes(ref)
+    assert [snap.time for snap in seen] == [0.0, 1.0]
+    assert seen[0].positions.tobytes() == fresh().positions().tobytes()
+    assert seen[1].positions.tobytes() == ref.positions().tobytes()
 
 
 def test_each_sample_time_flushes_positions_once(two_state_spec_factory):
@@ -1185,6 +1251,62 @@ def test_run_snapshots_carry_the_fsum_of_their_energies(two_state_spec_factory, 
     with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
         run(state, still, 2.0, observers=(snaps.append,), sample_every=0.5,
             track_positions=track)
+
+
+def _three_species_spec(n, absent):
+    """Three species with unequal masses and K; type ``absent`` has no
+    initial weight and no unary rate into it, so no particle ever holds it."""
+    species = tuple(SpeciesSpec(j, 1.0 + 0.5 * j, 3, 0.3 * j) for j in (1, 2, 3))
+    unary = [[0.0 if b in (a, absent) else 0.7 for b in (1, 2, 3)] for a in (1, 2, 3)]
+    rates = RateTable(unary=unary, slow_binary=[[0.0] * 3] * 3, fast_binary=[[1.0] * 3] * 3,
+                      heat_rate=1.0, bath_beta=1.0)
+    weights = tuple(0.0 if j == absent else 0.5 for j in (1, 2, 3))
+    dist = InitialDistribution(weights, (EnergyLaw("gamma", beta=1.0),) * 3)
+    return EnsembleSpec(n_particles=n, box_side=3.0, species=species, rates=rates,
+                        initial_distribution=dist, scale_fast=1.0, scale_heat=1.0,
+                        rng_seed=5)
+
+
+def _snapshot_bits(snap):
+    """Every field of a snapshot: floats as hex, arrays as dtype, shape and bytes."""
+    def arr(a):
+        return None if a is None else (a.dtype.str, a.shape, a.tobytes())
+    return (snap.time.hex(), arr(snap.types), arr(snap.energies), arr(snap.positions),
+            snap.total_kinetic.hex(), snap.total_chemical.hex(), snap.bath_exchange.hex(),
+            snap.event_counts, arr(snap.species_counts))
+
+
+@pytest.mark.parametrize("track", [True, False])
+@pytest.mark.parametrize("case", ["N=200", "N=1", "absent=1", "absent=2", "absent=3"])
+def test_run_snapshots_match_the_standalone_view(two_state_spec_factory, case, track):
+    # inside run() one kernel pass flies, copies and counts; at every sample
+    # time its snapshot is, field by field and bit for bit, the one the state
+    # gives without a kernel (numpy copies, math.fsum, np.bincount)
+    if case.startswith("absent"):
+        spec = _three_species_spec(40, int(case[-1]))
+    else:
+        n = int(case[2:])
+        spec = two_state_spec_factory(n=n, heat=1.0, scale_heat=1.0, box_side=2.0)
+    J = spec.n_types
+    state = sample_initial_state(spec, 3)
+    pairs = []
+
+    def compare(snap):
+        alone = state.snapshot(with_positions=track)
+        assert _snapshot_bits(snap) == _snapshot_bits(alone)
+        for n_types in range(J + 3):
+            want = np.bincount(snap.types - 1, minlength=n_types)
+            for got in (snap.type_counts(n_types), alone.type_counts(n_types)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        pairs.append((snap, _snapshot_bits(alone)))
+
+    run(state, spec, 2.0, seed=4, observers=(compare,), sample_every=0.25,
+        track_positions=track)
+    assert len(pairs) == 9 and sum(state.event_counts.values()) > 0
+    # the copies stay as they were taken
+    assert all(_snapshot_bits(snap) == bits for snap, bits in pairs)
+    if case.startswith("absent"):
+        assert all(snap.species_counts[int(case[-1]) - 1] == 0 for snap, _ in pairs)
 
 
 def test_run_rejects_columns_the_kernel_cannot_read(two_state_spec_factory):

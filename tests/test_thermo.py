@@ -278,6 +278,51 @@ def test_gibbs_identity_and_monotonicity_along_reduced_ode():
     assert chk["mu_equilibrium_spread"] < 1e-12
 
 
+
+def _float_bits(value):
+    """``value`` with every float as its hex and every array as its bytes;
+    callables dropped."""
+    if isinstance(value, dict):
+        return {k: _float_bits(v) for k, v in value.items() if not callable(v)}
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return [_float_bits(v) for v in value]
+    return type(value).__name__, float(value).hex()
+
+
+def test_standard_potentials_once_per_species_and_beta_keep_their_floats(monkeypatch):
+    # the standard potentials are computed once per (species, beta) and
+    # kept; every function that reads them returns the floats of the
+    # per-point computation they replace, from a cold cache and a warm one
+    def per_point(species, beta):
+        return [-math.log(lam) / beta for lam in TH._prefactors(species, beta)[1]]
+
+    rng = np.random.default_rng(7)
+    species, _ = matched_two_species(1.0)
+    sets = [TWO, species, tuple(random_species(rng, j) for j in (1, 2))]
+    times = np.linspace(0.0, 1.0, 6)
+    conc = [(0.15 + 0.1 * k, 0.85 - 0.1 * k) for k in range(6)]
+
+    def outputs():
+        out = []
+        for sp in sets:
+            for beta in (0.7, 1.0, np.float64(1.3)):
+                for c in ((0.4, 0.6), (0.25, 0.0), (1e-300, 2.0)):
+                    out.append(TH.potentials(TH.ThermoPoint(beta, c, sp), 1.7))
+                    out.append(TH.standard_potential(TH.ThermoPoint(beta, c, sp)))
+                aff = TH.affinity_and_kappa(TH.ThermoPoint(beta, (0.4, 0.6), sp))
+                out += [aff, aff["c1_of_A"](0.3)]
+                out.append(TH.gibbs_identity_check(times, conc, sp, beta, (0.5, 0.5)))
+        return _float_bits(out)
+
+    TH._standard_potentials.cache_clear()
+    cold, warm = outputs(), outputs()
+    assert TH._standard_potentials.cache_info().misses == 9
+    monkeypatch.setattr(TH, "_standard_potentials", per_point)
+    assert cold == warm == outputs()
+
+
 # -- enthalpy as a state function --------------------------------------------------------
 
 
