@@ -9,10 +9,11 @@
  * collisions and bath exchange.  The two pair channels share one rule,
  * binary_event(): a Kac collision is a slow reaction under the identity
  * type kernel, with its own rate table.  split() redraws a pair's energy
- * and fly() moves a particle at the speed of its energy.  kc_run and
- * kc_flush work in place on the state's buffers: its columns, counters and
- * bath sum.  The file must be built without FMA contraction or -ffast-math:
- * tests/fingerprints.json pins each expression's rounding.
+ * and fly() moves a particle at the speed of its energy.  kc_run works in
+ * place on the state's buffers (its columns, counters and bath sum), and
+ * kc_observe on its position and flight-clock columns.  The file must be
+ * built without FMA contraction or -ffast-math: tests/fingerprints.json
+ * pins each expression's rounding.
  *
  * Variates come from seven streams of `block` doubles each, read in order;
  * the particle and partner streams hold integers, exact below 2^53.
@@ -37,10 +38,9 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* KC_NO_PARTNER: the partner stream asked for at n < 2; KC_BAD_TABLE: a
- * negative, NaN or infinite entry in a table of kc_pair_system; KC_FSUM: a
- * buffer that kc_sum hands back to math.fsum */
-enum { KC_DONE, KC_STOP, KC_CALLBACK, KC_NO_MEMORY, KC_NO_PARTNER, KC_BAD_TABLE, KC_FSUM };
+/* KC_NO_PARTNER: the partner stream asked for at n < 2; KC_FSUM: a buffer
+ * that kc_sum hands back to math.fsum */
+enum { KC_DONE, KC_STOP, KC_CALLBACK, KC_NO_MEMORY, KC_NO_PARTNER, KC_FSUM };
 enum { WAITING, UNIFORM, PARTICLE, PARTNER, SPLIT, BATH, NORMAL, N_STREAMS };
 enum { UNARY, SLOW, FAST, HEAT };
 
@@ -502,18 +502,15 @@ void kc_free_log(Run *r)
  * then random() per particle, then per event integers(n), integers(n - 1)
  * and random().  The bitgen_t gives next_uint64 and next_double as numpy's
  * PCG64 does, and next_uint32 with its buffering: the low half of a fresh
- * 64-bit output, then its high half.  Python checks every argument first
- * (oracle.simulate_pair_system); the law and the kernel arrive as
- * row-major doubles.
+ * 64-bit output, then its high half.  The law and the kernel arrive as
+ * row-major doubles, checked in Python first (oracle._distribution and
+ * PairModel): no entry is negative, NaN or infinite.
  *
  * A state or outcome is drawn as the first index q whose cumulative value
- * is >= u.  No entry of a law or a kernel row is negative, NaN or infinite
- * (oracle._distribution refuses such a law, and cumulative() such a kernel,
- * which a caller may have reassigned after PairModel checked it), so the
- * sums are nondecreasing, and cumulative() sets +inf from the last positive
- * entry on: that index is the number of entries < u, which count_below
- * counts over a whole table but its final entry, without an exit that
- * depends on u. */
+ * is >= u.  The sums are nondecreasing, and cumulative() sets +inf from the
+ * last positive entry on: that index is the number of entries < u, which
+ * count_below counts over a whole table but its final entry, without an
+ * exit that depends on u. */
 
 /* word j of a little-endian key */
 static uint32_t key_word(const unsigned char *key, int64_t j)
@@ -619,15 +616,12 @@ static double pcg_double(void *st)
 
 /* The running sums of p[0..m-1] into cum, added in order as np.cumsum adds
  * them, then +inf from the last positive entry on (the last entry if none
- * is): no draw passes it, and no draw that stops at or before it changes.
- * Returns KC_BAD_TABLE if an entry is negative, NaN or infinite. */
-static int cumulative(const double *p, int64_t m, double *cum)
+ * is): no draw passes it, and no draw that stops at or before it changes. */
+static void cumulative(const double *p, int64_t m, double *cum)
 {
     double acc = 0.0;
     int64_t last = m - 1;
     for (int64_t k = 0; k < m; k++) {
-        if (!(p[k] >= 0.0 && p[k] < INFINITY))
-            return KC_BAD_TABLE;
         acc += p[k];
         cum[k] = acc;
         if (p[k] > 0.0)
@@ -635,7 +629,6 @@ static int cumulative(const double *p, int64_t m, double *cum)
     }
     for (; last < m; last++)
         cum[last] = INFINITY;
-    return KC_DONE;
 }
 
 /* the first index q with cum[q] >= u, for nondecreasing sums of m entries
@@ -666,8 +659,7 @@ int64_t kc_event_count(const unsigned char *key, int64_t n_words, double lam)
  * them to (o / S, o % S).  Each draw is the first cumulative value >= u of
  * the tables built here, found by count_below as a count; the tables are
  * freed before the return.  Returns KC_NO_MEMORY if they cannot be
- * allocated, KC_BAD_TABLE if an entry of mu0 or the kernel is negative, NaN
- * or infinite, else KC_DONE. */
+ * allocated, else KC_DONE. */
 int kc_pair_system(const unsigned char *key, int64_t n_words, int64_t n,
                    int64_t n_states, const double *mu0, const double *kernel,
                    double lam, int64_t *states)
@@ -675,18 +667,13 @@ int kc_pair_system(const unsigned char *key, int64_t n_words, int64_t n,
     PCG pcg;
     bitgen_t bg = {&pcg, pcg_uint64, pcg_uint32, pcg_double, pcg_uint64};
     int64_t S = n_states, m = S * S, n_events;
-    int rc;
     double *cum0 = malloc((size_t)(S + m * m) * sizeof *cum0), *rows;
     if (!cum0)
         return KC_NO_MEMORY;
     rows = cum0 + S;
-    rc = cumulative(mu0, S, cum0);
-    for (int64_t r = 0; r < m && !rc; r++)
-        rc = cumulative(kernel + r * m, m, rows + r * m);
-    if (rc) {
-        free(cum0);
-        return rc;
-    }
+    cumulative(mu0, S, cum0);
+    for (int64_t r = 0; r < m; r++)
+        cumulative(kernel + r * m, m, rows + r * m);
     pcg_seed(&pcg, key, n_words);
     n_events = random_poisson(&bg, lam);
     for (int64_t p = 0; p < n; p++)

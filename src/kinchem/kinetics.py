@@ -78,7 +78,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .model import EnsembleSpec, sample_times
+from .model import EnsembleSpec, channel_bounds, sample_times
 
 __all__ = [
     "EnsembleState",
@@ -349,7 +349,7 @@ _BUILD = ("cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _BLOCK = 512    # variates per fill of each stream; small blocks keep peak memory flat
 _STREAMS = 7    # the kernel's variate streams, WAITING to NORMAL
 # the return codes of kc_run, kc_fill, kc_pair_system and kc_sum
-_DONE, _STOP, _CALLBACK, _NO_MEMORY, _NO_PARTNER, _BAD_TABLE, _FSUM = range(7)
+_DONE, _STOP, _CALLBACK, _NO_MEMORY, _NO_PARTNER, _FSUM = range(6)
 
 _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 _UNARY_FN = ctypes.CFUNCTYPE(ctypes.c_int, _I64, _F64, ctypes.POINTER(_F64))
@@ -560,15 +560,7 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
     J = spec.n_types
     r = spec.rates
 
-    # channel bounds for thinning
-    usup_type = [math.fsum(r.unary[j][j1] for j1 in range(J) if j1 != j) for j in range(J)]
-    ubar = max(usup_type) if J else 0.0
-    R_unary = n * ubar
-    bmax = max((r.slow_binary[a][b] for a in range(J) for b in range(J)), default=0.0)
-    fmax = max((r.fast_binary[a][b] for a in range(J) for b in range(J)), default=0.0)
-    R_slow = (n - 1) * bmax
-    R_fast = (n - 1) * spec.scale_fast * fmax
-    R_heat = n * spec.scale_heat * r.heat_rate
+    usup_type, ubar, bmax, fmax, (R_unary, R_slow, R_fast, R_heat) = channel_bounds(spec, n)
     R_total = R_unary + R_slow + R_fast + R_heat
     if not math.isfinite(R_total):
         # a state larger than its spec's N can overflow; the kernel could not stop

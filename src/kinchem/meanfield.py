@@ -283,6 +283,15 @@ def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     return w
 
 
+def _uniform_grid(grid) -> np.ndarray:
+    """``grid`` as floats, uniform and strictly increasing, or ValueError."""
+    grid = np.asarray(grid, dtype=float)
+    h = np.diff(grid)
+    if h.size == 0 or not h[0] > 0.0 or not np.allclose(h, h[0], rtol=1e-9):
+        raise ValueError("grid must be uniform and strictly increasing")
+    return grid
+
+
 @dataclass
 class DensityField:
     """Discretized joint law p(j, T) on a uniform grid: values[j, k] >= 0 is
@@ -297,13 +306,10 @@ class DensityField:
     values: np.ndarray
 
     def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
+        self.grid = _uniform_grid(self.grid)
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 2 or self.values.shape[1] != self.grid.size:
             raise ValueError("values must have shape (J, len(grid))")
-        h = np.diff(self.grid)
-        if h.size == 0 or not h[0] > 0.0 or not np.allclose(h, h[0], rtol=1e-9):
-            raise ValueError("grid must be uniform and strictly increasing")
 
     @property
     def n_types(self) -> int:
@@ -583,12 +589,12 @@ class BoltzmannIntegrator:
     convolutions in W, rows by destination type (one bincount), deposited by
     one product W @ D.  The binary out-rates are one gather from the partner
     masses' suffix sums, an index row per (j, jp, s_min), weighed by a
-    (type, row) coefficient matrix.
+    (type, row) coefficient matrix.  The grid obeys ``DensityField``'s rule.
     """
 
     def __init__(self, spec: EnsembleSpec, grid: np.ndarray, *,
                  enable_slow_binary: bool = True):
-        self.grid = np.asarray(grid, dtype=float)
+        self.grid = _uniform_grid(grid)
         self.h = float(self.grid[1] - self.grid[0])
         J = spec.n_types
         M = self.grid.size - 1

@@ -23,6 +23,7 @@ __all__ = [
     "ValidationReport",
     "ConfigError",
     "validate_spec",
+    "channel_bounds",
     "load_config",
     "save_config",
     "spec_to_dict",
@@ -277,6 +278,28 @@ def sample_times(t0: float, t_end: float, every: Optional[float] = None) -> Iter
     return chain(takewhile(lambda t: t < stop, head), (t_end,))
 
 
+def _row_sum(row) -> float:
+    """``math.fsum`` of nonnegative numbers, inf where it overflows."""
+    try:
+        return math.fsum(row)
+    except OverflowError:
+        return math.inf
+
+
+def channel_bounds(spec: EnsembleSpec, n: int) -> tuple:
+    """(usup, ubar, bmax, fmax, rates): each type's unary row sum, the largest
+    of them, the largest slow and fast rates, and the channels' proposal
+    rates at n particles, n ubar, (n - 1) bmax, ((n - 1) scale_fast) fmax and
+    (n scale_heat) heat_rate.  ``validate_spec`` and ``kinetics.run`` share it."""
+    r, J = spec.rates, len(spec.species)
+    usup = tuple(_row_sum(r.unary[j][j1] for j1 in range(J) if j1 != j) for j in range(J))
+    ubar = max(usup, default=0.0)
+    bmax = max((r.slow_binary[a][b] for a in range(J) for b in range(J)), default=0.0)
+    fmax = max((r.fast_binary[a][b] for a in range(J) for b in range(J)), default=0.0)
+    return usup, ubar, bmax, fmax, (n * ubar, (n - 1) * bmax, (n - 1) * spec.scale_fast * fmax,
+                                    n * spec.scale_heat * r.heat_rate)
+
+
 def validate_spec(spec: EnsembleSpec) -> ValidationReport:
     """Every violation of the spec's invariants; ``EnsembleSpec`` raises on any when made."""
     r, dist = spec.rates, spec.initial_distribution
@@ -386,16 +409,16 @@ def validate_spec(spec: EnsembleSpec) -> ValidationReport:
         # bounds: an inf there makes a run that never ends, or a step of 0.
         # The kernel counts particles in int64, as for the energies above
         n = min(spec.n_particles, 2 ** 63)
-        fmax = max(max(row) for row in r.fast_binary)
-        bounds = {
-            "rates.unary": (n * max(sum(row) for row in r.unary), ""),
-            "rates.slow_binary": ((n - 1) * max(max(row) for row in r.slow_binary), ""),
-            "rates.fast_binary": ((n - 1) * (spec.scale_fast * fmax), " times scale_fast"),
-            "rates.heat_rate": (n * (spec.scale_heat * r.heat_rate), " times scale_heat")}
-        for name, (bound, note) in bounds.items():
-            if not math.isfinite(bound):
+        *_, fmax, rates = channel_bounds(spec, n)
+        fields = ("rates.unary", "rates.slow_binary", "rates.fast_binary", "rates.heat_rate")
+        products = (0.0, 0.0, spec.scale_fast * fmax, spec.scale_heat * r.heat_rate)
+        notes = ("", "", " times scale_fast", " times scale_heat")
+        for name, x, bound, note in zip(fields, products, rates, notes):
+            if not math.isfinite(x):
+                flag(name, f"its largest rate{note} is {x!r}")
+            elif not math.isfinite(bound):
                 flag(name, f"its proposal bound at n_particles = {n}{note} is {bound!r}")
-        total = sum(bound for bound, _ in bounds.values())
+        total = rates[0] + rates[1] + rates[2] + rates[3]
         if not bad and not math.isfinite(total):
             flag("rates", f"the channels' proposal bounds at n_particles = {n} sum to {total!r}")
 

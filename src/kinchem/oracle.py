@@ -30,7 +30,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .kinetics import _BAD_TABLE, _kernel
+from .kinetics import _kernel
 
 __all__ = [
     "PairModel",
@@ -59,14 +59,16 @@ __all__ = [
 # -- the model -------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class PairModel:
     """Finite pair-interaction model: |S| states, stochastic pair kernel, rate.
 
     ``kernel[(s, s'), (s1, s1')]`` (flattened as s * |S| + s') is the
     probability that a firing pair in states (s, s') moves to (s1, s1').
     Entries must be finite and nonnegative, rows must sum to one and the
-    kernel must commute with swapping the two particles.
+    kernel must commute with swapping the two particles.  Checked once, when
+    made: the model is frozen and keeps its kernel as a float64, C-ordered,
+    read-only view over its own bytes, so no later write undoes the check.
     """
 
     n_states: int
@@ -74,20 +76,22 @@ class PairModel:
     rate: float
 
     def __post_init__(self):
-        self.kernel = np.asarray(self.kernel, dtype=float)
         S = self.n_states
-        if self.kernel.shape != (S * S, S * S):
+        kernel = np.asarray(self.kernel, dtype=float)
+        if kernel.shape != (S * S, S * S):
             raise ValueError(f"kernel must be ({S * S}, {S * S})")
         if not 0.0 < self.rate < math.inf:
             raise ValueError("rate must be positive and finite")
-        if not (np.isfinite(self.kernel).all() and (self.kernel >= 0.0).all()):
+        if not (np.isfinite(kernel).all() and (kernel >= 0.0).all()):
             raise ValueError("kernel entries must be finite and nonnegative")
-        rows = self.kernel.sum(axis=1)
+        rows = kernel.sum(axis=1)
         if np.max(np.abs(rows - 1.0)) > 1e-12:
             raise ValueError("kernel rows must sum to 1")
-        k4 = self.kernel.reshape(S, S, S, S)
+        k4 = kernel.reshape(S, S, S, S)
         if np.max(np.abs(k4 - k4.transpose(1, 0, 3, 2))) > 1e-12:
             raise ValueError("kernel must be symmetric under swapping the pair")
+        object.__setattr__(self, "kernel", np.frombuffer(kernel.tobytes()).reshape(kernel.shape))
+        object.__setattr__(self, "rate", float(self.rate))
 
     def kernel4(self) -> np.ndarray:
         S = self.n_states
@@ -323,7 +327,10 @@ def _distribution(model: PairModel, mu0) -> np.ndarray:
     """``mu0`` as floats, checked to be a law over the model's states: shape
     (|S|,), no negative or NaN entry, and a sum within 1e-9 of 1.  The
     entries are checked as Python floats: on |S| of them numpy's reductions
-    cost more than the checks."""
+    cost more than the checks.  TypeError, first, for a model that is not a
+    ``PairModel``, which checked itself when made."""
+    if not isinstance(model, PairModel):
+        raise TypeError(f"model must be a PairModel, got {type(model).__name__}")
     mu0 = np.asarray(mu0, dtype=float)
     p = mu0.tolist()
     if mu0.shape != (model.n_states,) or not all(x >= 0.0 for x in p):
@@ -487,11 +494,11 @@ def _count_law(model: PairModel, mu0, t: float, N: int):
     computed in log space so that large N does not overflow; the law at t is
     p0 exp(L t) with the chain's dense generator L.
     """
+    mu0 = _distribution(model, mu0)
+    t = _horizon(t)
     from scipy.linalg import expm
 
     S = model.n_states
-    mu0 = _distribution(model, mu0)
-    t = _horizon(t)
     counts = np.array([c + (N - sum(c),) for c in itertools.product(range(N + 1), repeat=S - 1)
                        if sum(c) <= N], dtype=np.int64)
     # base-(N + 1) keys, ascending as the rows are
@@ -566,25 +573,18 @@ def simulate_pair_system(model: PairModel, N: int, t: float, mu0,
     ``g.integers(N - 1)`` and the outcome by ``g.random()``.  The kernel
     seeds PCG64 as that Generator is seeded and draws with the installed
     numpy's own samplers (from ``libnpyrandom.a``, which the kernel links);
-    a test pins the two to each other.  Those C functions check nothing, so
-    the mean is refused here first.  Each state or outcome is found as the
-    number of cumulative values below the uniform rather than by a search;
-    since no entry is negative the sums are nondecreasing, and the count is
-    the search's index.
+    a test pins the two to each other.
 
-    Every argument is checked at as little cost per call as the checks
-    allow: ``mu0`` on Python floats, and the law and the kernel passed as
-    bytes rather than through ``.ctypes``.  The kernel's entries are checked
-    by ``kc_pair_system`` as it builds its tables, since a caller may have
-    reassigned ``model.kernel`` after ``PairModel`` checked it; everything
-    else here, before the C kernel is reached.  Raises ValueError unless
+    Those C functions check nothing, so every argument is checked here
+    first, at as little cost per call as the checks allow: ``mu0`` on Python
+    floats, and the law and the kernel passed as bytes rather than through
+    ``.ctypes``; the model checked itself when made.  Raises ValueError unless
     2 <= N < 2**32, t is finite and nonnegative, seed >= 0, the Poisson mean
-    N * rate * t is at most numpy's limit (about 9.2e18), ``mu0`` is a
+    N * rate * t is at most numpy's limit (about 9.2e18) and ``mu0`` is a
     distribution over the model's states (shape (|S|,), no negative or NaN
-    entry, sum within 1e-9 of 1) and the model's kernel has their pairs'
-    shape with finite, nonnegative entries; TypeError for a non-integer N or
-    seed; RuntimeError if the C kernel cannot be built; MemoryError if it
-    cannot allocate its tables.
+    entry, sum within 1e-9 of 1); TypeError for a non-integer N or seed, or
+    a model that is not a ``PairModel``; RuntimeError if the C kernel cannot
+    be built; MemoryError if it cannot allocate its tables.
     """
     N, seed = _particles(N), operator.index(seed)
     if N >= 2 ** 32:
@@ -592,11 +592,7 @@ def simulate_pair_system(model: PairModel, N: int, t: float, mu0,
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     t = _horizon(t)
-    S = model.n_states
     mu0 = _distribution(model, mu0)
-    kernel = np.asarray(model.kernel, dtype=float)
-    if kernel.shape != (S * S, S * S):  # kc_pair_system indexes it blindly
-        raise ValueError(f"kernel must be ({S * S}, {S * S})")
     lam = N * model.rate * t
     if not 0.0 <= lam <= _POISSON_LAM_MAX:
         raise ValueError(f"the Poisson mean N * rate * t must be between 0 and "
@@ -604,10 +600,9 @@ def simulate_pair_system(model: PairModel, N: int, t: float, mu0,
     key = _seed_key(seed)
     states = np.empty(N, dtype=np.int64)
     # the states' address through a one-byte view, cheaper than .ctypes
-    status = _kernel().kc_pair_system(key, len(key) // 4, N, S, mu0.tobytes(), kernel.tobytes(),
-                                      lam, ctypes.addressof(ctypes.c_char.from_buffer(states)))
-    if status == _BAD_TABLE:
-        raise ValueError("kernel entries must be finite and nonnegative")
+    status = _kernel().kc_pair_system(key, len(key) // 4, N, model.n_states, mu0.tobytes(),
+                                      model.kernel.tobytes(), lam,
+                                      ctypes.addressof(ctypes.c_char.from_buffer(states)))
     if status:
         raise MemoryError("no memory for the cumulative tables of the pair process")
     return states

@@ -270,6 +270,25 @@ def test_onsager_rejects_nonpositive_rates():
 # -- kinetic-equation integrator ---------------------------------------------------------
 
 
+def stretched_grid():
+    """linspace(0, 20, 65) with its upper half stretched by 1.3."""
+    grid = np.linspace(0.0, 20.0, 65)
+    grid[32:] = grid[32] + 1.3 * (grid[32:] - grid[32])
+    return grid
+
+
+@pytest.mark.parametrize("grid", [stretched_grid(), np.linspace(20.0, 0.0, 65), np.zeros(65),
+                                  np.array([0.0])], ids=["stretched", "decreasing", "flat", "one-node"])
+def test_the_integrator_refuses_the_grids_a_density_field_refuses(grid):
+    # the integrator built its tables and ran rhs on the stretched grid, with
+    # the uniform step h of its first cell
+    spec = two_state_spec(50, heat=1.0, scale_heat=1.0)
+    with pytest.raises(ValueError, match="grid must be uniform and strictly increasing"):
+        MF.DensityField(grid, np.ones((2, grid.size)))
+    with pytest.raises(ValueError, match="grid must be uniform and strictly increasing"):
+        MF.BoltzmannIntegrator(spec, grid)
+
+
 def test_zero_rates_keep_field_constant():
     spec = make_two_state(w12=0.0, w21=0.0, fast=0.0)
     grid = MF.energy_grid(1.0, (0.0, 1.0), m=64, t_max=12.0)

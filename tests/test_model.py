@@ -1,17 +1,20 @@
 import math
 import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from kinchem import kinetics
 from kinchem.model import (ConfigError, EnergyLaw, InitialDistribution,
-                           RateTable, SpeciesSpec, TypeKernel, load_config,
-                           sample_times, save_config, spec_to_dict,
-                           validate_spec)
-from kinchem.kinetics import run, sample_initial_state
+                           RateTable, SpeciesSpec, TypeKernel, channel_bounds,
+                           load_config, sample_times, save_config,
+                           spec_to_dict, validate_spec)
+from kinchem.kinetics import EnsembleState, run, sample_initial_state
 from kinchem.scenarios import two_state_spec
 from conftest import make_two_state
 
@@ -327,6 +330,10 @@ def test_chemical_energies_below_the_overflow_are_valid():
     ({"n": 1, "fast": 1e300, "scale_fast": 1e300}, "rates.fast_binary"),
     ({"n": 2, "w12": 1e308}, "rates.unary"),
     ({"n": 2, "fast": 1e308, "heat": 0.6e308, "scale_heat": 1.0}, "rates"),
+    # run() multiplies (N - 1) * scale_fast first: 999e307 overflows, and
+    # the spec was accepted, then refused by run()
+    ({"n": 1000, "fast": 1e-300, "scale_fast": 1e307}, "rates.fast_binary"),
+    ({"n": 1000, "heat": 1e-300, "scale_heat": 1e307}, "rates.heat_rate"),
 ])
 def test_rates_whose_effective_values_overflow_are_flagged(overrides, field):
     # each factor is finite, but the engines use the product, or the sum of
@@ -335,6 +342,59 @@ def test_rates_whose_effective_values_overflow_are_flagged(overrides, field):
     # ZeroDivisionError on a step of size 0.4 / inf
     assert [f for f, _ in refused(lambda: two_state_spec(**overrides))] == [field]
     assert validate_spec(two_state_spec(2, heat=1e308 / 3, scale_heat=1.0)).ok
+
+
+def test_a_unary_row_whose_sum_overflows_is_flagged_once():
+    # each entry is finite, but math.fsum of the row overflows, and
+    # channel_bounds reads that as an infinite bound
+    spec = make_two_state(n=2)
+    species = (*spec.species, SpeciesSpec(3, 1.0, 3, 2.0))
+    rates = RateTable(unary=[[0.0, 1e308, 1e308], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]],
+                      slow_binary=[[0.0] * 3] * 3, fast_binary=[[1.0] * 3] * 3,
+                      heat_rate=0.0, bath_beta=1.0)
+    dist = InitialDistribution((0.5, 0.25, 0.25), (EnergyLaw("gamma", beta=1.0),) * 3)
+    violations = refused(lambda: spec.with_overrides(species=species, rates=rates,
+                                                     initial_distribution=dist))
+    assert violations == [("rates.unary", "its proposal bound at n_particles = 2 is inf")]
+    assert channel_bounds(spec, 5)[:4] == ((1.0, 1.0), 1.0, 0.0, 1.0)
+
+
+# rates and scales from the extreme finite floats, and any finite float
+_EXTREME = st.sampled_from([0.0, 5e-324, 1e-300, 1e-10, 1.0, 3.0, 1e150, 1e300, 1e307,
+                            1e308, sys.float_info.max]) | st.floats(0.0, allow_infinity=False)
+
+
+class _KernelReached(Exception):
+    """run() got past its rate check to the kernel."""
+
+
+def _kernel_reached():
+    raise _KernelReached
+
+
+# 300 examples take about 1 s on a 2-core host (budget: 2 s)
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(n=st.sampled_from([1, 2, 3, 18, 1000, 10 ** 4]) | st.integers(1, 10 ** 4),
+       w12=_EXTREME, w21=_EXTREME, slow=_EXTREME, fast=_EXTREME, heat=_EXTREME,
+       scale_fast=_EXTREME, scale_heat=_EXTREME)
+def test_a_spec_that_is_made_passes_the_rate_check_of_run(n, w12, w21, slow, fast, heat,
+                                                           scale_fast, scale_heat):
+    # validate_spec and run() apply one rule, channel_bounds: a spec the
+    # constructor accepts gets past run()'s rate check at its N (to the
+    # kernel, replaced by a sentinel, so no event runs), and a refused one
+    # names its fields
+    try:
+        spec = make_two_state(n=n, w12=w12, w21=w21, slow=slow, fast=fast, heat=heat,
+                              scale_fast=scale_fast, scale_heat=scale_heat)
+    except ValueError as refusal:
+        lines = str(refusal).splitlines()
+        assert lines[0] == "invalid spec:" and len(lines) > 1
+        assert all(re.match(r"(rates|ensemble)[\w.\[\]]*: ", line) for line in lines[1:])
+        return
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(kinetics, "_kernel", _kernel_reached)
+        with pytest.raises(_KernelReached):
+            run(EnsembleState(spec), spec, 1.0)
 
 
 def test_invalid_spec_rejected_by_sampler():

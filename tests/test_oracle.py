@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import math
 import random
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -47,6 +49,53 @@ def test_pair_model_refuses_non_finite_or_negative_kernel_entries(rows):
         k[r] = row
     with pytest.raises(ValueError, match="finite and nonnegative"):
         O.PairModel(2, k, 1.0)
+
+
+def test_pair_model_is_frozen_with_a_read_only_kernel():
+    # exact_marginal returned [1.079, 0.782] for a kernel written after the
+    # check, and [nan, nan] for a rate set to NaN
+    k = O.contagion_model().kernel.copy()
+    model = O.PairModel(2, k, 1.0)
+    k[1] = (0.0, 1.5, 0.0, -0.5)            # the caller's array is not the model's
+    assert model.kernel.tobytes() == O.contagion_model().kernel.tobytes()
+    assert model.kernel.dtype == np.float64 and model.kernel.flags.c_contiguous
+    for view in (model.kernel, model.kernel.base, model.kernel4()):
+        with pytest.raises(ValueError, match="read-only"):
+            view[1] = 0.25
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            view.setflags(write=True)
+    for name, value in (("kernel", k), ("rate", math.nan), ("n_states", 3)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(model, name, value)
+    with pytest.raises(ValueError, match="rate"):
+        dataclasses.replace(model, rate=math.nan)
+    rate = np.array(1.0)                    # a rate held as a float, not the caller's array
+    model = O.PairModel(2, O.contagion_model().kernel, rate)
+    rate[...] = math.nan
+    assert model.rate == 1.0 and type(model.rate) is float
+
+
+_LOOK_ALIKE_LAWS = {
+    "series_marginal": lambda m: O.series_marginal(m, (0.6, 0.4), 0.5, 2),
+    "exact_marginal": lambda m: O.exact_marginal(m, (0.6, 0.4), 0.5, 5),
+    "exact_pair_correlation": lambda m: O.exact_pair_correlation(m, (0.6, 0.4), 0.5, 5),
+    "simulate_pair_system": lambda m: O.simulate_pair_system(m, 20, 0.5, (0.6, 0.4), 3),
+}
+
+
+@pytest.mark.parametrize("law", list(_LOOK_ALIKE_LAWS))
+def test_oracle_refuses_a_model_that_only_looks_like_a_pair_model(monkeypatch, law):
+    # only a PairModel checked itself; a look-alike is refused before scipy
+    # or the C kernel is reached
+    def unreached(*args, **kwargs):
+        raise AssertionError("reached past the model check")
+
+    import scipy.linalg
+    monkeypatch.setattr(scipy.linalg, "expm", unreached)
+    monkeypatch.setattr(O, "_kernel", unreached)
+    model = SimpleNamespace(n_states=2, kernel=O.contagion_model().kernel, rate=1.0)
+    with pytest.raises(TypeError, match="PairModel, got SimpleNamespace"):
+        _LOOK_ALIKE_LAWS[law](model)
 
 
 # -- classification ---------------------------------------------------------------
@@ -870,13 +919,13 @@ def test_simulate_pair_system_bits_do_not_depend_on_the_kernel_layout():
         return [O.simulate_pair_system(model, 50, 0.7, mu0, seed).tobytes() for seed in range(5)]
 
     for model, mu0 in cases:
-        fortran = O.PairModel(model.n_states, model.kernel, model.rate)
-        fortran.kernel = np.asfortranarray(model.kernel)
+        fortran = O.PairModel(model.n_states, np.asfortranarray(model.kernel), model.rate)
+        assert fortran.kernel.flags.c_contiguous
         assert bits(fortran, mu0) == bits(model, mu0)
         assert bits(model, np.repeat(mu0, 2)[::2]) == bits(model, mu0)
     # contagion at alpha = 1 has kernel entries 0 and 1 only
-    integer = O.contagion_model(1.0, 1.0)
-    integer.kernel = integer.kernel.astype(np.int64)
+    integer = O.PairModel(2, O.contagion_model(1.0, 1.0).kernel.astype(np.int64), 1.0)
+    assert integer.kernel.dtype == np.float64
     assert bits(integer, (0.6, 0.4)) == bits(O.contagion_model(1.0, 1.0), (0.6, 0.4))
 
 
@@ -915,11 +964,10 @@ def test_series_and_exact_laws_refuse_a_bad_initial_law(mu0, match):
         O.exact_marginal(O.contagion_model(), mu0, 0.5, 3)
 
 
-def test_simulate_pair_system_rejects_a_kernel_changed_to_the_wrong_size():
-    model = O.contagion_model()
-    model.kernel = np.eye(9)
+def test_pair_model_refuses_a_kernel_of_the_wrong_size():
+    # kc_pair_system indexes the kernel blindly, by the model's |S|
     with pytest.raises(ValueError, match="kernel must be"):
-        O.simulate_pair_system(model, 100, 0.5, (0.6, 0.4), seed=3)
+        O.PairModel(2, np.eye(9), 1.0)
 
 
 @pytest.mark.parametrize("rows, entries", [
@@ -927,14 +975,12 @@ def test_simulate_pair_system_rejects_a_kernel_changed_to_the_wrong_size():
     (slice(None), np.nan),
     (1, (0.0, np.inf, 0.0, 0.0)),
 ])
-def test_simulate_pair_system_refuses_a_reassigned_kernel_with_a_bad_entry(rows, entries):
-    # PairModel checked the kernel it was built with; a reassigned one is
-    # checked by kc_pair_system's table build
-    model = O.contagion_model()
-    model.kernel = model.kernel.copy()
-    model.kernel[rows] = entries
+def test_pair_model_refuses_a_contagion_kernel_with_a_bad_entry(rows, entries):
+    # kc_pair_system's tables take every entry as finite and nonnegative
+    k = O.contagion_model().kernel.copy()
+    k[rows] = entries
     with pytest.raises(ValueError, match="kernel entries must be finite and nonnegative"):
-        O.simulate_pair_system(model, 20, 0.5, (0.6, 0.4), seed=3)
+        O.PairModel(2, k, 1.0)
 
 
 @pytest.mark.parametrize("N, seed, error, match", [
@@ -989,16 +1035,16 @@ def test_poisson_mean_limit_is_numpys():
         rng.poisson(np.nextafter(O._POISSON_LAM_MAX, np.inf))
 
 
-@pytest.mark.parametrize("rate, t", [(1e300, 1e300), (1e17, 1.0), (math.nan, 0.5)])
+@pytest.mark.parametrize("rate, t", [(1e300, 1e300), (1e17, 1.0)])
 def test_simulate_pair_system_refuses_an_impossible_poisson_mean(monkeypatch, rate, t):
-    # numpy refuses a mean above POISSON_LAM_MAX, inf or nan; the kernel's
-    # count loop would cast or spin on one, so the refusal comes first
+    # numpy refuses a mean above POISSON_LAM_MAX or inf; the kernel's count
+    # loop would cast or spin on one, so the refusal comes first.  A NaN rate
+    # is refused when the model is made
     def no_kernel():
         raise AssertionError("the kernel was reached")
 
     monkeypatch.setattr(O, "_kernel", no_kernel)
-    model = O.contagion_model()
-    model.rate = rate
+    model = O.contagion_model(rate=rate)
     with pytest.raises(ValueError, match="Poisson mean"):
         O.simulate_pair_system(model, 100, t, (0.6, 0.4), 3)
 

@@ -10,12 +10,14 @@ Steps that need the network are skipped, each by name: the ``uses:`` steps
 already be installed.  The run gets a fresh temporary ``XDG_CACHE_HOME``, so
 the C kernel is built from its source as on a CI runner.  The first failing
 step stops the run; its name is printed and its exit code is the command's.
+Each step's wall time is printed when it ends, and the total at the end.
 """
 
 import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import yaml
@@ -45,6 +47,7 @@ def skip_reason(step: dict):
 
 
 def main() -> int:
+    start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="kinchem-ci-cache-") as cache:
         env = {**os.environ, "XDG_CACHE_HOME": cache}
         for name, step in steps(WORKFLOW):
@@ -57,11 +60,14 @@ def main() -> int:
                 print(f"== {name}: unsupported shell {shell!r}", flush=True)
                 return 2
             print(f"== run: {name}", flush=True)
+            t0 = time.perf_counter()
             code = subprocess.run([*SHELLS[shell], step["run"]], cwd=ROOT, env=env).returncode
+            print(f"== {time.perf_counter() - t0:.1f} s: {name}", flush=True)
             if code:
-                print(f"== FAILED: {name} (exit {code})", flush=True)
+                print(f"== FAILED: {name} (exit {code}); {time.perf_counter() - start:.1f} s in all",
+                      flush=True)
                 return code
-    print("== every step ran and passed", flush=True)
+    print(f"== every step ran and passed in {time.perf_counter() - start:.1f} s", flush=True)
     return 0
 
 
