@@ -25,8 +25,8 @@ the closed-form tail Q(3/2, x) = erfc(sqrt x) + 2 sqrt(x / pi) e^{-x}.
 
 In the limit of infinitely fast exchange and bath contact the kinetic
 marginal is pinned at density c sqrt(T) exp(-beta T) and only the type
-concentrations evolve; that reduction is integrated directly as an ODE with
-Maxwell-averaged unary rates.
+concentrations evolve; that reduction is a linear ODE with Maxwell-averaged
+unary rates, solved by ``model.propagate``.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .model import EnsembleSpec, TypeKernel, sample_times
+from .model import EnsembleSpec, TypeKernel, propagate, sample_times
 
 __all__ = [
     "DensityField",
@@ -189,33 +189,22 @@ def rk4_step(f: Callable, y: np.ndarray, dt: float) -> np.ndarray:
 
 def reduced_macro_ode(state: MacroState, spec: EnsembleSpec, t_end: float,
                       sample_every: Optional[float] = None) -> ReducedTrajectory:
-    """Integrate the concentration dynamics on the fixed-beta equilibrium
-    manifold with Maxwell-averaged unary rates; total concentration is
-    conserved by the antisymmetric flux structure of the vector field.
+    """The concentration dynamics dc/dt = c A on the fixed-beta equilibrium
+    manifold, with Maxwell-averaged unary rates v and the generator A = v -
+    diag(v 1), solved exactly by ``propagate`` from t = 0 at every sample
+    time; the total concentration is conserved, since A's rows sum to 0.
     Samples are taken at ``model.sample_times(0, t_end, sample_every)``,
     with ``sample_every`` = t_end / 200 when it is None; with t_end = 0 the
     trajectory is the single row of initial data at t = 0.  A negative or
     non-finite t_end, or a bad ``sample_every``, raises ValueError."""
-    from scipy.integrate import solve_ivp
-
     if not 0.0 <= t_end < math.inf:
         raise ValueError(f"t_end must be nonnegative and finite, got {t_end!r}")
     if sample_every is None and t_end > 0.0:
         sample_every = t_end / 200.0
     times = np.fromiter(sample_times(0.0, t_end, sample_every), float)
     v = maxwell_unary_rates(spec, beta=state.beta)
-    if t_end == 0.0:        # solve_ivp returns empty lists for an empty span
-        return ReducedTrajectory(times=np.zeros(1), beta=state.beta, rates=v,
-                                 concentrations=np.array(state.concentrations,
-                                                         dtype=float, ndmin=2))
-    f = macro_vector_field(v)
-    sol = solve_ivp(
-        lambda t, c: f(c), (0.0, t_end), np.asarray(state.concentrations),
-        method="DOP853", t_eval=times, rtol=1e-12, atol=1e-14)
-    if not sol.success:
-        raise RuntimeError(f"reduced ODE integration failed: {sol.message}")
-    return ReducedTrajectory(times=sol.t, concentrations=sol.y.T,
-                             beta=state.beta, rates=v)
+    c = propagate(state.concentrations, v - np.diag(v.sum(axis=1)), times)
+    return ReducedTrajectory(times=times, concentrations=c, beta=state.beta, rates=v)
 
 
 # -- energy-grid machinery -------------------------------------------------------

@@ -3,7 +3,10 @@
 All objects here are plain immutable data, a spec validated when it is made,
 then shared read-only by the particle and mean-field engines.  Units follow
 k_B = 1: inverse temperature beta and every energy (kinetic T, chemical K_j)
-share one unit, lengths are arbitrary.
+share one unit, lengths are arbitrary.  The engines also share two tools
+from here: the observation clock ``sample_times`` and ``propagate``, the
+exponential of a linear system with nonnegative off-diagonal entries, which
+serves the reduced ODE and the oracle's exact laws.
 """
 from __future__ import annotations
 
@@ -11,6 +14,8 @@ import math
 from dataclasses import dataclass, field, replace
 from itertools import chain, count, takewhile
 from typing import Callable, Iterator, Optional
+
+import numpy as np
 
 __all__ = [
     "SpeciesSpec",
@@ -29,6 +34,7 @@ __all__ = [
     "spec_to_dict",
     "spec_from_dict",
     "sample_times",
+    "propagate",
 ]
 
 
@@ -276,6 +282,110 @@ def sample_times(t0: float, t_end: float, every: Optional[float] = None) -> Iter
     else:
         head, stop = (t0 + k * every for k in count()), t_end - 1e-9 * every
     return chain(takewhile(lambda t: t < stop, head), (t_end,))
+
+
+# the terms of ``propagate`` past its last one sum to at most this times |p0|_1
+TAIL_TOL = 2.0 ** -56
+# a matrix whose rows sum to 0 within this fraction of q is a generator: room
+# for the rounding of its entries and for PairModel's 1e-12 on kernel rows
+_GENERATOR_TOL = 1e-10
+
+
+def _poisson_terms(qt: float, lam: float) -> int:
+    """Least K >= floor(lam) with e^{-qt} lam^{K+1} / (K+1)! (K+2) / (K+2-lam)
+    <= TAIL_TOL.  That expression bounds e^{-qt} sum_{k>K} lam^k / k!: past
+    k = K + 1 each term is at most lam / (K + 2) times the one before."""
+    if lam == 0.0:
+        return 0
+    log_lam, log_tol = math.log(lam), math.log(TAIL_TOL)
+    K = math.floor(lam)
+    log_term = (K + 1) * log_lam - qt - math.lgamma(K + 2.0)
+    # the factor (K+2) / (K+2-lam) is at least 1: look at it only at the end
+    while log_term > log_tol or log_term - math.log1p(-lam / (K + 2)) > log_tol:
+        K += 1
+        log_term += log_lam - math.log(K + 1)
+    return K
+
+
+def _poisson_weights(lam: np.ndarray, K: int) -> np.ndarray:
+    """Rows Pois(k; lam_i), k = 0..K, each normalized to sum 1.  Each row is
+    built outward from its mode by the ratios of neighbouring terms: above
+    it Pois(k) / Pois(k-1) = lam / k < 1, below it Pois(k-1) / Pois(k) =
+    k / lam <= 1.  So no weight near the mode underflows, and none needs a
+    factorial."""
+    lam = lam[:, None]
+    k = np.arange(1.0, K + 1.0)
+    w = np.ones((len(lam), K + 1))
+    np.cumprod(np.minimum(lam / k, 1.0), axis=1, out=w[:, 1:])
+    # below the mode; a row with lam < 1 has its mode at 0 and no such ratio
+    w[:, :-1] *= np.cumprod(np.minimum(k / np.maximum(lam, 1.0), 1.0)[:, ::-1], axis=1)[:, ::-1]
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def propagate(p0, A, times) -> np.ndarray:
+    """The row vectors p0 exp(A t), one row per t in ``times``, by
+    uniformization (Jensen 1953; Moler & Van Loan 2003).
+
+    ``A`` is square with nonnegative off-diagonal entries, given as an array
+    or as a triple (src, dst, rate) of equal-length arrays that lists its
+    entries, repeated ones adding up: A[src[i], dst[i]] += rate[i].  With q
+    the largest |A_ii| (1 if there is none) and P = I + A / q, a nonnegative
+    matrix,
+
+        p0 exp(A t) = sum_k Pois(k; q t) p0 P^k,
+
+    and for a nonnegative p0 every term is nonnegative, so nothing cancels.
+    The powers p0 P^k are computed once and shared by every time, each from
+    the one before by a ``np.bincount`` over the entries of P.
+
+    Tail bound: with rho = max(1, largest row sum of P), |p0 P^k|_1 <=
+    rho^k |p0|_1, so the terms past k = K sum to at most |p0|_1 e^{-qt}
+    sum_{k>K} (q t rho)^k / k!.  K is the least count that makes this at most
+    ``TAIL_TOL`` |p0|_1 at the largest time (``_poisson_terms``).  Each row of
+    Poisson weights is normalized to sum 1, which scales it by less than
+    1 + TAIL_TOL.  When A's rows sum to 0 (within 1e-10 q), A is a Markov
+    generator: rho = 1, P is stochastic, and each power is also rescaled to
+    the mass of p0, so rounding cannot drift the mass.  A negative
+    off-diagonal entry, or a time that is negative or not finite, raises
+    ValueError.
+    """
+    p0 = np.asarray(p0, dtype=float)
+    times = np.asarray(times, dtype=float)
+    n = len(p0)
+    if isinstance(A, tuple):
+        src, dst, rate = (np.asarray(x) for x in A)
+    else:
+        A = np.asarray(A, dtype=float)
+        src, dst = np.nonzero(A)
+        rate = A[src, dst]
+    off = src != dst
+    diag = np.bincount(src[~off], rate[~off], minlength=n)
+    rows = np.bincount(src, rate, minlength=n)
+    q = max(-diag.min(initial=0.0), diag.max(initial=0.0)) or 1.0
+    generator = np.abs(rows).max(initial=0.0) <= _GENERATOR_TOL * q
+    rho = 1.0 if generator else max(1.0, 1.0 + rows.max() / q)
+    # the entries of P: A's off the diagonal over q, then the diagonal
+    src, dst = (np.concatenate((x[off], np.arange(n))) for x in (src, dst))
+    P = np.concatenate((rate[off] / q, 1.0 + diag / q))
+    if P.min(initial=0.0) < 0.0:
+        raise ValueError("A must have nonnegative off-diagonal entries")
+    t_max = times.max()
+    if not 0.0 <= times.min() <= t_max < math.inf:
+        raise ValueError(f"times must be finite and nonnegative, got {times!r}")
+    K = _poisson_terms(float(q * t_max), float(q * t_max * rho))
+    powers = np.empty((K + 1, n))
+    powers[0] = p0
+    for k in range(K):
+        powers[k + 1] = np.bincount(dst, powers[k][src] * P, minlength=n)
+    mass = p0.sum()
+    if generator and mass > 0.0:
+        # scaling commutes with P, so this is each power rescaled in turn
+        powers *= mass / powers.sum(axis=1, keepdims=True)
+    # the weights of at most 2^16 (time, term) pairs at a time, so that a long
+    # horizon's many terms do not take memory for every time at once
+    rows = max(1, 2 ** 16 // (K + 1))
+    return np.concatenate([_poisson_weights(q * times[i:i + rows], K) @ powers
+                           for i in range(0, len(times), rows)])
 
 
 def _row_sum(row) -> float:

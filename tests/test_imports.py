@@ -11,9 +11,9 @@ the first ``run()`` or ``simulate_pair_system`` compiles it into
 ``$XDG_CACHE_HOME/kinchem``, linked with numpy's archive of samplers whose
 bytes its name hashes, deleting the libraries of this checkout's older
 sources there but no other checkout's, and later interpreters load it from
-there.  The exact laws load scipy.linalg but no scipy.sparse.  Each check
-runs in a fresh interpreter, since this test process has loaded scipy and
-the kernel already.
+there.  The oracle's exact laws and series and the reduced ODE load no
+scipy module.  Each check runs in a fresh interpreter, since this test
+process has loaded scipy and the kernel already.
 """
 from __future__ import annotations
 
@@ -141,17 +141,19 @@ def test_oracle_builds_the_kernel_only_for_replicas(tmp_path):
     assert len(built) == 1 and built[0].startswith("_events-") and built[0].endswith(".so")
 
 
-def test_exact_laws_load_no_scipy_sparse():
-    # the count chain propagates with scipy.linalg.expm alone
-    proc = _python("import sys\n"
-                   "import kinchem.oracle as O\n"
-                   "model = O.voter_model(0.7, n_states=3)\n"
-                   "O.exact_marginal(model, (0.2, 0.5, 0.3), 0.5, 6)\n"
-                   "O.exact_pair_correlation(model, (0.2, 0.5, 0.3), 0.5, 6)\n"
-                   "print('scipy.linalg' in sys.modules,\n"
-                   "      sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "[]"]
+def test_exact_laws_series_and_reduced_ode_load_no_scipy():
+    # model.propagate serves the count chain, the series' simplex integrals
+    # and the reduced ODE; scipy.linalg and scipy.integrate are test-only
+    code = ("import kinchem.oracle as O\n"
+            "from kinchem import meanfield as MF\n"
+            "from kinchem.scenarios import two_state_spec\n"
+            "model = O.voter_model(0.7, n_states=3)\n"
+            "O.exact_marginal(model, (0.2, 0.5, 0.3), 0.5, 6)\n"
+            "O.exact_pair_correlation(model, (0.2, 0.5, 0.3), 0.5, 6)\n"
+            "O.series_marginal(model, (0.2, 0.5, 0.3), 0.5, 3, n_particles=6)\n"
+            "O.series_marginal(model, (0.2, 0.5, 0.3), 0.5, 3)\n"
+            "MF.reduced_macro_ode(MF.MacroState(1.0, (0.3, 0.7)), two_state_spec(10), 2.0)\n")
+    assert "scipy" not in _loaded_after(code)
 
 
 def _checkout() -> str:

@@ -37,6 +37,23 @@ def test_pair_model_validates_rows_and_symmetry():
             O.PairModel(2, k, rate)
 
 
+@pytest.mark.parametrize("n_states, kernel", [
+    (0, np.zeros((0, 0))),                  # numpy: "zero-size array to reduction ..."
+    (-2, np.eye(4)),                        # numpy: "can only specify one unknown dimension"
+    (2.0, np.eye(4)),
+    (True, np.eye(1)),                      # was taken as one state
+    ("2", np.eye(4)),
+])
+def test_pair_model_names_a_bad_n_states(n_states, kernel):
+    with pytest.raises(ValueError, match="n_states must be an integer of at least 1"):
+        O.PairModel(n_states, kernel, 1.0)
+
+
+def test_pair_model_keeps_an_integer_n_states_as_an_int():
+    model = O.PairModel(np.int64(2), np.eye(4), 1.0)
+    assert type(model.n_states) is int and model.n_states == 2
+
+
 @pytest.mark.parametrize("rows", [
     {0: [np.nan, 1.0, 0.0, 0.0]},           # the sum check alone reads NaN as no error
     {0: [np.inf, 1.0, 0.0, 0.0]},
@@ -85,13 +102,12 @@ _LOOK_ALIKE_LAWS = {
 
 @pytest.mark.parametrize("law", list(_LOOK_ALIKE_LAWS))
 def test_oracle_refuses_a_model_that_only_looks_like_a_pair_model(monkeypatch, law):
-    # only a PairModel checked itself; a look-alike is refused before scipy
-    # or the C kernel is reached
+    # only a PairModel checked itself; a look-alike is refused before the
+    # propagator or the C kernel is reached
     def unreached(*args, **kwargs):
         raise AssertionError("reached past the model check")
 
-    import scipy.linalg
-    monkeypatch.setattr(scipy.linalg, "expm", unreached)
+    monkeypatch.setattr(O, "propagate", unreached)
     monkeypatch.setattr(O, "_kernel", unreached)
     model = SimpleNamespace(n_states=2, kernel=O.contagion_model().kernel, rate=1.0)
     with pytest.raises(TypeError, match="PairModel, got SimpleNamespace"):
