@@ -47,7 +47,6 @@ from .thermo import (
     markov_entropy,
     potentials,
     standard_potential,
-    variational_check,
 )
 from .oracle import (
     PairModel,

@@ -276,7 +276,8 @@ def _uniform_grid(grid) -> np.ndarray:
     """``grid`` as floats, uniform and strictly increasing, or ValueError."""
     grid = np.asarray(grid, dtype=float)
     h = np.diff(grid)
-    if h.size == 0 or not h[0] > 0.0 or not np.allclose(h, h[0], rtol=1e-9):
+    # relative only: an absolute tolerance would pass any steps below it
+    if h.size == 0 or not h[0] > 0.0 or not np.abs(h - h[0]).max() <= 1e-9 * h[0]:
         raise ValueError("grid must be uniform and strictly increasing")
     return grid
 

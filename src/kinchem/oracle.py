@@ -403,8 +403,7 @@ class SeriesResult:
 
 
 def series_marginal(model: PairModel, mu0, t: float, n_max: int,
-                    n_particles: Optional[int] = None,
-                    tol: Optional[float] = None) -> SeriesResult:
+                    n_particles: Optional[int] = None) -> SeriesResult:
     """Truncated resummation of the anchor particle's marginal at time t.
 
     Each connected anchored history theta of length n <= n_max contributes
@@ -416,7 +415,8 @@ def series_marginal(model: PairModel, mu0, t: float, n_max: int,
     class weight.  The returned marginal is the raw partial sum.  Every term
     is nonnegative, so the exact marginal exceeds it componentwise; the
     missing mass 1 - total_mass is the summed truncation error, at most
-    ``truncation_tail`` = (1 - e^{-2 lambda t})^{n_max + 1}.
+    ``truncation_tail`` = (1 - e^{-2 lambda t})^{n_max + 1}, returned as
+    ``tail_bound`` for the caller to hold against its own tolerance.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max!r}")
@@ -425,8 +425,6 @@ def series_marginal(model: PairModel, mu0, t: float, n_max: int,
     lam = model.rate
     N = n_particles if n_particles is None else _particles(n_particles)
     tail = truncation_tail(lam, t, n_max)
-    if tol is not None and tail > tol:
-        raise ValueError(f"truncation tail {tail:.3g} above tolerance {tol:.3g}")
 
     total = np.zeros(model.n_states)
     mass = np.zeros(n_max + 1)
@@ -655,9 +653,8 @@ def _factorization_defect(counts: np.ndarray, N: int, k: int):
     return joint, marg
 
 
-def chaos_statistic(runs: Mapping[int, Sequence], k: int = 2,
-                    n_states: Optional[int] = None,
-                    min_relative_precision: Optional[float] = None) -> ChaosReport:
+def chaos_statistic(runs: Mapping[int, Sequence], k: int = 2, *,
+                    n_states: int) -> ChaosReport:
     """Decay of the k-particle factorization defect with system size.
 
     ``runs`` maps N to a list of replica state vectors (exchangeable particle
@@ -665,8 +662,8 @@ def chaos_statistic(runs: Mapping[int, Sequence], k: int = 2,
     is estimated from falling-factorial count statistics (an exact average
     over particle tuples), with a leave-one-replica-out jackknife error; the
     decay exponent is the least-squares slope of log defect against log N.
-    Raises ValueError unless every replica under N holds N states, each
-    below ``n_states`` when it is given.
+    Raises ValueError unless every N is at least k and every replica under
+    N holds N states, each below ``n_states``.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -676,13 +673,14 @@ def chaos_statistic(runs: Mapping[int, Sequence], k: int = 2,
     corr: dict = {}
     errs: dict = {}
     for N in n_values:
+        if N < k:
+            raise ValueError(f"N={N} is below k={k}: no {k} distinct particles to correlate")
         reps = [np.asarray(r, dtype=np.int64) for r in runs[N]]
         if len(reps) < 3:
             raise ValueError(f"insufficient replicas at N={N}")
-        S = n_states if n_states is not None else int(max(r.max(initial=0) for r in reps)) + 1
-        rows = [np.bincount(r, minlength=S) for r in reps]
-        if max(map(len, rows)) > S:
-            raise ValueError(f"replica states at N={N} must lie below n_states={S}")
+        rows = [np.bincount(r, minlength=n_states) for r in reps]
+        if max(map(len, rows)) > n_states:
+            raise ValueError(f"replica states at N={N} must lie below n_states={n_states}")
         counts = np.stack(rows)
         bad = np.flatnonzero(counts.sum(axis=1) != N)
         if bad.size:
@@ -709,11 +707,6 @@ def chaos_statistic(runs: Mapping[int, Sequence], k: int = 2,
         se = math.sqrt((R - 1) / R * float(((loo - loo.mean()) ** 2).sum()))
         corr[N] = full
         errs[N] = se
-        if min_relative_precision is not None and full > 0.0:
-            if se / full > min_relative_precision:
-                raise ValueError(
-                    f"insufficient replicas at N={N}: relative error "
-                    f"{se / full:.2f} > {min_relative_precision}")
     xs = np.log(np.asarray(n_values, dtype=float))
     ys = np.log(np.asarray([max(corr[N], 1e-300) for N in n_values]))
     A = np.column_stack((xs, np.ones_like(xs)))

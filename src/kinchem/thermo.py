@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -27,7 +25,6 @@ __all__ = [
     "markov_entropy",
     "gibbs_identity_check",
     "hess_delta_H",
-    "variational_check",
 ]
 
 
@@ -122,8 +119,8 @@ def potentials(point: ThermoPoint, volume: float) -> dict:
     on plain floats; ``mu`` (-inf at zero concentration) and ``n`` are
     arrays.
     """
-    if volume <= 0.0:
-        raise ValueError("volume must be > 0")
+    if not 0.0 < volume < math.inf:     # NaN too
+        raise ValueError("volume must be positive and finite")
     beta = point.beta
     mu, n = [], []
     U = H = S = G = g = 0.0
@@ -239,88 +236,3 @@ def hess_delta_H(endpoint_a: ThermoPoint, endpoint_b: ThermoPoint,
     if endpoint_a.beta != endpoint_b.beta:
         raise ValueError("endpoints must share the same beta")
     return potentials(endpoint_b, volume)["H"] - potentials(endpoint_a, volume)["H"]
-
-
-def _gibbs_weights(energies: np.ndarray, beta: float) -> np.ndarray:
-    z = np.exp(-beta * (energies - energies.min()))
-    return z / z.sum()
-
-
-def variational_check(energies, beta: Optional[float] = None,
-                      mean_energy: Optional[float] = None,
-                      tol: float = 1e-8) -> dict:
-    """Maximize -sum p ln p under fixed mean energy and normalization, and
-    compare the numerical maximizer with the closed-form exponential weights.
-
-    Exactly one of ``beta`` (taking U from the exponential family) or
-    ``mean_energy`` (solving for the matching beta first) must be given.
-    A target energy outside [min e_k, max e_k] is infeasible.
-    """
-    from scipy import optimize
-
-    e = np.asarray(energies, dtype=float)
-    if e.size < 2:
-        raise ValueError("need at least two levels")
-    if (beta is None) == (mean_energy is None):
-        raise ValueError("give exactly one of beta or mean_energy")
-
-    if mean_energy is not None:
-        if not (e.min() <= mean_energy <= e.max()):
-            raise ValueError(f"mean energy {mean_energy!r} outside "
-                             f"[{e.min()!r}, {e.max()!r}]")
-        uniform_u = e.mean()
-        if math.isclose(mean_energy, uniform_u, rel_tol=0.0, abs_tol=1e-15):
-            beta = 0.0
-        else:
-            def umean(b):
-                return float(_gibbs_weights(e, b) @ e) - mean_energy
-            lo, hi = -1.0, 1.0
-            while umean(lo) < 0.0:
-                lo *= 2.0
-                if lo < -1e8:
-                    raise ValueError("mean energy too close to the boundary")
-            while umean(hi) > 0.0:
-                hi *= 2.0
-                if hi > 1e8:
-                    raise ValueError("mean energy too close to the boundary")
-            beta = float(optimize.brentq(umean, lo, hi, xtol=1e-14))
-    gibbs = _gibbs_weights(e, beta)
-    target_u = float(gibbs @ e)
-
-    def neg_entropy(p):
-        p = np.clip(p, 1e-300, None)
-        return float(np.sum(p * np.log(p)))
-
-    def grad(p):
-        return np.log(np.clip(p, 1e-300, None)) + 1.0
-
-    x0 = np.full(e.size, 1.0 / e.size)
-    # feasible start: blend toward the extreme level if needed
-    if abs(float(x0 @ e) - target_u) > 1e-12:
-        corner = np.zeros(e.size)
-        corner[int(np.argmax(e)) if target_u > x0 @ e else int(np.argmin(e))] = 1.0
-        lam = (target_u - float(x0 @ e)) / (float(corner @ e) - float(x0 @ e))
-        x0 = (1.0 - lam) * x0 + lam * corner
-        x0 = np.clip(x0, 1e-9, None)
-        x0 /= x0.sum()
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="Values in x were outside bounds")
-        res = optimize.minimize(
-            neg_entropy, x0, jac=grad, method="SLSQP",
-            bounds=[(1e-12, 1.0)] * e.size,
-            constraints=[
-                {"type": "eq", "fun": lambda p: p.sum() - 1.0, "jac": lambda p: np.ones(e.size)},
-                {"type": "eq", "fun": lambda p: p @ e - target_u, "jac": lambda p: e},
-            ],
-            options={"maxiter": 500, "ftol": 1e-16})
-    maximizer = res.x / res.x.sum()
-    diff = float(np.max(np.abs(maximizer - gibbs)))
-    return {
-        "passed": bool(res.success) and diff <= tol,
-        "max_abs_diff": diff,
-        "maximizer": maximizer,
-        "gibbs": gibbs,
-        "beta": float(beta),
-        "mean_energy": target_u,
-        "entropy": -neg_entropy(gibbs),
-    }

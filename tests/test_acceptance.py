@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from kinchem import kinetics as KIN
-from kinchem import thermo as TH
 from kinchem.scenarios import run_scenario
 from conftest import make_two_state, record_acceptance
+from test_thermo import variational_check
 
 
 @pytest.fixture(scope="module")
@@ -221,9 +221,9 @@ def test_criterion_13_flux_consistency():
 
 def test_criterion_14_variational_principle():
     results = [
-        TH.variational_check((0.0, 1.0, 2.0), beta=1.0),
-        TH.variational_check((0.0, 0.4, 1.1, 2.0), beta=0.6),
-        TH.variational_check((0.0, 0.5, 1.0, 1.7, 2.2), beta=1.4),
+        variational_check((0.0, 1.0, 2.0), beta=1.0),
+        variational_check((0.0, 0.4, 1.1, 2.0), beta=0.6),
+        variational_check((0.0, 0.5, 1.0, 1.7, 2.2), beta=1.4),
     ]
     worst = max(r["max_abs_diff"] for r in results)
     ok = all(r["passed"] for r in results) and worst <= 1e-8

@@ -374,6 +374,18 @@ def test_thermo_eval_rejects_non_finite_concentrations(tmp_path, config_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("volume", ["nan", "inf", "0"])
+def test_thermo_eval_rejects_a_volume_that_is_not_positive_and_finite(tmp_path, config_path,
+                                                                     capsys, volume):
+    # --volume nan used to exit 0 and print null potentials
+    out = tmp_path / "th"
+    code = main(["thermo", "eval", "--config", str(config_path), "--c", "0.3,0.7",
+                 "--beta", "1.0", "--volume", volume, "--out", str(out)])
+    assert code == 2
+    assert "volume must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_override_changes_config(config_path):
     spec = load_config(config_path)
     assert spec.rng_seed == 21

@@ -2,7 +2,8 @@
 
 Importing the package, its CLI, its scenarios and its statistics loads no
 scipy, jsonschema, yaml or fractions module (fractions imports decimal);
-each function that needs one imports it on first call.  A particle run of
+each function that needs one imports it on first call, and only two
+functions of the library import scipy at all.  A particle run of
 ``kinchem sim`` never needs scipy, nor does building a mean-field
 initial field from any law.  Importing neither compiles nor loads the
 C kernel of the particle engine and the oracle's replicas, and neither do
@@ -17,6 +18,7 @@ process has loaded scipy and the kernel already.
 """
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import os
@@ -154,6 +156,34 @@ def test_exact_laws_series_and_reduced_ode_load_no_scipy():
             "O.series_marginal(model, (0.2, 0.5, 0.3), 0.5, 3)\n"
             "MF.reduced_macro_ode(MF.MacroState(1.0, (0.3, 0.7)), two_state_spec(10), 2.0)\n")
     assert "scipy" not in _loaded_after(code)
+
+
+def _scipy_imports(path: pathlib.Path) -> set:
+    """(module, top-level definition, scipy module) for each scipy import in
+    the source file ``path``, ``from scipy import x`` naming ``scipy.x``."""
+    found = set()
+    for top in ast.parse(path.read_text()).body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+                names = [f"scipy.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found |= {(path.stem, where, name) for name in names
+                      if name == "scipy" or name.startswith("scipy.")}
+    return found
+
+
+def test_only_two_library_functions_import_scipy():
+    # a plugged-in unary rate's quadrature and the chi-square tail; the
+    # entropy maximizer of criterion 14 lives in tests/test_thermo.py
+    found = set().union(*map(_scipy_imports, sorted((SRC / "kinchem").glob("*.py"))))
+    assert found == {("meanfield", "maxwell_unary_rates", "scipy.integrate"),
+                     ("stats", "chi2_uniformity_p", "scipy.special")}
 
 
 def _checkout() -> str:

@@ -278,10 +278,12 @@ def stretched_grid():
 
 
 @pytest.mark.parametrize("grid", [stretched_grid(), np.linspace(20.0, 0.0, 65), np.zeros(65),
-                                  np.array([0.0])], ids=["stretched", "decreasing", "flat", "one-node"])
+                                  np.array([0.0]), np.array([0.0, 1e-9, 5e-9, 6e-9])],
+                         ids=["stretched", "decreasing", "flat", "one-node", "tiny-steps"])
 def test_the_integrator_refuses_the_grids_a_density_field_refuses(grid):
     # the integrator built its tables and ran rhs on the stretched grid, with
-    # the uniform step h of its first cell
+    # the uniform step h of its first cell; steps of 1e-9, 4e-9 and 1e-9
+    # passed np.allclose's absolute tolerance of 1e-8
     spec = two_state_spec(50, heat=1.0, scale_heat=1.0)
     with pytest.raises(ValueError, match="grid must be uniform and strictly increasing"):
         MF.DensityField(grid, np.ones((2, grid.size)))

@@ -403,13 +403,6 @@ def test_series_order_zero_is_exponentially_weighted_identity():
     assert np.allclose(res.marginal, math.exp(-2 * lam * t) * mu0, atol=1e-14)
 
 
-def test_series_tail_precondition_enforced():
-    model = O.contagion_model(0.5, 1.0)
-    with pytest.raises(ValueError, match="tail"):
-        O.series_marginal(model, np.array([0.5, 0.5]), 1.0, n_max=2,
-                          n_particles=4, tol=1e-6)
-
-
 def test_series_matches_master_equation_within_geometric_tail():
     mu0 = np.array([0.7, 0.3])
     for lam_t in (0.1, 0.2):
@@ -439,6 +432,37 @@ def test_series_missing_mass_attains_tail_bound_in_limit():
         assert res.tail_bound == pytest.approx(
             (1.0 - math.exp(-2.0 * lam_t)) ** (n_max + 1), rel=1e-12)
         assert abs(1.0 - res.total_mass - res.tail_bound) <= 1e-12
+
+
+def wild_sum(model, mu0, t, n_max):
+    """Wild's sum of the N -> infinity anchor law (Wild 1951; McKean 1966):
+    weights e^{-tau} (1 - e^{-tau})^n with tau = 2 lambda t, and terms
+    f_0 = mu0, f_{n+1} = sum_{j <= n} Q(f_j, f_{n-j}) / (n + 1), where
+    Q(mu, nu)_c = sum mu_a nu_b kernel[a, b, c, d] is the law of a particle
+    in state a after it fires with a partner in state b."""
+    k4 = model.kernel4()
+    f = [np.asarray(mu0, dtype=float)]
+    for n in range(n_max):
+        f.append(sum(np.einsum("a,b,abcd->c", f[j], f[n - j], k4) for j in range(n + 1))
+                 / (n + 1))
+    q = math.exp(-2.0 * model.rate * t)
+    return np.array([q * (1.0 - q) ** n for n in range(n_max + 1)]), f
+
+
+def test_series_limit_equals_wild_sum_term_by_term():
+    # each history length n of the essential series carries Wild's weight
+    # and, summed over its histories, Wild's n-th term; every n_max pins one
+    # more term
+    for model, mu0 in ((O.contagion_model(0.5, 1.0), (0.6, 0.4)),
+                       (O.contagion_model(0.3, 0.4), (0.7, 0.3)),
+                       (O.voter_model(0.7, n_states=3), (0.2, 0.5, 0.3))):
+        for t in (0.3, 1.0):
+            for n_max in range(7):
+                res = O.series_marginal(model, mu0, t, n_max)
+                weights, terms = wild_sum(model, mu0, t, n_max)
+                wild = sum(w * f for w, f in zip(weights, terms))
+                assert np.max(np.abs(res.marginal - wild)) <= 1e-13
+                assert np.max(np.abs(res.mass_by_length - weights)) <= 1e-13
 
 
 def test_series_limit_close_to_large_finite_N():
@@ -678,15 +702,6 @@ def test_chaos_statistic_recovers_known_decay():
     assert all(rep.correlations[N] > 0 for N in (50, 100, 200))
 
 
-def test_chaos_statistic_insufficient_replicas_flagged():
-    model = O.contagion_model(0.5, 1.0)
-    mu0 = np.array([0.6, 0.4])
-    runs = {N: [O.simulate_pair_system(model, N, 0.5, mu0, seed=r)
-                for r in range(5)] for N in (50, 100)}
-    with pytest.raises(ValueError, match="insufficient"):
-        O.chaos_statistic(runs, k=2, n_states=2, min_relative_precision=0.05)
-
-
 def test_chaos_statistic_on_particle_ensemble_types():
     # type correlations created by a reactive pair kernel in the particle
     # engine also factorize as the ensemble grows.  False-alarm rate of the
@@ -721,16 +736,33 @@ def test_chaos_statistic_refuses_replicas_of_the_wrong_size():
     model = O.contagion_model(0.5, 1.0)
     runs = {N: [O.simulate_pair_system(model, N, 0.5, (0.6, 0.4), seed=r) for r in range(5)]
             for N in (20, 40)}
-    for n_states in (2, None):
-        short = {**runs, 20: runs[20][:3] + [runs[20][3][:15]] + runs[20][4:]}
-        with pytest.raises(ValueError, match="replica 3 at N=20 holds 15 particle states, not 20"):
-            O.chaos_statistic(short, k=2, n_states=n_states)
-        long = {**runs, 40: [np.r_[r, 0] for r in runs[40]]}
-        with pytest.raises(ValueError, match="replica 0 at N=40 holds 41"):
-            O.chaos_statistic(long, k=2, n_states=n_states)
-        empty = {**runs, 20: runs[20][:4] + [np.array([], dtype=np.int64)]}
-        with pytest.raises(ValueError, match="replica 4 at N=20 holds 0 particle states"):
-            O.chaos_statistic(empty, k=2, n_states=n_states)
+    short = {**runs, 20: runs[20][:3] + [runs[20][3][:15]] + runs[20][4:]}
+    with pytest.raises(ValueError, match="replica 3 at N=20 holds 15 particle states, not 20"):
+        O.chaos_statistic(short, k=2, n_states=2)
+    long = {**runs, 40: [np.r_[r, 0] for r in runs[40]]}
+    with pytest.raises(ValueError, match="replica 0 at N=40 holds 41"):
+        O.chaos_statistic(long, k=2, n_states=2)
+    empty = {**runs, 20: runs[20][:4] + [np.array([], dtype=np.int64)]}
+    with pytest.raises(ValueError, match="replica 4 at N=20 holds 0 particle states"):
+        O.chaos_statistic(empty, k=2, n_states=2)
+
+
+@pytest.mark.parametrize("k, sizes", [(2, (1, 4)), (3, (2, 6))])
+def test_chaos_statistic_refuses_a_size_below_k(k, sizes):
+    # N < k has no k distinct particles: the falling factorial N^(k) is 0,
+    # and the slope came back NaN with only a RuntimeWarning
+    small = sizes[0]
+    runs = {N: [np.arange(N) % 2 for _ in range(4)] for N in sizes}
+    with pytest.raises(ValueError, match=f"N={small} is below k={k}"):
+        O.chaos_statistic(runs, k=k, n_states=2)
+
+
+def test_chaos_statistic_takes_n_states_by_keyword_only():
+    runs = {N: [np.arange(N) % 2 for _ in range(4)] for N in (4, 8)}
+    with pytest.raises(TypeError):
+        O.chaos_statistic(runs, 2)
+    with pytest.raises(TypeError):
+        O.chaos_statistic(runs, 2, 2)
 
 
 def test_chaos_statistic_refuses_states_past_n_states():

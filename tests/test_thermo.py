@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from kinchem import meanfield as MF
 from kinchem import thermo as TH
@@ -89,6 +91,13 @@ def test_thermo_point_refuses_non_finite_or_negative_concentrations(c):
 
 
 # -- potentials --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("volume", [math.nan, math.inf, 0.0, -1.0])
+def test_potentials_refuse_a_volume_that_is_not_positive_and_finite(volume):
+    # a NaN volume used to give NaN potentials, an infinite one H = inf
+    with pytest.raises(ValueError, match="volume must be positive and finite"):
+        TH.potentials(TH.ThermoPoint(1.0, (0.3, 0.7), TWO), volume)
 
 
 def test_enthalpy_simple_case():
@@ -348,8 +357,89 @@ def test_hess_sign_classifies_reaction_direction():
 # -- variational principle -----------------------------------------------------------------
 
 
+def _gibbs_weights(energies: np.ndarray, beta: float) -> np.ndarray:
+    z = np.exp(-beta * (energies - energies.min()))
+    return z / z.sum()
+
+
+def variational_check(energies, beta=None, mean_energy=None, tol: float = 1e-8) -> dict:
+    """Maximize -sum p ln p under fixed mean energy and normalization, and
+    compare the numerical maximizer with the closed-form exponential weights.
+
+    Exactly one of ``beta`` (taking U from the exponential family) or
+    ``mean_energy`` (solving for the matching beta first) must be given.
+    A target energy outside [min e_k, max e_k] is infeasible.
+    """
+    e = np.asarray(energies, dtype=float)
+    if e.size < 2:
+        raise ValueError("need at least two levels")
+    if (beta is None) == (mean_energy is None):
+        raise ValueError("give exactly one of beta or mean_energy")
+
+    if mean_energy is not None:
+        if not (e.min() <= mean_energy <= e.max()):
+            raise ValueError(f"mean energy {mean_energy!r} outside "
+                             f"[{e.min()!r}, {e.max()!r}]")
+        uniform_u = e.mean()
+        if math.isclose(mean_energy, uniform_u, rel_tol=0.0, abs_tol=1e-15):
+            beta = 0.0
+        else:
+            def umean(b):
+                return float(_gibbs_weights(e, b) @ e) - mean_energy
+            lo, hi = -1.0, 1.0
+            while umean(lo) < 0.0:
+                lo *= 2.0
+                if lo < -1e8:
+                    raise ValueError("mean energy too close to the boundary")
+            while umean(hi) > 0.0:
+                hi *= 2.0
+                if hi > 1e8:
+                    raise ValueError("mean energy too close to the boundary")
+            beta = float(optimize.brentq(umean, lo, hi, xtol=1e-14))
+    gibbs = _gibbs_weights(e, beta)
+    target_u = float(gibbs @ e)
+
+    def neg_entropy(p):
+        p = np.clip(p, 1e-300, None)
+        return float(np.sum(p * np.log(p)))
+
+    def grad(p):
+        return np.log(np.clip(p, 1e-300, None)) + 1.0
+
+    x0 = np.full(e.size, 1.0 / e.size)
+    # feasible start: blend toward the extreme level if needed
+    if abs(float(x0 @ e) - target_u) > 1e-12:
+        corner = np.zeros(e.size)
+        corner[int(np.argmax(e)) if target_u > x0 @ e else int(np.argmin(e))] = 1.0
+        lam = (target_u - float(x0 @ e)) / (float(corner @ e) - float(x0 @ e))
+        x0 = (1.0 - lam) * x0 + lam * corner
+        x0 = np.clip(x0, 1e-9, None)
+        x0 /= x0.sum()
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="Values in x were outside bounds")
+        res = optimize.minimize(
+            neg_entropy, x0, jac=grad, method="SLSQP",
+            bounds=[(1e-12, 1.0)] * e.size,
+            constraints=[
+                {"type": "eq", "fun": lambda p: p.sum() - 1.0, "jac": lambda p: np.ones(e.size)},
+                {"type": "eq", "fun": lambda p: p @ e - target_u, "jac": lambda p: e},
+            ],
+            options={"maxiter": 500, "ftol": 1e-16})
+    maximizer = res.x / res.x.sum()
+    diff = float(np.max(np.abs(maximizer - gibbs)))
+    return {
+        "passed": bool(res.success) and diff <= tol,
+        "max_abs_diff": diff,
+        "maximizer": maximizer,
+        "gibbs": gibbs,
+        "beta": float(beta),
+        "mean_energy": target_u,
+        "entropy": -neg_entropy(gibbs),
+    }
+
+
 def test_variational_two_levels_midpoint_is_uniform():
-    res = TH.variational_check((0.0, 1.0), mean_energy=0.5)
+    res = variational_check((0.0, 1.0), mean_energy=0.5)
     assert res["passed"]
     assert np.allclose(res["maximizer"], [0.5, 0.5], atol=1e-8)
 
@@ -374,7 +464,7 @@ def _dual_bisection_oracle(energies, target_u):
 
 def test_variational_matches_gibbs_and_dual_oracle():
     energies = (0.0, 1.0, 2.0)
-    res = TH.variational_check(energies, beta=1.0)
+    res = variational_check(energies, beta=1.0)
     assert res["passed"] and res["max_abs_diff"] < 1e-8
     oracle = _dual_bisection_oracle(energies, res["mean_energy"])
     assert np.max(np.abs(res["maximizer"] - oracle)) < 1e-8
@@ -382,7 +472,7 @@ def test_variational_matches_gibbs_and_dual_oracle():
 
 def test_variational_maximizer_beats_random_feasible_points():
     energies = np.array([0.0, 0.7, 1.1, 2.5])
-    res = TH.variational_check(energies, beta=0.8)
+    res = variational_check(energies, beta=0.8)
     gibbs_entropy = res["entropy"]
     target_u = res["mean_energy"]
     rng = np.random.default_rng(13)
@@ -403,8 +493,8 @@ def test_variational_maximizer_beats_random_feasible_points():
 
 def test_variational_rejects_infeasible_target():
     with pytest.raises(ValueError, match="outside"):
-        TH.variational_check((0.0, 1.0), mean_energy=1.5)
+        variational_check((0.0, 1.0), mean_energy=1.5)
     with pytest.raises(ValueError):
-        TH.variational_check((0.0, 1.0))
+        variational_check((0.0, 1.0))
     with pytest.raises(ValueError):
-        TH.variational_check((0.0, 1.0), beta=1.0, mean_energy=0.5)
+        variational_check((0.0, 1.0), beta=1.0, mean_energy=0.5)
