@@ -449,20 +449,36 @@ def _hat_weights(law: Callable, scale, grid: np.ndarray) -> np.ndarray:
     return w
 
 
+# rows per block of a split matrix or of heat_H, whose set-up temporaries
+# are a few arrays of this many rows rather than of the whole matrix
+_BLOCK_ROWS = 32
+
+
 def beta_split_deposition(totals: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Row-stochastic deposition of a Beta(3/2,3/2) split onto hat functions.
 
     Row s gives the expected nodal weights of an energy drawn as totals[s]*X,
     X ~ Beta(3/2,3/2); any mass beyond the last node is folded into it.  The
-    closed-form F and G (``_beta32_cdf_and_moment``) are evaluated once per
-    row on the grid's edges (``_hat_weights``); a zero total deposits on T_0.
+    closed-form F and G (``_beta32_cdf_and_moment``) are evaluated per row on
+    the grid's edges (``_hat_weights``), one block of ``_BLOCK_ROWS`` positive
+    totals at a time; a zero total deposits on T_0, and a negative or
+    non-finite one is refused with ValueError.  Each entry is computed from
+    its own row alone, so the matrix has the bits of a single pass over all
+    rows.  A block's hats stop at the first node at or past its largest
+    total: every weight beyond that node is exactly 0, and so is the mass
+    folded into it, so the rows and their sums see what a full pass sees.
     """
     totals = np.asarray(totals, dtype=float)
+    bad = ~(np.isfinite(totals) & (totals >= 0.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"split totals must be finite and >= 0, got totals[{i}] = "
+                         f"{float(totals[i])!r}")
     D = np.zeros((totals.size, grid.size))
     pos = totals > 0.0
-    S = totals[pos][:, None]
 
     def law(edges):
+        # S: the totals of the block being deposited, as a column
         u = edges / S
         # the law is symmetric about 1/2: its upper tails at u are the lower
         # ones at 1 - u, which is exact for u >= 1/2; outside [0, 1] both are 0
@@ -471,7 +487,12 @@ def beta_split_deposition(totals: np.ndarray, grid: np.ndarray) -> np.ndarray:
         F, G = _beta32_cdf_and_moment(np.maximum(v, 0.0, out=v))
         return upper, np.where(upper, -F, F), 2.0 * np.where(upper, G - F, G)
 
-    D[pos] = _hat_weights(law, S / 2.0, grid)
+    rows = np.flatnonzero(pos)
+    for lo in range(0, rows.size, _BLOCK_ROWS):
+        block = rows[lo:lo + _BLOCK_ROWS]
+        S = totals[block][:, None]
+        n = min(max(int(np.searchsorted(grid, S.max())), 1) + 1, grid.size)
+        D[block, :n] = _hat_weights(law, S / 2.0, grid[:n])
     D[~pos, 0] = 1.0
     D /= D.sum(axis=1, keepdims=True)
     return D
@@ -571,6 +592,13 @@ class BoltzmannIntegrator:
     split: as b[l], node k meets node l at pair total k + l, so heat_H[k] =
     b @ split_D[k : k+M+1], split_D being the zero-shift rows 0 .. 2M.
 
+    The set-up builds each split matrix and heat_H a block of rows at a
+    time, so its temporaries stay a few blocks, not whole matrices: each
+    split matrix has the bits of a one-pass build (``beta_split_deposition``),
+    and a shift off the lattice zeroes its rows below 0 in place.  heat_H
+    multiplies each block of band rows by only the rows of split_D its band
+    reaches, which rounds within about 1e-16 of the per-row products.
+
     ``__init__`` turns the term lists into flat tables over (type, node), so
     ``rhs`` loops over no term.  The unary gains are one scatter table
     (source, destination, coefficient), applied by one ``np.bincount``.  Each
@@ -659,17 +687,22 @@ class BoltzmannIntegrator:
         for dK, n in shifts.items():
             if dK in live and n is None:
                 totals = pair_totals + dK
-                matrices[dK] = (beta_split_deposition(np.maximum(totals, 0.0), self.grid)
-                                * (totals >= 0.0)[:, None])
+                matrices[dK] = D = beta_split_deposition(np.maximum(totals, 0.0), self.grid)
+                D[totals < 0.0] *= 0.0
 
         # heat channel: a collision with a partner drawn from the bath law
         if self.heat_eff > 0.0:
             b = _gamma32_hat_weights(self.grid, r.bath_beta)
-            # heat_H[k] = sum_l b[l] split_D[k + l]: one product with the band
-            # matrix whose row k holds b in columns k .. k+M
+            # heat_H[k] = sum_l b[l] split_D[k + l]: the product with the band
+            # matrix whose row k holds b in columns k .. k+M, a block of rows
+            # lo .. hi-1 at a time, which reads only columns lo .. hi-1+M
             pad = np.zeros(M)
-            band = sliding_window_view(np.concatenate((pad, b, pad)), 2 * M + 1)
-            self.heat_H = band[::-1] @ self.split_D
+            band = sliding_window_view(np.concatenate((pad, b, pad)), 2 * M + 1)[::-1]
+            self.heat_H = np.empty((M + 1, M + 1))
+            for lo in range(0, M + 1, _BLOCK_ROWS):
+                hi = min(lo + _BLOCK_ROWS, M + 1)
+                np.matmul(band[lo:hi, lo:hi + M], self.split_D[lo:hi + M],
+                          out=self.heat_H[lo:hi])
 
         # gains, by linearity: per split matrix, each destination type sums
         # its weighted pair convolutions at their row shifts, deposited by

@@ -1,7 +1,9 @@
 import json
 import math
+import re
 import signal
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -890,9 +892,10 @@ def _betainc_split_deposition(totals, grid):
 @pytest.mark.parametrize("m", (64, 256))
 @pytest.mark.parametrize("shift", (0.0, 2.0, -2.0, 0.7))
 def test_split_deposition_matches_betainc_construction(m, shift):
-    # 2.0 is a whole number of cells at both m; 0.7 is not
+    # 2.0 is a whole number of cells at both m; 0.7 is not.  Totals below 0
+    # are clipped to 0, as the integrator clips them, and deposit on T_0
     grid = MF.energy_grid(1.0, (), m=m, t_max=16.0)
-    totals = np.arange(2 * m + 1) * (grid[1] - grid[0]) + shift
+    totals = np.maximum(np.arange(2 * m + 1) * (grid[1] - grid[0]) + shift, 0.0)
     D = MF.beta_split_deposition(totals, grid)
     assert np.max(np.abs(D - _betainc_split_deposition(totals, grid))) < 1e-12
 
@@ -968,6 +971,103 @@ def test_grouped_rhs_matches_per_term_reference(seed, t_max, n_matrices):
     b = MF._gamma32_hat_weights(grid, spec.rates.bath_beta)
     rows = np.array([b @ integ.split_D[k:k + M + 1] for k in range(M + 1)])
     assert np.max(np.abs(integ.heat_H - rows)) < 1e-14
+
+
+def _one_pass_split_deposition(totals, grid):
+    # the split deposition as one pass over all rows, before it was built in
+    # row blocks: every positive total's law on all M+3 edges at once
+    totals = np.asarray(totals, dtype=float)
+    D = np.zeros((totals.size, grid.size))
+    pos = totals > 0.0
+    S = totals[pos][:, None]
+
+    def law(edges):
+        u = edges / S
+        upper = u > 0.5
+        v = np.minimum(u, 1.0 - u)
+        F, G = MF._beta32_cdf_and_moment(np.maximum(v, 0.0, out=v))
+        return upper, np.where(upper, -F, F), 2.0 * np.where(upper, G - F, G)
+
+    D[pos] = MF._hat_weights(law, S / 2.0, grid)
+    D[~pos, 0] = 1.0
+    D /= D.sum(axis=1, keepdims=True)
+    return D
+
+
+@pytest.mark.parametrize("m", (1, 2, 3, 64, 256, 512))
+@pytest.mark.parametrize("t_max", (None, 7.3))
+def test_blocked_split_deposition_has_the_one_pass_bytes(m, t_max):
+    # the aligned grid of step 1/2 and one of step 7.3/m; the pair totals
+    # start at 0 and their counts, 2m+1 and 2m+5, are no multiple of the
+    # block; the largest totals reach past the last node, the reversed ones
+    # put the largest total of a block first, the clipped shift repeats 0
+    grid = MF.energy_grid(1.0, (0.0, 1.0), m=m, t_max=t_max)
+    h = grid[1] - grid[0]
+    pair = np.arange(2 * m + 1) * h
+    cases = (pair, np.arange(2 * m + 5) * h, np.maximum(pair - 0.77, 0.0),
+             pair[::-1].copy(), np.linspace(0.0, 3.0 * grid[-1], 97), np.zeros(3))
+    for totals in cases:
+        got = MF.beta_split_deposition(totals, grid)
+        assert got.tobytes() == _one_pass_split_deposition(totals, grid).tobytes()
+
+
+@pytest.mark.parametrize("t_max, n_matrices", [(None, 1), (33.0, 5)])
+def test_the_integrators_split_matrices_have_the_one_pass_bytes(t_max, n_matrices):
+    # the aligned grid's one matrix holds the shift rows 2M+1 .. 2M+4; on the
+    # other grid each shift off the lattice keeps its own matrix, whose rows
+    # below 0 are zeroed in place where the one-pass code multiplied by the
+    # row mask
+    spec = _reactive_spec()
+    grid = MF.energy_grid(1.0, spec.chem_energies(), m=96, t_max=t_max)
+    integ = MF.BoltzmannIntegrator(spec, grid, enable_slow_binary=True)
+    h = grid[1] - grid[0]
+    pair = np.arange(2 * 96 + 1) * h
+    shared = integ.gain_groups[0][0]
+    assert shared.tobytes() == _one_pass_split_deposition(
+        np.arange(shared.shape[0]) * h, grid).tobytes()
+    off = {}
+    for *_, dK, s_min in integ.binary_terms:
+        totals = pair + dK
+        ref = _one_pass_split_deposition(np.maximum(totals, 0.0), grid) * (totals >= 0.0)[:, None]
+        off[ref.tobytes()] = s_min
+    got = [D.tobytes() for D, _ in integ.gain_groups[1:]]
+    assert len(got) == n_matrices - 1 and all(D in off for D in got)
+    assert t_max is None or any(off[D] > 0 for D in got)
+
+
+@pytest.mark.parametrize("totals, first", [
+    ([math.nan], "totals[0] = nan"),
+    ([-1.0, 2.0], "totals[0] = -1.0"),
+    ([1.0, math.inf, -1.0], "totals[1] = inf"),
+    ([0.0, 2.0, -math.inf], "totals[2] = -inf"),
+])
+def test_split_deposition_refuses_a_negative_or_non_finite_total(totals, first):
+    grid = np.linspace(0.0, 4.0, 5)
+    with pytest.raises(ValueError, match=re.escape(first)):
+        MF.beta_split_deposition(np.array(totals), grid)
+    # -0.0 is a zero total, deposited on T_0
+    assert MF.beta_split_deposition(np.array([-0.0]), grid).tolist() == [[1.0, 0, 0, 0, 0]]
+
+
+def test_fine_grid_set_up_stays_within_its_matrices():
+    # the split matrix and heat_H are built a block of rows at a time, so
+    # the set-up's peak traced allocation stays near the bytes it keeps; the
+    # one-pass build peaked at 5.5 times them.  About 0.1 s at m = 512
+    spec = two_state_spec(1000, heat=1.0, scale_heat=1.0)
+    grid = MF.energy_grid(spec.rates.bath_beta, spec.chem_energies(), m=512)
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        integ = MF.BoltzmannIntegrator(spec, grid)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    kept = sum({id(D): D.nbytes for D, _ in integ.gain_groups}.values()) + integ.heat_H.nbytes
+    assert integ.heat_H.shape == (513, 513) and kept > 6e6
+    assert peak <= 1.25 * kept, (peak, kept)
 
 
 def test_shifts_beyond_the_pair_totals_do_not_grow_the_shared_matrix():
