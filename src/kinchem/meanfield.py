@@ -30,6 +30,7 @@ unary rates, solved by ``model.propagate``.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -92,7 +93,8 @@ def maxwell_unary_rates(spec: EnsembleSpec, beta: Optional[float] = None) -> np.
     """Unary rates averaged over the equilibrium kinetic-energy law.
 
     For the threshold family this is w_jj' * P(T >= K_j' - K_j); a plugged-in
-    rate function is averaged by quadrature over the allowed energy range.
+    rate function is averaged by ``_maxwell_average`` over the allowed
+    energy range.
     """
     if beta is None:
         beta = spec.rates.bath_beta
@@ -100,7 +102,6 @@ def maxwell_unary_rates(spec: EnsembleSpec, beta: Optional[float] = None) -> np.
     K = spec.chem_energies()
     v = np.zeros((J, J))
     r = spec.rates
-    norm = 2.0 * beta ** 1.5 / math.sqrt(math.pi)
     for j in range(J):
         for j1 in range(J):
             if j1 == j:
@@ -109,13 +110,62 @@ def maxwell_unary_rates(spec: EnsembleSpec, beta: Optional[float] = None) -> np.
             if r.unary_fn is None:
                 v[j, j1] = r.unary[j][j1] * survival_gbeta(thresh, beta)
             else:
-                from scipy.integrate import quad
-                val, _ = quad(
-                    lambda T: r.unary_fn(j + 1, j1 + 1, T) * norm * math.sqrt(T)
-                    * math.exp(-beta * T),
-                    thresh, np.inf, limit=200)
-                v[j, j1] = val
+                v[j, j1] = _maxwell_average(
+                    lambda T: r.unary_fn(j + 1, j1 + 1, T), thresh, beta)
     return v
+
+
+_QUAD_LIMIT = 200    # subintervals of one plug-in Maxwell average
+_QUAD_TOL = 1e-13    # its summed error estimate over its summed |integral|
+
+
+def _maxwell_average(rate: Callable, thresh: float, beta: float) -> float:
+    """Integral of rate(T) c sqrt(T) e^{-beta T} over T >= thresh, with
+    c = 2 beta^{3/2} / sqrt(pi) normalizing the equilibrium law.
+
+    With T = thresh + s^2 the integrand is smooth at s = 0; it is taken over
+    s in [0, sqrt(60 / beta)], which cuts a tail of relative weight about
+    e^{-60}.  The rule is globally adaptive in the manner of QUADPACK's QAG
+    (Piessens et al. 1983): the subinterval whose two rules differ most is
+    bisected until the differences sum to at most ``_QUAD_TOL`` of the
+    summed |integrals|, so a kink or a jump of ``rate`` is cut down until
+    its error no longer counts.  The value is the 21-point Gauss-Legendre
+    rule's.  Its check is the 12-point Gauss-Lobatto rule, whose nodes
+    include both ends: a jump between a rule's outermost node and the end of
+    its interval is invisible to any rule of interior nodes, and a
+    10-point Gauss rule then agrees with the 21-point one exactly.  If
+    ``_QUAD_LIMIT`` subintervals do not get there, RuntimeError.
+    """
+    from numpy.polynomial.legendre import Legendre, leggauss
+
+    x21, w21 = leggauss(21)
+    p11 = Legendre.basis(11)
+    x12 = np.concatenate(([-1.0], p11.deriv().roots(), [1.0]))
+    w12 = 2.0 / (12 * 11 * p11(x12) ** 2)
+    nodes = np.concatenate((x21, x12))
+    c = 4.0 * beta ** 1.5 / math.sqrt(math.pi)      # with dT = 2 s ds
+
+    def rule(a, b):
+        """Heap entry (-error estimate, a, b, value) of [a, b]: the worst first."""
+        half = 0.5 * (b - a)
+        s = 0.5 * (a + b) + half * nodes
+        T = thresh + s * s
+        g = np.array([rate(t) for t in T.tolist()]) * c * s * np.sqrt(T) * np.exp(-beta * T)
+        fine = half * (w21 @ g[:21])
+        return -abs(fine - half * (w12 @ g[21:])), a, b, fine
+
+    parts = [rule(0.0, math.sqrt(60.0 / beta))]
+    while True:
+        error = -math.fsum(p[0] for p in parts)
+        if error <= _QUAD_TOL * math.fsum(abs(p[3]) for p in parts):
+            return math.fsum(p[3] for p in parts)
+        if len(parts) >= _QUAD_LIMIT:
+            raise RuntimeError(f"the Maxwell average of a plugged-in rate above T = {thresh!r} "
+                               f"did not converge in {_QUAD_LIMIT} subintervals "
+                               f"(error estimate {error:.3g})")
+        _, a, b, _ = heapq.heappop(parts)
+        heapq.heappush(parts, rule(a, 0.5 * (a + b)))
+        heapq.heappush(parts, rule(0.5 * (a + b), b))
 
 
 def reduced_two_state(spec: EnsembleSpec):
@@ -273,12 +323,16 @@ def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
 
 
 def _uniform_grid(grid) -> np.ndarray:
-    """``grid`` as floats, uniform and strictly increasing, or ValueError."""
+    """``grid`` as floats, uniform, strictly increasing and starting at 0,
+    or ValueError."""
     grid = np.asarray(grid, dtype=float)
     h = np.diff(grid)
     # relative only: an absolute tolerance would pass any steps below it
     if h.size == 0 or not h[0] > 0.0 or not np.abs(h - h[0]).max() <= 1e-9 * h[0]:
         raise ValueError("grid must be uniform and strictly increasing")
+    # the pair totals k h and the bath band are laid on nodes T_k = k h
+    if grid[0] != 0.0:
+        raise ValueError(f"grid must start at 0, got grid[0] = {float(grid[0])!r}")
     return grid
 
 

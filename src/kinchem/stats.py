@@ -58,17 +58,55 @@ def stderr_mean(sample) -> float:
 
 
 def chi2_uniformity_p(counts) -> float:
-    """p-value of the chi-square test of equal cell probabilities."""
-    from scipy.special import chdtrc
+    """p-value of the chi-square test of equal cell probabilities.
 
+    A negative, NaN or infinite count raises ValueError naming the first
+    such cell; equal counts give exactly 1.0."""
     c = np.asarray(counts, dtype=float)
     if c.size < 2:
         raise ValueError("need at least two cells")
+    bad = ~(np.isfinite(c) & (c >= 0.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"counts must be finite and >= 0, got counts[{i}] = {float(c[i])!r}")
     expected = c.sum() / c.size
     if expected == 0.0:
         raise ValueError("empty counts")
-    chi2 = float(((c - expected) ** 2 / expected).sum())
-    return float(chdtrc(c.size - 1, chi2))
+    # scaled by the mean, no square overflows; a chi-square past the largest
+    # double is inf, whose tail is 0
+    chi2 = float(expected) * float(((c / expected - 1.0) ** 2).sum())
+    return _chi2_sf(c.size - 1, chi2)
+
+
+def _chi2_sf(nu: int, x: float) -> float:
+    """Upper tail P(X > x) of the chi-square law with integer ``nu`` >= 1
+    degrees of freedom at x >= 0, as the finite Poisson sum of Abramowitz &
+    Stegun 26.4.4-26.4.5.  With y = x / 2 and c = 0 for even nu, 1/2 for odd,
+
+        Q = [c > 0] erfc(sqrt y) + sum_{k < nu // 2} y^(k+c) e^(-y) / Gamma(k+c+1).
+
+    The sum starts at its largest term, whose logarithm comes from lgamma,
+    and reaches the others by cumulative products of the ratios
+    y / (k + c), so no term overflows and none underflows while it counts;
+    a tail below the smallest double is 0.0.  The largest term's logarithm
+    carries a rounding error of about 1e-16 x ln y, which bounds both the
+    relative error and how far the value can rise as x grows."""
+    y = 0.5 * x
+    if y == 0.0:
+        return 1.0
+    if y == math.inf:
+        return 0.0
+    c = 0.5 * (nu % 2)
+    head = math.erfc(math.sqrt(y)) if c else 0.0
+    n = nu // 2
+    if n == 0:
+        return head
+    ratio = y / (np.arange(1, n) + c)     # term k over term k - 1, k = 1 .. n-1
+    peak = min(n - 1, max(0, math.floor(y - c)))
+    log_peak = (peak + c) * math.log(y) - y - math.lgamma(peak + c + 1.0)
+    rest = ratio[peak:].cumprod().sum() + (1.0 / ratio[:peak][::-1]).cumprod().sum()
+    # rounding can lift a sum near 1 past it
+    return min(1.0, head + math.exp(log_peak + math.log1p(rest)))
 
 
 def subbox_counts(positions, box_side: float, k: int) -> np.ndarray:

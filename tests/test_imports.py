@@ -2,10 +2,12 @@
 
 Importing the package, its CLI, its scenarios and its statistics loads no
 scipy, jsonschema, yaml or fractions module (fractions imports decimal);
-each function that needs one imports it on first call, and only two
-functions of the library import scipy at all.  A particle run of
-``kinchem sim`` never needs scipy, nor does building a mean-field
-initial field from any law.  Importing neither compiles nor loads the
+each function that needs one imports it on first call, and no module of
+the library imports scipy at all: it is a test dependency only.  A
+particle run of ``kinchem sim`` never needs scipy, nor does building a
+mean-field initial field from any law, nor do the particle-geometry
+statistics (sub-box counts, dispersion and the chi-square p-value) or the
+Maxwell average of a plugged-in unary rate.  Importing neither compiles nor loads the
 C kernel of the particle engine and the oracle's replicas, and neither do
 ``sample_initial_state``, the views of its state or the oracle's exact laws:
 the first ``run()`` or ``simulate_pair_system`` compiles it into
@@ -178,12 +180,33 @@ def _scipy_imports(path: pathlib.Path) -> set:
     return found
 
 
-def test_only_two_library_functions_import_scipy():
-    # a plugged-in unary rate's quadrature and the chi-square tail; the
-    # entropy maximizer of criterion 14 lives in tests/test_thermo.py
+def test_no_library_module_imports_scipy():
+    # the chi-square tail is a finite Poisson sum and a plugged-in unary
+    # rate's Maxwell average an adaptive Gauss rule; the entropy maximizer
+    # of criterion 14 lives in tests/test_thermo.py
     found = set().union(*map(_scipy_imports, sorted((SRC / "kinchem").glob("*.py"))))
-    assert found == {("meanfield", "maxwell_unary_rates", "scipy.integrate"),
-                     ("stats", "chi2_uniformity_p", "scipy.special")}
+    assert found == set()
+
+
+def test_particle_geometry_statistics_and_plugin_rates_load_no_scipy():
+    # the particle-geometry bench and criterion 8 take a chi-square p-value
+    # of sub-box counts; scipy.special alone added 25.5 MB to ru_maxrss
+    code = ("import numpy as np\n"
+            "from kinchem import meanfield as MF, stats as ST\n"
+            "from kinchem.model import RateTable\n"
+            "from kinchem.scenarios import two_state_spec\n"
+            "pos = np.random.default_rng(1).random((2000, 3)) * 10.0\n"
+            "counts = ST.subbox_counts(pos, 10.0, 4)\n"
+            "ST.dispersion_index(counts)\n"
+            "assert 0.0 < ST.chi2_uniformity_p(counts) <= 1.0\n"
+            "spec = two_state_spec(10)\n"
+            "r = spec.rates\n"
+            "spec = spec.with_overrides(rates=RateTable(\n"
+            "    unary=r.unary, slow_binary=r.slow_binary, fast_binary=r.fast_binary,\n"
+            "    heat_rate=r.heat_rate, bath_beta=r.bath_beta,\n"
+            "    unary_fn=lambda j, j1, T: 1.0 if T >= 2.0 else 0.5))\n"
+            "MF.maxwell_unary_rates(spec)\n")
+    assert "scipy" not in _loaded_after(code)
 
 
 def _checkout() -> str:

@@ -293,6 +293,17 @@ def test_the_integrator_refuses_the_grids_a_density_field_refuses(grid):
         MF.BoltzmannIntegrator(spec, grid)
 
 
+def test_a_grid_that_does_not_start_at_0_is_refused():
+    # the pair totals k h assumed T_0 = 0: on this grid rhs returned NaN on
+    # all 82 entries
+    grid = np.linspace(5.0, 15.0, 41)
+    spec = two_state_spec(100, heat=1.0, scale_heat=1.0)
+    with pytest.raises(ValueError, match=re.escape("grid must start at 0, got grid[0] = 5.0")):
+        MF.DensityField(grid, np.ones((2, grid.size)))
+    with pytest.raises(ValueError, match=re.escape("grid must start at 0, got grid[0] = 5.0")):
+        MF.BoltzmannIntegrator(spec, grid)
+
+
 def test_zero_rates_keep_field_constant():
     spec = make_two_state(w12=0.0, w21=0.0, fast=0.0)
     grid = MF.energy_grid(1.0, (0.0, 1.0), m=64, t_max=12.0)
@@ -462,13 +473,16 @@ def _unary_rates(spec, grid):
     return {(j, j1): rate for j, j1, rate, *_ in MF.BoltzmannIntegrator(spec, grid).unary_terms}
 
 
-def _constant_plugin(spec):
-    # a unary_fn giving the table's base rates, its own bound
+def _with_unary_fn(spec, fn):
     r = spec.rates
     return spec.with_overrides(rates=RateTable(
         unary=r.unary, slow_binary=r.slow_binary, fast_binary=r.fast_binary,
-        heat_rate=r.heat_rate, bath_beta=r.bath_beta,
-        unary_fn=lambda j, j1, T: r.unary[j - 1][j1 - 1]))
+        heat_rate=r.heat_rate, bath_beta=r.bath_beta, unary_fn=fn))
+
+
+def _constant_plugin(spec):
+    # a unary_fn giving the table's base rates, its own bound
+    return _with_unary_fn(spec, lambda j, j1, T: spec.rates.unary[j - 1][j1 - 1])
 
 
 @pytest.mark.parametrize("plugin", (False, True))
@@ -551,6 +565,36 @@ def test_unary_plugin_equal_to_the_table_matches_the_table_path():
         assert abs(quad[0, 1] - 1.0 * MF.survival_gbeta(0.7, beta)) < 1e-9
         assert abs(quad[1, 0] - 0.5 * MF.survival_gbeta(0.0, beta)) < 1e-9
         assert np.max(np.abs(quad - MF.maxwell_unary_rates(spec, beta=beta))) < 1e-9
+
+
+@pytest.mark.parametrize("plugin, brk", [(lambda T: 0.25 + 0.25 * min(T, 3.0), 3.0),
+                                         (lambda T: 1.0 if T >= 2.0 else 0.0, 2.0)],
+                         ids=["kinked", "jump"])
+def test_plugin_maxwell_average_matches_quadrature_split_at_the_break(plugin, brk):
+    # thresholds 0 (downhill) and K2 = 0.7 or 5 (uphill); the reference is
+    # scipy's quad on each side of the kink or jump
+    def reference(thresh, beta):
+        c = 2.0 * beta ** 1.5 / math.sqrt(math.pi)
+        cuts = [thresh, *([brk] if brk > thresh else []), np.inf]
+        return sum(sintegrate.quad(lambda T: plugin(T) * c * math.sqrt(T) * math.exp(-beta * T),
+                                   a, b, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+                   for a, b in zip(cuts, cuts[1:]))
+
+    for k2 in (0.7, 5.0):
+        spec = _with_unary_fn(make_two_state(k2=k2), lambda j, j1, T: plugin(T))
+        for beta in (0.5, 1.0, 3.0):
+            v = MF.maxwell_unary_rates(spec, beta=beta)
+            assert abs(v[0, 1] - reference(k2, beta)) < 1e-9
+            assert abs(v[1, 0] - reference(0.0, beta)) < 1e-9
+
+
+@pytest.mark.parametrize("fn", [lambda j, j1, T: math.nan,
+                                lambda j, j1, T: 0.5 + 0.5 * math.sin(1e4 * T)],
+                         ids=["nan", "oscillating"])
+def test_plugin_maxwell_average_raises_when_it_cannot_converge(fn):
+    spec = _with_unary_fn(make_two_state(k2=0.7), fn)
+    with pytest.raises(RuntimeError, match="did not converge in 200 subintervals"):
+        MF.maxwell_unary_rates(spec)
 
 
 def test_slow_binary_identity_kernel_equals_fast_operator():

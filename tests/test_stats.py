@@ -1,5 +1,7 @@
 import math
 import random
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +66,8 @@ def test_chi2_uniformity_p_calibration():
 
 @pytest.mark.parametrize("cells", (2, 3, 8, 64, 512))
 def test_chi2_uniformity_p_equals_chi2_sf(cells):
+    # the closed-form tail is held to scipy's within 1e-11 relative: a
+    # finite sum cannot reproduce cephes' bits
     from scipy.stats import chi2
 
     rng = np.random.default_rng(cells)
@@ -72,7 +76,71 @@ def test_chi2_uniformity_p_equals_chi2_sf(cells):
         c = counts.astype(float)
         expected = c.sum() / c.size
         stat = float(((c - expected) ** 2 / expected).sum())
-        assert ST.chi2_uniformity_p(counts) == float(chi2.sf(stat, df=cells - 1))
+        ref = float(chi2.sf(stat, df=cells - 1))
+        assert abs(ST.chi2_uniformity_p(counts) - ref) <= 1e-11 * ref
+
+
+def test_chi2_tail_matches_scipy_from_the_bulk_to_the_far_tail():
+    # every nu < 2001 at four quantiles, and far-tail points down to about
+    # 1e-300, where each term of the sum underflows unless it is built from
+    # the largest one
+    from scipy.special import chdtrc, chdtri
+
+    nus = np.arange(1, 2001)
+    points = [(nu, float(chdtri(nu, p))) for p in (0.5, 0.01, 1e-6, 1e-12) for nu in nus]
+    points += [(nu, float(chdtri(nu, p))) for p in (1e-50, 1e-150, 1e-250, 1e-300)
+               for nu in (*range(1, 40), *range(40, 2001, 53), 2000)]
+    worst = 0.0
+    for nu, x in points:
+        ref = float(chdtrc(nu, x))
+        assert ref > 0.0
+        worst = max(worst, abs(ST._chi2_sf(int(nu), x) - ref) / ref)
+    assert worst <= 1e-11
+
+
+def test_chi2_tail_identities():
+    xs = np.linspace(0.0, 400.0, 801)
+    for nu in (*range(1, 41), 101, 255, 511, 512):
+        qs = [ST._chi2_sf(nu, float(x)) for x in xs]
+        assert qs[0] == 1.0 and max(qs) == 1.0
+        # monotone in x, up to rounding: the largest term's logarithm
+        # carries about 1e-16 of x ln y, up to 1.6e-13 relative here
+        assert all(b <= a * (1.0 + 1e-12) for a, b in zip(qs, qs[1:]))
+        # Q(nu + 2, x) - Q(nu, x) = (x/2)^(nu/2) e^(-x/2) / Gamma(nu/2 + 1)
+        for x, q in zip(xs[1::8], qs[1::8]):
+            y = float(x) / 2.0
+            step = math.exp(nu / 2.0 * math.log(y) - y - math.lgamma(nu / 2.0 + 1.0))
+            q2 = ST._chi2_sf(nu + 2, float(x))
+            assert abs(q2 - q - step) <= 1e-13 * q2
+    # the first two laws in elementary form
+    for x in xs[1:]:
+        assert ST._chi2_sf(1, float(x)) == math.erfc(math.sqrt(x / 2.0))
+        assert abs(ST._chi2_sf(2, float(x)) - math.exp(-x / 2.0)) <= 1e-15 * math.exp(-x / 2.0)
+
+
+@pytest.mark.parametrize("counts, cell", [([-1, 3], "counts[0] = -1.0"),
+                                          ([float("nan"), 3.0], "counts[0] = nan"),
+                                          ([3.0, float("inf")], "counts[1] = inf"),
+                                          ([2, 3, -0.5, -1], "counts[2] = -0.5")])
+def test_chi2_uniformity_p_refuses_bad_counts(counts, cell):
+    # [-1, 3] gave p = 0.00468, a NaN count gave nan and an infinite one a
+    # RuntimeWarning
+    with pytest.raises(ValueError, match=re.escape(cell)):
+        ST.chi2_uniformity_p(counts)
+
+
+def test_chi2_uniformity_p_at_the_ends():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # equal counts: chi-square 0, p exactly 1
+        for counts in ([3, 3, 3], [0.1] * 7, [7.0] * 512):
+            assert ST.chi2_uniformity_p(counts) == 1.0
+        # far in the tail: a tiny p, or 0.0 below the smallest double
+        tiny = ST.chi2_uniformity_p([0, 0, 0, 300])
+        assert 0.0 < tiny < 1e-190
+        assert ST.chi2_uniformity_p([0] * 511 + [10 ** 6]) == 0.0
+        # squares past the largest double gave a RuntimeWarning
+        assert ST.chi2_uniformity_p([0.0, 1e200]) == 0.0
 
 
 def test_subbox_counts_partition_everything():
