@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import EnsembleSpec, TypeKernel, propagate, sample_times
 
@@ -503,8 +502,8 @@ def _hat_weights(law: Callable, scale, grid: np.ndarray) -> np.ndarray:
     return w
 
 
-# rows per block of a split matrix or of heat_H, whose set-up temporaries
-# are a few arrays of this many rows rather than of the whole matrix
+# rows per block of a split matrix, whose set-up temporaries are a few
+# arrays of this many rows rather than of the whole matrix
 _BLOCK_ROWS = 32
 
 
@@ -640,18 +639,17 @@ class BoltzmannIntegrator:
     dropped, so on a grid that ``energy_grid`` aligns to the chemical
     energies every term reads that one matrix; a shift off the lattice keeps
     its own matrix, whose rows below s_min are zero.  Losses read the mass of
-    jp above the threshold, nodes l >= s_min - k.  Bath contact is a
-    collision with a partner drawn from the bath law, carried onto the grid's
-    hat functions by the projection (``_hat_weights``) that also builds the
-    split: as b[l], node k meets node l at pair total k + l, so heat_H[k] =
-    b @ split_D[k : k+M+1], split_D being the zero-shift rows 0 .. 2M.
+    jp above the threshold, nodes l >= s_min - k.  Bath contact is one more
+    pair collision, with a partner drawn from the bath law: carried onto the
+    grid's hat functions by the projection (``_hat_weights``) that also
+    builds the split, the law is a row b of a pseudo-type J, each type's
+    convolution with b is deposited by the zero-shift matrix at weight
+    ``heat_eff``, and a spec with heat on always has that matrix.
 
-    The set-up builds each split matrix and heat_H a block of rows at a
-    time, so its temporaries stay a few blocks, not whole matrices: each
-    split matrix has the bits of a one-pass build (``beta_split_deposition``),
-    and a shift off the lattice zeroes its rows below 0 in place.  heat_H
-    multiplies each block of band rows by only the rows of split_D its band
-    reaches, which rounds within about 1e-16 of the per-row products.
+    The set-up builds each split matrix a block of rows at a time, so its
+    temporaries stay a few blocks, not whole matrices: each split matrix has
+    the bits of a one-pass build (``beta_split_deposition``), and a shift off
+    the lattice zeroes its rows below 0 in place.
 
     ``__init__`` turns the term lists into flat tables over (type, node), so
     ``rhs`` loops over no term.  The unary gains are one scatter table
@@ -729,43 +727,33 @@ class BoltzmannIntegrator:
         # one split deposition per row lattice, rows 0 .. 2M + the largest
         # shift; one per shift off the lattice, its rows below s_min zero.  A
         # shift no pair total can pay (s_min > 2M) never fires and is left
-        # out of the gains and losses.
+        # out of the gains and losses.  Bath contact is a collision with a
+        # partner drawn from the bath law, whose hat weights are the row of
+        # pseudo-type J: it needs the zero-shift matrix.
         self.heat_eff = spec.scale_heat * r.heat_rate
+        heat = self.heat_eff > 0.0
+        self._bath = _gamma32_hat_weights(self.grid, r.bath_beta) if heat else None
         live = {dK for *_, dK, s_min in self.binary_terms if s_min <= 2 * M}
         lattice = [n for dK, n in shifts.items() if dK in live and n is not None]
-        matrices, self.split_D = {}, None
-        if lattice or self.heat_eff > 0.0:
+        matrices = {}
+        if lattice or heat:
             totals = np.arange(2 * M + 1 + max([0, *lattice])) * self.h
             matrices[None] = beta_split_deposition(totals, self.grid)
-            self.split_D = matrices[None][:2 * M + 1]
         for dK, n in shifts.items():
             if dK in live and n is None:
                 totals = pair_totals + dK
                 matrices[dK] = D = beta_split_deposition(np.maximum(totals, 0.0), self.grid)
                 D[totals < 0.0] *= 0.0
 
-        # heat channel: a collision with a partner drawn from the bath law
-        if self.heat_eff > 0.0:
-            b = _gamma32_hat_weights(self.grid, r.bath_beta)
-            # heat_H[k] = sum_l b[l] split_D[k + l]: the product with the band
-            # matrix whose row k holds b in columns k .. k+M, a block of rows
-            # lo .. hi-1 at a time, which reads only columns lo .. hi-1+M
-            pad = np.zeros(M)
-            band = sliding_window_view(np.concatenate((pad, b, pad)), 2 * M + 1)[::-1]
-            self.heat_H = np.empty((M + 1, M + 1))
-            for lo in range(0, M + 1, _BLOCK_ROWS):
-                hi = min(lo + _BLOCK_ROWS, M + 1)
-                np.matmul(band[lo:hi, lo:hi + M], self.split_D[lo:hi + M],
-                          out=self.heat_H[lo:hi])
-
         # gains, by linearity: per split matrix, each destination type sums
         # its weighted pair convolutions at their row shifts, deposited by
         # one product per rhs call; conv(j, jp) == conv(jp, j), so each
         # unordered type pair is convolved once per call.  Losses: node k of
         # type j meets jp only at nodes l >= s_min - k, and terms with the
-        # same pair and threshold share one coefficient.
+        # same pair and threshold share one coefficient.  Bath contact
+        # convolves each type with the bath row J and deposits it unshifted.
         self.conv_pairs = sorted({tuple(sorted(t[:2])) for t in self.binary_terms
-                                  if t[5] in live})
+                                  if t[5] in live} | {(j, J) for j in range(J) if heat})
         groups, loss = {}, {}
         for j, jp, j1, j1p, coef, dK, s_min in self.binary_terms:
             if dK not in live:
@@ -775,6 +763,8 @@ class BoltzmannIntegrator:
             key = (n or 0, j1, self.conv_pairs.index(tuple(sorted((j, jp)))))
             weights[key] = weights.get(key, 0.0) + coef
             loss[j, jp, s_min] = loss.get((j, jp, s_min), 0.0) + coef
+        for j in range(J if heat else 0):
+            groups.setdefault(None, {})[0, j, self.conv_pairs.index((j, J))] = self.heat_eff
         self.gain_groups = [(matrices[g], [(n, dest, p, w) for (n, dest, p), w in weights.items()])
                             for g, weights in groups.items()]
         self.binary_loss = [(j, jp, coef, s_min) for (j, jp, s_min), coef in loss.items()]
@@ -829,15 +819,14 @@ class BoltzmannIntegrator:
         out = out.astype(float, copy=False).reshape(J, n_nodes)   # empty bincounts are int
         rate = self._out_rate
         if self._gain_tables:
-            conv = np.concatenate([np.convolve(rho[j], rho[jp]) for j, jp in self.conv_pairs])
+            rows = [*rho, self._bath]
+            conv = np.concatenate([np.convolve(rows[j], rows[jp]) for j, jp in self.conv_pairs])
             for D, src, dst, coef in self._gain_tables:
                 W = np.bincount(dst, conv[src] * coef, minlength=J * D.shape[0])
                 out += W.reshape(J, -1) @ D
             tail = np.zeros((J, n_nodes + 1))     # tail[j, i]: mass on j's last i nodes
             np.cumsum(rho[:, ::-1], axis=1, out=tail[:, 1:])
             rate = rate + self._loss_coef @ tail.ravel()[self._loss_at]
-        if self.heat_eff > 0.0:
-            out += self.heat_eff * (rho @ self.heat_H)
         out -= rate * rho
         return out
 

@@ -69,7 +69,8 @@ def chi2_uniformity_p(counts) -> float:
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(f"counts must be finite and >= 0, got counts[{i}] = {float(c[i])!r}")
-    expected = c.sum() / c.size
+    # the mean of the scaled counts: a sum past the largest double cannot overflow
+    expected = (c / c.size).sum()
     if expected == 0.0:
         raise ValueError("empty counts")
     # scaled by the mean, no square overflows; a chi-square past the largest

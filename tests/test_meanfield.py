@@ -421,7 +421,15 @@ def test_heat_operator_is_stochastic_and_halves_pair_energy(m, beta):
     spec = make_two_state(beta=beta, w12=0.0, w21=0.0, fast=0.0, heat=1.0,
                           scale_heat=1.0)
     grid = MF.energy_grid(beta, (0.0, 1.0), m=m)
-    H = MF.BoltzmannIntegrator(spec, grid).heat_H
+    integ = MF.BoltzmannIntegrator(spec, grid)
+    # rhs of a unit mass at node k is heat_eff (H[k] - e_k), H the operator's
+    # row-stochastic matrix
+    unit = np.zeros((2, grid.size))
+    H = np.eye(grid.size)
+    for k in range(grid.size):
+        unit[0, k] = 1.0
+        H[k] += integ.rhs(unit)[0] / integ.heat_eff
+        unit[0, k] = 0.0
     assert H.min() >= 0.0
     assert np.max(np.abs(H.sum(axis=1) - 1.0)) < 1e-12
     inner = grid <= grid[-1] / 3.0
@@ -447,10 +455,13 @@ def test_zero_shift_slow_outcomes_share_the_split_deposition(monkeypatch, t_max,
     slow = integ.binary_terms[np.count_nonzero(integ.f_eff):]
     zero = [t for t in slow if K[t[0]] + K[t[1]] == K[t[2]] + K[t[3]]]
     assert zero and len(zero) < len(slow)
-    # the zero shift reads the matrix whose leading rows are split_D, with
-    # the fast terms and bath contact
+    # the zero shift reads the matrix whose leading rows split the pair
+    # totals, with the fast terms and bath contact, type j with the bath row 2
     D, entries = integ.gain_groups[0]
-    assert np.shares_memory(D, integ.split_D)
+    M = grid.size - 1
+    assert D.shape[0] >= 2 * M + 1
+    assert {(dest, integ.conv_pairs[p]) for n, dest, p, w in entries
+            if 2 in integ.conv_pairs[p]} == {(0, (0, 2)), (1, (1, 2))}
     # the aligned grid (step 1/2) puts the shifts +-2 K2 on the same matrix,
     # 4 rows away; on the grid of step 3/16 each has its own
     assert {n for n, *_ in entries} == ({0, -4, 4} if t_max is None else {0})
@@ -961,13 +972,17 @@ def _reactive_spec():
         bath_beta=r.bath_beta, binary_kernel=kernel))
 
 
-def _per_term_rhs(integ, rho):
+def _per_term_rhs(integ, rho, bath_beta):
     # one convolution and one deposition product per fast pair and per slow
     # outcome, and the heat rows one at a time: the loop the grouped rhs
     # replaced, each slow outcome through its own split of the pair totals
-    # shifted by its dK
+    # shifted by its dK.  Heat row k is b @ split_D[k : k+M+1], b the bath
+    # law's hat weights and split_D the split of the pair totals 0 .. 2M
     J, n = rho.shape
     totals = np.arange(2 * n - 1) * (integ.grid[1] - integ.grid[0])
+    split_D = MF.beta_split_deposition(totals, integ.grid)
+    b = MF._gamma32_hat_weights(integ.grid, bath_beta)
+    heat_rows = np.array([b @ split_D[k:k + n] for k in range(n)])
     out = np.zeros_like(rho)
     mass = rho.sum(axis=1)
     for j, j1, rate, idx, frac in integ.unary_terms:
@@ -980,9 +995,9 @@ def _per_term_rhs(integ, rho):
         for jp in range(J):
             if integ.f_eff[j, jp]:
                 out[j] += 2.0 * integ.f_eff[j, jp] * (
-                    np.convolve(rho[j], rho[jp]) @ integ.split_D)
+                    np.convolve(rho[j], rho[jp]) @ split_D)
         if integ.heat_eff > 0.0:
-            out[j] += integ.heat_eff * (rho[j] @ integ.heat_H - rho[j])
+            out[j] += integ.heat_eff * (rho[j] @ heat_rows - rho[j])
     # the slow outcomes follow the fast terms in the integrator's term list
     for j, jp, j1, j1p, coef, dK, s_min in integ.binary_terms[np.count_nonzero(integ.f_eff):]:
         D = MF.beta_split_deposition(np.maximum(totals + dK, 0.0), integ.grid)
@@ -1005,16 +1020,12 @@ def test_grouped_rhs_matches_per_term_reference(seed, t_max, n_matrices):
     assert len(integ.gain_groups) == n_matrices
     rho = np.random.default_rng(seed).random((2, grid.size))
     rho /= rho.sum()
-    ref = _per_term_rhs(integ, rho)
+    ref = _per_term_rhs(integ, rho, spec.rates.bath_beta)
     assert np.max(np.abs(integ.rhs(rho) - ref)) <= 1e-14 * np.max(np.abs(ref))
-    # split_D is the zero shift's matrix, and the heat rows one vector-matrix
-    # product each
+    # the zero shift's matrix leads with the reference's split_D
     M = grid.size - 1
     zero = MF.beta_split_deposition(np.arange(2 * M + 1) * (grid[1] - grid[0]), grid)
-    assert integ.split_D.tobytes() == zero.tobytes()
-    b = MF._gamma32_hat_weights(grid, spec.rates.bath_beta)
-    rows = np.array([b @ integ.split_D[k:k + M + 1] for k in range(M + 1)])
-    assert np.max(np.abs(integ.heat_H - rows)) < 1e-14
+    assert integ.gain_groups[0][0][:2 * M + 1].tobytes() == zero.tobytes()
 
 
 def _one_pass_split_deposition(totals, grid):
@@ -1094,9 +1105,9 @@ def test_split_deposition_refuses_a_negative_or_non_finite_total(totals, first):
 
 
 def test_fine_grid_set_up_stays_within_its_matrices():
-    # the split matrix and heat_H are built a block of rows at a time, so
-    # the set-up's peak traced allocation stays near the bytes it keeps; the
-    # one-pass build peaked at 5.5 times them.  About 0.1 s at m = 512
+    # the split matrix is built a block of rows at a time, so the set-up's
+    # peak traced allocation stays near the bytes it keeps; the one-pass
+    # build peaked at 5.5 times them.  About 0.1 s at m = 512
     spec = two_state_spec(1000, heat=1.0, scale_heat=1.0)
     grid = MF.energy_grid(spec.rates.bath_beta, spec.chem_energies(), m=512)
     started = not tracemalloc.is_tracing()
@@ -1109,9 +1120,29 @@ def test_fine_grid_set_up_stays_within_its_matrices():
     finally:
         if started:
             tracemalloc.stop()
-    kept = sum({id(D): D.nbytes for D, _ in integ.gain_groups}.values()) + integ.heat_H.nbytes
-    assert integ.heat_H.shape == (513, 513) and kept > 6e6
+    kept = sum({id(D): D.nbytes for D, _ in integ.gain_groups}.values())
+    assert [D.shape for D, _ in integ.gain_groups] == [(1025, 513)] and kept > 4e6
     assert peak <= 1.25 * kept, (peak, kept)
+
+
+def test_the_integrator_keeps_no_node_by_node_matrix():
+    # bath contact is a pair convolution with the bath row, deposited by the
+    # split matrix of 2M+1 rows: nothing the integrator keeps, in its
+    # attributes or the lists, tuples and dicts they hold, is (M+1) x (M+1)
+    spec = two_state_spec(1000, heat=1.0, scale_heat=1.0)
+    grid = MF.energy_grid(spec.rates.bath_beta, spec.chem_energies(), m=512)
+    integ = MF.BoltzmannIntegrator(spec, grid)
+    assert integ.heat_eff > 0.0
+    shapes, todo = [], list(vars(integ).values())
+    while todo:
+        x = todo.pop()
+        if isinstance(x, np.ndarray):
+            shapes.append(x.shape)
+        elif isinstance(x, (list, tuple)):
+            todo.extend(x)
+        elif isinstance(x, dict):
+            todo.extend(x.values())
+    assert (1025, 513) in shapes and (513, 513) not in shapes
 
 
 def test_shifts_beyond_the_pair_totals_do_not_grow_the_shared_matrix():
@@ -1130,7 +1161,7 @@ def test_shifts_beyond_the_pair_totals_do_not_grow_the_shared_matrix():
     assert all(s_min <= 192 for *_, s_min in integ.binary_loss)
     rho = np.random.default_rng(3).random((2, grid.size))
     rho /= rho.sum()
-    ref = _per_term_rhs(integ, rho)
+    ref = _per_term_rhs(integ, rho, spec.rates.bath_beta)
     assert np.max(np.abs(integ.rhs(rho) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -1170,7 +1201,7 @@ _MIX_KERNEL = TypeKernel(kind="table", table=(((1, 1), (((2, 2), 0.5), ((1, 1), 
 _TABLE_CASES = {
     "one-species-fast-only": (_one_species_fast_only, 64),    # no unary terms
     "heat-only": (lambda: make_two_state(w12=0.0, w21=0.0, fast=0.0, heat=1.0,
-                                         scale_heat=2.0), 64),  # no gain table
+                                         scale_heat=2.0), 64),  # bath gains only
     "slow-without-fast": (lambda: make_two_state(fast=0.0, slow=1.0, heat=1.0,
                                                  scale_heat=1.0, kernel=_MIX_KERNEL), 64),
     "unary-plugin": (lambda: _plugin_unary(_reactive_spec()), 96),
@@ -1191,7 +1222,9 @@ def test_table_cases_cover_what_they_name():
     integ, _ = _table_case("one-species-fast-only", 0)
     assert not integ.unary_terms and integ.heat_eff == 0.0 and len(integ.gain_groups) == 1
     integ, _ = _table_case("heat-only", 0)
-    assert not integ.gain_groups and not integ.binary_terms and integ.heat_eff > 0.0
+    assert not integ.binary_terms and integ.heat_eff > 0.0 and len(integ.gain_groups) == 1
+    assert integ.conv_pairs == [(0, 2), (1, 2)]
+    assert sorted((n, dest, p) for n, dest, p, w in integ.gain_groups[0][1]) == [(0, 0, 0), (0, 1, 1)]
     integ, _ = _table_case("slow-without-fast", 0)
     assert not integ.f_eff.any() and integ.binary_terms
     integ, _ = _table_case("three-species-off-lattice", 0)
@@ -1202,7 +1235,7 @@ def test_table_cases_cover_what_they_name():
 @pytest.mark.parametrize("name", sorted(_TABLE_CASES))
 def test_table_rhs_matches_per_term_reference_on_edge_cases(name, seed):
     integ, rho = _table_case(name, seed)
-    ref = _per_term_rhs(integ, rho)
+    ref = _per_term_rhs(integ, rho, _TABLE_CASES[name][0]().rates.bath_beta)
     assert np.max(np.abs(integ.rhs(rho) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 

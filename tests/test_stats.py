@@ -141,6 +141,8 @@ def test_chi2_uniformity_p_at_the_ends():
         assert ST.chi2_uniformity_p([0] * 511 + [10 ** 6]) == 0.0
         # squares past the largest double gave a RuntimeWarning
         assert ST.chi2_uniformity_p([0.0, 1e200]) == 0.0
+        # counts whose sum passes the largest double overflowed in the mean
+        assert ST.chi2_uniformity_p([1e308, 1e308, 1e308, 0.0]) == 0.0
 
 
 def test_subbox_counts_partition_everything():
