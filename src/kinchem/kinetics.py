@@ -655,9 +655,13 @@ def run(state: EnsembleState, spec: EnsembleSpec, t_end: float, *,
                 t = t_end
                 break
     finally:
-        # one copy of the kernel's rows; ctypes.string_at would cap it at 2 GiB
-        rows = ctypes.c_char * (ctx.log_len * EventLog.dtype.itemsize)
-        events = EventLog(rows.from_address(ctx.log or 0).raw)
+        # one copy of the kernel's rows by a memmove, sized by a size_t: a
+        # ctypes array type made per run would be a reference cycle.  An
+        # empty log may have no buffer, and a memmove from NULL is undefined
+        rows = np.empty(ctx.log_len, EventLog.dtype)
+        if ctx.log_len:
+            ctypes.memmove(_address(rows), ctx.log, rows.nbytes)
+        events = EventLog(rows)
         kc.kc_free_log(ctx)
         if not track_positions:
             # no particle flew: every flight clock moves to where the run stopped

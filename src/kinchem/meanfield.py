@@ -191,7 +191,9 @@ def two_state_equilibrium(ratio: float, total: float = 1.0) -> tuple:
 
 @dataclass(frozen=True)
 class MacroState:
-    """Point of the reduced dynamics: inverse temperature and concentrations."""
+    """Point of the reduced dynamics: inverse temperature and concentrations.
+    Checked when made: beta positive and finite, every concentration finite
+    and nonnegative (their total need not be 1)."""
 
     beta: float
     concentrations: tuple
@@ -199,6 +201,10 @@ class MacroState:
     def __post_init__(self):
         object.__setattr__(self, "concentrations",
                            tuple(float(c) for c in self.concentrations))
+        if not 0.0 < self.beta < math.inf:      # NaN too
+            raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
+        if not all(0.0 <= c < math.inf for c in self.concentrations):
+            raise ValueError(f"concentrations must be finite and >= 0, got {self.concentrations!r}")
 
 
 @dataclass
@@ -245,9 +251,13 @@ def reduced_macro_ode(state: MacroState, spec: EnsembleSpec, t_end: float,
     Samples are taken at ``model.sample_times(0, t_end, sample_every)``,
     with ``sample_every`` = t_end / 200 when it is None; with t_end = 0 the
     trajectory is the single row of initial data at t = 0.  A negative or
-    non-finite t_end, or a bad ``sample_every``, raises ValueError."""
+    non-finite t_end, a bad ``sample_every``, or a concentration count other
+    than the spec's number of species raises ValueError."""
     if not 0.0 <= t_end < math.inf:
         raise ValueError(f"t_end must be nonnegative and finite, got {t_end!r}")
+    if len(state.concentrations) != spec.n_types:
+        raise ValueError(f"{len(state.concentrations)} concentrations for a spec of "
+                         f"{spec.n_types} species")
     if sample_every is None and t_end > 0.0:
         sample_every = t_end / 200.0
     times = np.fromiter(sample_times(0.0, t_end, sample_every), float)

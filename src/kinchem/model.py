@@ -346,16 +346,21 @@ def propagate(p0, A, times) -> np.ndarray:
     1 + TAIL_TOL.  When A's rows sum to 0 (within 1e-10 q), A is a Markov
     generator: rho = 1, P is stochastic, and each power is also rescaled to
     the mass of p0, so rounding cannot drift the mass.  A negative
-    off-diagonal entry, or a time that is negative or not finite, raises
-    ValueError.
+    off-diagonal entry, a time that is negative or not finite, a dense A
+    that is not len(p0) x len(p0) or an entry index outside 0..len(p0) - 1
+    raises ValueError.
     """
     p0 = np.asarray(p0, dtype=float)
     times = np.asarray(times, dtype=float)
     n = len(p0)
     if isinstance(A, tuple):
         src, dst, rate = (np.asarray(x) for x in A)
+        if src.size and not 0 <= min(src.min(), dst.min()) <= max(src.max(), dst.max()) < n:
+            raise ValueError(f"entry indices of A must lie in 0..{n - 1}")
     else:
         A = np.asarray(A, dtype=float)
+        if A.shape != (n, n):
+            raise ValueError(f"A must be {n} x {n} for a p0 of {n} entries, got shape {A.shape}")
         src, dst = np.nonzero(A)
         rate = A[src, dst]
     off = src != dst

@@ -11,7 +11,7 @@ backward closure over shared particles.  This module implements
   exact counts by redundancy type),
 * the truncated resummation series for the marginal, with exact
   simplex-exponential time integrals, at finite N and in the N -> infinity
-  limit where only essential sequences survive,
+  limit where only essential sequences survive, and that limit's own ODE,
 * exact laws: the one-particle marginal and the pair law from the master
   equation lumped onto occupation counts, which is exact because the kernel
   is swap-symmetric and the initial data are i.i.d.,
@@ -32,6 +32,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .kinetics import _kernel
+from .meanfield import MAX_RK4_STEPS, rk4_step
 from .model import propagate
 
 __all__ = [
@@ -47,7 +48,7 @@ __all__ = [
     "truncation_tail",
     "SeriesResult",
     "series_marginal",
-    "series_marginal_semigroup",
+    "limit_marginal",
     "exact_marginal",
     "exact_pair_correlation",
     "simulate_pair_system",
@@ -227,16 +228,11 @@ def scaled_essential_count(n: int, n_particles: int, exact: bool = False):
     if n >= N:
         raise ValueError(f"degenerate count: length {n} needs more than "
                          f"{N} particles")
-    if exact:
-        from fractions import Fraction
-        out = Fraction(1)
-        for k in range(1, n + 1):
-            out *= Fraction(k * (N - k), N - 1)
-        return out
-    out = 1.0
+    from fractions import Fraction
+    out = Fraction(1)
     for k in range(1, n + 1):
-        out *= k * (N - k) / (N - 1)
-    return out
+        out *= Fraction(k * (N - k), N - 1)
+    return out if exact else float(out)
 
 
 def canonical_anchored_sequences(n: int):
@@ -464,28 +460,32 @@ def series_marginal(model: PairModel, mu0, t: float, n_max: int,
     return SeriesResult(total, tail, n_max, N, mass)
 
 
-def series_marginal_semigroup(model: PairModel, mu0, t: float, n_max: int,
-                              n_steps: int):
-    """Limit-dynamics marginal over horizons where a single truncation fails.
+def limit_marginal(model: PairModel, mu0, t: float) -> np.ndarray:
+    """One-particle marginal at time t of the N -> infinity limit, reached by
+    propagation of chaos (Kac 1956; Sznitman 1991): the solution of
 
-    The limiting one-particle dynamics is a time-homogeneous (nonlinear)
-    semigroup with product data at every instant, so the flow over [0, t]
-    composes exactly from flows over subintervals: each step evaluates the
-    truncated essential series from the previous step's marginal.  Returns
-    (marginal, accumulated tail bound).  Per-step renormalization restores
-    the mass removed by truncation.
-    """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    mu = np.asarray(mu0, dtype=float)
-    dt = t / n_steps
-    tail_total = 0.0
-    for _ in range(n_steps):
-        res = series_marginal(model, mu, dt, n_max, n_particles=None)
-        mu = res.marginal
-        tail_total += res.tail_bound
-        mu = mu / mu.sum()
-    return mu, tail_total
+        d mu_c / dt = 2 lambda (sum_{a,b,d} mu_a mu_b k[a, b, c, d] - mu_c sum(mu)),
+
+    the law of a pair's first slot after two draws from mu collide (the kernel
+    is swap-symmetric, so that slot stands for every particle), less mu; sum(mu)
+    is 1, and with it the steps keep the mass, which without it drifts away as
+    e^{2 lambda t}.  RK4 (``meanfield.rk4_step``) in ceil(200 * 2 lambda t) steps;
+    more than ``MAX_RK4_STEPS`` raise ValueError naming the count, before the first."""
+    mu = _distribution(model, mu0)
+    t = _horizon(t)
+    S, rate = model.n_states, 2.0 * model.rate
+    steps = 200.0 * rate * t
+    if steps > MAX_RK4_STEPS:
+        raise ValueError(f"t = {t!r} needs {steps:.7g} RK4 steps, more than "
+                         f"MAX_RK4_STEPS = {MAX_RK4_STEPS}")
+    def f(mu):
+        gain = (np.outer(mu, mu).ravel() @ model.kernel).reshape(S, S).sum(axis=1)
+        return rate * (gain - mu * mu.sum())
+
+    n = math.ceil(steps)
+    for _ in range(n):
+        mu = rk4_step(f, mu, t / n)
+    return mu
 
 
 # -- exact small-N oracles ------------------------------------------------------------

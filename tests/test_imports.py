@@ -135,6 +135,7 @@ def test_oracle_builds_the_kernel_only_for_replicas(tmp_path):
                    "model = O.contagion_model()\n"
                    "O.series_marginal(model, (0.6, 0.4), 0.5, 2, n_particles=4)\n"
                    "O.exact_marginal(model, (0.6, 0.4), 0.5, 4)\n"
+                   "O.limit_marginal(model, (0.6, 0.4), 0.5)\n"
                    f"print(_kernel.cache_info().currsize, os.path.exists({str(cache)!r}))\n"
                    "O.simulate_pair_system(model, 2, 0.5, (0.6, 0.4), 1)\n"
                    "print(_kernel.cache_info().currsize)\n",
@@ -156,6 +157,7 @@ def test_exact_laws_series_and_reduced_ode_load_no_scipy():
             "O.exact_pair_correlation(model, (0.2, 0.5, 0.3), 0.5, 6)\n"
             "O.series_marginal(model, (0.2, 0.5, 0.3), 0.5, 3, n_particles=6)\n"
             "O.series_marginal(model, (0.2, 0.5, 0.3), 0.5, 3)\n"
+            "O.limit_marginal(model, (0.2, 0.5, 0.3), 0.5)\n"
             "MF.reduced_macro_ode(MF.MacroState(1.0, (0.3, 0.7)), two_state_spec(10), 2.0)\n")
     assert "scipy" not in _loaded_after(code)
 

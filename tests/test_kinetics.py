@@ -926,6 +926,26 @@ def test_event_log_keeps_no_object_per_event(two_state_spec_factory):
     assert len(none) == 0 and list(none) == [] and list(none.rows()) == []
 
 
+@pytest.mark.parametrize("options", [{"record_events": True}, {"track_positions": False},
+                                     {"sample_every": 0.25}])
+def test_a_run_leaves_nothing_for_the_cyclic_collector(options):
+    # a ctypes array type made per run to copy the log was a reference
+    # cycle, so the collector's timing moved the benchmarks' peak memory
+    spec = two_state_spec(100)
+    snaps = []
+    if "sample_every" in options:
+        options = dict(options, observers=(snaps.append,))
+    run(sample_initial_state(spec, 1), spec, 1.0, seed=2, **options)
+    gc.collect()
+    gc.disable()
+    try:
+        run(sample_initial_state(spec, 1), spec, 1.0, seed=2, **options)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(snaps) == (10 if "observers" in options else 0)
+
+
 def test_event_log_rows_are_the_kernels_events():
     # the kernel stores Event structs of twelve 8-byte fields in columns
     # order, and _events.c does not build if an Event is not twelve words

@@ -240,6 +240,27 @@ def test_reduced_ode_rejects_bad_horizon(t_end):
         signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.mark.parametrize("beta, concentrations, match", [
+    (1.0, (math.nan, 1.0), "concentrations must be finite and >= 0"),      # a NaN trajectory
+    (1.0, (-0.5, 1.5), "concentrations must be finite and >= 0"),          # a plausible one
+    (1.0, (math.inf, 0.0), "concentrations must be finite and >= 0"),      # a RuntimeWarning
+    (math.nan, (0.5, 0.5), "beta must be positive and finite"),
+    (math.inf, (0.5, 0.5), "beta must be positive and finite"),
+    (0.0, (0.5, 0.5), "beta must be positive and finite"),
+    (-1.0, (0.5, 0.5), "beta must be positive and finite"),
+])
+def test_macro_state_refuses_bad_beta_and_concentrations(beta, concentrations, match):
+    with pytest.raises(ValueError, match=match):
+        MF.MacroState(beta, concentrations)
+
+
+@pytest.mark.parametrize("concentrations", [(0.3, 0.2, 0.5), (0.5,)])
+def test_reduced_ode_refuses_a_concentration_per_species_missing_or_extra(concentrations):
+    # three gave a three-entry trajectory, the third state absorbing; one an IndexError
+    with pytest.raises(ValueError, match=f"{len(concentrations)} concentrations for a spec of 2"):
+        MF.reduced_macro_ode(MF.MacroState(1.0, concentrations), two_state_spec(10), 1.0)
+
+
 # -- affinity flux --------------------------------------------------------------------
 
 

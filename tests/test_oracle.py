@@ -501,28 +501,48 @@ def test_history_length_probabilities_against_simulation():
         assert abs(freq[n] - res.mass_by_length[n]) <= 4 * se + 1e-4
 
 
-def test_semigroup_composition_reaches_long_horizons():
-    # lambda * t = 0.6: a single truncated series would not converge, the
-    # composed flow does, and finite-N exact marginals approach it like 1/N
+@pytest.mark.parametrize("alpha, lam, t", [(0.5, 1.0, 0.5), (0.5, 1.0, 2.0), (0.6, 0.3, 10.0),
+                                           (0.9, 2.0, 3.0)])
+def test_limit_marginal_meets_the_logistic_closed_form(alpha, lam, t):
+    # contagion's limit is logistic, d mu_1 / dt = r mu_0 mu_1 with r = 2 lambda alpha
+    mu = O.limit_marginal(O.contagion_model(alpha, lam), (0.6, 0.4), t)
+    grown = 0.4 * math.exp(2.0 * lam * alpha * t)
+    assert np.max(np.abs(mu - [0.6 / (0.6 + grown), grown / (0.6 + grown)])) <= 1e-13
+
+
+def test_limit_marginal_exceeds_the_infinite_n_series_by_its_tail():
+    # truncation_tail is attained as N -> infinity: every series term is
+    # nonnegative, so the limit minus the N = infinity series is too, and
+    # its sum is the missing mass, the tail bound
+    for model, mu0 in ((O.contagion_model(0.6, 0.3), (0.7, 0.3)),
+                       (O.voter_model(0.7, n_states=3), (0.2, 0.5, 0.3))):
+        limit = O.limit_marginal(model, mu0, 1.0)
+        for n_max in (2, 4):
+            res = O.series_marginal(model, mu0, 1.0, n_max)
+            gap = limit - res.marginal
+            assert gap.min() >= 0.0
+            assert abs(gap.sum() - res.tail_bound) <= 1e-14
+
+
+def test_limit_marginal_of_the_voter_model_is_its_initial_law():
+    # a voter collision keeps each state's expected share
+    mu0 = np.array([0.2, 0.5, 0.3])
+    assert np.max(np.abs(O.limit_marginal(O.voter_model(0.7, n_states=3), mu0, 3.0) - mu0)) <= 1e-15
+
+
+def test_finite_n_marginals_approach_the_limit():
+    # lambda * t = 0.6, where one truncated series would not converge;
+    # finite-N exact marginals approach the limit like 1/N
     model = O.contagion_model(alpha=0.6, rate=0.3)
     mu0 = np.array([0.8, 0.2])
-    mu6, tail6 = O.series_marginal_semigroup(model, mu0, 2.0, n_max=5, n_steps=6)
-    mu12, tail12 = O.series_marginal_semigroup(model, mu0, 2.0, n_max=5,
-                                               n_steps=12)
-    assert np.max(np.abs(mu12 - mu6)) < 1e-3
-    # one series over 2 lambda t = 1.2 has a tail bound of 0.117; six steps
-    # accumulate 2.1e-4, and halving the step cuts that by far more than 16
-    assert tail6 < 1e-3
-    assert tail12 < tail6 / 16
+    limit = O.limit_marginal(model, mu0, 2.0)
     e8 = O.exact_marginal(model, mu0, 2.0, 8)
     e10 = O.exact_marginal(model, mu0, 2.0, 10)
-    d8 = np.max(np.abs(e8 - mu12))
-    d10 = np.max(np.abs(e10 - mu12))
+    d8 = np.max(np.abs(e8 - limit))
+    d10 = np.max(np.abs(e10 - limit))
     assert d10 < d8                       # finite-size gap shrinks with N
     richardson = e10 + (e10 - e8) / (10.0 / 8.0 - 1.0)
-    assert np.max(np.abs(richardson - mu12)) < 2e-3
-    with pytest.raises(ValueError):
-        O.series_marginal_semigroup(model, mu0, 1.0, n_max=3, n_steps=0)
+    assert np.max(np.abs(richardson - limit)) < 2e-3
 
 
 # -- exact oracles and chaos ----------------------------------------------------------------
@@ -1010,6 +1030,15 @@ def test_series_and_exact_laws_refuse_a_bad_initial_law(mu0, match):
         O.series_marginal(O.contagion_model(), mu0, 0.5, 2)
     with pytest.raises(ValueError, match=match):
         O.exact_marginal(O.contagion_model(), mu0, 0.5, 3)
+    with pytest.raises(ValueError, match=match):
+        O.limit_marginal(O.contagion_model(), mu0, 0.5)
+
+
+def test_limit_marginal_refuses_more_than_max_rk4_steps():
+    # 200 * 2 lambda t = 1.2e6 steps at rate 1 and t = 3000, refused at
+    # once: taken, they would last about half a minute
+    with pytest.raises(ValueError, match="needs 1200000 RK4 steps"):
+        O.limit_marginal(O.contagion_model(), (0.6, 0.4), 3000.0)
 
 
 def test_pair_model_refuses_a_kernel_of_the_wrong_size():
@@ -1133,6 +1162,7 @@ _TIMED_LAWS = {
     "series_limit": lambda model, t: O.series_marginal(model, (0.6, 0.4), t, 2),
     "exact_joint": lambda model, t: exact_joint(model, (0.6, 0.4), t, 4),
     "exact_marginal": lambda model, t: O.exact_marginal(model, (0.6, 0.4), t, 4),
+    "limit_marginal": lambda model, t: O.limit_marginal(model, (0.6, 0.4), t),
     "exact_pair_correlation": lambda model, t: O.exact_pair_correlation(model, (0.6, 0.4), t, 4),
     "simulate_pair_system": lambda model, t: O.simulate_pair_system(model, 4, t, (0.6, 0.4), 3),
 }

@@ -143,3 +143,15 @@ def test_propagate_keeps_p0_at_time_zero_and_under_the_zero_matrix():
 def test_propagate_refuses_negative_rates_and_bad_times(A, times, match):
     with pytest.raises(ValueError, match=match):
         propagate((0.5, 0.5), A, times)
+
+
+@pytest.mark.parametrize("p0, A, match", [
+    # a longer p0 was run as if its extra states were absorbing
+    ((0.3, 0.2, 0.5), np.array([[-1.0, 1.0], [1.0, -1.0]]), "A must be 3 x 3"),
+    ((0.5, 0.5), np.zeros((2, 3)), "A must be 2 x 2"),
+    ((0.5, 0.5), (np.array([0, 2]), np.array([2, 0]), np.array([1.0, 1.0])), r"0\.\.1"),
+    ((0.5, 0.5), (np.array([0, 1]), np.array([1, -1]), np.array([1.0, 1.0])), r"0\.\.1"),
+])
+def test_propagate_refuses_a_matrix_of_another_size(p0, A, match):
+    with pytest.raises(ValueError, match=match):
+        propagate(p0, A, (1.0,))
