@@ -652,17 +652,17 @@ int64_t kc_event_count(const unsigned char *key, int64_t n_words, double lam)
     return random_poisson(&bg, lam);
 }
 
-/* One trajectory of n particles over n_states states, left in states[n]:
- * initial states from the law mu0, then Poisson(lam) pair events, each the
- * ordered pair (i, j != i) and an outcome o of the kernel row of
- * (states[i], states[j]) (S*S rows of S*S outcomes, row-major), which sets
- * them to (o / S, o % S).  Each draw is the first cumulative value >= u of
- * the tables built here, found by count_below as a count; the tables are
- * freed before the return.  Returns KC_NO_MEMORY if they cannot be
- * allocated, else KC_DONE. */
+/* One trajectory of n particles over n_states <= 256 states, left in the
+ * bytes states[n]: initial states from the law mu0, then Poisson(lam) pair
+ * events, each the ordered pair (i, j != i) and an outcome o of the kernel
+ * row of (states[i], states[j]) (S*S rows of S*S outcomes, row-major), which
+ * sets them to (o / S, o % S).  Each draw is the first cumulative value
+ * >= u of the tables built here, found by count_below as a count; the
+ * tables are freed before the return.  Returns KC_NO_MEMORY if they cannot
+ * be allocated, else KC_DONE. */
 int kc_pair_system(const unsigned char *key, int64_t n_words, int64_t n,
                    int64_t n_states, const double *mu0, const double *kernel,
-                   double lam, int64_t *states)
+                   double lam, uint8_t *states)
 {
     PCG pcg;
     bitgen_t bg = {&pcg, pcg_uint64, pcg_uint32, pcg_double, pcg_uint64};
@@ -677,15 +677,15 @@ int kc_pair_system(const unsigned char *key, int64_t n_words, int64_t n,
     pcg_seed(&pcg, key, n_words);
     n_events = random_poisson(&bg, lam);
     for (int64_t p = 0; p < n; p++)
-        states[p] = count_below(cum0, S, random_standard_uniform(&bg));
+        states[p] = (uint8_t)count_below(cum0, S, random_standard_uniform(&bg));
     for (; n_events > 0; n_events--) {
         int64_t i = (int64_t)random_bounded_uint64(&bg, 0, (uint64_t)(n - 1), 0, false);
         int64_t k = (int64_t)random_bounded_uint64(&bg, 0, (uint64_t)(n - 2), 0, false);
         int64_t j = k < i ? k : k + 1;
         int64_t o = count_below(rows + (states[i] * S + states[j]) * m, m,
                                 random_standard_uniform(&bg));
-        states[i] = o / S;
-        states[j] = o % S;
+        states[i] = (uint8_t)(o / S);
+        states[j] = (uint8_t)(o % S);
     }
     free(cum0);
     return KC_DONE;

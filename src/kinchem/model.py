@@ -289,6 +289,9 @@ TAIL_TOL = 2.0 ** -56
 # a matrix whose rows sum to 0 within this fraction of q is a generator: room
 # for the rounding of its entries and for PairModel's 1e-12 on kernel rows
 _GENERATOR_TOL = 1e-10
+# ``propagate`` folds this many powers p0 P^k into its rows at a time, and
+# keeps only these when its times are one group
+_POWER_BLOCK = 32
 
 
 def _poisson_terms(qt: float, lam: float) -> int:
@@ -335,8 +338,14 @@ def propagate(p0, A, times) -> np.ndarray:
         p0 exp(A t) = sum_k Pois(k; q t) p0 P^k,
 
     and for a nonnegative p0 every term is nonnegative, so nothing cancels.
-    The powers p0 P^k are computed once and shared by every time, each from
-    the one before by a ``np.bincount`` over the entries of P.
+    Each power p0 P^k comes from the one before by a ``np.bincount`` over the
+    entries of P, once for all times, and the powers are folded into the
+    rows 32 at a time, by one product with their columns of Poisson weights.
+    The weights are made for at most 2^16 (time, term) pairs at a time.
+    When that is one group of times, memory holds one block of 32 powers
+    rather than all K + 1 of them; with more groups, every group needs
+    every power, so memory holds all of them and each group's weights are
+    made once.
 
     Tail bound: with rho = max(1, largest row sum of P), |p0 P^k|_1 <=
     rho^k |p0|_1, so the terms past k = K sum to at most |p0|_1 e^{-qt}
@@ -378,19 +387,29 @@ def propagate(p0, A, times) -> np.ndarray:
     if not 0.0 <= times.min() <= t_max < math.inf:
         raise ValueError(f"times must be finite and nonnegative, got {times!r}")
     K = _poisson_terms(float(q * t_max), float(q * t_max * rho))
-    powers = np.empty((K + 1, n))
-    powers[0] = p0
-    for k in range(K):
-        powers[k + 1] = np.bincount(dst, powers[k][src] * P, minlength=n)
     mass = p0.sum()
-    if generator and mass > 0.0:
-        # scaling commutes with P, so this is each power rescaled in turn
-        powers *= mass / powers.sum(axis=1, keepdims=True)
     # the weights of at most 2^16 (time, term) pairs at a time, so that a long
     # horizon's many terms do not take memory for every time at once
     rows = max(1, 2 ** 16 // (K + 1))
-    return np.concatenate([_poisson_weights(q * times[i:i + rows], K) @ powers
-                           for i in range(0, len(times), rows)])
+    groups = range(0, len(times), rows)
+    weights = _poisson_weights(q * times, K) if len(groups) == 1 else None
+    block = np.empty((K + 1 if weights is None else min(_POWER_BLOCK, K + 1), n))
+    out = np.zeros((len(times), n))
+    power = p0
+    for k in range(0, K + 1, len(block)):
+        powers = block[:K + 1 - k]
+        for j, row in enumerate(powers):
+            if k + j:
+                power = np.bincount(dst, power[src] * P, minlength=n)
+            row[:] = power
+        if generator and mass > 0.0:
+            # scaling commutes with P, so this is each power rescaled in turn
+            powers *= mass / powers.sum(axis=1, keepdims=True)
+        for i in groups:
+            w = _poisson_weights(q * times[i:i + rows], K) if weights is None else weights
+            for j in range(k, k + len(powers), _POWER_BLOCK):
+                out[i:i + rows] += w[:, j:j + _POWER_BLOCK] @ powers[j - k:j - k + _POWER_BLOCK]
+    return out
 
 
 def _row_sum(row) -> float:

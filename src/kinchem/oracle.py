@@ -389,8 +389,6 @@ def _apply_sequence(model: PairModel, pairs, n_labels: int, mu0: np.ndarray) -> 
 class SeriesResult:
     marginal: np.ndarray        # truncated series (mass <= 1)
     tail_bound: float
-    n_max: int
-    n_particles: Optional[int]  # None = infinite-N limit
     mass_by_length: np.ndarray  # probability captured at each history length
 
     @property
@@ -457,7 +455,7 @@ def series_marginal(model: PairModel, mu0, t: float, n_max: int,
         weight = coef * p_theta[hazards]
         total += weight * _apply_sequence(model, pairs, r + 1, mu0)
         mass[n] += weight
-    return SeriesResult(total, tail, n_max, N, mass)
+    return SeriesResult(total, tail, mass)
 
 
 def limit_marginal(model: PairModel, mu0, t: float) -> np.ndarray:
@@ -570,11 +568,14 @@ def _seed_key(seed: int) -> bytes:
 
 # numpy's POISSON_LAM_MAX, the largest mean its Generator.poisson accepts
 _POISSON_LAM_MAX = float(2 ** 63 - 1) - math.sqrt(2 ** 63 - 1) * 10
+# a replica keeps one byte per particle
+_MAX_REPLICA_STATES = 256
 
 
 def simulate_pair_system(model: PairModel, N: int, t: float, mu0,
                          seed: int) -> np.ndarray:
-    """One trajectory of the N-particle process; returns the final state vector.
+    """One trajectory of the N-particle process; returns the final states,
+    one ``np.uint8`` per particle.
 
     The trajectory runs in one call of the C kernel ``kc_pair_system``
     (``_events.c``, built with ``cc`` on first use, see ``kinetics``), which
@@ -591,12 +592,14 @@ def simulate_pair_system(model: PairModel, N: int, t: float, mu0,
     first, at as little cost per call as the checks allow: ``mu0`` on Python
     floats, and the law and the kernel passed as bytes rather than through
     ``.ctypes``; the model checked itself when made.  Raises ValueError unless
-    2 <= N < 2**32, t is finite and nonnegative, seed >= 0, the Poisson mean
-    N * rate * t is at most numpy's limit (about 9.2e18) and ``mu0`` is a
-    distribution over the model's states (shape (|S|,), no negative or NaN
-    entry, sum within 1e-9 of 1); TypeError for a non-integer N or seed, or
-    a model that is not a ``PairModel``; RuntimeError if the C kernel cannot
-    be built; MemoryError if it cannot allocate its tables.
+    2 <= N < 2**32, t is finite and nonnegative, seed >= 0, the model has at
+    most 256 states (one byte each; at 257 its kernel would hold over 2**32
+    doubles), the Poisson mean N * rate * t is at most numpy's limit (about
+    9.2e18) and ``mu0`` is a distribution over the model's states (shape
+    (|S|,), no negative or NaN entry, sum within 1e-9 of 1); TypeError for a
+    non-integer N or seed, or a model that is not a ``PairModel``;
+    RuntimeError if the C kernel cannot be built; MemoryError if it cannot
+    allocate its tables.
     """
     N, seed = _particles(N), operator.index(seed)
     if N >= 2 ** 32:
@@ -605,12 +608,15 @@ def simulate_pair_system(model: PairModel, N: int, t: float, mu0,
         raise ValueError(f"seed must be nonnegative, got {seed}")
     t = _horizon(t)
     mu0 = _distribution(model, mu0)
+    if model.n_states > _MAX_REPLICA_STATES:
+        raise ValueError(f"replica states are bytes: the model must have at most "
+                         f"{_MAX_REPLICA_STATES} states, got {model.n_states}")
     lam = N * model.rate * t
     if not 0.0 <= lam <= _POISSON_LAM_MAX:
         raise ValueError(f"the Poisson mean N * rate * t must be between 0 and "
                          f"{_POISSON_LAM_MAX!r}, got {lam!r}")
     key = _seed_key(seed)
-    states = np.empty(N, dtype=np.int64)
+    states = np.empty(N, dtype=np.uint8)
     # the states' address through a one-byte view, cheaper than .ctypes
     status = _kernel().kc_pair_system(key, len(key) // 4, N, model.n_states, mu0.tobytes(),
                                       model.kernel.tobytes(), lam,
@@ -653,17 +659,50 @@ def _factorization_defect(counts: np.ndarray, N: int, k: int):
     return joint, marg
 
 
+def _state_counts(replicas: Sequence, N: int, n_states: int) -> np.ndarray:
+    """The particles in each state, one float row of ``n_states`` per
+    replica.  The replicas are stacked in their own dtype, at most 2^16
+    states at a time, and each stack is counted by one ``np.bincount`` with
+    row r's states offset by r * n_states, so the work beside the input
+    stays small and in cache."""
+    reps = [np.asarray(r) for r in replicas]
+    if len(reps) < 3:
+        raise ValueError(f"insufficient replicas at N={N}")
+    for i, r in enumerate(reps):
+        if r.shape != (N,):
+            raise ValueError(f"replica {i} at N={N} holds {r.size} particle states, not {N}")
+        if r.dtype.kind not in "iu":
+            raise ValueError(f"replica {i} at N={N} holds {r.dtype} states, not integers")
+    counts = np.empty((len(reps), n_states))
+    rows = max(1, 2 ** 16 // N)
+    for lo in range(0, len(reps), rows):
+        block = np.stack(reps[lo:lo + rows])
+        if block.min() < 0:
+            i = lo + np.flatnonzero(block.min(axis=1) < 0)[0]
+            raise ValueError(f"replica {i} at N={N} holds the negative state {reps[i].min()}")
+        if block.max() >= n_states:
+            raise ValueError(f"replica states at N={N} must lie below n_states={n_states}")
+        offset = np.arange(0, len(block) * n_states, n_states)[:, None]
+        counts[lo:lo + len(block)] = np.bincount(
+            np.add(block, offset, dtype=np.intp).ravel(), minlength=len(block) * n_states).reshape(len(block), n_states)
+    return counts
+
+
 def chaos_statistic(runs: Mapping[int, Sequence], k: int = 2, *,
                     n_states: int) -> ChaosReport:
     """Decay of the k-particle factorization defect with system size.
 
     ``runs`` maps N to a list of replica state vectors (exchangeable particle
-    states, integer-coded).  For each N the defect max |mu_{1..k} - prod mu_1|
-    is estimated from falling-factorial count statistics (an exact average
-    over particle tuples), with a leave-one-replica-out jackknife error; the
-    decay exponent is the least-squares slope of log defect against log N.
+    states, integer-coded) of any integer dtype, such as the ``np.uint8``
+    replicas of ``simulate_pair_system``, or lists of Python ints.  For each N
+    the defect max |mu_{1..k} - prod mu_1| is estimated from falling-factorial
+    count statistics (an exact average over particle tuples), with a
+    leave-one-replica-out jackknife error; the decay exponent is the
+    least-squares slope of log defect against log N.  The replicas are
+    counted in their own dtype, with no int64 copy of them.
     Raises ValueError unless every N is at least k and every replica under
-    N holds N states, each below ``n_states``.
+    N holds N states of an integer dtype, none negative and each below
+    ``n_states``.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -675,18 +714,7 @@ def chaos_statistic(runs: Mapping[int, Sequence], k: int = 2, *,
     for N in n_values:
         if N < k:
             raise ValueError(f"N={N} is below k={k}: no {k} distinct particles to correlate")
-        reps = [np.asarray(r, dtype=np.int64) for r in runs[N]]
-        if len(reps) < 3:
-            raise ValueError(f"insufficient replicas at N={N}")
-        rows = [np.bincount(r, minlength=n_states) for r in reps]
-        if max(map(len, rows)) > n_states:
-            raise ValueError(f"replica states at N={N} must lie below n_states={n_states}")
-        counts = np.stack(rows)
-        bad = np.flatnonzero(counts.sum(axis=1) != N)
-        if bad.size:
-            raise ValueError(f"replica {bad[0]} at N={N} holds {counts[bad[0]].sum()} "
-                             f"particle states, not {N}")
-        counts = counts.astype(float)
+        counts = _state_counts(runs[N], N, n_states)
         joint, marg = _factorization_defect(counts, N, k)
         R = counts.shape[0]
 

@@ -1,4 +1,6 @@
 """Shared fixtures and the acceptance-criteria reporter."""
+import tracemalloc
+
 import pytest
 
 from kinchem.model import (EnergyLaw, EnsembleSpec, InitialDistribution,
@@ -20,6 +22,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.write_sep("-", "acceptance criteria")
     for _, line in sorted(ACCEPTANCE_LINES):
         terminalreporter.write_line(line)
+
+
+def traced(call):
+    """(call(), the bytes it left allocated, its peak traced allocation), both
+    counted above what was allocated when it began (``tracemalloc``)."""
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return out, held - base, peak - base
 
 
 def make_two_state(n=100, beta=1.0, w12=1.0, w21=1.0, k2=1.0, fast=1.0,

@@ -3,7 +3,6 @@ import math
 import re
 import signal
 import time
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +15,7 @@ from kinchem import meanfield as MF
 from kinchem.model import (EnergyLaw, InitialDistribution, RateTable, SpeciesSpec, TypeKernel,
                            load_config, sample_times)
 from kinchem.scenarios import two_state_spec
-from conftest import make_two_state
+from conftest import make_two_state, traced
 
 
 # -- survival function --------------------------------------------------------------
@@ -1131,16 +1130,7 @@ def test_fine_grid_set_up_stays_within_its_matrices():
     # build peaked at 5.5 times them.  About 0.1 s at m = 512
     spec = two_state_spec(1000, heat=1.0, scale_heat=1.0)
     grid = MF.energy_grid(spec.rates.bath_beta, spec.chem_energies(), m=512)
-    started = not tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        integ = MF.BoltzmannIntegrator(spec, grid)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if started:
-            tracemalloc.stop()
+    integ, _, peak = traced(lambda: MF.BoltzmannIntegrator(spec, grid))
     kept = sum({id(D): D.nbytes for D, _ in integ.gain_groups}.values())
     assert [D.shape for D, _ in integ.gain_groups] == [(1025, 513)] and kept > 4e6
     assert peak <= 1.25 * kept, (peak, kept)

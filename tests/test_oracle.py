@@ -2,7 +2,6 @@ import dataclasses
 import itertools
 import math
 import random
-import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -15,7 +14,7 @@ from scipy.sparse.linalg import expm_multiply
 from kinchem import oracle as O
 from kinchem.kinetics import run, sample_initial_state
 from kinchem.model import TypeKernel
-from conftest import make_two_state
+from conftest import make_two_state, traced
 
 
 # -- model validation -----------------------------------------------------------
@@ -797,6 +796,36 @@ def test_chaos_statistic_refuses_states_past_n_states():
         O.chaos_statistic(runs, k=2, n_states=2).correlations
 
 
+def test_chaos_statistic_refuses_non_integer_and_negative_states():
+    # replicas shifted by 0.5 were truncated back to the same correlations,
+    # and a negative state failed inside np.bincount, naming neither N nor
+    # the replica
+    model = O.contagion_model(0.5, 1.0)
+    runs = {N: [O.simulate_pair_system(model, N, 0.5, (0.6, 0.4), seed=r) for r in range(5)]
+            for N in (20, 40)}
+    with pytest.raises(ValueError, match="replica 0 at N=20 holds float64 states, not integers"):
+        O.chaos_statistic({**runs, 20: [r + 0.5 for r in runs[20]]}, k=2, n_states=2)
+    negative = runs[20][:2] + [runs[20][2].astype(np.int64) - 1] + runs[20][3:]
+    with pytest.raises(ValueError, match="replica 2 at N=20 holds the negative state -1"):
+        O.chaos_statistic({**runs, 20: negative}, k=2, n_states=2)
+    # lists of Python ints are counted as the bytes are
+    lists = {N: [r.tolist() for r in reps] for N, reps in runs.items()}
+    assert O.chaos_statistic(lists, k=2, n_states=2) == O.chaos_statistic(runs, k=2, n_states=2)
+
+
+def test_chaos_statistic_counts_bytes_without_an_int64_copy():
+    # an int64 copy of each uint8 replica peaked at 11.6 MB above the input,
+    # 1.29 times the int64 bytes of the largest group (700 replicas at
+    # N = 1600, as in the oracle benchmark); stacked in their own dtype, 2^16
+    # states at a time, and counted by one bincount per stack, 0.83 MB, below
+    # one byte per state of that group
+    model = O.contagion_model(0.5, 1.0)
+    runs = {N: [O.simulate_pair_system(model, N, 0.5, (0.6, 0.4), seed=r) for r in range(700)]
+            for N in (400, 1600)}
+    _, _, peak = traced(lambda: O.chaos_statistic(runs, k=2, n_states=2))
+    assert peak <= 700 * 1600, peak
+
+
 def test_chaos_statistic_k3_runs():
     # False-alarm rate: with every seed shifted by 10000*o, o = 1..400, the
     # ratio of the defects at N = 30 and 90 had mean 3.39 and sd 1.64, and 0
@@ -813,7 +842,7 @@ def test_chaos_statistic_k3_runs():
 def per_particle_simulation(model, N, t, mu0, seed):
     """The pair process on one ``np.random.default_rng(seed)``, one draw at a
     time: the event count, the initial state of each particle, then per event
-    the pair and the outcome."""
+    the pair and the outcome; the states as bytes, one per particle."""
     S = model.n_states
     rng = np.random.default_rng(seed)
     n_events = rng.poisson(N * model.rate * t)
@@ -830,7 +859,7 @@ def per_particle_simulation(model, N, t, mu0, seed):
         while row[out] < u:
             out += 1
         states[i], states[j] = divmod(out, S)
-    return np.asarray(states, dtype=np.int64)
+    return np.asarray(states, dtype=np.uint8)
 
 
 def trailing_zero_model():
@@ -1077,15 +1106,40 @@ def test_simulate_pair_system_refuses_2_pow_32_particles_before_allocating(monke
     def no_kernel():
         raise AssertionError("the kernel was reached")
 
-    monkeypatch.setattr(O, "_kernel", no_kernel)
-    tracemalloc.start()
-    try:
+    def refuse():
         with pytest.raises(ValueError, match="2\\*\\*32"):
             O.simulate_pair_system(O.contagion_model(), 2 ** 32, 0.5, (0.6, 0.4), 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    monkeypatch.setattr(O, "_kernel", no_kernel)
+    _, _, peak = traced(refuse)
     assert peak < 2 ** 16
+
+
+def test_replicas_hold_one_byte_per_particle_state():
+    # 700 replicas at N = 1600, the oracle benchmark's largest group, held
+    # 8.8 bytes per state as int64 and hold 1.12, the rest being each array's
+    # own object; the kernel's first call allocates once, before the count
+    model, mu0 = O.contagion_model(0.5, 1.0), (0.6, 0.4)
+    O.simulate_pair_system(model, 1600, 0.5, mu0, seed=0)
+    reps, held, _ = traced(lambda: [O.simulate_pair_system(model, 1600, 0.5, mu0, seed=r)
+                                    for r in range(700)])
+    assert {r.dtype for r in reps} == {np.dtype(np.uint8)}
+    assert held <= 1.25 * 700 * 1600, held
+
+
+def test_simulate_pair_system_refuses_more_than_256_states(monkeypatch):
+    # a replica state is one byte.  A PairModel of 257 states would hold
+    # 257^4 kernel doubles (35 GB), so this one is made without its checks
+    model = object.__new__(O.PairModel)
+    for name, value in (("n_states", 257), ("kernel", None), ("rate", 1.0)):
+        object.__setattr__(model, name, value)
+
+    def no_kernel():
+        raise AssertionError("the kernel was reached")
+
+    monkeypatch.setattr(O, "_kernel", no_kernel)
+    with pytest.raises(ValueError, match="at most 256 states, got 257"):
+        O.simulate_pair_system(model, 10, 0.5, np.full(257, 1.0 / 257), 1)
 
 
 def test_event_count_equals_numpys_poisson_draw():
