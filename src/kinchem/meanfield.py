@@ -246,8 +246,8 @@ def reduced_macro_ode(state: MacroState, spec: EnsembleSpec, t_end: float,
                       sample_every: Optional[float] = None) -> ReducedTrajectory:
     """The concentration dynamics dc/dt = c A on the fixed-beta equilibrium
     manifold, with Maxwell-averaged unary rates v and the generator A = v -
-    diag(v 1), solved exactly by ``propagate`` from t = 0 at every sample
-    time; the total concentration is conserved, since A's rows sum to 0.
+    diag(v 1), solved exactly by ``propagate`` at each sample time; the
+    total concentration is conserved, since A's rows sum to 0.
     Samples are taken at ``model.sample_times(0, t_end, sample_every)``,
     with ``sample_every`` = t_end / 200 when it is None; with t_end = 0 the
     trajectory is the single row of initial data at t = 0.  A negative or

@@ -289,8 +289,7 @@ TAIL_TOL = 2.0 ** -56
 # a matrix whose rows sum to 0 within this fraction of q is a generator: room
 # for the rounding of its entries and for PairModel's 1e-12 on kernel rows
 _GENERATOR_TOL = 1e-10
-# ``propagate`` folds this many powers p0 P^k into its rows at a time, and
-# keeps only these when its times are one group
+# ``propagate`` holds this many powers p0 P^k, folded into its rows by one product
 _POWER_BLOCK = 32
 
 
@@ -338,26 +337,27 @@ def propagate(p0, A, times) -> np.ndarray:
         p0 exp(A t) = sum_k Pois(k; q t) p0 P^k,
 
     and for a nonnegative p0 every term is nonnegative, so nothing cancels.
-    Each power p0 P^k comes from the one before by a ``np.bincount`` over the
-    entries of P, once for all times, and the powers are folded into the
-    rows 32 at a time, by one product with their columns of Poisson weights.
-    The weights are made for at most 2^16 (time, term) pairs at a time.
-    When that is one group of times, memory holds one block of 32 powers
-    rather than all K + 1 of them; with more groups, every group needs
-    every power, so memory holds all of them and each group's weights are
-    made once.
+    The times must not decrease: they are summed in groups of at most 2^16
+    (time, term) pairs, each from the last row of the group before, at that
+    row's time (the first from p0 at t = 0), over its own interval's terms.
+    Each power comes from the one before by a ``np.bincount`` over the
+    entries of P; memory holds a block of 32, folded into the group's rows
+    by one product with their columns of Poisson weights.
 
-    Tail bound: with rho = max(1, largest row sum of P), |p0 P^k|_1 <=
-    rho^k |p0|_1, so the terms past k = K sum to at most |p0|_1 e^{-qt}
-    sum_{k>K} (q t rho)^k / k!.  K is the least count that makes this at most
-    ``TAIL_TOL`` |p0|_1 at the largest time (``_poisson_terms``).  Each row of
-    Poisson weights is normalized to sum 1, which scales it by less than
-    1 + TAIL_TOL.  When A's rows sum to 0 (within 1e-10 q), A is a Markov
-    generator: rho = 1, P is stochastic, and each power is also rescaled to
-    the mass of p0, so rounding cannot drift the mass.  A negative
-    off-diagonal entry, a time that is negative or not finite, a dense A
-    that is not len(p0) x len(p0) or an entry index outside 0..len(p0) - 1
-    raises ValueError.
+    Tail bound: with rho = max(1, largest row sum of P) and b the row a
+    group starts from, |b P^k|_1 <= rho^k |b|_1, so past k = K its terms sum
+    to at most |b|_1 e^{-qs} sum_{k>K} (q s rho)^k / k! at a span s from b.
+    K is the least count that makes this at most ``TAIL_TOL`` |b|_1 at the
+    group's last time (``_poisson_terms``).  Each row of Poisson weights is
+    normalized to sum 1, which scales it by less than 1 + TAIL_TOL.  When
+    A's rows sum to 0 (within 1e-10 q), A is a Markov generator: rho = 1, P
+    is stochastic, and each power is also rescaled to the mass of p0, so
+    rounding cannot drift the mass; nor does P grow an L1 error, so the
+    misses of G groups sum to at most G ``TAIL_TOL`` |p0|_1.  Otherwise a
+    miss grows by at most e^{q (rho - 1) s} over a span s.  A negative
+    off-diagonal entry, a time that is negative, not finite or below the one
+    before, a dense A that is not len(p0) x len(p0) or an entry index
+    outside 0..len(p0) - 1 raises ValueError.
     """
     p0 = np.asarray(p0, dtype=float)
     times = np.asarray(times, dtype=float)
@@ -384,31 +384,31 @@ def propagate(p0, A, times) -> np.ndarray:
     if P.min(initial=0.0) < 0.0:
         raise ValueError("A must have nonnegative off-diagonal entries")
     t_max = times.max()
-    if not 0.0 <= times.min() <= t_max < math.inf:
-        raise ValueError(f"times must be finite and nonnegative, got {times!r}")
-    K = _poisson_terms(float(q * t_max), float(q * t_max * rho))
+    if not 0.0 <= times.min() <= t_max < math.inf or np.any(np.diff(times) < 0.0):
+        raise ValueError(f"times must be nondecreasing, finite and nonnegative, got {times!r}")
     mass = p0.sum()
-    # the weights of at most 2^16 (time, term) pairs at a time, so that a long
-    # horizon's many terms do not take memory for every time at once
+    # groups of at most 2^16 (time, term) pairs, sized by the whole horizon's K
+    K = _poisson_terms(float(q * t_max), float(q * t_max * rho))
     rows = max(1, 2 ** 16 // (K + 1))
-    groups = range(0, len(times), rows)
-    weights = _poisson_weights(q * times, K) if len(groups) == 1 else None
-    block = np.empty((K + 1 if weights is None else min(_POWER_BLOCK, K + 1), n))
+    block = np.empty((min(_POWER_BLOCK, K + 1), n))
     out = np.zeros((len(times), n))
-    power = p0
-    for k in range(0, K + 1, len(block)):
-        powers = block[:K + 1 - k]
-        for j, row in enumerate(powers):
-            if k + j:
-                power = np.bincount(dst, power[src] * P, minlength=n)
-            row[:] = power
-        if generator and mass > 0.0:
-            # scaling commutes with P, so this is each power rescaled in turn
-            powers *= mass / powers.sum(axis=1, keepdims=True)
-        for i in groups:
-            w = _poisson_weights(q * times[i:i + rows], K) if weights is None else weights
-            for j in range(k, k + len(powers), _POWER_BLOCK):
-                out[i:i + rows] += w[:, j:j + _POWER_BLOCK] @ powers[j - k:j - k + _POWER_BLOCK]
+    t0, power = 0.0, p0
+    for i in range(0, len(times), rows):
+        group = out[i:i + rows]
+        lam = q * (times[i:i + rows] - t0)
+        K = _poisson_terms(float(lam[-1]), float(lam[-1] * rho))
+        weights = _poisson_weights(lam, K)
+        for k in range(0, K + 1, len(block)):
+            powers = block[:K + 1 - k]
+            for j, row in enumerate(powers):
+                if k + j:
+                    power = np.bincount(dst, power[src] * P, minlength=n)
+                row[:] = power
+            if generator and mass > 0.0:
+                # scaling commutes with P, so this is each power rescaled in turn
+                powers *= mass / powers.sum(axis=1, keepdims=True)
+            group += weights[:, k:k + len(powers)] @ powers
+        t0, power = times[i + len(group) - 1], group[-1]
     return out
 
 

@@ -506,13 +506,14 @@ def scenario_chaos(seed: int, *, n_values=(100, 400, 1600),
 def scenario_oracle_verify(seed: int, *, n: int = 5, lambda_t: float = 0.1,
                            nmax: int = 4, alpha: float = 0.6) -> dict:
     """Truncated resummation series against the exact marginal of the count
-    chain (``oracle.exact_marginal``), plus the exact combinatorial counting
-    identities."""
+    chain (``oracle.exact_marginal``) and, at N = infinity, the limit ODE
+    (``oracle.limit_marginal``); plus the exact combinatorial identities."""
     model = ORC.contagion_model(alpha=alpha, rate=lambda_t)   # t = 1
     mu0 = np.array([0.7, 0.3])
     res = ORC.series_marginal(model, mu0, 1.0, n_max=nmax, n_particles=n)
     exact = ORC.exact_marginal(model, mu0, 1.0, n)
     err = float(np.max(np.abs(res.marginal - exact)))
+    gap = ORC.limit_marginal(model, mu0, 1.0) - ORC.series_marginal(model, mu0, 1.0, nmax).marginal
     x = 2.0 * lambda_t
     geometric_tail = x ** (nmax + 1) / (1.0 - x) if x < 1.0 else math.inf
     geometric_note = ("sum of (2 lambda t)^m over m > nmax" if x < 1.0 else
@@ -523,6 +524,9 @@ def scenario_oracle_verify(seed: int, *, n: int = 5, lambda_t: float = 0.1,
                note="stated tail (1 - exp(-2 lambda t))^(nmax + 1)"),
         _check("series_within_geometric_tail", x < 1.0 and err <= geometric_tail,
                error=err, tail_bound=geometric_tail, note=geometric_note),
+        _check("limit_ode_exceeds_series_by_its_tail", gap.min() >= -1e-14 and
+               abs(gap.sum() - res.tail_bound) <= 1e-14, min_gap=gap.min(),
+               gap_minus_tail=gap.sum() - res.tail_bound, tolerance=1e-14),
     ]
 
     from fractions import Fraction

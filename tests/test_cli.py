@@ -45,6 +45,7 @@ def test_scenario_exit_code_reflects_failing_check(tmp_path):
     assert by_name["series_within_stated_tail"]["passed"]
     assert by_name["series_within_geometric_tail"]["passed"]
     assert by_name["essential_count_vs_enumeration"]["passed"]
+    assert by_name["limit_ode_exceeds_series_by_its_tail"]["passed"]
     assert (out / "oracle_verify.json").exists()
 
     # a tolerance below the finite-difference error (about 2e-11) fails the

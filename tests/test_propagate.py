@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from kinchem import oracle as O
+from kinchem import model as M, oracle as O
 from kinchem.model import TAIL_TOL, _poisson_terms, propagate
 from conftest import traced
 
@@ -55,11 +55,17 @@ def test_count_chain_laws_equal_expm(model, mu0):
         assert np.abs(propagate(p0, L, times) - got).max() <= 1e-15
 
 
-def count_chain_terms(p0, entries, t):
-    """K + 1, the number of powers ``propagate`` sums up to time t for a
-    generator given by its (src, dst, rate) entries, the diagonal among them."""
+def uniformization_rate(entries):
+    """q, the largest |A_ii| of a generator given by its (src, dst, rate)
+    entries, the diagonal among them."""
     src, dst, rate = entries
-    q = -rate[src == dst].min()
+    return -rate[src == dst].min()
+
+
+def count_chain_terms(p0, entries, t):
+    """K + 1, the number of powers ``propagate`` sums over a span t of a
+    generator given by its (src, dst, rate) entries."""
+    q = uniformization_rate(entries)
     return _poisson_terms(q * t, q * t) + 1
 
 
@@ -85,23 +91,31 @@ TWO_STATE = ((0.15, 0.85), (np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]),
 def test_rows_across_time_blocks_equal_each_time_propagated_alone(chain, t_max, n_times,
                                                                    monkeypatch):
     # the weights of at most 2^16 (time, term) pairs are made at a time, and
-    # every such group of times shares the powers, each made once: two
-    # bincounts for A's diagonal and row sums, then one per power.  When each
-    # group made the powers anew, a reduced run to t = 1000 sampled every 0.1
-    # (197 groups) took 2.1 times as long.  Propagated alone, a time sums
-    # only the terms its own tail bound asks for; the largest gap seen was
-    # 4.4e-16 of the row's mass (1.0e-15 when a group took all powers in one
-    # product)
+    # each such group of times starts from the last row of the group before,
+    # at that row's time, so it sums only the terms of its own interval.
+    # When every group summed the terms of the whole horizon from p0, a
+    # reduced run to t = 1000 sampled every 0.1 (197 groups) made 12.8M
+    # Poisson weights; this way it makes 0.35M.  Propagated alone, a time
+    # sums only the terms its own tail bound asks for; the largest gap seen
+    # was 6.7e-16 of the row's mass
     p0, entries = chain()
     times = np.linspace(0.0, t_max, n_times)
-    terms = count_chain_terms(p0, entries, t_max)
-    assert n_times * terms > 2 ** 16
-    calls = []
-    bincount = np.bincount
-    monkeypatch.setattr(np, "bincount", lambda *a, **kw: calls.append(1) or bincount(*a, **kw))
+    q = uniformization_rate(entries)
+    assert n_times * count_chain_terms(p0, entries, t_max) > 2 ** 16
+    seen = []
+    weights = M._poisson_weights
+    monkeypatch.setattr(M, "_poisson_weights", lambda lam, K: seen.append((lam, K)) or weights(lam, K))
     got = propagate(p0, entries, times)
     monkeypatch.undo()
-    assert len(calls) == terms + 1, len(calls)
+    assert len(seen) > 1
+    i, base = 0, 0.0
+    for lam, K in seen:
+        group = times[i:i + len(lam)]
+        np.testing.assert_allclose(lam, q * (group - base), rtol=1e-15, atol=0.0)
+        assert K + 1 == count_chain_terms(p0, entries, group[-1] - base), (i, K)
+        assert len(lam) * (K + 1) <= 2 ** 16
+        i, base = i + len(lam), group[-1]
+    assert i == n_times
     for t, row in zip(times, got):
         alone = propagate(p0, entries, (t,))[0]
         assert np.abs(row - alone).max() <= 1e-15 * alone.sum(), t
@@ -136,11 +150,16 @@ def test_stage_matrices_with_repeated_hazards_equal_expm(hazards):
         assert abs(batch[HAZARDS.index(hazards)] - row[-1]) <= 1e-15 * max(1.0, row[-1])
 
 
+@pytest.mark.parametrize("t_end, n_times", [(8.0, 201), (1000.0, 10001)], ids=["t8", "t1000"])
 @pytest.mark.parametrize("a, b, c0", [(0.3, 0.7, (0.15, 0.85)), (2.0, 0.05, (0.9, 0.1)),
                                       (1.0, 1.0, (0.3, 1.7)), (40.0, 3.0, (1.0, 0.0))])
-def test_two_state_chain_equals_its_closed_form(a, b, c0):
+def test_two_state_chain_equals_its_closed_form(a, b, c0, t_end, n_times):
+    # to t = 1000 the (40, 3) chain's 10,001 times are as many groups, each
+    # started from the time before: about 1.5 s.  Summed from p0 over the
+    # whole horizon, that case took 56 s, and it and two others failed the
+    # mass gate
     A = np.array([[-a, a], [b, -b]])
-    times = np.linspace(0.0, 8.0, 201)
+    times = np.linspace(0.0, t_end, n_times)
     got = propagate(c0, A, times)
     total = sum(c0)
     eq = total * b / (a + b)
@@ -192,6 +211,7 @@ def test_propagate_keeps_p0_at_time_zero_and_under_the_zero_matrix():
     (np.array([[-1.0, 1.0], [1.0, -1.0]]), (0.0, -1.0), "finite and nonnegative"),
     (np.array([[-1.0, 1.0], [1.0, -1.0]]), (math.inf,), "finite and nonnegative"),
     (np.array([[-1.0, 1.0], [1.0, -1.0]]), (math.nan,), "finite and nonnegative"),
+    (np.array([[-1.0, 1.0], [1.0, -1.0]]), (0.0, 1.0, 0.5), "nondecreasing"),
 ])
 def test_propagate_refuses_negative_rates_and_bad_times(A, times, match):
     with pytest.raises(ValueError, match=match):

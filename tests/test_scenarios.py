@@ -12,6 +12,7 @@ from scipy.integrate import solve_ivp
 from kinchem.scenarios import (SCENARIOS, SUMMARY_SCHEMA, matched_two_species,
                                run_scenario, two_state_spec)
 from kinchem import meanfield as MF
+from kinchem import oracle as ORC
 from kinchem import thermo as TH
 
 
@@ -75,6 +76,28 @@ def test_chaos_scenario_small():
     assert by_name["exact_smallN_monotone_decrease"]["passed"]
     assert by_name["product_at_time_zero"]["passed"]
     assert -1.7 < by_name["decay_exponent"]["slope"] < -0.4
+
+
+def limit_check(lambda_t):
+    s = run_scenario("oracle-verify", {"lambda_t": lambda_t}, seed=7)
+    return {c["name"]: c for c in s["checks"]}["limit_ode_exceeds_series_by_its_tail"]
+
+
+@pytest.mark.parametrize("lambda_t", [0.1, 0.6])
+def test_oracle_verify_holds_the_limit_series_to_the_limit_ode(lambda_t, monkeypatch):
+    # the gap summed to within 2.9e-16 of the tail at lambda t 0.1 and
+    # 1.7e-16 at 0.6
+    check = limit_check(lambda_t)
+    assert check["passed"] and check["min_gap"] >= 0.0
+    limit = ORC.limit_marginal
+    # the marginal at N = 5 in place of the limit's lies below the series
+    # in one entry at lambda t 0.1 (by 4.2e-4); a limit short of 1e-13 of
+    # its mass misses the tail at both
+    monkeypatch.setattr(ORC, "limit_marginal", lambda m, mu0, t: limit(m, mu0, t) * (1.0 - 1e-13))
+    assert not limit_check(lambda_t)["passed"]
+    if lambda_t == 0.1:
+        monkeypatch.setattr(ORC, "limit_marginal", lambda m, mu0, t: ORC.exact_marginal(m, mu0, t, 5))
+        assert not limit_check(lambda_t)["passed"]
 
 
 def test_redistribution_rejects_bad_direction():
