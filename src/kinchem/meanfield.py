@@ -64,11 +64,13 @@ __all__ = [
 
 
 def survival_gbeta(r: float, beta: float) -> float:
-    """Upper tail P(xi > r) of the bath energy law with density c sqrt(x) e^{-beta x}."""
-    if r < 0.0:
-        raise ValueError("r must be >= 0")
-    if beta <= 0.0:
-        raise ValueError("beta must be > 0")
+    """Upper tail P(xi > r) of the bath energy law with density c sqrt(x) e^{-beta x}.
+    A negative or NaN r, or a beta that is not positive and finite, raises
+    ValueError."""
+    if not r >= 0.0:        # NaN too
+        raise ValueError(f"r must be >= 0, got {r!r}")
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta!r}")
     return float(_gamma32_sf_cdf_and_moment(beta * r)[0])
 
 
@@ -77,10 +79,17 @@ def onsager_flux(A: float, u12: float, u21: float, beta: float) -> float:
 
     J1 = (1 - e^{-beta A}) / (u21^{-1} + u12^{-1} e^{-beta A}); zero exactly
     at A = 0, sign equal to sign(A), saturating at u21 and -u12.  Equals
-    dc1/dt on trajectories normalized to unit total concentration.
+    dc1/dt on trajectories normalized to unit total concentration.  A NaN
+    A, a rate that is not positive and finite, or a beta that is not
+    positive and finite raises ValueError.
     """
-    if u12 <= 0.0 or u21 <= 0.0:
-        raise ValueError("rates must be positive")
+    if math.isnan(A):
+        raise ValueError("A must not be NaN")
+    for name, u in (("u12", u12), ("u21", u21)):
+        if not 0.0 < u < math.inf:
+            raise ValueError(f"rate {name} must be positive and finite, got {u!r}")
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta!r}")
     x = -beta * A
     if x > 700.0:
         return -u12
@@ -209,29 +218,21 @@ class MacroState:
 
 @dataclass
 class ReducedTrajectory:
+    """Samples of the reduced dynamics dc/dt = c A, with the generator A that
+    ``reduced_macro_ode`` built from the Maxwell-averaged unary rates v:
+    A = v - diag(v 1)."""
+
     times: np.ndarray
     concentrations: np.ndarray   # shape (n_times, J)
     beta: float
-    rates: np.ndarray            # Maxwell-averaged v matrix
+    generator: np.ndarray        # A, shape (J, J); its rows sum to 0
 
     def equilibrium(self) -> np.ndarray:
         """Stationary concentrations with the same total (two-state only)."""
         if self.concentrations.shape[1] != 2:
             raise ValueError("closed-form equilibrium implemented for J = 2")
-        ratio = self.rates[1, 0] / self.rates[0, 1]
+        ratio = self.generator[1, 0] / self.generator[0, 1]
         return np.array(two_state_equilibrium(ratio, self.concentrations[0].sum()))
-
-
-def macro_vector_field(v: np.ndarray) -> Callable:
-    """dc_j/dt = sum_j' (c_j' v_j'j - c_j v_jj') as a callable on c."""
-    v = np.asarray(v, dtype=float)
-    out_rate = v.sum(axis=1)
-
-    def f(c):
-        c = np.asarray(c, dtype=float)
-        return c @ v - c * out_rate
-
-    return f
 
 
 def rk4_step(f: Callable, y: np.ndarray, dt: float) -> np.ndarray:
@@ -262,8 +263,9 @@ def reduced_macro_ode(state: MacroState, spec: EnsembleSpec, t_end: float,
         sample_every = t_end / 200.0
     times = np.fromiter(sample_times(0.0, t_end, sample_every), float)
     v = maxwell_unary_rates(spec, beta=state.beta)
-    c = propagate(state.concentrations, v - np.diag(v.sum(axis=1)), times)
-    return ReducedTrajectory(times=times, concentrations=c, beta=state.beta, rates=v)
+    A = v - np.diag(v.sum(axis=1))
+    c = propagate(state.concentrations, A, times)
+    return ReducedTrajectory(times=times, concentrations=c, beta=state.beta, generator=A)
 
 
 # -- energy-grid machinery -------------------------------------------------------

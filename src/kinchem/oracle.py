@@ -41,7 +41,6 @@ __all__ = [
     "classify",
     "extract_theta_v",
     "extract_theta_indices",
-    "pairs_from_event_log",
     "scaled_essential_count",
     "count_sequences_by_type",
     "canonical_anchored_sequences",
@@ -201,12 +200,6 @@ def extract_theta_v(pairs, v) -> tuple:
     sharing a particle with an already retained pair."""
     raw = [tuple(p) for p in pairs]
     return tuple(raw[i] for i in extract_theta_indices(pairs, v))
-
-
-def pairs_from_event_log(events) -> tuple:
-    """Participant pairs of the binary events in a particle-engine ``EventLog``:
-    the events with a second participant ``j``."""
-    return tuple((i, j) for i, j in zip(events.column("i"), events.column("j")) if j is not None)
 
 
 def _falling(n: int, k: int) -> int:

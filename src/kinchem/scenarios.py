@@ -578,9 +578,12 @@ def scenario_flux_check(seed: int, *, beta: float = 1.0, t_end: float = 6.0,
     species, _ = matched_two_species(beta)
     spec = two_state_spec(2, beta=beta, seed=seed)
     v12, v21 = MF.reduced_two_state(spec)
-    f = MF.macro_vector_field(MF.maxwell_unary_rates(spec, beta))
     traj = MF.reduced_macro_ode(MF.MacroState(beta, (0.15, 0.85)), spec, t_end,
                                 sample_every=t_end / 24)
+
+    def f(c):
+        return c @ traj.generator
+
     worst = 0.0
     rows = []
     for c in traj.concentrations[1:-1]:

@@ -10,7 +10,6 @@ from .meanfield import _gamma32_sf_cdf_and_moment
 
 __all__ = [
     "ks_distance",
-    "ks_critical",
     "dispersion_index",
     "stderr_mean",
     "chi2_uniformity_p",
@@ -28,12 +27,6 @@ def ks_distance(sample, cdf) -> float:
     f = np.asarray(cdf(xs), dtype=float)
     grid = np.arange(1, n + 1) / n
     return float(max(np.max(grid - f), np.max(f - (grid - 1.0 / n))))
-
-
-def ks_critical(n: int, level: float = 0.05) -> float:
-    """Asymptotic KS critical value c(level)/sqrt(n); c(0.05) = 1.358."""
-    c = math.sqrt(-0.5 * math.log(level / 2.0))
-    return c / math.sqrt(n)
 
 
 def dispersion_index(counts) -> float:

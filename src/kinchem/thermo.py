@@ -19,7 +19,6 @@ __all__ = [
     "lambda_B",
     "standard_potential",
     "chemical_potential",
-    "concentration_from_potential",
     "potentials",
     "affinity_and_kappa",
     "markov_entropy",
@@ -52,10 +51,12 @@ class ThermoPoint:
         return math.fsum(self.concentrations)
 
 
-def _prefactors(species, beta: float):
-    """``lambda_B`` as two lists of floats."""
-    if beta <= 0.0:
-        raise ValueError("beta must be > 0")
+def lambda_B(species, beta: float):
+    """Activity prefactors: B_j = (2 pi / m_j)^{3/2} prod_k (2 pi / m_{j,k})^{1/2}
+    and lambda_j = beta^{-d_j/2} B_j.  A beta that is not positive and finite
+    raises ValueError."""
+    if not 0.0 < beta < math.inf:       # NaN too
+        raise ValueError(f"beta must be positive and finite, got {beta!r}")
     B = []
     lam = []
     for sp in species:
@@ -66,13 +67,6 @@ def _prefactors(species, beta: float):
             b *= math.sqrt(2.0 * math.pi / mk)
         B.append(b)
         lam.append(beta ** (-0.5 * sp.dof) * b)
-    return B, lam
-
-
-def lambda_B(species, beta: float):
-    """Activity prefactors: B_j = (2 pi / m_j)^{3/2} prod_k (2 pi / m_{j,k})^{1/2}
-    and lambda_j = beta^{-d_j/2} B_j."""
-    B, lam = _prefactors(species, beta)
     return np.array(B), np.array(lam)
 
 
@@ -80,7 +74,7 @@ def lambda_B(species, beta: float):
 def _standard_potentials(species: tuple, beta: float) -> tuple:
     """``standard_potential`` as a tuple of floats, computed once per
     (species, beta): a trajectory's state points all share them."""
-    return tuple(-math.log(lam) / beta for lam in _prefactors(species, beta)[1])
+    return tuple(-math.log(lam) / beta for lam in lambda_B(species, beta)[1])
 
 
 def standard_potential(point: ThermoPoint) -> np.ndarray:
@@ -90,22 +84,13 @@ def standard_potential(point: ThermoPoint) -> np.ndarray:
 
 
 def chemical_potential(point: ThermoPoint) -> np.ndarray:
-    """mu_j = mu_{j,0} + beta^{-1} ln c_j + K_j; undefined at c_j = 0."""
+    """mu_j = mu_{j,0} + beta^{-1} ln c_j + K_j, as ``potentials`` computes
+    it (the value does not depend on the volume); undefined at c_j = 0."""
     zero = [sp.type_id for sp, c in zip(point.species, point.concentrations) if c == 0.0]
     if zero:
         raise ValueError(f"chemical potential undefined at zero concentration "
                          f"(species {zero})")
-    mu0 = standard_potential(point)
-    c = np.asarray(point.concentrations)
-    K = np.array([sp.chem_energy for sp in point.species])
-    return mu0 + np.log(c) / point.beta + K
-
-
-def concentration_from_potential(species, beta: float, mu) -> np.ndarray:
-    """Inverse map c_j = lambda_j exp(beta (mu_j - K_j))."""
-    _, lam = lambda_B(species, beta)
-    K = np.array([sp.chem_energy for sp in species])
-    return lam * np.exp(beta * (np.asarray(mu) - K))
+    return potentials(point, 1.0)["mu"]
 
 
 def potentials(point: ThermoPoint, volume: float) -> dict:
@@ -143,22 +128,13 @@ def potentials(point: ThermoPoint, volume: float) -> dict:
             "Omega": -P * volume, "g": g, "mu": np.array(mu), "n": np.array(n)}
 
 
-def reaction_free_energy(point: ThermoPoint) -> float:
-    """Standard reaction free energy of 2 -> 1: dG0 = mu_{1,0} - mu_{2,0} + K_1 - K_2,
-    so that kappa = exp(-beta dG0) equals the equilibrium ratio c_1/c_2."""
-    if len(point.species) != 2:
-        raise ValueError("reaction quantities require exactly two species")
-    mu0 = _standard_potentials(point.species, point.beta)
-    K1 = point.species[0].chem_energy
-    K2 = point.species[1].chem_energy
-    return mu0[0] - mu0[1] + K1 - K2
-
-
 def affinity_and_kappa(point: ThermoPoint) -> dict:
     """Two-state reaction quantities at a state point.
 
+    The standard reaction free energy of 2 -> 1 is
+    dG0 = mu_{1,0} - mu_{2,0} + K_1 - K_2.  The affinity
     A = mu_2 - mu_1 = -dG0 - beta^{-1} ln(c_1/c_2) vanishes exactly at the
-    equilibrium ratio kappa = exp(-beta dG0).  ``c1_of_A`` inverts the
+    equilibrium ratio c_1/c_2 = kappa = exp(-beta dG0).  ``c1_of_A`` inverts the
     affinity relation at the point's total concentration:
     c_1 = c / (1 + exp(beta (dG0 + A))).
     """
@@ -168,7 +144,8 @@ def affinity_and_kappa(point: ThermoPoint) -> dict:
     if c1 == 0.0 or c2 == 0.0:
         raise ValueError("affinity undefined at zero concentration")
     beta = point.beta
-    dG0 = reaction_free_energy(point)
+    mu0 = _standard_potentials(point.species, beta)
+    dG0 = mu0[0] - mu0[1] + point.species[0].chem_energy - point.species[1].chem_energy
     kappa = math.exp(-beta * dG0)
     A = -dG0 - math.log(c1 / c2) / beta
     c = point.total

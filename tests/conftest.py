@@ -1,4 +1,5 @@
 """Shared fixtures and the acceptance-criteria reporter."""
+import math
 import tracemalloc
 
 import pytest
@@ -59,6 +60,18 @@ def make_two_state(n=100, beta=1.0, w12=1.0, w21=1.0, k2=1.0, fast=1.0,
                         rates=rates, initial_distribution=dist,
                         scale_fast=scale_fast, scale_heat=scale_heat,
                         rng_seed=seed)
+
+
+def pairs_from_event_log(events) -> tuple:
+    """Participant pairs of the binary events in a particle-engine ``EventLog``:
+    the events with a second participant ``j``."""
+    return tuple((i, j) for i, j in zip(events.column("i"), events.column("j")) if j is not None)
+
+
+def ks_critical(n: int, level: float = 0.05) -> float:
+    """Asymptotic KS critical value c(level)/sqrt(n); c(0.05) = 1.358."""
+    c = math.sqrt(-0.5 * math.log(level / 2.0))
+    return c / math.sqrt(n)
 
 
 @pytest.fixture

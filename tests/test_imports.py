@@ -1,5 +1,7 @@
 """kinchem starts on numpy alone, and builds its event kernel on first use.
 
+``import kinchem`` alone loads none of its modules and no numpy: each module
+is imported by name, and every name in a module's ``__all__`` exists.
 Importing the package, its CLI, its scenarios and its statistics loads no
 scipy, jsonschema, yaml or fractions module (fractions imports decimal);
 each function that needs one imports it on first call, and no module of
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import importlib
 import json
 import os
 import pathlib
@@ -68,6 +71,27 @@ def _sim_code(tmp_path) -> str:
 
 def test_import_loads_no_scipy_jsonschema_or_yaml():
     assert _loaded_after(IMPORTS) == []
+
+
+def test_package_import_loads_no_module_and_no_numpy():
+    # the package is its docstring: each module is imported by name
+    proc = _python("import json, sys\nimport kinchem\n"
+                   "print(json.dumps(sorted(m for m in sys.modules\n"
+                   "                        if m.startswith('kinchem.') or m.split('.')[0] == 'numpy')))")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+def test_every_exported_name_resolves():
+    # a name left in __all__ after its definition went fails here, not at
+    # a caller's star import
+    missing = {}
+    for path in sorted((SRC / "kinchem").glob("*.py")):
+        if path.stem != "__init__":
+            module = importlib.import_module(f"kinchem.{path.stem}")
+            missing[path.stem] = [n for n in getattr(module, "__all__", ())
+                                  if not hasattr(module, n)]
+    assert {m: names for m, names in missing.items() if names} == {}
 
 
 def test_particle_sim_loads_no_scipy(tmp_path):

@@ -18,11 +18,10 @@ from hypothesis import example, given, settings, strategies as st
 from kinchem import kinetics, stats as ST
 from kinchem.kinetics import (CHANNELS, EnsembleState, EventLog, run,
                               sample_initial_state)
-from kinchem.oracle import pairs_from_event_log
 from kinchem.model import (EnergyLaw, EnsembleSpec, InitialDistribution, RateTable,
                            SpeciesSpec, TypeKernel)
 from kinchem.scenarios import two_state_spec
-from conftest import make_two_state
+from conftest import ks_critical, make_two_state, pairs_from_event_log
 
 
 # -- split closure -------------------------------------------------------------
@@ -463,7 +462,7 @@ def test_heat_exchange_preserves_equilibrium_law(two_state_spec_factory):
     run(state, spec, 3.0, seed=14, track_positions=False)
     assert state.event_counts["heat"] > 2 * n
     ks = ST.ks_distance(state.energies, ST.gamma32_cdf(1.0))
-    assert ks < ST.ks_critical(n, level=0.001)
+    assert ks < ks_critical(n, level=0.001)
 
 
 def test_heat_exchange_long_run_mean(two_state_spec_factory):
@@ -978,7 +977,7 @@ def test_heat_only_run_relaxes_to_bath_mean(two_state_spec_factory):
     se = batches.std(ddof=1) / math.sqrt(batches.size)
     assert abs(batches.mean() - 1.5 / beta) < 3 * se
     # the stationary law itself is Gamma(3/2, beta) only with Beta(3/2, 3/2) splits
-    assert ST.ks_distance(state.energies, ST.gamma32_cdf(beta)) < ST.ks_critical(n, level=0.001)
+    assert ST.ks_distance(state.energies, ST.gamma32_cdf(beta)) < ks_critical(n, level=0.001)
 
 
 def test_positions_stay_uniform_during_dynamics(two_state_spec_factory):

@@ -38,11 +38,16 @@ def test_survival_matches_quadrature_oracle():
         assert abs(MF.survival_gbeta(r, beta) - val) < 1e-10
 
 
-def test_survival_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        MF.survival_gbeta(-0.1, 1.0)
-    with pytest.raises(ValueError):
-        MF.survival_gbeta(1.0, 0.0)
+@pytest.mark.parametrize("r, beta, match", [
+    (-0.1, 1.0, "r must be >= 0"),
+    (math.nan, 1.0, "r must be >= 0"),                          # gave NaN
+    (1.0, 0.0, "beta must be positive and finite"),
+    (1.0, math.nan, "beta must be positive and finite"),        # gave NaN
+    (1.0, math.inf, "beta must be positive and finite"),        # gave 0.0
+])
+def test_survival_rejects_bad_arguments(r, beta, match):
+    with pytest.raises(ValueError, match=match):
+        MF.survival_gbeta(r, beta)
 
 
 # (x, Q(3/2, x), P(3/2, x), P(5/2, x)), each the double nearest to a
@@ -284,9 +289,19 @@ def test_onsager_linear_response():
     assert abs(fd - L) < 1e-6 * L
 
 
-def test_onsager_rejects_nonpositive_rates():
-    with pytest.raises(ValueError):
-        MF.onsager_flux(1.0, 0.0, 1.0, 1.0)
+@pytest.mark.parametrize("args, match", [
+    ((1.0, 0.0, 1.0, 1.0), "rate u12 must be positive and finite"),
+    ((1.0, math.nan, 1.1, 1.0), "rate u12 must be positive and finite"),    # gave NaN
+    ((1.0, 0.6, math.nan, 1.0), "rate u21 must be positive and finite"),    # gave NaN
+    ((1.0, 0.6, math.inf, 1.0), "rate u21 must be positive and finite"),
+    ((math.nan, 0.6, 1.1, 1.0), "A must not be NaN"),                       # gave NaN
+    ((1.0, 0.6, 1.1, math.nan), "beta must be positive and finite"),        # gave NaN
+    ((1.0, 0.6, 1.1, math.inf), "beta must be positive and finite"),
+    ((1.0, 0.6, 1.1, 0.0), "beta must be positive and finite"),
+])
+def test_onsager_rejects_bad_arguments(args, match):
+    with pytest.raises(ValueError, match=match):
+        MF.onsager_flux(*args)
 
 
 # -- kinetic-equation integrator ---------------------------------------------------------

@@ -14,7 +14,7 @@ from scipy.sparse.linalg import expm_multiply
 from kinchem import oracle as O
 from kinchem.kinetics import run, sample_initial_state
 from kinchem.model import TypeKernel
-from conftest import make_two_state, traced
+from conftest import make_two_state, pairs_from_event_log, traced
 
 
 # -- model validation -----------------------------------------------------------
@@ -199,7 +199,7 @@ def test_extract_from_engine_event_log():
     state = sample_initial_state(spec, 3)
     _, events = run(state, spec, 3.0, seed=4, record_events=True,
                     track_positions=False)
-    pairs = O.pairs_from_event_log(events)
+    pairs = pairs_from_event_log(events)
     assert pairs
     theta = O.extract_theta_v(pairs, 0)
     if theta:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kinchem import stats as ST
+from conftest import ks_critical
 
 
 def test_ks_distance_exact_small_case():
@@ -19,7 +20,7 @@ def test_ks_distance_within_critical_for_true_law():
     n = 10 ** 4
     sample = rng.random(n)
     d = ST.ks_distance(sample, lambda x: np.clip(np.asarray(x), 0, 1))
-    assert d < ST.ks_critical(n, level=0.05)
+    assert d < ks_critical(n, level=0.05)
 
 
 def test_ks_distance_detects_shift():
@@ -157,4 +158,4 @@ def test_gamma32_cdf_matches_moments():
     rng = random.Random(8)
     sample = [rng.gammavariate(1.5, 1.0 / 2.0) for _ in range(40000)]
     d = ST.ks_distance(sample, ST.gamma32_cdf(2.0))
-    assert d < ST.ks_critical(len(sample), level=0.01)
+    assert d < ks_critical(len(sample), level=0.01)

@@ -38,6 +38,13 @@ def test_lambda_equals_B_at_unit_beta():
     assert np.allclose(B, lam, rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf, 0.0, -1.0])
+def test_lambda_refuses_a_beta_not_positive_and_finite(beta):
+    # NaN gave NaN prefactors and inf gave zeros
+    with pytest.raises(ValueError, match="beta must be positive and finite"):
+        TH.lambda_B(TWO, beta)
+
+
 def test_lambda_beta_power_law():
     rng = np.random.default_rng(2)
     sp = tuple(random_species(rng, j + 1) for j in range(3))
@@ -58,6 +65,13 @@ def test_unit_concentration_gives_standard_potential_plus_K():
     assert np.allclose(mu, mu0 + K, atol=1e-14)
 
 
+def concentration_from_potential(species, beta: float, mu) -> np.ndarray:
+    """Inverse map c_j = lambda_j exp(beta (mu_j - K_j))."""
+    _, lam = TH.lambda_B(species, beta)
+    K = np.array([sp.chem_energy for sp in species])
+    return lam * np.exp(beta * (np.asarray(mu) - K))
+
+
 def test_potential_concentration_round_trip():
     rng = np.random.default_rng(3)
     for _ in range(200):
@@ -65,7 +79,7 @@ def test_potential_concentration_round_trip():
         beta = float(rng.uniform(0.2, 4.0))
         c = tuple(rng.uniform(1e-3, 8.0, size=2))
         pt = TH.ThermoPoint(beta, c, sp)
-        back = TH.concentration_from_potential(sp, beta, TH.chemical_potential(pt))
+        back = concentration_from_potential(sp, beta, TH.chemical_potential(pt))
         assert np.max(np.abs(back - np.array(c)) / np.array(c)) < 1e-12
 
 
@@ -305,7 +319,7 @@ def test_standard_potentials_once_per_species_and_beta_keep_their_floats(monkeyp
     # kept; every function that reads them returns the floats of the
     # per-point computation they replace, from a cold cache and a warm one
     def per_point(species, beta):
-        return [-math.log(lam) / beta for lam in TH._prefactors(species, beta)[1]]
+        return [-math.log(lam) / beta for lam in TH.lambda_B(species, beta)[1]]
 
     rng = np.random.default_rng(7)
     species, _ = matched_two_species(1.0)
