@@ -147,6 +147,7 @@ def _cmd_sim(args) -> int:
         concs = traj.concentrations()
         mean_T = [f.mean_energy() for f in traj.fields]
     else:
+        MF.check_reduced_model(spec)
         c0 = spec.initial_distribution.type_weights
         red = MF.reduced_macro_ode(MF.MacroState(beta, c0), spec, args.t_end,
                                    sample_every=sample)

@@ -47,7 +47,7 @@ __all__ = [
     "BoltzmannIntegrator",
     "integrate_boltzmann",
     "reduced_macro_ode",
-    "reduced_two_state",
+    "check_reduced_model",
     "two_state_equilibrium",
     "survival_gbeta",
     "onsager_flux",
@@ -176,21 +176,6 @@ def _maxwell_average(rate: Callable, thresh: float, beta: float) -> float:
         heapq.heappush(parts, rule(0.5 * (a + b), b))
 
 
-def reduced_two_state(spec: EnsembleSpec):
-    """Effective (v12, v21) of the two-state chain in the fast-scale limit.
-
-    v21 = w21 (downhill, always allowed) and v12 = g_beta(K2 - K1) * w12,
-    the uphill rate thinned by the probability that the kinetic energy
-    clears the threshold.
-    """
-    if spec.n_types != 2:
-        raise ValueError("reduced_two_state requires exactly two species")
-    if spec.rates.unary_fn is not None:
-        raise ValueError("reduced_two_state requires threshold-family rates")
-    v = maxwell_unary_rates(spec)
-    return float(v[0, 1]), float(v[1, 0])
-
-
 def two_state_equilibrium(ratio: float, total: float = 1.0) -> tuple:
     """Stationary (c1, c2) of the two-state chain with c1 / c2 = ratio =
     v21 / v12 and c1 + c2 = total."""
@@ -253,7 +238,10 @@ def reduced_macro_ode(state: MacroState, spec: EnsembleSpec, t_end: float,
     with ``sample_every`` = t_end / 200 when it is None; with t_end = 0 the
     trajectory is the single row of initial data at t = 0.  A negative or
     non-finite t_end, a bad ``sample_every``, or a concentration count other
-    than the spec's number of species raises ValueError."""
+    than the spec's number of species raises ValueError.  The chain is wrong
+    for the specs ``check_reduced_model`` names, which ``kinchem sim --engine
+    reduced`` refuses; this function still runs them, since the bench's
+    ``meanfield`` workload calls it on one."""
     if not 0.0 <= t_end < math.inf:
         raise ValueError(f"t_end must be nonnegative and finite, got {t_end!r}")
     if len(state.concentrations) != spec.n_types:
@@ -266,6 +254,26 @@ def reduced_macro_ode(state: MacroState, spec: EnsembleSpec, t_end: float,
     A = v - np.diag(v.sum(axis=1))
     c = propagate(state.concentrations, A, times)
     return ReducedTrajectory(times=times, concentrations=c, beta=state.beta, generator=A)
+
+
+def check_reduced_model(spec: EnsembleSpec) -> None:
+    """ValueError for a spec whose dynamics the fixed-beta chain of
+    ``reduced_macro_ode`` drops: a slow binary outcome of positive rate that
+    changes the pair's types, or a closed system (scale_heat * heat_rate = 0)
+    whose unary channel moves the temperature by changing the chemical energy."""
+    r, K = spec.rates, spec.chem_energies()
+    closed = spec.scale_heat * r.heat_rate == 0.0
+    for a in range(spec.n_types):
+        for b in range(spec.n_types):
+            if closed and r.unary[a][b] > 0.0 and K[a] != K[b]:
+                raise ValueError(f"the reduced model holds beta at bath_beta, but the system is "
+                                 f"closed (scale_heat * heat_rate = 0) and the unary channel "
+                                 f"{a + 1} -> {b + 1} changes the chemical energy")
+            if r.slow_binary[a][b] > 0.0:
+                for out, p in r.binary_kernel.outcomes(a + 1, b + 1):
+                    if p > 0.0 and sorted(out) != sorted((a + 1, b + 1)):
+                        raise ValueError(f"the reduced model has no slow binary reactions, but "
+                                         f"({a + 1}, {b + 1}) -> {tuple(out)} changes the types")
 
 
 # -- energy-grid machinery -------------------------------------------------------
@@ -843,13 +851,11 @@ class BoltzmannIntegrator:
         return out
 
     def max_out_rate(self, rho: np.ndarray) -> float:
-        """Largest total per-node outflow rate, for the step-size bound.
-
-        Only the unary rates vary over the nodes; each binary term and bath
-        contact add the same number to every node.  Rounding is monotone, so
-        adding those terms to the largest unary node gives the largest node
-        sum bitwise.
-        """
+        """Upper bound on the total per-node outflow rate, for the step size:
+        per type, its largest unary node, each binary term's coefficient times
+        the partner's whole mass, as if every node cleared the threshold (a
+        term that never fires on the grid, s_min > 2M, counts too), and bath
+        contact's ``heat_eff``.  Rounding is monotone, so no node exceeds it."""
         type_mass = rho.sum(axis=1)
         out = list(self.unary_out_max)
         for j, jp, j1, j1p, coef, dK, s_min in self.binary_terms:

@@ -21,7 +21,6 @@ Particle labels are arbitrary hashables; sequence positions are 0-based.
 """
 from __future__ import annotations
 
-import ctypes
 import itertools
 import math
 import numbers
@@ -39,8 +38,6 @@ __all__ = [
     "PairModel",
     "Classification",
     "classify",
-    "extract_theta_v",
-    "extract_theta_indices",
     "scaled_essential_count",
     "count_sequences_by_type",
     "canonical_anchored_sequences",
@@ -172,34 +169,6 @@ def classify(theta, anchor=None) -> Classification:
         nonessential=tuple(noness),
         anchored=anchored,
     )
-
-
-def extract_theta_indices(pairs, v) -> tuple:
-    """Positions (0-based, chronological) of the influence history of v."""
-    seq = _as_pairs(pairs)
-    last = None
-    for i in range(len(seq) - 1, -1, -1):
-        if v in seq[i]:
-            last = i
-            break
-    if last is None:
-        return ()
-    active: set = set()
-    keep = []
-    for i in range(last, -1, -1):
-        if v in seq[i] or (seq[i] & active):
-            keep.append(i)
-            active |= seq[i]
-    keep.reverse()
-    return tuple(keep)
-
-
-def extract_theta_v(pairs, v) -> tuple:
-    """Influence history of particle v: the minimal subsequence containing every
-    pair with v (up to the last such pair) that is closed backward under
-    sharing a particle with an already retained pair."""
-    raw = [tuple(p) for p in pairs]
-    return tuple(raw[i] for i in extract_theta_indices(pairs, v))
 
 
 def _falling(n: int, k: int) -> int:
@@ -384,10 +353,6 @@ class SeriesResult:
     tail_bound: float
     mass_by_length: np.ndarray  # probability captured at each history length
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.marginal.sum())
-
 
 def series_marginal(model: PairModel, mu0, t: float, n_max: int,
                     n_particles: Optional[int] = None) -> SeriesResult:
@@ -401,7 +366,7 @@ def series_marginal(model: PairModel, mu0, t: float, n_max: int,
     the N -> infinity limit only essential histories survive, each with unit
     class weight.  The returned marginal is the raw partial sum.  Every term
     is nonnegative, so the exact marginal exceeds it componentwise; the
-    missing mass 1 - total_mass is the summed truncation error, at most
+    missing mass 1 - marginal.sum() is the summed truncation error, at most
     ``truncation_tail`` = (1 - e^{-2 lambda t})^{n_max + 1}, returned as
     ``tail_bound`` for the caller to hold against its own tolerance.
     """
@@ -538,17 +503,15 @@ def exact_marginal(model: PairModel, mu0, t: float, N: int) -> np.ndarray:
 
 
 def exact_pair_correlation(model: PairModel, mu0, t: float, N: int) -> float:
-    """max_{a,b} |mu_12(a,b) - mu_1(a) mu_2(b)| for the exact pair law
-    mu_12(a, b) = E[n_a (n_b - delta_ab)] / (N (N - 1)) under the law of the
-    count chain (``_count_law``)."""
+    """max_{a,b} |mu_12(a,b) - mu_1(a) mu_1(b)|, the defect ``chaos_statistic``
+    estimates, for the exact pair law mu_12(a, b) = E[n_a (n_b - delta_ab)] /
+    (N (N - 1)) and marginal mu_1 = E[n] / N of the count chain (``_count_law``)."""
     N = _particles(N)
     counts, p = _count_law(model, mu0, t, N)
     S = model.n_states
     falling = counts[:, :, None] * (counts[:, None, :] - np.eye(S, dtype=np.int64))
     pair = (p @ falling.reshape(len(p), S * S)).reshape(S, S) / (N * (N - 1))
-    m1 = pair.sum(axis=1)
-    m2 = pair.sum(axis=0)
-    return float(np.max(np.abs(pair - np.outer(m1, m2))))
+    return float(_defects(pair[None], (p @ counts / N)[None], 2)[0])
 
 
 # -- simulation and the factorization statistic ----------------------------------------
@@ -610,10 +573,10 @@ def simulate_pair_system(model: PairModel, N: int, t: float, mu0,
                          f"{_POISSON_LAM_MAX!r}, got {lam!r}")
     key = _seed_key(seed)
     states = np.empty(N, dtype=np.uint8)
-    # the states' address through a one-byte view, cheaper than .ctypes
+    # the address by the array interface: no ctypes view stays on the array
     status = _kernel().kc_pair_system(key, len(key) // 4, N, model.n_states, mu0.tobytes(),
                                       model.kernel.tobytes(), lam,
-                                      ctypes.addressof(ctypes.c_char.from_buffer(states)))
+                                      states.__array_interface__["data"][0])
     if status:
         raise MemoryError("no memory for the cumulative tables of the pair process")
     return states
@@ -626,6 +589,16 @@ class ChaosReport:
     stderrs: dict               # N -> jackknife standard error
     slope: float
     slope_stderr: float
+
+
+def _defects(joint: np.ndarray, marg: np.ndarray, k: int) -> np.ndarray:
+    """max |joint - marg (x) ... (x) marg| (k factors) for each leading row:
+    ``joint`` has shape (R,) + (|S|,) * k and ``marg`` (R, |S|)."""
+    R = marg.shape[0]
+    prod = marg
+    for _ in range(k - 1):
+        prod = prod[..., None] * marg.reshape((R,) + (1,) * (prod.ndim - 1) + (-1,))
+    return np.abs(joint - prod).reshape(R, -1).max(axis=1)
 
 
 def _factorization_defect(counts: np.ndarray, N: int, k: int):
@@ -710,21 +683,10 @@ def chaos_statistic(runs: Mapping[int, Sequence], k: int = 2, *,
         counts = _state_counts(runs[N], N, n_states)
         joint, marg = _factorization_defect(counts, N, k)
         R = counts.shape[0]
-
-        def defect(joint_mean, marg_mean):
-            prod = marg_mean
-            for _ in range(k - 1):
-                prod = np.multiply.outer(prod, marg_mean)
-            return float(np.max(np.abs(joint_mean - prod)))
-
-        full = defect(joint.mean(axis=0), marg.mean(axis=0))
+        full = float(_defects(joint.mean(axis=0)[None], marg.mean(axis=0)[None], k)[0])
         # leave-one-replica-out defects, all replicas in one broadcast
-        loo_joint = (joint.sum(axis=0) - joint) / (R - 1)
-        loo_marg = (marg.sum(axis=0) - marg) / (R - 1)
-        prod = loo_marg
-        for _ in range(k - 1):
-            prod = prod[..., None] * loo_marg.reshape((R,) + (1,) * (prod.ndim - 1) + (-1,))
-        loo = np.abs(loo_joint - prod).reshape(R, -1).max(axis=1)
+        loo = _defects((joint.sum(axis=0) - joint) / (R - 1),
+                       (marg.sum(axis=0) - marg) / (R - 1), k)
         se = math.sqrt((R - 1) / R * float(((loo - loo.mean()) ** 2).sum()))
         corr[N] = full
         errs[N] = se

@@ -6,6 +6,7 @@ import pytest
 
 from kinchem.model import (EnergyLaw, EnsembleSpec, InitialDistribution,
                            RateTable, SpeciesSpec)
+from kinchem.oracle import _as_pairs
 
 ACCEPTANCE_LINES = []
 
@@ -66,6 +67,34 @@ def pairs_from_event_log(events) -> tuple:
     """Participant pairs of the binary events in a particle-engine ``EventLog``:
     the events with a second participant ``j``."""
     return tuple((i, j) for i, j in zip(events.column("i"), events.column("j")) if j is not None)
+
+
+def extract_theta_indices(pairs, v) -> tuple:
+    """Positions (0-based, chronological) of the influence history of v."""
+    seq = _as_pairs(pairs)
+    last = None
+    for i in range(len(seq) - 1, -1, -1):
+        if v in seq[i]:
+            last = i
+            break
+    if last is None:
+        return ()
+    active: set = set()
+    keep = []
+    for i in range(last, -1, -1):
+        if v in seq[i] or (seq[i] & active):
+            keep.append(i)
+            active |= seq[i]
+    keep.reverse()
+    return tuple(keep)
+
+
+def extract_theta_v(pairs, v) -> tuple:
+    """Influence history of particle v: the minimal subsequence containing every
+    pair with v (up to the last such pair) that is closed backward under
+    sharing a particle with an already retained pair."""
+    raw = [tuple(p) for p in pairs]
+    return tuple(raw[i] for i in extract_theta_indices(pairs, v))
 
 
 def ks_critical(n: int, level: float = 0.05) -> float:

@@ -13,21 +13,29 @@ import time
 
 import numpy as np
 import pytest
+from jsonschema import validate as validate_schema
 
 from kinchem import kinetics as KIN
-from kinchem.scenarios import run_scenario
+from kinchem.scenarios import SUMMARY_SCHEMA, run_scenario
 from conftest import make_two_state, record_acceptance
 from test_thermo import variational_check
 
 
+def _scenario(name, overrides):
+    """The summary of ``run_scenario`` at seed 7, checked against the schema."""
+    summary = run_scenario(name, overrides, seed=7)
+    validate_schema(summary, SUMMARY_SCHEMA)
+    return summary
+
+
 @pytest.fixture(scope="module")
 def unimolecular_summary():
-    return run_scenario("unimolecular", {}, seed=7)
+    return _scenario("unimolecular", {})
 
 
 @pytest.fixture(scope="module")
 def oracle_summary():
-    return run_scenario("oracle-verify", {}, seed=7)
+    return _scenario("oracle-verify", {})
 
 
 def _named(summary, *names):
@@ -71,7 +79,7 @@ def test_criterion_02_heat_ledger_closure():
 
 def test_criterion_03_kinetic_equilibrium_invariance():
     t0 = time.perf_counter()
-    summary = run_scenario("equilibration", {"n": 10000}, seed=7)
+    summary = _scenario("equilibration", {"n": 10000})
     elapsed = time.perf_counter() - t0
     a, b = _named(summary, "final_ks_from_uniform",
                   "ks_stays_small_from_equilibrium")
@@ -126,7 +134,7 @@ def test_criterion_06_gibbs_identity_and_monotonicity(unimolecular_summary):
 
 
 def test_criterion_07_hess_law():
-    summary = run_scenario("hess", {}, seed=7)
+    summary = _scenario("hess", {})
     bit, mc = _named(summary, "delta_H_bit_identical", "mc_endpoints_agree")
     ok = summary["passed"]
     record_acceptance(7, "enthalpy change is path independent", ok,
@@ -142,7 +150,7 @@ def test_criterion_08_poisson_spatial_invariance():
     # had mean 0.999-1.001 and sd 0.032-0.035, and it never left 0.9-1.1
     # (0.9027 to 1.0998).  So about one stream change in 70 turns this check
     # red with no defect
-    summary = run_scenario("poisson-invariance", {"n": 10000}, seed=7)
+    summary = _scenario("poisson-invariance", {"n": 10000})
     ok = summary["passed"]
     disp = [c["value"] for c in summary["checks"] if "dispersion" in c["name"]]
     ps = [c["p"] for c in summary["checks"] if "chi2" in c["name"]]
@@ -153,7 +161,7 @@ def test_criterion_08_poisson_spatial_invariance():
 
 
 def test_criterion_09_meanfield_matches_monte_carlo():
-    summary = run_scenario("meanfield-vs-mc", {"n": 10000}, seed=7)
+    summary = _scenario("meanfield-vs-mc", {"n": 10000})
     chk = _named(summary, "concentrations_match")[0]
     record_acceptance(9, "mean-field vs Monte Carlo concentrations",
                       chk["passed"],
@@ -169,7 +177,7 @@ def test_criterion_10_chaos_property():
     # at most 3.84 against its gate of 4) never failed.  On the replicas'
     # earlier Mersenne Twister stream: sd 0.070, 0 slope failures, and 1 of
     # 400 at t = 0 (z 4.63).
-    summary = run_scenario("chaos", {}, seed=7)
+    summary = _scenario("chaos", {})
     slope, exact = _named(summary, "decay_exponent",
                           "exact_smallN_monotone_decrease")
     ok = slope["passed"] and exact["passed"]
@@ -209,7 +217,7 @@ def test_criterion_12_history_combinatorics(oracle_summary):
 
 
 def test_criterion_13_flux_consistency():
-    summary = run_scenario("flux-check", {}, seed=7)
+    summary = _scenario("flux-check", {})
     fd, zero = _named(summary, "fd_matches_affinity_flux",
                       "zero_flux_at_equilibrium")
     ok = fd["passed"] and zero["passed"]

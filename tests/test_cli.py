@@ -184,6 +184,42 @@ def test_sim_reduced_engine_at_zero_horizon(tmp_path, config_path):
     assert len(rows) == 2 and float(rows[1][0]) == 0.0
 
 
+SWAP = TypeKernel(kind="table", table=(((1, 2), (((2, 1), 1.0),)),))
+CROSS = TypeKernel(kind="table", table=(((1, 1), (((2, 2), 1.0),)),
+                                        ((2, 2), (((1, 1), 1.0),))))
+
+
+@pytest.mark.parametrize("spec_kw, refusal", [
+    # the fixed-beta chain has no slow binaries: on configs/two_state.yaml
+    # with slow rates ((0.6, 0.3), (0.3, 0.6)) and (1, 1) <-> (2, 2) at
+    # probability 1/2 it wrote c_1 = 0.630111 at t = 2, the kinetic
+    # equation 0.589939
+    (dict(heat=1.0, scale_heat=1.0, slow=0.6, kernel=CROSS), "(1, 1) -> (2, 2) changes the types"),
+    # nor a temperature that moves: with heat_rate 0 and scale_fast 20 the
+    # kinetic equation read c_1 = 0.619218 and mean T 1.6192 there
+    (dict(scale_fast=20.0), "unary channel 1 -> 2 changes the chemical energy"),
+    (dict(heat=1.0, scale_heat=0.0), "closed (scale_heat * heat_rate = 0)"),
+    (dict(heat=0.0, scale_heat=1.0), "closed (scale_heat * heat_rate = 0)"),
+    # what the chain keeps: a swap of the pair's types, a closed system
+    # whose unary channel shifts no chemical energy
+    (dict(heat=1.0, scale_heat=1.0, slow=0.6, kernel=SWAP), None),
+    (dict(k2=0.0), None),
+])
+def test_sim_reduced_engine_refuses_what_the_chain_drops(tmp_path, capsys, spec_kw, refusal):
+    path = tmp_path / "model.yaml"
+    save_config(make_two_state(n=80, **spec_kw), path)
+    out = tmp_path / "red"
+    code = main(["sim", "--config", str(path), "--engine", "reduced",
+                 "--t-end", "2", "--out", str(out)])
+    if refusal is None:
+        assert code == 0 and (out / "reduced_trajectory.csv").exists()
+    else:
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the reduced model ") and refusal in err
+        assert not out.exists()
+
+
 def test_sim_meanfield_engine(tmp_path, config_path):
     out = tmp_path / "mf"
     code = main(["sim", "--config", str(config_path), "--engine", "meanfield",

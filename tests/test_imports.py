@@ -9,7 +9,8 @@ the library imports scipy at all: it is a test dependency only.  A
 particle run of ``kinchem sim`` never needs scipy, nor does building a
 mean-field initial field from any law, nor do the particle-geometry
 statistics (sub-box counts, dispersion and the chi-square p-value) or the
-Maxwell average of a plugged-in unary rate.  Importing neither compiles nor loads the
+Maxwell average of a plugged-in unary rate, and no scenario needs
+jsonschema: it is a test dependency too.  Importing neither compiles nor loads the
 C kernel of the particle engine and the oracle's replicas, and neither do
 ``sample_initial_state``, the views of its state or the oracle's exact laws:
 the first ``run()`` or ``simulate_pair_system`` compiles it into
@@ -98,6 +99,18 @@ def test_particle_sim_loads_no_scipy(tmp_path):
     loaded = _loaded_after(_sim_code(tmp_path))
     assert "scipy" not in loaded
     assert (tmp_path / "out" / "trajectory.csv").is_file()
+
+
+def test_a_scenario_runs_with_jsonschema_blocked(tmp_path):
+    # the scenario summary's schema check is the tests', not the library's
+    proc = _python("import sys\n"
+                   "sys.modules['jsonschema'] = None\n"
+                   "from kinchem.scenarios import run_scenario\n"
+                   f"summary = run_scenario('flux-check', {{}}, out_dir={str(tmp_path)!r})\n"
+                   "print(summary['passed'])\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"]
+    assert (tmp_path / "summary.json").is_file()
 
 
 def test_initial_fields_load_no_scipy():

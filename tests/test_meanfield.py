@@ -148,13 +148,13 @@ def test_split_deposition_keeps_the_tail_digits():
 
 def test_reduced_two_state_no_threshold():
     spec = make_two_state(k2=0.0, w12=0.7, w21=0.3)
-    v12, v21 = MF.reduced_two_state(spec)
+    v12, v21 = MF.maxwell_unary_rates(spec)[[0, 1], [1, 0]].tolist()
     assert v12 == 0.7 and v21 == 0.3
 
 
 def test_reduced_two_state_threshold_value():
     spec = make_two_state(k2=1.0, w12=1.0, w21=1.0)
-    v12, v21 = MF.reduced_two_state(spec)
+    v12, v21 = MF.maxwell_unary_rates(spec)[[0, 1], [1, 0]].tolist()
     assert v21 == 1.0
     c = 2.0 / math.sqrt(math.pi)
     oracle, _ = sintegrate.quad(lambda x: c * math.sqrt(x) * math.exp(-x),
@@ -164,24 +164,13 @@ def test_reduced_two_state_threshold_value():
 
 def test_reduced_two_state_absorbing():
     spec = make_two_state(w12=0.0, w21=1.0)
-    v12, v21 = MF.reduced_two_state(spec)
+    v12, v21 = MF.maxwell_unary_rates(spec)[[0, 1], [1, 0]].tolist()
     assert v12 == 0.0
-
-
-def test_reduced_two_state_requires_two_species():
-    spec = make_two_state()
-    three = spec.species + (spec.species[1].__class__(3, 1.0, 3, 2.0),)
-    with pytest.raises(ValueError):
-        MF.reduced_two_state(spec.with_overrides(
-            species=three,
-            rates=RateTable(unary=np.zeros((3, 3)), slow_binary=np.zeros((3, 3)),
-                            fast_binary=np.zeros((3, 3)), heat_rate=0.0,
-                            bath_beta=1.0)))
 
 
 def test_reduced_ode_fixed_point_is_constant():
     spec = make_two_state(k2=1.0)
-    v12, v21 = MF.reduced_two_state(spec)
+    v12, v21 = MF.maxwell_unary_rates(spec)[[0, 1], [1, 0]].tolist()
     ratio = v21 / v12
     c1 = ratio / (1.0 + ratio)
     traj = MF.reduced_macro_ode(MF.MacroState(1.0, (c1, 1.0 - c1)), spec, 5.0)
@@ -190,7 +179,7 @@ def test_reduced_ode_fixed_point_is_constant():
 
 def test_reduced_ode_converges_to_rate_ratio():
     spec = make_two_state(k2=1.0)
-    v12, v21 = MF.reduced_two_state(spec)
+    v12, v21 = MF.maxwell_unary_rates(spec)[[0, 1], [1, 0]].tolist()
     traj = MF.reduced_macro_ode(MF.MacroState(1.0, (0.9, 0.1)), spec, 40.0)
     c1, c2 = traj.concentrations[-1]
     assert abs(c1 / c2 - v21 / v12) < 1e-9
@@ -576,7 +565,7 @@ def test_unary_gate_converges_faster_than_first_order():
         grid = MF.energy_grid(1.0, spec.chem_energies(), m=m)
         traj = MF.integrate_boltzmann(MF.field_from_spec(spec, grid), spec, 8.0)
         c1.append(traj.final().masses()[0])
-    v12, v21 = MF.reduced_two_state(spec)
+    v12, v21 = MF.maxwell_unary_rates(spec)[[0, 1], [1, 0]].tolist()
     err = np.array(c1) - MF.two_state_equilibrium(v21 / v12)[0]
     assert abs(err[0]) < 0.005 and abs(err[2]) < 0.001
     order = math.log2((c1[1] - c1[0]) / (c1[2] - c1[1]))

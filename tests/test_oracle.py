@@ -14,7 +14,8 @@ from scipy.sparse.linalg import expm_multiply
 from kinchem import oracle as O
 from kinchem.kinetics import run, sample_initial_state
 from kinchem.model import TypeKernel
-from conftest import make_two_state, pairs_from_event_log, traced
+from conftest import (extract_theta_indices, extract_theta_v, make_two_state,
+                      pairs_from_event_log, traced)
 
 
 # -- model validation -----------------------------------------------------------
@@ -148,13 +149,13 @@ def test_essential_needs_one_endpoint_absent_later():
 
 
 def test_extract_empty_when_anchor_never_interacts():
-    assert O.extract_theta_v([(2, 3), (3, 4)], 1) == ()
+    assert extract_theta_v([(2, 3), (3, 4)], 1) == ()
 
 
 def test_extract_simple_and_backward_closure():
-    assert O.extract_theta_v([(1, 2), (3, 4)], 1) == ((1, 2),)
-    assert O.extract_theta_v([(2, 3), (1, 2)], 1) == ((2, 3), (1, 2))
-    assert O.extract_theta_v([(3, 4), (1, 2)], 1) == ((1, 2),)
+    assert extract_theta_v([(1, 2), (3, 4)], 1) == ((1, 2),)
+    assert extract_theta_v([(2, 3), (1, 2)], 1) == ((2, 3), (1, 2))
+    assert extract_theta_v([(3, 4), (1, 2)], 1) == ((1, 2),)
 
 
 def _satisfies_closure(log, subset_idx, v):
@@ -182,8 +183,8 @@ def test_extract_is_minimal_closure_brute_force():
             i = rng.randrange(1, 6)
             j = rng.randrange(1, 5)
             log.append((i, j if j < i else j + 1))
-        got_idx = O.extract_theta_indices(log, 1)
-        assert O.extract_theta_v(log, 1) == tuple(log[i] for i in got_idx)
+        got_idx = extract_theta_indices(log, 1)
+        assert extract_theta_v(log, 1) == tuple(log[i] for i in got_idx)
         assert _satisfies_closure(log, got_idx, 1)
         # minimality: every satisfying subset contains the extracted one
         for r in range(len(log) + 1):
@@ -201,7 +202,7 @@ def test_extract_from_engine_event_log():
                     track_positions=False)
     pairs = pairs_from_event_log(events)
     assert pairs
-    theta = O.extract_theta_v(pairs, 0)
+    theta = extract_theta_v(pairs, 0)
     if theta:
         assert 0 in theta[-1]
         cls = O.classify(theta, anchor=0)
@@ -415,10 +416,10 @@ def test_series_matches_master_equation_within_geometric_tail():
                 geometric = x ** 5 / (1 - x)
                 assert err <= geometric
                 # missing mass is itself below the geometric tail
-                assert 0.0 <= 1.0 - res.total_mass <= geometric
+                assert 0.0 <= 1.0 - res.marginal.sum() <= geometric
                 # and the program's own stated bound holds
                 assert err <= res.tail_bound
-                assert 0.0 <= 1.0 - res.total_mass <= res.tail_bound
+                assert 0.0 <= 1.0 - res.marginal.sum() <= res.tail_bound
 
 
 def test_series_missing_mass_attains_tail_bound_in_limit():
@@ -430,7 +431,7 @@ def test_series_missing_mass_attains_tail_bound_in_limit():
         res = O.series_marginal(model, mu0, 1.0, n_max=n_max, n_particles=None)
         assert res.tail_bound == pytest.approx(
             (1.0 - math.exp(-2.0 * lam_t)) ** (n_max + 1), rel=1e-12)
-        assert abs(1.0 - res.total_mass - res.tail_bound) <= 1e-12
+        assert abs(1.0 - res.marginal.sum() - res.tail_bound) <= 1e-12
 
 
 def wild_sum(model, mu0, t, n_max):
@@ -488,7 +489,7 @@ def test_history_length_probabilities_against_simulation():
             i = rng.randrange(N)
             k = rng.randrange(N - 1)
             pairs.append((i + 1, (k if k < i else k + 1) + 1))
-        ln = len(O.extract_theta_v(pairs, 1))
+        ln = len(extract_theta_v(pairs, 1))
         if ln < 4:
             counts[ln] += 1
     freq = counts / reps
@@ -1125,6 +1126,19 @@ def test_replicas_hold_one_byte_per_particle_state():
                                     for r in range(700)])
     assert {r.dtype for r in reps} == {np.dtype(np.uint8)}
     assert held <= 1.25 * 700 * 1600, held
+
+
+def test_replicas_keep_no_more_than_plain_arrays():
+    # taking the states' address through a ctypes one-byte view left a
+    # buffer-format record on each replica: 72 bytes more per replica than
+    # a plain np.empty array keeps at N = 1600.  Less than a byte per
+    # replica is slack for what a call may keep once
+    model, mu0 = O.contagion_model(0.5, 1.0), (0.6, 0.4)
+    O.simulate_pair_system(model, 1600, 0.5, mu0, seed=0)
+    _, held, _ = traced(lambda: [O.simulate_pair_system(model, 1600, 0.5, mu0, seed=r)
+                                 for r in range(700)])
+    _, plain, _ = traced(lambda: [np.empty(1600, np.uint8) for _ in range(700)])
+    assert held < plain + 700, (held, plain)
 
 
 def test_simulate_pair_system_refuses_more_than_256_states(monkeypatch):

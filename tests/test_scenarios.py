@@ -130,6 +130,7 @@ def test_outputs_list_exactly_the_files_written(tmp_path, monkeypatch):
     for name, params in SMALL.items():
         out = tmp_path / name
         s = run_scenario(name, params, out_dir=out, seed=5)
+        validate_schema(json.loads((out / "summary.json").read_text()), SUMMARY_SCHEMA)
         assert s["outputs"], name
         assert sorted(p.name for p in out.iterdir()) == sorted(
             [Path(o).name for o in s["outputs"]] + ["summary.json"])
